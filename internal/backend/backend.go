@@ -269,6 +269,9 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 	})
 	p.pool = sched.NewPool(rt.opts.WorkersPerRank, rt.opts.Policy, func(w int, it sched.Item) {
 		it.Value.(*core.Task).Execute(w)
+		// The body's remote sends leave now, so a peer waiting on them
+		// runs while this rank starts its next task.
+		p.flushSends()
 	})
 	p.pool.Trace(&p.tr)
 	if p.rec != nil {
@@ -284,16 +287,15 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 	if rt.opts.CoalesceBytes > 0 {
 		p.coal = newCoalescer(p, rt.Ranks(), rt.opts.CoalesceBytes, rt.opts.CoalesceCount)
 	}
-	// Flush parked reduction partials and buffered coalesced frames
-	// whenever the scheduler quiesces, so neither form of batching holds
-	// work the termination detector is waiting on. Reductions drain first:
-	// their partial sends may land in the coalescer.
+	// Parked reduction partials belong to no single task, so they drain
+	// when the scheduler quiesces; otherwise the termination detector
+	// would wait on them forever.
 	p.pool.OnIdle(p.idleFlush)
 	return p
 }
 
-// idleFlush is the pool's went-idle hook: drain combiner slots (their
-// partial sends feed the coalescer), then the coalescer itself.
+// idleFlush is the pool's went-idle hook: drain combiner slots, then ship
+// the partial sends that produced.
 func (p *Proc) idleFlush() {
 	if g := p.boundGraph(); g != nil {
 		g.FlushReductions(false)
@@ -349,8 +351,9 @@ func (p *Proc) Activate() { p.det.Activate() }
 func (p *Proc) Deactivate() { p.det.Deactivate() }
 
 // Fence implements core.Executor: collective wait for global quiescence.
-// Buffered coalesced frames are flushed first — a fence can only complete
-// once every counted message has actually reached the wire.
+// Sends the caller queued outside any task (Seed* on the main goroutine)
+// are flushed first — a fence can only complete once every counted
+// message has actually reached the wire.
 func (p *Proc) Fence() {
 	// Seeds folded on the main thread may have parked combiner slots
 	// without ever waking the pool; drain them before counting the fence.
@@ -368,9 +371,13 @@ func (p *Proc) Fence() {
 		Dur: p.rec.Now() - start, Name: "fence"})
 }
 
-// flushSends drains the send aggregator (idle hook and fence entry).
+// flushSends ships the coalesced frames still pending. Every context that
+// can enqueue remote sends calls it as it finishes — a task body, one
+// handled packet, a landed splitmd fetch, the idle hook, Fence entry — so a
+// frame never outlives the work unit that filled it. A unit that queued
+// nothing pays one atomic load.
 func (p *Proc) flushSends() {
-	if p.coal != nil {
+	if p.coal != nil && p.coal.queuedMsgs.Load() > 0 {
 		p.coal.flushAll()
 	}
 }
@@ -517,9 +524,6 @@ func (p *Proc) deliverLoopback(d core.Delivery) {
 	}
 	p.det.Activate()
 	p.graph.Inject(d)
-	if d.Control == core.CtrlReduce {
-		p.flushSends()
-	}
 	p.det.Deactivate()
 }
 
@@ -716,12 +720,6 @@ func (p *Proc) commLoop() {
 				d.Exclusive = true
 			}
 			p.graph.Inject(d)
-			if d.Control == core.CtrlReduce {
-				// A non-owner folds the partial through immediately and
-				// forwards it up the tree; push that send onto the wire
-				// now — the pool may be idle and never re-trigger a flush.
-				p.flushSends()
-			}
 			p.det.Deactivate()
 			// Decoding copies out of the packet, so the wire buffer is
 			// dead here; donate it to the encode pool.
@@ -745,9 +743,6 @@ func (p *Proc) commLoop() {
 			p.recordDeliver(n)
 			d, _ := p.decodeGather(serde.FromBytes(pkt.Data), pkt.Segs)
 			p.graph.Inject(d)
-			if d.Control == core.CtrlReduce {
-				p.flushSends()
-			}
 			p.det.Deactivate()
 			// Only the framed header lived in the wire buffer — the
 			// payload segments now belong to the scattered value — so the
@@ -798,6 +793,10 @@ func (p *Proc) commLoop() {
 		default:
 			panic(fmt.Sprintf("backend: unknown packet kind %d", pkt.Kind))
 		}
+		// Whatever handling this packet queued (a reduce partial folded
+		// through and forwarded, a relayed send) leaves with it: the pool
+		// may be idle and never flush on its behalf.
+		p.flushSends()
 	}
 }
 
@@ -836,14 +835,6 @@ func (p *Proc) handleCoal(data []byte, segs []serde.Segment, src int) {
 	}
 	if len(dels) > 0 {
 		p.graph.InjectBatch(dels)
-		for i := range dels {
-			if dels[i].Control == core.CtrlReduce {
-				// Forwarded partials must not park in the coalescer; see
-				// the kData branch of commLoop.
-				p.flushSends()
-				break
-			}
-		}
 		for range dels {
 			p.det.Deactivate()
 		}
@@ -896,31 +887,31 @@ func (p *Proc) fetchSplit(d core.Delivery, tag uint32, meta []byte, payloadBytes
 	if !ok {
 		panic(fmt.Sprintf("backend: no splitmd traits for wire tag %d", tag))
 	}
-	obj := traits.Allocate(meta)
-	srcObj, owned, err := p.ep.FetchObject(h, payloadBytes)
+	obj, owned, err := p.ep.FetchObject(h, payloadBytes)
 	if err != nil {
 		panic(fmt.Sprintf("backend: splitmd fetch failed: %v", err))
 	}
-	obj.CopyPayloadFrom(srcObj.(serde.SplitMD))
 	if owned {
-		// A network fabric decoded a requester-owned temporary for us;
-		// its pooled payload is dead once copied out.
-		if r, ok := srcObj.(pool.Releasable); ok {
-			r.Release()
-		}
+		// A network fabric decoded a requester-owned object for us — a
+		// view over the pooled segments the payload landed in — so it is
+		// the delivery value as it stands, like a gather receive.
+		p.tr.ViewDecodes.Add(1)
+	} else {
+		// The owner's live object: copy the payload out of it.
+		dst := traits.Allocate(meta)
+		dst.CopyPayloadFrom(obj.(serde.SplitMD))
+		obj = dst
 	}
 	p.tr.SplitMDTransfers.Add(1)
 	p.tr.BytesReceived.Add(int64(payloadBytes)) // the RMA-fetched payload
 	p.recordDeliver(payloadBytes)
 	d.Value = obj
-	// The allocated+fetched object belongs to this rank alone.
+	// The fetched object belongs to this rank alone.
 	d.Exclusive = true
 	p.graph.Inject(d)
-	if d.Control == core.CtrlReduce {
-		p.flushSends()
-	}
 	// Notify the sender so it can release the source object.
 	p.ep.Send(src, kSplitAck, fabric.EncodeHandle(nil, h))
+	p.flushSends()
 }
 
 // recordDeliver emits a message-delivery event on the comm thread.

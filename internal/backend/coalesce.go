@@ -10,10 +10,11 @@ import (
 // coalescer is the per-rank send aggregator (the TaskTorrent-style message
 // batching lever): small control/activation messages bound for the same
 // destination rank are framed into one wire packet instead of each paying
-// full per-packet fabric latency. A frame is flushed when it crosses the
-// byte threshold, when it holds maxCount messages, or when the scheduler
-// goes quiescent (the pool's idle hook) — so batching never stalls
-// termination detection.
+// full per-packet fabric latency. A frame lives as long as the unit of
+// work that filled it: it is shipped when that unit ends (Proc.flushSends
+// after a task body, a handled packet, a landed splitmd fetch), or earlier
+// when it crosses the byte threshold or holds maxCount messages. A
+// finished task's outputs therefore never wait on unrelated local work.
 //
 // Frame layout: a self-delimiting run of [kind u8][encoded message], where
 // kind is the sub-message's native wire kind (kData, kSplit, or
@@ -28,14 +29,18 @@ type coalescer struct {
 	maxCount int
 	peers    []peerBuf
 
-	// Live gauges for the introspection endpoint: bytes and messages
-	// currently buffered across all peer frames (grow on add, shrink when a
-	// frame is taken for the wire).
+	// Bytes and messages currently buffered across all peer frames (grow
+	// on add, shrink when a frame is taken for the wire). queuedMsgs is
+	// also the flush gate: a work unit that queued nothing sees zero and
+	// touches no peer lock. Both feed the introspection endpoint.
 	queuedBytes atomic.Int64
 	queuedMsgs  atomic.Int64
 }
 
-// peerBuf accumulates the pending frame for one destination rank.
+// peerBuf accumulates the pending frame for one destination rank. mu is
+// held across the wire send as well as the append, so frames to one peer
+// reach the fabric in the order they were filled even when one worker
+// flushes a frame another is still adding to.
 type peerBuf struct {
 	mu    sync.Mutex
 	buf   *serde.Buffer // nil when no messages are pending
@@ -54,9 +59,7 @@ func newCoalescer(p *Proc, ranks, maxBytes, maxCount int) *coalescer {
 
 // add appends one encoded message to dest's pending frame, taking ownership
 // of b (its bytes are copied into the frame and the buffer is released).
-// Crossing either flush threshold sends the frame immediately; the send
-// happens outside the peer lock so concurrent senders to the same rank
-// only contend for the memcpy.
+// Crossing either cap sends the frame immediately.
 func (c *coalescer) add(dest int, kind uint8, b *serde.Buffer) {
 	c.addSegs(dest, kind, b, nil)
 }
@@ -70,51 +73,41 @@ func (c *coalescer) addSegs(dest int, kind uint8, b *serde.Buffer, segs []serde.
 	sb := serde.SegmentBytes(segs)
 	pb.mu.Lock()
 	if pb.buf == nil {
-		pb.buf = serde.GetBuffer(c.maxBytes + 64)
+		// Sized for this message, not for the cap: most frames end with
+		// their task after a message or two; a fan grows it by appending.
+		pb.buf = serde.GetBuffer(1 + b.Len())
 	}
 	pb.buf.PutU8(kind)
 	pb.buf.PutRaw(b.Bytes())
 	pb.segs = append(pb.segs, segs...)
 	pb.segBytes += sb
 	pb.count++
-	c.queuedBytes.Add(int64(1 + len(b.Bytes()) + sb))
+	c.queuedBytes.Add(int64(1 + b.Len() + sb))
 	c.queuedMsgs.Add(1)
-	var out *serde.Buffer
-	var outSegs []serde.Segment
-	var n, outSB int
 	if pb.buf.Len()+pb.segBytes >= c.maxBytes || pb.count >= c.maxCount {
-		out, outSegs, n, outSB = pb.buf, pb.segs, pb.count, pb.segBytes
-		pb.buf, pb.segs, pb.count, pb.segBytes = nil, nil, 0, 0
+		c.sendLocked(dest, pb)
 	}
 	pb.mu.Unlock()
 	b.Release()
-	if out != nil {
-		c.queuedBytes.Add(int64(-(out.Len() + outSB)))
-		c.queuedMsgs.Add(int64(-n))
-		c.p.flushFrame(dest, out, n, outSegs)
-	}
 }
 
-// flush sends dest's pending frame, if any.
-func (c *coalescer) flush(dest int) {
-	pb := &c.peers[dest]
-	pb.mu.Lock()
-	out, outSegs, n, outSB := pb.buf, pb.segs, pb.count, pb.segBytes
+// sendLocked ships dest's pending frame, if any. The caller holds pb.mu.
+func (c *coalescer) sendLocked(dest int, pb *peerBuf) {
+	if pb.buf == nil {
+		return
+	}
+	c.queuedBytes.Add(-int64(pb.buf.Len() + pb.segBytes))
+	c.queuedMsgs.Add(-int64(pb.count))
+	c.p.flushFrame(dest, pb.buf, pb.count, pb.segs)
 	pb.buf, pb.segs, pb.count, pb.segBytes = nil, nil, 0, 0
-	pb.mu.Unlock()
-	if out != nil {
-		c.queuedBytes.Add(int64(-(out.Len() + outSB)))
-		c.queuedMsgs.Add(int64(-n))
-		c.p.flushFrame(dest, out, n, outSegs)
-	}
 }
 
-// flushAll drains every destination's pending frame (fence entry and
-// scheduler-idle hook).
+// flushAll ships every destination's pending frame.
 func (c *coalescer) flushAll() {
 	for d := range c.peers {
-		if d != c.p.rank {
-			c.flush(d)
-		}
+		pb := &c.peers[d]
+		pb.mu.Lock()
+		c.sendLocked(d, pb)
+		pb.mu.Unlock()
 	}
 }

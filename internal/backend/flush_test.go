@@ -1,0 +1,269 @@
+package backend_test
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/backend"
+	"repro/internal/backend/parsec"
+	"repro/internal/collective"
+	"repro/internal/core"
+	"repro/internal/netfab"
+	"repro/internal/serde"
+)
+
+// flushTimeout bounds every wait in this file: a flush-policy regression
+// shows up as a wedge, which must fail the test rather than hang it.
+const flushTimeout = 10 * time.Second
+
+// runOn executes main SPMD on ranks ranks of the PaRSEC-model engine, over
+// the in-process simnet or over a loopback TCP mesh of real sockets (one
+// single-rank runtime per endpoint, as in a multi-process run).
+func runOn(t *testing.T, transport string, ranks, workers int, main func(p *backend.Proc)) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if transport == "simnet" {
+			parsec.New(ranks, parsec.Config{WorkersPerRank: workers}).Run(main)
+			return
+		}
+		eps, err := netfab.NewLocalMesh(ranks, netfab.Config{Transport: transport})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var wg sync.WaitGroup
+		for _, ep := range eps {
+			wg.Add(1)
+			go func(ep *netfab.Endpoint) {
+				defer wg.Done()
+				parsec.New(0, parsec.Config{Fabric: ep, WorkersPerRank: workers}).Run(main)
+			}(ep)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * flushTimeout):
+		t.Fatalf("%s: run wedged", transport)
+	}
+}
+
+var transports = []string{"simnet", "tcp"}
+
+// TestSendsLeaveWithTheirTask is the regression test for ranks taking
+// turns: task A on rank 0 sends to a sink on rank 1 and hands rank 0's
+// only worker its successor B (a run-next chain link), and B cannot
+// finish until the sink has run. A's frame must therefore leave when A
+// ends; a flush that waits for rank 0 to go idle never comes.
+func TestSendsLeaveWithTheirTask(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			sunk := make(chan struct{})
+			runOn(t, tr, 2, 1, func(p *backend.Proc) {
+				g := p.NewGraph()
+				start, toSink, toB := core.NewEdge("start"), core.NewEdge("sink"), core.NewEdge("b")
+				g.AddTT(core.TTSpec{
+					Name:    "A",
+					Inputs:  []core.InputSpec{{Edge: start}},
+					Outputs: []core.OutputSpec{{Edge: toSink}, {Edge: toB}},
+					Keymap:  func(any) int { return 0 },
+					Body: func(ctx *core.TaskContext) {
+						ctx.Send(0, ctx.Key(), 1.0)
+						ctx.Send(1, ctx.Key(), 1.0)
+					},
+				})
+				g.AddTT(core.TTSpec{
+					Name:   "B",
+					Inputs: []core.InputSpec{{Edge: toB}},
+					Keymap: func(any) int { return 0 },
+					Body: func(ctx *core.TaskContext) {
+						select {
+						case <-sunk:
+						case <-time.After(flushTimeout):
+							t.Error("A's send was still unsent while B ran: rank 1 never overlapped with rank 0")
+						}
+					},
+				})
+				g.AddTT(core.TTSpec{
+					Name:   "sink",
+					Inputs: []core.InputSpec{{Edge: toSink}},
+					Keymap: func(any) int { return 1 },
+					Body:   func(ctx *core.TaskContext) { close(sunk) },
+				})
+				g.Seal()
+				p.Bind(g)
+				if p.Rank() == 0 {
+					g.Seed(start, serde.Int1{0}, 0.0)
+				}
+				g.Fence()
+			})
+		})
+	}
+}
+
+// TestConcurrentFlushKeepsSenderOrder has two workers of rank 0 fan out to
+// rank 1 at once: sender 0 ends a task (and so flushes) after every
+// message, sender 1 after every twenty, so sender 0 keeps shipping frames
+// sender 1 is still filling. Each sender's messages fold into an
+// order-sensitive stream on rank 1 — the fold runs on the comm thread in
+// arrival order — which must see every sequence number once, in order.
+func TestConcurrentFlushKeepsSenderOrder(t *testing.T) {
+	const total = 400
+	perTask := [2]int{1, 20}
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			var mu sync.Mutex
+			got := map[int][]float64{}
+			var started sync.WaitGroup
+			started.Add(2)
+			runOn(t, tr, 2, 2, func(p *backend.Proc) {
+				g := p.NewGraph()
+				step, out := core.NewEdge("step"), core.NewEdge("out")
+				g.AddTT(core.TTSpec{
+					Name:    "src", // key {sender, first sequence number}
+					Inputs:  []core.InputSpec{{Edge: step}},
+					Outputs: []core.OutputSpec{{Edge: out}, {Edge: step}},
+					Keymap:  func(any) int { return 0 },
+					Body: func(ctx *core.TaskContext) {
+						k := ctx.Key().(serde.Int2)
+						if k[1] == 0 {
+							// Both chains are running before either sends.
+							started.Done()
+							started.Wait()
+						}
+						next := k[1] + perTask[k[0]]
+						for s := k[1]; s < next; s++ {
+							ctx.Send(0, serde.Int1{k[0]}, float64(s))
+						}
+						if next < total {
+							ctx.Send(1, serde.Int2{k[0], next}, 0.0)
+						}
+					},
+				})
+				g.AddTT(core.TTSpec{
+					Name: "sink",
+					Inputs: []core.InputSpec{{
+						Edge: out,
+						Reducer: func(acc, v any) any {
+							seq, _ := acc.([]float64)
+							return append(seq, v.(float64))
+						},
+						StreamSize: func(any) int { return total },
+					}},
+					Keymap: func(any) int { return 1 },
+					Body: func(ctx *core.TaskContext) {
+						mu.Lock()
+						got[ctx.Key().(serde.Int1)[0]] = ctx.Input(0).([]float64)
+						mu.Unlock()
+					},
+				})
+				g.Seal()
+				p.Bind(g)
+				if p.Rank() == 0 {
+					g.Seed(step, serde.Int2{0, 0}, 0.0)
+					g.Seed(step, serde.Int2{1, 0}, 0.0)
+				}
+				g.Fence()
+			})
+			for sender := 0; sender < 2; sender++ {
+				seq := got[sender]
+				if len(seq) != total {
+					t.Fatalf("sender %d: %d messages arrived, want %d", sender, len(seq), total)
+				}
+				for i, v := range seq {
+					if v != float64(i) {
+						t.Fatalf("sender %d: arrival %d carries sequence number %v", sender, i, v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestForwardedPartialLeavesFromCommThread: a reduction partial that climbs
+// the combine tree through a rank with no tasks is folded and forwarded by
+// that rank's comm thread. Its pool never wakes, and its main goroutine is
+// already inside Fence, so the packet handler's own flush is the only thing
+// that can put the forwarded partial on the wire.
+func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
+	const ranks, owner = 4, 0
+	leaf, relay := -1, -1
+	for r := 1; r < ranks; r++ {
+		if par := collective.ReduceParent(owner, ranks, r); par != owner {
+			leaf, relay = r, par
+		}
+	}
+	if leaf < 0 {
+		t.Fatal("no two-hop path in the reduce tree")
+	}
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			relayFencing := make(chan struct{})
+			result := make(chan float64, 1)
+			var relayWire, relayTasks, relayWakes int64
+			runOn(t, tr, ranks, 1, func(p *backend.Proc) {
+				g := p.NewGraph()
+				start, contrib := core.NewEdge("start"), core.NewEdge("contrib")
+				g.AddTT(core.TTSpec{
+					Name:    "src",
+					Inputs:  []core.InputSpec{{Edge: start}},
+					Outputs: []core.OutputSpec{{Edge: contrib}},
+					Keymap:  func(any) int { return leaf },
+					Body: func(ctx *core.TaskContext) {
+						select {
+						case <-relayFencing:
+						case <-time.After(flushTimeout):
+							t.Error("relay rank never reached its fence")
+						}
+						ctx.Send(0, serde.Int1{0}, 42.0)
+					},
+				})
+				g.AddTT(core.TTSpec{
+					Name: "acc",
+					Inputs: []core.InputSpec{{
+						Edge: contrib,
+						Reducer: func(acc, v any) any {
+							if acc == nil {
+								return v
+							}
+							return acc.(float64) + v.(float64)
+						},
+						StreamSize:  func(any) int { return 1 },
+						Commutative: true,
+					}},
+					Keymap: func(any) int { return owner },
+					Body:   func(ctx *core.TaskContext) { result <- ctx.Input(0).(float64) },
+				})
+				g.Seal()
+				p.Bind(g)
+				switch p.Rank() {
+				case leaf:
+					g.Seed(start, serde.Int1{0}, 0.0)
+				case relay:
+					close(relayFencing)
+				}
+				g.Fence()
+				if p.Rank() == relay {
+					snap := p.Tracer().Snapshot()
+					relayWire, relayTasks = snap.CoalescedMsgs, snap.TasksExecuted
+					relayWakes = p.LiveTarget().Sched().Wakes
+				}
+			})
+			select {
+			case v := <-result:
+				if v != 42 {
+					t.Fatalf("reduced value %v, want 42", v)
+				}
+			default:
+				t.Fatal("the stream never completed at its owner")
+			}
+			if relayWire != 1 || relayTasks != 0 || relayWakes != 0 {
+				t.Fatalf("relay rank: %d coalesced messages sent, %d tasks, %d pool wakes; want 1, 0, 0",
+					relayWire, relayTasks, relayWakes)
+			}
+		})
+	}
+}

@@ -187,18 +187,28 @@ func TestPeerStats(t *testing.T) {
 	if string(pkt.Data) != "x" {
 		t.Fatal("bad payload")
 	}
-	st := eps[0].PeerStats()
-	if len(st) != 2 {
-		t.Fatalf("got %d peer stats, want 2", len(st))
-	}
+	// The writer counts a batch once its writev returns, which the
+	// receiver can outrun; wait (bounded) for the tx side to catch up.
 	var to2 *fabric.PeerStat
-	for i := range st {
-		if st[i].Peer == 2 {
-			to2 = &st[i]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := eps[0].PeerStats()
+		if len(st) != 2 {
+			t.Fatalf("got %d peer stats, want 2", len(st))
 		}
-	}
-	if to2 == nil || to2.TxFrames != 1 || to2.TxBytes == 0 || to2.WritevCalls != 1 {
-		t.Fatalf("stats to rank 2: %+v", to2)
+		for i := range st {
+			if st[i].Peer == 2 {
+				to2 = &st[i]
+			}
+		}
+		if to2 == nil {
+			t.Fatalf("no stats for rank 2: %+v", st)
+		}
+		if to2.TxFrames == 1 && to2.TxBytes > 0 && to2.WritevCalls == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats to rank 2: %+v", to2)
+		}
 	}
 	// Receiver side counted it too.
 	for _, s := range eps[2].PeerStats() {

@@ -32,15 +32,12 @@ func (e *Endpoint) readLoop(pr *peer) {
 			}
 			return
 		}
-		rest := binary.LittleEndian.Uint32(head[:4])
 		if err := e.readFrame(pr, br, head[:]); err != nil {
 			if !e.closed.Load() {
 				panic(fmt.Sprintf("netfab: read from rank %d: %v", pr.rank, err))
 			}
 			return
 		}
-		pr.rxBytes.Add(int64(4 + rest))
-		pr.rxFrames.Add(1)
 	}
 }
 
@@ -91,6 +88,10 @@ func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 		pool.PutBytes(dir)
 	}
 
+	// Counted before the frame is handed on, so whoever receives the
+	// packet already finds it in the link counters.
+	pr.rxBytes.Add(4 + int64(binary.LittleEndian.Uint32(head[:4])))
+	pr.rxFrames.Add(1)
 	switch kind {
 	case fPull:
 		e.servePull(pr, data)

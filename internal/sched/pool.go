@@ -131,9 +131,9 @@ type Pool struct {
 
 	// Idle notification: busy counts workers not blocked in the park
 	// loop; when it reaches zero with no queued work, idle (if set) runs
-	// once per busy→quiescent transition. Backends hook their
-	// communication aggregators here so buffered messages flush at
-	// scheduler quiescence.
+	// once per busy→quiescent transition. Backends hook the draining of
+	// state no single task owns here (parked reduction partials); sends a
+	// task queued leave when that task ends, not at quiescence.
 	busy      int
 	idle      func()
 	idleFired bool
@@ -231,7 +231,10 @@ func (p *Pool) Trace(tr *trace.Collector) { p.tr = tr }
 // OnIdle registers f to run each time the pool transitions from busy to
 // fully quiescent (every worker out of work and about to sleep). f runs on
 // the last worker to go idle, outside the pool lock, at most once per
-// quiescent period; new submissions re-arm it. Call before Start.
+// quiescent period; new submissions re-arm it. It is for work that belongs
+// to no single task: anything a task produced must not wait for it, since a
+// rank with a full queue may not quiesce until the run ends. Call before
+// Start.
 func (p *Pool) OnIdle(f func()) { p.idle = f }
 
 // OnPanic registers f to run when a task body panics on a worker: f
