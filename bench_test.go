@@ -868,73 +868,7 @@ func BenchmarkPooledSerdeEncode(b *testing.B) {
 	}
 }
 
-// --- Communication-layer benches (PR: coalescing + pipelined broadcast) ---
-
-// benchCommFan drives one iteration = a 64-message small-payload fan from
-// rank 0 to the other ranks over a latency fabric, acked through a
-// streaming reducer. With coalescing on, the ~21 messages sharing each
-// destination ride one wire packet (one link-latency charge) instead of
-// paying the fabric per message.
-func benchCommFan(b *testing.B, coalesce int) {
-	const ranks = 4
-	const fan = 64
-	n := b.N
-	ttg.Run(ttg.Config{
-		Ranks:          ranks,
-		WorkersPerRank: 1,
-		CoalesceBytes:  coalesce,
-		Net:            simnet.Config{Latency: 5 * time.Microsecond, BandwidthBps: 1 << 30},
-	}, func(pc *ttg.Process) {
-		g := pc.NewGraph()
-		drive := ttg.NewEdge[ttg.Int1, ttg.Void]("drive")
-		data := ttg.NewEdge[ttg.Int2, float64]("data")
-		ack := ttg.NewEdge[ttg.Int1, ttg.Void]("ack")
-		ttg.MakeTT1(g, "root", ttg.Input(drive), ttg.Out(data),
-			func(x *ttg.Ctx[ttg.Int1], _ ttg.Void) {
-				it := x.Key()[0]
-				for i := 0; i < fan; i++ {
-					ttg.Send(x, data, ttg.Int2{it, i}, float64(i))
-				}
-			},
-			ttg.Options[ttg.Int1]{Keymap: func(ttg.Int1) int { return 0 }},
-		)
-		ttg.MakeTT1(g, "recv", ttg.Input(data), ttg.Out(ack),
-			func(x *ttg.Ctx[ttg.Int2], v float64) {
-				ttg.Send(x, ack, ttg.Int1{x.Key()[0]}, ttg.Void{})
-			},
-			ttg.Options[ttg.Int2]{Keymap: func(k ttg.Int2) int { return 1 + k[1]%(ranks-1) }},
-		)
-		ttg.MakeTT1(g, "next",
-			ttg.ReduceInput(ack, func(a, _ ttg.Void) ttg.Void { return a }, func(ttg.Int1) int { return fan }),
-			ttg.Out(drive),
-			func(x *ttg.Ctx[ttg.Int1], _ ttg.Void) {
-				it := x.Key()[0]
-				if it+1 < n {
-					ttg.Send(x, drive, ttg.Int1{it + 1}, ttg.Void{})
-				}
-			},
-			ttg.Options[ttg.Int1]{Keymap: func(ttg.Int1) int { return 0 }},
-		)
-		g.MakeExecutable()
-		if pc.Rank() == 0 {
-			b.ResetTimer()
-			ttg.Seed(g, drive, ttg.Int1{0}, ttg.Void{})
-		}
-		g.Fence()
-	})
-}
-
-// BenchmarkCommCoalesced measures the small-message fan with the default
-// per-peer send aggregation.
-func BenchmarkCommCoalesced(b *testing.B) {
-	benchCommFan(b, 0)
-}
-
-// BenchmarkCommUncoalesced is the ablation: every message pays its own
-// wire packet (CoalesceBytes < 0 disables the aggregator).
-func BenchmarkCommUncoalesced(b *testing.B) {
-	benchCommFan(b, -1)
-}
+// --- Communication-layer benches (pipelined broadcast) ---
 
 // benchCommBcast drives one iteration = broadcasting a 512x512 float64
 // tile (2 MiB) from rank 0 to all 8 ranks over a bandwidth-limited fabric

@@ -36,7 +36,6 @@ const (
 	kSplit                       // splitmd phase 1: header + metadata + RMA handle
 	kSplitAck                    // splitmd completion: release the source region
 	kBcast                       // tree broadcast: plan + inline value (small payloads)
-	kCoal                        // coalesced frame: run of [kind u8][kData/kSplit/kGatherData message]
 	kBcastHdr                    // pipelined broadcast: plan + payload geometry
 	kBcastChunk                  // pipelined broadcast: one payload chunk
 	kGatherData                  // zero-copy data: header + gather header, payload as by-reference segments
@@ -62,15 +61,6 @@ type Options struct {
 	// EagerThreshold is the wire size (bytes) above which splitmd is
 	// preferred over the eager archive path.
 	EagerThreshold int
-	// CoalesceBytes is the per-destination aggregation frame size: messages
-	// smaller than this are batched per peer and flushed as one wire packet
-	// when the frame fills, CoalesceCount messages accumulate, or the
-	// scheduler goes idle. Zero means the 8 KiB default; negative disables
-	// coalescing (every message is its own packet).
-	CoalesceBytes int
-	// CoalesceCount caps the number of messages per coalesced frame.
-	// Zero means the default of 32.
-	CoalesceCount int
 	// BcastChunk is the pipelined-broadcast chunk size: tree broadcasts
 	// whose serialized payload exceeds it are streamed in BcastChunk-byte
 	// pieces so relays forward chunk k while chunk k+1 is still in flight.
@@ -110,12 +100,6 @@ func (o *Options) fill(ranks int) {
 	}
 	if o.EagerThreshold <= 0 {
 		o.EagerThreshold = 4096
-	}
-	if o.CoalesceBytes == 0 {
-		o.CoalesceBytes = 8 << 10
-	}
-	if o.CoalesceCount <= 0 {
-		o.CoalesceCount = 32
 	}
 	if o.BcastChunk == 0 {
 		o.BcastChunk = 128 << 10
@@ -223,9 +207,6 @@ type Proc struct {
 	ready    chan struct{}
 	bindOnce sync.Once
 
-	// coal is the per-peer send aggregator (nil when coalescing is off).
-	coal *coalescer
-
 	// Pipelined-broadcast state: bcastSeq numbers broadcasts this rank
 	// roots; bcasts holds in-progress reassemblies keyed by {root, id}.
 	// Only the comm thread touches bcasts, so it needs no lock.
@@ -240,7 +221,6 @@ type Proc struct {
 	wireBytes  *obs.Counter
 	eagerSends *obs.Counter
 	rdvSends   *obs.Counter
-	coalBatch  *obs.Histogram
 	bcChunks   *obs.Counter
 
 	// snaps tracks RMA handles whose registered object is a runtime-owned
@@ -261,7 +241,6 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 		p.wireBytes = m.Counter(obs.CounterWireBytes)
 		p.eagerSends = m.Counter(obs.CounterEagerSends)
 		p.rdvSends = m.Counter(obs.CounterRendezvousSends)
-		p.coalBatch = m.Histogram(obs.HistCoalesceBatch)
 		p.bcChunks = m.Counter(obs.CounterBcastChunks)
 	}
 	p.det = termdet.New(rank, rt.Ranks(), func(dst int, data []byte) {
@@ -269,9 +248,6 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 	})
 	p.pool = sched.NewPool(rt.opts.WorkersPerRank, rt.opts.Policy, func(w int, it sched.Item) {
 		it.Value.(*core.Task).Execute(w)
-		// The body's remote sends leave now, so a peer waiting on them
-		// runs while this rank starts its next task.
-		p.flushSends()
 	})
 	p.pool.Trace(&p.tr)
 	if p.rec != nil {
@@ -284,23 +260,19 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 			live.CrashDump(session, nil, fmt.Sprintf("rank %d worker %d panic: %v", rank, w, r))
 		})
 	}
-	if rt.opts.CoalesceBytes > 0 {
-		p.coal = newCoalescer(p, rt.Ranks(), rt.opts.CoalesceBytes, rt.opts.CoalesceCount)
-	}
 	// Parked reduction partials belong to no single task, so they drain
 	// when the scheduler quiesces; otherwise the termination detector
 	// would wait on them forever.
-	p.pool.OnIdle(p.idleFlush)
+	p.pool.OnIdle(p.drainReductions)
 	return p
 }
 
-// idleFlush is the pool's went-idle hook: drain combiner slots, then ship
-// the partial sends that produced.
-func (p *Proc) idleFlush() {
+// drainReductions folds out every parked combiner slot; the partials that
+// produces are sent as they are produced.
+func (p *Proc) drainReductions() {
 	if g := p.boundGraph(); g != nil {
 		g.FlushReductions(false)
 	}
-	p.flushSends()
 }
 
 func (p *Proc) start(wg *sync.WaitGroup) {
@@ -351,16 +323,10 @@ func (p *Proc) Activate() { p.det.Activate() }
 func (p *Proc) Deactivate() { p.det.Deactivate() }
 
 // Fence implements core.Executor: collective wait for global quiescence.
-// Sends the caller queued outside any task (Seed* on the main goroutine)
-// are flushed first — a fence can only complete once every counted
-// message has actually reached the wire.
 func (p *Proc) Fence() {
 	// Seeds folded on the main thread may have parked combiner slots
 	// without ever waking the pool; drain them before counting the fence.
-	if g := p.boundGraph(); g != nil {
-		g.FlushReductions(false)
-	}
-	p.flushSends()
+	p.drainReductions()
 	if p.rec == nil {
 		p.det.Fence()
 		return
@@ -369,17 +335,6 @@ func (p *Proc) Fence() {
 	p.det.Fence()
 	p.rec.Record(obs.Event{Kind: obs.EvFence, Worker: -1, TT: -1,
 		Dur: p.rec.Now() - start, Name: "fence"})
-}
-
-// flushSends ships the coalesced frames still pending. Every context that
-// can enqueue remote sends calls it as it finishes — a task body, one
-// handled packet, a landed splitmd fetch, the idle hook, Fence entry — so a
-// frame never outlives the work unit that filled it. A unit that queued
-// nothing pays one atomic load.
-func (p *Proc) flushSends() {
-	if p.coal != nil && p.coal.queuedMsgs.Load() > 0 {
-		p.coal.flushAll()
-	}
 }
 
 // Bind attaches the rank's sealed graph; remote deliveries are held until
@@ -482,7 +437,7 @@ func (p *Proc) Deliver(dest int, d core.Delivery) {
 			p.eagerSends.Add(1)
 		}
 	}
-	p.enqueue(dest, kData, b)
+	p.send(dest, kData, b.Detach(), nil)
 }
 
 // deliverLoopback handles a Deliver whose destination is the local rank.
@@ -574,7 +529,7 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, enc *serde.Cached, g ser
 	if p.eagerSends != nil {
 		p.eagerSends.Add(1)
 	}
-	p.enqueueSegs(dest, b, segs)
+	p.send(dest, kGatherData, b.Detach(), segs)
 	return true
 }
 
@@ -612,83 +567,27 @@ func (p *Proc) deliverSplit(dest int, d core.Delivery) {
 	if p.rdvSends != nil {
 		p.rdvSends.Add(1)
 	}
-	p.enqueue(dest, kSplit, b)
+	p.send(dest, kSplit, b.Detach(), nil)
 }
 
-// enqueue hands one logical message (owned buffer b) to the transport.
-// Termination detection and the logical-message stats are counted here, at
-// enqueue time; the message then either joins dest's coalescing frame or —
-// when coalescing is off or the message alone exceeds the frame size —
-// becomes its own wire packet.
-func (p *Proc) enqueue(dest int, kind uint8, b *serde.Buffer) {
-	p.countSent(b.Len())
-	if p.coal != nil && b.Len() < p.coal.maxBytes {
-		p.coal.add(dest, kind, b)
-		return
-	}
-	p.sendWire(dest, kind, b.Detach())
-}
-
-// enqueueSegs is enqueue for a gather message: the framed part (owned
-// buffer b) plus its by-reference payload segments. The segment bytes
-// count toward the coalescing threshold — a frame's wire occupancy is
-// header bytes plus everything shipped alongside it.
-func (p *Proc) enqueueSegs(dest int, b *serde.Buffer, segs []serde.Segment) {
-	total := b.Len() + serde.SegmentBytes(segs)
-	p.countSent(total)
-	if p.coal != nil && total < p.coal.maxBytes {
-		p.coal.addSegs(dest, kGatherData, b, segs)
-		return
-	}
-	p.sendWireSegs(dest, kGatherData, b.Detach(), segs)
-}
-
-// sendDirect is enqueue for broadcast traffic, which bypasses coalescing:
-// its packets carry arrays shared across receivers and are forwarded
-// verbatim down the tree, so they must map one-to-one onto wire packets.
-func (p *Proc) sendDirect(dest int, kind uint8, data []byte) {
-	p.countSent(len(data))
-	p.sendWire(dest, kind, data)
-}
-
-// countSent does the per-logical-message bookkeeping.
-func (p *Proc) countSent(n int) {
+// send puts one counted logical message on the fabric as one packet:
+// framed bytes plus, for gather messages, by-reference payload segments.
+// Nothing is held back for batching — the message is the fabric's when
+// this returns, and a network fabric merges frames queued behind an
+// in-flight write by itself. Termination detection, the logical-message
+// stats and the wire stats are all charged here, at the full size: a
+// zero-copy payload occupies the link exactly like its bytes.
+func (p *Proc) send(dest int, kind uint8, data []byte, segs []serde.Segment) {
+	n := int64(len(data) + serde.SegmentBytes(segs))
 	p.det.MsgSent()
 	p.tr.MsgsSent.Add(1)
-	if p.rec != nil {
-		p.rec.Record(obs.Event{Kind: obs.EvMsgEnqueue, Worker: -1, TT: -1,
-			Bytes: int64(n)})
-		p.msgBytes.Observe(int64(n))
-	}
-}
-
-// flushFrame ships one coalesced frame of n messages (called by the
-// aggregator with ownership of the frame buffer and the segment list:
-// the by-reference payloads of the frame's gather sub-messages, in
-// sub-message order).
-func (p *Proc) flushFrame(dest int, frame *serde.Buffer, n int, segs []serde.Segment) {
-	p.tr.CoalescedMsgs.Add(int64(n))
-	if p.coalBatch != nil {
-		p.coalBatch.Observe(int64(n))
-	}
-	p.sendWireSegs(dest, kCoal, frame.Detach(), segs)
-}
-
-// sendWire puts one physical packet on the fabric.
-func (p *Proc) sendWire(dest int, kind uint8, data []byte) {
-	p.sendWireSegs(dest, kind, data, nil)
-}
-
-// sendWireSegs puts one physical packet — framed bytes plus by-reference
-// payload segments — on the fabric. Wire accounting charges the full
-// size: a zero-copy payload occupies the link exactly like its bytes.
-func (p *Proc) sendWireSegs(dest int, kind uint8, data []byte, segs []serde.Segment) {
-	n := len(data) + serde.SegmentBytes(segs)
 	p.tr.WirePackets.Add(1)
-	p.tr.BytesSent.Add(int64(n))
-	if p.wirePkts != nil {
+	p.tr.BytesSent.Add(n)
+	if p.rec != nil {
+		p.rec.Record(obs.Event{Kind: obs.EvMsgEnqueue, Worker: -1, TT: -1, Bytes: n})
+		p.msgBytes.Observe(n)
 		p.wirePkts.Add(1)
-		p.wireBytes.Add(int64(n))
+		p.wireBytes.Add(n)
 	}
 	p.ep.SendSegs(dest, kind, data, segs)
 }
@@ -704,59 +603,11 @@ func (p *Proc) commLoop() {
 		switch pkt.Kind {
 		case kCtrl:
 			p.det.HandleControl(pkt.Data)
-		case kData:
-			<-p.ready
-			p.det.Activate()
-			p.det.MsgReceived()
-			p.tr.MsgsReceived.Add(1)
-			p.tr.BytesReceived.Add(int64(len(pkt.Data)))
-			p.recordDeliver(len(pkt.Data))
-			b := serde.FromBytes(pkt.Data)
-			d := core.DecodeHeader(b)
-			if b.Bool() {
-				d.Value = serde.DecodeAny(b)
-				// Freshly deserialized: the runtime owns the object and may
-				// reclaim pooled payloads once the last consumer is done.
-				d.Exclusive = true
-			}
-			p.graph.Inject(d)
-			p.det.Deactivate()
-			// Decoding copies out of the packet, so the wire buffer is
-			// dead here; donate it to the encode pool.
-			serde.Recycle(pkt.Data)
-		case kSplit:
-			<-p.ready
-			p.det.Activate()
-			p.det.MsgReceived()
-			p.tr.MsgsReceived.Add(1)
-			p.tr.BytesReceived.Add(int64(len(pkt.Data)))
-			p.recordDeliver(len(pkt.Data))
-			p.startSplitFetch(serde.FromBytes(pkt.Data), pkt.Src)
-			serde.Recycle(pkt.Data)
-		case kGatherData:
-			<-p.ready
-			p.det.Activate()
-			p.det.MsgReceived()
-			p.tr.MsgsReceived.Add(1)
-			n := len(pkt.Data) + serde.SegmentBytes(pkt.Segs)
-			p.tr.BytesReceived.Add(int64(n))
-			p.recordDeliver(n)
-			d, _ := p.decodeGather(serde.FromBytes(pkt.Data), pkt.Segs)
-			p.graph.Inject(d)
-			p.det.Deactivate()
-			// Only the framed header lived in the wire buffer — the
-			// payload segments now belong to the scattered value — so the
-			// header bytes are dead here.
-			serde.Recycle(pkt.Data)
-		case kCoal:
-			<-p.ready
-			n := len(pkt.Data) + serde.SegmentBytes(pkt.Segs)
-			p.tr.BytesReceived.Add(int64(n))
-			p.recordDeliver(n)
-			p.handleCoal(pkt.Data, pkt.Segs, pkt.Src)
-			serde.Recycle(pkt.Data)
 		case kSplitAck:
-			h, _ := fabric.DecodeHandle(pkt.Data)
+			h, _, ok := fabric.DecodeHandle(pkt.Data)
+			if !ok {
+				panic(fmt.Sprintf("backend: short handle (%d bytes) in kSplitAck packet from rank %d", len(pkt.Data), pkt.Src))
+			}
 			obj := p.ep.Deregister(h)
 			p.snapMu.Lock()
 			_, snap := p.snaps[h.ID]
@@ -771,84 +622,66 @@ func (p *Proc) commLoop() {
 					r.Release()
 				}
 			}
-		case kBcast, kBcastHdr, kBcastChunk:
-			// Broadcast packets carry arrays shared with other receivers
-			// and forwarded verbatim down the tree, so they are never
-			// recycled.
-			<-p.ready
-			p.det.Activate()
-			p.det.MsgReceived()
-			p.tr.MsgsReceived.Add(1)
-			p.tr.BytesReceived.Add(int64(len(pkt.Data)))
-			p.recordDeliver(len(pkt.Data))
-			switch pkt.Kind {
-			case kBcast:
-				p.handleBcast(pkt.Data)
-			case kBcastHdr:
-				p.handleBcastHdr(pkt.Data)
-			case kBcastChunk:
-				p.handleBcastChunk(pkt.Data)
-			}
-			p.det.Deactivate()
+		case kData, kSplit, kGatherData, kBcast, kBcastHdr, kBcastChunk:
+			p.recvMsg(pkt)
 		default:
 			panic(fmt.Sprintf("backend: unknown packet kind %d", pkt.Kind))
 		}
-		// Whatever handling this packet queued (a reduce partial folded
-		// through and forwarded, a relayed send) leaves with it: the pool
-		// may be idle and never flush on its behalf.
-		p.flushSends()
 	}
 }
 
-// handleCoal unpacks one coalesced frame. Every sub-message is counted as
-// a received logical message; eager deliveries are collected and injected
-// as one batch (a single matcher pass per shard and one scheduler wakeup
-// for the whole frame), while splitmd sub-messages launch their payload
-// fetches immediately.
-func (p *Proc) handleCoal(data []byte, segs []serde.Segment, src int) {
-	b := serde.FromBytes(data)
-	var dels []core.Delivery
-	for b.Remaining() > 0 {
-		kind := b.U8()
-		p.det.Activate()
-		p.det.MsgReceived()
-		p.tr.MsgsReceived.Add(1)
-		switch kind {
-		case kData:
-			d := core.DecodeHeader(b)
-			if b.Bool() {
-				d.Value = serde.DecodeAny(b)
-				d.Exclusive = true
-			}
-			dels = append(dels, d)
-		case kGatherData:
-			// Gather sub-messages consume the frame's segment list in
-			// sub-message order (the cursor is the returned tail).
-			var d core.Delivery
-			d, segs = p.decodeGather(b, segs)
-			dels = append(dels, d)
-		case kSplit:
-			p.startSplitFetch(b, src) // deactivates when the fetch lands
-		default:
-			panic(fmt.Sprintf("backend: bad sub-message kind %d in coalesced frame", kind))
+// recvMsg handles one counted message: the receive preamble every kind
+// shares, then the kind's own decode and injection.
+func (p *Proc) recvMsg(pkt fabric.Packet) {
+	<-p.ready
+	p.det.Activate()
+	p.det.MsgReceived()
+	p.tr.MsgsReceived.Add(1)
+	n := pkt.WireLen()
+	p.tr.BytesReceived.Add(int64(n))
+	p.recordDeliver(n)
+	switch pkt.Kind {
+	case kData:
+		b := serde.FromBytes(pkt.Data)
+		d := core.DecodeHeader(b)
+		if b.Bool() {
+			d.Value = serde.DecodeAny(b)
+			// Freshly deserialized: the runtime owns the object and may
+			// reclaim pooled payloads once the last consumer is done.
+			d.Exclusive = true
 		}
+		p.graph.Inject(d)
+		// Decoding copies out of the packet, so the wire buffer is dead
+		// here; donate it to the encode pool.
+		serde.Recycle(pkt.Data)
+	case kGatherData:
+		p.graph.Inject(p.decodeGather(serde.FromBytes(pkt.Data), pkt.Segs))
+		// Only the framed header lived in the wire buffer — the payload
+		// segments now belong to the scattered value.
+		serde.Recycle(pkt.Data)
+	case kSplit:
+		p.startSplitFetch(serde.FromBytes(pkt.Data), pkt.Src)
+		serde.Recycle(pkt.Data)
+		return // fetchSplit deactivates when the payload lands
+	// Broadcast packets carry arrays shared with other receivers and
+	// forwarded verbatim down the tree, so they are never recycled.
+	case kBcast:
+		p.handleBcast(pkt.Data)
+	case kBcastHdr:
+		p.handleBcastHdr(pkt.Data)
+	case kBcastChunk:
+		p.handleBcastChunk(pkt.Data)
 	}
-	if len(dels) > 0 {
-		p.graph.InjectBatch(dels)
-		for range dels {
-			p.det.Deactivate()
-		}
-	}
+	p.det.Deactivate()
 }
 
 // decodeGather reads one gather message from b (delivery header, codec
-// tag, gather header, segment count), consuming its payload segments from
-// the front of segs; it returns the delivery and the remaining segments.
-// The scattered value is decoded as a view: it owns — and typically
-// aliases — the segment memory, so no payload copy happens here. The
-// gather header is consumed synchronously (codecs must not retain it), so
-// the caller may recycle the wire buffer afterwards.
-func (p *Proc) decodeGather(b *serde.Buffer, segs []serde.Segment) (core.Delivery, []serde.Segment) {
+// tag, gather header, segment count) whose payload is segs. The scattered
+// value is decoded as a view: it owns — and typically aliases — the
+// segment memory, so no payload copy happens here. The gather header is
+// consumed synchronously (codecs must not retain it), so the caller may
+// recycle the wire buffer afterwards.
+func (p *Proc) decodeGather(b *serde.Buffer, segs []serde.Segment) core.Delivery {
 	d := core.DecodeHeader(b)
 	tag := uint32(b.Uvarint())
 	hdrLen := int(b.Uvarint())
@@ -864,7 +697,7 @@ func (p *Proc) decodeGather(b *serde.Buffer, segs []serde.Segment) (core.Deliver
 	// consumer is done.
 	d.Exclusive = true
 	p.tr.ViewDecodes.Add(1)
-	return d, segs[nsegs:]
+	return d
 }
 
 // startSplitFetch reads a splitmd phase-1 message from b and launches phase
@@ -877,7 +710,11 @@ func (p *Proc) startSplitFetch(b *serde.Buffer, src int) {
 	tag := uint32(b.Uvarint())
 	meta := b.BytesOut()
 	payloadBytes := int(b.Uvarint())
-	h, _ := fabric.DecodeHandle(b.RawOut(fabric.HandleLen))
+	raw := b.RawOut(min(b.Remaining(), fabric.HandleLen))
+	h, _, ok := fabric.DecodeHandle(raw)
+	if !ok {
+		panic(fmt.Sprintf("backend: short handle (%d bytes) in kSplit packet from rank %d", len(raw), src))
+	}
 	go p.fetchSplit(d, tag, meta, payloadBytes, h, src)
 }
 
@@ -911,7 +748,6 @@ func (p *Proc) fetchSplit(d core.Delivery, tag uint32, meta []byte, payloadBytes
 	p.graph.Inject(d)
 	// Notify the sender so it can release the source object.
 	p.ep.Send(src, kSplitAck, fabric.EncodeHandle(nil, h))
-	p.flushSends()
 }
 
 // recordDeliver emits a message-delivery event on the comm thread.
@@ -979,12 +815,6 @@ func (p *Proc) CollectLive(emit func(live.Sample)) {
 	emit(live.Sample{Name: obs.GaugeDequeDepth, Rank: p.rank, Value: float64(depth)})
 	emit(live.Sample{Name: obs.GaugeParkedWorkers, Rank: p.rank,
 		Value: float64(p.pool.Stats().Parked)})
-	if p.coal != nil {
-		emit(live.Sample{Name: obs.GaugeCoalesceQueuedBytes, Rank: p.rank,
-			Value: float64(p.coal.queuedBytes.Load())})
-		emit(live.Sample{Name: obs.GaugeCoalesceQueuedMsgs, Rank: p.rank,
-			Value: float64(p.coal.queuedMsgs.Load())})
-	}
 	emit(live.Sample{Name: obs.GaugeRendezvousOutstanding, Rank: p.rank,
 		Value: float64(p.ep.RegionCount())})
 	emit(live.Sample{Name: obs.GaugeTermdetActive, Rank: p.rank,

@@ -367,52 +367,83 @@ func TestDeepRecursiveUnfold(t *testing.T) {
 	}
 }
 
-// TestStreamingAcrossRanks drives a streaming terminal with remote senders.
+// TestStreamingAcrossRanks drives a streaming terminal fed by a fan of
+// producers: spread over every rank with the sink on rank 2, and — the
+// panel shape — each rank running a fan and a sink of its own, whose keys
+// all stay home and which must therefore put nothing on the wire.
 func TestStreamingAcrossRanks(t *testing.T) {
-	const ranks = 4
-	var total float64
-	rt := parsec.New(ranks, parsec.Config{WorkersPerRank: 1})
-	rt.Run(func(p *backend.Proc) {
-		g := p.NewGraph()
-		in := core.NewEdge("in")
-		acc := core.NewEdge("acc")
-		g.AddTT(core.TTSpec{
-			Name:    "produce",
-			Inputs:  []core.InputSpec{{Edge: in}},
-			Outputs: []core.OutputSpec{{Edge: acc}},
-			Keymap:  func(k any) int { return k.(serde.Int1)[0] % ranks },
-			Body: func(ctx *core.TaskContext) {
-				ctx.Send(0, serde.Int1{0}, float64(ctx.Key().(serde.Int1)[0]))
-			},
-		})
-		g.AddTT(core.TTSpec{
-			Name: "reduce",
-			Inputs: []core.InputSpec{{
-				Edge: acc,
-				Reducer: func(a, v any) any {
-					if a == nil {
-						return v
+	const ranks, fan = 4, 16
+	for _, tc := range []struct {
+		name      string
+		rankLocal bool
+	}{{"remote senders", false}, {"rank-local panels", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var totals [ranks]float64 // by the rank that seeded the fan
+			rt := parsec.New(ranks, parsec.Config{WorkersPerRank: 1})
+			rt.Run(func(p *backend.Proc) {
+				g := p.NewGraph()
+				in := core.NewEdge("in")
+				acc := core.NewEdge("acc")
+				g.AddTT(core.TTSpec{
+					Name:    "produce", // key {seeding rank, i}
+					Inputs:  []core.InputSpec{{Edge: in}},
+					Outputs: []core.OutputSpec{{Edge: acc}},
+					Keymap: func(k any) int {
+						if tc.rankLocal {
+							return k.(serde.Int2)[0]
+						}
+						return k.(serde.Int2)[1] % ranks
+					},
+					Body: func(ctx *core.TaskContext) {
+						k := ctx.Key().(serde.Int2)
+						ctx.Send(0, serde.Int1{k[0]}, float64(k[1]))
+					},
+				})
+				g.AddTT(core.TTSpec{
+					Name: "reduce",
+					Inputs: []core.InputSpec{{
+						Edge: acc,
+						Reducer: func(a, v any) any {
+							if a == nil {
+								return v
+							}
+							return a.(float64) + v.(float64)
+						},
+						StreamSize: func(any) int { return fan },
+					}},
+					Keymap: func(k any) int {
+						if tc.rankLocal {
+							return k.(serde.Int1)[0]
+						}
+						return 2
+					},
+					Body: func(ctx *core.TaskContext) {
+						totals[ctx.Key().(serde.Int1)[0]] = ctx.Input(0).(float64)
+					},
+				})
+				g.Seal()
+				p.Bind(g)
+				if tc.rankLocal || p.Rank() == 0 {
+					for i := 0; i < fan; i++ {
+						g.Seed(in, serde.Int2{p.Rank(), i}, 0.0)
 					}
-					return a.(float64) + v.(float64)
-				},
-				StreamSize: func(any) int { return 16 },
-			}},
-			Keymap: func(any) int { return 2 },
-			Body: func(ctx *core.TaskContext) {
-				total = ctx.Input(0).(float64)
-			},
-		})
-		g.Seal()
-		p.Bind(g)
-		if p.Rank() == 0 {
-			for k := 0; k < 16; k++ {
-				g.Seed(in, serde.Int1{k}, 0.0)
+				}
+				g.Fence()
+				if s := p.Tracer().Snapshot(); tc.rankLocal && (s.MsgsSent != 0 || s.WirePackets != 0) {
+					t.Errorf("rank %d: %d messages in %d wire packets from a rank-local graph",
+						p.Rank(), s.MsgsSent, s.WirePackets)
+				}
+			})
+			for r, total := range totals {
+				want := 120.0 // 0+1+...+15
+				if !tc.rankLocal && r != 0 {
+					want = 0
+				}
+				if total != want {
+					t.Fatalf("stream seeded by rank %d totals %v, want %v", r, total, want)
+				}
 			}
-		}
-		g.Fence()
-	})
-	if total != 120 { // 0+1+...+15
-		t.Fatalf("stream total = %v, want 120", total)
+		})
 	}
 }
 

@@ -46,7 +46,7 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 		data := b.Detach()
 		collective.Observe(p.Obs(), order, len(data))
 		for _, child := range kids {
-			p.sendDirect(child, kBcast, data)
+			p.send(child, kBcast, data, nil)
 		}
 		return
 	}
@@ -65,7 +65,7 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 	hdr := hb.Detach()
 	collective.Observe(p.Obs(), order, total)
 	for _, child := range kids {
-		p.sendDirect(child, kBcastHdr, hdr)
+		p.send(child, kBcastHdr, hdr, nil)
 	}
 	v := vb.Bytes()
 	for i := 0; i < nchunks; i++ {
@@ -84,7 +84,7 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 			p.bcChunks.Add(int64(len(kids)))
 		}
 		for _, child := range kids {
-			p.sendDirect(child, kBcastChunk, cd)
+			p.send(child, kBcastChunk, cd, nil)
 		}
 	}
 	vb.Release()
@@ -137,7 +137,7 @@ func (p *Proc) handleBcast(data []byte) {
 			p.rec.Record(obs.Event{Kind: obs.EvBcastForward, Worker: -1, TT: -1,
 				Bytes: int64(len(data))})
 		}
-		p.sendDirect(child, kBcast, data)
+		p.send(child, kBcast, data, nil)
 	}
 	if hasMine {
 		mine.Value = value
@@ -196,7 +196,7 @@ func (p *Proc) handleBcastHdr(data []byte) {
 			p.rec.Record(obs.Event{Kind: obs.EvBcastForward, Worker: -1, TT: -1,
 				Bytes: int64(total)})
 		}
-		p.sendDirect(child, kBcastHdr, data)
+		p.send(child, kBcastHdr, data, nil)
 	}
 	st := p.bcastState(bcastKey{root, bid})
 	st.hdr = true
@@ -236,7 +236,7 @@ func (p *Proc) handleBcastChunk(data []byte) {
 		p.bcChunks.Add(int64(len(st.kids)))
 	}
 	for _, child := range st.kids {
-		p.sendDirect(child, kBcastChunk, data)
+		p.send(child, kBcastChunk, data, nil)
 	}
 	copy(st.buf[idx*st.chunk:], piece)
 	st.got++

@@ -11,86 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// runFan executes a single source task on rank 0 that sends msgs small
-// values point-to-point to distinct keys all living on rank 1, and returns
-// rank 0's trace snapshot plus how many sink tasks fired.
-func runFan(t *testing.T, cfg parsec.Config, msgs int) (snap trace.Snapshot, fired int) {
-	t.Helper()
-	var mu sync.Mutex
-	rt := parsec.New(2, cfg)
-	rt.Run(func(p *backend.Proc) {
-		g := p.NewGraph()
-		in := core.NewEdge("in")
-		out := core.NewEdge("out")
-		g.AddTT(core.TTSpec{
-			Name:    "src",
-			Inputs:  []core.InputSpec{{Edge: in}},
-			Outputs: []core.OutputSpec{{Edge: out}},
-			Keymap:  func(any) int { return 0 },
-			Body: func(ctx *core.TaskContext) {
-				for k := 0; k < msgs; k++ {
-					ctx.Send(0, serde.Int1{k}, float64(k))
-				}
-			},
-		})
-		g.AddTT(core.TTSpec{
-			Name:   "sink",
-			Inputs: []core.InputSpec{{Edge: out}},
-			Keymap: func(any) int { return 1 },
-			Body: func(ctx *core.TaskContext) {
-				mu.Lock()
-				fired++
-				mu.Unlock()
-			},
-		})
-		g.Seal()
-		p.Bind(g)
-		if p.Rank() == 0 {
-			g.Seed(in, serde.Int1{0}, 0.0)
-		}
-		g.Fence()
-		if p.Rank() == 0 {
-			snap = p.Tracer().Snapshot()
-		}
-	})
-	return snap, fired
-}
-
-// TestCoalescingReducesWirePackets checks the tentpole claim directly: a
-// burst of small same-destination messages must reach the fabric in at
-// least 2x fewer packets than logical messages, while an uncoalesced run
-// pays one packet per message.
-func TestCoalescingReducesWirePackets(t *testing.T) {
-	const msgs = 100
-
-	snap, fired := runFan(t, parsec.Config{WorkersPerRank: 1}, msgs)
-	if fired != msgs {
-		t.Fatalf("coalesced: %d sinks fired, want %d", fired, msgs)
-	}
-	if snap.MsgsSent < msgs {
-		t.Fatalf("coalesced: MsgsSent = %d, want >= %d", snap.MsgsSent, msgs)
-	}
-	if snap.WirePackets*2 > snap.MsgsSent {
-		t.Fatalf("coalesce ratio too low: %d logical messages in %d wire packets, want >= 2x",
-			snap.MsgsSent, snap.WirePackets)
-	}
-	if snap.CoalescedMsgs == 0 {
-		t.Fatal("coalesced: CoalescedMsgs counter never moved")
-	}
-
-	raw, fired := runFan(t, parsec.Config{WorkersPerRank: 1, CoalesceBytes: -1}, msgs)
-	if fired != msgs {
-		t.Fatalf("uncoalesced: %d sinks fired, want %d", fired, msgs)
-	}
-	if raw.WirePackets != raw.MsgsSent {
-		t.Fatalf("uncoalesced: WirePackets = %d, MsgsSent = %d, want equal",
-			raw.WirePackets, raw.MsgsSent)
-	}
-	if raw.CoalescedMsgs != 0 {
-		t.Fatalf("uncoalesced: CoalescedMsgs = %d, want 0", raw.CoalescedMsgs)
-	}
-}
-
 // TestEagerRendezvousSwitch pins the protocol auto-selection to both sides
 // of the configured threshold: a payload under it travels inline (archive),
 // one over it takes the splitmd rendezvous path.

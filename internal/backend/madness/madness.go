@@ -19,11 +19,6 @@ import (
 type Config struct {
 	// WorkersPerRank sizes each rank's pool (default: NumCPU/ranks).
 	WorkersPerRank int
-	// CoalesceBytes sizes the per-peer send-aggregation frame (0 default,
-	// negative disables coalescing).
-	CoalesceBytes int
-	// CoalesceCount caps messages per coalesced frame (0 default).
-	CoalesceCount int
 	// GatherThreshold is the minimum wire size for the zero-copy gather
 	// path (0 uses the serde default, negative disables gather sends for
 	// this runtime).
@@ -47,8 +42,6 @@ func New(ranks int, cfg Config) *backend.Runtime {
 		TracksData:      false,
 		SplitMD:         false,
 		TreeBroadcast:   false,
-		CoalesceBytes:   cfg.CoalesceBytes,
-		CoalesceCount:   cfg.CoalesceCount,
 		GatherThreshold: cfg.GatherThreshold,
 		Net:             cfg.Net,
 		Fabric:          cfg.Fabric,

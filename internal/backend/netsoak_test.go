@@ -12,9 +12,9 @@ import (
 // TestRandomGraphOverTCPFabric soaks the real-network transport: the
 // randomized layered programs of random_graph_test.go run SPMD over a
 // 4-rank local mesh of real TCP sockets — one single-rank runtime per
-// goroutine — with a deliberately tiny coalescing frame and in-flight
-// bound so frame batching, vectored writes, and sender backpressure all
-// cycle constantly. The per-sink sums must match the 1-rank in-process
+// goroutine — with a deliberately tiny in-flight bound so the writer's
+// frame batching, vectored writes, and sender backpressure all cycle
+// constantly. The per-sink sums must match the 1-rank in-process
 // reference. Run under -race this covers the full socket path: writer
 // batching, pooled receive landing, pull protocol, and graceful close.
 func TestRandomGraphOverTCPFabric(t *testing.T) {
@@ -26,7 +26,7 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rp := newRandProgram(seed)
-			ref := rp.run(ttg.PaRSEC, 1)
+			ref := rp.run(t, ttg.PaRSEC, 1)
 			for _, be := range []ttg.Backend{ttg.PaRSEC, ttg.MADNESS} {
 				eps, err := netfab.NewLocalMesh(ranks, netfab.Config{
 					Transport:   "tcp",
@@ -37,7 +37,7 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 				}
 				var mu sync.Mutex
 				sums := map[int]float64{}
-				main := rp.graphMain(&mu, sums)
+				main := rp.graphMain(t, &mu, sums)
 				var wg sync.WaitGroup
 				for r := 0; r < ranks; r++ {
 					wg.Add(1)
@@ -49,7 +49,6 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 							Fabric:         eps[r],
 							WorkersPerRank: 2,
 							Backend:        be,
-							CoalesceBytes:  256, // tiny frames: many wire round trips
 						}, main)
 					}(r)
 				}

@@ -3,9 +3,10 @@
 // const-ref sends avoid copies), communication uses active messages for
 // control, one-sided transfers via the split-metadata protocol for large
 // payloads, completion callbacks for notifications, and optimized
-// broadcasts forwarded along binomial trees. Scheduling honors priority
-// maps; a work-stealing policy is available as an alternative module, in
-// the spirit of PaRSEC's modular component architecture.
+// broadcasts forwarded along binomial trees. Scheduling is banded work
+// stealing that honors priority maps; the exact-order priority queue and
+// FIFO remain selectable, in the spirit of PaRSEC's modular component
+// architecture.
 package parsec
 
 import (
@@ -32,11 +33,6 @@ type Config struct {
 	// path (0 uses the serde default, negative disables gather sends for
 	// this runtime).
 	GatherThreshold int
-	// CoalesceBytes sizes the per-peer send-aggregation frame (0 default,
-	// negative disables coalescing).
-	CoalesceBytes int
-	// CoalesceCount caps messages per coalesced frame (0 default).
-	CoalesceCount int
 	// BcastChunk sets the pipelined-broadcast chunk size (0 default,
 	// negative forces store-and-forward).
 	BcastChunk int
@@ -65,8 +61,6 @@ func New(ranks int, cfg Config) *backend.Runtime {
 		TreeBroadcast:   true,
 		EagerThreshold:  cfg.EagerThreshold,
 		GatherThreshold: cfg.GatherThreshold,
-		CoalesceBytes:   cfg.CoalesceBytes,
-		CoalesceCount:   cfg.CoalesceCount,
 		BcastChunk:      cfg.BcastChunk,
 		Net:             cfg.Net,
 		Fabric:          cfg.Fabric,

@@ -55,18 +55,20 @@ func newRandProgram(seed int64) *randProgram {
 }
 
 // run executes the program and returns the per-sink-key sum of arrivals.
-func (rp *randProgram) run(be ttg.Backend, ranks int) map[int]float64 {
+func (rp *randProgram) run(t *testing.T, be ttg.Backend, ranks int) map[int]float64 {
 	var mu sync.Mutex
 	sums := map[int]float64{}
-	ttg.Run(ttg.Config{Ranks: ranks, WorkersPerRank: 2, Backend: be}, rp.graphMain(&mu, sums))
+	ttg.Run(ttg.Config{Ranks: ranks, WorkersPerRank: 2, Backend: be}, rp.graphMain(t, &mu, sums))
 	return sums
 }
 
 // graphMain builds the per-rank SPMD main, accumulating sink values into
 // the shared map — shared across rank goroutines in-process, or holding
 // one rank's locally-owned sinks when each rank is its own runtime over a
-// real fabric.
-func (rp *randProgram) graphMain(mu *sync.Mutex, sums map[int]float64) func(pc *ttg.Process) {
+// real fabric. Past its fence every rank checks that each logical message
+// it counted (point-to-point, splitmd metadata, broadcast header or chunk)
+// was exactly one fabric packet.
+func (rp *randProgram) graphMain(t *testing.T, mu *sync.Mutex, sums map[int]float64) func(pc *ttg.Process) {
 	return func(pc *ttg.Process) {
 		g := pc.NewGraph()
 		edges := make([]ttg.Edge[ttg.Int2, float64], rp.layers+1)
@@ -120,6 +122,10 @@ func (rp *randProgram) graphMain(mu *sync.Mutex, sums map[int]float64) func(pc *
 			}
 		}
 		g.Fence()
+		if s := pc.Stats(); s.WirePackets != s.MsgsSent {
+			t.Errorf("rank %d: %d wire packets for %d counted messages, want one each",
+				pc.Rank(), s.WirePackets, s.MsgsSent)
+		}
 	}
 }
 
@@ -128,10 +134,10 @@ func TestRandomGraphEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rp := newRandProgram(seed)
-			ref := rp.run(ttg.PaRSEC, 1)
+			ref := rp.run(t, ttg.PaRSEC, 1)
 			for _, ranks := range []int{4} {
 				for _, be := range []ttg.Backend{ttg.PaRSEC, ttg.MADNESS} {
-					got := rp.run(be, ranks)
+					got := rp.run(t, be, ranks)
 					if len(got) != len(ref) {
 						t.Fatalf("%s/%d: %d sink keys vs reference %d", be, ranks, len(got), len(ref))
 					}

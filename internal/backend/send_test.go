@@ -13,9 +13,9 @@ import (
 	"repro/internal/serde"
 )
 
-// flushTimeout bounds every wait in this file: a flush-policy regression
-// shows up as a wedge, which must fail the test rather than hang it.
-const flushTimeout = 10 * time.Second
+// sendTimeout bounds every wait in this file: a send held back shows up as
+// a wedge, which must fail the test rather than hang it.
+const sendTimeout = 10 * time.Second
 
 // runOn executes main SPMD on ranks ranks of the PaRSEC-model engine, over
 // the in-process simnet or over a loopback TCP mesh of real sockets (one
@@ -46,7 +46,7 @@ func runOn(t *testing.T, transport string, ranks, workers int, main func(p *back
 	}()
 	select {
 	case <-done:
-	case <-time.After(3 * flushTimeout):
+	case <-time.After(3 * sendTimeout):
 		t.Fatalf("%s: run wedged", transport)
 	}
 }
@@ -56,8 +56,8 @@ var transports = []string{"simnet", "tcp"}
 // TestSendsLeaveWithTheirTask is the regression test for ranks taking
 // turns: task A on rank 0 sends to a sink on rank 1 and hands rank 0's
 // only worker its successor B (a run-next chain link), and B cannot
-// finish until the sink has run. A's frame must therefore leave when A
-// ends; a flush that waits for rank 0 to go idle never comes.
+// finish until the sink has run. A's message must therefore be on the wire
+// before B runs; a send that waits for rank 0 to go idle never leaves.
 func TestSendsLeaveWithTheirTask(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr, func(t *testing.T) {
@@ -82,7 +82,7 @@ func TestSendsLeaveWithTheirTask(t *testing.T) {
 					Body: func(ctx *core.TaskContext) {
 						select {
 						case <-sunk:
-						case <-time.After(flushTimeout):
+						case <-time.After(sendTimeout):
 							t.Error("A's send was still unsent while B ran: rank 1 never overlapped with rank 0")
 						}
 					},
@@ -104,13 +104,13 @@ func TestSendsLeaveWithTheirTask(t *testing.T) {
 	}
 }
 
-// TestConcurrentFlushKeepsSenderOrder has two workers of rank 0 fan out to
-// rank 1 at once: sender 0 ends a task (and so flushes) after every
-// message, sender 1 after every twenty, so sender 0 keeps shipping frames
-// sender 1 is still filling. Each sender's messages fold into an
-// order-sensitive stream on rank 1 — the fold runs on the comm thread in
-// arrival order — which must see every sequence number once, in order.
-func TestConcurrentFlushKeepsSenderOrder(t *testing.T) {
+// TestPerSenderOrderToOnePeerWithTwoWorkers has two workers of rank 0 fan
+// out to rank 1 at once: sender 0 ends a task after every message, sender
+// 1 after every twenty, so their packets interleave on the one link. Each
+// sender's messages fold into an order-sensitive stream on rank 1 — the
+// fold runs on the comm thread in arrival order — which must see every
+// sequence number once, in order.
+func TestPerSenderOrderToOnePeerWithTwoWorkers(t *testing.T) {
 	const total = 400
 	perTask := [2]int{1, 20}
 	for _, tr := range transports {
@@ -186,8 +186,8 @@ func TestConcurrentFlushKeepsSenderOrder(t *testing.T) {
 // TestForwardedPartialLeavesFromCommThread: a reduction partial that climbs
 // the combine tree through a rank with no tasks is folded and forwarded by
 // that rank's comm thread. Its pool never wakes, and its main goroutine is
-// already inside Fence, so the packet handler's own flush is the only thing
-// that can put the forwarded partial on the wire.
+// already inside Fence, so the packet handler itself must put the
+// forwarded partial on the wire.
 func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 	const ranks, owner = 4, 0
 	leaf, relay := -1, -1
@@ -203,7 +203,7 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 		t.Run(tr, func(t *testing.T) {
 			relayFencing := make(chan struct{})
 			result := make(chan float64, 1)
-			var relayWire, relayTasks, relayWakes int64
+			var relaySent, relayTasks, relayWakes int64
 			runOn(t, tr, ranks, 1, func(p *backend.Proc) {
 				g := p.NewGraph()
 				start, contrib := core.NewEdge("start"), core.NewEdge("contrib")
@@ -215,7 +215,7 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 					Body: func(ctx *core.TaskContext) {
 						select {
 						case <-relayFencing:
-						case <-time.After(flushTimeout):
+						case <-time.After(sendTimeout):
 							t.Error("relay rank never reached its fence")
 						}
 						ctx.Send(0, serde.Int1{0}, 42.0)
@@ -248,7 +248,7 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 				g.Fence()
 				if p.Rank() == relay {
 					snap := p.Tracer().Snapshot()
-					relayWire, relayTasks = snap.CoalescedMsgs, snap.TasksExecuted
+					relaySent, relayTasks = snap.MsgsSent, snap.TasksExecuted
 					relayWakes = p.LiveTarget().Sched().Wakes
 				}
 			})
@@ -260,9 +260,9 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 			default:
 				t.Fatal("the stream never completed at its owner")
 			}
-			if relayWire != 1 || relayTasks != 0 || relayWakes != 0 {
-				t.Fatalf("relay rank: %d coalesced messages sent, %d tasks, %d pool wakes; want 1, 0, 0",
-					relayWire, relayTasks, relayWakes)
+			if relaySent != 1 || relayTasks != 0 || relayWakes != 0 {
+				t.Fatalf("relay rank: %d messages sent, %d tasks, %d pool wakes; want 1, 0, 0",
+					relaySent, relayTasks, relayWakes)
 			}
 		})
 	}

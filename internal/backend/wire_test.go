@@ -80,11 +80,13 @@ func expectTileData(t *testing.T, got []float64, rows, cols int) {
 	}
 }
 
-// TestGatherWireRoundTrip pins the tentpole's wire protocol end to end on
-// the MADNESS-model backend (no splitmd, so gather owns the large-payload
+// TestGatherWireRoundTrip pins the gather wire protocol end to end on the
+// MADNESS-model backend (no splitmd, so gather owns the large-payload
 // path): a moved tile must travel as one gather send with its full payload
 // zero-copied, decode as a view on the receiver, and leave no recv-view
-// lease outstanding after the fence.
+// lease outstanding after the fence. The interleaved case alternates
+// gather tiles with small copy-encoded scalars to the same peer: each is
+// its own packet, and they must arrive intact and in the order sent.
 func TestGatherWireRoundTrip(t *testing.T) {
 	const rows, cols = 32, 32 // 8 KiB payload, well over the 1 KiB floor
 	got, send, recv := runTileSend(t, madness.Config{WorkersPerRank: 1}, rows, cols, core.SendMove)
@@ -105,6 +107,7 @@ func TestGatherWireRoundTrip(t *testing.T) {
 	if n := serde.LiveRecvViews(); n != 0 {
 		t.Fatalf("LiveRecvViews = %d after fence, want 0 (lease must end when the body takes the value)", n)
 	}
+	t.Run("interleaved with scalars", testGatherInterleaved)
 }
 
 // TestGatherCopySemantics: a SendCopy'd value must still gather (the
@@ -209,23 +212,16 @@ func TestGatherAblationSwitch(t *testing.T) {
 	}
 }
 
-// TestGatherCoalescedFrames interleaves gather-capable tiles with small
-// scalar messages to the same destination under a large coalescing frame:
-// gather sub-messages must ride the frame with their payload segments in
-// sub-message order (the receive side's segment cursor), and every value
-// must land intact.
-func TestGatherCoalescedFrames(t *testing.T) {
+// testGatherInterleaved: one task sends tile k then scalar k to rank 1 for
+// k = 0..msgs-1. Rank 1 has one FIFO worker fed by one comm thread, so its
+// sinks run in arrival order.
+func testGatherInterleaved(t *testing.T) {
 	const msgs = 24
 	const rows, cols = 16, 16 // 2 KiB per tile
 	var mu sync.Mutex
-	tileSum := map[int]float64{}
-	scalarGot := map[int]float64{}
+	var arrived []float64 // tile k logs k (after checking its data), scalar k logs 100+k
 	var send, recv trace.Snapshot
-	rt := madness.New(2, madness.Config{
-		WorkersPerRank: 1,
-		CoalesceBytes:  1 << 20,
-		CoalesceCount:  1 << 20,
-	})
+	rt := madness.New(2, madness.Config{WorkersPerRank: 1})
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -253,13 +249,14 @@ func TestGatherCoalescedFrames(t *testing.T) {
 			Keymap: func(any) int { return 1 },
 			Body: func(ctx *core.TaskContext) {
 				k := ctx.Key().(serde.Int1)[0]
-				tl := ctx.Input(0).(*tile.Tile)
-				s := 0.0
-				for _, v := range tl.Data {
-					s += v
+				for i, v := range ctx.Input(0).(*tile.Tile).Data {
+					if v != float64(k) {
+						t.Errorf("tile %d element %d = %v", k, i, v)
+						break
+					}
 				}
 				mu.Lock()
-				tileSum[k] = s
+				arrived = append(arrived, float64(k))
 				mu.Unlock()
 			},
 		})
@@ -268,9 +265,8 @@ func TestGatherCoalescedFrames(t *testing.T) {
 			Inputs: []core.InputSpec{{Edge: scalars}},
 			Keymap: func(any) int { return 1 },
 			Body: func(ctx *core.TaskContext) {
-				k := ctx.Key().(serde.Int1)[0]
 				mu.Lock()
-				scalarGot[k] = ctx.Input(0).(float64)
+				arrived = append(arrived, ctx.Input(0).(float64))
 				mu.Unlock()
 			},
 		})
@@ -288,22 +284,19 @@ func TestGatherCoalescedFrames(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	for k := 0; k < msgs; k++ {
-		if want := float64(k) * rows * cols; tileSum[k] != want {
-			t.Fatalf("tile %d sum = %v, want %v", k, tileSum[k], want)
+	if len(arrived) != 2*msgs {
+		t.Fatalf("%d values arrived, want %d", len(arrived), 2*msgs)
+	}
+	for i, v := range arrived {
+		if want := float64(i/2 + 100*(i%2)); v != want {
+			t.Fatalf("arrival %d is %v, want %v: messages to one peer overtook each other", i, v, want)
 		}
-		if want := float64(100 + k); scalarGot[k] != want {
-			t.Fatalf("scalar %d = %v, want %v", k, scalarGot[k], want)
-		}
 	}
-	if send.GatherSends != msgs {
-		t.Fatalf("GatherSends = %d, want %d", send.GatherSends, msgs)
+	if send.GatherSends != msgs || send.CopySends != msgs {
+		t.Fatalf("GatherSends = %d, CopySends = %d, want %d each", send.GatherSends, send.CopySends, msgs)
 	}
-	if send.CoalescedMsgs == 0 {
-		t.Fatal("CoalescedMsgs never moved: gather sub-messages bypassed the frame")
-	}
-	if send.WirePackets >= send.MsgsSent {
-		t.Fatalf("no aggregation: %d wire packets for %d messages", send.WirePackets, send.MsgsSent)
+	if send.WirePackets != send.MsgsSent {
+		t.Fatalf("%d wire packets for %d messages, want one each", send.WirePackets, send.MsgsSent)
 	}
 	if recv.ViewDecodes != msgs {
 		t.Fatalf("ViewDecodes = %d, want %d", recv.ViewDecodes, msgs)

@@ -231,20 +231,6 @@ func (g *Graph) Inject(d Delivery) {
 	g.submitCollected(first, extra)
 }
 
-// InjectBatch applies a run of deliveries that arrived in one coalesced
-// wire packet: every task they make ready reaches the scheduler in a
-// single batch submission, so a frame of N activations pays one queue
-// synchronization instead of N (the receive-side mirror of send
-// coalescing).
-func (g *Graph) InjectBatch(ds []Delivery) {
-	var first *Task
-	var extra []*Task
-	for i := range ds {
-		g.injectCollect(ds[i], &first, &extra)
-	}
-	g.submitCollected(first, extra)
-}
-
 // injectCollect lands one delivery and accumulates any tasks it made ready.
 func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 	if d.Flow != 0 {

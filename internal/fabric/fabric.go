@@ -89,8 +89,8 @@ type Endpoint interface {
 }
 
 // EncodeHandle appends h's wire form; DecodeHandle reads it back and
-// returns the remaining bytes. The encoding is fixed-width (12 bytes) so
-// transports can reserve space for it.
+// returns the remaining bytes. The encoding is fixed-width (HandleLen
+// bytes) so transports can reserve space for it.
 func EncodeHandle(buf []byte, h RMAHandle) []byte {
 	buf = append(buf, byte(h.Owner), byte(h.Owner>>8), byte(h.Owner>>16), byte(h.Owner>>24))
 	for i := 0; i < 8; i++ {
@@ -99,14 +99,18 @@ func EncodeHandle(buf []byte, h RMAHandle) []byte {
 	return buf
 }
 
-// DecodeHandle reads a handle written by EncodeHandle.
-func DecodeHandle(buf []byte) (RMAHandle, []byte) {
-	h := RMAHandle{}
+// DecodeHandle reads a handle written by EncodeHandle. ok is false, and
+// nothing is consumed, when buf is shorter than HandleLen: handles arrive
+// in packets off the network, so the length is the sender's claim.
+func DecodeHandle(buf []byte) (h RMAHandle, rest []byte, ok bool) {
+	if len(buf) < HandleLen {
+		return RMAHandle{}, buf, false
+	}
 	h.Owner = int(uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24)
 	for i := 0; i < 8; i++ {
 		h.ID |= uint64(buf[4+i]) << (8 * i)
 	}
-	return h, buf[12:]
+	return h, buf[HandleLen:], true
 }
 
 // HandleLen is the wire size of an encoded RMAHandle.

@@ -6,8 +6,9 @@
 //
 //   - Per-peer persistent connections carrying length-prefixed frames; a
 //     frame is one fabric packet (or one transport-internal message).
-//   - Vectored zero-copy sends: coalesced frames and gathered payload
-//     segments are handed to the kernel as one net.Buffers writev, so a
+//   - Vectored zero-copy sends: every frame queued behind an in-flight
+//     write, gathered payload segments included, is handed to the kernel
+//     as one net.Buffers writev — the runtime's only send batching — so a
 //     moved tile travels pool -> socket with no intermediate copy. After
 //     the write, segment memory returns to its pool.
 //   - Receives land whole frames into pooled buffers — framed bytes into

@@ -43,7 +43,7 @@ func TestOpenMetricsExposition(t *testing.T) {
 		Collectors: []live.Collector{fakeCollector{samples: []live.Sample{
 			{Name: "sched.deque_depth", Rank: 0, Value: 3},
 			{Name: "sched.deque_depth", Rank: 1, Value: 7},
-			{Name: "net.coalesce_queued_bytes", Rank: -1, Value: 4096},
+			{Name: "data.tracked_live", Rank: -1, Value: 4096},
 		}}},
 	}
 
@@ -109,7 +109,7 @@ func TestOpenMetricsExposition(t *testing.T) {
 	}
 	// Collector samples: per-rank and unlabeled.
 	if !strings.Contains(body, `sched_deque_depth{rank="1"} 7`) ||
-		!strings.Contains(body, "net_coalesce_queued_bytes 4096") {
+		!strings.Contains(body, "data_tracked_live 4096") {
 		t.Fatalf("collector samples missing:\n%s", body)
 	}
 

@@ -166,8 +166,8 @@ const (
 	CounterFolds = "core.reduce_folds"
 	// CounterBcastTrees counts planned tree broadcasts.
 	CounterBcastTrees = "bcast.trees"
-	// CounterWirePackets counts physical packets put on the fabric
-	// (after coalescing; the logical-message count is MsgsSent).
+	// CounterWirePackets counts physical packets put on the fabric: one
+	// per counted logical message (trace MsgsSent).
 	CounterWirePackets = "net.wire_packets"
 	// CounterWireBytes counts bytes put on the fabric, framing included.
 	CounterWireBytes = "net.wire_bytes"
@@ -177,9 +177,6 @@ const (
 	// CounterRendezvousSends counts values that took the split-metadata
 	// rendezvous path (metadata eager, payload via RMA).
 	CounterRendezvousSends = "net.rendezvous_sends"
-	// HistCoalesceBatch is the number of logical messages per coalesced
-	// wire packet (the coalesce ratio is its mean).
-	HistCoalesceBatch = "net.coalesce_batch"
 	// CounterBcastChunks counts pipelined-broadcast chunk packets relayed
 	// or originated by this rank.
 	CounterBcastChunks = "bcast.chunks"
@@ -195,12 +192,6 @@ const (
 	// GaugeDequeDepth tracks the summed depth of a rank's work-stealing
 	// deques and shared queue (sampled by the live exporter).
 	GaugeDequeDepth = "sched.deque_depth"
-	// GaugeCoalesceQueuedBytes tracks bytes parked in per-peer coalescing
-	// buffers, not yet flushed to the fabric.
-	GaugeCoalesceQueuedBytes = "net.coalesce_queued_bytes"
-	// GaugeCoalesceQueuedMsgs tracks logical messages parked in per-peer
-	// coalescing buffers.
-	GaugeCoalesceQueuedMsgs = "net.coalesce_queued_msgs"
 	// GaugeRendezvousOutstanding tracks split-metadata payload regions
 	// published for RMA but not yet fetched and released.
 	GaugeRendezvousOutstanding = "net.rendezvous_outstanding"

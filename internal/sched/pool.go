@@ -132,8 +132,8 @@ type Pool struct {
 	// Idle notification: busy counts workers not blocked in the park
 	// loop; when it reaches zero with no queued work, idle (if set) runs
 	// once per busy→quiescent transition. Backends hook the draining of
-	// state no single task owns here (parked reduction partials); sends a
-	// task queued leave when that task ends, not at quiescence.
+	// state no single task owns here (parked reduction partials); a
+	// task's sends go out as it makes them, never at quiescence.
 	busy      int
 	idle      func()
 	idleFired bool

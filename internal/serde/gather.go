@@ -9,11 +9,10 @@ import (
 // machinery below). Codecs whose payload already lives in stable slices —
 // dense tiles, []float64, []byte — can opt into the gather protocol: one
 // small encoded header plus iovec-style references to the payload memory.
-// Transports then ship the header through the normal framing/coalescing
-// machinery but pass the payload segments to the fabric by reference,
-// skipping the archive flattening on send and the copy-out on receive
-// (the TaskTorrent large-message model: tiny serialized header, payload
-// by reference).
+// Transports then ship the header as the packet's framed bytes but pass
+// the payload segments to the fabric by reference, skipping the archive
+// flattening on send and the copy-out on receive (the TaskTorrent
+// large-message model: tiny serialized header, payload by reference).
 //
 // The segments stay typed ([]byte or []float64) rather than being
 // reinterpreted as raw bytes: Go cannot alias a []float64 as []byte

@@ -435,10 +435,3 @@ func (e *Endpoint) FetchObject(h RMAHandle, bytes int) (any, bool, error) {
 	}
 	return src, false, nil
 }
-
-// EncodeHandle appends h's wire form; DecodeHandle reads it back and
-// returns the rest. Both delegate to the shared fabric encoding.
-func EncodeHandle(buf []byte, h RMAHandle) []byte { return fabric.EncodeHandle(buf, h) }
-
-// DecodeHandle reads a handle written by EncodeHandle and returns the rest.
-func DecodeHandle(buf []byte) (RMAHandle, []byte) { return fabric.DecodeHandle(buf) }

@@ -125,18 +125,6 @@ func TestRMARoundTrip(t *testing.T) {
 	}
 }
 
-func TestHandleWireFormat(t *testing.T) {
-	h := RMAHandle{Owner: 300, ID: 1<<40 + 17}
-	buf := EncodeHandle(nil, h)
-	got, rest := DecodeHandle(append(buf, 0xFF))
-	if got != h {
-		t.Fatalf("handle round trip: got %+v want %+v", got, h)
-	}
-	if len(rest) != 1 || rest[0] != 0xFF {
-		t.Fatalf("rest = %v", rest)
-	}
-}
-
 func TestCloseUnblocksReceivers(t *testing.T) {
 	n := New(Config{Ranks: 2})
 	done := make(chan struct{})

@@ -4,8 +4,8 @@
 # rewritten and its headline timing ratios recomputed; workload
 # annotations, prose notes, and structural metrics that come from tests
 # rather than timers (BENCH_reduce's sim_counters and structural summary
-# ratios, BENCH_comm's packet-count note, ...) are carried over from the
-# committed file by scripts/benchjson.
+# ratios, ...) are carried over from the committed file by
+# scripts/benchjson.
 #
 # Run from the repository root:  ./scripts/bench.sh [pattern]
 # With a pattern argument only matching baselines regenerate, e.g.
@@ -23,8 +23,6 @@ bench() { go test . -run xxx -bench "$1" "${@:2}" | tee /dev/stderr; }
 if want comm; then
   bench Comm -benchtime=100x -benchmem |
     go run ./scripts/benchjson -out BENCH_comm.json \
-      -ratio coalescing_speedup=BenchmarkCommUncoalesced:BenchmarkCommCoalesced \
-      -allocratio coalescing_alloc_reduction=BenchmarkCommCoalesced:BenchmarkCommUncoalesced \
       -ratio pipelined_broadcast_speedup=BenchmarkCommBroadcastStoreForward:BenchmarkCommBroadcastPipelined
 fi
 

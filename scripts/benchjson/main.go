@@ -10,7 +10,7 @@
 //
 //	go test . -run xxx -bench Comm -benchmem | \
 //	  go run ./scripts/benchjson -out BENCH_comm.json \
-//	    -ratio coalescing_speedup=BenchmarkCommUncoalesced:BenchmarkCommCoalesced
+//	    -ratio pipelined_broadcast_speedup=BenchmarkCommBroadcastStoreForward:BenchmarkCommBroadcastPipelined
 //
 // Flags (k is a summary key; A, B are benchmark names from the run):
 //

@@ -113,12 +113,6 @@ type Config struct {
 	HasPolicy bool
 	// EagerThreshold overrides the splitmd switch-over size (bytes).
 	EagerThreshold int
-	// CoalesceBytes sizes the per-peer send-aggregation frame: small
-	// messages to the same destination share one wire packet. Zero means
-	// the backend default (8 KiB); negative disables coalescing.
-	CoalesceBytes int
-	// CoalesceCount caps logical messages per coalesced frame (default 32).
-	CoalesceCount int
 	// BcastChunk sets the pipelined-broadcast chunk size (PaRSEC-model
 	// only). Zero means the 128 KiB default; negative forces
 	// store-and-forward relaying.
@@ -227,8 +221,6 @@ func RunLive(cfg Config, hook func(targets []live.Target, collectors []live.Coll
 	case MADNESS:
 		rt = madness.New(cfg.Ranks, madness.Config{
 			WorkersPerRank: cfg.WorkersPerRank,
-			CoalesceBytes:  cfg.CoalesceBytes,
-			CoalesceCount:  cfg.CoalesceCount,
 			Net:            cfg.Net,
 			Fabric:         cfg.Fabric,
 			Obs:            cfg.Obs,
@@ -239,8 +231,6 @@ func RunLive(cfg Config, hook func(targets []live.Target, collectors []live.Coll
 			Policy:         cfg.Policy,
 			HasPolicy:      cfg.HasPolicy,
 			EagerThreshold: cfg.EagerThreshold,
-			CoalesceBytes:  cfg.CoalesceBytes,
-			CoalesceCount:  cfg.CoalesceCount,
 			BcastChunk:     cfg.BcastChunk,
 			Net:            cfg.Net,
 			Fabric:         cfg.Fabric,
