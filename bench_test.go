@@ -21,6 +21,7 @@ import (
 	"repro/internal/apps/bspmm"
 	"repro/internal/apps/cholesky"
 	"repro/internal/apps/fw"
+	"repro/internal/backend"
 	"repro/internal/backend/sim"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -752,17 +753,10 @@ func BenchmarkShardedMatch(b *testing.B) {
 	}
 }
 
-// stealDeque is the common surface of the two work-stealing deques.
-type stealDeque interface {
-	PushBottom(sched.Item)
-	PopBottom() (sched.Item, bool)
-	Steal() (sched.Item, bool)
-}
-
 // benchSteal has one owner pushing (and occasionally popping) b.N items
 // while `thieves` goroutines steal concurrently — the shape of a loaded
 // worker being drained by idle peers.
-func benchSteal(b *testing.B, d stealDeque, thieves int) {
+func benchSteal(b *testing.B, d *sched.Deque, thieves int) {
 	b.ReportAllocs()
 	var consumed atomic.Int64
 	n := int64(b.N)
@@ -798,12 +792,10 @@ func benchSteal(b *testing.B, d stealDeque, thieves int) {
 	wg.Wait()
 }
 
-// BenchmarkChaseLevSteal compares the lock-free Chase-Lev deque against
-// the seed's mutex deque under 8 concurrent thieves.
+// BenchmarkChaseLevSteal drains the lock-free Chase-Lev deque with 8
+// concurrent thieves.
 func BenchmarkChaseLevSteal(b *testing.B) {
-	const thieves = 8
-	b.Run("chaselev", func(b *testing.B) { benchSteal(b, sched.NewDeque(), thieves) })
-	b.Run("mutex", func(b *testing.B) { benchSteal(b, sched.NewMutexDeque(), thieves) })
+	b.Run("chaselev", func(b *testing.B) { benchSteal(b, sched.NewDeque(), 8) })
 }
 
 // BenchmarkSubmitBatch measures fan-out submission into a stealing pool:
@@ -813,7 +805,7 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	const chunk = 64
 	run := func(b *testing.B, batched bool) {
 		var done sync.WaitGroup
-		p := sched.NewPool(8, sched.PolicySteal, func(worker int, it sched.Item) { done.Done() })
+		p := sched.NewPool(8, sched.PolicyStealPrio, func(worker int, it sched.Item) { done.Done() })
 		p.Start()
 		defer p.Stop()
 		buf := make([]sched.Item, chunk)
@@ -837,6 +829,148 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	}
 	b.Run("singles", func(b *testing.B) { run(b, false) })
 	b.Run("batch", func(b *testing.B) { run(b, true) })
+}
+
+// --- Scheduler benches (DESIGN.md §13): the contended fan-out, the
+// priority-inversion window and the run-next inlining ablation of the
+// banded stealing pool. bench/'s potrf_fine workload is the end-to-end
+// guard; these isolate the pool. ---
+
+// BenchmarkSchedFanoutContended is the contended fan-out workload: every
+// op seeds one root that unfolds into a 4-ary tree of depth 3 (85 tasks)
+// through SubmitLocalBatch while 8 workers chew concurrently, so
+// submissions, pops, and wakeups all contend. Priorities vary by depth,
+// so the pool does real banding work rather than degenerate single-bucket
+// traffic.
+func BenchmarkSchedFanoutContended(b *testing.B) {
+	const (
+		workers = 8
+		fan     = 4
+		depth   = 3
+		tasks   = 1 + fan + fan*fan + fan*fan*fan // 85
+	)
+	b.Run("stealprio", func(b *testing.B) {
+		var wg sync.WaitGroup
+		var p *sched.Pool
+		body := func(w int, it sched.Item) {
+			d := it.Value.(int)
+			if d > 0 {
+				batch := make([]sched.Item, fan)
+				for i := range batch {
+					batch[i] = sched.Item{Priority: int64((d-1)*20 + i), Value: d - 1}
+				}
+				wg.Add(fan)
+				p.SubmitLocalBatch(w, batch)
+			}
+			wg.Done()
+		}
+		p = sched.NewPool(workers, sched.PolicyStealPrio, body)
+		p.Start()
+		defer p.Stop()
+		roots := make([]sched.Item, b.N)
+		for i := range roots {
+			roots[i] = sched.Item{Priority: depth * 20, Value: depth}
+		}
+		wg.Add(b.N)
+		b.ResetTimer()
+		p.SubmitBatch(roots)
+		wg.Wait()
+		b.StopTimer()
+		b.ReportMetric(tasks, "tasks/op")
+	})
+}
+
+// BenchmarkSchedPriorityInversion loads a stopped pool with a bulk of
+// low-priority items and then a few high-priority stragglers (submitted
+// last, the adversarial order for FIFO-shaped queues), starts the
+// workers, and measures where in the completion sequence the
+// high-priority items land. hipri_window is the mean completion index of
+// high-priority items as a fraction of the total: exact priority order
+// pins it near 0, a priority-blind queue pushes it toward 1.
+func BenchmarkSchedPriorityInversion(b *testing.B) {
+	const (
+		workers = 4
+		bulk    = 4096
+		hi      = 64
+	)
+	b.Run("stealprio", func(b *testing.B) {
+		var windowSum float64
+		for i := 0; i < b.N; i++ {
+			var seq, hiIdxSum atomic.Int64
+			var wg sync.WaitGroup
+			p := sched.NewPool(workers, sched.PolicyStealPrio, func(w int, it sched.Item) {
+				idx := seq.Add(1)
+				if it.Priority > 1 {
+					hiIdxSum.Add(idx)
+				}
+				wg.Done()
+			})
+			wg.Add(bulk + hi)
+			batch := make([]sched.Item, bulk)
+			for j := range batch {
+				batch[j] = sched.Item{Priority: 1, Value: j}
+			}
+			p.SubmitBatch(batch)
+			stragglers := make([]sched.Item, hi)
+			for j := range stragglers {
+				stragglers[j] = sched.Item{Priority: 1000, Value: j}
+			}
+			p.SubmitBatch(stragglers)
+			p.Start()
+			wg.Wait()
+			p.Stop()
+			mean := float64(hiIdxSum.Load()) / hi
+			windowSum += mean / (bulk + hi)
+		}
+		b.ReportMetric(windowSum/float64(b.N), "hipri_window")
+	})
+}
+
+// benchSchedChain runs dependency chains through SubmitLocal — the shape
+// successor inlining exists for. One op is one task; 16 chains run
+// concurrently on 8 workers so the no-inline variant pays real queue and
+// wakeup traffic.
+func benchSchedChain(b *testing.B, inline bool) {
+	const (
+		workers = 8
+		chains  = 16
+	)
+	length := b.N/chains + 1
+	var wg sync.WaitGroup
+	var p *sched.Pool
+	body := func(w int, it sched.Item) {
+		v := it.Value.(int)
+		if v > 0 {
+			wg.Add(1)
+			p.SubmitLocal(w, sched.Item{Priority: int64(v % 50), Value: v - 1})
+		}
+		wg.Done()
+	}
+	p = sched.NewPool(workers, sched.PolicyStealPrio, body)
+	if !inline {
+		p.DisableRunNext()
+	}
+	p.Start()
+	defer p.Stop()
+	roots := make([]sched.Item, chains)
+	for i := range roots {
+		roots[i] = sched.Item{Priority: int64(i), Value: length}
+	}
+	wg.Add(chains)
+	b.ResetTimer()
+	p.SubmitBatch(roots)
+	wg.Wait()
+	b.StopTimer()
+	st := p.Stats()
+	total := float64(chains * (length + 1))
+	b.ReportMetric(float64(st.InlineRuns)/total, "inlined_frac")
+}
+
+// BenchmarkSchedInline is the run-next ablation: identical chain workload
+// with the slot on vs off.
+func BenchmarkSchedInline(b *testing.B) {
+	b.Run("on", func(b *testing.B) { benchSchedChain(b, true) })
+	b.Run("off", func(b *testing.B) { benchSchedChain(b, false) })
 }
 
 // BenchmarkPooledTileClone guards the steady-state allocation profile of
@@ -878,13 +1012,12 @@ func BenchmarkPooledSerdeEncode(b *testing.B) {
 func benchCommBcast(b *testing.B, chunk int) {
 	const ranks = 8
 	n := b.N
-	ttg.Run(ttg.Config{
-		Ranks:          ranks,
-		WorkersPerRank: 1,
-		BcastChunk:     chunk,
-		Net:            simnet.Config{Latency: 20 * time.Microsecond, BandwidthBps: 1e8},
-	}, func(pc *ttg.Process) {
-		g := pc.NewGraph()
+	o := backend.PaRSEC()
+	o.WorkersPerRank = 1
+	o.BcastChunk = chunk
+	o.Net = simnet.Config{Latency: 20 * time.Microsecond, BandwidthBps: 1e8}
+	backend.New(ranks, o).Run(func(p *backend.Proc) {
+		g := ttg.NewGraphOn(p)
 		drive := ttg.NewEdge[ttg.Int1, ttg.Void]("drive")
 		data := ttg.NewEdge[ttg.Int2, *tile.Tile]("data")
 		ack := ttg.NewEdge[ttg.Int1, ttg.Void]("ack")
@@ -918,7 +1051,7 @@ func benchCommBcast(b *testing.B, chunk int) {
 			ttg.Options[ttg.Int1]{Keymap: func(ttg.Int1) int { return 0 }},
 		)
 		g.MakeExecutable()
-		if pc.Rank() == 0 {
+		if p.Rank() == 0 {
 			b.ResetTimer()
 			ttg.Seed(g, drive, ttg.Int1{0}, ttg.Void{})
 		}

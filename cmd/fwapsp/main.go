@@ -34,15 +34,15 @@ func main() {
 	netFlags := netcli.Register(nil)
 	flag.Parse()
 
+	be, err := ttg.ParseBackend(*backendName)
+	if err != nil {
+		log.Fatal(err)
+	}
 	ep, err := netFlags.Launch(*ranks)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	be := ttg.PaRSEC
-	if *backendName == "madness" {
-		be = ttg.MADNESS
-	}
 	variant := fw.TTGVariant
 	if *variantName == "forkjoin" {
 		variant = fw.ForkJoinModel

@@ -29,9 +29,9 @@ var (
 
 // runDoctor executes the doctor subcommand.
 func runDoctor() {
-	be := ttg.PaRSEC
-	if *obsBackend == "madness" {
-		be = ttg.MADNESS
+	be, err := ttg.ParseBackend(*obsBackend)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *obsApp != "potrf" && *obsApp != "fwapsp" {
 		log.Fatalf("doctor: unknown -app %q (want potrf or fwapsp)", *obsApp)

@@ -40,9 +40,9 @@ var (
 
 // runObserved executes the trace or stats subcommand.
 func runObserved(cmd string) {
-	be := ttg.PaRSEC
-	if *obsBackend == "madness" {
-		be = ttg.MADNESS
+	be, err := ttg.ParseBackend(*obsBackend)
+	if err != nil {
+		log.Fatal(err)
 	}
 	ep, err := obsNet.Launch(*obsRanks)
 	if err != nil {

@@ -4,9 +4,9 @@
 // messages, a termination detector, and a transport speaking the wire
 // protocols of §II: eager whole-object (archive) messages, the two-stage
 // split-metadata protocol with RMA payload fetch, and tree-forwarded
-// optimized broadcasts. The two named backends are thin configurations of
-// this engine (see the parsec and madness subpackages), just as the C++
-// TTG backends configure shared machinery over their runtimes.
+// optimized broadcasts. The two named backends are Options presets of this
+// engine (PaRSEC and MADNESS below), just as the C++ TTG backends
+// configure shared machinery over their runtimes.
 package backend
 
 import (
@@ -41,14 +41,15 @@ const (
 	kGatherData                  // zero-copy data: header + gather header, payload as by-reference segments
 )
 
-// Options configure the engine; the named backends provide presets.
+// Options configure the engine; PaRSEC and MADNESS return the two named
+// presets, and New is the only constructor.
 type Options struct {
 	// Name tags the backend in diagnostics ("parsec", "madness").
 	Name string
 	// WorkersPerRank sizes each rank's pool. Zero means NumCPU/ranks,
 	// minimum 1 (the evaluation pinned 60 worker threads per node).
 	WorkersPerRank int
-	// Policy selects the task queue discipline.
+	// Policy is the task queue discipline, fixed by the preset.
 	Policy sched.Policy
 	// TracksData: the runtime owns data lifetimes, so const-ref sends
 	// avoid copies (PaRSEC-model: true, MADNESS-model: false).
@@ -70,10 +71,8 @@ type Options struct {
 	// GatherThreshold is the wire size (bytes) at which point-to-point
 	// deliveries of gather-capable values take the zero-copy path (header
 	// encoded, payload shipped as by-reference segments) instead of
-	// copy-encoding. Zero means the serde default (1 KiB, adjustable via
-	// serde.SetGatherThreshold); negative disables gather sends on this
-	// runtime. Resolved per send, so ablation toggles take effect on a
-	// running backend.
+	// copy-encoding. Zero means serde.GatherThreshold (1 KiB); negative
+	// disables gather sends on this runtime.
 	GatherThreshold int
 	// Net configures latency/bandwidth of the virtual fabric.
 	Net simnet.Config
@@ -89,6 +88,25 @@ type Options struct {
 	// fabric maintains the in-flight-message gauge. Nil costs one branch
 	// per instrumentation point.
 	Obs *obs.Session
+}
+
+// PaRSEC is the preset modeling the paper's PaRSEC backend (§II-D): the
+// runtime owns data flowing through the graph (so const-ref sends avoid
+// copies), large payloads take one-sided transfers via the split-metadata
+// protocol, multi-rank broadcasts are forwarded along binomial trees, and
+// scheduling is banded work stealing that honors priority maps.
+func PaRSEC() Options {
+	return Options{Name: "parsec", Policy: sched.PolicyStealPrio, TracksData: true, SplitMD: true, TreeBroadcast: true}
+}
+
+// MADNESS is the preset modeling the paper's MADNESS backend (§II-D): one
+// FIFO thread pool per process beside the thread serving active messages.
+// Data always travels as whole serialized objects (no splitmd) and the
+// runtime does not track data lifetimes, so const-ref sends still copy —
+// the copy and communication overheads the paper observes for
+// TTG-over-MADNESS in the MRA benchmark follow from these two properties.
+func MADNESS() Options {
+	return Options{Name: "madness", Policy: sched.PolicyFIFO}
 }
 
 func (o *Options) fill(ranks int) {
@@ -483,12 +501,12 @@ func (p *Proc) deliverLoopback(d core.Delivery) {
 }
 
 // gatherMin resolves the effective gather floor: the backend option when
-// set (negative disables), the serde default otherwise.
+// set (negative disables), serde.GatherThreshold otherwise.
 func (p *Proc) gatherMin() int {
 	if t := p.rt.opts.GatherThreshold; t != 0 {
 		return t
 	}
-	return serde.DefaultGatherThreshold()
+	return serde.GatherThreshold
 }
 
 // deliverGather ships d over the zero-copy path: the delivery header and

@@ -6,14 +6,19 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/backend/madness"
-	"repro/internal/backend/parsec"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/serde"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 )
+
+// withWorkers returns preset o sized to n workers per rank.
+func withWorkers(o backend.Options, n int) backend.Options {
+	o.WorkersPerRank = n
+	return o
+}
 
 // vec is a splitmd-capable payload used by the transport tests.
 type vec struct {
@@ -126,33 +131,82 @@ func expectChain(t *testing.T, results map[int]float64, keys, stages int) {
 }
 
 func TestChainAcrossRanksParsec(t *testing.T) {
-	rt := parsec.New(4, parsec.Config{WorkersPerRank: 2})
+	rt := backend.New(4, withWorkers(backend.PaRSEC(), 2))
 	results := runChain(t, rt, 20, 8)
 	expectChain(t, results, 20, 8)
 }
 
 func TestChainAcrossRanksMadness(t *testing.T) {
-	rt := madness.New(4, madness.Config{WorkersPerRank: 2})
+	rt := backend.New(4, withWorkers(backend.MADNESS(), 2))
 	results := runChain(t, rt, 20, 8)
 	expectChain(t, results, 20, 8)
 }
 
 func TestChainWithNetworkLatency(t *testing.T) {
-	rt := parsec.New(3, parsec.Config{
-		WorkersPerRank: 2,
-		Net:            simnet.Config{Latency: 100 * time.Microsecond, BandwidthBps: 1 << 30},
-	})
+	o := withWorkers(backend.PaRSEC(), 2)
+	o.Net = simnet.Config{Latency: 100 * time.Microsecond, BandwidthBps: 1 << 30}
+	rt := backend.New(3, o)
 	results := runChain(t, rt, 10, 5)
 	expectChain(t, results, 10, 5)
 }
 
 func TestAllSchedulerPolicies(t *testing.T) {
-	for _, pol := range []sched.Policy{sched.PolicyFIFO, sched.PolicyLIFO, sched.PolicyPriority, sched.PolicySteal, sched.PolicyStealPrio} {
+	for _, pol := range []sched.Policy{sched.PolicyFIFO, sched.PolicyStealPrio} {
 		t.Run(pol.String(), func(t *testing.T) {
-			rt := parsec.New(2, parsec.Config{WorkersPerRank: 2, Policy: pol, HasPolicy: true})
+			o := withWorkers(backend.PaRSEC(), 2)
+			o.Policy = pol
+			rt := backend.New(2, o)
 			results := runChain(t, rt, 12, 4)
 			expectChain(t, results, 12, 4)
 		})
+	}
+}
+
+// TestPresets pins the paper's §II-D property list: what New builds from
+// each preset, with only the machine-sized defaults filled in.
+func TestPresets(t *testing.T) {
+	for _, tc := range []struct {
+		preset                    backend.Options
+		name                      string
+		policy                    sched.Policy
+		tracks, splitmd, treeCast bool
+	}{
+		{backend.PaRSEC(), "parsec", sched.PolicyStealPrio, true, true, true},
+		{backend.MADNESS(), "madness", sched.PolicyFIFO, false, false, false},
+	} {
+		rt := backend.New(2, tc.preset)
+		o := rt.Options()
+		rt.Shutdown()
+		if o.Name != tc.name || o.Policy != tc.policy || o.TracksData != tc.tracks ||
+			o.SplitMD != tc.splitmd || o.TreeBroadcast != tc.treeCast {
+			t.Errorf("%s preset wrong: %+v", tc.name, o)
+		}
+		if o.WorkersPerRank < 1 || o.EagerThreshold <= 0 || o.BcastChunk <= 0 || o.GatherThreshold != 0 {
+			t.Errorf("%s defaults not filled: %+v", tc.name, o)
+		}
+	}
+}
+
+// TestPresetsMatchSimFlavors keeps the DES cost model and the real engine
+// from drifting apart on what a backend is: the virtual-time flavors and
+// the engine presets must agree on every protocol property they share.
+func TestPresetsMatchSimFlavors(t *testing.T) {
+	for _, tc := range []struct {
+		preset backend.Options
+		flavor cluster.Flavor
+	}{
+		{backend.PaRSEC(), cluster.ParsecFlavor()},
+		{backend.MADNESS(), cluster.MadnessFlavor()},
+	} {
+		rt := backend.New(1, tc.preset)
+		o, f := rt.Options(), tc.flavor
+		rt.Shutdown()
+		if o.Name != f.Name || o.SplitMD != f.SplitMD || o.TreeBroadcast != f.TreeBroadcast || o.TracksData != f.TracksData {
+			t.Errorf("%s: engine preset %+v disagrees with sim flavor %+v", f.Name, o, f)
+		}
+		if o.SplitMD && o.EagerThreshold != f.EagerThreshold {
+			t.Errorf("%s: engine eager threshold %d, sim flavor %d", f.Name, o.EagerThreshold, f.EagerThreshold)
+		}
 	}
 }
 
@@ -203,7 +257,7 @@ func TestSplitMDProtocolSelection(t *testing.T) {
 		return
 	}
 
-	got, snap := run(parsec.New(2, parsec.Config{WorkersPerRank: 1}))
+	got, snap := run(backend.New(2, withWorkers(backend.PaRSEC(), 1)))
 	if len(got) != 1 || got[0] != 4095 {
 		t.Fatalf("parsec: payload corrupted: %v", got)
 	}
@@ -211,7 +265,7 @@ func TestSplitMDProtocolSelection(t *testing.T) {
 		t.Fatalf("parsec: splitmd not used for 32KB payload: %+v", snap)
 	}
 
-	got, snap = run(madness.New(2, madness.Config{WorkersPerRank: 1}))
+	got, snap = run(backend.New(2, withWorkers(backend.MADNESS(), 1)))
 	if len(got) != 1 || got[0] != 4095 {
 		t.Fatalf("madness: payload corrupted: %v", got)
 	}
@@ -227,7 +281,7 @@ func TestTreeBroadcast(t *testing.T) {
 	var mu sync.Mutex
 	fired := map[int]int{}
 	var rootSent int64
-	rt := parsec.New(ranks, parsec.Config{WorkersPerRank: 1})
+	rt := backend.New(ranks, withWorkers(backend.PaRSEC(), 1))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -284,7 +338,7 @@ func TestMultipleFences(t *testing.T) {
 	const ranks = 3
 	var mu sync.Mutex
 	var phase1, phase2 int
-	rt := parsec.New(ranks, parsec.Config{WorkersPerRank: 2})
+	rt := backend.New(ranks, withWorkers(backend.PaRSEC(), 2))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -335,7 +389,7 @@ func TestDeepRecursiveUnfold(t *testing.T) {
 	const depth = 7
 	var count int64
 	var mu sync.Mutex
-	rt := parsec.New(ranks, parsec.Config{WorkersPerRank: 2})
+	rt := backend.New(ranks, withWorkers(backend.PaRSEC(), 2))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		e := core.NewEdge("rec")
@@ -379,7 +433,7 @@ func TestStreamingAcrossRanks(t *testing.T) {
 	}{{"remote senders", false}, {"rank-local panels", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			var totals [ranks]float64 // by the rank that seeded the fan
-			rt := parsec.New(ranks, parsec.Config{WorkersPerRank: 1})
+			rt := backend.New(ranks, withWorkers(backend.PaRSEC(), 1))
 			rt.Run(func(p *backend.Proc) {
 				g := p.NewGraph()
 				in := core.NewEdge("in")
@@ -451,7 +505,7 @@ func TestStreamingAcrossRanks(t *testing.T) {
 // drain every registered source object (the sender-release step of the
 // §II-C protocol) — no RMA region leaks.
 func TestSplitMDRegionsReleased(t *testing.T) {
-	rt := parsec.New(2, parsec.Config{WorkersPerRank: 1})
+	rt := backend.New(2, withWorkers(backend.PaRSEC(), 1))
 	var procs [2]*backend.Proc
 	rt.Run(func(p *backend.Proc) {
 		procs[p.Rank()] = p
@@ -546,10 +600,12 @@ func fanInSharing(t *testing.T, rt *backend.Runtime, mode core.SendMode, access 
 // a tracking runtime (PaRSEC model), but is cloned per consumer under the
 // eager-copy MADNESS model. Send modes survive the wire either way.
 func TestRemoteFanInSharingSimnet(t *testing.T) {
-	net := simnet.Config{Latency: 20 * time.Microsecond, BandwidthBps: 1 << 30}
+	par, mad := withWorkers(backend.PaRSEC(), 2), withWorkers(backend.MADNESS(), 2)
+	par.Net = simnet.Config{Latency: 20 * time.Microsecond, BandwidthBps: 1 << 30}
+	mad.Net = par.Net
 
 	shared, vals := fanInSharing(t,
-		parsec.New(2, parsec.Config{WorkersPerRank: 2, Net: net}),
+		backend.New(2, par),
 		core.SendMove, core.ReadOnly)
 	if !shared {
 		t.Errorf("parsec: remote read-only consumers did not share one value")
@@ -562,14 +618,14 @@ func TestRemoteFanInSharingSimnet(t *testing.T) {
 
 	// ReadWrite consumers must never share, tracking runtime or not.
 	shared, _ = fanInSharing(t,
-		parsec.New(2, parsec.Config{WorkersPerRank: 2, Net: net}),
+		backend.New(2, par),
 		core.SendMove, core.ReadWrite)
 	if shared {
 		t.Errorf("parsec: remote read-write consumers shared one value")
 	}
 
 	shared, vals = fanInSharing(t,
-		madness.New(2, madness.Config{WorkersPerRank: 2, Net: net}),
+		backend.New(2, mad),
 		core.SendCopy, core.ReadOnly)
 	if shared {
 		t.Errorf("madness: eager-copy runtime shared a value across consumers")

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/backend/parsec"
 	"repro/internal/core"
 	"repro/internal/serde"
 	"repro/internal/trace"
@@ -16,7 +15,9 @@ import (
 // one over it takes the splitmd rendezvous path.
 func TestEagerRendezvousSwitch(t *testing.T) {
 	run := func(floats int) (snap trace.Snapshot, last float64) {
-		rt := parsec.New(2, parsec.Config{WorkersPerRank: 1, EagerThreshold: 1024})
+		o := withWorkers(backend.PaRSEC(), 1)
+		o.EagerThreshold = 1024
+		rt := backend.New(2, o)
 		rt.Run(func(p *backend.Proc) {
 			g := p.NewGraph()
 			in := core.NewEdge("in")
@@ -77,11 +78,13 @@ func TestEagerRendezvousSwitch(t *testing.T) {
 
 // runBroadcast broadcasts one floats-long vector from rank 0 to all ranks
 // and returns each rank's received checksum plus the root trace snapshot.
-func runBroadcast(t *testing.T, ranks, floats int, cfg parsec.Config) (sums map[int]float64, snap trace.Snapshot) {
+func runBroadcast(t *testing.T, ranks, floats, bcastChunk int) (sums map[int]float64, snap trace.Snapshot) {
 	t.Helper()
 	var mu sync.Mutex
 	sums = map[int]float64{}
-	rt := parsec.New(ranks, cfg)
+	o := withWorkers(backend.PaRSEC(), 1)
+	o.BcastChunk = bcastChunk
+	rt := backend.New(ranks, o)
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -143,7 +146,7 @@ func TestPipelinedBroadcast(t *testing.T) {
 		want += float64(i % 97)
 	}
 
-	piped, snap := runBroadcast(t, ranks, floats, parsec.Config{WorkersPerRank: 1, BcastChunk: 4096})
+	piped, snap := runBroadcast(t, ranks, floats, 4096)
 	if len(piped) != ranks {
 		t.Fatalf("pipelined: fired on %d ranks, want %d", len(piped), ranks)
 	}
@@ -159,7 +162,7 @@ func TestPipelinedBroadcast(t *testing.T) {
 		t.Fatalf("pipelined: root sent %d wire packets; chunking did not engage", snap.WirePackets)
 	}
 
-	plain, snap := runBroadcast(t, ranks, floats, parsec.Config{WorkersPerRank: 1, BcastChunk: -1})
+	plain, snap := runBroadcast(t, ranks, floats, -1)
 	if len(plain) != ranks {
 		t.Fatalf("store-and-forward: fired on %d ranks, want %d", len(plain), ranks)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/backend/parsec"
 	"repro/internal/core"
 	"repro/internal/serde"
 )
@@ -18,7 +17,7 @@ import (
 // exclusively (no copy), a plain value is cloned so the caller's copy
 // stays independent.
 func TestDeliverLoopback(t *testing.T) {
-	rt := parsec.New(2, parsec.Config{WorkersPerRank: 1})
+	rt := backend.New(2, withWorkers(backend.PaRSEC(), 1))
 	results := make(chan *vec, 4)
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()

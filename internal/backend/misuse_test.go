@@ -6,14 +6,13 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/backend/parsec"
 	"repro/internal/core"
 	"repro/internal/serde"
 	"repro/internal/simnet"
 )
 
 func TestBindTwicePanics(t *testing.T) {
-	rt := parsec.New(1, parsec.Config{WorkersPerRank: 1})
+	rt := backend.New(1, withWorkers(backend.PaRSEC(), 1))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -30,7 +29,7 @@ func TestBindTwicePanics(t *testing.T) {
 }
 
 func TestBindUnsealedPanics(t *testing.T) {
-	rt := parsec.New(1, parsec.Config{WorkersPerRank: 1})
+	rt := backend.New(1, withWorkers(backend.PaRSEC(), 1))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -47,7 +46,7 @@ func TestBindUnsealedPanics(t *testing.T) {
 }
 
 func TestProcAccessors(t *testing.T) {
-	rt := parsec.New(3, parsec.Config{WorkersPerRank: 2})
+	rt := backend.New(3, withWorkers(backend.PaRSEC(), 2))
 	seen := map[int]bool{}
 	var mu sync.Mutex
 	rt.Run(func(p *backend.Proc) {
@@ -83,10 +82,9 @@ func TestStressManyRanksLatencyRace(t *testing.T) {
 	const keys = 200
 	var count int64
 	var mu sync.Mutex
-	rt := parsec.New(ranks, parsec.Config{
-		WorkersPerRank: 2,
-		Net:            simnet.Config{Latency: 20 * time.Microsecond},
-	})
+	o := withWorkers(backend.PaRSEC(), 2)
+	o.Net = simnet.Config{Latency: 20 * time.Microsecond}
+	rt := backend.New(ranks, o)
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		e := core.NewEdge("ring")

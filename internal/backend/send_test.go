@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/backend/parsec"
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/netfab"
@@ -26,7 +25,7 @@ func runOn(t *testing.T, transport string, ranks, workers int, main func(p *back
 	go func() {
 		defer close(done)
 		if transport == "simnet" {
-			parsec.New(ranks, parsec.Config{WorkersPerRank: workers}).Run(main)
+			backend.New(ranks, withWorkers(backend.PaRSEC(), workers)).Run(main)
 			return
 		}
 		eps, err := netfab.NewLocalMesh(ranks, netfab.Config{Transport: transport})
@@ -39,7 +38,9 @@ func runOn(t *testing.T, transport string, ranks, workers int, main func(p *back
 			wg.Add(1)
 			go func(ep *netfab.Endpoint) {
 				defer wg.Done()
-				parsec.New(0, parsec.Config{Fabric: ep, WorkersPerRank: workers}).Run(main)
+				o := withWorkers(backend.PaRSEC(), workers)
+				o.Fabric = ep
+				backend.New(0, o).Run(main)
 			}(ep)
 		}
 		wg.Wait()

@@ -522,7 +522,7 @@ func (p *Proc) deliver(dest int, d core.Delivery) {
 	// retains the value (!OwnsValue); the receiver decodes a view over the
 	// landed segments, so the deserialize copy disappears entirely.
 	if !useSplit && hasValue && serde.GatherSendsEnabled() && gatherable(d) {
-		if total := valueBytes(d); total >= serde.DefaultGatherThreshold() {
+		if total := valueBytes(d); total >= serde.GatherThreshold {
 			p.tr.BytesSent.Add(int64(total))
 			p.tr.GatherSends.Add(1)
 			p.tr.BytesZeroCopied.Add(int64(total - core.HeaderWireSize(d)))

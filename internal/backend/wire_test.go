@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/backend/madness"
-	"repro/internal/backend/parsec"
 	"repro/internal/core"
 	"repro/internal/obs/live"
 	"repro/internal/pool"
@@ -19,10 +17,10 @@ import (
 // given send mode over cfg and returns the received tile's data plus both
 // ranks' trace snapshots. The payload is pool-backed (tile.NewPooled) so
 // the zero-copy path exercises real pooled memory.
-func runTileSend(t *testing.T, cfg madness.Config, rows, cols int, mode core.SendMode) (got []float64, send, recv trace.Snapshot) {
+func runTileSend(t *testing.T, cfg backend.Options, rows, cols int, mode core.SendMode) (got []float64, send, recv trace.Snapshot) {
 	t.Helper()
 	var mu sync.Mutex
-	rt := madness.New(2, cfg)
+	rt := backend.New(2, cfg)
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -89,7 +87,7 @@ func expectTileData(t *testing.T, got []float64, rows, cols int) {
 // its own packet, and they must arrive intact and in the order sent.
 func TestGatherWireRoundTrip(t *testing.T) {
 	const rows, cols = 32, 32 // 8 KiB payload, well over the 1 KiB floor
-	got, send, recv := runTileSend(t, madness.Config{WorkersPerRank: 1}, rows, cols, core.SendMove)
+	got, send, recv := runTileSend(t, withWorkers(backend.MADNESS(), 1), rows, cols, core.SendMove)
 	expectTileData(t, got, rows, cols)
 	if send.GatherSends != 1 {
 		t.Fatalf("GatherSends = %d, want 1", send.GatherSends)
@@ -118,7 +116,7 @@ func TestGatherCopySemantics(t *testing.T) {
 	const rows, cols = 16, 16
 	var mu sync.Mutex
 	var senderAfter, got []float64
-	rt := madness.New(2, madness.Config{WorkersPerRank: 1})
+	rt := backend.New(2, withWorkers(backend.MADNESS(), 1))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -185,7 +183,7 @@ func TestGatherAblationSwitch(t *testing.T) {
 	const rows, cols = 32, 32
 
 	serde.SetGatherSends(false)
-	got, send, recv := runTileSend(t, madness.Config{WorkersPerRank: 1}, rows, cols, core.SendMove)
+	got, send, recv := runTileSend(t, withWorkers(backend.MADNESS(), 1), rows, cols, core.SendMove)
 	serde.SetGatherSends(true)
 	expectTileData(t, got, rows, cols)
 	if send.GatherSends != 0 {
@@ -198,14 +196,17 @@ func TestGatherAblationSwitch(t *testing.T) {
 		t.Fatalf("gather off: ViewDecodes = %d, want 0", recv.ViewDecodes)
 	}
 
-	got, send, _ = runTileSend(t, madness.Config{WorkersPerRank: 1, GatherThreshold: -1}, rows, cols, core.SendMove)
+	o := withWorkers(backend.MADNESS(), 1)
+	o.GatherThreshold = -1
+	got, send, _ = runTileSend(t, o, rows, cols, core.SendMove)
 	expectTileData(t, got, rows, cols)
 	if send.GatherSends != 0 {
 		t.Fatalf("threshold<0: GatherSends = %d, want 0", send.GatherSends)
 	}
 
 	// A threshold above the payload also declines.
-	got, send, _ = runTileSend(t, madness.Config{WorkersPerRank: 1, GatherThreshold: 1 << 20}, rows, cols, core.SendMove)
+	o.GatherThreshold = 1 << 20
+	got, send, _ = runTileSend(t, o, rows, cols, core.SendMove)
 	expectTileData(t, got, rows, cols)
 	if send.GatherSends != 0 {
 		t.Fatalf("threshold>payload: GatherSends = %d, want 0", send.GatherSends)
@@ -221,7 +222,7 @@ func testGatherInterleaved(t *testing.T) {
 	var mu sync.Mutex
 	var arrived []float64 // tile k logs k (after checking its data), scalar k logs 100+k
 	var send, recv trace.Snapshot
-	rt := madness.New(2, madness.Config{WorkersPerRank: 1})
+	rt := backend.New(2, withWorkers(backend.MADNESS(), 1))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -317,7 +318,7 @@ func TestRecvViewSharedReaders(t *testing.T) {
 	const readers = 6
 	var mu sync.Mutex
 	sums := map[int]float64{}
-	rt := parsec.New(2, parsec.Config{WorkersPerRank: 4})
+	rt := backend.New(2, withWorkers(backend.PaRSEC(), 4))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -390,7 +391,7 @@ func TestRecvViewSharedReaders(t *testing.T) {
 // activation — which is exactly the wedge the doctor exists for.
 func TestDoctorReportsLeakedRecvView(t *testing.T) {
 	const rows, cols = 32, 32
-	rt := madness.New(2, madness.Config{WorkersPerRank: 1})
+	rt := backend.New(2, withWorkers(backend.MADNESS(), 1))
 	var rep *live.StallReport
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()

@@ -3,6 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/apps/cholesky"
+	"repro/internal/backend/sim"
+	"repro/internal/cluster"
+	"repro/internal/tile"
+	"repro/ttg"
 )
 
 // The experiment tests assert the paper's qualitative claims — who wins
@@ -192,4 +198,32 @@ func TestFig12TTG25DValidatesPrediction(t *testing.T) {
 	if ext < dbcsr {
 		t.Fatalf("TTG 2.5D (%.3g) below DBCSR (%.3g) at %g nodes", ext, dbcsr, x)
 	}
+}
+
+// TestAblationPriorityInvariant is the asserted extension of
+// BenchmarkAblationPriority: at a rank/worker count where workers are
+// contended (8 ranks x 16 workers, 64x64 tiles), Cholesky's critical-path
+// priority map must measurably shorten the simulated makespan vs
+// priorities-off. Virtual time is deterministic, so the floor is a real
+// regression tripwire for both the priority map and the scheduler's
+// priority handling, not a flaky timing test. (Observed speedup ~1.066;
+// asserted floor leaves headroom for cost-model tweaks.)
+func TestAblationPriorityInvariant(t *testing.T) {
+	grid := tile.Grid{N: 16384, NB: 256}
+	machine := cluster.Hawk()
+	run := func(prio bool) float64 {
+		rt := sim.New(sim.Config{Ranks: 8, WorkersPerRank: 16, Machine: machine,
+			Flavor: cluster.ParsecFlavor(), Cost: cholesky.CostModel(grid, machine)})
+		rt.Run(graphMain(func(g *ttg.Graph) func() {
+			return cholesky.Build(g, cholesky.Options{Grid: grid, Phantom: true, Priorities: prio}).Seed
+		}))
+		return rt.Now()
+	}
+	on, off := run(true), run(false)
+	speedup := off / on
+	if speedup < 1.02 {
+		t.Fatalf("priority map no longer shortens the critical path: makespan on=%.4fs off=%.4fs (speedup %.4f, want >= 1.02)",
+			on, off, speedup)
+	}
+	t.Logf("priority-map speedup at 8x16 workers: %.4f (on=%.4fs off=%.4fs)", speedup, on, off)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -10,28 +11,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Policy selects the queueing discipline of a worker pool, mirroring
-// PaRSEC's selectable scheduler modules.
+// Policy selects the queueing discipline of a worker pool. There are two
+// modules, one per runtime model of the paper's §II-D, and the backend
+// preset (backend.PaRSEC / backend.MADNESS) picks between them; it is not
+// a user-facing knob.
 type Policy int
 
 const (
-	// PolicyFIFO runs tasks in submission order from one shared queue.
+	// PolicyFIFO runs tasks in submission order from one shared queue,
+	// ignoring priorities (the MADNESS-model thread pool).
 	PolicyFIFO Policy = iota
-	// PolicyLIFO runs the most recently submitted task first.
-	PolicyLIFO
-	// PolicyPriority honors task priorities exactly via one shared heap
-	// (priority-map support; every push/pop contends on the heap lock).
-	PolicyPriority
-	// PolicySteal gives each worker a deque; idle workers steal. Local
-	// submissions stay with the submitting worker for locality. Item
-	// priorities are ignored.
-	PolicySteal
-	// PolicyStealPrio combines the two: each worker owns a small fixed
-	// set of per-priority-band Chase-Lev deques (pow2 priority classes,
-	// highest band popped and stolen first), so priority-map ordering
-	// survives without a shared heap. Ordering is approximate — exact up
-	// to the band mapping locally, best-effort across workers — with
-	// PolicyPriority kept as the exact-order fallback.
+	// PolicyStealPrio gives each worker a small fixed set of
+	// per-priority-band Chase-Lev deques (pow2 priority classes, highest
+	// band popped and stolen first) plus a run-next slot, with a shared
+	// Banded queue for outside submissions, so priority-map ordering
+	// survives without a shared heap (the PaRSEC-model scheduler).
+	// Ordering is approximate: exact up to the band mapping locally,
+	// best-effort across workers.
 	PolicyStealPrio
 )
 
@@ -39,16 +35,10 @@ func (p Policy) String() string {
 	switch p {
 	case PolicyFIFO:
 		return "fifo"
-	case PolicyLIFO:
-		return "lifo"
-	case PolicyPriority:
-		return "priority"
-	case PolicySteal:
-		return "steal"
 	case PolicyStealPrio:
 		return "stealprio"
 	}
-	return "unknown"
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
 // maxInlineChain bounds how many successors a worker may execute back to
@@ -102,15 +92,13 @@ type Stats struct {
 // Pool is a fixed-size worker pool executing Items via a run callback. The
 // callback receives the executing worker's index so that tasks spawned
 // during execution can be resubmitted locally (SubmitLocal) for locality
-// under the stealing policies.
+// under PolicyStealPrio.
 type Pool struct {
-	policy Policy
 	run    func(worker int, it Item)
-	shared Queue      // FIFO/LIFO/Priority policies; overflow for the stealing ones
-	deques []*Deque   // per-worker, PolicySteal only
-	prio   [][]*Deque // per-worker per-band, PolicyStealPrio only
+	shared Queue      // the FIFO queue; the Banded outside-submission queue under PolicyStealPrio
+	prio   [][]*Deque // per-worker per-band; nil under PolicyFIFO
 	ws     []workerState
-	inline bool // run-next slot enabled (stealing policies by default)
+	inline bool // run-next slot enabled (PolicyStealPrio by default)
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -160,29 +148,19 @@ type Pool struct {
 	onPanic func(worker int, recovered any)
 }
 
-// NewPool builds a pool of n workers with the given policy. Call Start to
-// launch the workers.
+// NewPool builds a pool of n workers with the given policy, panicking on
+// a Policy value that names neither module. Call Start to launch the
+// workers.
 func NewPool(n int, policy Policy, run func(worker int, it Item)) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	p := &Pool{policy: policy, run: run, n: n}
+	p := &Pool{run: run, n: n}
 	p.cond = sync.NewCond(&p.mu)
 	p.ws = make([]workerState, n)
 	switch policy {
 	case PolicyFIFO:
 		p.shared = NewFIFO()
-	case PolicyLIFO:
-		p.shared = NewLIFO()
-	case PolicyPriority:
-		p.shared = NewPriority()
-	case PolicySteal:
-		p.shared = NewFIFO()
-		p.deques = make([]*Deque, n)
-		for i := range p.deques {
-			p.deques[i] = NewDeque()
-		}
-		p.inline = true
 	case PolicyStealPrio:
 		p.shared = NewBanded()
 		p.prio = make([][]*Deque, n)
@@ -194,6 +172,8 @@ func NewPool(n int, policy Policy, run func(worker int, it Item)) *Pool {
 			p.prio[i] = bands
 		}
 		p.inline = true
+	default:
+		panic(fmt.Sprintf("sched: unknown policy %v", policy))
 	}
 	return p
 }
@@ -201,8 +181,8 @@ func NewPool(n int, policy Policy, run func(worker int, it Item)) *Pool {
 // Workers returns the number of worker goroutines.
 func (p *Pool) Workers() int { return p.n }
 
-// DisableRunNext turns off the successor-inlining slot (stealing policies
-// enable it by default). Call before Start; used by the inlining ablation
+// DisableRunNext turns off the successor-inlining slot (PolicyStealPrio
+// enables it by default). Call before Start; used by the inlining ablation
 // bench and for strict queue-order debugging.
 func (p *Pool) DisableRunNext() { p.inline = false }
 
@@ -258,33 +238,22 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// Depths reports the current queue depths: one entry per worker (summed
-// across bands under PolicyStealPrio) followed by the shared queue's
-// depth; single-queue policies report just the shared depth. An item held
+// Depths reports the current queue depths: under PolicyStealPrio one
+// entry per worker (summed across bands) followed by the shared queue's
+// depth; PolicyFIFO reports just the shared depth. An item held
 // in a run-next slot is not counted — its worker is mid-execution, so it
 // is in-flight rather than queued. Safe to call from any goroutine;
 // values are instantaneous and may be stale by the time they are read.
 func (p *Pool) Depths() []int {
-	switch p.policy {
-	case PolicySteal:
-		out := make([]int, 0, len(p.deques)+1)
-		for _, d := range p.deques {
-			out = append(out, d.Len())
+	out := make([]int, 0, len(p.prio)+1)
+	for _, bands := range p.prio {
+		n := 0
+		for _, d := range bands {
+			n += d.Len()
 		}
-		return append(out, p.shared.Len())
-	case PolicyStealPrio:
-		out := make([]int, 0, len(p.prio)+1)
-		for _, bands := range p.prio {
-			n := 0
-			for _, d := range bands {
-				n += d.Len()
-			}
-			out = append(out, n)
-		}
-		return append(out, p.shared.Len())
-	default:
-		return []int{p.shared.Len()}
+		out = append(out, n)
 	}
+	return append(out, p.shared.Len())
 }
 
 // Start launches the worker goroutines. It is idempotent.
@@ -327,13 +296,12 @@ func (p *Pool) SubmitBatch(its []Item) {
 }
 
 // SubmitLocal enqueues work from within the run callback of the given
-// worker. Under the stealing policies it lands on that worker's own deque
-// (the priority band's deque under PolicyStealPrio) — or, when the
-// worker's run-next slot is free and its inline chain is short enough,
-// directly in the slot: the worker executes it next, no queue round-trip,
-// no wakeup, the just-produced data still cache-hot. A lower-priority
-// incumbent is displaced to the queues so the slot always holds the
-// highest-priority successor seen this round.
+// worker. Under PolicyStealPrio it lands on that worker's own deque for
+// the item's priority band — or, when the worker's run-next slot is free
+// and its inline chain is short enough, directly in the slot: the worker
+// executes it next, no queue round-trip, no wakeup, the just-produced data
+// still cache-hot. A lower-priority incumbent is displaced to the queues
+// so the slot always holds the highest-priority successor seen this round.
 func (p *Pool) SubmitLocal(worker int, it Item) {
 	if p.depth != nil {
 		p.depth.Add(1)
@@ -382,10 +350,7 @@ func (p *Pool) SubmitLocalBatch(worker int, its []Item) {
 			}
 		}
 	}
-	switch {
-	case p.policy == PolicySteal && worker >= 0 && worker < len(p.deques):
-		p.deques[worker].PushBottomBatch(its)
-	case p.policy == PolicyStealPrio && worker >= 0 && worker < len(p.prio):
+	if worker >= 0 && worker < len(p.prio) {
 		// Push maximal same-band runs in one batch each; fan-outs from one
 		// task usually share a priority class, so this is typically one
 		// PushBottomBatch call.
@@ -399,19 +364,16 @@ func (p *Pool) SubmitLocalBatch(worker int, its []Item) {
 			bands[b].PushBottomBatch(its[i:j])
 			i = j
 		}
-	default:
+	} else {
 		p.shared.PushBatch(its)
 	}
 	p.wakeN(len(its))
 }
 
 func (p *Pool) pushLocal(worker int, it Item) {
-	switch {
-	case p.policy == PolicySteal && worker >= 0 && worker < len(p.deques):
-		p.deques[worker].PushBottom(it)
-	case p.policy == PolicyStealPrio && worker >= 0 && worker < len(p.prio):
+	if worker >= 0 && worker < len(p.prio) {
 		p.prio[worker][bandOf(it.Priority)].PushBottom(it)
-	default:
+	} else {
 		p.shared.Push(it)
 	}
 }
@@ -610,39 +572,29 @@ func (p *Pool) runItem(id int, it Item) {
 }
 
 func (p *Pool) tryNext(id int, rng *rand.Rand) (Item, bool) {
-	switch p.policy {
-	case PolicySteal:
-		if it, ok := p.deques[id].PopBottom(); ok {
-			return it, true
-		}
-		if it, ok := p.shared.Pop(); ok {
-			return it, true
-		}
-		return p.trySteal(id, rng)
-	case PolicyStealPrio:
-		// Own bands, highest first. Len is exact for the owner's view of
-		// bottom (thieves only shrink it), so empty bands cost two atomic
-		// loads, not a PopBottom protocol round.
-		own := p.prio[id]
-		for b := numBands - 1; b >= 0; b-- {
-			if own[b].Len() == 0 {
-				continue
-			}
-			if it, ok := own[b].PopBottom(); ok {
-				return it, true
-			}
-		}
-		if it, ok := p.shared.Pop(); ok {
-			return it, true
-		}
-		return p.trySteal(id, rng)
-	default:
+	if p.prio == nil {
 		return p.shared.Pop()
 	}
+	// Own bands, highest first. Len is exact for the owner's view of
+	// bottom (thieves only shrink it), so empty bands cost two atomic
+	// loads, not a PopBottom protocol round.
+	own := p.prio[id]
+	for b := numBands - 1; b >= 0; b-- {
+		if own[b].Len() == 0 {
+			continue
+		}
+		if it, ok := own[b].PopBottom(); ok {
+			return it, true
+		}
+	}
+	if it, ok := p.shared.Pop(); ok {
+		return it, true
+	}
+	return p.trySteal(id, rng)
 }
 
 // trySteal sweeps the other workers once from a random starting victim,
-// taking the highest-band item a victim exposes under PolicyStealPrio.
+// taking the highest-band item a victim exposes.
 func (p *Pool) trySteal(id int, rng *rand.Rand) (Item, bool) {
 	if p.n <= 1 {
 		return Item{}, false
@@ -656,13 +608,6 @@ func (p *Pool) trySteal(id int, rng *rand.Rand) (Item, bool) {
 	for k := 0; k < p.n; k++ {
 		v := (start + k) % p.n
 		if v == id {
-			continue
-		}
-		if p.policy == PolicySteal {
-			if it, ok := p.deques[v].Steal(); ok {
-				p.recordSteal(id, v, w)
-				return it, true
-			}
 			continue
 		}
 		for b := numBands - 1; b >= 0; b-- {

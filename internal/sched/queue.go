@@ -1,7 +1,10 @@
-// Package sched provides the task-queue building blocks used by the runtime
-// backends: a priority queue, per-worker stealing deques, and a worker pool.
-// These mirror the modular scheduler components (MCA modules) of the
-// PaRSEC-model backend and the plain FIFO pool of the MADNESS-model backend.
+// Package sched provides the worker pool of the runtime engine and its two
+// queue disciplines: banded priority work stealing (per-worker Chase-Lev
+// deques with a shared Banded queue for outside submissions) for the
+// PaRSEC-model preset and one shared FIFO for the MADNESS-model preset.
+// The exact-order Priority heap is not a pool discipline: it is the ready
+// queue of the virtual-time backend (backend/sim) and the reference the
+// Banded ordering is tested against.
 package sched
 
 import (
@@ -91,58 +94,8 @@ func (q *FIFO) Len() int {
 	return len(q.items) - q.head
 }
 
-// LIFO is a mutex-protected stack; executing the most recently discovered
-// task first improves locality in recursive unfoldings.
-type LIFO struct {
-	mu    sync.Mutex
-	items []Item
-}
-
-// NewLIFO returns an empty LIFO queue.
-func NewLIFO() *LIFO { return &LIFO{} }
-
-func (q *LIFO) Push(it Item) {
-	q.mu.Lock()
-	q.items = append(q.items, it)
-	q.mu.Unlock()
-}
-
-// PushBatch enqueues a run of items under one lock acquisition.
-func (q *LIFO) PushBatch(its []Item) {
-	q.mu.Lock()
-	q.items = append(q.items, its...)
-	q.mu.Unlock()
-}
-
-func (q *LIFO) Pop() (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.items)
-	if n == 0 {
-		if cap(q.items) > 1024 {
-			q.items = nil
-		}
-		return Item{}, false
-	}
-	it := q.items[n-1]
-	q.items[n-1] = Item{}
-	q.items = q.items[:n-1]
-	if c := cap(q.items); c > 1024 && (n-1)*4 < c {
-		fresh := make([]Item, n-1, 2*(n-1))
-		copy(fresh, q.items)
-		q.items = fresh
-	}
-	return it, true
-}
-
-func (q *LIFO) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// Priority is a max-heap by priority with FIFO tie-breaking, the queue used
-// when a template task supplies a priority map.
+// Priority is a max-heap by priority with FIFO tie-breaking: exact
+// priority-map order (backend/sim's ready queue).
 type Priority struct {
 	mu  sync.Mutex
 	h   prioHeap

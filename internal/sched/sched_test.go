@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,19 +23,6 @@ func TestFIFOOrder(t *testing.T) {
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("pop from empty FIFO succeeded")
-	}
-}
-
-func TestLIFOOrder(t *testing.T) {
-	q := NewLIFO()
-	for i := 0; i < 10; i++ {
-		q.Push(Item{Value: i})
-	}
-	for i := 9; i >= 0; i-- {
-		it, ok := q.Pop()
-		if !ok || it.Value.(int) != i {
-			t.Fatalf("pop: got %v want %d", it.Value, i)
-		}
 	}
 }
 
@@ -175,10 +164,26 @@ func runPoolTest(t *testing.T, policy Policy, workers, items int) {
 }
 
 func TestPoolAllPoliciesExecuteEverything(t *testing.T) {
-	for _, pol := range []Policy{PolicyFIFO, PolicyLIFO, PolicyPriority, PolicySteal, PolicyStealPrio} {
+	for _, pol := range []Policy{PolicyFIFO, PolicyStealPrio} {
 		t.Run(pol.String(), func(t *testing.T) {
 			runPoolTest(t, pol, 4, 5000)
 		})
+	}
+}
+
+// An out-of-range Policy must fail at construction naming the value, not
+// nil-deref later on whichever goroutine first submits.
+func TestNewPoolRejectsUnknownPolicy(t *testing.T) {
+	for _, pol := range []Policy{-1, 2, 9} {
+		func() {
+			defer func() {
+				r := recover()
+				if want := pol.String(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("NewPool(policy %d) panic = %v, want one naming %q", int(pol), r, want)
+				}
+			}()
+			NewPool(1, pol, func(int, Item) {})
+		}()
 	}
 }
 
@@ -200,7 +205,7 @@ func TestPoolRecursiveLocalSubmit(t *testing.T) {
 			}
 		}
 	}
-	p = NewPool(4, PolicySteal, body)
+	p = NewPool(4, PolicyStealPrio, body)
 	p.Start()
 	wg.Add(1)
 	p.Submit(Item{Value: 0})
@@ -299,22 +304,6 @@ func TestDequeStealHeavyDrainReleasesTopEnd(t *testing.T) {
 	}
 }
 
-func TestMutexDequeSemantics(t *testing.T) {
-	d := NewMutexDeque()
-	for i := 0; i < 4; i++ {
-		d.PushBottom(Item{Value: i})
-	}
-	if it, _ := d.Steal(); it.Value.(int) != 0 {
-		t.Fatalf("steal got %v want 0", it.Value)
-	}
-	if it, _ := d.PopBottom(); it.Value.(int) != 3 {
-		t.Fatalf("pop got %v want 3", it.Value)
-	}
-	if d.Len() != 2 {
-		t.Fatalf("len = %d want 2", d.Len())
-	}
-}
-
 func TestFIFOReleasesBackingArray(t *testing.T) {
 	q := NewFIFO()
 	const n = 100000
@@ -334,22 +323,6 @@ func TestFIFOReleasesBackingArray(t *testing.T) {
 	}
 }
 
-func TestLIFOReleasesBackingArray(t *testing.T) {
-	q := NewLIFO()
-	const n = 100000
-	for i := 0; i < n; i++ {
-		q.Push(Item{Value: i})
-	}
-	for i := 0; i < n; i++ {
-		if _, ok := q.Pop(); !ok {
-			t.Fatalf("pop %d failed", i)
-		}
-	}
-	if c := cap(q.items); c > 1024 {
-		t.Fatalf("LIFO retains cap %d after drain", c)
-	}
-}
-
 func TestQueuePushBatch(t *testing.T) {
 	batch := make([]Item, 10)
 	for i := range batch {
@@ -359,7 +332,7 @@ func TestQueuePushBatch(t *testing.T) {
 		name string
 		q    Queue
 	}{
-		{"fifo", NewFIFO()}, {"lifo", NewLIFO()}, {"priority", NewPriority()},
+		{"fifo", NewFIFO()}, {"priority", NewPriority()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.q.PushBatch(batch)
@@ -382,7 +355,7 @@ func TestQueuePushBatch(t *testing.T) {
 }
 
 func TestPoolSubmitBatchExecutesEverything(t *testing.T) {
-	for _, pol := range []Policy{PolicyFIFO, PolicySteal, PolicyStealPrio} {
+	for _, pol := range []Policy{PolicyFIFO, PolicyStealPrio} {
 		t.Run(pol.String(), func(t *testing.T) {
 			const items = 5000
 			var count int64
@@ -429,7 +402,7 @@ func TestPoolRecursiveLocalBatchSubmit(t *testing.T) {
 			p.SubmitLocalBatch(w, batch)
 		}
 	}
-	p = NewPool(4, PolicySteal, body)
+	p = NewPool(4, PolicyStealPrio, body)
 	p.Start()
 	wg.Add(1)
 	p.Submit(Item{Value: 0})

@@ -134,47 +134,38 @@ func TestBandedMatchesPriorityBandOrder(t *testing.T) {
 	}
 }
 
-// TestStealPrioSingleWorkerBandOrder is the pool-level property from the
-// issue: with one worker (no stealing, no interleaving), PolicyPriority
-// and PolicyStealPrio dequeue in identical band order.
+// TestStealPrioSingleWorkerBandOrder is the pool-level property: with one
+// worker (no stealing, no interleaving), a PolicyStealPrio pool runs items
+// in the band order an exact Priority heap pops them.
 func TestStealPrioSingleWorkerBandOrder(t *testing.T) {
-	runOrder := func(pol Policy, prios []int64) []int {
+	f := func(raw []int16) bool {
 		var mu sync.Mutex
-		var bands []int
+		var got []int
 		var wg sync.WaitGroup
-		p := NewPool(1, pol, func(w int, it Item) {
+		p := NewPool(1, PolicyStealPrio, func(w int, it Item) {
 			mu.Lock()
-			bands = append(bands, bandOf(it.Priority))
+			got = append(got, bandOf(it.Priority))
 			mu.Unlock()
 			wg.Done()
 		})
 		// Submit everything before Start so the single worker observes the
 		// fully loaded queue and pops in pure policy order.
-		wg.Add(len(prios))
-		for _, pr := range prios {
-			p.Submit(Item{Priority: pr})
+		ref := NewPriority()
+		wg.Add(len(raw))
+		for _, r := range raw {
+			it := Item{Priority: int64(r)}
+			p.Submit(it)
+			ref.Push(it)
 		}
 		p.Start()
 		wg.Wait()
 		p.Stop()
-		return bands
-	}
-	f := func(raw []int16) bool {
-		prios := make([]int64, len(raw))
-		for i, r := range raw {
-			prios[i] = int64(r)
-		}
-		a := runOrder(PolicyPriority, prios)
-		b := runOrder(PolicyStealPrio, prios)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
+		for _, b := range got {
+			if it, ok := ref.Pop(); !ok || bandOf(it.Priority) != b {
 				return false
 			}
 		}
-		return true
+		return ref.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -83,17 +83,15 @@ func GathererByTag(tag uint32) (Gatherer, bool) {
 	return g, ok
 }
 
-// Ablation knobs. Gather sends default on with a 1 KiB payload floor;
-// below it the fixed per-segment bookkeeping costs more than the memcpy
-// it saves. Backends may override the floor per runtime
-// (backend.Options.GatherThreshold); the enable switch is global so one
-// call isolates the whole mechanism for A/B runs.
-var (
-	gatherOff    atomic.Bool
-	gatherThresh atomic.Int64
-)
+// GatherThreshold is the default minimum wire size (bytes) for a value to
+// take the gather path: below 1 KiB the fixed per-segment bookkeeping
+// costs more than the memcpy it saves. backend.Options.GatherThreshold
+// overrides it per runtime.
+const GatherThreshold = 1024
 
-func init() { gatherThresh.Store(1024) }
+// gatherOff is the ablation switch: global, so one call isolates the whole
+// mechanism for A/B runs.
+var gatherOff atomic.Bool
 
 // SetGatherSends enables or disables the zero-copy gather path globally
 // (ablation switch); default enabled.
@@ -101,18 +99,6 @@ func SetGatherSends(on bool) { gatherOff.Store(!on) }
 
 // GatherSendsEnabled reports the global gather switch.
 func GatherSendsEnabled() bool { return !gatherOff.Load() }
-
-// SetGatherThreshold sets the default minimum wire size (bytes) for a
-// value to take the gather path; non-positive restores the 1 KiB default.
-func SetGatherThreshold(n int) {
-	if n <= 0 {
-		n = 1024
-	}
-	gatherThresh.Store(int64(n))
-}
-
-// DefaultGatherThreshold returns the current default gather floor.
-func DefaultGatherThreshold() int { return int(gatherThresh.Load()) }
 
 // Receive views. A scatter-decoded value aliases pooled receive memory
 // instead of copying out of it; while the runtime still owns that value

@@ -78,18 +78,6 @@ func TestGatherKnobs(t *testing.T) {
 		t.Fatal("SetGatherSends(false) did not disable")
 	}
 	SetGatherSends(true)
-
-	if DefaultGatherThreshold() != 1024 {
-		t.Fatalf("default threshold = %d, want 1024", DefaultGatherThreshold())
-	}
-	SetGatherThreshold(4096)
-	if DefaultGatherThreshold() != 4096 {
-		t.Fatal("SetGatherThreshold did not take")
-	}
-	SetGatherThreshold(0) // restore default
-	if DefaultGatherThreshold() != 1024 {
-		t.Fatal("SetGatherThreshold(0) did not restore the default")
-	}
 }
 
 func TestViewLedger(t *testing.T) {

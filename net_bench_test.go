@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/backend/madness"
 	"repro/internal/core"
 	"repro/internal/netfab"
 	"repro/internal/pool"
@@ -48,7 +47,9 @@ func runNetStream(tb testing.TB, nTiles, rows, cols int, gather bool) trace.Snap
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			rt := madness.New(2, madness.Config{WorkersPerRank: 2, Fabric: eps[r]})
+			o := backend.MADNESS()
+			o.WorkersPerRank, o.Fabric = 2, eps[r]
+			rt := backend.New(2, o)
 			rt.Run(func(p *backend.Proc) {
 				g := p.NewGraph()
 				in := core.NewEdge("in")

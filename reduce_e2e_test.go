@@ -2,8 +2,7 @@
 // tree-vs-sequential equivalence property, the owner in-degree bound, the
 // unflushed-partial doctor diagnosis, the FinalizeStream misuse panic, the
 // pre-reduction match-table ablation, and the regression guard over
-// BENCH_reduce.json. These are the reduction-layer counterparts of the
-// scheduling benches behind BENCH_sched.json.
+// BENCH_reduce.json.
 package repro
 
 import (

@@ -32,16 +32,6 @@ if want data; then
       -ratio shared_read_vs_always_clone_speedup=BenchmarkCoWAlwaysCloneFanout:BenchmarkCoWSharedReadFanout
 fi
 
-if want sched; then
-  # Inversion-window and makespan summary fields are structural (asserted
-  # by their tests) and carry over; the timing ratios recompute.
-  bench 'Sched' -benchtime=20x -benchmem |
-    go run ./scripts/benchjson -out BENCH_sched.json \
-      -ratio contended_fanout_speedup=BenchmarkSchedFanoutContended/priority:BenchmarkSchedFanoutContended/stealprio \
-      -allocratio contended_fanout_alloc_reduction=BenchmarkSchedFanoutContended/stealprio:BenchmarkSchedFanoutContended/priority \
-      -ratio inline_dispatch_speedup=BenchmarkSchedInline/off:BenchmarkSchedInline/on
-fi
-
 if want reduce; then
   # All summary ratios are structural (matchop/in-degree counts from the
   # sim tests); only the timing table and environment refresh here.

@@ -18,7 +18,6 @@
 //	-summary KEY     top-level summary object name (default "summary";
 //	                 BENCH_data uses "headline")
 //	-ratio k=A:B     k = ns(A) / ns(B), the speedup of B over A
-//	-allocratio k=A:B  k = allocs(A) / allocs(B)
 //	-us k=A          k = ns(A) in microseconds
 //	-maxmbs k=P      k = max MB/s across benchmarks whose name starts with P
 package main
@@ -62,12 +61,10 @@ func main() {
 		out        = flag.String("out", "", "baseline JSON file to update")
 		summaryKey = flag.String("summary", "summary", "name of the summary object")
 		ratios     kvList
-		allocs     kvList
 		micros     kvList
 		maxMBs     kvList
 	)
 	flag.Var(&ratios, "ratio", "k=A:B: summary k = ns(A)/ns(B)")
-	flag.Var(&allocs, "allocratio", "k=A:B: summary k = allocs(A)/allocs(B)")
 	flag.Var(&micros, "us", "k=A: summary k = ns(A) in microseconds")
 	flag.Var(&maxMBs, "maxmbs", "k=P: summary k = max MB/s over names with prefix P")
 	flag.Parse()
@@ -124,15 +121,6 @@ func main() {
 	for _, s := range ratios {
 		k, a, b := splitRatio(s)
 		summary[k] = round(need(a).ns/need(b).ns, 100)
-		computed = append(computed, k)
-	}
-	for _, s := range allocs {
-		k, a, b := splitRatio(s)
-		bb := need(b)
-		if bb.allocs == 0 {
-			fatal("benchjson: %s has 0 allocs/op (was -benchmem set?)", b)
-		}
-		summary[k] = round(float64(need(a).allocs)/float64(bb.allocs), 100)
 		computed = append(computed, k)
 	}
 	for _, s := range micros {

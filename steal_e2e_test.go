@@ -4,18 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/apps/cholesky"
-	"repro/internal/sched"
 	"repro/internal/tile"
 	"repro/ttg"
 )
 
-// TestStealSchedulerEndToEnd runs a real Cholesky under the work-stealing
-// scheduler module and checks the full path: per-worker Chase-Lev deques,
-// local resubmission from task bodies, thief CAS draining, and the
-// TasksStolen stats counter.
+// TestStealSchedulerEndToEnd runs a real Cholesky under the default
+// preset's banded work-stealing scheduler and checks the full path:
+// per-worker Chase-Lev deques, local resubmission from task bodies, thief
+// CAS draining, and the TasksStolen stats counter.
 func TestStealSchedulerEndToEnd(t *testing.T) {
 	var stolen, tasks int64
-	ttg.Run(ttg.Config{Ranks: 1, WorkersPerRank: 4, Policy: sched.PolicySteal, HasPolicy: true},
+	ttg.Run(ttg.Config{Ranks: 1, WorkersPerRank: 4},
 		func(pc *ttg.Process) {
 			g := pc.NewGraph()
 			app := cholesky.Build(g, cholesky.Options{Grid: tile.Grid{N: 512, NB: 32}})

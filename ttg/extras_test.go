@@ -1,6 +1,7 @@
 package ttg_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,38 @@ func TestNamesAndBackendString(t *testing.T) {
 	}
 	if ttg.PaRSEC.String() != "parsec" || ttg.MADNESS.String() != "madness" {
 		t.Fatalf("backend strings wrong")
+	}
+}
+
+// TestParseBackend: every backend's String parses back to it, and an
+// unknown name is an error listing the valid ones (not a silent PaRSEC).
+func TestParseBackend(t *testing.T) {
+	for _, b := range []ttg.Backend{ttg.PaRSEC, ttg.MADNESS} {
+		if got, err := ttg.ParseBackend(b.String()); err != nil || got != b {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", b.String(), got, err, b)
+		}
+	}
+	_, err := ttg.ParseBackend("madnes")
+	if err == nil || !strings.Contains(err.Error(), "parsec") || !strings.Contains(err.Error(), "madness") {
+		t.Errorf("ParseBackend(\"madnes\") error = %v, want one naming parsec and madness", err)
+	}
+}
+
+// TestUnknownBackendPanics: an out-of-range Backend neither runs nor
+// prints itself as PaRSEC; Run panics at construction naming the value.
+func TestUnknownBackendPanics(t *testing.T) {
+	for _, b := range []ttg.Backend{-1, 2, 7} {
+		if s := b.String(); s == "parsec" || s == "madness" {
+			t.Errorf("Backend(%d).String() = %q", int(b), s)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), b.String()) {
+					t.Errorf("Run with Backend(%d): panic = %v, want one naming %q", int(b), r, b.String())
+				}
+			}()
+			ttg.Run(ttg.Config{Backend: b}, func(*ttg.Process) { t.Errorf("main ran under Backend(%d)", int(b)) })
+		}()
 	}
 }
 

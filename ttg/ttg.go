@@ -26,14 +26,14 @@
 package ttg
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/backend"
-	"repro/internal/backend/madness"
-	"repro/internal/backend/parsec"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
-	"repro/internal/sched"
 	"repro/internal/serde"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -69,23 +69,48 @@ type (
 	Int5 = serde.Int5
 )
 
-// Backend selects the runtime model executing the graph.
+// Backend selects the runtime model executing the graph. Each constant
+// names one engine preset of the paper's §II-D property list; what a
+// backend is lives in backend.PaRSEC and backend.MADNESS.
 type Backend int
 
 const (
-	// PaRSEC: priority scheduling, runtime-owned data (const-ref sends
-	// avoid copies), splitmd one-sided transfers, tree broadcasts.
+	// PaRSEC: banded priority work stealing, runtime-owned data (const-ref
+	// sends avoid copies), splitmd one-sided transfers, tree broadcasts.
 	PaRSEC Backend = iota
 	// MADNESS: FIFO thread pool with a dedicated active-message thread,
 	// whole-object serialization, copies on every hop.
 	MADNESS
 )
 
-func (b Backend) String() string {
-	if b == MADNESS {
-		return "madness"
+var presets = [...]backend.Options{PaRSEC: backend.PaRSEC(), MADNESS: backend.MADNESS()}
+
+// preset returns b's engine preset; ok is false for a value that names none.
+func (b Backend) preset() (o backend.Options, ok bool) {
+	if b < 0 || int(b) >= len(presets) {
+		return o, false
 	}
-	return "parsec"
+	return presets[b], true
+}
+
+func (b Backend) String() string {
+	if o, ok := b.preset(); ok {
+		return o.Name
+	}
+	return fmt.Sprintf("Backend(%d)", int(b))
+}
+
+// ParseBackend is the inverse of Backend.String; the error for an unknown
+// name lists the valid ones.
+func ParseBackend(name string) (Backend, error) {
+	var names []string
+	for b, o := range presets {
+		if o.Name == name {
+			return Backend(b), nil
+		}
+		names = append(names, o.Name)
+	}
+	return 0, fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // Config describes the virtual cluster and backend for a run.
@@ -107,16 +132,6 @@ type Config struct {
 	// exactly once — for rank Fabric.Rank(). Run closes the endpoint on
 	// shutdown.
 	Fabric fabric.Endpoint
-	// Policy optionally overrides the PaRSEC-model scheduler module.
-	Policy sched.Policy
-	// HasPolicy marks Policy as explicitly set.
-	HasPolicy bool
-	// EagerThreshold overrides the splitmd switch-over size (bytes).
-	EagerThreshold int
-	// BcastChunk sets the pipelined-broadcast chunk size (PaRSEC-model
-	// only). Zero means the 128 KiB default; negative forces
-	// store-and-forward relaying.
-	BcastChunk int
 	// Obs, when non-nil, enables the unified observability layer: each
 	// rank records task-lifecycle events and metrics into the session,
 	// readable after Run via Session.Report, Session.ChromeJSON, and
@@ -216,27 +231,15 @@ func RunLive(cfg Config, hook func(targets []live.Target, collectors []live.Coll
 	if cfg.Ranks <= 0 {
 		cfg.Ranks = 1
 	}
-	var rt *backend.Runtime
-	switch cfg.Backend {
-	case MADNESS:
-		rt = madness.New(cfg.Ranks, madness.Config{
-			WorkersPerRank: cfg.WorkersPerRank,
-			Net:            cfg.Net,
-			Fabric:         cfg.Fabric,
-			Obs:            cfg.Obs,
-		})
-	default:
-		rt = parsec.New(cfg.Ranks, parsec.Config{
-			WorkersPerRank: cfg.WorkersPerRank,
-			Policy:         cfg.Policy,
-			HasPolicy:      cfg.HasPolicy,
-			EagerThreshold: cfg.EagerThreshold,
-			BcastChunk:     cfg.BcastChunk,
-			Net:            cfg.Net,
-			Fabric:         cfg.Fabric,
-			Obs:            cfg.Obs,
-		})
+	opts, ok := cfg.Backend.preset()
+	if !ok {
+		panic(fmt.Sprintf("ttg: unknown backend %v", cfg.Backend))
 	}
+	opts.WorkersPerRank = cfg.WorkersPerRank
+	opts.Net = cfg.Net
+	opts.Fabric = cfg.Fabric
+	opts.Obs = cfg.Obs
+	rt := backend.New(cfg.Ranks, opts)
 	if hook != nil {
 		hook(rt.LiveTargets(), rt.LiveCollectors())
 	}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/backend/madness"
 	"repro/internal/core"
 	"repro/internal/serde"
 	"repro/internal/tile"
@@ -33,7 +32,9 @@ func runWireStream(tb testing.TB, nTiles, rows, cols int, gather bool) trace.Sna
 	var snap trace.Snapshot
 	var mu sync.Mutex
 	var landed atomic.Int64
-	rt := madness.New(2, madness.Config{WorkersPerRank: 2})
+	o := backend.MADNESS()
+	o.WorkersPerRank = 2
+	rt := backend.New(2, o)
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
