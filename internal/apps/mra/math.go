@@ -13,61 +13,100 @@
 // complement that Alpert's multiwavelets span, so compression error
 // estimates and the Parseval norm identity ‖f‖² = ‖s₀‖² + Σ‖d‖² are
 // exactly those of the standard construction (see DESIGN.md).
+//
+// Every transform here is a chain of mode contractions of a k^d tensor
+// (row-major, mode 0 slowest) with a k×k matrix, and all of them go through
+// one kernel, contractInto, over flat row-major matrices NewBasis builds
+// once. Its inner loops are unit-stride on both operands, but every output
+// element is still the sum, from 0.0 and in ascending j, of M[i][j]·t[j]:
+// the refinement test err > Tol compares exactly these numbers, so a
+// different summation order would change which boxes refine, and with that
+// the task count the benchmark checks. Intermediates live in a workspace
+// borrowed from the Basis for the duration of one call (task body or
+// exported wrapper); a workspace never crosses an edge, so the only slices
+// a task allocates are the coefficient blocks it sends.
 package mra
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Basis holds the order-k multiwavelet machinery for d dimensions.
 type Basis struct {
 	K, D int
 	// nodes/weights: k-point Gauss-Legendre rule on [0,1].
 	nodes, weights []float64
-	// phi[i][q] = φ_i(node_q); phiW[i][q] = w_q·φ_i(node_q).
-	phi, phiW [][]float64
-	// h[c][i][j]: two-scale filter for child c (1-D):
-	// s_parent = Σ_c H_c·s_child_c, prolongation s_child_c = H_cᵀ·s_parent.
-	h [2][][]float64
+	// Flat row-major k×k matrices, element (i,j) at i*k+j.
+	// phiW(i,q) = w_q·φ_i(node_q). h[c] is the 1-D two-scale filter for
+	// child c (s_parent = Σ_c H_c·s_child_c), hT[c] its transpose
+	// (prolongation s_child_c = H_cᵀ·s_parent).
+	phiW  []float64
+	h, hT [2][]float64
+	// stride[m] = k^(d-1-m), the distance between mode-m neighbours.
+	stride [3]int
+	// scratch recycles workspaces between the calls that borrow one.
+	scratch sync.Pool
+}
+
+// workspace is the scratch of one node computation: the ping-pong pair a
+// contraction chain alternates between, one temporary tensor, and (for
+// Project) the 2^d child blocks, all k^d long, plus the quadrature point
+// and its multi-index.
+type workspace struct {
+	pp    [2][]float64
+	tmp   []float64
+	child [][]float64
+	x     [3]float64
+	idx   [3]int
 }
 
 // NewBasis builds the order-k basis in d dimensions (1 ≤ d ≤ 3, k ≥ 1).
 func NewBasis(k, d int) *Basis {
 	b := &Basis{K: k, D: d}
 	b.nodes, b.weights = gaussLegendre01(k)
-	b.phi = make([][]float64, k)
-	b.phiW = make([][]float64, k)
+	for m, s := d-1, 1; m >= 0; m, s = m-1, s*k {
+		b.stride[m] = s
+	}
+	kk := k * k
+	mats := make([]float64, 5*kk+k)
+	b.phiW = mats[:kk]
 	for i := 0; i < k; i++ {
-		b.phi[i] = make([]float64, k)
-		b.phiW[i] = make([]float64, k)
 		for q := 0; q < k; q++ {
-			v := legendreScaling(i, b.nodes[q])
-			b.phi[i][q] = v
-			b.phiW[i][q] = b.weights[q] * v
+			b.phiW[i*k+q] = b.weights[q] * legendreScaling(i, b.nodes[q])
 		}
 	}
+	fine := mats[5*kk:] // φ_i at the parent nodes mapped into child c
 	for c := 0; c < 2; c++ {
-		b.h[c] = make([][]float64, k)
+		b.h[c], b.hT[c] = mats[(1+2*c)*kk:][:kk], mats[(2+2*c)*kk:][:kk]
 		for i := 0; i < k; i++ {
-			b.h[c][i] = make([]float64, k)
+			for q := range fine {
+				fine[q] = legendreScaling(i, (b.nodes[q]+float64(c))/2)
+			}
 			for j := 0; j < k; j++ {
 				s := 0.0
 				for q := 0; q < k; q++ {
-					s += b.weights[q] * b.phi[j][q] * legendreScaling(i, (b.nodes[q]+float64(c))/2)
+					s += b.phiW[j*k+q] * fine[q]
 				}
-				b.h[c][i][j] = s / math.Sqrt2
+				b.h[c][i*k+j] = s / math.Sqrt2
+				b.hT[c][j*k+i] = s / math.Sqrt2
 			}
 		}
+	}
+	b.scratch.New = func() any {
+		n, nc := b.Coeffs(), b.Children()
+		buf := make([]float64, (3+nc)*n)
+		w := &workspace{pp: [2][]float64{buf[:n], buf[n : 2*n]}, tmp: buf[2*n : 3*n], child: make([][]float64, nc)}
+		for c := range w.child {
+			w.child[c] = buf[(3+c)*n : (4+c)*n]
+		}
+		return w
 	}
 	return b
 }
 
 // Coeffs returns the coefficient count per node, k^d.
-func (b *Basis) Coeffs() int {
-	n := 1
-	for i := 0; i < b.D; i++ {
-		n *= b.K
-	}
-	return n
-}
+func (b *Basis) Coeffs() int { return b.K * b.stride[0] }
 
 // Children returns the child count per node, 2^d.
 func (b *Basis) Children() int { return 1 << uint(b.D) }
@@ -128,17 +167,26 @@ func sq(x float64) float64 { return x * x }
 // Func is a scalar function on the unit cube [0,1]^d.
 type Func func(x []float64) float64
 
+// borrow takes a workspace for one call; hand it back with b.scratch.Put.
+func (b *Basis) borrow() *workspace { return b.scratch.Get().(*workspace) }
+
 // ProjectBox computes the scaling coefficients of f on box (n, l):
 // s_i = ∫_box f·φ^box_i with the box-mapped orthonormal basis, via the
 // k-point tensor Gauss-Legendre rule.
 func (b *Basis) ProjectBox(f Func, n int, l []int) []float64 {
+	w := b.borrow()
+	defer b.scratch.Put(w)
+	out := make([]float64, b.Coeffs())
+	b.projectInto(w, out, f, n, l)
+	return out
+}
+
+// projectInto is ProjectBox into a caller-supplied k^d slice.
+func (b *Basis) projectInto(w *workspace, out []float64, f Func, n int, l []int) {
 	k, d := b.K, b.D
-	nq := b.Coeffs() // k^d quadrature points
-	vals := make([]float64, nq)
 	scale := math.Exp2(-float64(n))
-	x := make([]float64, d)
-	idx := make([]int, d)
-	for q := 0; q < nq; q++ {
+	x, idx, vals := w.x[:d], w.idx[:d], w.tmp
+	for q := range vals {
 		decompose(q, k, d, idx)
 		for m := 0; m < d; m++ {
 			x[m] = (float64(l[m]) + b.nodes[idx[m]]) * scale
@@ -146,15 +194,11 @@ func (b *Basis) ProjectBox(f Func, n int, l []int) []float64 {
 		vals[q] = f(x)
 	}
 	// Contract each mode with phiW, then apply the volume factor 2^{-nd/2}.
-	s := vals
-	for m := 0; m < d; m++ {
-		s = b.contract(s, b.phiW, m)
-	}
+	b.transform(w, out, vals, [2][]float64{b.phiW, b.phiW}, 0)
 	vol := math.Exp2(-float64(n) * float64(d) / 2)
-	for i := range s {
-		s[i] *= vol
+	for i := range out {
+		out[i] *= vol
 	}
-	return s
 }
 
 // decompose writes q's base-k digits into idx (mode-major order).
@@ -165,45 +209,79 @@ func decompose(q, k, d int, idx []int) {
 	}
 }
 
-// contract applies matrix M (k×k, out[i] = Σ_j M[i][j]·in[j]) along mode m
-// of the k^d tensor t, returning a new tensor.
-func (b *Basis) contract(t []float64, M [][]float64, m int) []float64 {
-	k, d := b.K, b.D
-	out := make([]float64, len(t))
-	// Stride of mode m in mode-major order: k^(d-1-m).
-	stride := 1
-	for i := 0; i < d-1-m; i++ {
-		stride *= k
-	}
-	outer := len(t) / (k * stride)
-	for o := 0; o < outer; o++ {
-		base := o * k * stride
-		for s := 0; s < stride; s++ {
-			off := base + s
-			for i := 0; i < k; i++ {
-				acc := 0.0
-				row := M[i]
-				for j := 0; j < k; j++ {
-					acc += row[j] * t[off+j*stride]
+// contractInto applies the flat k×k matrix M along mode m of the k^d
+// tensor t: out[…i…] = Σ_j M[i*k+j]·t[…j…]. out and t must not overlap.
+// Each output accumulates from 0.0 in ascending j (see the package
+// comment); the blocking by four only changes which outputs, or which
+// terms of one output's running sum, share a pass over memory.
+func (b *Basis) contractInto(out, t, M []float64, m int) {
+	k, stride := b.K, b.stride[m]
+	if stride == 1 {
+		// Last mode: a matrix-vector product per contiguous k-row, four
+		// output accumulators per pass over the row.
+		for base := 0; base < len(t); base += k {
+			in, o := t[base:base+k], out[base:base+k]
+			i := 0
+			for ; i+4 <= k; i += 4 {
+				r0, r1, r2, r3 := M[i*k:][:k], M[(i+1)*k:][:k], M[(i+2)*k:][:k], M[(i+3)*k:][:k]
+				var a0, a1, a2, a3 float64
+				for j, v := range in {
+					a0 += r0[j] * v
+					a1 += r1[j] * v
+					a2 += r2[j] * v
+					a3 += r3[j] * v
 				}
-				out[off+i*stride] = acc
+				o[i], o[i+1], o[i+2], o[i+3] = a0, a1, a2, a3
+			}
+			for ; i < k; i++ {
+				r, a := M[i*k:][:k], 0.0
+				for j, v := range in {
+					a += r[j] * v
+				}
+				o[i] = a
+			}
+		}
+		return
+	}
+	// Strided mode: within one k·stride block, output row i is the sum of
+	// M[i][j] times input row j, rows being contiguous and stride long —
+	// an axpy that takes four input rows per pass.
+	for base := 0; base < len(t); base += k * stride {
+		for i := 0; i < k; i++ {
+			o, r := out[base+i*stride:][:stride], M[i*k:][:k]
+			clear(o)
+			j := 0
+			for ; j+4 <= k; j += 4 {
+				m0, m1, m2, m3 := r[j], r[j+1], r[j+2], r[j+3]
+				t0, t1 := t[base+j*stride:][:stride], t[base+(j+1)*stride:][:stride]
+				t2, t3 := t[base+(j+2)*stride:][:stride], t[base+(j+3)*stride:][:stride]
+				for s := range o {
+					o[s] = o[s] + m0*t0[s] + m1*t1[s] + m2*t2[s] + m3*t3[s]
+				}
+			}
+			for ; j < k; j++ {
+				mj, tj := r[j], t[base+j*stride:][:stride]
+				for s := range o {
+					o[s] += mj * tj[s]
+				}
 			}
 		}
 	}
-	return out
 }
 
-// contractT is contract with Mᵀ (out[j] = Σ_i M[i][j]·in[i]).
-func (b *Basis) contractT(t []float64, M [][]float64, m int) []float64 {
-	k := b.K
-	mt := make([][]float64, k)
-	for i := 0; i < k; i++ {
-		mt[i] = make([]float64, k)
-		for j := 0; j < k; j++ {
-			mt[i][j] = M[j][i]
+// transform contracts every mode of src and leaves the result in dst: mode
+// m takes M[1] when child index c has bit d-1-m set, M[0] otherwise.
+// Intermediates alternate between the workspace's ping-pong pair, which
+// therefore may hold neither src nor dst.
+func (b *Basis) transform(w *workspace, dst, src []float64, M [2][]float64, c int) {
+	for m := 0; m < b.D; m++ {
+		out := w.pp[m&1]
+		if m == b.D-1 {
+			out = dst
 		}
+		b.contractInto(out, src, M[childBit(c, b.D-1-m)], m)
+		src = out
 	}
-	return b.contract(t, mt, m)
 }
 
 // childBit extracts bit m of child index c.
@@ -217,53 +295,103 @@ func childOffsetDim(c, m, d int) int { return (c >> uint(d-1-m)) & 1 }
 // Filter computes the parent scaling coefficients from the 2^d children:
 // s_p = Σ_c (H_{c₁}⊗…⊗H_{c_d})·s_c.
 func (b *Basis) Filter(children [][]float64) []float64 {
+	w := b.borrow()
+	defer b.scratch.Put(w)
 	out := make([]float64, b.Coeffs())
+	b.filterInto(w, out, children)
+	return out
+}
+
+// filterInto is Filter into a zeroed caller-supplied k^d slice.
+func (b *Basis) filterInto(w *workspace, out []float64, children [][]float64) {
 	for c, sc := range children {
 		if sc == nil {
 			continue
 		}
-		t := sc
-		for m := 0; m < b.D; m++ {
-			t = b.contract(t, b.h[childBit(c, b.D-1-m)], m)
-		}
-		for i := range out {
-			out[i] += t[i]
+		b.transform(w, w.tmp, sc, b.h, c)
+		for i, v := range w.tmp {
+			out[i] += v
 		}
 	}
-	return out
 }
 
 // Prolong computes child c's exact coefficients of a function given by
 // parent coefficients: s_c = (H_{c₁}⊗…)ᵀ·s_p.
 func (b *Basis) Prolong(sp []float64, c int) []float64 {
-	t := sp
-	for m := 0; m < b.D; m++ {
-		t = b.contractT(t, b.h[childBit(c, b.D-1-m)], m)
-	}
-	return t
+	w := b.borrow()
+	defer b.scratch.Put(w)
+	out := make([]float64, b.Coeffs())
+	b.transform(w, out, sp, b.hT, c)
+	return out
 }
 
 // Residual computes the wavelet (difference) part: children minus the
 // prolonged parent, concatenated child-major. Its L2 norm is the local
 // approximation error of representing the children by the parent alone.
 func (b *Basis) Residual(children [][]float64, sp []float64) []float64 {
-	nc := b.Children()
-	ncf := b.Coeffs()
-	out := make([]float64, nc*ncf)
-	for c := 0; c < nc; c++ {
-		p := b.Prolong(sp, c)
-		off := c * ncf
-		if children[c] != nil {
-			for i := 0; i < ncf; i++ {
-				out[off+i] = children[c][i] - p[i]
+	w := b.borrow()
+	defer b.scratch.Put(w)
+	out := make([]float64, b.Children()*b.Coeffs())
+	b.residualInto(w, out, children, sp)
+	return out
+}
+
+// residualInto returns Norm2 of Residual(children, sp), summed in that
+// order, and also stores the residual in out unless out is nil.
+func (b *Basis) residualInto(w *workspace, out []float64, children [][]float64, sp []float64) (norm2 float64) {
+	for c, sc := range children {
+		r := w.tmp
+		if out != nil {
+			r = out[c*len(sp):][:len(sp)]
+		}
+		b.transform(w, r, sp, b.hT, c)
+		for i, p := range r {
+			if sc != nil {
+				r[i] = sc[i] - p
+			} else {
+				r[i] = -p
 			}
-		} else {
-			for i := 0; i < ncf; i++ {
-				out[off+i] = -p[i]
-			}
+			norm2 += r[i] * r[i]
 		}
 	}
-	return out
+	return norm2
+}
+
+// projectNode is Project's computation on box (n, l): the parent
+// coefficients sp filtered from the 2^d exactly projected children (which
+// stay in w) and the squared norm of their residual against sp.
+func (b *Basis) projectNode(w *workspace, f Func, n int, l []int) (sp []float64, err2 float64) {
+	var cl [3]int
+	for c, sc := range w.child {
+		for m := 0; m < b.D; m++ {
+			cl[m] = 2*l[m] + childOffsetDim(c, m, b.D)
+		}
+		b.projectInto(w, sc, f, n+1, cl[:b.D])
+	}
+	sp = make([]float64, b.Coeffs())
+	b.filterInto(w, sp, w.child)
+	return sp, b.residualInto(w, nil, w.child, sp)
+}
+
+// compressNode is Compress's computation: the parent coefficients and the
+// wavelet block of one interior node, each written where it will be sent.
+func (b *Basis) compressNode(w *workspace, children [][]float64) (sp, d []float64) {
+	sp = make([]float64, b.Coeffs())
+	b.filterInto(w, sp, children)
+	d = make([]float64, len(children)*len(sp))
+	b.residualInto(w, d, children, sp)
+	return sp, d
+}
+
+// reconstructChild is Reconstruct's computation for child c: the prolonged
+// parent plus the child's slice of the wavelet block d.
+func (b *Basis) reconstructChild(w *workspace, sp, d []float64, c int) []float64 {
+	sc := make([]float64, len(sp))
+	b.transform(w, sc, sp, b.hT, c)
+	for i, v := range d[c*len(sp):][:len(sp)] {
+		sc[i] += v
+	}
+	return sc
 }
 
 // Norm2 returns Σ v².

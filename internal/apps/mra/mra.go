@@ -70,7 +70,7 @@ func init() {
 		},
 		Dec: func(b *serde.Buffer) *TreeMsg {
 			m := &TreeMsg{LeafMask: int(b.Varint())}
-			m.Children = make([][]float64, int(b.Uvarint()))
+			m.Children = make([][]float64, b.Count(1))
 			for i := range m.Children {
 				if b.Bool() {
 					m.Children[i] = b.F64s()
@@ -94,6 +94,33 @@ func init() {
 			}
 			return out
 		},
+		// Above the gather floor the coefficient blocks travel by
+		// reference. Header: leaf mask, child count, then per child 0 for
+		// absent or its length plus one; one segment per present child.
+		Gather: func(hdr *serde.Buffer, m *TreeMsg) ([]serde.Segment, bool) {
+			hdr.PutVarint(int64(m.LeafMask))
+			hdr.PutUvarint(uint64(len(m.Children)))
+			segs := make([]serde.Segment, 0, len(m.Children))
+			for _, c := range m.Children {
+				if c == nil {
+					hdr.PutUvarint(0)
+					continue
+				}
+				hdr.PutUvarint(uint64(len(c)) + 1)
+				segs = append(segs, serde.Segment{F64: c})
+			}
+			return segs, true
+		},
+		Scatter: func(hdr *serde.Buffer, segs []serde.Segment) *TreeMsg {
+			m := &TreeMsg{LeafMask: int(hdr.Varint())}
+			m.Children = make([][]float64, hdr.Count(1))
+			for i := range m.Children {
+				if n := int(hdr.Uvarint()); n > 0 {
+					m.Children[i], segs = segs[0].F64[:n-1:n-1], segs[1:]
+				}
+			}
+			return m
+		},
 	})
 	serde.Register(serde.FuncCodec[*DMsg]{
 		Enc: func(b *serde.Buffer, m *DMsg) {
@@ -106,6 +133,15 @@ func init() {
 		Size: func(m *DMsg) int { return 10 + 8*len(m.D) },
 		Copy: func(m *DMsg) *DMsg {
 			return &DMsg{LeafMask: m.LeafMask, D: append([]float64(nil), m.D...)}
+		},
+		Gather: func(hdr *serde.Buffer, m *DMsg) ([]serde.Segment, bool) {
+			hdr.PutUvarint(uint64(len(m.D)))
+			hdr.PutVarint(int64(m.LeafMask))
+			return []serde.Segment{{F64: m.D}}, true
+		},
+		Scatter: func(hdr *serde.Buffer, segs []serde.Segment) *DMsg {
+			n := int(hdr.Uvarint())
+			return &DMsg{LeafMask: int(hdr.Varint()), D: segs[0].F64[:n:n]}
 		},
 	})
 }
@@ -129,6 +165,8 @@ type Options struct {
 	MaxLevel int
 	// TargetLevel is the subtree-mapping level of the randomized key map
 	// (nodes below it follow their ancestor, §III-E's overdecomposition).
+	// Default 3: a handful of narrow Gaussians refine in few level-2
+	// subtrees, too few to hash evenly over even two ranks.
 	TargetLevel int
 	// Variant selects TTG streaming or the fenced native-MADNESS model.
 	Variant Variant
@@ -182,7 +220,7 @@ func Build(g *ttg.Graph, opts Options) *App {
 		opts.MaxLevel = 14
 	}
 	if opts.TargetLevel == 0 {
-		opts.TargetLevel = 2
+		opts.TargetLevel = 3
 	}
 	a := &App{
 		g: g, opts: opts, basis: NewBasis(opts.K, opts.D),
@@ -233,7 +271,8 @@ func (a *App) keymap(key ttg.Int5) int {
 	f, n, l := boxOf(key, a.opts.D)
 	h := uint64(f)*0x9E3779B97F4A7C15 + 0x1234
 	lvl := n
-	anc := append([]int(nil), l...)
+	var anc [3]int
+	copy(anc[:], l)
 	for lvl > a.opts.TargetLevel {
 		for m := range anc {
 			anc[m] >>= 1
@@ -241,7 +280,7 @@ func (a *App) keymap(key ttg.Int5) int {
 		lvl--
 	}
 	h ^= uint64(lvl) * 0xC2B2AE3D27D4EB4F
-	for _, x := range anc {
+	for _, x := range anc[:len(l)] {
 		h = (h ^ uint64(x)) * 0xFF51AFD7ED558CCD
 	}
 	h ^= h >> 33
@@ -251,23 +290,23 @@ func (a *App) keymap(key ttg.Int5) int {
 // parentOf returns the parent key and this box's child slot.
 func (a *App) parentOf(key ttg.Int5) (ttg.Int5, int) {
 	f, n, l := boxOf(key, a.opts.D)
-	pl := make([]int, a.opts.D)
+	var pl [3]int
 	c := 0
 	for m := 0; m < a.opts.D; m++ {
 		pl[m] = l[m] >> 1
 		c |= (l[m] & 1) << uint(a.opts.D-1-m)
 	}
-	return keyOf(f, n-1, pl), c
+	return keyOf(f, n-1, pl[:len(l)]), c
 }
 
 // childKey returns child c's key.
 func (a *App) childKey(key ttg.Int5, c int) ttg.Int5 {
 	f, n, l := boxOf(key, a.opts.D)
-	cl := make([]int, a.opts.D)
+	var cl [3]int
 	for m := 0; m < a.opts.D; m++ {
 		cl[m] = 2*l[m] + childOffsetDim(c, m, a.opts.D)
 	}
-	return keyOf(f, n+1, cl)
+	return keyOf(f, n+1, cl[:len(l)])
 }
 
 func (a *App) build() {
@@ -285,18 +324,10 @@ func (a *App) build() {
 		func(x *ttg.Ctx[ttg.Int5], _ ttg.Void) {
 			key := x.Key()
 			f, n, l := boxOf(key, a.opts.D)
-			fn := a.funcs[f]
-			children := make([][]float64, nc)
-			for c := 0; c < nc; c++ {
-				cl := make([]int, a.opts.D)
-				for m := 0; m < a.opts.D; m++ {
-					cl[m] = 2*l[m] + childOffsetDim(c, m, a.opts.D)
-				}
-				children[c] = b.ProjectBox(fn, n+1, cl)
-			}
-			sp := b.Filter(children)
-			err := math.Sqrt(Norm2(b.Residual(children, sp)))
-			if err > a.opts.Tol && n < a.opts.MaxLevel {
+			w := b.borrow()
+			sp, err2 := b.projectNode(w, a.funcs[f], n, l)
+			b.scratch.Put(w)
+			if math.Sqrt(err2) > a.opts.Tol && n < a.opts.MaxLevel {
 				for c := 0; c < nc; c++ {
 					ttg.Send(x, a.projectCtl, a.childKey(key, c), ttg.Void{})
 				}
@@ -354,8 +385,10 @@ func (a *App) build() {
 		func(x *ttg.Ctx[ttg.Int5], msg *TreeMsg) {
 			key := x.Key()
 			f, n, _ := boxOf(key, a.opts.D)
-			sp := b.Filter(msg.Children)
-			d := &DMsg{LeafMask: msg.LeafMask, D: b.Residual(msg.Children, sp)}
+			w := b.borrow()
+			sp, dd := b.compressNode(w, msg.Children)
+			b.scratch.Put(w)
+			d := &DMsg{LeafMask: msg.LeafMask, D: dd}
 			if phased {
 				a.mu.Lock()
 				a.dStore[key] = d
@@ -392,13 +425,10 @@ func (a *App) build() {
 		func(x *ttg.Ctx[ttg.Int5], sp []float64, d *DMsg) {
 			key := x.Key()
 			f, _, _ := boxOf(key, a.opts.D)
-			ncf := b.Coeffs()
+			w := b.borrow()
+			defer b.scratch.Put(w)
 			for c := 0; c < nc; c++ {
-				sc := b.Prolong(sp, c)
-				off := c * ncf
-				for i := 0; i < ncf; i++ {
-					sc[i] += d.D[off+i]
-				}
+				sc := b.reconstructChild(w, sp, d.D, c)
 				if d.LeafMask&(1<<uint(c)) != 0 {
 					if phased {
 						a.mu.Lock()

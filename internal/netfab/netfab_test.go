@@ -175,8 +175,16 @@ func TestBackpressure(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if q := eps[0].PeerStats()[0].QueuedBytes; q != 0 {
-		t.Fatalf("queued bytes after drain = %d", q)
+	// As in TestPeerStats: the writer releases a batch's bytes once its
+	// writev returns, which the receiver can outrun; wait (bounded).
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		q := eps[0].PeerStats()[0].QueuedBytes
+		if q == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queued bytes after drain = %d", q)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -142,11 +143,22 @@ func (b *Buffer) PutString(s string) {
 	b.data = append(b.data, s...)
 }
 
-// PutF64s writes a length-prefixed []float64.
+// PutF64s writes a length-prefixed []float64: one growth, then a
+// conversion over the pre-sliced window, four elements per bounds check.
 func (b *Buffer) PutF64s(v []float64) {
 	b.PutUvarint(uint64(len(v)))
-	for _, x := range v {
-		b.PutF64(x)
+	n := len(b.data)
+	b.data = slices.Grow(b.data, 8*len(v))[:n+8*len(v)]
+	w := b.data[n:]
+	for ; len(v) >= 4; v, w = v[4:], w[32:] {
+		_ = w[31]
+		binary.LittleEndian.PutUint64(w, math.Float64bits(v[0]))
+		binary.LittleEndian.PutUint64(w[8:], math.Float64bits(v[1]))
+		binary.LittleEndian.PutUint64(w[16:], math.Float64bits(v[2]))
+		binary.LittleEndian.PutUint64(w[24:], math.Float64bits(v[3]))
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(w[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -181,6 +193,18 @@ func (b *Buffer) Uvarint() uint64 {
 	b.off += n
 	return v
 }
+
+// Count reads a wire-supplied element count and refuses one whose
+// elements, at size bytes (≥ 1) each, cannot fit in what is left to read:
+// no allocation or slice bound is ever sized by an unchecked length.
+func (b *Buffer) Count(size int) int {
+	n := b.Uvarint()
+	if n > uint64(b.Remaining()/size) {
+		panic(fmt.Sprintf("serde: corrupt length %d before offset %d: %d bytes remain", n, b.off, b.Remaining()))
+	}
+	return int(n)
+}
+
 func (b *Buffer) Bool() bool { return b.U8() != 0 }
 func (b *Buffer) F64() float64 {
 	return math.Float64frombits(b.U64())
@@ -188,7 +212,7 @@ func (b *Buffer) F64() float64 {
 
 // BytesOut reads a length-prefixed byte slice (copied).
 func (b *Buffer) BytesOut() []byte {
-	n := int(b.Uvarint())
+	n := b.Count(1)
 	out := make([]byte, n)
 	copy(out, b.data[b.off:b.off+n])
 	b.off += n
@@ -204,7 +228,7 @@ func (b *Buffer) RawOut(n int) []byte {
 
 // String reads a length-prefixed string.
 func (b *Buffer) String() string {
-	n := int(b.Uvarint())
+	n := b.Count(1)
 	s := string(b.data[b.off : b.off+n])
 	b.off += n
 	return s
@@ -212,10 +236,13 @@ func (b *Buffer) String() string {
 
 // F64s reads a length-prefixed []float64.
 func (b *Buffer) F64s() []float64 {
-	n := int(b.Uvarint())
+	n := b.Count(8)
 	out := make([]float64, n)
+	r := b.data[b.off : b.off+8*n]
 	for i := range out {
-		out[i] = b.F64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r))
+		r = r[8:]
 	}
+	b.off += 8 * n
 	return out
 }

@@ -2,6 +2,7 @@ package serde
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -124,4 +125,77 @@ func TestRegisterNilPanics(t *testing.T) {
 		}
 	}()
 	RegisterType(nil, nil)
+}
+
+// TestWireLengthsAreCheckedBeforeUse feeds each length-prefixed reader a
+// length its input cannot hold: one element too many for what follows
+// (truncated payload) and an absurd one (a corrupt prefix, which used to
+// size a multi-GB make). Both must be refused with the serde: corrupt
+// panic, before anything is allocated or sliced.
+func TestWireLengthsAreCheckedBeforeUse(t *testing.T) {
+	readers := map[string]struct {
+		elem int
+		read func(*Buffer)
+	}{
+		"F64s":     {8, func(b *Buffer) { b.F64s() }},
+		"BytesOut": {1, func(b *Buffer) { b.BytesOut() }},
+		"String":   {1, func(b *Buffer) { _ = b.String() }},
+	}
+	for name, r := range readers {
+		for _, tc := range []struct {
+			what   string
+			length uint64
+		}{
+			{"truncated payload", 4},
+			{"over-long length", 1 << 40},
+		} {
+			b := NewBuffer(64)
+			b.PutUvarint(tc.length)
+			b.PutRaw(make([]byte, 4*r.elem-1)) // one byte short of 4 elements
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.HasPrefix(msg, "serde: corrupt length") {
+						t.Errorf("%s, %s: recovered %q, want a serde: corrupt length panic", name, tc.what, msg)
+					}
+				}()
+				r.read(FromBytes(b.Bytes()))
+			}()
+		}
+		// The exact fit is still accepted.
+		b := NewBuffer(64)
+		b.PutUvarint(4)
+		b.PutRaw(make([]byte, 4*r.elem))
+		r.read(FromBytes(b.Bytes()))
+	}
+}
+
+func TestF64sBulkRoundTrip(t *testing.T) {
+	// Lengths around the four-element blocking of PutF64s, incl. empty,
+	// written back to back so a wrong window would clobber a neighbour.
+	b := NewBuffer(0)
+	var want [][]float64
+	for n := 0; n <= 9; n++ {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = math.Float64frombits(0x3FF0000000000001 + uint64(97*n+i)<<13)
+		}
+		want = append(want, v)
+		b.PutF64s(v)
+	}
+	r := FromBytes(b.Bytes())
+	for n, w := range want {
+		got := r.F64s()
+		if len(got) != n {
+			t.Fatalf("length %d came back as %d", n, len(got))
+		}
+		for i := range w {
+			if math.Float64bits(got[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("length %d element %d: %v, want %v", n, i, got[i], w[i])
+			}
+		}
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d bytes left after reading everything back", r.Remaining())
+	}
 }

@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Reads the output of
+#   bash bench/run.sh --workload <name> --seed 1 --seconds 5 --trace 0
+# on standard input and fails when alloc_mb_per_run in the final JSON line
+# exceeds the given number of MB. Unlike a time, the metric repeats to
+# 0.1% from run to run, so it can be held on a shared runner: mra_stream
+# allocated 581 MB while every contraction returned a fresh tensor and
+# about 19 MB since the task bodies compute in borrowed workspaces.
+#
+#   ... | bash scripts/alloc_guard.sh mra_stream 40
+set -euo pipefail
+if [ $# -ne 2 ]; then
+	echo "usage: alloc_guard.sh <workload> <max MB>" >&2
+	exit 2
+fi
+name=$1 max=$2
+mb=$(tail -n 1 | sed -n 's/.*"alloc_mb_per_run":{"value":\([0-9.eE+-]*\).*/\1/p')
+if [ -z "$mb" ]; then
+	echo "alloc_guard: no alloc_mb_per_run in the final JSON line" >&2
+	exit 1
+fi
+if awk -v a="$mb" -v m="$max" 'BEGIN { exit !(a > m) }'; then
+	echo "alloc_guard: $name allocated $mb MB per run > $max MB: per-task garbage is back" >&2
+	exit 1
+fi
+echo "alloc_guard: $name alloc_mb_per_run = $mb <= $max"
