@@ -231,15 +231,11 @@ type Proc struct {
 	bcastSeq atomic.Uint64
 	bcasts   map[bcastKey]*bcastState
 
-	// rec is the rank's observability recorder (nil when disabled); metric
-	// handles are resolved once to keep the send path lock-free.
-	rec        *obs.Rank
-	msgBytes   *obs.Histogram
-	wirePkts   *obs.Counter
-	wireBytes  *obs.Counter
-	eagerSends *obs.Counter
-	rdvSends   *obs.Counter
-	bcChunks   *obs.Counter
+	// rec is the rank's observability recorder (nil when disabled); the
+	// histogram handles are resolved once to keep the send path lock-free.
+	rec         *obs.Rank
+	msgBytes    *obs.Histogram
+	bcastFanout *obs.Histogram
 
 	// snaps tracks RMA handles whose registered object is a runtime-owned
 	// splitmd snapshot (SendCopy); on release ack the object goes back to
@@ -255,11 +251,7 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 		p.rec = rt.opts.Obs.Rank(rank)
 		m := p.rec.Metrics()
 		p.msgBytes = m.Histogram(obs.HistMsgBytes)
-		p.wirePkts = m.Counter(obs.CounterWirePackets)
-		p.wireBytes = m.Counter(obs.CounterWireBytes)
-		p.eagerSends = m.Counter(obs.CounterEagerSends)
-		p.rdvSends = m.Counter(obs.CounterRendezvousSends)
-		p.bcChunks = m.Counter(obs.CounterBcastChunks)
+		p.bcastFanout = m.Histogram(obs.HistBcastFanout)
 	}
 	p.det = termdet.New(rank, rt.Ranks(), func(dst int, data []byte) {
 		p.ep.Send(dst, kCtrl, data)
@@ -267,9 +259,12 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 	p.pool = sched.NewPool(rt.opts.WorkersPerRank, rt.opts.Policy, func(w int, it sched.Item) {
 		it.Value.(*core.Task).Execute(w)
 	})
-	p.pool.Trace(&p.tr)
 	if p.rec != nil {
 		p.pool.Observe(p.rec)
+		// The registry counts nothing itself: whenever it snapshots — a
+		// scrape may come while the run is still being set up — it reads
+		// this rank's counters, by name, where they are kept.
+		p.rec.Metrics().ReadCounters(func(emit func(string, int64)) { p.Stats().Each(emit) })
 		// A panicking task body must not take the in-flight trace down with
 		// the process: flush the session's Chrome trace (once, cluster-wide)
 		// before the panic resumes.
@@ -318,6 +313,15 @@ func (p *Proc) PendingRMARegions() int { return p.ep.RegionCount() }
 
 // Tracer implements core.Executor.
 func (p *Proc) Tracer() *trace.Collector { return &p.tr }
+
+// Stats returns the rank's counters: the collector's snapshot with the
+// scheduler's per-worker counts, which only the pool keeps, folded in.
+func (p *Proc) Stats() trace.Snapshot {
+	s, ps := p.tr.Snapshot(), p.pool.Stats()
+	s.TasksStolen, s.StealAttempts = ps.StealHits, ps.StealAttempts
+	s.InlineRuns, s.Parks, s.Wakes = ps.InlineRuns, ps.Parks, ps.Wakes
+	return s
+}
 
 // Obs implements core.Executor; it returns a nil interface when
 // observation is disabled so callers' nil checks stay a single branch.
@@ -451,9 +455,6 @@ func (p *Proc) Deliver(dest int, d core.Delivery) {
 		enc.EncodeAny(b, d.Value)
 		p.tr.ArchiveTransfers.Add(1)
 		p.tr.CopySends.Add(1)
-		if p.eagerSends != nil {
-			p.eagerSends.Add(1)
-		}
 	}
 	p.send(dest, kData, b.Detach(), nil)
 }
@@ -544,9 +545,6 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, enc *serde.Cached, g ser
 	hdr.Release()
 	p.tr.GatherSends.Add(1)
 	p.tr.BytesZeroCopied.Add(int64(serde.SegmentBytes(segs)))
-	if p.eagerSends != nil {
-		p.eagerSends.Add(1)
-	}
 	p.send(dest, kGatherData, b.Detach(), segs)
 	return true
 }
@@ -582,9 +580,6 @@ func (p *Proc) deliverSplit(dest int, d core.Delivery) {
 	b.PutRaw(fabric.EncodeHandle(nil, h))
 	p.tr.SplitMDTransfers.Add(1)
 	p.tr.BytesSent.Add(int64(src.PayloadBytes())) // the RMA-fetched payload
-	if p.rdvSends != nil {
-		p.rdvSends.Add(1)
-	}
 	p.send(dest, kSplit, b.Detach(), nil)
 }
 
@@ -604,8 +599,6 @@ func (p *Proc) send(dest int, kind uint8, data []byte, segs []serde.Segment) {
 	if p.rec != nil {
 		p.rec.Record(obs.Event{Kind: obs.EvMsgEnqueue, Worker: -1, TT: -1, Bytes: n})
 		p.msgBytes.Observe(n)
-		p.wirePkts.Add(1)
-		p.wireBytes.Add(n)
 	}
 	p.ep.SendSegs(dest, kind, data, segs)
 }
@@ -757,7 +750,6 @@ func (p *Proc) fetchSplit(d core.Delivery, tag uint32, meta []byte, payloadBytes
 		dst.CopyPayloadFrom(obj.(serde.SplitMD))
 		obj = dst
 	}
-	p.tr.SplitMDTransfers.Add(1)
 	p.tr.BytesReceived.Add(int64(payloadBytes)) // the RMA-fetched payload
 	p.recordDeliver(payloadBytes)
 	d.Value = obj
@@ -802,18 +794,7 @@ func (p *Proc) LiveTarget() live.Target {
 			}
 		},
 		Active: p.det.Active,
-		Sched: func() live.SchedStats {
-			s := p.pool.Stats()
-			return live.SchedStats{
-				Workers:       s.Workers,
-				Parked:        s.Parked,
-				StealAttempts: s.StealAttempts,
-				StealHits:     s.StealHits,
-				InlineRuns:    s.InlineRuns,
-				Parks:         s.Parks,
-				Wakes:         s.Wakes,
-			}
-		},
+		Sched:  p.pool.Stats,
 	}
 }
 

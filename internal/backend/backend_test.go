@@ -250,9 +250,11 @@ func TestSplitMDProtocolSelection(t *testing.T) {
 				g.Seed(in, serde.Int1{0}, 0.0)
 			}
 			g.Fence()
-			if p.Rank() == 0 {
-				snap = p.Tracer().Snapshot()
-			}
+			// Summed over both ranks: a transfer is counted where it is
+			// sent, so the one large value is one transfer cluster-wide.
+			mu.Lock()
+			snap = snap.Add(p.Stats())
+			mu.Unlock()
 		})
 		return
 	}
@@ -261,16 +263,16 @@ func TestSplitMDProtocolSelection(t *testing.T) {
 	if len(got) != 1 || got[0] != 4095 {
 		t.Fatalf("parsec: payload corrupted: %v", got)
 	}
-	if snap.SplitMDTransfers == 0 {
-		t.Fatalf("parsec: splitmd not used for 32KB payload: %+v", snap)
+	if snap.SplitMDTransfers != 1 || snap.ArchiveTransfers != 0 {
+		t.Fatalf("parsec: want the one 32KB payload sent by splitmd, counted once: %+v", snap)
 	}
 
 	got, snap = run(backend.New(2, withWorkers(backend.MADNESS(), 1)))
 	if len(got) != 1 || got[0] != 4095 {
 		t.Fatalf("madness: payload corrupted: %v", got)
 	}
-	if snap.SplitMDTransfers != 0 || snap.ArchiveTransfers == 0 {
-		t.Fatalf("madness: should use archive path: %+v", snap)
+	if snap.SplitMDTransfers != 0 || snap.ArchiveTransfers != 1 {
+		t.Fatalf("madness: want the one payload sent as an archive: %+v", snap)
 	}
 }
 

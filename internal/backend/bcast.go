@@ -44,7 +44,7 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 		// Detach, not Release: the same array is shared by every child
 		// send and forwarded down the tree, so it is never recycled.
 		data := b.Detach()
-		collective.Observe(p.Obs(), order, len(data))
+		p.observeBcast(order, len(data))
 		for _, child := range kids {
 			p.send(child, kBcast, data, nil)
 		}
@@ -63,7 +63,7 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 	hb.PutUvarint(uint64(total))
 	hb.PutUvarint(uint64(chunk))
 	hdr := hb.Detach()
-	collective.Observe(p.Obs(), order, total)
+	p.observeBcast(order, total)
 	for _, child := range kids {
 		p.send(child, kBcastHdr, hdr, nil)
 	}
@@ -80,14 +80,24 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 		cb.PutUvarint(uint64(i))
 		cb.PutBytes(v[lo:hi])
 		cd := cb.Detach()
-		if p.bcChunks != nil {
-			p.bcChunks.Add(int64(len(kids)))
-		}
 		for _, child := range kids {
 			p.send(child, kBcastChunk, cd, nil)
 		}
 	}
 	vb.Release()
+}
+
+// observeBcast records the shape of a tree broadcast this rank planned: an
+// EvBroadcast event carrying the participant count (Bytes) and tree depth
+// (Dur), plus the fan-out and payload-size histograms.
+func (p *Proc) observeBcast(order []int, payloadBytes int) {
+	if p.rec == nil {
+		return
+	}
+	p.rec.Record(obs.Event{Kind: obs.EvBroadcast, Worker: -1, TT: -1,
+		Bytes: int64(len(order)), Dur: int64(collective.Depth(len(order))), Name: "tree"})
+	p.bcastFanout.Observe(int64(len(order)))
+	p.msgBytes.Observe(int64(payloadBytes))
 }
 
 // encodeBcastPlan writes the tree plan: root, traversal order, and the
@@ -232,9 +242,6 @@ func (p *Proc) handleBcastChunk(data []byte) {
 	// Forward first: the children's links start transmitting this chunk
 	// while we finish the local copy (and while the next chunk is still
 	// inbound) — that overlap is the pipeline.
-	if p.bcChunks != nil {
-		p.bcChunks.Add(int64(len(st.kids)))
-	}
 	for _, child := range st.kids {
 		p.send(child, kBcastChunk, data, nil)
 	}

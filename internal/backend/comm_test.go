@@ -62,8 +62,8 @@ func TestEagerRendezvousSwitch(t *testing.T) {
 	if last != 15 {
 		t.Fatalf("eager payload corrupted: last = %v", last)
 	}
-	if snap.SplitMDTransfers != 0 || snap.ArchiveTransfers == 0 {
-		t.Fatalf("sub-threshold payload should be eager: %+v", snap)
+	if snap.SplitMDTransfers != 0 || snap.ArchiveTransfers != 1 {
+		t.Fatalf("sub-threshold payload should be one eager send: %+v", snap)
 	}
 
 	// 1024 floats ≈ 8 KiB: well over the threshold.
@@ -71,8 +71,8 @@ func TestEagerRendezvousSwitch(t *testing.T) {
 	if last != 1023 {
 		t.Fatalf("rendezvous payload corrupted: last = %v", last)
 	}
-	if snap.SplitMDTransfers == 0 {
-		t.Fatalf("super-threshold payload should take splitmd rendezvous: %+v", snap)
+	if snap.SplitMDTransfers != 1 || snap.ArchiveTransfers != 0 {
+		t.Fatalf("super-threshold payload should be one splitmd rendezvous: %+v", snap)
 	}
 }
 

@@ -16,16 +16,16 @@ import (
 // a wedge, which must fail the test rather than hang it.
 const sendTimeout = 10 * time.Second
 
-// runOn executes main SPMD on ranks ranks of the PaRSEC-model engine, over
-// the in-process simnet or over a loopback TCP mesh of real sockets (one
-// single-rank runtime per endpoint, as in a multi-process run).
-func runOn(t *testing.T, transport string, ranks, workers int, main func(p *backend.Proc)) {
+// runOn executes main SPMD on ranks ranks of the engine configured by opts,
+// over the in-process simnet or over a loopback TCP mesh of real sockets
+// (one single-rank runtime per endpoint, as in a multi-process run).
+func runOn(t *testing.T, transport string, ranks int, opts backend.Options, main func(p *backend.Proc)) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		if transport == "simnet" {
-			backend.New(ranks, withWorkers(backend.PaRSEC(), workers)).Run(main)
+			backend.New(ranks, opts).Run(main)
 			return
 		}
 		eps, err := netfab.NewLocalMesh(ranks, netfab.Config{Transport: transport})
@@ -38,7 +38,7 @@ func runOn(t *testing.T, transport string, ranks, workers int, main func(p *back
 			wg.Add(1)
 			go func(ep *netfab.Endpoint) {
 				defer wg.Done()
-				o := withWorkers(backend.PaRSEC(), workers)
+				o := opts
 				o.Fabric = ep
 				backend.New(0, o).Run(main)
 			}(ep)
@@ -63,7 +63,7 @@ func TestSendsLeaveWithTheirTask(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr, func(t *testing.T) {
 			sunk := make(chan struct{})
-			runOn(t, tr, 2, 1, func(p *backend.Proc) {
+			runOn(t, tr, 2, withWorkers(backend.PaRSEC(), 1), func(p *backend.Proc) {
 				g := p.NewGraph()
 				start, toSink, toB := core.NewEdge("start"), core.NewEdge("sink"), core.NewEdge("b")
 				g.AddTT(core.TTSpec{
@@ -120,7 +120,7 @@ func TestPerSenderOrderToOnePeerWithTwoWorkers(t *testing.T) {
 			got := map[int][]float64{}
 			var started sync.WaitGroup
 			started.Add(2)
-			runOn(t, tr, 2, 2, func(p *backend.Proc) {
+			runOn(t, tr, 2, withWorkers(backend.PaRSEC(), 2), func(p *backend.Proc) {
 				g := p.NewGraph()
 				step, out := core.NewEdge("step"), core.NewEdge("out")
 				g.AddTT(core.TTSpec{
@@ -205,7 +205,7 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 			relayFencing := make(chan struct{})
 			result := make(chan float64, 1)
 			var relaySent, relayTasks, relayWakes int64
-			runOn(t, tr, ranks, 1, func(p *backend.Proc) {
+			runOn(t, tr, ranks, withWorkers(backend.PaRSEC(), 1), func(p *backend.Proc) {
 				g := p.NewGraph()
 				start, contrib := core.NewEdge("start"), core.NewEdge("contrib")
 				g.AddTT(core.TTSpec{

@@ -4,11 +4,7 @@
 // over the involved ranks instead of being sent point-to-point to each.
 package collective
 
-import (
-	"sort"
-
-	"repro/internal/obs"
-)
+import "sort"
 
 // Order returns the deterministic rank ordering used for a broadcast rooted
 // at root over dests: the root first, then the remaining destinations in
@@ -172,23 +168,4 @@ func ReduceChildren(root, n, me int) []int {
 // flushing is driven by global idleness rather than per-hop acks.
 func ReduceHeight(root, n, me int) int {
 	return len(Children(n, reduceRel(root, me)))
-}
-
-// Observe records the shape of a planned tree broadcast on the root's
-// recorder: a bcast-forward-free EvBroadcast event carrying the
-// participant count (Bytes) and tree depth (Dur), plus the fan-out
-// histogram and tree counter. No-op when rec is nil, so callers pass their
-// possibly-nil recorder straight through.
-func Observe(rec obs.Recorder, order []int, payloadBytes int) {
-	if rec == nil {
-		return
-	}
-	rec.Record(obs.Event{Kind: obs.EvBroadcast, Worker: -1, TT: -1,
-		Bytes: int64(len(order)), Dur: int64(Depth(len(order))), Name: "tree"})
-	m := rec.Metrics()
-	m.Histogram(obs.HistBcastFanout).Observe(int64(len(order)))
-	m.Counter(obs.CounterBcastTrees).Add(1)
-	if payloadBytes > 0 {
-		m.Histogram(obs.HistMsgBytes).Observe(int64(payloadBytes))
-	}
 }

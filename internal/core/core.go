@@ -247,21 +247,12 @@ type Graph struct {
 
 	// obs is the rank's recorder (nil disables tracing); the metric
 	// handles are resolved once here so events never take the registry
-	// lock on the hot path.
+	// lock on the hot path. Counts are not among them: every counted
+	// event increments its exec.Tracer() cell and nothing else.
 	obs          obs.Recorder
 	readyBacklog *obs.Gauge
 	matchDelay   *obs.Histogram
 	taskLatency  *obs.Histogram
-	folds        *obs.Counter
-
-	// Copy-traffic counters mirrored from trace.Collector into the obs
-	// registry at each fence (the collector is the hot-path home; the
-	// registry is what reports and ttg-bench stats read). pubCopies /
-	// pubAvoided remember what has been published so far.
-	dataCopies    *obs.Counter
-	copiesAvoided *obs.Counter
-	pubCopies     int64
-	pubAvoided    int64
 
 	// pendingShells gauges partially matched shells (nil when obs is off).
 	pendingShells *obs.Gauge
@@ -280,25 +271,9 @@ type Graph struct {
 	rbuffered bool
 	rflush    bool
 
-	// Reduction counters mirrored from trace.Collector into the obs
-	// registry at each fence, like the copy-traffic pair above.
-	reduceFolds    *obs.Counter
-	reduceHops     *obs.Counter
-	reduceSaved    *obs.Counter
+	// pendingReduces gauges combiner slots holding unflushed partials
+	// (nil when obs is off).
 	pendingReduces *obs.Gauge
-	pubRFolds      int64
-	pubRHops       int64
-	pubRSaved      int64
-
-	// Zero-copy wire-path counters, mirrored the same way.
-	gatherSends    *obs.Counter
-	copySends      *obs.Counter
-	viewDecodes    *obs.Counter
-	bytesZeroCopy  *obs.Counter
-	pubGather      int64
-	pubCopySends   int64
-	pubViewDecodes int64
-	pubZeroCopied  int64
 }
 
 // reductionBuffering is the optional Executor interface a backend
@@ -326,18 +301,8 @@ func NewGraph(exec Executor) *Graph {
 		g.readyBacklog = m.Gauge(obs.GaugeReadyBacklog)
 		g.matchDelay = m.Histogram(obs.HistMatchDelay)
 		g.taskLatency = m.Histogram(obs.HistTaskLatency)
-		g.folds = m.Counter(obs.CounterFolds)
-		g.dataCopies = m.Counter(obs.CounterDataCopies)
-		g.copiesAvoided = m.Counter(obs.CounterCopiesAvoided)
 		g.pendingShells = m.Gauge(obs.GaugePendingShells)
-		g.reduceFolds = m.Counter(obs.CounterReduceLocalFolds)
-		g.reduceHops = m.Counter(obs.CounterReduceHops)
-		g.reduceSaved = m.Counter(obs.CounterReduceBytesSaved)
 		g.pendingReduces = m.Gauge(obs.GaugePendingReductions)
-		g.gatherSends = m.Counter(obs.CounterGatherSends)
-		g.copySends = m.Counter(obs.CounterCopySends)
-		g.viewDecodes = m.Counter(obs.CounterViewDecodes)
-		g.bytesZeroCopy = m.Counter(obs.CounterBytesZeroCopied)
 	}
 	return g
 }
@@ -427,56 +392,7 @@ func (g *Graph) TTByID(id int) *TT { return g.tts[id] }
 func (g *Graph) NumTTs() int { return len(g.tts) }
 
 // Fence blocks until the whole distributed computation has quiesced.
-func (g *Graph) Fence() {
-	g.exec.Fence()
-	g.publishDataMetrics()
-}
-
-// publishDataMetrics mirrors the copy-traffic deltas accumulated since the
-// last fence from the trace collector into the obs counter registry. Runs
-// post-quiescence, so the collector values are stable.
-func (g *Graph) publishDataMetrics() {
-	if g.dataCopies == nil {
-		return
-	}
-	tr := g.exec.Tracer()
-	if c := tr.DataCopies.Load(); c > g.pubCopies {
-		g.dataCopies.Add(c - g.pubCopies)
-		g.pubCopies = c
-	}
-	if a := tr.CopiesAvoided.Load(); a > g.pubAvoided {
-		g.copiesAvoided.Add(a - g.pubAvoided)
-		g.pubAvoided = a
-	}
-	if f := tr.ReduceLocalFolds.Load(); f > g.pubRFolds {
-		g.reduceFolds.Add(f - g.pubRFolds)
-		g.pubRFolds = f
-	}
-	if h := tr.ReduceHops.Load() + tr.ReduceDeliveries.Load(); h > g.pubRHops {
-		g.reduceHops.Add(h - g.pubRHops)
-		g.pubRHops = h
-	}
-	if b := tr.ReduceBytesSaved.Load(); b > g.pubRSaved {
-		g.reduceSaved.Add(b - g.pubRSaved)
-		g.pubRSaved = b
-	}
-	if v := tr.GatherSends.Load(); v > g.pubGather {
-		g.gatherSends.Add(v - g.pubGather)
-		g.pubGather = v
-	}
-	if v := tr.CopySends.Load(); v > g.pubCopySends {
-		g.copySends.Add(v - g.pubCopySends)
-		g.pubCopySends = v
-	}
-	if v := tr.ViewDecodes.Load(); v > g.pubViewDecodes {
-		g.viewDecodes.Add(v - g.pubViewDecodes)
-		g.pubViewDecodes = v
-	}
-	if v := tr.BytesZeroCopied.Load(); v > g.pubZeroCopied {
-		g.bytesZeroCopy.Add(v - g.pubZeroCopied)
-		g.pubZeroCopied = v
-	}
-}
+func (g *Graph) Fence() { g.exec.Fence() }
 
 // ID returns the TT's registration index (stable across ranks).
 func (tt *TT) ID() int { return tt.id }

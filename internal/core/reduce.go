@@ -142,7 +142,6 @@ func (g *Graph) foldLocal(tt *TT, term int, key any, v any, worker int) *Task {
 	if o := g.obs; o != nil {
 		o.Record(obs.Event{Kind: obs.EvReduceFold, Worker: int32(worker),
 			TT: int32(tt.id), Name: tt.name})
-		g.folds.Add(1)
 	}
 	if !watermark {
 		return nil
@@ -190,7 +189,6 @@ func (g *Graph) foldPartial(tt *TT, term int, key any, v any, n int, worker int)
 	if o := g.obs; o != nil {
 		o.Record(obs.Event{Kind: obs.EvReduceFold, Worker: int32(worker),
 			TT: int32(tt.id), Name: tt.name})
-		g.folds.Add(1)
 	}
 	if !flush {
 		return nil

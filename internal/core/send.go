@@ -364,7 +364,6 @@ func (g *Graph) deliverLocal(tt *TT, term int, key any, value any, worker int) *
 		if spec.Reducer != nil {
 			o.Record(obs.Event{Kind: obs.EvReduceFold, Worker: int32(worker),
 				TT: int32(tt.id), Name: tt.name})
-			g.folds.Add(1)
 		}
 	}
 	g.exec.Tracer().MatchOps.Add(1)

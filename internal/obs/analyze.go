@@ -283,6 +283,9 @@ func (r *Report) String() string {
 		r.Msgs.Sends, r.Msgs.Bcasts, r.Msgs.Forwards)
 	fmt.Fprintf(&b, "matches=%d folds=%d steals=%d fences=%d\n",
 		r.Matches, r.Folds, r.Steals, r.Fences)
+	// Both sides of the hit ratio come from the counters: r.Steals counts
+	// steal events, which stop once a rank's event buffer fills.
+	steals := r.Metrics.Counters[CounterSteals]
 	attempts := r.Metrics.Counters[CounterStealAttempts]
 	inlined := r.Metrics.Counters[CounterInlined]
 	parks := r.Metrics.Counters[CounterParks]
@@ -290,10 +293,10 @@ func (r *Report) String() string {
 	if attempts+inlined+parks+wakes > 0 {
 		hit := "-"
 		if attempts > 0 {
-			hit = fmt.Sprintf("%.0f%%", 100*float64(r.Steals)/float64(attempts))
+			hit = fmt.Sprintf("%.0f%%", 100*float64(steals)/float64(attempts))
 		}
 		fmt.Fprintf(&b, "sched: steal-hit=%s (%d/%d) inlined=%d parks=%d wakes=%d\n",
-			hit, r.Steals, attempts, inlined, parks, wakes)
+			hit, steals, attempts, inlined, parks, wakes)
 		if hs, ok := r.Metrics.Hists[HistInlineChain]; ok && hs.Count > 0 {
 			fmt.Fprintf(&b, "inline chain: %s\n", hs)
 		}
@@ -305,7 +308,7 @@ func (r *Report) String() string {
 			copies, avoided, 100*float64(avoided)/float64(copies+avoided))
 	}
 	rfolds := r.Metrics.Counters[CounterReduceLocalFolds]
-	rhops := r.Metrics.Counters[CounterReduceHops]
+	rhops := r.Metrics.Counters[CounterReduceHops] + r.Metrics.Counters[CounterReduceDeliveries]
 	rsaved := r.Metrics.Counters[CounterReduceBytesSaved]
 	if rfolds+rhops > 0 {
 		// Each fold beyond a remote-bound slot's first contribution is one

@@ -175,7 +175,7 @@ func TestLiveReportDuringRecording(t *testing.T) {
 		go func(r int) {
 			defer recorders.Done()
 			rk := s.Rank(r)
-			tasks := rk.Metrics().Counter("tasks")
+			tasks := counterCell(rk.Metrics(), "tasks")
 			depth := rk.Metrics().Gauge("depth")
 			lat := rk.Metrics().Histogram("latency_ns")
 			for i := 0; i < perRank; i++ {

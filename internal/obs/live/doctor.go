@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/serde"
 )
 
@@ -28,30 +29,6 @@ type Progress struct {
 	Tasks        int64
 	MsgsSent     int64
 	MsgsReceived int64
-}
-
-// SchedStats is one rank's scheduler fingerprint for stall reports: a
-// wedged run shows all workers parked with a cold steal rate, a livelocked
-// one shows spinning steal attempts with no hits.
-type SchedStats struct {
-	Workers       int
-	Parked        int
-	StealAttempts int64
-	StealHits     int64
-	InlineRuns    int64
-	Parks         int64
-	Wakes         int64
-}
-
-// String renders the fingerprint in the shape stall reports embed.
-func (s SchedStats) String() string {
-	hit := "-"
-	if s.StealAttempts > 0 {
-		hit = fmt.Sprintf("%.0f%%", 100*float64(s.StealHits)/float64(s.StealAttempts))
-	}
-	return fmt.Sprintf("parked=%d/%d steal-hit=%s (%d/%d) inlined=%d parks=%d wakes=%d",
-		s.Parked, s.Workers, hit, s.StealHits, s.StealAttempts,
-		s.InlineRuns, s.Parks, s.Wakes)
 }
 
 // Target is one rank's introspection surface. Backends construct these
@@ -73,7 +50,7 @@ type Target struct {
 	// Sched optionally returns the rank's worker-pool fingerprint
 	// (parked-worker count, steal hit rate, inline/park/wake counters);
 	// nil for backends without a pool (the sim dispatches in virtual time).
-	Sched func() SchedStats
+	Sched func() sched.Stats
 }
 
 // Config tunes the doctor's stall detection.
@@ -288,7 +265,7 @@ type RankPending struct {
 	Active  int64
 	Total   int64 // all pending shells on this rank
 	Sampled []core.PendingTask
-	Sched   *SchedStats // scheduler fingerprint, nil without a pool
+	Sched   *sched.Stats // scheduler fingerprint, nil without a pool
 	// PartialCount is how many combiner slots hold unflushed reduction
 	// partials on this rank; Partials samples them. A stall whose only
 	// pending work is partials usually means a commutative stream whose

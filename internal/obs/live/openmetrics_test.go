@@ -29,7 +29,8 @@ func TestOpenMetricsExposition(t *testing.T) {
 	s := obs.NewSession(obs.Config{Capacity: 16})
 	for r := 0; r < 2; r++ {
 		reg := s.Rank(r).Metrics()
-		reg.Counter("core.matches").Add(int64(10 + r))
+		n := int64(10 + r)
+		reg.ReadCounters(func(emit func(string, int64)) { emit("core.matches", n) })
 		g := reg.Gauge("core.pending_shells")
 		g.Add(5)
 		g.Add(-3) // value 2, high-water mark 5

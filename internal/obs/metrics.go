@@ -9,30 +9,27 @@ import (
 	"sync/atomic"
 )
 
-// Registry is a named collection of counters, gauges, and histograms.
-// Metric lookup takes a lock and is meant for setup paths; the returned
-// handles are lock-free atomics for the hot path. The zero value is ready
-// to use.
+// Registry is a named collection of gauges and histograms plus a
+// read-through to counters kept elsewhere. Metric lookup takes a lock and
+// is meant for setup paths; the returned handles are lock-free atomics for
+// the hot path. The zero value is ready to use.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu      sync.Mutex
+	sources []func(emit func(name string, v int64))
+	gauges  map[string]*Gauge
+	hists   map[string]*Histogram
 }
 
-// Counter returns (creating if needed) the named monotonic counter.
-func (r *Registry) Counter(name string) *Counter {
+// ReadCounters registers src as a source of monotonic counters: every
+// Snapshot calls it and reports what it emits, summing a name emitted more
+// than once (two sources, e.g. two runs recorded into one session). The
+// registry stores no count itself, so a snapshot is as fresh as the
+// atomics src reads; src runs on the snapshotting goroutine, concurrently
+// with whoever increments.
+func (r *Registry) ReadCounters(src func(emit func(name string, v int64))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = map[string]*Counter{}
-	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	r.sources = append(r.sources, src)
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -67,33 +64,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Snapshot captures every metric's current value.
 func (r *Registry) Snapshot() RegistrySnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := RegistrySnapshot{
 		Counters: map[string]int64{},
 		Gauges:   map[string]GaugeValue{},
 		Hists:    map[string]HistSnapshot{},
 	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Load()
-	}
+	r.mu.Lock()
+	sources := r.sources
 	for name, g := range r.gauges {
 		s.Gauges[name] = GaugeValue{Value: g.Load(), Max: g.Max()}
 	}
 	for name, h := range r.hists {
 		s.Hists[name] = h.Snapshot()
 	}
+	r.mu.Unlock()
+	// The sources are the caller's code: run them outside the lock.
+	for _, src := range sources {
+		src(func(name string, v int64) { s.Counters[name] += v })
+	}
 	return s
 }
-
-// Counter is a monotonic atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level with a high-water mark (queue depths,
 // backlogs, in-flight messages).

@@ -6,9 +6,15 @@
 // communication volume, and copy counts — and this package gives the
 // reproduction the same instruments: task-lifecycle events (message
 // enqueue/deliver, terminal match, activate, exec start/end, send,
-// broadcast, steal, reducer fold, fence), counters, gauges, and
-// log₂-bucketed histograms, with Chrome-trace/Perfetto export and an
-// offline analyzer (per-template profiles, observed critical path).
+// broadcast, steal, reducer fold, fence), gauges, and log₂-bucketed
+// histograms, with Chrome-trace/Perfetto export and an offline analyzer
+// (per-template profiles, observed critical path).
+//
+// Counters are not stored here. Events are counted once, in the always-on
+// per-rank trace.Collector (and the scheduler's per-worker atomics); a
+// Registry only reads them, by name, each time it snapshots, through the
+// source the backend registers with ReadCounters — so a report, expvar and
+// /metrics show the same numbers as an untraced run's stats line, live.
 //
 // Recording is lock-free on the hot path: each rank owns a fixed-capacity
 // event buffer claimed by an atomic cursor; a full buffer drops (and
@@ -122,11 +128,14 @@ type Recorder interface {
 	Record(ev Event)
 	// Now returns ns since the session epoch.
 	Now() int64
-	// Metrics returns the rank's registry for counters/gauges/histograms.
+	// Metrics returns the rank's registry of gauges and histograms (and
+	// the read-through to the rank's counters).
 	Metrics() *Registry
 }
 
-// Standard metric names used by the built-in instrumentation.
+// Standard metric names used by the built-in instrumentation. The Counter
+// names are the rows of internal/trace's name table that some code reads
+// back by name (Report.String, bench/); the table holds the rest.
 const (
 	// GaugeQueueDepth tracks items submitted to but not yet popped from a
 	// rank's scheduler pool.
@@ -162,24 +171,6 @@ const (
 	// GaugeParkedWorkers tracks workers currently announced idle (sampled
 	// by the live exporter).
 	GaugeParkedWorkers = "sched.parked_workers"
-	// CounterFolds counts streaming-reducer folds.
-	CounterFolds = "core.reduce_folds"
-	// CounterBcastTrees counts planned tree broadcasts.
-	CounterBcastTrees = "bcast.trees"
-	// CounterWirePackets counts physical packets put on the fabric: one
-	// per counted logical message (trace MsgsSent).
-	CounterWirePackets = "net.wire_packets"
-	// CounterWireBytes counts bytes put on the fabric, framing included.
-	CounterWireBytes = "net.wire_bytes"
-	// CounterEagerSends counts point-to-point values that traveled inline
-	// (eager protocol, below the rendezvous threshold).
-	CounterEagerSends = "net.eager_sends"
-	// CounterRendezvousSends counts values that took the split-metadata
-	// rendezvous path (metadata eager, payload via RMA).
-	CounterRendezvousSends = "net.rendezvous_sends"
-	// CounterBcastChunks counts pipelined-broadcast chunk packets relayed
-	// or originated by this rank.
-	CounterBcastChunks = "bcast.chunks"
 	// CounterDataCopies counts deep copies of in-flight values (clones made
 	// for copy semantics, CoW materialization, or remote snapshots).
 	CounterDataCopies = "data.copies"
@@ -204,9 +195,11 @@ const (
 	// combiner slots instead of taking a match-table trip (reduce.go).
 	CounterReduceLocalFolds = "reduce.local_folds"
 	// CounterReduceHops counts partial accumulators received and re-folded
-	// at interior ranks of the reduce tree (the owner's arrivals are the
-	// deliveries the tree exists to bound).
+	// at interior ranks of the reduce tree.
 	CounterReduceHops = "reduce.tree_hops"
+	// CounterReduceDeliveries counts partial accumulators received at the
+	// owning rank — the arrivals the tree exists to bound.
+	CounterReduceDeliveries = "reduce.deliveries"
 	// CounterReduceBytesSaved counts owner-inbound bytes avoided: payload
 	// folded into an already-parked remote-bound partial, so it reaches
 	// the owner inside one combined delivery instead of as its own.

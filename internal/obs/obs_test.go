@@ -4,8 +4,17 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// counterCell registers on reg a read-through over one atomic cell — what a
+// backend does for a whole trace.Collector — and returns the cell.
+func counterCell(reg *Registry, name string) *atomic.Int64 {
+	c := new(atomic.Int64)
+	reg.ReadCounters(func(emit func(string, int64)) { emit(name, c.Load()) })
+	return c
+}
 
 func TestRankRecordAndEvents(t *testing.T) {
 	s := NewSession(Config{Capacity: 8})
@@ -67,13 +76,14 @@ func TestSessionEventsMergeSorted(t *testing.T) {
 }
 
 // TestRecorderRace is the race-focused satellite test for the obs side: N
-// goroutines hammer one rank's recorder and its metrics while another
-// goroutine snapshots concurrently. Run under -race; totals must be exact.
+// goroutines hammer one rank's recorder, its metrics and a cell the
+// registry reads through to, while another goroutine snapshots
+// concurrently. Run under -race; totals must be exact.
 func TestRecorderRace(t *testing.T) {
 	const goroutines, perG = 8, 2000
 	s := NewSession(Config{Capacity: goroutines * perG})
 	rk := s.Rank(0)
-	ctr := rk.Metrics().Counter("test.ops")
+	ctr := counterCell(rk.Metrics(), "test.ops")
 	gauge := rk.Metrics().Gauge("test.level")
 	hist := rk.Metrics().Histogram("test.vals")
 
@@ -117,8 +127,8 @@ func TestRecorderRace(t *testing.T) {
 	if d := rk.Dropped(); d != 0 {
 		t.Errorf("dropped %d events with room for all", d)
 	}
-	if got := ctr.Load(); got != goroutines*perG {
-		t.Errorf("counter = %d, want %d", got, goroutines*perG)
+	if got := rk.Metrics().Snapshot().Counters["test.ops"]; got != goroutines*perG {
+		t.Errorf("counter read through = %d, want %d", got, goroutines*perG)
 	}
 	if got := gauge.Load(); got != 0 {
 		t.Errorf("gauge = %d, want 0", got)
@@ -167,8 +177,8 @@ func TestGaugeHighWater(t *testing.T) {
 
 func TestRegistryMerge(t *testing.T) {
 	var a, b Registry
-	a.Counter("c").Add(2)
-	b.Counter("c").Add(3)
+	counterCell(&a, "c").Add(2)
+	counterCell(&b, "c").Add(3)
 	a.Gauge("g").Add(5)
 	b.Gauge("g").Add(1)
 	a.Histogram("h").Observe(10)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Policy selects the queueing discipline of a worker pool. There are two
@@ -76,9 +75,9 @@ type workerState struct {
 	_ [24]byte // pad to a multiple of 64 bytes
 }
 
-// Stats is a point-in-time snapshot of scheduler-internal counters. They
-// are maintained unconditionally (cheap uncontended atomics) so stall
-// diagnostics work without a full observability session.
+// Stats is a point-in-time snapshot of scheduler-internal counters, always
+// on (cheap uncontended atomics) and the only count of these events: stall
+// reports embed it, backend.Proc.Stats folds it into the trace.Snapshot.
 type Stats struct {
 	StealAttempts int64 // steal sweeps started by out-of-work workers
 	StealHits     int64 // sweeps that found an item
@@ -87,6 +86,17 @@ type Stats struct {
 	Wakes         int64 // wake permits granted to parked workers
 	Parked        int   // workers currently announced idle
 	Workers       int
+}
+
+// String renders the fingerprint in the shape stall reports embed.
+func (s Stats) String() string {
+	hit := "-"
+	if s.StealAttempts > 0 {
+		hit = fmt.Sprintf("%.0f%%", 100*float64(s.StealHits)/float64(s.StealAttempts))
+	}
+	return fmt.Sprintf("parked=%d/%d steal-hit=%s (%d/%d) inlined=%d parks=%d wakes=%d",
+		s.Parked, s.Workers, hit, s.StealHits, s.StealAttempts,
+		s.InlineRuns, s.Parks, s.Wakes)
 }
 
 // Pool is a fixed-size worker pool executing Items via a run callback. The
@@ -126,21 +136,12 @@ type Pool struct {
 	idle      func()
 	idleFired bool
 
-	// Observability (nil when disabled): queue-depth gauge moves on every
-	// submit/pop; the steal/park/inline counters mirror the always-on
-	// Stats atomics into the metrics registry.
+	// Observability (nil when disabled): the queue-depth gauge moves on
+	// every submit/pop, a finished run-next chain feeds its length
+	// histogram, a successful steal records an event.
 	obs       obs.Recorder
 	depth     *obs.Gauge
-	steals    *obs.Counter
-	stealAtt  *obs.Counter
-	inlined   *obs.Counter
 	chainHist *obs.Histogram
-	parksC    *obs.Counter
-	wakesC    *obs.Counter
-
-	// tr, when set, feeds the backend's stats counters (the CLI "stolen="
-	// figure) without requiring a full observability session.
-	tr *trace.Collector
 
 	// onPanic, when set, runs with a panic recovered from the run callback
 	// before the panic is re-raised; backends hook crash-dump flushing
@@ -187,8 +188,7 @@ func (p *Pool) Workers() int { return p.n }
 func (p *Pool) DisableRunNext() { p.inline = false }
 
 // Observe attaches a recorder; call before Start. The pool then maintains
-// the scheduler queue-depth gauge and mirrors the steal, inline, and
-// park/wake counters into the metrics registry.
+// the queue-depth gauge and inline-chain histogram and records steal events.
 func (p *Pool) Observe(rec obs.Recorder) {
 	if rec == nil {
 		return
@@ -196,17 +196,8 @@ func (p *Pool) Observe(rec obs.Recorder) {
 	p.obs = rec
 	m := rec.Metrics()
 	p.depth = m.Gauge(obs.GaugeQueueDepth)
-	p.steals = m.Counter(obs.CounterSteals)
-	p.stealAtt = m.Counter(obs.CounterStealAttempts)
-	p.inlined = m.Counter(obs.CounterInlined)
 	p.chainHist = m.Histogram(obs.HistInlineChain)
-	p.parksC = m.Counter(obs.CounterParks)
-	p.wakesC = m.Counter(obs.CounterWakes)
 }
-
-// Trace attaches a stats collector; call before Start. Successful steals
-// then increment its TasksStolen counter.
-func (p *Pool) Trace(tr *trace.Collector) { p.tr = tr }
 
 // OnIdle registers f to run each time the pool transitions from busy to
 // fully quiescent (every worker out of work and about to sleep). f runs on
@@ -405,18 +396,13 @@ func (p *Pool) wake() {
 	if p.permits < p.n {
 		p.permits++
 		p.wakes.Add(1)
-		if p.wakesC != nil {
-			p.wakesC.Add(1)
-		}
 	}
 	p.mu.Unlock()
 	p.cond.Signal()
 }
 
 // wakeN wakes up to n parked workers after a batch submission, never
-// granting more permits than there are announced idlers (the old
-// implementation signaled once per item, waking workers that had nothing
-// to claim).
+// granting more permits than there are announced idlers.
 func (p *Pool) wakeN(n int) {
 	idle := int(p.idlers.Load())
 	if idle == 0 {
@@ -436,9 +422,6 @@ func (p *Pool) wakeN(n int) {
 		return
 	}
 	p.wakes.Add(int64(n))
-	if p.wakesC != nil {
-		p.wakesC.Add(int64(n))
-	}
 	if n >= idle {
 		p.cond.Broadcast()
 		return
@@ -506,9 +489,6 @@ func (p *Pool) park(id int, rng *rand.Rand) bool {
 			continue
 		}
 		p.ws[id].parks.Add(1)
-		if p.parksC != nil {
-			p.parksC.Add(1)
-		}
 		p.cond.Wait()
 	}
 	p.busy++
@@ -547,8 +527,7 @@ func (p *Pool) execute(id int, it Item) {
 	}
 	w.chain = 0
 	w.inlineRuns.Add(int64(chain))
-	if p.inlined != nil {
-		p.inlined.Add(int64(chain))
+	if p.chainHist != nil {
 		p.chainHist.Observe(int64(chain))
 	}
 }
@@ -601,9 +580,6 @@ func (p *Pool) trySteal(id int, rng *rand.Rand) (Item, bool) {
 	}
 	w := &p.ws[id]
 	w.stealAttempts.Add(1)
-	if p.stealAtt != nil {
-		p.stealAtt.Add(1)
-	}
 	start := rng.Intn(p.n)
 	for k := 0; k < p.n; k++ {
 		v := (start + k) % p.n
@@ -616,22 +592,14 @@ func (p *Pool) trySteal(id int, rng *rand.Rand) (Item, bool) {
 				continue
 			}
 			if it, ok := d.Steal(); ok {
-				p.recordSteal(id, v, w)
+				w.stealHits.Add(1)
+				if p.obs != nil {
+					p.obs.Record(obs.Event{Kind: obs.EvSteal, Worker: int32(id),
+						TT: -1, Bytes: int64(v)})
+				}
 				return it, true
 			}
 		}
 	}
 	return Item{}, false
-}
-
-func (p *Pool) recordSteal(id, victim int, w *workerState) {
-	w.stealHits.Add(1)
-	if p.tr != nil {
-		p.tr.TasksStolen.Add(1)
-	}
-	if p.obs != nil {
-		p.steals.Add(1)
-		p.obs.Record(obs.Event{Kind: obs.EvSteal, Worker: int32(id),
-			TT: -1, Bytes: int64(victim)})
-	}
 }

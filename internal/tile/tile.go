@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/des"
 	"repro/internal/pool"
@@ -21,9 +22,9 @@ type Tile struct {
 	// Data is the row-major payload; nil marks a phantom tile.
 	Data []float64
 	// viewed marks a tile decoded as a receive view: Data aliases pooled
-	// receive memory the runtime still accounts for in the recv-view
-	// ledger until EndViewLease runs.
-	viewed bool
+	// receive memory that stays in the recv-view ledger until the first
+	// EndViewLease (workers sharing the tile may race to call it).
+	viewed atomic.Bool
 }
 
 // New allocates a zeroed tile.
@@ -49,7 +50,6 @@ func get(rows, cols int) *Tile {
 		t := v.(*Tile)
 		t.Rows, t.Cols = rows, cols
 		t.Data = t.Data[:n]
-		t.viewed = false
 		return t
 	}
 	return &Tile{Rows: rows, Cols: cols, Data: make([]float64, n, pool.F64ClassCap(cls))}
@@ -81,13 +81,11 @@ func (t *Tile) Release() {
 	tilePools[cls].Put(t)
 }
 
-// EndViewLease implements serde.ViewLease: it retires the recv-view
-// ledger entry of a scatter-decoded tile. Idempotent; called by Release
-// and by the runtime when it hands the tile (and so its payload memory)
-// over to the application outright.
+// EndViewLease implements serde.ViewLease: it retires a scatter-decoded
+// tile's recv-view ledger entry, once however many callers race — Release,
+// and each worker the runtime hands the tile and its payload to outright.
 func (t *Tile) EndViewLease() {
-	if t != nil && t.viewed {
-		t.viewed = false
+	if t != nil && t.viewed.Swap(false) {
 		serde.NoteViewEnd()
 	}
 }
@@ -223,7 +221,9 @@ func init() {
 			// Keep the segment's full capacity so Release can return
 			// the buffer to its exact pool class.
 			serde.NoteViewDecode()
-			return &Tile{Rows: rows, Cols: cols, Data: segs[0].F64[:rows*cols], viewed: true}
+			t := &Tile{Rows: rows, Cols: cols, Data: segs[0].F64[:rows*cols]}
+			t.viewed.Store(true)
+			return t
 		},
 	})
 	serde.RegisterSplitMD(&Tile{}, serde.SplitMDTraits{

@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/serde"
@@ -86,5 +87,36 @@ func TestFrobeniusNorm(t *testing.T) {
 	a.Data[0], a.Data[1] = 3, 4
 	if n := a.FrobeniusNorm(); n != 5 {
 		t.Fatalf("norm = %v", n)
+	}
+}
+
+// TestEndViewLeaseOnce races eight goroutines to retire the lease of one
+// scatter-decoded tile — two workers each taking the same received tile as
+// a raw input do exactly that. The recv-view ledger must fall by one, not
+// once per caller. Run under -race.
+func TestEndViewLeaseOnce(t *testing.T) {
+	src := New(4, 4)
+	g, _ := serde.LookupCached(src).Gatherer()
+	hdr := serde.NewBuffer(16)
+	segs, ok := g.Segments(hdr, src)
+	if !ok {
+		t.Fatal("a dense tile declined the gather path")
+	}
+	base := serde.LiveRecvViews()
+	view := g.Scatter(serde.FromBytes(hdr.Bytes()), segs).(*Tile)
+	if n := serde.LiveRecvViews(); n != base+1 {
+		t.Fatalf("scatter decode moved the ledger %d -> %d, want +1", base, n)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			view.EndViewLease()
+		}()
+	}
+	wg.Wait()
+	if n := serde.LiveRecvViews(); n != base {
+		t.Fatalf("8 concurrent EndViewLease calls left the ledger at %d, want %d (one view, one retirement)", n, base)
 	}
 }

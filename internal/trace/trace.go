@@ -1,12 +1,19 @@
-// Package trace collects per-rank execution statistics: tasks run, messages
-// and bytes moved, data copies made, and protocol choices. The counters back
-// the copy-avoidance and broadcast-optimization ablations and give the
-// benchmark harness its "communication volume" columns.
+// Package trace holds the always-on per-rank event counters: tasks run,
+// messages and bytes moved, data copies made, and protocol choices. A
+// Collector cell is the only storage an event increments — on traced and
+// untraced runs alike — except for the scheduler's counts, which sched.Pool
+// keeps per worker and backend.Proc.Stats folds into the Snapshot. Every
+// export of a count (the CLIs' stats line, obs.Session reports, expvar,
+// /metrics) reads a Snapshot through the one name table below; the obs
+// registry keeps no counters of its own.
 package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Collector accumulates counters for one rank. All methods are safe for
@@ -19,10 +26,9 @@ type Collector struct {
 	BytesReceived    atomic.Int64
 	DataCopies       atomic.Int64 // deep copies made for copy-on-send
 	CopiesAvoided    atomic.Int64 // borrows/moves that skipped a copy
-	SplitMDTransfers atomic.Int64 // payloads moved via the splitmd protocol
-	ArchiveTransfers atomic.Int64 // payloads moved via whole-object archives
+	SplitMDTransfers atomic.Int64 // payloads sent via the splitmd protocol
+	ArchiveTransfers atomic.Int64 // payloads sent via whole-object archives
 	BcastsForwarded  atomic.Int64 // tree-broadcast forwards performed
-	TasksStolen      atomic.Int64
 	WirePackets      atomic.Int64 // physical fabric packets: one per counted message
 	CoalescedMsgs    atomic.Int64 // always 0: retained for the frozen bench/ harness, whose coalesce.msgs_per_packet reads 0 until a benchmark PR drops that row
 
@@ -54,7 +60,8 @@ type Collector struct {
 	LoopbackDeliveries atomic.Int64
 }
 
-// Snapshot is an immutable copy of a Collector's counters.
+// Snapshot is an immutable copy of one rank's counters (or, after Add, of
+// several ranks' sums).
 type Snapshot struct {
 	TasksExecuted    int64
 	MsgsSent         int64
@@ -66,7 +73,6 @@ type Snapshot struct {
 	SplitMDTransfers int64
 	ArchiveTransfers int64
 	BcastsForwarded  int64
-	TasksStolen      int64
 	WirePackets      int64
 	CoalescedMsgs    int64
 
@@ -84,85 +90,103 @@ type Snapshot struct {
 	BytesZeroCopied int64
 
 	LoopbackDeliveries int64
+
+	// Scheduler counts. They have no Collector cell: sched.Pool keeps them
+	// per worker and backend.Proc.Stats fills them in, so a bare
+	// Collector.Snapshot (the simulator, a test executor) leaves them 0.
+	TasksStolen   int64 // steal sweeps that found an item
+	StealAttempts int64 // steal sweeps started by out-of-work workers
+	InlineRuns    int64 // tasks executed through a worker's run-next slot
+	Parks         int64 // times a worker blocked in the park protocol
+	Wakes         int64 // wake permits granted to parked workers
+}
+
+// counter is one row of the name table: where a count lives in a Collector
+// and in a Snapshot, and what it is called on the way out.
+type counter struct {
+	name string        // exported metric name: obs reports, expvar, /metrics
+	text string        // its piece of Snapshot.String; "" leaves it out
+	live *atomic.Int64 // the Collector cell; nil for the scheduler counts
+	snap *int64
+}
+
+// counters is the one name table. Adding a counter is a Collector field, a
+// Snapshot field and a row here; every export follows. A name is an obs
+// constant exactly when some code reads that counter back by name. Rows
+// are in Snapshot.String order. A nil c stands for no collector (walking a
+// Snapshot alone).
+func counters(c *Collector, s *Snapshot) []counter {
+	if c == nil {
+		c = new(Collector)
+	}
+	return []counter{
+		{"core.tasks_executed", "tasks=%d", &c.TasksExecuted, &s.TasksExecuted},
+		{"net.msgs_sent", " msgs=%d", &c.MsgsSent, &s.MsgsSent},
+		{"net.msgs_received", "/%d", &c.MsgsReceived, &s.MsgsReceived},
+		{"net.bytes_sent", " bytes=%d", &c.BytesSent, &s.BytesSent},
+		{"net.bytes_received", "/%d", &c.BytesReceived, &s.BytesReceived},
+		{"net.wire_packets", " pkts=%d", &c.WirePackets, &s.WirePackets},
+		{"net.coalesced_msgs", "", &c.CoalescedMsgs, &s.CoalescedMsgs},
+		{obs.CounterDataCopies, " copies=%d", &c.DataCopies, &s.DataCopies},
+		{obs.CounterCopiesAvoided, " avoided=%d", &c.CopiesAvoided, &s.CopiesAvoided},
+		{"net.rendezvous_sends", " splitmd=%d", &c.SplitMDTransfers, &s.SplitMDTransfers},
+		{"net.archive_sends", " archive=%d", &c.ArchiveTransfers, &s.ArchiveTransfers},
+		{"bcast.forwards", " bcast-fwd=%d", &c.BcastsForwarded, &s.BcastsForwarded},
+		{obs.CounterSteals, " stolen=%d", nil, &s.TasksStolen},
+		{"core.match_ops", " matchops=%d", &c.MatchOps, &s.MatchOps},
+		{obs.CounterReduceLocalFolds, " folds=%d", &c.ReduceLocalFolds, &s.ReduceLocalFolds},
+		{"reduce.partials_sent", " partials=%d", &c.ReducePartialsSent, &s.ReducePartialsSent},
+		{obs.CounterReduceHops, " hops=%d", &c.ReduceHops, &s.ReduceHops},
+		{obs.CounterReduceDeliveries, " rdeliv=%d", &c.ReduceDeliveries, &s.ReduceDeliveries},
+		{"reduce.remote_ptp_msgs", " rptp=%d", &c.RemoteReducerMsgs, &s.RemoteReducerMsgs},
+		{obs.CounterReduceBytesSaved, " rbytes-saved=%d", &c.ReduceBytesSaved, &s.ReduceBytesSaved},
+		{obs.CounterGatherSends, " gather=%d", &c.GatherSends, &s.GatherSends},
+		{obs.CounterCopySends, " copysend=%d", &c.CopySends, &s.CopySends},
+		{obs.CounterViewDecodes, " views=%d", &c.ViewDecodes, &s.ViewDecodes},
+		{obs.CounterBytesZeroCopied, " zerocopied=%d", &c.BytesZeroCopied, &s.BytesZeroCopied},
+		{"net.loopback_deliveries", " loopback=%d", &c.LoopbackDeliveries, &s.LoopbackDeliveries},
+		{obs.CounterStealAttempts, " steal-att=%d", nil, &s.StealAttempts},
+		{obs.CounterInlined, " inlined=%d", nil, &s.InlineRuns},
+		{obs.CounterParks, " parks=%d", nil, &s.Parks},
+		{obs.CounterWakes, " wakes=%d", nil, &s.Wakes},
+	}
 }
 
 // Snapshot captures the current counter values.
 func (c *Collector) Snapshot() Snapshot {
-	return Snapshot{
-		TasksExecuted:    c.TasksExecuted.Load(),
-		MsgsSent:         c.MsgsSent.Load(),
-		MsgsReceived:     c.MsgsReceived.Load(),
-		BytesSent:        c.BytesSent.Load(),
-		BytesReceived:    c.BytesReceived.Load(),
-		DataCopies:       c.DataCopies.Load(),
-		CopiesAvoided:    c.CopiesAvoided.Load(),
-		SplitMDTransfers: c.SplitMDTransfers.Load(),
-		ArchiveTransfers: c.ArchiveTransfers.Load(),
-		BcastsForwarded:  c.BcastsForwarded.Load(),
-		TasksStolen:      c.TasksStolen.Load(),
-		WirePackets:      c.WirePackets.Load(),
-		CoalescedMsgs:    c.CoalescedMsgs.Load(),
-
-		MatchOps:           c.MatchOps.Load(),
-		ReduceLocalFolds:   c.ReduceLocalFolds.Load(),
-		ReducePartialsSent: c.ReducePartialsSent.Load(),
-		ReduceHops:         c.ReduceHops.Load(),
-		ReduceDeliveries:   c.ReduceDeliveries.Load(),
-		RemoteReducerMsgs:  c.RemoteReducerMsgs.Load(),
-		ReduceBytesSaved:   c.ReduceBytesSaved.Load(),
-
-		GatherSends:     c.GatherSends.Load(),
-		CopySends:       c.CopySends.Load(),
-		ViewDecodes:     c.ViewDecodes.Load(),
-		BytesZeroCopied: c.BytesZeroCopied.Load(),
-
-		LoopbackDeliveries: c.LoopbackDeliveries.Load(),
+	var s Snapshot
+	for _, r := range counters(c, &s) {
+		if r.live != nil {
+			*r.snap = r.live.Load()
+		}
 	}
+	return s
 }
 
 // Add returns the element-wise sum of two snapshots, used to aggregate
 // across ranks.
 func (s Snapshot) Add(o Snapshot) Snapshot {
-	return Snapshot{
-		TasksExecuted:    s.TasksExecuted + o.TasksExecuted,
-		MsgsSent:         s.MsgsSent + o.MsgsSent,
-		MsgsReceived:     s.MsgsReceived + o.MsgsReceived,
-		BytesSent:        s.BytesSent + o.BytesSent,
-		BytesReceived:    s.BytesReceived + o.BytesReceived,
-		DataCopies:       s.DataCopies + o.DataCopies,
-		CopiesAvoided:    s.CopiesAvoided + o.CopiesAvoided,
-		SplitMDTransfers: s.SplitMDTransfers + o.SplitMDTransfers,
-		ArchiveTransfers: s.ArchiveTransfers + o.ArchiveTransfers,
-		BcastsForwarded:  s.BcastsForwarded + o.BcastsForwarded,
-		TasksStolen:      s.TasksStolen + o.TasksStolen,
-		WirePackets:      s.WirePackets + o.WirePackets,
-		CoalescedMsgs:    s.CoalescedMsgs + o.CoalescedMsgs,
+	sum := counters(nil, &s)
+	for i, r := range counters(nil, &o) {
+		*sum[i].snap += *r.snap
+	}
+	return s
+}
 
-		MatchOps:           s.MatchOps + o.MatchOps,
-		ReduceLocalFolds:   s.ReduceLocalFolds + o.ReduceLocalFolds,
-		ReducePartialsSent: s.ReducePartialsSent + o.ReducePartialsSent,
-		ReduceHops:         s.ReduceHops + o.ReduceHops,
-		ReduceDeliveries:   s.ReduceDeliveries + o.ReduceDeliveries,
-		RemoteReducerMsgs:  s.RemoteReducerMsgs + o.RemoteReducerMsgs,
-		ReduceBytesSaved:   s.ReduceBytesSaved + o.ReduceBytesSaved,
-
-		GatherSends:     s.GatherSends + o.GatherSends,
-		CopySends:       s.CopySends + o.CopySends,
-		ViewDecodes:     s.ViewDecodes + o.ViewDecodes,
-		BytesZeroCopied: s.BytesZeroCopied + o.BytesZeroCopied,
-
-		LoopbackDeliveries: s.LoopbackDeliveries + o.LoopbackDeliveries,
+// Each calls emit with every counter's exported name and value; it is what
+// the obs registry's read-through walks.
+func (s Snapshot) Each(emit func(name string, v int64)) {
+	for _, r := range counters(nil, &s) {
+		emit(r.name, *r.snap)
 	}
 }
 
 func (s Snapshot) String() string {
-	return fmt.Sprintf(
-		"tasks=%d msgs=%d/%d bytes=%d/%d pkts=%d copies=%d avoided=%d splitmd=%d archive=%d bcast-fwd=%d stolen=%d matchops=%d folds=%d partials=%d hops=%d rdeliv=%d rptp=%d rbytes-saved=%d gather=%d copysend=%d views=%d zerocopied=%d",
-		s.TasksExecuted, s.MsgsSent, s.MsgsReceived, s.BytesSent, s.BytesReceived,
-		s.WirePackets,
-		s.DataCopies, s.CopiesAvoided, s.SplitMDTransfers, s.ArchiveTransfers,
-		s.BcastsForwarded, s.TasksStolen,
-		s.MatchOps, s.ReduceLocalFolds, s.ReducePartialsSent, s.ReduceHops,
-		s.ReduceDeliveries, s.RemoteReducerMsgs, s.ReduceBytesSaved,
-		s.GatherSends, s.CopySends, s.ViewDecodes, s.BytesZeroCopied)
+	var b strings.Builder
+	for _, r := range counters(nil, &s) {
+		if r.text != "" {
+			fmt.Fprintf(&b, r.text, *r.snap)
+		}
+	}
+	return b.String()
 }

@@ -155,7 +155,7 @@ func (pc *Process) Size() int { return pc.p.Size() }
 func (pc *Process) Workers() int { return pc.p.Workers() }
 
 // Stats returns this rank's execution counters.
-func (pc *Process) Stats() trace.Snapshot { return pc.p.Tracer().Snapshot() }
+func (pc *Process) Stats() trace.Snapshot { return pc.p.Stats() }
 
 // Obs returns this rank's observability recorder (nil when the run was not
 // configured with an obs.Session).
