@@ -1,5 +1,5 @@
 // Zero-copy wire path end-to-end tests: the gather/scatter protocol must
-// be numerically invisible (bit-identical results with the ablation switch
+// be numerically invisible (bit-identical results with gather sends
 // on or off) while its counters prove the payload bytes actually skipped
 // the archive copies, on the real transports and in the virtual-time cost
 // model alike.
@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/apps/bspmm"
 	"repro/internal/apps/cholesky"
+	"repro/internal/backend"
 	"repro/internal/backend/sim"
 	"repro/internal/cluster"
 	"repro/internal/serde"
@@ -20,20 +21,28 @@ import (
 	"repro/ttg"
 )
 
+// gatherOpts sizes preset o to 2 workers per rank and, when on is false,
+// turns its gather sends off (the per-runtime ablation switch).
+func gatherOpts(o backend.Options, on bool) backend.Options {
+	o.WorkersPerRank = 2
+	if !on {
+		o.GatherThreshold = -1
+	}
+	return o
+}
+
 // runCholeskyGather factorizes a 4x4-tile matrix on 4 real ranks and
 // returns the result tiles plus the cluster-summed trace. 16x16 tiles are
 // 2 KiB on the wire: above the 1 KiB gather floor, below the 4 KiB splitmd
 // threshold, so PaRSEC-model sends take the gather path when enabled.
-func runCholeskyGather(t *testing.T, be ttg.Backend, on bool) (map[ttg.Int2]*tile.Tile, trace.Snapshot) {
+func runCholeskyGather(t *testing.T, preset backend.Options, on bool) (map[ttg.Int2]*tile.Tile, trace.Snapshot) {
 	t.Helper()
-	serde.SetGatherSends(on)
-	defer serde.SetGatherSends(true)
 	grid := tile.Grid{N: 64, NB: 16}
 	var mu sync.Mutex
 	results := map[ttg.Int2]*tile.Tile{}
 	var sum trace.Snapshot
-	ttg.Run(ttg.Config{Ranks: 4, WorkersPerRank: 2, Backend: be}, func(pc *ttg.Process) {
-		g := pc.NewGraph()
+	backend.New(4, gatherOpts(preset, on)).Run(func(p *backend.Proc) {
+		g := ttg.NewGraphOn(p)
 		app := cholesky.Build(g, cholesky.Options{
 			Grid:       grid,
 			Variant:    cholesky.TTGVariant,
@@ -48,7 +57,7 @@ func runCholeskyGather(t *testing.T, be ttg.Backend, on bool) (map[ttg.Int2]*til
 		app.Seed()
 		g.Fence()
 		mu.Lock()
-		sum = sum.Add(pc.Stats())
+		sum = sum.Add(p.Stats())
 		mu.Unlock()
 	})
 	if maxErr, ok := cholesky.Verify(grid, results); !ok {
@@ -83,8 +92,8 @@ func expectBitIdentical(t *testing.T, on, off map[ttg.Int2]*tile.Tile) {
 // and the on-run's counters prove payload bytes really skipped the
 // archive path.
 func TestCholeskyGatherBitIdentical(t *testing.T) {
-	on, snapOn := runCholeskyGather(t, ttg.PaRSEC, true)
-	off, snapOff := runCholeskyGather(t, ttg.PaRSEC, false)
+	on, snapOn := runCholeskyGather(t, backend.PaRSEC(), true)
+	off, snapOff := runCholeskyGather(t, backend.PaRSEC(), false)
 	expectBitIdentical(t, on, off)
 	if snapOn.GatherSends == 0 {
 		t.Fatal("gather on: GatherSends = 0, the zero-copy path never fired")
@@ -109,8 +118,6 @@ func TestCholeskyGatherBitIdentical(t *testing.T) {
 // the product tiles plus the cluster-summed trace.
 func runBSPMMGather(t *testing.T, on bool) (map[ttg.Int2]*tile.Tile, trace.Snapshot) {
 	t.Helper()
-	serde.SetGatherSends(on)
-	defer serde.SetGatherSends(true)
 	spec := sparse.DefaultSpec(40)
 	spec.MaxTile = 48
 	spec.FuncsMin, spec.FuncsMax = 8, 20
@@ -119,8 +126,8 @@ func runBSPMMGather(t *testing.T, on bool) (map[ttg.Int2]*tile.Tile, trace.Snaps
 	var mu sync.Mutex
 	results := map[ttg.Int2]*tile.Tile{}
 	var sum trace.Snapshot
-	ttg.Run(ttg.Config{Ranks: 4, WorkersPerRank: 2, Backend: ttg.MADNESS}, func(pc *ttg.Process) {
-		g := pc.NewGraph()
+	backend.New(4, gatherOpts(backend.MADNESS(), on)).Run(func(p *backend.Proc) {
+		g := ttg.NewGraphOn(p)
 		app := bspmm.Build(g, bspmm.Options{
 			A:       m,
 			Variant: bspmm.TTGVariant,
@@ -134,7 +141,7 @@ func runBSPMMGather(t *testing.T, on bool) (map[ttg.Int2]*tile.Tile, trace.Snaps
 		app.Seed()
 		g.Fence()
 		mu.Lock()
-		sum = sum.Add(pc.Stats())
+		sum = sum.Add(p.Stats())
 		mu.Unlock()
 	})
 	return results, sum
@@ -171,12 +178,14 @@ func TestSimGatherCostModel(t *testing.T) {
 	grid := tile.Grid{N: 16 * 512, NB: 512}
 	machine := cluster.Hawk()
 	run := func(on bool) (drain float64, tasks int64, snap trace.Snapshot) {
-		serde.SetGatherSends(on)
-		defer serde.SetGatherSends(true)
+		fl := cluster.MadnessFlavor()
+		if !on {
+			fl.GatherThreshold = -1
+		}
 		rt := sim.New(sim.Config{
 			Ranks:   4,
 			Machine: machine,
-			Flavor:  cluster.MadnessFlavor(),
+			Flavor:  fl,
 			Cost:    cholesky.CostModel(grid, machine),
 		})
 		var mu sync.Mutex

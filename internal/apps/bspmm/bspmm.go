@@ -19,6 +19,7 @@ package bspmm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -174,7 +175,7 @@ func (a *App) receiversA(i, k int) []int {
 			out = append(out, r)
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -192,7 +193,7 @@ func (a *App) receiversB(k, j int) []int {
 			out = append(out, r)
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -211,14 +212,6 @@ func CostModel(m *sparse.Matrix, mach cluster.Machine) func(*core.Task) float64 
 			return float64(m.Dim(key[0])*m.Dim(key[1])) / mach.SmallOpRate
 		default:
 			return 0
-		}
-	}
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package bspmm
 
 import (
+	"slices"
+
 	"repro/internal/keymap"
 	"repro/internal/lapack"
 	"repro/internal/tile"
@@ -32,7 +34,7 @@ func (a *App) layerGeometry() {
 		a.layerOf[k] = l
 	}
 	for l := range a.layerKs {
-		sortInts(a.layerKs[l])
+		slices.Sort(a.layerKs[l])
 	}
 	a.layerTasks = map[int]map[ttg.Int2][]int{}
 	for l := 0; l < L; l++ {
@@ -70,7 +72,7 @@ func (a *App) receiversALayer(i, k, l int) []int {
 			out = append(out, r)
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -87,7 +89,7 @@ func (a *App) receiversBLayer(k, j, l int) []int {
 			out = append(out, r)
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 

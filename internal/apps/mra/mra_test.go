@@ -259,7 +259,7 @@ func wireRoundTrip[T any](t *testing.T, v T) (copied, gathered T) {
 	b := serde.NewBuffer(64)
 	serde.EncodeAny(b, v)
 	copied = serde.DecodeAny(serde.FromBytes(b.Bytes())).(T)
-	g, ok := serde.GathererFor(v)
+	g, ok := serde.LookupCached(v).Gatherer()
 	if !ok {
 		t.Fatalf("%T has no gather codec", v)
 	}

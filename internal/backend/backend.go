@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -35,9 +36,7 @@ const (
 	kData                        // eager data: header + inline archive value
 	kSplit                       // splitmd phase 1: header + metadata + RMA handle
 	kSplitAck                    // splitmd completion: release the source region
-	kBcast                       // tree broadcast: plan + inline value (small payloads)
-	kBcastHdr                    // pipelined broadcast: plan + payload geometry
-	kBcastChunk                  // pipelined broadcast: one payload chunk
+	kBcastChunk                  // tree broadcast: one chunk of the value; chunk 0 carries the plan and geometry
 	kGatherData                  // zero-copy data: header + gather header, payload as by-reference segments
 )
 
@@ -51,29 +50,9 @@ type Options struct {
 	WorkersPerRank int
 	// Policy is the task queue discipline, fixed by the preset.
 	Policy sched.Policy
-	// TracksData: the runtime owns data lifetimes, so const-ref sends
-	// avoid copies (PaRSEC-model: true, MADNESS-model: false).
-	TracksData bool
-	// SplitMD enables the split-metadata rendezvous protocol.
-	SplitMD bool
-	// TreeBroadcast forwards multi-rank broadcasts along a binomial tree
-	// instead of point-to-point sends from the root.
-	TreeBroadcast bool
-	// EagerThreshold is the wire size (bytes) above which splitmd is
-	// preferred over the eager archive path.
-	EagerThreshold int
-	// BcastChunk is the pipelined-broadcast chunk size: tree broadcasts
-	// whose serialized payload exceeds it are streamed in BcastChunk-byte
-	// pieces so relays forward chunk k while chunk k+1 is still in flight.
-	// Zero means the 128 KiB default; negative disables pipelining
-	// (store-and-forward of the whole payload at each hop).
-	BcastChunk int
-	// GatherThreshold is the wire size (bytes) at which point-to-point
-	// deliveries of gather-capable values take the zero-copy path (header
-	// encoded, payload shipped as by-reference segments) instead of
-	// copy-encoding. Zero means serde.GatherThreshold (1 KiB); negative
-	// disables gather sends on this runtime.
-	GatherThreshold int
+	// SendCaps are the protocol properties and thresholds core.PlanSend
+	// and core.PlanBcast decide by; this engine executes their plans.
+	core.SendCaps
 	// Net configures latency/bandwidth of the virtual fabric.
 	Net simnet.Config
 	// Fabric, when non-nil, replaces the in-process simnet cluster with an
@@ -96,7 +75,7 @@ type Options struct {
 // protocol, multi-rank broadcasts are forwarded along binomial trees, and
 // scheduling is banded work stealing that honors priority maps.
 func PaRSEC() Options {
-	return Options{Name: "parsec", Policy: sched.PolicyStealPrio, TracksData: true, SplitMD: true, TreeBroadcast: true}
+	return Options{Name: "parsec", Policy: sched.PolicyStealPrio, SendCaps: cluster.ParsecFlavor().SendCaps}
 }
 
 // MADNESS is the preset modeling the paper's MADNESS backend (§II-D): one
@@ -106,7 +85,7 @@ func PaRSEC() Options {
 // the copy and communication overheads the paper observes for
 // TTG-over-MADNESS in the MRA benchmark follow from these two properties.
 func MADNESS() Options {
-	return Options{Name: "madness", Policy: sched.PolicyFIFO}
+	return Options{Name: "madness", Policy: sched.PolicyFIFO, SendCaps: cluster.MadnessFlavor().SendCaps}
 }
 
 func (o *Options) fill(ranks int) {
@@ -115,12 +94,6 @@ func (o *Options) fill(ranks int) {
 		if o.WorkersPerRank < 1 {
 			o.WorkersPerRank = 1
 		}
-	}
-	if o.EagerThreshold <= 0 {
-		o.EagerThreshold = 4096
-	}
-	if o.BcastChunk == 0 {
-		o.BcastChunk = 128 << 10
 	}
 	o.Net.Ranks = ranks
 }
@@ -225,9 +198,9 @@ type Proc struct {
 	ready    chan struct{}
 	bindOnce sync.Once
 
-	// Pipelined-broadcast state: bcastSeq numbers broadcasts this rank
-	// roots; bcasts holds in-progress reassemblies keyed by {root, id}.
-	// Only the comm thread touches bcasts, so it needs no lock.
+	// Tree-broadcast state: bcastSeq numbers broadcasts this rank roots;
+	// bcasts holds in-progress multi-chunk reassemblies keyed by {root,
+	// id}. Only the comm thread touches bcasts, so it needs no lock.
 	bcastSeq atomic.Uint64
 	bcasts   map[bcastKey]*bcastState
 
@@ -412,47 +385,30 @@ func (p *Proc) SubmitBatch(ts []*core.Task) {
 	}
 }
 
-// Deliver implements core.Executor: one delivery to one remote rank.
-// Value-bearing deliveries pick a transport in preference order: splitmd
-// rendezvous (large values with splitmd traits, when the backend supports
-// it), the zero-copy gather path (gather-capable codecs above the gather
-// floor), then eager copy-encode.
+// Deliver implements core.Executor: one delivery to one remote rank, over
+// the protocol core.PlanSend picked.
 func (p *Proc) Deliver(dest int, d core.Delivery) {
-	if dest == p.rank {
-		p.deliverLoopback(d)
-		return
+	pl := core.PlanSend(d, p.rt.opts.SendCaps)
+	switch {
+	case dest == p.rank:
+		p.deliverLoopback(d, pl.Codec)
+	case pl.Proto == core.ProtoSplit:
+		p.deliverSplit(dest, d, pl)
+	case pl.Proto == core.ProtoGather && p.deliverGather(dest, d, pl):
+		// Shipped; a codec that declines this value leaves it to the copy path.
+	default:
+		p.deliverCopy(dest, d, pl)
 	}
-	hasValue := d.Control == core.CtrlNone || d.Control == core.CtrlReduce
-	var enc *serde.Cached
-	if hasValue {
-		// The edge-resolved codec rides the delivery; fall back to the
-		// registry when absent (control paths, reduce partials) or when
-		// the edge's cache doesn't match this value's type.
-		enc = d.Codec
-		if enc == nil || !enc.For(d.Value) {
-			enc = serde.LookupCached(d.Value)
-		}
-	}
-	if hasValue && p.rt.opts.SplitMD {
-		if _, ok := serde.SplitMDFor(d.Value); ok && enc.WireSizeAny(d.Value) >= p.rt.opts.EagerThreshold {
-			p.deliverSplit(dest, d)
-			return
-		}
-	}
-	if hasValue && serde.GatherSendsEnabled() {
-		if g, ok := enc.Gatherer(); ok {
-			if min := p.gatherMin(); min > 0 && enc.WireSizeAny(d.Value) >= min {
-				if p.deliverGather(dest, d, enc, g) {
-					return
-				}
-			}
-		}
-	}
+}
+
+// deliverCopy ships d as one eager frame: header, then the copy-encoded
+// value if the plan has one.
+func (p *Proc) deliverCopy(dest int, d core.Delivery, pl core.SendPlan) {
 	b := serde.GetBuffer(256)
 	core.EncodeHeader(b, d)
-	b.PutBool(hasValue)
-	if hasValue {
-		enc.EncodeAny(b, d.Value)
+	b.PutBool(pl.Codec != nil)
+	if pl.Codec != nil {
+		pl.Codec.EncodeAny(b, d.Value)
 		p.tr.ArchiveTransfers.Add(1)
 		p.tr.CopySends.Add(1)
 	}
@@ -469,7 +425,7 @@ func (p *Proc) Deliver(dest int, d core.Delivery) {
 // value — without touching the fabric or the termination detector's
 // message counts (the Activate bracket alone keeps the detector live
 // across the injection, as on the receive side).
-func (p *Proc) deliverLoopback(d core.Delivery) {
+func (p *Proc) deliverLoopback(d core.Delivery, enc *serde.Cached) {
 	<-p.ready
 	p.tr.LoopbackDeliveries.Add(1)
 	if d.Control == core.CtrlNone || d.Control == core.CtrlReduce {
@@ -483,10 +439,6 @@ func (p *Proc) deliverLoopback(d core.Delivery) {
 			// Immutable box: sharing is a correct deep copy, but it is
 			// shared, so the runtime must not reclaim it.
 		default:
-			enc := d.Codec
-			if enc == nil || !enc.For(d.Value) {
-				enc = serde.LookupCached(d.Value)
-			}
 			d.Value = enc.Clone(d.Value)
 			d.Exclusive = !enc.Shareable()
 			if enc.Shareable() {
@@ -501,34 +453,25 @@ func (p *Proc) deliverLoopback(d core.Delivery) {
 	p.det.Deactivate()
 }
 
-// gatherMin resolves the effective gather floor: the backend option when
-// set (negative disables), serde.GatherThreshold otherwise.
-func (p *Proc) gatherMin() int {
-	if t := p.rt.opts.GatherThreshold; t != 0 {
-		return t
-	}
-	return serde.GatherThreshold
-}
-
 // deliverGather ships d over the zero-copy path: the delivery header and
 // the codec's small gather header travel framed, the payload travels as
 // by-reference segments the fabric never copies. Returns false — leaving
 // no trace on the wire or in the counters — when the codec declines this
 // value (e.g. phantom tiles), in which case the caller copy-encodes.
 //
-// Alias safety: unless core marked the value as the transport's own
-// (OwnsValue: a moved value with a single remote destination and no local
-// consumers), the segments are snapshotted into pooled memory first — one
+// Alias safety: when the plan asks for a snapshot (the value is not the
+// transport's own), the segments are copied into pooled memory first — one
 // memcpy, still cheaper than the encode+decode pair it replaces — so the
 // sender may keep mutating its copy.
-func (p *Proc) deliverGather(dest int, d core.Delivery, enc *serde.Cached, g serde.Gatherer) bool {
+func (p *Proc) deliverGather(dest int, d core.Delivery, pl core.SendPlan) bool {
+	g, _ := pl.Codec.Gatherer()
 	hdr := serde.GetBuffer(64)
 	segs, ok := g.Segments(hdr, d.Value)
 	if !ok {
 		hdr.Release()
 		return false
 	}
-	if !d.OwnsValue {
+	if pl.Snapshot {
 		for i := range segs {
 			if segs[i].F64 != nil {
 				segs[i].F64 = pool.CloneFloat64s(segs[i].F64)
@@ -539,7 +482,7 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, enc *serde.Cached, g ser
 	}
 	b := serde.GetBuffer(256)
 	core.EncodeHeader(b, d)
-	b.PutUvarint(uint64(enc.Tag()))
+	b.PutUvarint(uint64(pl.Codec.Tag()))
 	b.PutBytes(hdr.Bytes())
 	b.PutUvarint(uint64(len(segs)))
 	hdr.Release()
@@ -551,19 +494,17 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, enc *serde.Cached, g ser
 
 // deliverSplit performs splitmd phase 1: eager metadata plus an RMA handle
 // to the registered source object; the receiver fetches the payload.
-func (p *Proc) deliverSplit(dest int, d core.Delivery) {
+func (p *Proc) deliverSplit(dest int, d core.Delivery, pl core.SendPlan) {
 	src := d.Value.(serde.SplitMD)
-	snapshot := false
-	if d.Mode == core.SendCopy {
+	if pl.Snapshot {
 		// The sender may mutate after send; snapshot for the deferred read.
-		src = serde.CloneAny(d.Value).(serde.SplitMD)
+		src = pl.Codec.Clone(d.Value).(serde.SplitMD)
 		p.tr.DataCopies.Add(1)
-		snapshot = true
 	} else {
 		p.tr.CopiesAvoided.Add(1)
 	}
 	h := p.ep.RegisterObject(src)
-	if snapshot {
+	if pl.Snapshot {
 		// Runtime-owned copy: reclaimable when the receiver acks.
 		p.snapMu.Lock()
 		if p.snaps == nil {
@@ -574,12 +515,12 @@ func (p *Proc) deliverSplit(dest int, d core.Delivery) {
 	}
 	b := serde.GetBuffer(256)
 	core.EncodeHeader(b, d)
-	b.PutUvarint(uint64(serde.WireTagOf(d.Value)))
+	b.PutUvarint(uint64(pl.Codec.Tag()))
 	b.PutBytes(src.SplitMetadata())
-	b.PutUvarint(uint64(src.PayloadBytes()))
+	b.PutUvarint(uint64(pl.Payload))
 	b.PutRaw(fabric.EncodeHandle(nil, h))
 	p.tr.SplitMDTransfers.Add(1)
-	p.tr.BytesSent.Add(int64(src.PayloadBytes())) // the RMA-fetched payload
+	p.tr.BytesSent.Add(int64(pl.Payload)) // the RMA-fetched payload
 	p.send(dest, kSplit, b.Detach(), nil)
 }
 
@@ -633,7 +574,7 @@ func (p *Proc) commLoop() {
 					r.Release()
 				}
 			}
-		case kData, kSplit, kGatherData, kBcast, kBcastHdr, kBcastChunk:
+		case kData, kSplit, kGatherData, kBcastChunk:
 			p.recvMsg(pkt)
 		default:
 			panic(fmt.Sprintf("backend: unknown packet kind %d", pkt.Kind))
@@ -676,10 +617,6 @@ func (p *Proc) recvMsg(pkt fabric.Packet) {
 		return // fetchSplit deactivates when the payload lands
 	// Broadcast packets carry arrays shared with other receivers and
 	// forwarded verbatim down the tree, so they are never recycled.
-	case kBcast:
-		p.handleBcast(pkt.Data)
-	case kBcastHdr:
-		p.handleBcastHdr(pkt.Data)
 	case kBcastChunk:
 		p.handleBcastChunk(pkt.Data)
 	}

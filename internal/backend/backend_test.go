@@ -163,16 +163,19 @@ func TestAllSchedulerPolicies(t *testing.T) {
 }
 
 // TestPresets pins the paper's §II-D property list: what New builds from
-// each preset, with only the machine-sized defaults filled in.
+// each preset, with only the worker count filled in. The protocol
+// properties are the sim flavor's by construction, and unset thresholds
+// resolve to their defaults when read, not when stored.
 func TestPresets(t *testing.T) {
 	for _, tc := range []struct {
 		preset                    backend.Options
+		flavor                    cluster.Flavor
 		name                      string
 		policy                    sched.Policy
 		tracks, splitmd, treeCast bool
 	}{
-		{backend.PaRSEC(), "parsec", sched.PolicyStealPrio, true, true, true},
-		{backend.MADNESS(), "madness", sched.PolicyFIFO, false, false, false},
+		{backend.PaRSEC(), cluster.ParsecFlavor(), "parsec", sched.PolicyStealPrio, true, true, true},
+		{backend.MADNESS(), cluster.MadnessFlavor(), "madness", sched.PolicyFIFO, false, false, false},
 	} {
 		rt := backend.New(2, tc.preset)
 		o := rt.Options()
@@ -181,31 +184,12 @@ func TestPresets(t *testing.T) {
 			o.SplitMD != tc.splitmd || o.TreeBroadcast != tc.treeCast {
 			t.Errorf("%s preset wrong: %+v", tc.name, o)
 		}
-		if o.WorkersPerRank < 1 || o.EagerThreshold <= 0 || o.BcastChunk <= 0 || o.GatherThreshold != 0 {
-			t.Errorf("%s defaults not filled: %+v", tc.name, o)
+		if o.SendCaps != tc.flavor.SendCaps || o.Name != tc.flavor.Name {
+			t.Errorf("%s: engine preset %+v is not sim flavor %+v", tc.name, o.SendCaps, tc.flavor)
 		}
-	}
-}
-
-// TestPresetsMatchSimFlavors keeps the DES cost model and the real engine
-// from drifting apart on what a backend is: the virtual-time flavors and
-// the engine presets must agree on every protocol property they share.
-func TestPresetsMatchSimFlavors(t *testing.T) {
-	for _, tc := range []struct {
-		preset backend.Options
-		flavor cluster.Flavor
-	}{
-		{backend.PaRSEC(), cluster.ParsecFlavor()},
-		{backend.MADNESS(), cluster.MadnessFlavor()},
-	} {
-		rt := backend.New(1, tc.preset)
-		o, f := rt.Options(), tc.flavor
-		rt.Shutdown()
-		if o.Name != f.Name || o.SplitMD != f.SplitMD || o.TreeBroadcast != f.TreeBroadcast || o.TracksData != f.TracksData {
-			t.Errorf("%s: engine preset %+v disagrees with sim flavor %+v", f.Name, o, f)
-		}
-		if o.SplitMD && o.EagerThreshold != f.EagerThreshold {
-			t.Errorf("%s: engine eager threshold %d, sim flavor %d", f.Name, o.EagerThreshold, f.EagerThreshold)
+		_, chunk := o.Chunks(1 << 20)
+		if o.WorkersPerRank < 1 || o.Eager() != 4096 || chunk != 128<<10 || o.GatherThreshold != 0 {
+			t.Errorf("%s defaults wrong: %+v", tc.name, o)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package backend_test
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -266,5 +268,90 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 					relaySent, relayTasks, relayWakes)
 			}
 		})
+	}
+}
+
+// recordingEndpoint notes every counted message (Proc.send is the only
+// SendSegs caller) its rank puts on the fabric, in departure order.
+type recordingEndpoint struct {
+	*netfab.Endpoint
+	mu   sync.Mutex
+	dsts []int
+	data [][]byte
+}
+
+func (e *recordingEndpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment) {
+	e.mu.Lock()
+	e.dsts = append(e.dsts, dst)
+	e.data = append(e.data, append([]byte(nil), data...))
+	e.mu.Unlock()
+	e.Endpoint.SendSegs(dst, kind, data, segs)
+}
+
+// TestBroadcastOrderIsDeterministic broadcasts one value from rank 0 to
+// keys on ranks 1-3, twenty times over: without a tree the three sends
+// must leave in ascending rank order every time, and with one the root's
+// plan frame must be byte-identical across repetitions — both walk
+// core.PlanBcast's sorted rank list, never the destination map.
+func TestBroadcastOrderIsDeterministic(t *testing.T) {
+	run := func(opts backend.Options) *recordingEndpoint {
+		eps, err := netfab.NewLocalMesh(4, netfab.Config{Transport: "tcp"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := &recordingEndpoint{Endpoint: eps[0]}
+		var wg sync.WaitGroup
+		for r, ep := range eps {
+			o := opts
+			if o.Fabric = ep; r == 0 {
+				o.Fabric = root
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				backend.New(0, o).Run(func(p *backend.Proc) {
+					g := p.NewGraph()
+					in, out := core.NewEdge("in"), core.NewEdge("out")
+					g.AddTT(core.TTSpec{
+						Name:    "src",
+						Inputs:  []core.InputSpec{{Edge: in}},
+						Outputs: []core.OutputSpec{{Edge: out}},
+						Keymap:  func(any) int { return 0 },
+						Body: func(ctx *core.TaskContext) {
+							ctx.Broadcast(0, []any{serde.Int1{3}, serde.Int1{1}, serde.Int1{2}}, []float64{1, 2, 3})
+						},
+					})
+					g.AddTT(core.TTSpec{
+						Name:   "dst",
+						Inputs: []core.InputSpec{{Edge: out}},
+						Keymap: func(k any) int { return k.(serde.Int1)[0] },
+						Body:   func(*core.TaskContext) {},
+					})
+					g.Seal()
+					p.Bind(g)
+					if p.Rank() == 0 {
+						g.Seed(in, serde.Int1{0}, 0.0)
+					}
+					g.Fence()
+				})
+			}()
+		}
+		wg.Wait()
+		return root
+	}
+	var frame []byte
+	for i := 0; i < 20; i++ {
+		if got := run(withWorkers(backend.MADNESS(), 1)).dsts; !slices.Equal(got, []int{1, 2, 3}) {
+			t.Fatalf("repetition %d: point-to-point broadcast left for ranks %v, want [1 2 3]", i, got)
+		}
+		tree := run(withWorkers(backend.PaRSEC(), 1))
+		if !slices.Equal(tree.dsts, []int{1, 2}) || !bytes.Equal(tree.data[0], tree.data[1]) {
+			t.Fatalf("repetition %d: tree root sent to %v, want one shared frame to its children [1 2]", i, tree.dsts)
+		}
+		if frame == nil {
+			frame = tree.data[0]
+		} else if !bytes.Equal(frame, tree.data[0]) {
+			t.Fatalf("repetition %d: root plan frame changed:\n%x\n%x", i, frame, tree.data[0])
+		}
 	}
 }

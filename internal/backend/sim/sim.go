@@ -421,35 +421,6 @@ func (p *Proc) complete(t *core.Task) {
 	finish()
 }
 
-// valueBytes estimates the wire size of a delivery. Data deliveries and
-// reduce-tree partials carry a value; pure controls are header-only. The
-// delivery's devirtualized codec handle sizes the value without a registry
-// map hit when it still matches the dynamic type.
-func valueBytes(d core.Delivery) int {
-	n := core.HeaderWireSize(d)
-	if (d.Control == core.CtrlNone || d.Control == core.CtrlReduce) && d.Value != nil {
-		if c := d.Codec; c != nil && c.For(d.Value) {
-			n += c.WireSizeAny(d.Value)
-		} else {
-			n += serde.WireSizeAny(d.Value)
-		}
-	}
-	return n
-}
-
-// gatherable reports whether the delivery's codec opts into the gather
-// protocol. Capability is checked by codec type only — sim payloads are
-// phantoms, so Segments is never called; the cost model charges what a
-// real payload of the declared shape would cost on the zero-copy path.
-func gatherable(d core.Delivery) bool {
-	if c := d.Codec; c != nil && c.For(d.Value) {
-		_, ok := c.Gatherer()
-		return ok
-	}
-	_, ok := serde.GathererFor(d.Value)
-	return ok
-}
-
 // Deliver implements core.Executor: schedule the message through the
 // virtual fabric. The value object itself is handed to the destination
 // graph (phantom-payload contract); only the time is simulated.
@@ -463,13 +434,11 @@ func (p *Proc) Deliver(dest int, d core.Delivery) {
 	p.deliver(dest, d)
 }
 
+// splitMetaBytes is the modeled size of a splitmd phase-1 message beyond
+// its routing header: wire tag, type metadata, payload size, RMA handle.
+const splitMetaBytes = 64
+
 func (p *Proc) deliver(dest int, d core.Delivery) {
-	m := p.rt.cfg.Machine
-	fl := p.rt.cfg.Flavor
-	bw := fl.LinkBandwidth(m)
-	q := p.rt.procs[dest]
-	eng := p.rt.eng
-	now := eng.Now()
 	p.tr.MsgsSent.Add(1)
 	// Causal span: tag the delivery with a flow id and record the send
 	// point; inject records the receive point and the exporter draws the
@@ -477,105 +446,85 @@ func (p *Proc) deliver(dest int, d core.Delivery) {
 	// perturbs simulated message sizes or timings.
 	if p.rt.timeline != nil && d.Flow == 0 {
 		d.Flow = p.rt.flowSeq.Add(1)
-		p.rt.timeline.flowSend(d.Flow, p.rank, now)
+		p.rt.timeline.flowSend(d.Flow, p.rank, p.rt.eng.Now())
 	}
-
-	useSplit := false
-	var payload int
-	if (d.Control == core.CtrlNone || d.Control == core.CtrlReduce) && fl.SplitMD {
-		if smd, ok := d.Value.(serde.SplitMD); ok {
-			if _, has := serde.SplitMDFor(d.Value); has && smd.PayloadBytes() >= fl.EagerThreshold {
-				useSplit = true
-				payload = smd.PayloadBytes()
-			}
-		}
-	}
-
-	if useSplit {
+	pl := core.PlanSend(d, p.rt.cfg.Flavor.SendCaps)
+	// Every protocol frames the routing header; the eager ones add a value
+	// marker byte and the value, splitmd its metadata.
+	hdr := core.HeaderWireSize(d)
+	frame := hdr + 1 + pl.ValueBytes
+	var sendCopy, recvCopy, land int
+	switch pl.Proto {
+	case core.ProtoSplit:
 		// Phase 1: eager metadata. Phase 2: RMA get of the payload,
-		// overlapping other traffic, no serialization copies.
-		meta := core.HeaderWireSize(d) + 64
-		p.tr.BytesSent.Add(int64(meta + payload))
+		// overlapping other traffic, no serialization copies — only the
+		// snapshot a SendCopy sender needs before the deferred read.
+		frame, land = hdr+splitMetaBytes, pl.Payload
 		p.tr.SplitMDTransfers.Add(1)
-		depart := maxf(now, p.nicFreeAt)
-		p.nicFreeAt = depart + float64(meta)/bw
-		metaArrive := p.nicFreeAt + m.Latency
-		eng.At(metaArrive-now, func() {
-			procStart := maxf(eng.Now(), q.recvFreeAt)
-			procEnd := procStart + fl.MsgOverhead
-			q.recvFreeAt = procEnd
-			// RMA get: source link busy for the payload; one extra
-			// round-trip of latency; payload lands directly in place.
-			start := maxf(procEnd, p.nicFreeAt)
-			p.nicFreeAt = start + float64(payload)/bw
-			done := p.nicFreeAt + 2*m.Latency
-			eng.At(done-eng.Now(), func() { q.inject(d) })
-		})
-		return
-	}
-
-	hasValue := (d.Control == core.CtrlNone || d.Control == core.CtrlReduce) && d.Value != nil
-
-	// Zero-copy gather path: a gather-capable payload at or above the floor
-	// ships its encoded header through the normal eager machinery but the
-	// payload by reference. The sender pays one snapshot memcpy only when it
-	// retains the value (!OwnsValue); the receiver decodes a view over the
-	// landed segments, so the deserialize copy disappears entirely.
-	if !useSplit && hasValue && serde.GatherSendsEnabled() && gatherable(d) {
-		if total := valueBytes(d); total >= serde.GatherThreshold {
-			p.tr.BytesSent.Add(int64(total))
-			p.tr.GatherSends.Add(1)
-			p.tr.BytesZeroCopied.Add(int64(total - core.HeaderWireSize(d)))
-			snap := 0.0
-			if !d.OwnsValue {
-				snap = float64(total) / m.CopyBandwidth
-			}
-			depart := maxf(now, p.nicFreeAt)
-			p.nicFreeAt = depart + snap + float64(total)/bw
-			arrive := p.nicFreeAt + m.Latency
-			eng.At(arrive-now, func() {
-				procStart := maxf(eng.Now(), q.recvFreeAt)
-				procEnd := procStart + fl.MsgOverhead
-				q.recvFreeAt = procEnd
-				eng.At(procEnd-eng.Now(), func() { q.inject(d) })
-			})
-			return
+		if pl.Snapshot {
+			sendCopy = land
+		}
+	case core.ProtoGather:
+		// The encoded header rides the eager machinery, the payload goes by
+		// reference: one snapshot memcpy when the sender retains the value,
+		// and the receiver decodes a view over the landed segments.
+		p.tr.GatherSends.Add(1)
+		p.tr.BytesZeroCopied.Add(int64(pl.Payload))
+		if pl.Snapshot {
+			sendCopy = frame
+		}
+	default:
+		// Eager archive: serialize (copy), transfer, deserialize (copy).
+		sendCopy, recvCopy = frame, frame
+		if pl.Codec != nil {
+			p.tr.CopySends.Add(1)
+			p.tr.ArchiveTransfers.Add(1)
 		}
 	}
+	p.tr.BytesSent.Add(int64(frame + land))
+	p.transfer(p.rt.procs[dest], d, sendCopy, recvCopy, frame, land)
+}
 
-	// Eager archive path: serialize (copy), transfer, deserialize (copy).
-	total := valueBytes(d)
-	p.tr.BytesSent.Add(int64(total))
-	if hasValue {
-		p.tr.CopySends.Add(1)
-	}
-	if d.Control == core.CtrlNone || d.Control == core.CtrlReduce {
-		p.tr.ArchiveTransfers.Add(1)
-	}
-	depart := maxf(now, p.nicFreeAt)
-	p.nicFreeAt = depart + float64(total)/m.CopyBandwidth + float64(total)/bw
+// transfer charges one message from p to q and lands d there: sendCopy
+// bytes memcpy'd before frame bytes occupy p's link, one latency, the
+// comm thread's per-message overhead plus recvCopy bytes memcpy'd at q;
+// then, for a rendezvous, land bytes fetched over p's link with one extra
+// round trip, straight into place.
+func (p *Proc) transfer(q *Proc, d core.Delivery, sendCopy, recvCopy, frame, land int) {
+	m := p.rt.cfg.Machine
+	fl := p.rt.cfg.Flavor
+	bw := fl.LinkBandwidth(m)
+	eng := p.rt.eng
+	now := eng.Now()
+	depart := max(now, p.nicFreeAt)
+	p.nicFreeAt = depart + float64(sendCopy)/m.CopyBandwidth + float64(frame)/bw
 	arrive := p.nicFreeAt + m.Latency
 	eng.At(arrive-now, func() {
-		procStart := maxf(eng.Now(), q.recvFreeAt)
-		procEnd := procStart + fl.MsgOverhead + float64(total)/m.CopyBandwidth
-		q.recvFreeAt = procEnd
-		eng.At(procEnd-eng.Now(), func() { q.inject(d) })
+		done := max(eng.Now(), q.recvFreeAt) + fl.MsgOverhead + float64(recvCopy)/m.CopyBandwidth
+		q.recvFreeAt = done
+		if land > 0 {
+			start := max(done, p.nicFreeAt)
+			p.nicFreeAt = start + float64(land)/bw
+			done = p.nicFreeAt + 2*m.Latency
+		}
+		eng.At(done-eng.Now(), func() { q.inject(d, frame+land) })
 	})
 }
 
-// inject lands a delivery on the destination graph, charging any copies
-// the graph makes (multi-key fan-out) to the receiving comm thread.
-func (q *Proc) inject(d core.Delivery) {
+// inject lands a delivery that arrived as wireBytes on the destination
+// graph, charging any copies the graph makes (multi-key fan-out) to the
+// receiving comm thread.
+func (q *Proc) inject(d core.Delivery, wireBytes int) {
 	rt := q.rt
 	rt.curExtra = 0
 	if d.Flow != 0 && rt.timeline != nil {
 		rt.timeline.flowRecv(d.Flow, q.rank, rt.eng.Now())
 	}
 	q.tr.MsgsReceived.Add(1)
-	q.tr.BytesReceived.Add(int64(valueBytes(d)))
+	q.tr.BytesReceived.Add(int64(wireBytes))
 	q.graph.Inject(d)
 	if extra := rt.curExtra; extra > 0 {
-		q.recvFreeAt = maxf(q.recvFreeAt, rt.eng.Now()+extra)
+		q.recvFreeAt = max(q.recvFreeAt, rt.eng.Now()+extra)
 	}
 	rt.curExtra = 0
 }
@@ -595,34 +544,19 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 }
 
 func (p *Proc) broadcast(dests map[int]core.Delivery) {
-	fl := p.rt.cfg.Flavor
-	ranks := make([]int, 0, len(dests))
-	for dst := range dests {
-		ranks = append(ranks, dst)
-	}
-	sortInts(ranks) // deterministic event order regardless of map iteration
-	if !fl.TreeBroadcast || len(dests) < 2 {
-		for _, dst := range ranks {
+	pl := core.PlanBcast(p.rank, dests, p.rt.cfg.Flavor.SendCaps)
+	if pl.Order == nil {
+		for _, dst := range pl.Ranks {
 			p.deliver(dst, dests[dst])
 		}
 		return
-	}
-	// The broadcast packet carries every destination's routing header plus
-	// the value once; size it deterministically over all entries.
-	sample := dests[ranks[0]]
-	total := 0
-	for _, dst := range ranks {
-		total += core.HeaderWireSize(dests[dst]) + 5
-	}
-	if sample.Control == core.CtrlNone && sample.Value != nil {
-		total += serde.WireSizeAny(sample.Value)
 	}
 	// Tree broadcast: one flow per destination, all rooted at the send
 	// point, so the trace shows the root fanning out to every receiver
 	// even though the bytes travel hop-by-hop.
 	if p.rt.timeline != nil {
 		now := p.rt.eng.Now()
-		for _, dst := range ranks {
+		for _, dst := range pl.Ranks {
 			d := dests[dst]
 			if d.Flow == 0 {
 				d.Flow = p.rt.flowSeq.Add(1)
@@ -631,36 +565,35 @@ func (p *Proc) broadcast(dests map[int]core.Delivery) {
 			}
 		}
 	}
-	order := collective.Order(p.rank, ranks)
-	// Like point-to-point transfers, broadcast hops use the one-sided
-	// path for large splitmd-capable payloads: forwarding then costs
-	// bandwidth and latency but no serialization copies.
-	oneSided := false
-	if sample.Control == core.CtrlNone && fl.SplitMD {
-		if smd, ok := sample.Value.(serde.SplitMD); ok {
-			if _, has := serde.SplitMDFor(sample.Value); has && smd.PayloadBytes() >= fl.EagerThreshold {
-				oneSided = true
-			}
-		}
+	// What crosses each tree edge: every destination's rank and routing
+	// header, plus the value once.
+	total := pl.Value.ValueBytes
+	for _, dst := range pl.Ranks {
+		total += 2*serde.VarintLen(int64(dst)) + core.HeaderWireSize(dests[dst])
 	}
-	p.forwardBcast(order, dests, total, oneSided, true)
+	p.forwardBcast(pl, dests, total, true)
 }
 
 // forwardBcast sends the broadcast packet to this rank's tree children;
-// each child delivers its own part and forwards further.
-func (p *Proc) forwardBcast(order []int, dests map[int]core.Delivery, total int, oneSided, isRoot bool) {
+// each child delivers its own part and forwards further. Like
+// point-to-point transfers, hops of a rendezvous-sized value are costed
+// one-sided: bandwidth and an extra latency but no serialization copies
+// (the paper's RMA hardware; the engine forwards serialized chunks over
+// its byte-stream fabric — the one known model/engine gap, DESIGN.md §7).
+func (p *Proc) forwardBcast(pl core.BcastPlan, dests map[int]core.Delivery, total int, isRoot bool) {
 	m := p.rt.cfg.Machine
 	fl := p.rt.cfg.Flavor
 	bw := fl.LinkBandwidth(m)
 	eng := p.rt.eng
-	for _, child := range collective.Fanout(order, p.rank) {
+	oneSided := pl.Value.Proto == core.ProtoSplit
+	for _, child := range collective.Fanout(pl.Order, p.rank) {
 		q := p.rt.procs[child]
 		p.tr.MsgsSent.Add(1)
 		p.tr.BytesSent.Add(int64(total))
 		if !isRoot {
 			p.tr.BcastsForwarded.Add(1)
 		}
-		depart := maxf(eng.Now(), p.nicFreeAt)
+		depart := max(eng.Now(), p.nicFreeAt)
 		ser := 0.0
 		if isRoot && !oneSided {
 			ser = float64(total) / m.CopyBandwidth // serialize once at the root
@@ -671,18 +604,17 @@ func (p *Proc) forwardBcast(order []int, dests map[int]core.Delivery, total int,
 			arrive += m.Latency // the RMA round trip
 		}
 		eng.At(arrive-eng.Now(), func() {
-			procStart := maxf(eng.Now(), q.recvFreeAt)
+			procStart := max(eng.Now(), q.recvFreeAt)
 			procEnd := procStart + fl.MsgOverhead
 			if !oneSided {
 				procEnd += float64(total) / m.CopyBandwidth
 			}
 			q.recvFreeAt = procEnd
 			eng.At(procEnd-eng.Now(), func() {
-				// Forward first (overlap), then deliver the local part.
-				q.forwardBcast(order, dests, total, oneSided, false)
-				if d, ok := dests[q.rank]; ok {
-					q.inject(d)
-				}
+				// Forward first (overlap), then deliver the local part:
+				// every non-root participant is a destination.
+				q.forwardBcast(pl, dests, total, false)
+				q.inject(dests[q.rank], total)
 			})
 		})
 	}
@@ -732,19 +664,4 @@ func (p *Proc) Fence() {
 		rt.fcond.Wait()
 	}
 	rt.fmu.Unlock()
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -168,7 +168,7 @@ func TestTreeBroadcastBeatsNaive(t *testing.T) {
 		const ranks = 64
 		m := idealMachine()
 		m.Bandwidth = 1e9
-		fl := cluster.Flavor{Name: "x", TreeBroadcast: tree}
+		fl := cluster.Flavor{Name: "x", SendCaps: core.SendCaps{TreeBroadcast: tree}}
 		rt := New(Config{Ranks: ranks, WorkersPerRank: 1, Machine: m, Flavor: fl})
 		rt.Run(func(p *Proc) {
 			g := p.NewGraph()
@@ -308,7 +308,7 @@ func TestSplitMDSkipsSerializationCopies(t *testing.T) {
 		m := idealMachine()
 		m.Bandwidth = 20e9
 		m.CopyBandwidth = 1e9 // copies dominate
-		fl := cluster.Flavor{Name: "x", SplitMD: split, EagerThreshold: 1024, TracksData: true}
+		fl := cluster.Flavor{Name: "x", SendCaps: core.SendCaps{SplitMD: split, EagerThreshold: 1024, TracksData: true}}
 		rt := New(Config{Ranks: 2, WorkersPerRank: 1, Machine: m, Flavor: fl})
 		rt.Run(func(p *Proc) {
 			g := p.NewGraph()

@@ -176,32 +176,24 @@ func TestGatherCopySemantics(t *testing.T) {
 	}
 }
 
-// TestGatherAblationSwitch pins both knobs: the global serde switch and a
-// negative per-runtime threshold each force every data send back onto the
-// copy-encode path, with identical results.
+// TestGatherAblationSwitch pins the per-runtime knob: a negative gather
+// threshold, or one above the payload, forces every data send back onto
+// the copy-encode path, with identical results.
 func TestGatherAblationSwitch(t *testing.T) {
 	const rows, cols = 32, 32
 
-	serde.SetGatherSends(false)
-	got, send, recv := runTileSend(t, withWorkers(backend.MADNESS(), 1), rows, cols, core.SendMove)
-	serde.SetGatherSends(true)
-	expectTileData(t, got, rows, cols)
-	if send.GatherSends != 0 {
-		t.Fatalf("gather off: GatherSends = %d, want 0", send.GatherSends)
-	}
-	if send.CopySends == 0 {
-		t.Fatal("gather off: CopySends never moved")
-	}
-	if recv.ViewDecodes != 0 {
-		t.Fatalf("gather off: ViewDecodes = %d, want 0", recv.ViewDecodes)
-	}
-
 	o := withWorkers(backend.MADNESS(), 1)
 	o.GatherThreshold = -1
-	got, send, _ = runTileSend(t, o, rows, cols, core.SendMove)
+	got, send, recv := runTileSend(t, o, rows, cols, core.SendMove)
 	expectTileData(t, got, rows, cols)
 	if send.GatherSends != 0 {
 		t.Fatalf("threshold<0: GatherSends = %d, want 0", send.GatherSends)
+	}
+	if send.CopySends == 0 {
+		t.Fatal("threshold<0: CopySends never moved")
+	}
+	if recv.ViewDecodes != 0 {
+		t.Fatalf("threshold<0: ViewDecodes = %d, want 0", recv.ViewDecodes)
 	}
 
 	// A threshold above the payload also declines.

@@ -12,6 +12,8 @@
 // shape of the scaling curves, not the papers' absolute GF/s.
 package cluster
 
+import "repro/internal/core"
+
 // Machine is a per-node hardware model used by the sim backend.
 type Machine struct {
 	// Name tags the machine in reports.
@@ -92,15 +94,10 @@ type Flavor struct {
 	// MsgOverhead is the per-active-message processing cost in seconds on
 	// each side.
 	MsgOverhead float64
-	// SplitMD enables the metadata+RMA rendezvous protocol (no
-	// serialization copies for large payloads).
-	SplitMD bool
-	// TreeBroadcast forwards multi-rank broadcasts along binomial trees.
-	TreeBroadcast bool
-	// TracksData: const-ref sends avoid local copies.
-	TracksData bool
-	// EagerThreshold is the splitmd switch-over size in bytes.
-	EagerThreshold int
+	// SendCaps are the protocol properties core.PlanSend/PlanBcast decide
+	// by; the engine presets (backend.PaRSEC, backend.MADNESS) read theirs
+	// from the flavor of the same name.
+	core.SendCaps
 	// BandwidthEff derates the machine's link bandwidth for runtimes with
 	// a less efficient communication substrate (0 means 1.0 = full).
 	BandwidthEff float64
@@ -121,13 +118,10 @@ func (f Flavor) LinkBandwidth(m Machine) float64 {
 // broadcasts, runtime-owned data.
 func ParsecFlavor() Flavor {
 	return Flavor{
-		Name:           "parsec",
-		TaskOverhead:   1.5e-6,
-		MsgOverhead:    1.0e-6,
-		SplitMD:        true,
-		TreeBroadcast:  true,
-		TracksData:     true,
-		EagerThreshold: 4096,
+		Name:         "parsec",
+		TaskOverhead: 1.5e-6,
+		MsgOverhead:  1.0e-6,
+		SendCaps:     core.SendCaps{TracksData: true, SplitMD: true, TreeBroadcast: true},
 	}
 }
 
@@ -135,27 +129,18 @@ func ParsecFlavor() Flavor {
 // every hop (no splitmd), no broadcast trees, per-hop data copies, and a
 // busier active-message thread.
 func MadnessFlavor() Flavor {
-	return Flavor{
-		Name:          "madness",
-		TaskOverhead:  3.0e-6,
-		MsgOverhead:   4.0e-6,
-		SplitMD:       false,
-		TreeBroadcast: false,
-		TracksData:    false,
-	}
+	return Flavor{Name: "madness", TaskOverhead: 3.0e-6, MsgOverhead: 4.0e-6}
 }
 
 // MPIRuntimeFlavor models a plain MPI+X communication layer (used by the
 // baselines): efficient point-to-point, no task runtime services.
 func MPIRuntimeFlavor() Flavor {
 	return Flavor{
-		Name:           "mpi",
-		TaskOverhead:   0.5e-6,
-		MsgOverhead:    1.0e-6,
-		SplitMD:        true, // MPI rendezvous protocol plays the same role
-		TreeBroadcast:  true, // MPI_Bcast is tree-based
-		TracksData:     true,
-		EagerThreshold: 4096,
+		Name:         "mpi",
+		TaskOverhead: 0.5e-6,
+		MsgOverhead:  1.0e-6,
+		// MPI's rendezvous protocol plays splitmd's role; MPI_Bcast is a tree.
+		SendCaps: core.SendCaps{TracksData: true, SplitMD: true, TreeBroadcast: true},
 	}
 }
 
@@ -175,13 +160,10 @@ func DPLASMAFlavor() Flavor {
 // the paper's stated hypothesis for Chameleon trailing TTG and DPLASMA.
 func ChameleonFlavor() Flavor {
 	return Flavor{
-		Name:           "chameleon",
-		TaskOverhead:   2.0e-6,
-		MsgOverhead:    1.5e-6,
-		SplitMD:        true,
-		TreeBroadcast:  false, // point-to-point repeated sends
-		TracksData:     true,
-		EagerThreshold: 4096,
-		BandwidthEff:   0.8,
+		Name:         "chameleon",
+		TaskOverhead: 2.0e-6,
+		MsgOverhead:  1.5e-6,
+		SendCaps:     core.SendCaps{TracksData: true, SplitMD: true}, // no tree: repeated point-to-point sends
+		BandwidthEff: 0.8,
 	}
 }

@@ -85,15 +85,13 @@ type Delivery struct {
 	// behind a flag bit, so untraced runs pay no wire bytes.
 	Flow uint64
 	// Codec is the devirtualized codec for Value's type, resolved once per
-	// edge and handed to the transport so steady-state sends skip the
-	// registry map lookup. Not wire-encoded; may be nil (transports fall
-	// back to the registry) and must be revalidated with Codec.For(Value)
-	// before use — an edge can in principle carry mixed types.
+	// edge so steady-state sends skip the registry map lookup. Not
+	// wire-encoded; may be nil or — an edge can in principle carry mixed
+	// types — stale: PlanSend revalidates it and hands on the right one.
 	Codec *serde.Cached
 	// OwnsValue marks Value as exclusively the transport's after this
 	// call: a moved value with no local consumers and a single remote
-	// destination. A gathering transport may then ship payload segments
-	// by reference without snapshotting them. Not wire-encoded.
+	// destination, so a gather send needs no snapshot. Not wire-encoded.
 	OwnsValue bool
 }
 

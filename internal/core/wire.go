@@ -72,17 +72,17 @@ func DecodeHeader(b *serde.Buffer) Delivery {
 	return d
 }
 
-// HeaderWireSize estimates the encoded header size (cost models). The
-// flow id is deliberately excluded so enabling tracing never perturbs the
-// simulator's virtual message sizes.
+// HeaderWireSize returns len(EncodeHeader(d)) without encoding (cost
+// models). The flow id is deliberately excluded so enabling tracing never
+// perturbs the simulator's virtual message sizes.
 func HeaderWireSize(d Delivery) int {
 	n := 1
 	if d.Control == CtrlSetSize || d.Control == CtrlReduce {
-		n += 5
+		n += serde.VarintLen(int64(d.N))
 	}
-	n += 2
+	n += serde.UvarintLen(uint64(len(d.Targets)))
 	for _, t := range d.Targets {
-		n += 6
+		n += serde.UvarintLen(uint64(t.TT)) + serde.UvarintLen(uint64(t.Term)) + serde.UvarintLen(uint64(len(t.Keys)))
 		for _, k := range t.Keys {
 			n += serde.WireSizeAny(k)
 		}

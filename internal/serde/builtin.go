@@ -37,13 +37,13 @@ func init() {
 	Register(FuncCodec[int]{
 		Enc:   func(b *Buffer, v int) { b.PutVarint(int64(v)) },
 		Dec:   func(b *Buffer) int { return int(b.Varint()) },
-		Size:  func(v int) int { return varintLen(int64(v)) },
+		Size:  func(v int) int { return VarintLen(int64(v)) },
 		Proto: ProtoTrivial,
 	})
 	Register(FuncCodec[int64]{
 		Enc:   func(b *Buffer, v int64) { b.PutVarint(v) },
 		Dec:   func(b *Buffer) int64 { return b.Varint() },
-		Size:  func(v int64) int { return varintLen(v) },
+		Size:  func(v int64) int { return VarintLen(v) },
 		Proto: ProtoTrivial,
 	})
 	RegisterTrivial[float64](8,
@@ -52,13 +52,13 @@ func init() {
 	Register(FuncCodec[string]{
 		Enc:   func(b *Buffer, v string) { b.PutString(v) },
 		Dec:   func(b *Buffer) string { return b.String() },
-		Size:  func(v string) int { return uvarintLen(uint64(len(v))) + len(v) },
+		Size:  func(v string) int { return UvarintLen(uint64(len(v))) + len(v) },
 		Proto: ProtoArchive,
 	})
 	Register(FuncCodec[[]byte]{
 		Enc:  func(b *Buffer, v []byte) { b.PutBytes(v) },
 		Dec:  func(b *Buffer) []byte { return b.BytesOut() },
-		Size: func(v []byte) int { return uvarintLen(uint64(len(v))) + len(v) },
+		Size: func(v []byte) int { return UvarintLen(uint64(len(v))) + len(v) },
 		Copy: func(v []byte) []byte {
 			out := make([]byte, len(v))
 			copy(out, v)
@@ -79,7 +79,7 @@ func init() {
 	Register(FuncCodec[[]float64]{
 		Enc:  func(b *Buffer, v []float64) { b.PutF64s(v) },
 		Dec:  func(b *Buffer) []float64 { return b.F64s() },
-		Size: func(v []float64) int { return uvarintLen(uint64(len(v))) + 8*len(v) },
+		Size: func(v []float64) int { return UvarintLen(uint64(len(v))) + 8*len(v) },
 		Copy: func(v []float64) []float64 {
 			out := make([]float64, len(v))
 			copy(out, v)
@@ -99,7 +99,7 @@ func init() {
 		Enc: func(b *Buffer, v Int1) { b.PutVarint(int64(v[0])) },
 		Dec: func(b *Buffer) Int1 { return Int1{int(b.Varint())} },
 		Size: func(v Int1) int {
-			return varintLen(int64(v[0]))
+			return VarintLen(int64(v[0]))
 		},
 		Proto: ProtoTrivial,
 	})
@@ -112,7 +112,7 @@ func init() {
 			return Int2{int(b.Varint()), int(b.Varint())}
 		},
 		Size: func(v Int2) int {
-			return varintLen(int64(v[0])) + varintLen(int64(v[1]))
+			return VarintLen(int64(v[0])) + VarintLen(int64(v[1]))
 		},
 		Proto: ProtoTrivial,
 	})
@@ -126,7 +126,7 @@ func init() {
 			return Int3{int(b.Varint()), int(b.Varint()), int(b.Varint())}
 		},
 		Size: func(v Int3) int {
-			return varintLen(int64(v[0])) + varintLen(int64(v[1])) + varintLen(int64(v[2]))
+			return VarintLen(int64(v[0])) + VarintLen(int64(v[1])) + VarintLen(int64(v[2]))
 		},
 		Proto: ProtoTrivial,
 	})
@@ -146,7 +146,7 @@ func init() {
 		Size: func(v Int4) int {
 			total := 0
 			for _, x := range v {
-				total += varintLen(int64(x))
+				total += VarintLen(int64(x))
 			}
 			return total
 		},
@@ -168,7 +168,7 @@ func init() {
 		Size: func(v Int5) int {
 			total := 0
 			for _, x := range v {
-				total += varintLen(int64(x))
+				total += VarintLen(int64(x))
 			}
 			return total
 		},
@@ -176,10 +176,11 @@ func init() {
 	})
 }
 
-func varintLen(v int64) int {
+// VarintLen returns the encoded size of PutVarint(v).
+func VarintLen(v int64) int {
 	u := uint64(v) << 1
 	if v < 0 {
 		u = ^u
 	}
-	return uvarintLen(u)
+	return UvarintLen(u)
 }

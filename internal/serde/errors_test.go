@@ -104,7 +104,7 @@ func TestReRegisterKeepsTag(t *testing.T) {
 	Register(FuncCodec[Int1]{ // replace with an equivalent codec
 		Enc:   func(b *Buffer, v Int1) { b.PutVarint(int64(v[0])) },
 		Dec:   func(b *Buffer) Int1 { return Int1{int(b.Varint())} },
-		Size:  func(v Int1) int { return varintLen(int64(v[0])) },
+		Size:  func(v Int1) int { return VarintLen(int64(v[0])) },
 		Proto: ProtoTrivial,
 	})
 	if WireTagOf(Int1{}) != tag1 {

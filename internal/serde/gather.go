@@ -22,8 +22,8 @@ import (
 
 // Segment is one payload reference of a gathered value: exactly one of B
 // or F64 is set. Segments are unowned references into the value's own
-// memory until a transport snapshots them (see the copy-fallback rules in
-// the backend); after a receive, the decoded value owns them.
+// memory until a transport snapshots them (core.SendPlan.Snapshot says
+// when); after a receive, the decoded value owns them.
 type Segment struct {
 	B   []byte
 	F64 []float64
@@ -64,12 +64,6 @@ type Gatherer interface {
 	Scatter(hdr *Buffer, segs []Segment) any
 }
 
-// GathererFor returns the gather extension of v's codec, if any.
-func GathererFor(v any) (Gatherer, bool) {
-	g, ok := lookupType(v).codec.(Gatherer)
-	return g, ok
-}
-
 // GathererByTag resolves a wire tag to its codec's gather extension
 // (receive path).
 func GathererByTag(tag uint32) (Gatherer, bool) {
@@ -85,20 +79,9 @@ func GathererByTag(tag uint32) (Gatherer, bool) {
 
 // GatherThreshold is the default minimum wire size (bytes) for a value to
 // take the gather path: below 1 KiB the fixed per-segment bookkeeping
-// costs more than the memcpy it saves. backend.Options.GatherThreshold
-// overrides it per runtime.
+// costs more than the memcpy it saves. core.SendCaps.GatherThreshold
+// overrides it (or, negative, turns gather sends off) per runtime.
 const GatherThreshold = 1024
-
-// gatherOff is the ablation switch: global, so one call isolates the whole
-// mechanism for A/B runs.
-var gatherOff atomic.Bool
-
-// SetGatherSends enables or disables the zero-copy gather path globally
-// (ablation switch); default enabled.
-func SetGatherSends(on bool) { gatherOff.Store(!on) }
-
-// GatherSendsEnabled reports the global gather switch.
-func GatherSendsEnabled() bool { return !gatherOff.Load() }
 
 // Receive views. A scatter-decoded value aliases pooled receive memory
 // instead of copying out of it; while the runtime still owns that value

@@ -35,7 +35,7 @@ func TestGatherRoundTripF64s(t *testing.T) {
 }
 
 func TestGatherRoundTripBytes(t *testing.T) {
-	g, ok := GathererFor([]byte{})
+	g, ok := LookupCached([]byte{}).Gatherer()
 	if !ok {
 		t.Fatal("[]byte codec does not implement Gatherer")
 	}
@@ -67,17 +67,6 @@ func TestGathererByTag(t *testing.T) {
 	if _, ok := GathererByTag(WireTagOf(Int2{})); ok {
 		t.Fatal("Int2 reported a gather codec")
 	}
-}
-
-func TestGatherKnobs(t *testing.T) {
-	if !GatherSendsEnabled() {
-		t.Fatal("gather sends should default on")
-	}
-	SetGatherSends(false)
-	if GatherSendsEnabled() {
-		t.Fatal("SetGatherSends(false) did not disable")
-	}
-	SetGatherSends(true)
 }
 
 func TestViewLedger(t *testing.T) {

@@ -199,7 +199,7 @@ func (c *Cached) EncodeAny(b *Buffer, v any) {
 
 // WireSizeAny returns the tagged encoded size, mirroring WireSizeAny.
 func (c *Cached) WireSizeAny(v any) int {
-	return uvarintLen(uint64(c.tag)) + c.codec.WireSize(v)
+	return UvarintLen(uint64(c.tag)) + c.codec.WireSize(v)
 }
 
 // Clone deep-copies v with the same shareable fast path as CloneAny.
@@ -251,7 +251,7 @@ func DecodeAny(b *Buffer) any {
 // WireSizeAny returns the encoded size of a tagged value, including the tag.
 func WireSizeAny(v any) int {
 	e := lookupType(v)
-	return uvarintLen(uint64(e.tag)) + e.codec.WireSize(v)
+	return UvarintLen(uint64(e.tag)) + e.codec.WireSize(v)
 }
 
 // SharedFast reports whether v is one of the hottest builtin value types,
@@ -312,7 +312,8 @@ func RegisteredTypes() []string {
 	return out
 }
 
-func uvarintLen(v uint64) int {
+// UvarintLen returns the encoded size of PutUvarint(v).
+func UvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7

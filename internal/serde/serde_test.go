@@ -60,7 +60,7 @@ func TestVarintRoundTripProperty(t *testing.T) {
 	f := func(v int64) bool {
 		b := NewBuffer(10)
 		b.PutVarint(v)
-		if b.Len() != varintLen(v) {
+		if b.Len() != VarintLen(v) {
 			return false
 		}
 		return FromBytes(b.Bytes()).Varint() == v

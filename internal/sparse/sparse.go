@@ -14,6 +14,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/serde"
 	"repro/internal/tile"
@@ -224,7 +225,7 @@ func (m *Matrix) MulTasks() map[serde.Int2][]int {
 	}
 	// The double loop emits k in row-major order per i; sort per (i,j).
 	for key, ks := range out {
-		sortInts(ks)
+		slices.Sort(ks)
 		out[key] = ks
 	}
 	return out
@@ -241,12 +242,4 @@ func (m *Matrix) MulFlops() float64 {
 		}
 	}
 	return total
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

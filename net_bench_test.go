@@ -33,8 +33,6 @@ import (
 // archive encode/decode pair.
 func runNetStream(tb testing.TB, nTiles, rows, cols int, gather bool) trace.Snapshot {
 	tb.Helper()
-	serde.SetGatherSends(gather)
-	defer serde.SetGatherSends(true)
 	eps, err := netfab.NewLocalMesh(2, netfab.Config{Transport: "tcp"})
 	if err != nil {
 		tb.Fatal(err)
@@ -49,6 +47,9 @@ func runNetStream(tb testing.TB, nTiles, rows, cols int, gather bool) trace.Snap
 			defer wg.Done()
 			o := backend.MADNESS()
 			o.WorkersPerRank, o.Fabric = 2, eps[r]
+			if !gather {
+				o.GatherThreshold = -1
+			}
 			rt := backend.New(2, o)
 			rt.Run(func(p *backend.Proc) {
 				g := p.NewGraph()

@@ -27,13 +27,14 @@ import (
 // buffers recycle across the stream exactly as they would mid-application.
 func runWireStream(tb testing.TB, nTiles, rows, cols int, gather bool) trace.Snapshot {
 	tb.Helper()
-	serde.SetGatherSends(gather)
-	defer serde.SetGatherSends(true)
 	var snap trace.Snapshot
 	var mu sync.Mutex
 	var landed atomic.Int64
 	o := backend.MADNESS()
 	o.WorkersPerRank = 2
+	if !gather {
+		o.GatherThreshold = -1
+	}
 	rt := backend.New(2, o)
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
@@ -136,7 +137,7 @@ func BenchmarkRecvViewDecode(b *testing.B) {
 	for i := range src.Data {
 		src.Data[i] = float64(i)
 	}
-	gat, ok := serde.GathererFor(src)
+	gat, ok := serde.LookupCached(src).Gatherer()
 	if !ok {
 		b.Fatal("tile codec lost its gather extension")
 	}
