@@ -99,6 +99,36 @@ func TestBSPMMTTGMadness(t *testing.T) {
 	expectProduct(t, m, runReal(t, ttg.MADNESS, TTGVariant, 2, m))
 }
 
+// TestBSPMMMadnessRecycledClones runs TestBSPMMTTGMadness' configuration
+// three times in one process: the per-consumer clones of one run go back to
+// the tile pool when their MultiplyAdd returns, so the later runs compute
+// on recycled buffers. A clone released while anything still read it, or
+// handed out twice, would change the product; every run must match the
+// PaRSEC preset (which shares instead of cloning) bit for bit.
+func TestBSPMMMadnessRecycledClones(t *testing.T) {
+	m := smallMatrix()
+	want := runReal(t, ttg.PaRSEC, TTGVariant, 2, m)
+	expectProduct(t, m, want)
+	for run := 1; run <= 3; run++ {
+		got := runReal(t, ttg.MADNESS, TTGVariant, 2, m)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d product tiles, PaRSEC preset has %d", run, len(got), len(want))
+		}
+		for key, w := range want {
+			g := got[key]
+			if g == nil || len(g.Data) != len(w.Data) {
+				t.Fatalf("run %d: tile %v missing or misshapen", run, key)
+			}
+			for i := range w.Data {
+				if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+					t.Fatalf("run %d: tile %v element %d is %v, PaRSEC preset has %v",
+						run, key, i, g.Data[i], w.Data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestBSPMMTTGSingleRank(t *testing.T) {
 	m := smallMatrix()
 	expectProduct(t, m, runReal(t, ttg.PaRSEC, TTGVariant, 1, m))

@@ -31,15 +31,18 @@ func TestDBCSRHierarchicalReductionCounts(t *testing.T) {
 			Flavor: cluster.ParsecFlavor(),
 			Cost:   CostModel(m, machine),
 		})
-		var app *App
+		var app *App // rank 0's: every rank derives the same task tables
 		rt.Run(func(p *sim.Proc) {
 			g := ttg.NewGraphOn(p)
-			app = Build(g, Options{
+			a := Build(g, Options{
 				A: m, Phantom: true, Variant: DBCSRModel,
 				Layers: layers, FlatReduce: flat,
 			})
+			if p.Rank() == 0 {
+				app = a
+			}
 			g.MakeExecutable()
-			app.Seed()
+			a.Seed()
 			g.Fence()
 		})
 		var snap trace.Snapshot

@@ -151,7 +151,7 @@ func (a *App) build() {
 				panic(err)
 			}
 		}
-		var trsms []ttg.Int2
+		trsms := make([]ttg.Int2, 0, nt-k-1)
 		for m := k + 1; m < nt; m++ {
 			trsms = append(trsms, ttg.Int2{m, k})
 		}
@@ -168,7 +168,7 @@ func (a *App) build() {
 			lapack.Trsm(lkk, amk)
 		}
 		// The Listing 1 pattern: one broadcast to four terminal sets.
-		var rows, cols []ttg.Int3
+		rows, cols := make([]ttg.Int3, 0, m-k-1), make([]ttg.Int3, 0, nt-m-1)
 		for j := k + 1; j < m; j++ {
 			rows = append(rows, ttg.Int3{m, j, k})
 		}
@@ -366,7 +366,7 @@ func (a *App) releasePhase(x ttg.Context, phase int) {
 	}
 	if panel {
 		ttg.Send(x, a.goPotrf, ttg.Int1{k}, ttg.Void{})
-		var trsms []ttg.Int2
+		trsms := make([]ttg.Int2, 0, nt-k-1)
 		for m := k + 1; m < nt; m++ {
 			trsms = append(trsms, ttg.Int2{m, k})
 		}
@@ -375,8 +375,8 @@ func (a *App) releasePhase(x ttg.Context, phase int) {
 		}
 	}
 	if update {
-		var syrks []ttg.Int2
-		var gemms []ttg.Int3
+		syrks := make([]ttg.Int2, 0, nt-k-1)
+		gemms := make([]ttg.Int3, 0, (nt-k-1)*(nt-k-2)/2)
 		for m := k + 1; m < nt; m++ {
 			syrks = append(syrks, ttg.Int2{m, k})
 			for j := k + 1; j < m; j++ {
@@ -423,7 +423,7 @@ func (a *App) Seed() {
 		// Release phase 0: the panel of iteration 0, plus — in the
 		// one-barrier-per-iteration SLATE model — its update kernels.
 		ttg.Seed(a.g, a.goPotrf, ttg.Int1{0}, ttg.Void{})
-		var trsms []ttg.Int2
+		trsms := make([]ttg.Int2, 0, nt-1)
 		for m := 1; m < nt; m++ {
 			trsms = append(trsms, ttg.Int2{m, 0})
 		}
@@ -431,8 +431,8 @@ func (a *App) Seed() {
 			ttg.SeedBroadcast(a.g, a.goTrsm, trsms, ttg.Void{})
 		}
 		if a.opts.Variant == SLATEModel {
-			var syrks []ttg.Int2
-			var gemms []ttg.Int3
+			syrks := make([]ttg.Int2, 0, nt-1)
+			gemms := make([]ttg.Int3, 0, (nt-1)*(nt-2)/2)
 			for m := 1; m < nt; m++ {
 				syrks = append(syrks, ttg.Int2{m, 0})
 				for j := 1; j < m; j++ {

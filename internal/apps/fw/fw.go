@@ -162,7 +162,7 @@ func (a *App) build() {
 		if !t.IsPhantom() {
 			lapack.FWKernelA(t)
 		}
-		var bs, cs []ttg.Int3
+		bs, cs := make([]ttg.Int3, 0, nt-1), make([]ttg.Int3, 0, nt-1)
 		for j := 0; j < nt; j++ {
 			if j != k {
 				bs = append(bs, ttg.Int3{k, j, k})
@@ -197,7 +197,7 @@ func (a *App) build() {
 		if !t.IsPhantom() {
 			lapack.FWKernelB(t, diag)
 		}
-		var ds []ttg.Int3
+		ds := make([]ttg.Int3, 0, nt-1)
 		for i := 0; i < nt; i++ {
 			if i != k {
 				ds = append(ds, ttg.Int3{i, j, k})
@@ -221,7 +221,7 @@ func (a *App) build() {
 		if !t.IsPhantom() {
 			lapack.FWKernelC(t, diag)
 		}
-		var ds []ttg.Int3
+		ds := make([]ttg.Int3, 0, nt-1)
 		for j := 0; j < nt; j++ {
 			if j != k {
 				ds = append(ds, ttg.Int3{i, j, k})
@@ -339,7 +339,8 @@ func (a *App) buildBarrier() {
 func (a *App) releaseRound(x ttg.Context, k int) {
 	nt := a.nt
 	ttg.Send(x, a.goA, ttg.Int1{k}, ttg.Void{})
-	var bs, cs, ds []ttg.Int3
+	bs, cs := make([]ttg.Int3, 0, nt-1), make([]ttg.Int3, 0, nt-1)
+	ds := make([]ttg.Int3, 0, (nt-1)*(nt-1))
 	for i := 0; i < nt; i++ {
 		if i == k {
 			continue
@@ -387,7 +388,8 @@ func (a *App) Seed() {
 	}
 	if a.opts.Variant == ForkJoinModel && me == 0 {
 		ttg.Seed(a.g, a.goA, ttg.Int1{0}, ttg.Void{})
-		var bs, cs, ds []ttg.Int3
+		bs, cs := make([]ttg.Int3, 0, nt-1), make([]ttg.Int3, 0, nt-1)
+		ds := make([]ttg.Int3, 0, (nt-1)*(nt-1))
 		for i := 1; i < nt; i++ {
 			bs = append(bs, ttg.Int3{0, i, 0})
 			cs = append(cs, ttg.Int3{i, 0, 0})

@@ -383,15 +383,15 @@ func (b *Basis) compressNode(w *workspace, children [][]float64) (sp, d []float6
 	return sp, d
 }
 
-// reconstructChild is Reconstruct's computation for child c: the prolonged
-// parent plus the child's slice of the wavelet block d.
-func (b *Basis) reconstructChild(w *workspace, sp, d []float64, c int) []float64 {
-	sc := make([]float64, len(sp))
+// reconstructInto is Reconstruct's computation for child c, into sc: the
+// prolonged parent plus the child's slice of the wavelet block d. An
+// interior child's sc is the fresh block it is sent in; a leaf's only
+// feeds the norm, never leaves the task, and is the workspace's tmp.
+func (b *Basis) reconstructInto(w *workspace, sc, sp, d []float64, c int) {
 	b.transform(w, sc, sp, b.hT, c)
 	for i, v := range d[c*len(sp):][:len(sp)] {
 		sc[i] += v
 	}
-	return sc
 }
 
 // Norm2 returns Σ v².

@@ -333,7 +333,14 @@ func TestKernelsBitIdentical(t *testing.T) {
 				for i := range want {
 					want[i] += cD[c*len(sp)+i]
 				}
-				sameBits(t, "reconstructChild", b.reconstructChild(w, sp, cD, c), want)
+				sc := make([]float64, len(sp))
+				b.reconstructInto(w, sc, sp, cD, c)
+				sameBits(t, "reconstructInto (interior child)", sc, want)
+				// The leaf path computes the same block in the workspace,
+				// so the norm it feeds sums the same bits in the same order.
+				b.reconstructInto(w, w.tmp, sp, cD, c)
+				sameBits(t, "reconstructInto (leaf child)", w.tmp, want)
+				sameBits(t, "leaf norm", []float64{Norm2(w.tmp)}, []float64{Norm2(want)})
 			}
 			b.scratch.Put(w)
 		}
@@ -375,7 +382,8 @@ func TestTaskBodiesDoNotAllocateScratch(t *testing.T) {
 	}{
 		{"Project (sp)", 1, func() { b.projectNode(w, f, 2, l) }},
 		{"Compress (sp, D)", 2, func() { b.compressNode(w, children) }},
-		{"Reconstruct child (sc)", 1, func() { b.reconstructChild(w, sp, d, 5) }},
+		{"Reconstruct interior child (sc)", 1, func() { b.reconstructInto(w, make([]float64, len(sp)), sp, d, 5) }},
+		{"Reconstruct leaf child (workspace)", 0, func() { b.reconstructInto(w, w.tmp, sp, d, 5) }},
 	} {
 		if got := testing.AllocsPerRun(20, tc.run); got != tc.want {
 			t.Errorf("%s: %v allocations per run, want %v", tc.name, got, tc.want)

@@ -428,18 +428,21 @@ func (a *App) build() {
 			w := b.borrow()
 			defer b.scratch.Put(w)
 			for c := 0; c < nc; c++ {
-				sc := b.reconstructChild(w, sp, d.D, c)
 				if d.LeafMask&(1<<uint(c)) != 0 {
+					b.reconstructInto(w, w.tmp, sp, d.D, c)
+					norm := Norm2(w.tmp)
 					if phased {
 						a.mu.Lock()
-						a.normLocal[f] += Norm2(sc)
+						a.normLocal[f] += norm
 						a.mu.Unlock()
 					} else {
 						// Local contribution to this node's norm reduction.
-						ttg.Send(x, a.normUp, key, Norm2(sc))
+						ttg.Send(x, a.normUp, key, norm)
 					}
 					continue
 				}
+				sc := make([]float64, len(sp))
+				b.reconstructInto(w, sc, sp, d.D, c)
 				ttg.SendM(x, a.reconS, a.childKey(key, c), sc, ttg.Move)
 			}
 		},

@@ -35,6 +35,7 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				closed := ledgerCloses(t)
 				var mu sync.Mutex
 				sums := map[int]float64{}
 				main := rp.graphMain(t, &mu, sums)
@@ -53,6 +54,7 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 					}(r)
 				}
 				wg.Wait()
+				closed(be.String())
 				if len(sums) != len(ref) {
 					t.Fatalf("%s: %d sink keys vs reference %d", be, len(sums), len(ref))
 				}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/serde"
 	"repro/ttg"
 )
 
@@ -129,6 +131,18 @@ func (rp *randProgram) graphMain(t *testing.T, mu *sync.Mutex, sums map[int]floa
 	}
 }
 
+// ledgerCloses snapshots the process-wide data ledgers and returns the
+// check that a finished run gave back every tracked handle and recv-view.
+func ledgerCloses(t *testing.T) func(what string) {
+	handles, views := core.LiveTrackedHandles(), serde.LiveRecvViews()
+	return func(what string) {
+		t.Helper()
+		if h, v := core.LiveTrackedHandles()-handles, serde.LiveRecvViews()-views; h != 0 || v != 0 {
+			t.Errorf("%s: %d tracked handles and %d recv-views live after the fence", what, h, v)
+		}
+	}
+}
+
 func TestRandomGraphEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -137,7 +151,9 @@ func TestRandomGraphEquivalence(t *testing.T) {
 			ref := rp.run(t, ttg.PaRSEC, 1)
 			for _, ranks := range []int{4} {
 				for _, be := range []ttg.Backend{ttg.PaRSEC, ttg.MADNESS} {
+					closed := ledgerCloses(t)
 					got := rp.run(t, be, ranks)
+					closed(fmt.Sprintf("%s/%d", be, ranks))
 					if len(got) != len(ref) {
 						t.Fatalf("%s/%d: %d sink keys vs reference %d", be, ranks, len(got), len(ref))
 					}

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,9 +26,11 @@ const (
 	// SendCopy (the default) deep-copies the data for every consumer so
 	// the sender may keep mutating its copy.
 	SendCopy SendMode = iota
-	// SendBorrow passes by const reference: consumers share the sender's
-	// object without copying, when the runtime tracks its lifetime (the
-	// PaRSEC-model backend does; the MADNESS-model backend copies anyway).
+	// SendBorrow passes by const reference: read-only consumers share the
+	// sender's object when the runtime tracks its lifetime (PaRSEC model);
+	// the MADNESS model copies per consumer as under SendCopy. Either way a
+	// copy the runtime makes for a read-only consumer goes back to its pool
+	// when that consumer's body returns (data.go).
 	SendBorrow
 	// SendMove transfers ownership (the std::move convention): the first
 	// local consumer receives the object itself; the sender must not touch
@@ -105,15 +108,17 @@ type Executor interface {
 	Submit(t *Task)
 	// SubmitBatch schedules a run of tasks that became ready together (a
 	// fan-out); backends should enqueue them under one synchronization.
-	// Each task must still be executed exactly once.
+	// Each task must still be executed exactly once. ts is the caller's
+	// scratch: it must not be kept once SubmitBatch returns.
 	SubmitBatch(ts []*Task)
 	// Deliver transmits d to dest (never the local rank).
 	Deliver(dest int, d Delivery)
 	// Broadcast transmits one value to targets on several ranks; backends
 	// may forward along a tree. Every Delivery carries the same Value.
 	Broadcast(dests map[int]Delivery)
-	// TracksData reports whether the backend manages data lifetimes, in
-	// which case SendBorrow can skip copies (PaRSEC-model: true).
+	// TracksData reports whether read-only consumers of one send share a
+	// single copy (PaRSEC-model: true) or each get their own. It decides
+	// sharing only, not whether runtime-owned copies are reclaimed.
 	TracksData() bool
 	// SupportsSplitMD reports availability of the split-metadata protocol.
 	SupportsSplitMD() bool
@@ -272,6 +277,9 @@ type Graph struct {
 	// pendingReduces gauges combiner slots holding unflushed partials
 	// (nil when obs is off).
 	pendingReduces *obs.Gauge
+
+	// fanouts recycles the bookkeeping of wide sends (edgesend.go).
+	fanouts sync.Pool
 }
 
 // reductionBuffering is the optional Executor interface a backend
@@ -441,6 +449,9 @@ type Task struct {
 	// body's duration (read-only inputs); see data.go. The backing array
 	// is recycled through the shell.
 	holds []*tracked
+	// ctx is the body's context, kept in the (recycled) task because one
+	// built in Execute escapes to the heap, once per task.
+	ctx TaskContext
 }
 
 // Execute runs the task body and retires the task's activity unit. The
@@ -451,11 +462,11 @@ func (t *Task) Execute(worker int) {
 	g := t.TT.g
 	defer g.exec.Deactivate()
 	t.materialize()
-	ctx := &TaskContext{task: t, worker: worker}
+	t.ctx = TaskContext{task: t, worker: worker}
 	if o := g.obs; o != nil {
-		t.executeObserved(o, ctx, worker)
+		t.executeObserved(o, &t.ctx, worker)
 	} else {
-		t.TT.body(ctx)
+		t.TT.body(&t.ctx)
 	}
 	t.releaseHolds()
 	g.exec.Tracer().TasksExecuted.Add(1)

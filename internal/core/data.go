@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/pool"
 	"repro/internal/serde"
+	"repro/internal/trace"
 )
 
 // Runtime-owned data lifetimes. The paper's reworked PaRSEC backend lets
@@ -24,10 +25,12 @@ import (
 //	Default    same exclusive resolution as ReadWrite (safe for bodies
 //	           that were written before access modes existed).
 //
-// When the last reference to a runtime-owned value drops (reclaim set:
-// the value arrived exclusively off the wire, or was moved with no remote
-// targets), pooled payloads are returned to their pool immediately
-// instead of waiting for the GC.
+// Sharing is what Executor.TracksData decides: without it (the MADNESS
+// model) every consumer gets its own deep copy when the producer sends.
+// Reclamation is universal: when the last reference to a runtime-owned
+// value drops (reclaim set: it arrived exclusively off the wire, was moved
+// with no remote targets, or is a copy the runtime made for one read-only
+// consumer — cloneFor), pooled payloads return to their pool at once.
 
 // AccessMode declares how a task body uses one input terminal's value,
 // mirroring the paper's const-ref vs mutable argument flows.
@@ -72,6 +75,9 @@ type tracked struct {
 	// reclaim marks the value as runtime-owned: when the last reference
 	// drops, pooled payloads go straight back to their pool.
 	reclaim bool
+	// private marks a consumer's own copy (cloneFor): resolving the handle
+	// shares nothing, so it is not counted as a copy avoided.
+	private bool
 	// cmp caches whether the value's dynamic type is comparable, so the
 	// escape check can test identity without risking a panic.
 	cmp bool
@@ -95,6 +101,30 @@ func newTracked(value any, refs int, reclaim bool) *tracked {
 	}
 	liveTracked.Add(1)
 	return h
+}
+
+// cloneFor deep-copies value for the one local consumer behind in, through
+// its edge's cached codec, and counts the copy. A copy made for a
+// read-only, non-reducer consumer is the runtime's own — the body may only
+// read it while it runs — so a pooled one travels in a one-reference
+// handle that returns it to its pool after the body (unless the body
+// Retains or re-sends it). Other consumers may keep or fold what they
+// receive and get the raw copy, as does everyone for the immutable boxes
+// Clone passes through, which are still the sender's.
+func cloneFor(in *InputSpec, value any, tr *trace.Collector) any {
+	tr.DataCopies.Add(1)
+	if serde.SharedFast(value) {
+		return value
+	}
+	cc := in.Edge.codecFor(value)
+	cl := cc.Clone(value)
+	if _, pooled := cl.(pool.Releasable); pooled && !cc.Shareable() &&
+		in.Access == ReadOnly && in.Reducer == nil {
+		h := newTracked(cl, 1, true)
+		h.private = true
+		return h
+	}
+	return cl
 }
 
 // endViewLease retires the recv-view ledger entry of a view-decoded value
@@ -148,7 +178,9 @@ func (t *Task) materialize() {
 			// Share; hold the reference until the body returns.
 			t.Inputs[i] = h.value
 			t.holds = append(t.holds, h)
-			tr.CopiesAvoided.Add(1)
+			if !h.private {
+				tr.CopiesAvoided.Add(1)
+			}
 		} else if h.refs.CompareAndSwap(1, 0) {
 			// Sole live reference: the exclusive consumer takes the value
 			// in place and owns it from here on (never reclaimed); a
@@ -162,7 +194,7 @@ func (t *Task) materialize() {
 			// writer gets its own clone. Clone before dropping the
 			// reference — the order keeps the source alive while it is
 			// being read.
-			t.Inputs[i] = serdeClone(h.value, tr)
+			t.Inputs[i] = cloneFor(&t.TT.inputs[i], h.value, tr)
 			h.drop()
 		}
 	}

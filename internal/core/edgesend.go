@@ -57,18 +57,48 @@ type remoteDest struct {
 	targets []TermTarget
 }
 
+// localTarget is one (consumer, task ID) pair of a send that lands here.
+type localTarget struct {
+	c   consumer
+	key any
+}
+
+// fanout is the recycled bookkeeping of one wide send (Graph.fanouts): its
+// local targets past routeEdges' stack buffer, and the tasks it made ready.
+type fanout struct {
+	locals []localTarget
+	ready  []*Task
+}
+
+// getFanout takes a fanout whose slices hold n entries without growing.
+func (g *Graph) getFanout(n int) *fanout {
+	f, _ := g.fanouts.Get().(*fanout)
+	if f == nil || cap(f.locals) < n {
+		f = &fanout{make([]localTarget, 0, n), make([]*Task, 0, n)}
+	}
+	return f
+}
+
 // routeEdges is the edge-list form of route; see route for the semantics.
 func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, mode SendMode) {
-	type localTarget struct {
-		c   consumer
-		key any
-	}
 	// Small sends (the overwhelmingly common case: one edge, one key, one
 	// or two consumers) must not allocate for bookkeeping: the local-target
 	// list starts on a stack buffer and remote destinations collect into a
-	// stack-backed small-vector, spilling to a map only past 4 ranks.
+	// stack-backed small-vector, spilling to a map only past 4 ranks. A
+	// send that may outgrow the buffer takes a fanout sized to its upper
+	// bound up front, so no append reallocates. (Never store locals back
+	// into fo: that moves localBuf, 256 B of every send, to the heap.)
 	var localBuf [8]localTarget
 	locals := localBuf[:0]
+	var fo *fanout
+	bound := 0
+	for i, e := range edges {
+		bound += len(e.consumers) * len(keys[i])
+	}
+	if bound > len(localBuf) {
+		fo = g.getFanout(bound)
+		locals = fo.locals[:0]
+	}
 	var destBuf [4]remoteDest
 	dests := destBuf[:0]
 	var spill map[int]int // rank → index in dests once it outgrew destBuf
@@ -135,30 +165,17 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, m
 
 	tr := g.exec.Tracer()
 
-	// codec resolves the edge's devirtualized codec lazily on first need
-	// (remote delivery or a local deep copy): purely-local borrow/move
-	// sends never touch the registry, so unregistered local-only types
-	// keep working. All edges of one send carry the same value, so the
-	// first edge's cache serves the whole call.
+	// The edge's devirtualized codec is resolved only for a remote delivery
+	// (or, in cloneFor, a local deep copy): purely-local borrow/move sends
+	// never touch the registry, so unregistered local-only types keep
+	// working. All edges of one send carry the same value, so the first
+	// edge's cache serves the whole call.
 	var cc *serde.Cached
-	codec := func() *serde.Cached {
-		if cc == nil {
-			cc = edges[0].codecFor(value)
-		}
-		return cc
+	if len(dests) > 0 {
+		cc = edges[0].codecFor(value)
 	}
-	// clone deep-copies the value for a local consumer through the cached
-	// codec, skipping the registry map hit of serde.CloneAny.
-	clone := func() any {
-		tr.DataCopies.Add(1)
-		if serde.SharedFast(value) {
-			return value
-		}
-		return codec().Clone(value)
-	}
-
 	if len(dests) == 1 {
-		d := Delivery{Targets: dests[0].targets, Value: value, Mode: mode, Codec: codec(),
+		d := Delivery{Targets: dests[0].targets, Value: value, Mode: mode, Codec: cc,
 			// A moved value with no local consumers and one remote
 			// destination is the transport's alone: it may ship payload
 			// segments by reference without a snapshot.
@@ -178,7 +195,7 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, m
 		}
 		bcast := make(map[int]Delivery, len(dests))
 		for j := range dests {
-			d := Delivery{Targets: dests[j].targets, Value: value, Mode: mode, Codec: codec()}
+			d := Delivery{Targets: dests[j].targets, Value: value, Mode: mode, Codec: cc}
 			if o != nil {
 				// One flow id per destination: each arrow pairs a single emit
 				// with the single inject on its receiving rank, even when the
@@ -241,9 +258,26 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, m
 	// Tasks made ready by this send are collected and submitted as one
 	// batch, so a fan-out of N successors pays one scheduler handoff. The
 	// first ready task is held in a local so the by-far-common outcomes
-	// (zero or one task ready) never allocate a slice.
+	// (zero or one task ready) never touch a slice; the rest collect in the
+	// fanout's batch, which has room for one per local target.
 	var first *Task
 	var extra []*Task
+	collect := func(t *Task) {
+		if t == nil {
+			return
+		}
+		if first == nil {
+			first = t
+			return
+		}
+		if extra == nil {
+			if fo == nil {
+				fo = g.getFanout(len(localBuf))
+			}
+			extra = fo.ready[:0]
+		}
+		extra = append(extra, t)
+	}
 	for idx, lt := range locals {
 		in := &lt.c.tt.inputs[lt.c.term]
 		var v any
@@ -255,7 +289,7 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, m
 			if in.Access == ReadWrite {
 				// The sender retains ownership under borrow; a declared
 				// writer must get its own copy.
-				v = clone()
+				v = cloneFor(in, value, tr)
 			} else {
 				v = value
 				tr.CopiesAvoided.Add(1)
@@ -267,43 +301,34 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, m
 				v = value
 				tr.CopiesAvoided.Add(1)
 			} else {
-				v = clone()
+				v = cloneFor(in, value, tr)
 			}
-		default: // SendCopy
-			v = clone()
+		default: // SendCopy, and SendBorrow under a runtime that shares nothing
+			v = cloneFor(in, value, tr)
 		}
 		if in.Reducer != nil && g.combines(lt.c.tt, lt.c.term) {
 			// Local pre-reduction: fold into the combiner slot instead of
 			// taking a match-table trip (and, for remote-bound streams,
 			// instead of sending this contribution on its own).
-			if t := g.foldLocal(lt.c.tt, lt.c.term, lt.key, v, worker); t != nil {
-				if first == nil {
-					first = t
-				} else {
-					extra = append(extra, t)
-				}
-			}
+			collect(g.foldLocal(lt.c.tt, lt.c.term, lt.key, v, worker))
 			continue
 		}
-		if t := g.deliverLocal(lt.c.tt, lt.c.term, lt.key, v, worker); t != nil {
-			if first == nil {
-				first = t
-			} else {
-				extra = append(extra, t)
-			}
-		}
+		collect(g.deliverLocal(lt.c.tt, lt.c.term, lt.key, v, worker))
 	}
-	if first == nil {
-		return
-	}
-	if len(extra) == 0 {
+	switch {
+	case first == nil:
+	case len(extra) == 0:
 		g.submitOne(first, worker)
-		return
+	default:
+		// Position in the batch is not semantic — the scheduler's run-next
+		// slot claims the highest-priority member and the queues order by
+		// policy, not batch index. SubmitBatch may not keep the slice.
+		g.submitReady(append(extra, first), worker)
 	}
-	// Merge by appending first to extra: extra already grew past its first
-	// append, so this almost never reallocates, where building a fresh
-	// merged slice always did. Position in the batch is not semantic — the
-	// scheduler's run-next slot claims the highest-priority member and the
-	// queues order by policy, not batch index.
-	g.submitReady(append(extra, first), worker)
+	if fo != nil {
+		// Scrub all a send with this many local targets can have written.
+		clear(fo.locals[:len(locals)])
+		clear(fo.ready[:len(locals)])
+		g.fanouts.Put(fo)
+	}
 }

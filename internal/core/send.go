@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/serde"
-	"repro/internal/trace"
 )
 
 // TaskContext is passed to task bodies; it exposes the task's identity and
@@ -176,12 +174,6 @@ func (g *Graph) routeEdge(e *Edge, worker int, keys [][]any, value any) {
 	g.routeEdges(worker, []*Edge{e}, keys, value, SendCopy)
 }
 
-// serdeClone deep-copies a value and counts the copy.
-func serdeClone(v any, tr *trace.Collector) any {
-	tr.DataCopies.Add(1)
-	return serde.CloneAny(v)
-}
-
 // routeControl routes a stream-control action through an output terminal.
 func (g *Graph) routeControl(tt *TT, worker int, term int, key any, ctrl ControlKind, n int) {
 	if term < 0 || term >= len(tt.outputs) {
@@ -312,17 +304,12 @@ func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 			switch {
 			case h != nil && joins(tt, tgt.Term):
 				v = h
-			case h != nil:
-				// Reducer folds and default-access consumers can't join the
-				// handle, and the raw object now aliases the consumers that
-				// did, so they get their own copies.
-				v = serdeClone(d.Value, g.exec.Tracer())
-			case i > 0:
-				// The same deserialized object satisfies several local task
-				// IDs: later ones need their own copy only if reducers will
-				// not immediately fold it. Cloning is the safe default.
-				v = serde.CloneAny(d.Value)
-				g.exec.Tracer().DataCopies.Add(1)
+			case h != nil || i > 0:
+				// The raw object is taken: it aliases the consumers that
+				// joined the handle (reducer folds and default-access
+				// consumers can't), or satisfied this target's first task
+				// ID. Everyone else gets a copy of their own.
+				v = cloneFor(&tt.inputs[tgt.Term], d.Value, g.exec.Tracer())
 			default:
 				v = d.Value
 				raw = true

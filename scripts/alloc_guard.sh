@@ -3,9 +3,19 @@
 #   bash bench/run.sh --workload <name> --seed 1 --seconds 5 --trace 0
 # on standard input and fails when alloc_mb_per_run in the final JSON line
 # exceeds the given number of MB. Unlike a time, the metric repeats to
-# 0.1% from run to run, so it can be held on a shared runner: mra_stream
-# allocated 581 MB while every contraction returned a fresh tensor and
-# about 19 MB since the task bodies compute in borrowed workspaces.
+# 0.1% from run to run, so it can be held on a shared runner. The holds
+# sit between what a workload allocates and what it allocated before the
+# change that cut it:
+#
+#   mra_stream     40   ≈ 14 MB since task bodies compute in borrowed
+#                       workspaces; 581 MB when every contraction returned
+#                       a fresh tensor
+#   bspmm_madness 100   ≈ 71 MB since the MADNESS preset's per-consumer
+#                       copies go back to the tile pool after their body;
+#                       380 MB when nobody returned them
+#   potrf_fine    215   ≈ 166 MB (136 on some schedules) since a fan-out's bookkeeping is recycled
+#                       and the key lists are sized; 265 MB when both grew
+#                       by doubling on every TRSM
 #
 #   ... | bash scripts/alloc_guard.sh mra_stream 40
 set -euo pipefail
@@ -20,7 +30,7 @@ if [ -z "$mb" ]; then
 	exit 1
 fi
 if awk -v a="$mb" -v m="$max" 'BEGIN { exit !(a > m) }'; then
-	echo "alloc_guard: $name allocated $mb MB per run > $max MB: per-task garbage is back" >&2
+	echo "alloc_guard: $name allocated $mb MB per run > $max MB: memory this workload used to recycle is garbage again" >&2
 	exit 1
 fi
 echo "alloc_guard: $name alloc_mb_per_run = $mb <= $max"
