@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/apps/bspmm"
+	"repro/internal/lapack"
 	"repro/internal/netcli"
 	"repro/internal/obscli"
 	"repro/internal/sparse"
@@ -90,7 +91,7 @@ func main() {
 		fmt.Printf("product tiles: %d, Σ‖C tile‖_F = %.6g\n", produced, checksum)
 	}
 	fmt.Printf("time %.3fs (%.2f GF/s aggregate)\n", elapsed.Seconds(), mat.MulFlops()/elapsed.Seconds()/1e9)
-	fmt.Printf("stats: %s\n", stats)
+	fmt.Printf("stats: kernels=%s %s\n", lapack.Impl(), stats)
 	if err := obsFlags.FinishDoctor(); err != nil {
 		log.Fatal(err)
 	}

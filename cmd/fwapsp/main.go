@@ -88,7 +88,7 @@ func main() {
 	}
 	fmt.Printf("time %.3fs (%.2f Gop/s aggregate)\n",
 		elapsed.Seconds(), fw.Flops(*n)/elapsed.Seconds()/1e9)
-	fmt.Printf("stats: %s\n", stats)
+	fmt.Printf("stats: kernels=%s %s\n", lapack.Impl(), stats)
 	if err := obsFlags.FinishDoctor(); err != nil {
 		log.Fatal(err)
 	}

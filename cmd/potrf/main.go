@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/apps/cholesky"
+	"repro/internal/lapack"
 	"repro/internal/netcli"
 	"repro/internal/obscli"
 	"repro/internal/tile"
@@ -89,7 +90,7 @@ func main() {
 		fmt.Printf("POTRF %dx%d (nb=%d) rank %d/%d over %s: %d local tiles, Σ‖L tile‖_F = %.6g\n",
 			*n, *n, *nb, ep.Rank(), ep.Size(), netFlags.Transport(), len(results), norm)
 		fmt.Printf("time %.3fs\n", elapsed.Seconds())
-		fmt.Printf("stats: %s\n", stats)
+		fmt.Printf("stats: kernels=%s %s\n", lapack.Impl(), stats)
 		if err := obsFlags.FinishDoctor(); err != nil {
 			log.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func main() {
 		*n, *n, *nb, *ranks, *workers, be, variant)
 	fmt.Printf("verified: max |L·Lᵀ − A| = %.3g\n", maxErr)
 	fmt.Printf("time %.3fs (%.2f GF/s aggregate)\n", elapsed.Seconds(), gflops)
-	fmt.Printf("stats: %s\n", stats)
+	fmt.Printf("stats: kernels=%s %s\n", lapack.Impl(), stats)
 	if err := obsFlags.FinishDoctor(); err != nil {
 		log.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestFigureRendering(t *testing.T) {
 
 func TestTableIReportsAllConfigs(t *testing.T) {
 	s := TableI()
-	for _, want := range []string{"Hawk", "Seawulf", "PaRSEC", "MADNESS", "DPLASMA", "Chameleon"} {
+	for _, want := range []string{"Hawk", "Seawulf", "PaRSEC", "MADNESS", "DPLASMA", "Chameleon", "Dense kernels"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table I missing %q:\n%s", want, s)
 		}

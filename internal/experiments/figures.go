@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps/mra"
 	"repro/internal/backend/sim"
 	"repro/internal/cluster"
+	"repro/internal/lapack"
 	"repro/internal/sparse"
 	"repro/internal/tile"
 	"repro/ttg"
@@ -341,6 +342,7 @@ func TableI() string {
 		{"DPLASMA flavor", describeFlavor(cluster.DPLASMAFlavor())},
 		{"Chameleon flavor", describeFlavor(cluster.ChameleonFlavor())},
 		{"MPI flavor", describeFlavor(cluster.MPIRuntimeFlavor())},
+		{"Dense kernels", "internal/lapack, " + lapack.Impl() + " path (real runs; the paper's MKL)"},
 	}
 	var b []byte
 	for _, r := range rows {

@@ -108,8 +108,8 @@ func TestSyrkMatchesGemm(t *testing.T) {
 	// Syrk only updates the lower triangle.
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			if math.Abs(c1.At(i, j)-c2.At(i, j)) > 1e-10 {
-				t.Fatalf("(%d,%d): syrk %v gemm %v", i, j, c1.At(i, j), c2.At(i, j))
+			if c1.At(i, j) != c2.At(i, j) {
+				t.Fatalf("(%d,%d): syrk %v gemm %v (one dot product, so the same bits)", i, j, c1.At(i, j), c2.At(i, j))
 			}
 		}
 	}
@@ -273,40 +273,40 @@ func TestFlopCounts(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Naive reference kernels: element-at-a-time loop nests, written without
+// the package's helpers, that the blocked kernels must equal exactly on
+// random tiles (including non-multiple-of-4 shapes that exercise the unroll
+// tails). GemmNT and Syrk sum in refDot's order; GemmNN and FWKernelD have
+// one chain per element, in p order.
+
+// refDot is the summation order GemmNT and Syrk promise: four partial
+// sums over p mod 4, reduced as (s0+s1)+(s2+s3), then the k%4 leftovers in
+// order; every product rounded before it is added.
+func refDot(a, b *tile.Tile, i, j int) float64 {
+	k := a.Cols
+	var s [4]float64
+	for p := 0; p < k&^3; p++ {
+		s[p%4] += float64(a.At(i, p) * b.At(j, p))
 	}
-	return b
+	sum := (s[0] + s[1]) + (s[2] + s[3])
+	for p := k &^ 3; p < k; p++ {
+		sum += float64(a.At(i, p) * b.At(j, p))
+	}
+	return sum
 }
 
-// Naive reference kernels: the pre-optimization loop nests, kept verbatim
-// so the cache-blocked kernels are verified against them on random tiles
-// (including non-multiple-of-4 shapes that exercise the unroll tails).
-
 func naiveSyrk(c, a *tile.Tile) {
-	n := c.Rows
-	k := a.Cols
-	for i := 0; i < n; i++ {
+	for i := 0; i < c.Rows; i++ {
 		for j := 0; j <= i; j++ {
-			s := c.At(i, j)
-			for p := 0; p < k; p++ {
-				s -= a.At(i, p) * a.At(j, p)
-			}
-			c.Set(i, j, s)
+			c.Set(i, j, c.At(i, j)-refDot(a, a, i, j))
 		}
 	}
 }
 
 func naiveGemmNT(c, a, b *tile.Tile) {
-	m, n, k := c.Rows, c.Cols, a.Cols
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := c.At(i, j)
-			for p := 0; p < k; p++ {
-				s -= a.At(i, p) * b.At(j, p)
-			}
-			c.Set(i, j, s)
+	for i := 0; i < c.Rows; i++ {
+		for j := 0; j < c.Cols; j++ {
+			c.Set(i, j, c.At(i, j)-refDot(a, b, i, j))
 		}
 	}
 }
@@ -320,7 +320,7 @@ func naiveGemmNN(c, a, b *tile.Tile) {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				c.Add(i, j, av*b.At(p, j))
+				c.Add(i, j, float64(av*b.At(p, j)))
 			}
 		}
 	}
@@ -363,8 +363,8 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 		c2 := c1.Clone()
 		GemmNT(c1, a, b)
 		naiveGemmNT(c2, a, b)
-		if !c1.Equal(c2, 1e-12*float64(k)) {
-			t.Fatalf("GemmNT mismatch at %v", s)
+		if !c1.Equal(c2, 0) {
+			t.Fatalf("GemmNT mismatch at %v (must be bitwise: same summation order)", s)
 		}
 
 		bnn := randTile(k, n, rng)
@@ -387,8 +387,8 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 		c2 := c1.Clone()
 		Syrk(c1, a)
 		naiveSyrk(c2, a)
-		if !c1.Equal(c2, 1e-12*float64(k)) {
-			t.Fatalf("Syrk mismatch at n=%d", n)
+		if !c1.Equal(c2, 0) {
+			t.Fatalf("Syrk mismatch at n=%d (must be bitwise: same summation order)", n)
 		}
 	}
 	for _, s := range [][3]int{{8, 8, 8}, {7, 5, 9}, {16, 13, 6}, {5, 21, 3}} {
