@@ -384,19 +384,6 @@ func BenchmarkSerdeTileArchive(b *testing.B) {
 	}
 }
 
-// BenchmarkSerdeTileSplitMD measures the splitmd path: metadata encode,
-// allocate, payload copy.
-func BenchmarkSerdeTileSplitMD(b *testing.B) {
-	t := tile.New(128, 128)
-	tr, _ := serde.SplitMDFor(t)
-	b.SetBytes(int64(t.PayloadSize()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := tr.Allocate(t.SplitMetadata())
-		dst.CopyPayloadFrom(t)
-	}
-}
-
 // BenchmarkStreamingReducer measures streaming-terminal accumulation.
 func BenchmarkStreamingReducer(b *testing.B) {
 	n := b.N
@@ -621,7 +608,6 @@ func (e *benchExec) Deliver(int, core.Delivery)      {}
 func (e *benchExec) Broadcast(map[int]core.Delivery) {}
 func (e *benchExec) TracksData() bool                { return true }
 func (e *benchExec) Obs() obs.Recorder               { return nil }
-func (e *benchExec) SupportsSplitMD() bool           { return false }
 func (e *benchExec) Fence()                          {}
 func (e *benchExec) Activate()                       {}
 func (e *benchExec) Deactivate()                     {}

@@ -33,8 +33,8 @@ func gatherOpts(o backend.Options, on bool) backend.Options {
 
 // runCholeskyGather factorizes a 4x4-tile matrix on 4 real ranks and
 // returns the result tiles plus the cluster-summed trace. 16x16 tiles are
-// 2 KiB on the wire: above the 1 KiB gather floor, below the 4 KiB splitmd
-// threshold, so PaRSEC-model sends take the gather path when enabled.
+// 2 KiB on the wire: above the 1 KiB gather floor, so sends take the
+// gather path when enabled.
 func runCholeskyGather(t *testing.T, preset backend.Options, on bool) (map[ttg.Int2]*tile.Tile, trace.Snapshot) {
 	t.Helper()
 	grid := tile.Grid{N: 64, NB: 16}
@@ -114,8 +114,7 @@ func TestCholeskyGatherBitIdentical(t *testing.T) {
 }
 
 // runBSPMMGather multiplies a block-sparse matrix on the MADNESS-model
-// transport (no splitmd, so gather owns every large payload) and returns
-// the product tiles plus the cluster-summed trace.
+// transport and returns the product tiles plus the cluster-summed trace.
 func runBSPMMGather(t *testing.T, on bool) (map[ttg.Int2]*tile.Tile, trace.Snapshot) {
 	t.Helper()
 	spec := sparse.DefaultSpec(40)

@@ -115,9 +115,15 @@ func init() {
 			m := &TreeMsg{LeafMask: int(hdr.Varint())}
 			m.Children = make([][]float64, hdr.Count(1))
 			for i := range m.Children {
-				if n := int(hdr.Uvarint()); n > 0 {
-					m.Children[i], segs = segs[0].F64[:n-1:n-1], segs[1:]
+				if n := int(hdr.Uvarint()) - 1; n >= 0 {
+					// One segment per present child, each exactly as long as
+					// the header says; a missing one fails the check too.
+					m.Children[i] = serde.OneF64Segment(segs[:min(1, len(segs))], n)[:n:n]
+					segs = segs[1:]
 				}
+			}
+			if len(segs) != 0 {
+				panic("mra: TreeMsg arrived with more segments than its header has children")
 			}
 			return m
 		},
@@ -141,7 +147,7 @@ func init() {
 		},
 		Scatter: func(hdr *serde.Buffer, segs []serde.Segment) *DMsg {
 			n := int(hdr.Uvarint())
-			return &DMsg{LeafMask: int(hdr.Varint()), D: segs[0].F64[:n:n]}
+			return &DMsg{LeafMask: int(hdr.Varint()), D: serde.OneF64Segment(segs, n)[:n:n]}
 		},
 	})
 }

@@ -2,11 +2,12 @@
 // the PaRSEC-model and MADNESS-model backends. Each rank of the virtual
 // cluster gets a worker pool, a communication thread serving active
 // messages, a termination detector, and a transport speaking the wire
-// protocols of §II: eager whole-object (archive) messages, the two-stage
-// split-metadata protocol with RMA payload fetch, and tree-forwarded
-// optimized broadcasts. The two named backends are Options presets of this
-// engine (PaRSEC and MADNESS below), just as the C++ TTG backends
-// configure shared machinery over their runtimes.
+// protocols of §II: eager whole-object (archive) messages, by-reference
+// gather messages (metadata framed, payload landed in place — what the
+// split-metadata protocol becomes on a fabric without RMA), and
+// tree-forwarded optimized broadcasts. The two named backends are Options
+// presets of this engine (PaRSEC and MADNESS below), just as the C++ TTG
+// backends configure shared machinery over their runtimes.
 package backend
 
 import (
@@ -29,13 +30,11 @@ import (
 )
 
 // Wire kinds on the fabric. Kinds at or above fabric.KindReserved belong
-// to the transport itself (netfab bootstrap and pull frames) and never
-// reach the comm loop.
+// to the transport itself (netfab's bootstrap hello) and never reach the
+// comm loop.
 const (
 	kCtrl       uint8 = iota + 1 // termination-detection control
 	kData                        // eager data: header + inline archive value
-	kSplit                       // splitmd phase 1: header + metadata + RMA handle
-	kSplitAck                    // splitmd completion: release the source region
 	kBcastChunk                  // tree broadcast: one chunk of the value; chunk 0 carries the plan and geometry
 	kGatherData                  // zero-copy data: header + gather header, payload as by-reference segments
 )
@@ -71,11 +70,15 @@ type Options struct {
 
 // PaRSEC is the preset modeling the paper's PaRSEC backend (§II-D): the
 // runtime owns data flowing through the graph (so const-ref sends avoid
-// copies), large payloads take one-sided transfers via the split-metadata
-// protocol, multi-rank broadcasts are forwarded along binomial trees, and
-// scheduling is banded work stealing that honors priority maps.
+// copies), large payloads cross by reference, multi-rank broadcasts are
+// forwarded along binomial trees, and scheduling is banded work stealing
+// that honors priority maps. Its protocol properties are the sim flavor's
+// but for SplitMD: fetching remote memory one-sidedly is a property of the
+// machine being modelled, and no fabric this engine runs over has it.
 func PaRSEC() Options {
-	return Options{Name: "parsec", Policy: sched.PolicyStealPrio, SendCaps: cluster.ParsecFlavor().SendCaps}
+	caps := cluster.ParsecFlavor().SendCaps
+	caps.SplitMD = false
+	return Options{Name: "parsec", Policy: sched.PolicyStealPrio, SendCaps: caps}
 }
 
 // MADNESS is the preset modeling the paper's MADNESS backend (§II-D): one
@@ -113,6 +116,9 @@ type Runtime struct {
 // opts.Fabric is set — the single-local-rank runtime for that endpoint's
 // rank of a multi-process cluster (ranks is then ignored).
 func New(ranks int, opts Options) *Runtime {
+	if opts.SplitMD {
+		panic("backend: SendCaps.SplitMD is set, but neither fabric the engine runs over (simnet, netfab) can fetch remote memory; only backend/sim's flavors model splitmd")
+	}
 	if opts.Fabric != nil {
 		ep := opts.Fabric
 		opts.fill(ep.Size())
@@ -209,12 +215,6 @@ type Proc struct {
 	rec         *obs.Rank
 	msgBytes    *obs.Histogram
 	bcastFanout *obs.Histogram
-
-	// snaps tracks RMA handles whose registered object is a runtime-owned
-	// splitmd snapshot (SendCopy); on release ack the object goes back to
-	// its pool instead of waiting for the GC.
-	snapMu sync.Mutex
-	snaps  map[uint64]struct{}
 }
 
 func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
@@ -279,11 +279,6 @@ func (p *Proc) Size() int { return p.rt.Ranks() }
 // Workers returns the pool width.
 func (p *Proc) Workers() int { return p.pool.Workers() }
 
-// PendingRMARegions reports how many splitmd source objects are still
-// registered awaiting release acknowledgements; it drains to zero shortly
-// after quiescence (diagnostics/leak tests).
-func (p *Proc) PendingRMARegions() int { return p.ep.RegionCount() }
-
 // Tracer implements core.Executor.
 func (p *Proc) Tracer() *trace.Collector { return &p.tr }
 
@@ -307,9 +302,6 @@ func (p *Proc) Obs() obs.Recorder {
 
 // TracksData implements core.Executor.
 func (p *Proc) TracksData() bool { return p.rt.opts.TracksData }
-
-// SupportsSplitMD implements core.Executor.
-func (p *Proc) SupportsSplitMD() bool { return p.rt.opts.SplitMD }
 
 // Activate implements core.Executor.
 func (p *Proc) Activate() { p.det.Activate() }
@@ -392,8 +384,6 @@ func (p *Proc) Deliver(dest int, d core.Delivery) {
 	switch {
 	case dest == p.rank:
 		p.deliverLoopback(d, pl.Codec)
-	case pl.Proto == core.ProtoSplit:
-		p.deliverSplit(dest, d, pl)
 	case pl.Proto == core.ProtoGather && p.deliverGather(dest, d, pl):
 		// Shipped; a codec that declines this value leaves it to the copy path.
 	default:
@@ -492,38 +482,6 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, pl core.SendPlan) bool {
 	return true
 }
 
-// deliverSplit performs splitmd phase 1: eager metadata plus an RMA handle
-// to the registered source object; the receiver fetches the payload.
-func (p *Proc) deliverSplit(dest int, d core.Delivery, pl core.SendPlan) {
-	src := d.Value.(serde.SplitMD)
-	if pl.Snapshot {
-		// The sender may mutate after send; snapshot for the deferred read.
-		src = pl.Codec.Clone(d.Value).(serde.SplitMD)
-		p.tr.DataCopies.Add(1)
-	} else {
-		p.tr.CopiesAvoided.Add(1)
-	}
-	h := p.ep.RegisterObject(src)
-	if pl.Snapshot {
-		// Runtime-owned copy: reclaimable when the receiver acks.
-		p.snapMu.Lock()
-		if p.snaps == nil {
-			p.snaps = map[uint64]struct{}{}
-		}
-		p.snaps[h.ID] = struct{}{}
-		p.snapMu.Unlock()
-	}
-	b := serde.GetBuffer(256)
-	core.EncodeHeader(b, d)
-	b.PutUvarint(uint64(pl.Codec.Tag()))
-	b.PutBytes(src.SplitMetadata())
-	b.PutUvarint(uint64(pl.Payload))
-	b.PutRaw(fabric.EncodeHandle(nil, h))
-	p.tr.SplitMDTransfers.Add(1)
-	p.tr.BytesSent.Add(int64(pl.Payload)) // the RMA-fetched payload
-	p.send(dest, kSplit, b.Detach(), nil)
-}
-
 // send puts one counted logical message on the fabric as one packet:
 // framed bytes plus, for gather messages, by-reference payload segments.
 // Nothing is held back for batching — the message is the fabric's when
@@ -555,26 +513,7 @@ func (p *Proc) commLoop() {
 		switch pkt.Kind {
 		case kCtrl:
 			p.det.HandleControl(pkt.Data)
-		case kSplitAck:
-			h, _, ok := fabric.DecodeHandle(pkt.Data)
-			if !ok {
-				panic(fmt.Sprintf("backend: short handle (%d bytes) in kSplitAck packet from rank %d", len(pkt.Data), pkt.Src))
-			}
-			obj := p.ep.Deregister(h)
-			p.snapMu.Lock()
-			_, snap := p.snaps[h.ID]
-			if snap {
-				delete(p.snaps, h.ID)
-			}
-			p.snapMu.Unlock()
-			if snap {
-				// The object was the runtime's own snapshot; nobody else
-				// holds it, so pooled payloads can go straight back.
-				if r, ok := obj.(pool.Releasable); ok {
-					r.Release()
-				}
-			}
-		case kData, kSplit, kGatherData, kBcastChunk:
+		case kData, kGatherData, kBcastChunk:
 			p.recvMsg(pkt)
 		default:
 			panic(fmt.Sprintf("backend: unknown packet kind %d", pkt.Kind))
@@ -607,14 +546,10 @@ func (p *Proc) recvMsg(pkt fabric.Packet) {
 		// here; donate it to the encode pool.
 		serde.Recycle(pkt.Data)
 	case kGatherData:
-		p.graph.Inject(p.decodeGather(serde.FromBytes(pkt.Data), pkt.Segs))
+		p.graph.Inject(p.decodeGather(pkt))
 		// Only the framed header lived in the wire buffer — the payload
 		// segments now belong to the scattered value.
 		serde.Recycle(pkt.Data)
-	case kSplit:
-		p.startSplitFetch(serde.FromBytes(pkt.Data), pkt.Src)
-		serde.Recycle(pkt.Data)
-		return // fetchSplit deactivates when the payload lands
 	// Broadcast packets carry arrays shared with other receivers and
 	// forwarded verbatim down the tree, so they are never recycled.
 	case kBcastChunk:
@@ -623,78 +558,40 @@ func (p *Proc) recvMsg(pkt fabric.Packet) {
 	p.det.Deactivate()
 }
 
-// decodeGather reads one gather message from b (delivery header, codec
-// tag, gather header, segment count) whose payload is segs. The scattered
+// decodeGather reads one gather message (delivery header, codec tag,
+// gather header, segment count) whose payload is pkt.Segs. The scattered
 // value is decoded as a view: it owns — and typically aliases — the
 // segment memory, so no payload copy happens here. The gather header is
 // consumed synchronously (codecs must not retain it), so the caller may
 // recycle the wire buffer afterwards.
-func (p *Proc) decodeGather(b *serde.Buffer, segs []serde.Segment) core.Delivery {
-	d := core.DecodeHeader(b)
+//
+// This path lands every by-reference payload byte, and each length in it
+// is the sender's claim: whichever check refuses one — here, in the
+// buffer, or in the codec's Scatter — the panic names the packet.
+func (p *Proc) decodeGather(pkt fabric.Packet) (d core.Delivery) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("backend: malformed kGatherData packet from rank %d: %v", pkt.Src, r))
+		}
+	}()
+	b := serde.FromBytes(pkt.Data)
+	d = core.DecodeHeader(b)
 	tag := uint32(b.Uvarint())
-	hdrLen := int(b.Uvarint())
-	hdr := serde.FromBytes(b.RawOut(hdrLen))
-	nsegs := int(b.Uvarint())
+	hdr := serde.FromBytes(b.RawOut(b.Count(1)))
+	if nsegs := b.Uvarint(); nsegs != uint64(len(pkt.Segs)) {
+		panic(fmt.Sprintf("header counts %d payload segments, the packet carries %d", nsegs, len(pkt.Segs)))
+	}
 	g, ok := serde.GathererByTag(tag)
 	if !ok {
-		panic(fmt.Sprintf("backend: wire tag %d has no gather codec", tag))
+		panic(fmt.Sprintf("wire tag %d has no gather codec", tag))
 	}
-	d.Value = g.Scatter(hdr, segs[:nsegs])
+	d.Value = g.Scatter(hdr, pkt.Segs)
 	// Like a deserialized eager value: the runtime owns the object (and
 	// with it the pooled payload the view aliases) until the last
 	// consumer is done.
 	d.Exclusive = true
 	p.tr.ViewDecodes.Add(1)
 	return d
-}
-
-// startSplitFetch reads a splitmd phase-1 message from b and launches phase
-// 2 asynchronously, like an RMA engine completing the get and firing a
-// completion callback. Everything phase 2 needs is copied out of the wire
-// buffer (meta via BytesOut) before this returns, so the caller may recycle
-// the packet. The caller's Activate is balanced by fetchSplit.
-func (p *Proc) startSplitFetch(b *serde.Buffer, src int) {
-	d := core.DecodeHeader(b)
-	tag := uint32(b.Uvarint())
-	meta := b.BytesOut()
-	payloadBytes := int(b.Uvarint())
-	raw := b.RawOut(min(b.Remaining(), fabric.HandleLen))
-	h, _, ok := fabric.DecodeHandle(raw)
-	if !ok {
-		panic(fmt.Sprintf("backend: short handle (%d bytes) in kSplit packet from rank %d", len(raw), src))
-	}
-	go p.fetchSplit(d, tag, meta, payloadBytes, h, src)
-}
-
-func (p *Proc) fetchSplit(d core.Delivery, tag uint32, meta []byte, payloadBytes int, h fabric.RMAHandle, src int) {
-	defer p.det.Deactivate()
-	traits, ok := serde.SplitMDByTag(tag)
-	if !ok {
-		panic(fmt.Sprintf("backend: no splitmd traits for wire tag %d", tag))
-	}
-	obj, owned, err := p.ep.FetchObject(h, payloadBytes)
-	if err != nil {
-		panic(fmt.Sprintf("backend: splitmd fetch failed: %v", err))
-	}
-	if owned {
-		// A network fabric decoded a requester-owned object for us — a
-		// view over the pooled segments the payload landed in — so it is
-		// the delivery value as it stands, like a gather receive.
-		p.tr.ViewDecodes.Add(1)
-	} else {
-		// The owner's live object: copy the payload out of it.
-		dst := traits.Allocate(meta)
-		dst.CopyPayloadFrom(obj.(serde.SplitMD))
-		obj = dst
-	}
-	p.tr.BytesReceived.Add(int64(payloadBytes)) // the RMA-fetched payload
-	p.recordDeliver(payloadBytes)
-	d.Value = obj
-	// The fetched object belongs to this rank alone.
-	d.Exclusive = true
-	p.graph.Inject(d)
-	// Notify the sender so it can release the source object.
-	p.ep.Send(src, kSplitAck, fabric.EncodeHandle(nil, h))
 }
 
 // recordDeliver emits a message-delivery event on the comm thread.
@@ -751,8 +648,6 @@ func (p *Proc) CollectLive(emit func(live.Sample)) {
 	emit(live.Sample{Name: obs.GaugeDequeDepth, Rank: p.rank, Value: float64(depth)})
 	emit(live.Sample{Name: obs.GaugeParkedWorkers, Rank: p.rank,
 		Value: float64(p.pool.Stats().Parked)})
-	emit(live.Sample{Name: obs.GaugeRendezvousOutstanding, Rank: p.rank,
-		Value: float64(p.ep.RegionCount())})
 	emit(live.Sample{Name: obs.GaugeTermdetActive, Rank: p.rank,
 		Value: float64(p.det.Active())})
 	if ss, ok := p.ep.(fabric.StatSource); ok {

@@ -1,6 +1,8 @@
 package backend_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,21 +22,14 @@ func withWorkers(o backend.Options, n int) backend.Options {
 	return o
 }
 
-// vec is a splitmd-capable payload used by the transport tests.
+// vec is the payload of the transport tests. It opts in to splitmd but has
+// no gather codec, so on the engine it always crosses copy-encoded.
 type vec struct {
 	n    int
 	data []float64
 }
 
-func (v *vec) SplitMetadata() []byte {
-	b := serde.NewBuffer(8)
-	b.PutVarint(int64(v.n))
-	return b.Bytes()
-}
 func (v *vec) PayloadBytes() int { return 8 * len(v.data) }
-func (v *vec) CopyPayloadFrom(src serde.SplitMD) {
-	copy(v.data, src.(*vec).data)
-}
 
 func init() {
 	serde.Register(serde.FuncCodec[*vec]{
@@ -52,12 +47,7 @@ func init() {
 			return &vec{n: v.n, data: d}
 		},
 	})
-	serde.RegisterSplitMD(&vec{}, serde.SplitMDTraits{
-		Allocate: func(meta []byte) serde.SplitMD {
-			n := int(serde.FromBytes(meta).Varint())
-			return &vec{n: n, data: make([]float64, n)}
-		},
-	})
+	serde.RegisterSplitMD(&vec{})
 }
 
 // buildChain assembles a K-stage pipeline where stage i adds i to the
@@ -164,41 +154,58 @@ func TestAllSchedulerPolicies(t *testing.T) {
 
 // TestPresets pins the paper's §II-D property list: what New builds from
 // each preset, with only the worker count filled in. The protocol
-// properties are the sim flavor's by construction, and unset thresholds
-// resolve to their defaults when read, not when stored.
+// properties are the sim flavor's by construction, but for SplitMD — the
+// Hawk/Seawulf flavors model one-sided fetches, no fabric under the engine
+// has them, and New refuses a configuration that asks for one. Unset
+// thresholds resolve to their defaults when read, not when stored.
 func TestPresets(t *testing.T) {
 	for _, tc := range []struct {
-		preset                    backend.Options
-		flavor                    cluster.Flavor
-		name                      string
-		policy                    sched.Policy
-		tracks, splitmd, treeCast bool
+		preset           backend.Options
+		flavor           cluster.Flavor
+		name             string
+		policy           sched.Policy
+		tracks, treeCast bool
 	}{
-		{backend.PaRSEC(), cluster.ParsecFlavor(), "parsec", sched.PolicyStealPrio, true, true, true},
-		{backend.MADNESS(), cluster.MadnessFlavor(), "madness", sched.PolicyFIFO, false, false, false},
+		{backend.PaRSEC(), cluster.ParsecFlavor(), "parsec", sched.PolicyStealPrio, true, true},
+		{backend.MADNESS(), cluster.MadnessFlavor(), "madness", sched.PolicyFIFO, false, false},
 	} {
 		rt := backend.New(2, tc.preset)
 		o := rt.Options()
 		rt.Shutdown()
 		if o.Name != tc.name || o.Policy != tc.policy || o.TracksData != tc.tracks ||
-			o.SplitMD != tc.splitmd || o.TreeBroadcast != tc.treeCast {
+			o.SplitMD || o.TreeBroadcast != tc.treeCast {
 			t.Errorf("%s preset wrong: %+v", tc.name, o)
 		}
-		if o.SendCaps != tc.flavor.SendCaps || o.Name != tc.flavor.Name {
-			t.Errorf("%s: engine preset %+v is not sim flavor %+v", tc.name, o.SendCaps, tc.flavor)
+		want := tc.flavor.SendCaps
+		want.SplitMD = false
+		if o.SendCaps != want || o.Name != tc.flavor.Name {
+			t.Errorf("%s: engine preset %+v is not sim flavor %+v less SplitMD", tc.name, o.SendCaps, tc.flavor)
 		}
 		_, chunk := o.Chunks(1 << 20)
 		if o.WorkersPerRank < 1 || o.Eager() != 4096 || chunk != 128<<10 || o.GatherThreshold != 0 {
 			t.Errorf("%s defaults wrong: %+v", tc.name, o)
 		}
+
+		asked := tc.preset
+		asked.SplitMD = true
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "SplitMD") {
+					t.Errorf("%s: New with SplitMD set: recovered %v, want a panic naming SplitMD", tc.name, r)
+				}
+			}()
+			backend.New(2, asked).Shutdown()
+		}()
 	}
 }
 
-// TestSplitMDUsedForLargePayloads verifies large splitmd-capable values
-// take the rendezvous path on the PaRSEC-model backend and the archive
-// path on the MADNESS-model backend.
+// TestSplitMDProtocolSelection: opting in to splitmd selects nothing on the
+// engine. Under either preset a large splitmd-capable value crosses by
+// what its codec offers — one by-reference gather packet decoded as a view
+// when it has a gather codec (a 32 KiB tile), one copy-encoded archive when
+// it has not (vec) — and never by rendezvous.
 func TestSplitMDProtocolSelection(t *testing.T) {
-	run := func(rt *backend.Runtime) (got []float64, snap trace.Snapshot) {
+	sendVec := func(rt *backend.Runtime) (got []float64, snap trace.Snapshot) {
 		var mu sync.Mutex
 		rt.Run(func(p *backend.Proc) {
 			g := p.NewGraph()
@@ -243,20 +250,26 @@ func TestSplitMDProtocolSelection(t *testing.T) {
 		return
 	}
 
-	got, snap := run(backend.New(2, withWorkers(backend.PaRSEC(), 1)))
-	if len(got) != 1 || got[0] != 4095 {
-		t.Fatalf("parsec: payload corrupted: %v", got)
-	}
-	if snap.SplitMDTransfers != 1 || snap.ArchiveTransfers != 0 {
-		t.Fatalf("parsec: want the one 32KB payload sent by splitmd, counted once: %+v", snap)
-	}
+	for _, preset := range []backend.Options{backend.PaRSEC(), backend.MADNESS()} {
+		opts := withWorkers(preset, 1)
+		got, snap := sendVec(backend.New(2, opts))
+		if len(got) != 1 || got[0] != 4095 {
+			t.Fatalf("%s: vec payload corrupted: %v", opts.Name, got)
+		}
+		if snap.SplitMDTransfers != 0 || snap.GatherSends != 0 || snap.ArchiveTransfers != 1 {
+			t.Fatalf("%s: want the one 32KB vec sent as an archive, counted once: %+v", opts.Name, snap)
+		}
 
-	got, snap = run(backend.New(2, withWorkers(backend.MADNESS(), 1)))
-	if len(got) != 1 || got[0] != 4095 {
-		t.Fatalf("madness: payload corrupted: %v", got)
-	}
-	if snap.SplitMDTransfers != 0 || snap.ArchiveTransfers != 1 {
-		t.Fatalf("madness: want the one payload sent as an archive: %+v", snap)
+		data, send, recv := runTileSend(t, "simnet", opts, 64, 64, core.SendMove)
+		expectTileData(t, data, 64, 64)
+		if send.SplitMDTransfers != 0 || send.GatherSends != 1 || recv.ViewDecodes != 1 || send.ArchiveTransfers != 0 {
+			t.Fatalf("%s: want the one 32KB tile as splitmd=0 gather=1 views=1: sent %+v, views=%d",
+				opts.Name, send, recv.ViewDecodes)
+		}
+		if send.MsgsSent != 1 || send.WirePackets != 1 {
+			t.Fatalf("%s: MsgsSent = %d, WirePackets = %d, want one kGatherData packet",
+				opts.Name, send.MsgsSent, send.WirePackets)
+		}
 	}
 }
 
@@ -485,53 +498,6 @@ func TestStreamingAcrossRanks(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSplitMDRegionsReleased: after quiescence the release acknowledgements
-// drain every registered source object (the sender-release step of the
-// §II-C protocol) — no RMA region leaks.
-func TestSplitMDRegionsReleased(t *testing.T) {
-	rt := backend.New(2, withWorkers(backend.PaRSEC(), 1))
-	var procs [2]*backend.Proc
-	rt.Run(func(p *backend.Proc) {
-		procs[p.Rank()] = p
-		g := p.NewGraph()
-		in := core.NewEdge("in")
-		out := core.NewEdge("out")
-		g.AddTT(core.TTSpec{
-			Name:    "src",
-			Inputs:  []core.InputSpec{{Edge: in}},
-			Outputs: []core.OutputSpec{{Edge: out}},
-			Keymap:  func(any) int { return 0 },
-			Body: func(ctx *core.TaskContext) {
-				big := &vec{n: 4096, data: make([]float64, 4096)}
-				ctx.SendMode(0, ctx.Key(), big, core.SendMove)
-			},
-		})
-		g.AddTT(core.TTSpec{
-			Name:   "dst",
-			Inputs: []core.InputSpec{{Edge: out}},
-			Keymap: func(any) int { return 1 },
-			Body:   func(ctx *core.TaskContext) {},
-		})
-		g.Seal()
-		p.Bind(g)
-		if p.Rank() == 0 {
-			for k := 0; k < 10; k++ {
-				g.Seed(in, serde.Int1{k}, 0.0)
-			}
-		}
-		g.Fence()
-		// Acks are fire-and-forget control traffic outside termination
-		// detection; give them a moment to drain.
-		deadline := time.Now().Add(2 * time.Second)
-		for p.PendingRMARegions() > 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := p.PendingRMARegions(); n != 0 {
-			t.Errorf("rank %d leaks %d RMA regions", p.Rank(), n)
-		}
-	})
 }
 
 // fanInSharing runs one remote broadcast of a single value to two

@@ -10,69 +10,30 @@ import (
 	"repro/internal/trace"
 )
 
-// TestEagerRendezvousSwitch pins the protocol auto-selection to both sides
-// of the configured threshold: a payload under it travels inline (archive),
-// one over it takes the splitmd rendezvous path.
+// TestEagerRendezvousSwitch: the engine has no rendezvous to switch to.
+// EagerThreshold is a threshold of the simulator's flavors; with it set
+// on the PaRSEC preset the only switch a payload sees is the gather floor
+// (1 KiB): a tile under it travels inline as an archive, one over it — and
+// over the configured "eager" size — is one by-reference gather packet.
 func TestEagerRendezvousSwitch(t *testing.T) {
-	run := func(floats int) (snap trace.Snapshot, last float64) {
-		o := withWorkers(backend.PaRSEC(), 1)
-		o.EagerThreshold = 1024
-		rt := backend.New(2, o)
-		rt.Run(func(p *backend.Proc) {
-			g := p.NewGraph()
-			in := core.NewEdge("in")
-			out := core.NewEdge("out")
-			g.AddTT(core.TTSpec{
-				Name:    "src",
-				Inputs:  []core.InputSpec{{Edge: in}},
-				Outputs: []core.OutputSpec{{Edge: out}},
-				Keymap:  func(any) int { return 0 },
-				Body: func(ctx *core.TaskContext) {
-					v := &vec{n: floats, data: make([]float64, floats)}
-					for i := range v.data {
-						v.data[i] = float64(i)
-					}
-					ctx.SendMode(0, ctx.Key(), v, core.SendMove)
-				},
-			})
-			g.AddTT(core.TTSpec{
-				Name:   "dst",
-				Inputs: []core.InputSpec{{Edge: out}},
-				Keymap: func(any) int { return 1 },
-				Body: func(ctx *core.TaskContext) {
-					v := ctx.Input(0).(*vec)
-					last = v.data[len(v.data)-1]
-				},
-			})
-			g.Seal()
-			p.Bind(g)
-			if p.Rank() == 0 {
-				g.Seed(in, serde.Int1{0}, 0.0)
-			}
-			g.Fence()
-			if p.Rank() == 0 {
-				snap = p.Tracer().Snapshot()
-			}
-		})
-		return
+	o := withWorkers(backend.PaRSEC(), 1)
+	o.EagerThreshold = 1024
+
+	// 4x4 tile ≈ 144 wire bytes: under both thresholds.
+	got, send, recv := runTileSend(t, "simnet", o, 4, 4, core.SendMove)
+	expectTileData(t, got, 4, 4)
+	if send.SplitMDTransfers != 0 || send.GatherSends != 0 || send.ArchiveTransfers != 1 || recv.ViewDecodes != 0 {
+		t.Fatalf("sub-threshold payload should be one eager send: %+v", send)
 	}
 
-	// 16 floats ≈ 140 wire bytes: well under the 1024-byte threshold.
-	snap, last := run(16)
-	if last != 15 {
-		t.Fatalf("eager payload corrupted: last = %v", last)
+	// 64x64 tile = 32 KiB: over both.
+	got, send, recv = runTileSend(t, "simnet", o, 64, 64, core.SendMove)
+	expectTileData(t, got, 64, 64)
+	if send.SplitMDTransfers != 0 || send.GatherSends != 1 || send.ArchiveTransfers != 0 || recv.ViewDecodes != 1 {
+		t.Fatalf("super-threshold payload should be splitmd=0 gather=1 views=1: sent %+v, views=%d", send, recv.ViewDecodes)
 	}
-	if snap.SplitMDTransfers != 0 || snap.ArchiveTransfers != 1 {
-		t.Fatalf("sub-threshold payload should be one eager send: %+v", snap)
-	}
-
-	// 1024 floats ≈ 8 KiB: well over the threshold.
-	snap, last = run(1024)
-	if last != 1023 {
-		t.Fatalf("rendezvous payload corrupted: last = %v", last)
-	}
-	if snap.SplitMDTransfers != 1 || snap.ArchiveTransfers != 0 {
-		t.Fatalf("super-threshold payload should be one splitmd rendezvous: %+v", snap)
+	if send.MsgsSent != 1 || send.WirePackets != 1 {
+		t.Fatalf("MsgsSent = %d, WirePackets = %d, want one kGatherData packet", send.MsgsSent, send.WirePackets)
 	}
 }
 

@@ -61,15 +61,15 @@ func TestProcAccessors(t *testing.T) {
 		if p.Size() != 3 || p.Workers() != 2 {
 			t.Errorf("size/workers = %d/%d", p.Size(), p.Workers())
 		}
-		if !p.TracksData() || !p.SupportsSplitMD() {
-			t.Error("parsec backend should track data and support splitmd")
+		if !p.TracksData() {
+			t.Error("parsec backend should track data")
 		}
 		g.Fence()
 	})
 	if len(seen) != 3 {
 		t.Fatalf("ranks seen: %v", seen)
 	}
-	if rt.Ranks() != 3 || rt.Options().Name != "parsec" {
+	if rt.Ranks() != 3 || rt.Options().Name != "parsec" || rt.Options().SplitMD {
 		t.Fatalf("runtime accessors wrong")
 	}
 }

@@ -3,9 +3,14 @@ package backend_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/apps/cholesky"
+	"repro/internal/backend"
 	"repro/internal/netfab"
+	"repro/internal/serde"
+	"repro/internal/tile"
 	"repro/ttg"
 )
 
@@ -16,7 +21,7 @@ import (
 // frame batching, vectored writes, and sender backpressure all cycle
 // constantly. The per-sink sums must match the 1-rank in-process
 // reference. Run under -race this covers the full socket path: writer
-// batching, pooled receive landing, pull protocol, and graceful close.
+// batching, pooled receive landing, and graceful close.
 func TestRandomGraphOverTCPFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fabric soak skipped in -short")
@@ -65,5 +70,88 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countingEndpoint counts what its runtime hands the fabric: every send
+// bound for another rank, and those that are counted messages (any kind
+// but termination-detection control).
+type countingEndpoint struct {
+	*netfab.Endpoint
+	remote, counted atomic.Int64
+}
+
+func (e *countingEndpoint) note(dst int, kind uint8) {
+	if dst != e.Rank() {
+		e.remote.Add(1)
+	}
+	if kind != backend.KCtrl {
+		e.counted.Add(1)
+	}
+}
+
+func (e *countingEndpoint) Send(dst int, kind uint8, data []byte) {
+	e.note(dst, kind)
+	e.Endpoint.Send(dst, kind, data)
+}
+
+func (e *countingEndpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment) {
+	e.note(dst, kind)
+	e.Endpoint.SendSegs(dst, kind, data, segs)
+}
+
+// TestFramesEqualMessages asserts "one frame per counted message" at the
+// socket: a 2-rank Cholesky (n=1024, nb=128: every tile is a 128 KiB
+// by-reference payload) runs over loopback TCP with each endpoint behind
+// a counting decorator. After the endpoints close, the sends of any kind
+// but kCtrl must equal MsgsSent summed over the ranks, and the frames the
+// links report written (the bootstrap hellos bypass the per-peer writers
+// and are not among them) must equal the sends the runtime made to
+// another rank — the transport originates no frame of its own.
+func TestFramesEqualMessages(t *testing.T) {
+	raw, err := netfab.NewLocalMesh(2, netfab.Config{Transport: "tcp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := tile.Grid{N: 1024, NB: 128}
+	var msgsSent atomic.Int64
+	var eps [2]*countingEndpoint
+	var wg sync.WaitGroup
+	for r := range eps {
+		eps[r] = &countingEndpoint{Endpoint: raw[r]}
+		wg.Add(1)
+		go func(ep *countingEndpoint) {
+			defer wg.Done()
+			o := withWorkers(backend.PaRSEC(), 1)
+			o.Fabric = ep
+			// Run closes the endpoint after the fence.
+			backend.New(0, o).Run(func(p *backend.Proc) {
+				g := ttg.NewGraphOn(p)
+				app := cholesky.Build(g, cholesky.Options{Grid: grid, Priorities: true})
+				g.MakeExecutable()
+				app.Seed()
+				g.Fence()
+				msgsSent.Add(p.Stats().MsgsSent)
+			})
+		}(eps[r])
+	}
+	wg.Wait()
+
+	var counted, remote, frames int64
+	for _, ep := range eps {
+		counted += ep.counted.Load()
+		remote += ep.remote.Load()
+		for _, st := range ep.PeerStats() {
+			frames += st.TxFrames
+		}
+	}
+	if msgsSent.Load() == 0 {
+		t.Fatal("no message crossed: the run exercised nothing")
+	}
+	if counted != msgsSent.Load() {
+		t.Errorf("%d sends of a kind other than kCtrl for MsgsSent = %d, want one each", counted, msgsSent.Load())
+	}
+	if frames != remote {
+		t.Errorf("links wrote %d frames for %d sends to another rank, want one each", frames, remote)
 	}
 }

@@ -68,8 +68,8 @@ func (rp *randProgram) run(t *testing.T, be ttg.Backend, ranks int) map[int]floa
 // the shared map — shared across rank goroutines in-process, or holding
 // one rank's locally-owned sinks when each rank is its own runtime over a
 // real fabric. Past its fence every rank checks that each logical message
-// it counted (point-to-point, splitmd metadata, broadcast header or chunk)
-// was exactly one fabric packet.
+// it counted (point-to-point, broadcast header or chunk) was exactly one
+// fabric packet.
 func (rp *randProgram) graphMain(t *testing.T, mu *sync.Mutex, sums map[int]float64) func(pc *ttg.Process) {
 	return func(pc *ttg.Process) {
 		g := pc.NewGraph()

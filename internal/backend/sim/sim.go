@@ -218,9 +218,6 @@ func (p *Proc) Obs() obs.Recorder { return nil }
 // TracksData implements core.Executor.
 func (p *Proc) TracksData() bool { return p.rt.cfg.Flavor.TracksData }
 
-// SupportsSplitMD implements core.Executor.
-func (p *Proc) SupportsSplitMD() bool { return p.rt.cfg.Flavor.SplitMD }
-
 // Activate implements core.Executor (quiescence in virtual time is an
 // empty event queue, so activity tracking is unnecessary).
 func (p *Proc) Activate() {}

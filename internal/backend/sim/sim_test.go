@@ -278,13 +278,7 @@ type simVec struct {
 	data []float64 // nil in phantom mode
 }
 
-func (v *simVec) SplitMetadata() []byte {
-	b := serde.NewBuffer(8)
-	b.PutVarint(int64(v.n))
-	return b.Bytes()
-}
-func (v *simVec) PayloadBytes() int                 { return 8 * v.n }
-func (v *simVec) CopyPayloadFrom(src serde.SplitMD) {}
+func (v *simVec) PayloadBytes() int { return 8 * v.n }
 
 func init() {
 	serde.Register(serde.FuncCodec[*simVec]{
@@ -296,11 +290,7 @@ func init() {
 			return &simVec{n: v.n}
 		},
 	})
-	serde.RegisterSplitMD(&simVec{}, serde.SplitMDTraits{
-		Allocate: func(meta []byte) serde.SplitMD {
-			return &simVec{n: int(serde.FromBytes(meta).Varint())}
-		},
-	})
+	serde.RegisterSplitMD(&simVec{})
 }
 
 func TestSplitMDSkipsSerializationCopies(t *testing.T) {

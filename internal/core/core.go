@@ -72,7 +72,7 @@ type Delivery struct {
 	Control ControlKind
 	N       int // CtrlSetSize payload
 	// Mode records the sender's data-passing semantics. Transports that
-	// defer reading the value (splitmd registration) must snapshot it
+	// defer reading the value (a modelled splitmd fetch) must snapshot it
 	// first under SendCopy, because the sender may keep mutating.
 	Mode SendMode
 	// Exclusive marks Value as runtime-owned: no other holder exists, so
@@ -120,8 +120,6 @@ type Executor interface {
 	// single copy (PaRSEC-model: true) or each get their own. It decides
 	// sharing only, not whether runtime-owned copies are reclaimed.
 	TracksData() bool
-	// SupportsSplitMD reports availability of the split-metadata protocol.
-	SupportsSplitMD() bool
 	// Fence blocks until global quiescence (collective).
 	Fence()
 	// Activate/Deactivate bracket units of pending local work for

@@ -74,7 +74,6 @@ func (e *mockExec) Broadcast(dests map[int]Delivery) {
 }
 func (e *mockExec) TracksData() bool         { return e.tracks }
 func (e *mockExec) Obs() obs.Recorder        { return e.obs }
-func (e *mockExec) SupportsSplitMD() bool    { return false }
 func (e *mockExec) Fence()                   {}
 func (e *mockExec) Activate()                {}
 func (e *mockExec) Deactivate()              {}

@@ -12,13 +12,17 @@ import (
 // rank boundary: PlanSend and PlanBcast decide, the engine (backend)
 // executes the plan, the simulator (backend/sim) charges it.
 // backend.Options and cluster.Flavor both embed it and each preset is
-// written once, so engine and cost model cannot drift apart.
+// written once (the engine's is the flavor's with SplitMD cleared), so
+// engine and cost model cannot drift apart.
 type SendCaps struct {
 	// TracksData: the runtime owns data lifetimes, so const-ref sends
 	// avoid copies (PaRSEC-model: true, MADNESS-model: false).
 	TracksData bool
 	// SplitMD enables the split-metadata rendezvous protocol: eager
-	// metadata, then an RMA fetch with no serialization copies.
+	// metadata, then an RMA fetch with no serialization copies. It is a
+	// property of the machine being modelled: true on the simulator's
+	// Hawk/Seawulf flavors, refused by backend.New, whose fabrics cannot
+	// fetch remote memory.
 	SplitMD bool
 	// TreeBroadcast forwards multi-rank broadcasts along a binomial tree
 	// instead of point-to-point sends from the root.

@@ -14,9 +14,7 @@ import (
 // needs none.
 type planVec struct{ wire, payload int }
 
-func (v *planVec) SplitMetadata() []byte         { return nil }
-func (v *planVec) PayloadBytes() int             { return v.payload }
-func (v *planVec) CopyPayloadFrom(serde.SplitMD) {}
+func (v *planVec) PayloadBytes() int { return v.payload }
 
 func init() {
 	serde.Register(serde.FuncCodec[*planVec]{
@@ -26,9 +24,7 @@ func init() {
 		Gather:  func(*serde.Buffer, *planVec) ([]serde.Segment, bool) { return nil, false },
 		Scatter: func(*serde.Buffer, []serde.Segment) *planVec { return &planVec{} },
 	})
-	serde.RegisterSplitMD(&planVec{}, serde.SplitMDTraits{
-		Allocate: func([]byte) serde.SplitMD { return &planVec{} },
-	})
+	serde.RegisterSplitMD(&planVec{})
 }
 
 // randomDelivery draws a routing header: any control kind, 0-3 targets with

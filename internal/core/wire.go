@@ -6,8 +6,8 @@ import "repro/internal/serde"
 // PaRSEC-model and MADNESS-model transports interoperate with the same
 // graph code. The header carries routing (terminal targets and task IDs)
 // and stream-control information; how the value itself travels (inline
-// archive bytes, or a splitmd metadata+RMA pair) is the backend's choice
-// and is appended after the header.
+// archive bytes, or a gather header with by-reference segments) is
+// PlanSend's choice and is appended after the header.
 
 // headerFlowFlag marks a header whose first byte is followed by a causal
 // flow id (uvarint). Bits 0-3 hold the control kind, bits 4-6 the send

@@ -5,7 +5,8 @@
 // wire path already earns in-process:
 //
 //   - Per-peer persistent connections carrying length-prefixed frames; a
-//     frame is one fabric packet (or one transport-internal message).
+//     frame is one fabric packet, and the transport originates none of
+//     its own after the bootstrap hello.
 //   - Vectored zero-copy sends: every frame queued behind an in-flight
 //     write, gathered payload segments included, is handed to the kernel
 //     as one net.Buffers writev — the runtime's only send batching — so a
@@ -14,16 +15,10 @@
 //   - Receives land whole frames into pooled buffers — framed bytes into
 //     the serde buffer pool, float64 segments into the float64 pool — so
 //     scatter-decoded receive views alias the landed memory unchanged.
-//   - The split-metadata protocol maps to meta-push/payload-pull:
-//     FetchObject sends an async pull request and the owner serves the
-//     payload straight out of the registered object's memory (zero-copy
-//     gather on the wire), so rendezvous overlap survives the real
-//     network.
 //   - Bounded per-peer in-flight bytes: senders park once a peer's queued
 //     bytes exceed MaxInflight and resume as the writer drains, providing
-//     the backpressure a virtual fabric never needed. Transport-internal
-//     frames (pull responses) bypass the bound so reader goroutines can
-//     never join a credit deadlock cycle.
+//     the backpressure a virtual fabric never needed. Reader goroutines
+//     never send, so they cannot join a credit cycle.
 //
 // Bootstrap is rank-0 coordinated: every rank opens a data listener, rank
 // 0 additionally listens on the well-known coordinator address, collects
@@ -47,20 +42,10 @@ import (
 	"repro/internal/serde"
 )
 
-// Transport-internal frame kinds (at or above fabric.KindReserved, so
-// they can never collide with runtime wire kinds).
-const (
-	fHello    = fabric.KindReserved     // mesh handshake: body = u32 rank
-	fPull     = fabric.KindReserved + 1 // payload pull request: u64 reqID, u64 regionID
-	fPullResp = fabric.KindReserved + 2 // pull response: u64 reqID, form, payload
-)
-
-// Pull-response forms.
-const (
-	formArchive = 0 // whole-object archive (EncodeAny)
-	formGather  = 1 // gather header + payload segments
-	formErr     = 2 // error string (unknown region)
-)
+// fHello is the one transport-internal frame kind (at or above
+// fabric.KindReserved, so it can never collide with a runtime wire kind):
+// the mesh handshake, body = u32 rank.
+const fHello = fabric.KindReserved
 
 // Segment types in the frame segment directory.
 const (
@@ -85,8 +70,8 @@ type Config struct {
 	// Listen overrides the data listener address (tcp only; default
 	// 127.0.0.1:0).
 	Listen string
-	// MaxInflight bounds per-peer queued (unwritten) bytes; application
-	// senders park above it. Zero means the 8 MiB default; negative
+	// MaxInflight bounds per-peer queued (unwritten) bytes; senders park
+	// above it. Zero means the 8 MiB default; negative
 	// disables backpressure.
 	MaxInflight int
 	// DialTimeout bounds bootstrap patience per connection (default 10s).
@@ -120,14 +105,6 @@ type Endpoint struct {
 	inbox      *fabric.Queue[fabric.Packet]
 	peers      []*peer // indexed by rank; peers[rank] == nil
 
-	regMu   sync.Mutex
-	regions map[uint64]any
-	nextReg uint64
-
-	pullMu  sync.Mutex
-	pulls   map[uint64]chan pullResult
-	pullSeq atomic.Uint64
-
 	closed atomic.Bool
 	readWG sync.WaitGroup
 }
@@ -146,13 +123,11 @@ func Bootstrap(cfg Config) (*Endpoint, error) {
 		return nil, err
 	}
 	e := &Endpoint{
-		rank:    cfg.Rank,
-		size:    cfg.Size,
-		cfg:     cfg,
-		inbox:   fabric.NewQueue[fabric.Packet](),
-		peers:   make([]*peer, cfg.Size),
-		regions: map[uint64]any{},
-		pulls:   map[uint64]chan pullResult{},
+		rank:  cfg.Rank,
+		size:  cfg.Size,
+		cfg:   cfg,
+		inbox: fabric.NewQueue[fabric.Packet](),
+		peers: make([]*peer, cfg.Size),
 	}
 	if cfg.Size == 1 {
 		return e, nil
@@ -377,14 +352,22 @@ func (e *Endpoint) Size() int { return e.size }
 // writer goroutine but never recycled (broadcast packets share arrays
 // across sends).
 func (e *Endpoint) Send(dst int, kind uint8, data []byte) {
-	e.post(dst, kind, data, nil, postOpts{bounded: true})
+	e.SendSegs(dst, kind, data, nil)
 }
 
 // SendSegs transmits framed data plus by-reference payload segments. The
 // segment memory is owned by the fabric: once the bytes are on the wire
 // it returns to its pool, completing the pool -> socket zero-copy path.
+// Self-sends land directly in the local inbox (parity with simnet).
 func (e *Endpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment) {
-	e.post(dst, kind, data, segs, postOpts{bounded: true, recycleSegs: true})
+	if dst == e.rank {
+		e.inbox.Push(fabric.Packet{Src: e.rank, Dst: dst, Kind: kind, Data: data, Segs: segs})
+		return
+	}
+	if dst < 0 || dst >= e.size {
+		panic(fmt.Sprintf("netfab: send to invalid rank %d", dst))
+	}
+	e.peers[dst].enqueue(buildFrame(kind, data, segs))
 }
 
 // Recv blocks for the next packet; ok is false once the endpoint is
@@ -393,19 +376,6 @@ func (e *Endpoint) Recv() (fabric.Packet, bool) { return e.inbox.Pop() }
 
 // TryRecv returns a packet if one is immediately available.
 func (e *Endpoint) TryRecv() (fabric.Packet, bool) { return e.inbox.TryPop() }
-
-// post frames and enqueues one message. Self-sends land directly in the
-// local inbox (parity with simnet).
-func (e *Endpoint) post(dst int, kind uint8, data []byte, segs []serde.Segment, o postOpts) {
-	if dst == e.rank {
-		e.inbox.Push(fabric.Packet{Src: e.rank, Dst: dst, Kind: kind, Data: data, Segs: segs})
-		return
-	}
-	if dst < 0 || dst >= e.size {
-		panic(fmt.Sprintf("netfab: send to invalid rank %d", dst))
-	}
-	e.peers[dst].enqueue(buildFrame(kind, data, segs, o), o.bounded)
-}
 
 // PeerStats implements fabric.StatSource.
 func (e *Endpoint) PeerStats() []fabric.PeerStat {
@@ -429,19 +399,18 @@ func (e *Endpoint) PeerStats() []fabric.PeerStat {
 }
 
 // closeTimeout bounds the graceful-shutdown handshake: the time allowed
-// for every peer to finish sending (trailing split acks) and half-close.
+// for every peer to finish sending and half-close.
 const closeTimeout = 5 * time.Second
 
 // Close tears the endpoint down gracefully: drain every peer's send
 // queue, half-close the connections (signalling "no more frames"), read
-// until every peer has done the same — so in-flight frames such as
-// trailing splitmd acks are delivered — then close the sockets and the
-// inbox. Safe to call once the runtime has quiesced (post-fence).
+// until every peer has done the same — so frames still in flight are
+// delivered — then close the sockets and the inbox. Safe to call once the
+// runtime has quiesced (post-fence).
 func (e *Endpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	e.failPendingPulls()
 	for _, pr := range e.peers {
 		if pr != nil {
 			pr.beginClose()

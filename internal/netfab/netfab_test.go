@@ -9,7 +9,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/pool"
 	"repro/internal/serde"
-	"repro/internal/tile"
 )
 
 func mesh(t testing.TB, n int, cfg Config) []*Endpoint {
@@ -108,51 +107,6 @@ func mustClass(t *testing.T, n int) int {
 		t.Fatalf("cap %d has no pool class", n)
 	}
 	return cls
-}
-
-// TestPullProtocol exercises FetchObject across ranks: the gather-served
-// path (a registered tile) and the archive fallback, plus the unknown-
-// region error.
-func TestPullProtocol(t *testing.T) {
-	transports(t, 2, func(t *testing.T, eps []*Endpoint) {
-		src := tile.NewPooled(32, 32)
-		for i := range src.Data {
-			src.Data[i] = float64(i)
-		}
-		h := eps[0].RegisterObject(src)
-
-		obj, owned, err := eps[1].FetchObject(h, src.PayloadSize())
-		if err != nil {
-			t.Fatalf("FetchObject: %v", err)
-		}
-		if !owned {
-			t.Fatal("remote fetch must return an owned temporary")
-		}
-		got := obj.(*tile.Tile)
-		for i := range got.Data {
-			if got.Data[i] != float64(i) {
-				t.Fatalf("payload[%d] = %v", i, got.Data[i])
-			}
-		}
-		got.Release()
-
-		// Local fetch returns the live object, not a copy.
-		lobj, lowned, err := eps[0].FetchObject(h, 0)
-		if err != nil || lowned || lobj.(*tile.Tile) != src {
-			t.Fatalf("local fetch = %v owned=%v err=%v", lobj, lowned, err)
-		}
-		if eps[0].Deregister(h).(*tile.Tile) != src {
-			t.Fatal("Deregister did not return the object")
-		}
-		if eps[0].RegionCount() != 0 {
-			t.Fatal("region leaked")
-		}
-
-		// Unknown region surfaces as an error, not a hang.
-		if _, _, err := eps[1].FetchObject(fabric.RMAHandle{Owner: 0, ID: 999}, 0); err == nil {
-			t.Fatal("fetch of unknown region should fail")
-		}
-	})
 }
 
 // TestBackpressure checks that a sender parks once a peer's queued bytes

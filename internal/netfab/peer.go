@@ -26,40 +26,18 @@ import (
 // every segment payload are separate iovecs in one vectored write.
 const frameHeadLen = 13
 
-// postOpts carry a frame's ownership decisions from the send call to the
-// writer's post-write recycling.
-type postOpts struct {
-	// bounded subjects the enqueue to the per-peer in-flight byte bound.
-	// Transport-internal sends (pull responses) clear it: reader
-	// goroutines must never park, or backpressure could form a credit
-	// cycle across ranks.
-	bounded bool
-	// recycleData returns the data slice to the serde buffer pool after
-	// the write — only for transport-internal frames whose body the
-	// endpoint itself allocated. Application data is never recycled
-	// (broadcasts share one array across sends).
-	recycleData bool
-	// recycleSegs returns segment memory to its pool after the write
-	// (the SendSegs ownership contract). Pull responses clear it: their
-	// segments reference the live registered object, which stays valid
-	// until the requester's ack — strictly after the write completes.
-	recycleSegs bool
-}
-
 // outFrame is one frame queued on a peer's writer.
 type outFrame struct {
 	bufs    net.Buffers // iovecs: head, [data], [segdir], seg payloads...
 	head    []byte      // pooled scratch backing bufs[0] (and segdir)
 	segdir  []byte      // pooled scratch, nil when nsegs == 0
-	data    []byte
 	segs    []serde.Segment
-	opts    postOpts
 	wireLen int // total bytes across bufs
 }
 
 // buildFrame assembles the iovec list for one frame without copying data
 // or segment payloads.
-func buildFrame(kind uint8, data []byte, segs []serde.Segment, o postOpts) outFrame {
+func buildFrame(kind uint8, data []byte, segs []serde.Segment) outFrame {
 	segBytes := serde.SegmentBytes(segs)
 	rest := frameHeadLen - 4 + len(data) + 5*len(segs) + segBytes
 	head := pool.Bytes(frameHeadLen)[:frameHeadLen]
@@ -67,7 +45,7 @@ func buildFrame(kind uint8, data []byte, segs []serde.Segment, o postOpts) outFr
 	head[4] = kind
 	binary.LittleEndian.PutUint32(head[5:9], uint32(len(data)))
 	binary.LittleEndian.PutUint32(head[9:13], uint32(len(segs)))
-	f := outFrame{head: head, data: data, segs: segs, opts: o, wireLen: 4 + rest}
+	f := outFrame{head: head, segs: segs, wireLen: 4 + rest}
 	f.bufs = make(net.Buffers, 0, 3+len(segs))
 	f.bufs = append(f.bufs, head)
 	if len(data) > 0 {
@@ -98,22 +76,19 @@ func buildFrame(kind uint8, data []byte, segs []serde.Segment, o postOpts) outFr
 }
 
 // recycle returns the frame's pooled memory after its bytes are on the
-// wire.
+// wire: the scratch and the segments, which the fabric owns (the SendSegs
+// contract). The data slice is the caller's and is never recycled —
+// broadcasts share one array across sends.
 func (f *outFrame) recycle() {
 	pool.PutBytes(f.head)
 	if f.segdir != nil {
 		pool.PutBytes(f.segdir)
 	}
-	if f.opts.recycleData && f.data != nil {
-		serde.Recycle(f.data)
-	}
-	if f.opts.recycleSegs {
-		for _, s := range f.segs {
-			if s.F64 != nil {
-				pool.PutFloat64s(s.F64)
-			} else if s.B != nil {
-				pool.PutBytes(s.B)
-			}
+	for _, s := range f.segs {
+		if s.F64 != nil {
+			pool.PutFloat64s(s.F64)
+		} else if s.B != nil {
+			pool.PutBytes(s.B)
 		}
 	}
 }
@@ -152,10 +127,10 @@ func newPeer(rank int, conn net.Conn, maxInflight int) *peer {
 }
 
 // enqueue hands a frame to the writer, parking while the peer's queued
-// bytes exceed the in-flight bound (bounded senders only).
-func (pr *peer) enqueue(f outFrame, bounded bool) {
+// bytes exceed the in-flight bound.
+func (pr *peer) enqueue(f outFrame) {
 	pr.mu.Lock()
-	if bounded && pr.maxInflight > 0 {
+	if pr.maxInflight > 0 {
 		for pr.qBytes > pr.maxInflight && !pr.closing {
 			pr.cond.Wait()
 		}

@@ -16,9 +16,7 @@ import (
 // the float64 pool (always read into pool-allocated, 8-byte-aligned
 // float64 memory through its byte view; received bytes are never
 // reinterpreted in place) — and pushes the packet onto the shared inbox.
-// Transport-internal frames (pull traffic) are handled here directly and
-// never surface to the runtime. The loop exits on the peer's half-close
-// (clean EOF at a frame boundary).
+// The loop exits on the peer's half-close (clean EOF at a frame boundary).
 func (e *Endpoint) readLoop(pr *peer) {
 	defer e.readWG.Done()
 	br := bufio.NewReaderSize(pr.conn, 64<<10)
@@ -92,17 +90,11 @@ func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 	// packet already finds it in the link counters.
 	pr.rxBytes.Add(4 + int64(binary.LittleEndian.Uint32(head[:4])))
 	pr.rxFrames.Add(1)
-	switch kind {
-	case fPull:
-		e.servePull(pr, data)
-	case fPullResp:
-		e.completePull(data, segs)
-	case fHello:
-		// Handshake frames are consumed before readLoop starts; a late
-		// one is a protocol error.
-		return fmt.Errorf("unexpected hello")
-	default:
-		e.inbox.Push(fabric.Packet{Src: pr.rank, Dst: e.rank, Kind: kind, Data: data, Segs: segs})
+	if kind >= fabric.KindReserved {
+		// The one reserved kind, the hello, is consumed before readLoop
+		// starts; a late one, or any other, is a protocol error.
+		return fmt.Errorf("unexpected reserved frame kind %#x", kind)
 	}
+	e.inbox.Push(fabric.Packet{Src: pr.rank, Dst: e.rank, Kind: kind, Data: data, Segs: segs})
 	return nil
 }

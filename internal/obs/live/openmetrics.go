@@ -30,8 +30,8 @@ type Sample struct {
 }
 
 // Collector is a pull source of live gauges; backend.Proc implements it
-// (pending shells, deque depths, outstanding rendezvous regions,
-// termination-detector activity, per-peer fabric counters).
+// (pending shells, deque depths, termination-detector activity, per-peer
+// fabric counters).
 type Collector interface {
 	CollectLive(emit func(Sample))
 }

@@ -183,9 +183,6 @@ const (
 	// GaugeDequeDepth tracks the summed depth of a rank's work-stealing
 	// deques and shared queue (sampled by the live exporter).
 	GaugeDequeDepth = "sched.deque_depth"
-	// GaugeRendezvousOutstanding tracks split-metadata payload regions
-	// published for RMA but not yet fetched and released.
-	GaugeRendezvousOutstanding = "net.rendezvous_outstanding"
 	// GaugeTrackedValues tracks live refcounted value handles owned by the
 	// data tracker (process-global).
 	GaugeTrackedValues = "data.tracked_live"

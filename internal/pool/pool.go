@@ -160,6 +160,6 @@ func F64ClassFor(n int) (int, bool) {
 func F64ClassCap(cls int) int { return 1 << (cls + minF64Bits) }
 
 // Releasable is implemented by pooled objects that can be returned to
-// their pool when the runtime is done with them (e.g. splitmd payload
-// snapshots released when the remote fetch completes).
+// their pool when the runtime is done with them (e.g. a received tile
+// after its last consumer).
 type Releasable interface{ Release() }

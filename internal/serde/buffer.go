@@ -7,8 +7,9 @@
 // the intrusive two-stage split-metadata (splitmd) protocol in which a small
 // metadata header travels eagerly and the contiguous payload is fetched with
 // remote memory access. This package provides the codec registry, the
-// archive buffer, and the splitmd traits; the transport-level use of splitmd
-// lives in the backends.
+// archive buffer, the gather extension (metadata framed, payload by
+// reference: what splitmd becomes on a fabric without RMA) and the splitmd
+// opt-in, which only the simulator's cost model reads.
 package serde
 
 import (

@@ -72,7 +72,7 @@ func init() {
 		},
 		Scatter: func(hdr *Buffer, segs []Segment) []byte {
 			n := int(hdr.Uvarint())
-			return segs[0].B[:n:n]
+			return OneByteSegment(segs, n)[:n:n]
 		},
 		Proto: ProtoArchive,
 	})
@@ -91,7 +91,7 @@ func init() {
 		},
 		Scatter: func(hdr *Buffer, segs []Segment) []float64 {
 			n := int(hdr.Uvarint())
-			return segs[0].F64[:n:n]
+			return OneF64Segment(segs, n)[:n:n]
 		},
 		Proto: ProtoArchive,
 	})

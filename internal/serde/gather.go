@@ -64,6 +64,33 @@ type Gatherer interface {
 	Scatter(hdr *Buffer, segs []Segment) any
 }
 
+// OneF64Segment returns the payload of a value that gathers as a single
+// float64 segment whose length its header records as n. Both numbers come
+// off the wire, so they must agree exactly: landed segments are pooled, and
+// re-slicing one with len < n ≤ cap would expose stale pool memory as data.
+// Scatter implementations call it (or OneByteSegment) instead of slicing.
+func OneF64Segment(segs []Segment, n int) []float64 {
+	if len(segs) != 1 || len(segs[0].F64) != n || len(segs[0].B) != 0 {
+		panic(fmt.Sprintf("serde: gather header records one segment of %d float64s, got %s", n, describeSegments(segs)))
+	}
+	return segs[0].F64
+}
+
+// OneByteSegment is OneF64Segment for a single byte segment.
+func OneByteSegment(segs []Segment, n int) []byte {
+	if len(segs) != 1 || len(segs[0].B) != n || len(segs[0].F64) != 0 {
+		panic(fmt.Sprintf("serde: gather header records one segment of %d bytes, got %s", n, describeSegments(segs)))
+	}
+	return segs[0].B
+}
+
+func describeSegments(segs []Segment) string {
+	if len(segs) == 0 {
+		return "no segments"
+	}
+	return fmt.Sprintf("%d segments, the first %d float64s / %d bytes", len(segs), len(segs[0].F64), len(segs[0].B))
+}
+
 // GathererByTag resolves a wire tag to its codec's gather extension
 // (receive path).
 func GathererByTag(tag uint32) (Gatherer, bool) {

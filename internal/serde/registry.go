@@ -7,9 +7,9 @@ import (
 	"sync"
 )
 
-// Protocol identifies which serialization mechanism a type uses. The
-// preference order mirrors the paper (§II-C): splitmd when the backend
-// supports it, then trivial (memcpy-like), then the archive protocol.
+// Protocol identifies which serialization mechanism a type's codec uses:
+// trivial (memcpy-like) or the archive protocol (§II-C). Splitmd is not a
+// codec property: types opt in with RegisterSplitMD.
 type Protocol uint8
 
 const (
@@ -19,9 +19,6 @@ const (
 	// ProtoTrivial marks fixed-size POD-like types whose encoding is a
 	// direct byte image.
 	ProtoTrivial
-	// ProtoSplitMD marks types supporting the two-stage split-metadata
-	// protocol (eager metadata + RMA payload).
-	ProtoSplitMD
 )
 
 func (p Protocol) String() string {
@@ -30,8 +27,6 @@ func (p Protocol) String() string {
 		return "archive"
 	case ProtoTrivial:
 		return "trivial"
-	case ProtoSplitMD:
-		return "splitmd"
 	}
 	return fmt.Sprintf("protocol(%d)", uint8(p))
 }
@@ -90,12 +85,11 @@ func shareableType(t reflect.Type) bool {
 }
 
 var (
-	regMu    sync.RWMutex
-	byType   = map[reflect.Type]*entry{}
-	byTag    = map[uint32]*entry{}
-	nextTag  uint32
-	frozen   bool
-	splitmds = map[reflect.Type]SplitMDTraits{}
+	regMu   sync.RWMutex
+	byType  = map[reflect.Type]*entry{}
+	byTag   = map[uint32]*entry{}
+	nextTag uint32
+	frozen  bool
 )
 
 // RegisterType installs a codec for the dynamic type of the zero sample.
@@ -282,18 +276,6 @@ func CloneAny(v any) any {
 
 // WireTagOf returns the wire tag assigned to v's dynamic type.
 func WireTagOf(v any) uint32 { return lookupType(v).tag }
-
-// ProtocolOf reports which protocol a value would travel with, honoring the
-// paper's preference order: splitmd (if the caller's backend supports it and
-// the type has splitmd traits), then the codec's own protocol.
-func ProtocolOf(v any, backendSupportsSplitMD bool) Protocol {
-	if backendSupportsSplitMD {
-		if _, ok := SplitMDFor(v); ok {
-			return ProtoSplitMD
-		}
-	}
-	return lookupType(v).codec.Protocol()
-}
 
 // RegisteredTypes returns the names of all registered types in tag order;
 // used by diagnostics and tests.

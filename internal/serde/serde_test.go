@@ -133,19 +133,25 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestProtocolPreferences: a codec is trivial or archive; splitmd is an
+// opt-in beside the codec that leaves the codec's own protocol alone.
 func TestProtocolPreferences(t *testing.T) {
-	if p := ProtocolOf(Int2{1, 2}, true); p != ProtoTrivial {
+	proto := func(v any) Protocol { return lookupType(v).codec.Protocol() }
+	if p := proto(Int2{1, 2}); p != ProtoTrivial {
 		t.Errorf("Int2 protocol = %v, want trivial", p)
 	}
-	if p := ProtocolOf("s", true); p != ProtoArchive {
+	if p := proto("s"); p != ProtoArchive {
 		t.Errorf("string protocol = %v, want archive", p)
 	}
 	v := &smdValue{dims: 3, data: []byte{1, 2, 3}}
-	if p := ProtocolOf(v, true); p != ProtoSplitMD {
-		t.Errorf("splitmd-capable type with splitmd backend = %v", p)
+	if p := proto(v); p != ProtoArchive {
+		t.Errorf("splitmd-capable type's codec protocol = %v, want archive", p)
 	}
-	if p := ProtocolOf(v, false); p != ProtoArchive {
-		t.Errorf("splitmd-capable type without splitmd backend = %v", p)
+	if _, ok := SplitMDFor(v); !ok {
+		t.Errorf("registered splitmd type not found")
+	}
+	if _, ok := SplitMDFor("s"); ok {
+		t.Errorf("string reported as splitmd-capable")
 	}
 }
 
@@ -155,15 +161,7 @@ type smdValue struct {
 	data []byte
 }
 
-func (s *smdValue) SplitMetadata() []byte {
-	b := NewBuffer(8)
-	b.PutVarint(int64(s.dims))
-	return b.Bytes()
-}
 func (s *smdValue) PayloadBytes() int { return len(s.data) }
-func (s *smdValue) CopyPayloadFrom(src SplitMD) {
-	copy(s.data, src.(*smdValue).data)
-}
 
 func init() {
 	Register(FuncCodec[*smdValue]{
@@ -182,29 +180,38 @@ func init() {
 		},
 		Proto: ProtoArchive,
 	})
-	RegisterSplitMD(&smdValue{}, SplitMDTraits{
-		Allocate: func(meta []byte) SplitMD {
-			b := FromBytes(meta)
-			dims := int(b.Varint())
-			return &smdValue{dims: dims, data: make([]byte, dims)}
-		},
-	})
+	RegisterSplitMD(&smdValue{})
 }
 
+// optOut has the SplitMD method set (promoted) but never opted in.
+type optOut struct{ smdValue }
+
+// noCodec has the SplitMD method set and nothing else.
+type noCodec struct{}
+
+func (noCodec) PayloadBytes() int { return 0 }
+
+// TestSplitMDAllocateAndFill pins what is left of splitmd in this package
+// now that no transport allocates from metadata or fills by RMA: the
+// opt-in. SplitMDFor hands back the value itself, whose PayloadBytes is
+// what a cost model charges; having the method is not opting in; and a
+// type with no codec cannot opt in, because the codec is what carries it
+// wherever splitmd is off.
 func TestSplitMDAllocateAndFill(t *testing.T) {
 	src := &smdValue{dims: 3, data: []byte{5, 6, 7}}
-	tr, ok := SplitMDFor(src)
-	if !ok {
-		t.Fatal("splitmd traits not found")
+	got, ok := SplitMDFor(src)
+	if !ok || got != SplitMD(src) || got.PayloadBytes() != 3 {
+		t.Fatalf("SplitMDFor = %v, %v; want the value itself, 3 payload bytes", got, ok)
 	}
-	dst := tr.Allocate(src.SplitMetadata()).(*smdValue)
-	if dst.dims != 3 || len(dst.data) != 3 {
-		t.Fatalf("allocate produced wrong shape: %+v", dst)
+	if _, ok := SplitMDFor(&optOut{}); ok {
+		t.Fatal("a type that never registered is reported as opted in")
 	}
-	dst.CopyPayloadFrom(src) // the "RMA get"
-	if !reflect.DeepEqual(dst.data, src.data) {
-		t.Fatalf("payload mismatch: %v", dst.data)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RegisterSplitMD accepted a type with no codec")
+		}
+	}()
+	RegisterSplitMD(noCodec{})
 }
 
 func TestRegisteredTypesStable(t *testing.T) {

@@ -5,66 +5,43 @@ import (
 	"sync"
 )
 
-// SplitMD is implemented by types that support the paper's split-metadata
-// protocol (§II-C, Fig. 4): a small metadata record travels eagerly; the
-// object's contiguous payload is fetched in a second phase via remote
-// memory access into memory allocated from the metadata. Because
-// "allocated-but-not-yet-initialized" must be a valid state, the protocol
-// is intrusive: types opt in by implementing this interface and registering
-// an allocator.
+// SplitMD is implemented by types that opt in to the paper's split-metadata
+// protocol (§II-C, Fig. 4): a small metadata record travels eagerly and the
+// object's contiguous payload is fetched by remote memory access, with no
+// serialization copy. One-sided fetch is a property of the machine being
+// modelled, so only a cost model (backend/sim, where SendCaps.SplitMD is
+// true) reads this; on the fabrics the engine runs over, the same types
+// cross by reference through their gather codec.
 type SplitMD interface {
-	// SplitMetadata returns the fields sufficient to allocate the object
-	// remotely (e.g. tile dimensions). Must be small (eager-protocol sized).
-	SplitMetadata() []byte
 	// PayloadBytes reports the size of the contiguous data segment; the
-	// transport charges this against link bandwidth.
+	// cost model charges this against link bandwidth.
 	PayloadBytes() int
-	// CopyPayloadFrom fills this (freshly allocated) object's contiguous
-	// segment from src, which is guaranteed to be the same concrete type.
-	// This is the RMA get of the protocol's second phase.
-	CopyPayloadFrom(src SplitMD)
-}
-
-// SplitMDTraits describes how to rebuild a value of one type from its
-// metadata.
-type SplitMDTraits struct {
-	// Allocate builds an object in the allocated-but-uninitialized state
-	// from its metadata; the transport then fills SplitPayload().
-	Allocate func(meta []byte) SplitMD
 }
 
 var (
-	splitMu    sync.RWMutex
-	splitReg   = map[reflect.Type]SplitMDTraits{}
-	splitByTag = map[uint32]SplitMDTraits{}
+	splitMu  sync.RWMutex
+	splitReg = map[reflect.Type]struct{}{}
 )
 
-// RegisterSplitMD installs splitmd traits for the dynamic type of sample.
-// The type must already have an ordinary codec registered (the fallback
-// when a backend lacks splitmd support, as with the MADNESS-model backend);
-// the codec's wire tag identifies the type during the metadata phase.
-func RegisterSplitMD(sample SplitMD, tr SplitMDTraits) {
-	tag := WireTagOf(sample)
+// RegisterSplitMD opts the dynamic type of sample in to the splitmd cost
+// model. The type must already have an ordinary codec registered: that is
+// what carries it wherever splitmd is off.
+func RegisterSplitMD(sample SplitMD) {
+	lookupType(sample) // panics naming the type when it has no codec
 	splitMu.Lock()
 	defer splitMu.Unlock()
-	splitReg[reflect.TypeOf(sample)] = tr
-	splitByTag[tag] = tr
+	splitReg[reflect.TypeOf(sample)] = struct{}{}
 }
 
-// SplitMDByTag resolves splitmd traits from a codec wire tag (receiver side
-// of the metadata phase).
-func SplitMDByTag(tag uint32) (SplitMDTraits, bool) {
+// SplitMDFor returns v as a SplitMD when its dynamic type has opted in.
+// This is the runtime analog of the compile-time type-trait test in the
+// paper.
+func SplitMDFor(v any) (SplitMD, bool) {
 	splitMu.RLock()
-	defer splitMu.RUnlock()
-	tr, ok := splitByTag[tag]
-	return tr, ok
-}
-
-// SplitMDFor returns the splitmd traits for v's dynamic type, if any. This
-// is the runtime analog of the compile-time type-trait test in the paper.
-func SplitMDFor(v any) (SplitMDTraits, bool) {
-	splitMu.RLock()
-	defer splitMu.RUnlock()
-	tr, ok := splitReg[reflect.TypeOf(v)]
-	return tr, ok
+	_, ok := splitReg[reflect.TypeOf(v)]
+	splitMu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	return v.(SplitMD), true
 }

@@ -1,13 +1,12 @@
 // Package simnet provides the process-local virtual cluster over which the
 // runtime backends communicate. It stands in for the MPI/UCX fabric of the
 // paper's test systems (Hawk, Seawulf): each rank owns an endpoint with an
-// unbounded in-order inbox, point-to-point links with configurable latency
-// and bandwidth, and a remote-memory-access (RMA) facility used by the
-// split-metadata rendezvous protocol. Framed payloads really cross the
-// "network" as bytes, so serialization behaves as it would over a wire;
-// gathered payloads (Packet.Segs) cross by reference — the in-process
-// analog of an iovec write handed to the NIC — but are charged their full
-// byte size in link occupancy and transfer time.
+// unbounded in-order inbox and point-to-point links with configurable
+// latency and bandwidth. Framed payloads really cross the "network" as
+// bytes, so serialization behaves as it would over a wire; gathered
+// payloads (Packet.Segs) cross by reference — the in-process analog of an
+// iovec write handed to the NIC — but are charged their full byte size in
+// link occupancy and transfer time.
 //
 // The fabric is contention-free on the send path: links live in a
 // preallocated per-pair table (no map, no global mutex) and each directed
@@ -293,18 +292,15 @@ func (s *linkShard) run() {
 // Endpoint is one rank's attachment to the network. It implements
 // fabric.Endpoint.
 type Endpoint struct {
-	net     *Network
-	rank    int
-	inbox   *fabric.Queue[Packet]
-	regMu   sync.Mutex
-	regions map[uint64]any
-	nextReg uint64
+	net   *Network
+	rank  int
+	inbox *fabric.Queue[Packet]
 }
 
 var _ fabric.Endpoint = (*Endpoint)(nil)
 
 func newEndpoint(n *Network, rank int) *Endpoint {
-	return &Endpoint{net: n, rank: rank, inbox: fabric.NewQueue[Packet](), regions: map[uint64]any{}}
+	return &Endpoint{net: n, rank: rank, inbox: fabric.NewQueue[Packet]()}
 }
 
 // Rank returns this endpoint's rank.
@@ -349,89 +345,4 @@ func (e *Endpoint) TryRecv() (Packet, bool) {
 		e.net.inflight.Add(-1)
 	}
 	return p, ok
-}
-
-// RMAHandle names a registered memory region on some rank; it is small and
-// travels inside eager messages (the splitmd metadata phase).
-type RMAHandle = fabric.RMAHandle
-
-// Register exposes buf for remote gets and returns its handle.
-func (e *Endpoint) Register(buf []byte) RMAHandle {
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	e.nextReg++
-	id := e.nextReg
-	e.regions[id] = buf
-	return RMAHandle{Owner: e.rank, ID: id}
-}
-
-// Deregister releases a region previously registered on this endpoint and
-// returns the registered value (nil when the handle is unknown), so the
-// caller can recycle runtime-owned buffers.
-func (e *Endpoint) Deregister(h RMAHandle) any {
-	e.regMu.Lock()
-	v := e.regions[h.ID]
-	delete(e.regions, h.ID)
-	e.regMu.Unlock()
-	return v
-}
-
-// RegionCount reports how many regions are currently registered; a
-// nonzero value after quiescence indicates a splitmd release leak.
-func (e *Endpoint) RegionCount() int {
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	return len(e.regions)
-}
-
-// RMAGet fetches the remote byte region named by h into dst, blocking for
-// the simulated transfer time. It returns the number of bytes copied. This
-// is the one-sided second phase of the splitmd protocol.
-func (e *Endpoint) RMAGet(h RMAHandle, dst []byte) (int, error) {
-	src, _, err := e.FetchObject(h, 0)
-	if err != nil {
-		return 0, err
-	}
-	bs, ok := src.([]byte)
-	if !ok {
-		return 0, fmt.Errorf("simnet: RMA region %d/%d is not a byte region", h.Owner, h.ID)
-	}
-	n := copy(dst, bs)
-	// One round trip of latency plus the payload transfer time.
-	if d := e.net.transferTime(n) + e.net.cfg.Latency; d > 0 {
-		time.Sleep(d)
-	}
-	return n, nil
-}
-
-// RegisterObject exposes an arbitrary object (e.g. a tile whose contiguous
-// segment the splitmd protocol will copy out) and returns its handle.
-func (e *Endpoint) RegisterObject(v any) RMAHandle {
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	e.nextReg++
-	id := e.nextReg
-	e.regions[id] = v
-	return RMAHandle{Owner: e.rank, ID: id}
-}
-
-// FetchObject resolves the remote object named by h, blocking for the
-// simulated transfer time of the given payload size (callers that perform
-// the copy themselves pass the byte count; pass 0 to skip the delay).
-// Simnet always returns the owner's live object, so owned is false: the
-// caller must copy out of it, never mutate or release it.
-func (e *Endpoint) FetchObject(h RMAHandle, bytes int) (any, bool, error) {
-	owner := e.net.eps[h.Owner]
-	owner.regMu.Lock()
-	src, ok := owner.regions[h.ID]
-	owner.regMu.Unlock()
-	if !ok {
-		return nil, false, fmt.Errorf("simnet: RMA region %d/%d not registered", h.Owner, h.ID)
-	}
-	if bytes > 0 {
-		if d := e.net.transferTime(bytes) + e.net.cfg.Latency; d > 0 {
-			time.Sleep(d)
-		}
-	}
-	return src, false, nil
 }

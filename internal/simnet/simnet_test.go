@@ -104,27 +104,6 @@ func TestAllToAllConcurrent(t *testing.T) {
 	}
 }
 
-func TestRMARoundTrip(t *testing.T) {
-	n := New(Config{Ranks: 2})
-	defer n.Close()
-	src := []byte{1, 2, 3, 4, 5}
-	h := n.Endpoint(0).Register(src)
-	dst := make([]byte, 5)
-	got, err := n.Endpoint(1).RMAGet(h, dst)
-	if err != nil || got != 5 {
-		t.Fatalf("RMAGet = %d, %v", got, err)
-	}
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("byte %d mismatch", i)
-		}
-	}
-	n.Endpoint(0).Deregister(h)
-	if _, err := n.Endpoint(1).RMAGet(h, dst); err == nil {
-		t.Fatal("RMAGet after deregister should fail")
-	}
-}
-
 func TestCloseUnblocksReceivers(t *testing.T) {
 	n := New(Config{Ranks: 2})
 	done := make(chan struct{})
@@ -166,47 +145,6 @@ func TestAccessorsAndTryRecv(t *testing.T) {
 	p, ok := n.Endpoint(2).TryRecv()
 	if !ok || p.Data[0] != 9 {
 		t.Fatalf("TryRecv = %+v, %v", p, ok)
-	}
-}
-
-func TestRegisterObjectAndCount(t *testing.T) {
-	n := New(Config{Ranks: 2})
-	defer n.Close()
-	ep := n.Endpoint(0)
-	if ep.RegionCount() != 0 {
-		t.Fatal("fresh endpoint has regions")
-	}
-	type blob struct{ x int }
-	h := ep.RegisterObject(&blob{x: 7})
-	if ep.RegionCount() != 1 {
-		t.Fatal("registration not counted")
-	}
-	got, owned, err := n.Endpoint(1).FetchObject(h, 0)
-	if err != nil || got.(*blob).x != 7 {
-		t.Fatalf("FetchObject = %v, %v", got, err)
-	}
-	if owned {
-		t.Fatal("simnet returns the owner's live object, never an owned copy")
-	}
-	// Delay path with a byte count.
-	if _, _, err := n.Endpoint(1).FetchObject(h, 64); err != nil {
-		t.Fatal(err)
-	}
-	ep.Deregister(h)
-	if ep.RegionCount() != 0 {
-		t.Fatal("deregistration not counted")
-	}
-	if _, _, err := n.Endpoint(1).FetchObject(h, 0); err == nil {
-		t.Fatal("fetch after deregister should fail")
-	}
-}
-
-func TestRMAGetOnObjectRegionFails(t *testing.T) {
-	n := New(Config{Ranks: 2})
-	defer n.Close()
-	h := n.Endpoint(0).RegisterObject(struct{}{})
-	if _, err := n.Endpoint(1).RMAGet(h, make([]byte, 4)); err == nil {
-		t.Fatal("byte RMAGet on a non-byte region should fail")
 	}
 }
 

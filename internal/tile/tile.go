@@ -1,5 +1,5 @@
 // Package tile provides the dense matrix tile that flows through the
-// linear-algebra graphs, with serialization (archive and splitmd) and the
+// linear-algebra graphs, with serialization (archive and gather) and the
 // phantom form used by virtual-time runs: a tile that carries its shape
 // but no data, whose wire size and copy charges still reflect the real
 // payload so the simulator's communication and memcpy costs are faithful.
@@ -34,7 +34,7 @@ func New(rows, cols int) *Tile {
 
 // tilePools recycles whole tiles (struct and payload together, so a
 // Get/Put cycle allocates nothing) keyed by the payload's size class.
-// Runtime-created tiles — Clone copies, splitmd receives, codec decodes —
+// Runtime-created tiles — Clone copies, codec decodes —
 // come from here; Release returns them. Tiles built with New are not
 // pooled unless explicitly Released into a pool-compatible class.
 var tilePools [pool.NumF64Classes]sync.Pool
@@ -152,25 +152,10 @@ func (t *Tile) String() string {
 	return fmt.Sprintf("Tile(%dx%d)", t.Rows, t.Cols)
 }
 
-// SplitMetadata implements serde.SplitMD (Fig. 4: the MatrixTile example).
-func (t *Tile) SplitMetadata() []byte {
-	b := serde.NewBuffer(12)
-	b.PutVarint(int64(t.Rows))
-	b.PutVarint(int64(t.Cols))
-	b.PutBool(t.Data != nil)
-	return b.Bytes()
-}
-
-// PayloadBytes implements serde.SplitMD.
+// PayloadBytes implements serde.SplitMD (Fig. 4: the MatrixTile example).
+// On the engine's fabrics the Gather/Scatter pair below is the protocol's
+// counterpart: the shape travels eagerly, the payload lands in place.
 func (t *Tile) PayloadBytes() int { return t.PayloadSize() }
-
-// CopyPayloadFrom implements serde.SplitMD.
-func (t *Tile) CopyPayloadFrom(src serde.SplitMD) {
-	s := src.(*Tile)
-	if t.Data != nil && s.Data != nil {
-		copy(t.Data, s.Data)
-	}
-}
 
 func init() {
 	serde.Register(serde.FuncCodec[*Tile]{
@@ -219,26 +204,20 @@ func init() {
 			// The tile is a view: Data aliases the received segment
 			// (pooled receive memory) rather than copying out of it.
 			// Keep the segment's full capacity so Release can return
-			// the buffer to its exact pool class.
+			// the buffer to its exact pool class. The shape is the
+			// sender's claim: it must cover the segment exactly (the
+			// division catches a product that overflowed into range).
+			data := serde.OneF64Segment(segs, rows*cols)
+			if rows < 0 || cols < 0 || cols > 0 && rows > len(data)/cols {
+				panic(fmt.Sprintf("tile: gather header records a %dx%d tile over a segment of %d float64s", rows, cols, len(data)))
+			}
 			serde.NoteViewDecode()
-			t := &Tile{Rows: rows, Cols: cols, Data: segs[0].F64[:rows*cols]}
+			t := &Tile{Rows: rows, Cols: cols, Data: data}
 			t.viewed.Store(true)
 			return t
 		},
 	})
-	serde.RegisterSplitMD(&Tile{}, serde.SplitMDTraits{
-		Allocate: func(meta []byte) serde.SplitMD {
-			b := serde.FromBytes(meta)
-			rows := int(b.Varint())
-			cols := int(b.Varint())
-			if b.Bool() {
-				// CopyPayloadFrom overwrites the payload, but the fetch may
-				// be partial in principle, so hand out zeroed memory.
-				return NewPooled(rows, cols)
-			}
-			return Phantom(rows, cols)
-		},
-	})
+	serde.RegisterSplitMD(&Tile{})
 }
 
 // Grid describes a square matrix of order N tiled with NB×NB blocks (the

@@ -52,19 +52,18 @@ func TestPhantomCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSplitMDAllocate: no executor allocates a tile from splitmd metadata
+// any more; what the tile still owes the cost model is its opt-in and a
+// payload size that covers phantoms too.
 func TestSplitMDAllocate(t *testing.T) {
-	src := New(3, 4)
-	for i := range src.Data {
-		src.Data[i] = float64(i)
-	}
-	tr, ok := serde.SplitMDFor(src)
-	if !ok {
-		t.Fatal("tile has no splitmd traits")
-	}
-	dst := tr.Allocate(src.SplitMetadata()).(*Tile)
-	dst.CopyPayloadFrom(src)
-	if !dst.Equal(src, 0) {
-		t.Fatal("splitmd copy mismatch")
+	for _, src := range []*Tile{New(3, 4), Phantom(3, 4)} {
+		md, ok := serde.SplitMDFor(src)
+		if !ok {
+			t.Fatal("tile has not opted in to splitmd")
+		}
+		if md.PayloadBytes() != 8*3*4 {
+			t.Fatalf("%v: PayloadBytes = %d, want %d", src, md.PayloadBytes(), 8*3*4)
+		}
 	}
 }
 

@@ -26,11 +26,10 @@ import (
 
 // runNetStream ships nTiles rows x cols pooled tiles from rank 0 to rank
 // 1 with SendMove across a 2-rank local TCP mesh (one single-rank
-// MADNESS-model runtime per endpoint — no splitmd, so the wire path owns
-// every payload) and returns the cluster-summed trace. With gather on, a
-// moved tile travels pool -> writev -> socket -> pooled landing with no
-// user-space copy; with gather off the same stream flattens through the
-// archive encode/decode pair.
+// MADNESS-model runtime per endpoint) and returns the cluster-summed
+// trace. With gather on, a moved tile travels pool -> writev -> socket ->
+// pooled landing with no user-space copy; with gather off the same stream
+// flattens through the archive encode/decode pair.
 func runNetStream(tb testing.TB, nTiles, rows, cols int, gather bool) trace.Snapshot {
 	tb.Helper()
 	eps, err := netfab.NewLocalMesh(2, netfab.Config{Transport: "tcp"})

@@ -173,8 +173,7 @@ func (g *Graph) Dot() string { return g.core.Dot() }
 // built in).
 func RegisterCodec[T any](fc serde.FuncCodec[T]) { serde.Register(fc) }
 
-// RegisterSplitMD installs split-metadata traits so values of the sample's
-// type use the two-stage metadata+RMA protocol on backends supporting it.
-func RegisterSplitMD(sample serde.SplitMD, tr serde.SplitMDTraits) {
-	serde.RegisterSplitMD(sample, tr)
-}
+// RegisterSplitMD opts the sample's type in to the two-stage metadata+RMA
+// protocol on executors that model one-sided transfers (the simulator's
+// Hawk/Seawulf flavors); the engine ships such a type through its codec.
+func RegisterSplitMD(sample serde.SplitMD) { serde.RegisterSplitMD(sample) }

@@ -76,7 +76,7 @@ type Backend int
 
 const (
 	// PaRSEC: banded priority work stealing, runtime-owned data (const-ref
-	// sends avoid copies), splitmd one-sided transfers, tree broadcasts.
+	// sends avoid copies), large payloads by reference, tree broadcasts.
 	PaRSEC Backend = iota
 	// MADNESS: FIFO thread pool with a dedicated active-message thread,
 	// whole-object serialization, copies on every hop.
