@@ -5,7 +5,8 @@
 //
 // Usage:
 //
-//	ttg-bench [-quick] [-csv] fig5|fig6|fig8|fig9|fig12|fig13a|fig13b|all|env
+//	ttg-bench [-quick] [-csv] fig5|fig6|fig8|fig9|fig11|fig12|fig13a|fig13b|all|env
+//	ttg-bench [-quick] [-timeline t.json] profile
 //	ttg-bench [-app potrf|fwapsp|bspmm|mra] [-backend parsec|madness] [-http :6060] trace|stats
 //	ttg-bench [-app potrf|fwapsp] [-backend parsec|madness] [-broken] [-doctor-quiet 2s] doctor
 //
@@ -13,8 +14,8 @@
 // trace and stats subcommands run one application for real with the
 // observability layer on, writing a Chrome-trace JSON (trace) or printing
 // per-template profiles, histograms, and the observed critical path
-// (stats); -http serves net/http/pprof, expvar, and an OpenMetrics
-// /metrics endpoint live during the run. The doctor subcommand attaches
+// (stats); -http serves net/http/pprof and an OpenMetrics /metrics
+// endpoint live during the run. The doctor subcommand attaches
 // the live stall watchdog: a wedged graph (try -broken) is diagnosed with
 // a blame-edge report and exit status 1.
 package main
@@ -34,7 +35,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	timeline := flag.String("timeline", "", "with profile: write a Chrome trace JSON to this path")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ttg-bench [-quick] [-csv] fig5|fig6|fig8|fig9|fig11|fig12|fig13a|fig13b|hetero|all|env|profile|trace|stats|doctor\n")
+		fmt.Fprintf(os.Stderr, "usage: ttg-bench [-quick] [-csv] fig5|fig6|fig8|fig9|fig11|fig12|fig13a|fig13b|all|env|profile|trace|stats|doctor\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -54,7 +55,6 @@ func main() {
 		"fig12":  experiments.Fig12,
 		"fig13a": experiments.Fig13a,
 		"fig13b": experiments.Fig13b,
-		"hetero": experiments.Hetero,
 	}
 	emit := func(f experiments.Figure, wall time.Duration) {
 		if *csv {

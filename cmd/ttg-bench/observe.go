@@ -1,12 +1,11 @@
 // The trace and stats subcommands: run one of the paper's four applications
 // for real (actual kernels on a real backend, not the virtual-time model)
 // with the unified observability layer enabled, then export a Chrome trace
-// or print the offline analysis. With -http an expvar + net/http/pprof
+// or print the offline analysis. With -http a net/http/pprof + OpenMetrics
 // endpoint serves live metrics while the workload runs.
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -34,7 +33,7 @@ var (
 	obsWorkers = flag.Int("workers", 2, "trace/stats worker threads per rank")
 	obsN       = flag.Int("n", 512, "trace/stats problem size (matrix order / atom count / Gaussian count)")
 	obsOut     = flag.String("o", "trace.json", "trace: output path for the Chrome-trace JSON")
-	obsHTTP    = flag.String("http", "", "serve net/http/pprof and expvar on this address (e.g. :6060) during the run")
+	obsHTTP    = flag.String("http", "", "serve net/http/pprof and OpenMetrics /metrics on this address (e.g. :6060) during the run")
 	obsNet     = netcli.Register(nil)
 )
 
@@ -52,21 +51,20 @@ func runObserved(cmd string) {
 
 	// The live endpoints come up inside the pre-run hook — after the
 	// runtime exists (so /metrics has its per-rank collectors) and before
-	// any rank main starts. The expvar snapshot serves LiveReport, which
-	// reads only atomics: scraping mid-run can no longer race the event
-	// buffers that the final session.Report() scans at shutdown.
+	// any rank main starts. /metrics reads only atomics and registries:
+	// scraping mid-run cannot race the event buffers that the final
+	// session.Report() scans at shutdown.
 	hook := func(_ []live.Target, cs []live.Collector) {
 		if *obsHTTP == "" {
 			return
 		}
-		expvar.Publish("ttg_obs", expvar.Func(func() any { return session.LiveReport() }))
 		http.Handle("/metrics", &live.Exporter{Session: session, Collectors: cs})
 		go func() {
 			if err := http.ListenAndServe(*obsHTTP, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "http endpoint: %v\n", err)
 			}
 		}()
-		fmt.Printf("serving pprof+expvar+/metrics on %s (during the run)\n", *obsHTTP)
+		fmt.Printf("serving pprof+/metrics on %s (during the run)\n", *obsHTTP)
 	}
 
 	cfg := ttg.Config{Ranks: *obsRanks, WorkersPerRank: *obsWorkers, Backend: be, Obs: session, Fabric: ep}

@@ -501,39 +501,6 @@ func CostModel(grid tile.Grid, m cluster.Machine) func(*core.Task) float64 {
 	}
 }
 
-// DeviceCostModel offloads the throughput kernels (GEMM, SYRK, TRSM) to
-// accelerators when the machine has them, charging device compute plus
-// host-device transfers of the operand tiles; POTRF (small, latency-bound,
-// on the critical path) stays on the host. This drives the heterogeneous-
-// execution extension (the paper's §V future work).
-func DeviceCostModel(grid tile.Grid, m cluster.Machine) func(*core.Task) (float64, bool) {
-	if m.Accelerators == 0 {
-		return nil
-	}
-	return func(t *core.Task) (float64, bool) {
-		dim := func(i int) int { return grid.Dim(i) }
-		moved := func(tiles int, n int) float64 {
-			return float64(tiles) * 8 * float64(n) * float64(n) / m.HostDevBandwidth
-		}
-		switch t.TT.Name() {
-		case "GEMM":
-			key := t.Key.(ttg.Int3)
-			n := dim(key[0])
-			return lapack.GemmFlops(n, dim(key[1]), dim(key[2]))/m.AccelRate + moved(3, n), true
-		case "SYRK":
-			key := t.Key.(ttg.Int2)
-			n := dim(key[0])
-			return lapack.SyrkFlops(n, dim(key[1]))/m.AccelRate + moved(2, n), true
-		case "TRSM":
-			key := t.Key.(ttg.Int2)
-			n := dim(key[0])
-			return lapack.TrsmFlops(n, dim(key[1]))/m.AccelRate + moved(2, n), true
-		default:
-			return 0, false
-		}
-	}
-}
-
 // Verify checks ‖(L·Lᵀ − A)‖_max over the lower triangle given the
 // gathered factor tiles; the tolerance scales with N.
 func Verify(grid tile.Grid, tiles map[ttg.Int2]*tile.Tile) (maxErr float64, ok bool) {

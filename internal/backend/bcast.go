@@ -104,26 +104,8 @@ type bcastState struct {
 // from the plan it carries; the last chunk completes the value and injects
 // this rank's delivery (every non-root participant is a destination).
 func (p *Proc) handleBcastChunk(data []byte) {
-	b := serde.FromBytes(data)
-	key := bcastKey{root: int(b.U32()), bid: b.U64()}
-	idx := int(b.Uvarint())
-	st := p.bcasts[key]
+	key, idx, total, st, piece := p.readBcastChunk(data)
 	if idx == 0 {
-		st = &bcastState{}
-		order := make([]int, b.Uvarint())
-		for i := range order {
-			order[i] = int(b.Varint())
-		}
-		for n := b.Uvarint(); n > 0; n-- {
-			r, d := int(b.Varint()), core.DecodeHeader(b)
-			if r == p.rank {
-				st.mine = d
-			}
-		}
-		total := int(b.Uvarint())
-		st.chunk = int(b.Uvarint())
-		st.nchunks = (total + st.chunk - 1) / st.chunk
-		st.kids = collective.Fanout(order, p.rank)
 		p.tr.BcastsForwarded.Add(int64(len(st.kids)))
 		if p.rec != nil {
 			for range st.kids {
@@ -131,19 +113,15 @@ func (p *Proc) handleBcastChunk(data []byte) {
 			}
 		}
 		if st.nchunks > 1 {
-			st.buf = make([]byte, total)
 			if p.bcasts == nil {
 				p.bcasts = map[bcastKey]*bcastState{}
 			}
 			p.bcasts[key] = st
 		}
-	} else if st == nil {
-		panic(fmt.Sprintf("backend: broadcast %v chunk %d arrived before chunk 0", key, idx))
 	}
 	for _, child := range st.kids {
 		p.send(child, kBcastChunk, data, nil)
 	}
-	piece := b.RawOut(int(b.Uvarint()))
 	if st.nchunks == 1 {
 		st.buf = piece
 	} else {
@@ -157,4 +135,53 @@ func (p *Proc) handleBcastChunk(data []byte) {
 	// Each rank decodes its own object: hand it to the runtime outright.
 	st.mine.Exclusive = true
 	p.graph.Inject(st.mine)
+}
+
+// readBcastChunk decodes one kBcastChunk packet: the broadcast's key, the
+// chunk index and piece, and its state — new from the plan and geometry
+// chunk 0 carries (total is then the payload length), or the one chunk 0
+// left behind. Every count, index and piece length is the sender's claim
+// and is checked before it sizes an allocation or a copy; whichever check
+// refuses one, the panic names the packet and the broadcast. total itself
+// is not bounded: only a protocol maximum could (ROADMAP item 7).
+func (p *Proc) readBcastChunk(data []byte) (key bcastKey, idx, total int, st *bcastState, piece []byte) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("backend: malformed kBcastChunk packet (root %d, broadcast %d): %v", key.root, key.bid, r))
+		}
+	}()
+	b := serde.FromBytes(data)
+	key = bcastKey{root: int(b.U32()), bid: b.U64()}
+	idx = int(b.Uvarint())
+	if idx == 0 {
+		st = &bcastState{}
+		order := make([]int, b.Count(1))
+		for i := range order {
+			order[i] = int(b.Varint())
+		}
+		for n := b.Count(1); n > 0; n-- {
+			r, d := int(b.Varint()), core.DecodeHeader(b)
+			if r == p.rank {
+				st.mine = d
+			}
+		}
+		total, st.chunk = int(b.Uvarint()), int(b.Uvarint())
+		if total < 0 || st.chunk < 1 {
+			panic(fmt.Sprintf("payload of %d bytes in chunks of %d", total, st.chunk))
+		}
+		st.nchunks = total/st.chunk + min(total%st.chunk, 1)
+		st.kids = collective.Fanout(order, p.rank)
+		if st.nchunks > 1 {
+			st.buf = make([]byte, total)
+		}
+	} else if st = p.bcasts[key]; st == nil {
+		panic(fmt.Sprintf("chunk %d arrived before chunk 0", idx))
+	} else if idx < 0 || idx >= st.nchunks {
+		panic(fmt.Sprintf("chunk %d of %d", idx, st.nchunks))
+	}
+	piece = b.RawOut(b.Count(1))
+	if len(piece) > st.chunk {
+		panic(fmt.Sprintf("chunk %d holds %d bytes, more than the chunk size %d", idx, len(piece), st.chunk))
+	}
+	return key, idx, total, st, piece
 }

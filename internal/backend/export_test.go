@@ -7,3 +7,6 @@ const KCtrl = kCtrl
 
 // DecodeGather is the receive half of the by-reference wire path.
 var DecodeGather = (*Proc).decodeGather
+
+// HandleBcastChunk is the receive half of the tree broadcast.
+var HandleBcastChunk = (*Proc).handleBcastChunk

@@ -39,12 +39,6 @@ type Config struct {
 	// Cost returns a task's compute time in seconds; nil means zero
 	// compute (pure coordination graphs).
 	Cost func(t *core.Task) float64
-	// DeviceCost, when non-nil, may claim a task for an accelerator: it
-	// returns the device-side execution time (including any host-device
-	// transfer the caller wants charged) and whether to offload. Tasks are
-	// offloaded only on machines with Accelerators > 0. This implements
-	// the heterogeneous-platform support the paper defers to future work.
-	DeviceCost func(t *core.Task) (float64, bool)
 }
 
 // Runtime is a virtual cluster executing one TTG program in virtual time.
@@ -90,9 +84,8 @@ func New(cfg Config) *Runtime {
 	for r := range rt.procs {
 		rt.procs[r] = &Proc{
 			rt: rt, rank: r,
-			ready: sched.NewPriority(), readyDev: sched.NewPriority(),
+			ready:       sched.NewPriority(),
 			freeWorkers: cfg.WorkersPerRank,
-			freeDevices: cfg.Machine.Accelerators,
 		}
 	}
 	return rt
@@ -188,9 +181,7 @@ type Proc struct {
 	rt          *Runtime
 	rank        int
 	ready       *sched.Priority
-	readyDev    *sched.Priority
 	freeWorkers int
-	freeDevices int
 	nicFreeAt   float64 // outgoing link reservation
 	recvFreeAt  float64 // communication-thread reservation
 	tr          trace.Collector
@@ -310,61 +301,8 @@ func (p *Proc) SubmitBatch(ts []*core.Task) {
 }
 
 func (p *Proc) enqueue(t *core.Task) {
-	if dc := p.rt.cfg.DeviceCost; dc != nil && p.rt.cfg.Machine.Accelerators > 0 {
-		if _, offload := dc(t); offload {
-			p.readyDev.Push(sched.Item{Priority: t.Priority, Value: t})
-			p.dispatchDevices()
-			return
-		}
-	}
 	p.ready.Push(sched.Item{Priority: t.Priority, Value: t})
 	p.dispatch()
-}
-
-// dispatchDevices starts offloaded tasks on free accelerators.
-func (p *Proc) dispatchDevices() {
-	fl := p.rt.cfg.Flavor
-	for p.freeDevices > 0 {
-		it, ok := p.readyDev.Pop()
-		if !ok {
-			return
-		}
-		p.freeDevices--
-		t := it.Value.(*core.Task)
-		d, _ := p.rt.cfg.DeviceCost(t)
-		d += fl.TaskOverhead
-		p.rt.recordProfile(t.TT.Name()+"@dev", d)
-		p.rt.recordSpan(t.TT.Name(), p.rank, p.rt.eng.Now(), d, true)
-		p.rt.eng.At(d, func() { p.completeDevice(t) })
-	}
-}
-
-func (p *Proc) completeDevice(t *core.Task) {
-	rt := p.rt
-	// Execute may recycle the task (shell reuse); read identity up front.
-	name := t.TT.Name()
-	rt.curExtra = 0
-	var buf []func()
-	rt.effectBuf = &buf
-	t.Execute(0)
-	rt.effectBuf = nil
-	extra := rt.curExtra
-	rt.curExtra = 0
-	if extra > 0 {
-		rt.recordExtra(name+"@dev", extra)
-	}
-	finish := func() {
-		for _, fn := range buf {
-			fn()
-		}
-		p.freeDevices++
-		p.dispatchDevices()
-	}
-	if extra > 0 {
-		rt.eng.At(extra, finish)
-		return
-	}
-	finish()
 }
 
 // dispatch starts ready tasks on free workers. Virtual-clock invariant:
@@ -380,7 +318,7 @@ func (p *Proc) dispatch() {
 		t := it.Value.(*core.Task)
 		d := p.rt.cost(t) + fl.TaskOverhead
 		p.rt.recordProfile(t.TT.Name(), d)
-		p.rt.recordSpan(t.TT.Name(), p.rank, p.rt.eng.Now(), d, false)
+		p.rt.recordSpan(t.TT.Name(), p.rank, p.rt.eng.Now(), d)
 		p.rt.eng.At(d, func() { p.complete(t) })
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -322,5 +323,38 @@ func TestSplitMDSkipsSerializationCopies(t *testing.T) {
 	split := run(true)
 	if split >= eager {
 		t.Fatalf("splitmd (%v) not faster than eager (%v) when copies dominate", split, eager)
+	}
+}
+
+// TestTimelineExport records spans and renders Chrome trace JSON with
+// non-overlapping lanes.
+func TestTimelineExport(t *testing.T) {
+	m := idealMachine()
+	rt := New(Config{
+		Ranks: 2, WorkersPerRank: 2, Machine: m,
+		Flavor: cluster.Flavor{Name: "bare"},
+		Cost:   func(*core.Task) float64 { return 1e-3 },
+	})
+	tl := rt.EnableTimeline()
+	rt.Run(func(p *Proc) {
+		g, in := buildIndependent(p, 2)
+		p.Bind(g)
+		if p.Rank() == 0 {
+			for k := 0; k < 8; k++ {
+				g.Seed(in, serde.Int1{k}, 1.0)
+			}
+		}
+		p.Fence()
+	})
+	if len(tl.Spans()) != 8 {
+		t.Fatalf("recorded %d spans, want 8", len(tl.Spans()))
+	}
+	j := tl.ChromeJSON()
+	if !strings.HasPrefix(j, "[") || !strings.Contains(j, `"ph":"X"`) || !strings.Contains(j, `"name":"work"`) {
+		t.Fatalf("chrome json malformed: %s", j[:min(200, len(j))])
+	}
+	// With 2 workers per rank, at most lanes 0 and 1 appear per rank.
+	if strings.Contains(j, `"tid":2`) {
+		t.Fatalf("more lanes than workers: %s", j)
 	}
 }

@@ -32,14 +32,12 @@ type flowEnd struct {
 
 // Span is one task execution in virtual time.
 type Span struct {
-	// Name is the template task name ("GEMM", "TRSM@dev", ...).
+	// Name is the template task name ("GEMM", "TRSM", ...).
 	Name string
 	// Rank is the executing virtual node.
 	Rank int
 	// Start and Dur are in virtual seconds.
 	Start, Dur float64
-	// Device marks accelerator execution.
-	Device bool
 }
 
 // EnableTimeline starts span recording; call before Run. Returns the
@@ -50,12 +48,12 @@ func (rt *Runtime) EnableTimeline() *Timeline {
 	return rt.timeline
 }
 
-func (rt *Runtime) recordSpan(name string, rank int, start, dur float64, device bool) {
+func (rt *Runtime) recordSpan(name string, rank int, start, dur float64) {
 	if rt.timeline == nil {
 		return
 	}
 	rt.timeline.spans = append(rt.timeline.spans, Span{
-		Name: name, Rank: rank, Start: start, Dur: dur, Device: device,
+		Name: name, Rank: rank, Start: start, Dur: dur,
 	})
 }
 
@@ -94,13 +92,8 @@ func (tl *Timeline) Flows() []obs.ChromeFlow {
 // ChromeJSON renders the timeline in the Chrome trace-event format via the
 // shared obs writer (the same schema real-backend session exports use).
 // Lanes (thread ids) are assigned by greedy interval partitioning per
-// rank, so overlapping tasks land on distinct rows; device spans get
-// their own lane block starting at 1000.
+// rank, so overlapping tasks land on distinct rows.
 func (tl *Timeline) ChromeJSON() string {
-	type laneKey struct {
-		rank   int
-		device bool
-	}
 	order := make([]int, len(tl.spans))
 	for i := range order {
 		order[i] = i
@@ -110,12 +103,11 @@ func (tl *Timeline) ChromeJSON() string {
 	})
 	// Greedy lane assignment: reuse the first lane whose previous span has
 	// ended.
-	laneEnds := map[laneKey][]float64{}
+	laneEnds := map[int][]float64{}
 	lanes := make([]int, len(tl.spans))
 	for _, idx := range order {
 		s := tl.spans[idx]
-		k := laneKey{s.Rank, s.Device}
-		ends := laneEnds[k]
+		ends := laneEnds[s.Rank]
 		lane := -1
 		for l, end := range ends {
 			if end <= s.Start+1e-15 {
@@ -128,17 +120,13 @@ func (tl *Timeline) ChromeJSON() string {
 			ends = append(ends, 0)
 		}
 		ends[lane] = s.Start + s.Dur
-		laneEnds[k] = ends
+		laneEnds[s.Rank] = ends
 		lanes[idx] = lane
 	}
 	spans := make([]obs.ChromeSpan, len(tl.spans))
 	for i, s := range tl.spans {
-		tid := lanes[i]
-		if s.Device {
-			tid += 1000
-		}
 		spans[i] = obs.ChromeSpan{
-			Name: s.Name, Pid: s.Rank, Tid: tid,
+			Name: s.Name, Pid: s.Rank, Tid: lanes[i],
 			TS: s.Start * 1e6, Dur: s.Dur * 1e6,
 		}
 	}

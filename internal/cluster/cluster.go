@@ -33,14 +33,6 @@ type Machine struct {
 	// CopyBandwidth is the per-thread memory copy bandwidth in bytes/s,
 	// charged for serialization, deserialization, and data copies.
 	CopyBandwidth float64
-	// Accelerators is the device count per node (0 = host-only). The
-	// heterogeneous extension (the paper's §V future work) offloads
-	// eligible kernels to these.
-	Accelerators int
-	// AccelRate is the sustained flop/s per accelerator.
-	AccelRate float64
-	// HostDevBandwidth is the host-device transfer bandwidth in bytes/s.
-	HostDevBandwidth float64
 }
 
 // Hawk models the HLRS system: EPYC 7742 nodes (sustained ~28 GF/s/core
@@ -55,18 +47,6 @@ func Hawk() Machine {
 		Bandwidth:     23e9,
 		CopyBandwidth: 8e9,
 	}
-}
-
-// HawkGPU is a hypothetical accelerated variant of the Hawk model used by
-// the heterogeneous-execution extension: four devices per node at a
-// modest sustained dgemm rate, over a PCIe-class link.
-func HawkGPU() Machine {
-	m := Hawk()
-	m.Name = "hawk-gpu"
-	m.Accelerators = 4
-	m.AccelRate = 5e12
-	m.HostDevBandwidth = 12e9
-	return m
 }
 
 // Seawulf models the Stony Brook system: Xeon Gold 6148 nodes (sustained

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/backend/sim"
 	"repro/internal/cluster"
@@ -136,26 +135,4 @@ func graphMain(build func(g *ttg.Graph) func()) func(p *sim.Proc) {
 		seed()
 		g.Fence()
 	}
-}
-
-// collector gathers results under a mutex from concurrent rank mains.
-type collector[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]V
-}
-
-func newCollector[K comparable, V any]() *collector[K, V] {
-	return &collector[K, V]{m: map[K]V{}}
-}
-
-func (c *collector[K, V]) put(k K, v V) {
-	c.mu.Lock()
-	c.m[k] = v
-	c.mu.Unlock()
-}
-
-func (c *collector[K, V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

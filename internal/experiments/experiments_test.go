@@ -171,20 +171,6 @@ func TestTableIReportsAllConfigs(t *testing.T) {
 	}
 }
 
-func TestHeteroExtensionSpeedsUp(t *testing.T) {
-	f := Hetero(Quick)
-	for _, x := range []float64{1, 4} {
-		host, ok1 := f.Get("host-only", x)
-		gpu, ok2 := f.Get("4 devices/node", x)
-		if !ok1 || !ok2 {
-			t.Fatalf("missing series at %g", x)
-		}
-		if gpu <= host {
-			t.Errorf("at %g nodes devices (%.3g) not above host-only (%.3g)", x, gpu, host)
-		}
-	}
-}
-
 func TestFig12TTG25DValidatesPrediction(t *testing.T) {
 	// §III-D's closing expectation: the 2.5D conversion lets TTG at least
 	// match DBCSR's strong scaling.

@@ -145,7 +145,7 @@ func TestChromeFlowFromEvents(t *testing.T) {
 }
 
 // TestLiveReportDuringRecording is the regression test for the -http
-// expvar race: scraping a live snapshot while ranks are still recording
+// scrape race: scraping a live snapshot while ranks are still recording
 // events and bumping metrics must be race-free (run with -race) and must
 // not corrupt the final offline Report.
 func TestLiveReportDuringRecording(t *testing.T) {
@@ -155,7 +155,7 @@ func TestLiveReportDuringRecording(t *testing.T) {
 	var recorders, scraper sync.WaitGroup
 	stop := make(chan struct{})
 	scraper.Add(1)
-	go func() { // the scraper: what expvar.Func calls on every GET
+	go func() { // the scraper: what a live endpoint reads on every GET
 		defer scraper.Done()
 		for {
 			select {

@@ -39,13 +39,14 @@ type Collector interface {
 // ContentType is the OpenMetrics text media type the exporter serves.
 const ContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-// Exporter renders the session's metric registries plus collector samples
-// as OpenMetrics text. It only reads atomics (Session.LiveReport and the
-// collectors' own lock-free sources), so scraping a run in flight is safe
-// and cheap. Register it on a mux at "/metrics".
+// Exporter renders the session's metric registries (per rank and
+// session-global) plus collector samples as OpenMetrics text. It only
+// reads atomics (Session.LiveReport and the collectors' own lock-free
+// sources), so scraping a run in flight is safe and cheap. Register it on a mux at "/metrics".
 type Exporter struct {
-	// Session, when set, contributes every per-rank registry counter,
-	// gauge, and histogram.
+	// Session, when set, contributes every registry counter, gauge, and
+	// histogram: per-rank series labeled by rank, the global registry's
+	// unlabeled.
 	Session *obs.Session
 	// Collectors contribute instantaneous gauges not kept in a registry.
 	Collectors []Collector
@@ -75,6 +76,30 @@ func (e *Exporter) Export(w io.Writer) error {
 		return f
 	}
 
+	// registry renders one registry snapshot; labels is `rank="N"` for a
+	// rank's registry and empty for the session-global one.
+	registry := func(snap obs.RegistrySnapshot, labels string) {
+		label := braces(labels)
+		for _, name := range sortedKeys(snap.Counters) {
+			n := sanitizeMetricName(name)
+			f := fam(n, "counter")
+			f.lines = append(f.lines, fmt.Sprintf("%s_total%s %d", n, label, snap.Counters[name]))
+		}
+		for _, name := range sortedKeys(snap.Gauges) {
+			gv := snap.Gauges[name]
+			n := sanitizeMetricName(name)
+			f := fam(n, "gauge")
+			f.lines = append(f.lines, fmt.Sprintf("%s%s %d", n, label, gv.Value))
+			fm := fam(n+"_hwm", "gauge")
+			fm.lines = append(fm.lines, fmt.Sprintf("%s_hwm%s %d", n, label, gv.Max))
+		}
+		for _, name := range sortedKeys(snap.Hists) {
+			n := sanitizeMetricName(name)
+			f := fam(n, "histogram")
+			f.lines = append(f.lines, histSeries(n, labels, snap.Hists[name])...)
+		}
+	}
+
 	if e.Session != nil {
 		lr := e.Session.LiveReport()
 		ranks := make([]int, 0, len(lr.PerRank))
@@ -83,28 +108,11 @@ func (e *Exporter) Export(w io.Writer) error {
 		}
 		sort.Ints(ranks)
 		for _, r := range ranks {
-			snap := lr.PerRank[r]
-			label := fmt.Sprintf(`{rank="%d"}`, r)
-			for _, name := range sortedKeys(snap.Counters) {
-				n := sanitizeMetricName(name)
-				f := fam(n, "counter")
-				f.lines = append(f.lines, fmt.Sprintf("%s_total%s %d", n, label, snap.Counters[name]))
-			}
-			for _, name := range sortedKeys(snap.Gauges) {
-				gv := snap.Gauges[name]
-				n := sanitizeMetricName(name)
-				f := fam(n, "gauge")
-				f.lines = append(f.lines, fmt.Sprintf("%s%s %d", n, label, gv.Value))
-				fm := fam(n+"_hwm", "gauge")
-				fm.lines = append(fm.lines, fmt.Sprintf("%s_hwm%s %d", n, label, gv.Max))
-			}
-			for _, name := range sortedKeys(snap.Hists) {
-				hs := snap.Hists[name]
-				n := sanitizeMetricName(name)
-				f := fam(n, "histogram")
-				f.lines = append(f.lines, histSeries(n, r, hs)...)
-			}
+			registry(lr.PerRank[r], fmt.Sprintf(`rank="%d"`, r))
 		}
+		// Session-global like data_tracked_live: fabric-wide gauges (a
+		// simnet run's net.inflight_msgs) as unlabeled series.
+		registry(lr.Global, "")
 		f := fam("obs_events_dropped", "gauge")
 		f.lines = append(f.lines, fmt.Sprintf("obs_events_dropped %d", lr.Dropped))
 	}
@@ -132,10 +140,7 @@ func (e *Exporter) Export(w io.Writer) error {
 			if s.HasPeer {
 				labels = append(labels, fmt.Sprintf(`peer="%d"`, s.Peer))
 			}
-			label := ""
-			if len(labels) > 0 {
-				label = "{" + strings.Join(labels, ",") + "}"
-			}
+			label := braces(strings.Join(labels, ","))
 			typ, suffix := "gauge", ""
 			if s.Counter {
 				typ, suffix = "counter", "_total"
@@ -164,23 +169,37 @@ func (e *Exporter) Export(w io.Writer) error {
 	return err
 }
 
-// histSeries renders one rank's log₂ histogram as cumulative le buckets.
-// Bucket Log2=l holds values v with bits.Len64(v)==l, i.e. v <= 2^l - 1,
-// so the exact upper bound of the cumulative count through bucket l is
-// 2^l - 1 (and 0 for the zero bucket).
-func histSeries(name string, rank int, hs obs.HistSnapshot) []string {
+// histSeries renders one log₂ histogram as cumulative le buckets, each
+// series carrying labels (empty for an unlabeled series). Bucket Log2=l
+// holds values v with bits.Len64(v)==l, i.e. v <= 2^l - 1, so the exact
+// upper bound of the cumulative count through bucket l is 2^l - 1 (and 0
+// for the zero bucket).
+func histSeries(name, labels string, hs obs.HistSnapshot) []string {
+	le := "{"
+	if labels != "" {
+		le += labels + ","
+	}
 	var out []string
 	var cum int64
 	for _, bk := range hs.Buckets {
 		cum += bk.Count
-		out = append(out, fmt.Sprintf(`%s_bucket{rank="%d",le="%s"} %d`,
-			name, rank, formatFloat(bucketUpper(bk.Log2)), cum))
+		out = append(out, fmt.Sprintf(`%s_bucket%sle="%s"} %d`,
+			name, le, formatFloat(bucketUpper(bk.Log2)), cum))
 	}
+	label := braces(labels)
 	out = append(out,
-		fmt.Sprintf(`%s_bucket{rank="%d",le="+Inf"} %d`, name, rank, hs.Count),
-		fmt.Sprintf(`%s_sum{rank="%d"} %d`, name, rank, hs.Sum),
-		fmt.Sprintf(`%s_count{rank="%d"} %d`, name, rank, hs.Count))
+		fmt.Sprintf(`%s_bucket%sle="+Inf"} %d`, name, le, hs.Count),
+		fmt.Sprintf(`%s_sum%s %d`, name, label, hs.Sum),
+		fmt.Sprintf(`%s_count%s %d`, name, label, hs.Count))
 	return out
+}
+
+// braces wraps a non-empty label set in {}.
+func braces(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
 }
 
 func bucketUpper(log2 int) float64 {

@@ -21,10 +21,11 @@ func (c fakeCollector) CollectLive(emit func(live.Sample)) {
 }
 
 // TestOpenMetricsExposition renders a session with counters, gauges, and
-// histograms on two ranks plus collector samples, and checks the
-// OpenMetrics text invariants: every series preceded by a # TYPE line,
-// counters under a _total suffix, cumulative non-decreasing le buckets
-// ending in +Inf with matching _sum/_count, and a final # EOF line.
+// histograms on two ranks and in its global registry plus collector
+// samples, and checks the OpenMetrics text invariants: every series
+// preceded by a # TYPE line, counters under a _total suffix, cumulative
+// non-decreasing le buckets ending in +Inf with matching _sum/_count, and
+// a final # EOF line.
 func TestOpenMetricsExposition(t *testing.T) {
 	s := obs.NewSession(obs.Config{Capacity: 16})
 	for r := 0; r < 2; r++ {
@@ -39,6 +40,12 @@ func TestOpenMetricsExposition(t *testing.T) {
 			h.Observe(v)
 		}
 	}
+	// The session-global registry (where a simnet run publishes
+	// net.inflight_msgs) renders as unlabeled series.
+	inflight := s.Global().Gauge(obs.GaugeInflightMsgs)
+	inflight.Add(4)
+	inflight.Add(-1) // value 3, high-water mark 4
+	s.Global().Histogram("net.frame_bytes").Observe(100)
 	exp := &live.Exporter{
 		Session: s,
 		Collectors: []live.Collector{fakeCollector{samples: []live.Sample{
@@ -112,6 +119,17 @@ func TestOpenMetricsExposition(t *testing.T) {
 	if !strings.Contains(body, `sched_deque_depth{rank="1"} 7`) ||
 		!strings.Contains(body, "data_tracked_live 4096") {
 		t.Fatalf("collector samples missing:\n%s", body)
+	}
+	for _, want := range []string{
+		"net_inflight_msgs 3\n", "net_inflight_msgs_hwm 4\n",
+		`net_frame_bytes_bucket{le="+Inf"} 1`, "net_frame_bytes_sum 100\n", "net_frame_bytes_count 1\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("global registry series %q missing:\n%s", want, body)
+		}
+	}
+	if typed["net_inflight_msgs"] != "gauge" || typed["net_frame_bytes"] != "histogram" {
+		t.Fatalf("global registry families: %v", typed)
 	}
 
 	// Histogram invariants for rank 0: cumulative counts never decrease,

@@ -13,7 +13,7 @@
 // Counters are not stored here. Events are counted once, in the always-on
 // per-rank trace.Collector (and the scheduler's per-worker atomics); a
 // Registry only reads them, by name, each time it snapshots, through the
-// source the backend registers with ReadCounters — so a report, expvar and
+// source the backend registers with ReadCounters — so a report and
 // /metrics show the same numbers as an untraced run's stats line, live.
 //
 // Recording is lock-free on the hot path: each rank owns a fixed-capacity
@@ -348,15 +348,15 @@ func (s *Session) Registries() map[int]*Registry {
 
 // LiveReport is a metrics-only snapshot of a running session. Unlike
 // Report, it never touches the event buffers, so it is safe to call
-// concurrently with Record — this is what live endpoints (expvar,
-// /metrics) must serve while the run is still in flight.
+// concurrently with Record — this is what the live /metrics endpoint
+// must serve while the run is still in flight.
 type LiveReport struct {
 	Ranks   int
 	Dropped int64
-	// Metrics is the merge of every per-rank registry plus the global one.
-	Metrics RegistrySnapshot
 	// PerRank holds each rank's own registry snapshot.
 	PerRank map[int]RegistrySnapshot
+	// Global is the session-global registry's snapshot.
+	Global RegistrySnapshot
 }
 
 // LiveReport captures the session's metrics without scanning event
@@ -371,15 +371,12 @@ func (s *Session) LiveReport() *LiveReport {
 	lr := &LiveReport{
 		Ranks:   len(ranks),
 		PerRank: make(map[int]RegistrySnapshot, len(ranks)),
+		Global:  s.global.Snapshot(),
 	}
-	merged := s.global.Snapshot()
 	for r, rk := range ranks {
 		lr.Dropped += rk.dropped.Load()
-		snap := rk.reg.Snapshot()
-		lr.PerRank[r] = snap
-		merged = merged.Merge(snap)
+		lr.PerRank[r] = rk.reg.Snapshot()
 	}
-	lr.Metrics = merged
 	return lr
 }
 

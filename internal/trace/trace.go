@@ -3,9 +3,9 @@
 // Collector cell is the only storage an event increments — on traced and
 // untraced runs alike — except for the scheduler's counts, which sched.Pool
 // keeps per worker and backend.Proc.Stats folds into the Snapshot. Every
-// export of a count (the CLIs' stats line, obs.Session reports, expvar,
-// /metrics) reads a Snapshot through the one name table below; the obs
-// registry keeps no counters of its own.
+// export of a count (the CLIs' stats line, obs.Session reports, /metrics)
+// reads a Snapshot through the one name table below; the obs registry
+// keeps no counters of its own.
 package trace
 
 import (
@@ -104,7 +104,7 @@ type Snapshot struct {
 // counter is one row of the name table: where a count lives in a Collector
 // and in a Snapshot, and what it is called on the way out.
 type counter struct {
-	name string        // exported metric name: obs reports, expvar, /metrics
+	name string        // exported metric name: obs reports, /metrics
 	text string        // its piece of Snapshot.String; "" leaves it out
 	live *atomic.Int64 // the Collector cell; nil for the scheduler counts
 	snap *int64

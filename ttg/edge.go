@@ -16,9 +16,6 @@ func NewEdge[K comparable, V any](name string) Edge[K, V] {
 	return Edge[K, V]{e: core.NewEdge(name)}
 }
 
-// Raw exposes the untyped edge.
-func (e Edge[K, V]) Raw() *core.Edge { return e.e }
-
 // Name returns the edge's diagnostic name.
 func (e Edge[K, V]) Name() string { return e.e.Name() }
 
@@ -224,21 +221,6 @@ func SeedFinalize[K comparable, V any](g *Graph, e Edge[K, V], key K) {
 // SeedSetStreamSize announces a stream length from outside any task.
 func SeedSetStreamSize[K comparable, V any](g *Graph, e Edge[K, V], key K, n int) {
 	g.core.SetStreamSizeSeed(e.e, key, n)
-}
-
-// SeedOwned injects value(key) on e for every listed key whose consumer
-// task tt's key map assigns to this rank — the owner-seeds-its-own-data
-// initialization every SPMD main otherwise writes by hand (the
-// data-injection simplification the paper lists as future work). Call it
-// on every rank with the same key list; each key is seeded exactly once,
-// locally, with no injection traffic.
-func SeedOwned[K comparable, V any](g *Graph, tt TT, e Edge[K, V], keys []K, value func(K) V) {
-	me := g.Rank()
-	for _, k := range keys {
-		if tt.Core().Owner(k) == me {
-			Seed(g, e, k, value(k))
-		}
-	}
 }
 
 func anyKeys[K comparable](keys []K) []any {

@@ -13,41 +13,6 @@ import (
 	"repro/ttg"
 )
 
-// TestSeedOwned checks the owner-seeding helper injects every key exactly
-// once with zero duplicate work across ranks.
-func TestSeedOwned(t *testing.T) {
-	var mu sync.Mutex
-	got := map[int]float64{}
-	ttg.Run(ttg.Config{Ranks: 4, WorkersPerRank: 1}, func(pc *ttg.Process) {
-		g := pc.NewGraph()
-		in := ttg.NewEdge[ttg.Int1, float64]("in")
-		tt := ttg.MakeTT1(g, "sink", ttg.Input(in), nil,
-			func(x *ttg.Ctx[ttg.Int1], v float64) {
-				mu.Lock()
-				got[x.Key()[0]] = v
-				mu.Unlock()
-			},
-			ttg.Options[ttg.Int1]{Keymap: func(k ttg.Int1) int { return (k[0] * 7) % pc.Size() }},
-		)
-		g.MakeExecutable()
-		keys := make([]ttg.Int1, 20)
-		for i := range keys {
-			keys[i] = ttg.Int1{i}
-		}
-		// Every rank calls SeedOwned with the full list; ownership filters.
-		ttg.SeedOwned(g, tt, in, keys, func(k ttg.Int1) float64 { return float64(k[0] * 10) })
-		g.Fence()
-	})
-	if len(got) != 20 {
-		t.Fatalf("seeded %d keys, want 20", len(got))
-	}
-	for k, v := range got {
-		if v != float64(k*10) {
-			t.Fatalf("key %d = %v", k, v)
-		}
-	}
-}
-
 // TestStatsExposed checks per-rank counters reach the public API.
 func TestStatsExposed(t *testing.T) {
 	var tasks int64

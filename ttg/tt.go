@@ -10,14 +10,6 @@ type TT struct {
 	tt *core.TT
 }
 
-// Core exposes the underlying template task.
-func (t TT) Core() *core.TT { return t.tt }
-
-// TTFromCore wraps an engine-level template task in the public handle;
-// alternative frontends building directly on the core (e.g. the PTG DSL)
-// use it to hand out uniform handles.
-func TTFromCore(tt *core.TT) TT { return TT{tt: tt} }
-
 // Name returns the template task's diagnostic name.
 func (t TT) Name() string { return t.tt.Name() }
 
