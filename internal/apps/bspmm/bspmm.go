@@ -205,10 +205,10 @@ func CostModel(m *sparse.Matrix, mach cluster.Machine) func(*core.Task) float64 
 	return func(t *core.Task) float64 {
 		switch t.TT.Name() {
 		case "MultiplyAdd":
-			key := t.Key.(ttg.Int3)
+			key := core.Unpack[ttg.Int3](t.Key)
 			return lapack.GemmFlops(m.Dim(key[0]), m.Dim(key[1]), m.Dim(key[2])) / mach.KernelRate
 		case "ReduceC":
-			key := t.Key.(ttg.Int2)
+			key := core.Unpack[ttg.Int2](t.Key)
 			return float64(m.Dim(key[0])*m.Dim(key[1])) / mach.SmallOpRate
 		default:
 			return 0

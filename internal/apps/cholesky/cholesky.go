@@ -484,16 +484,16 @@ func CostModel(grid tile.Grid, m cluster.Machine) func(*core.Task) float64 {
 		dim := func(i int) int { return grid.Dim(i) }
 		switch t.TT.Name() {
 		case "POTRF":
-			k := t.Key.(ttg.Int1)[0]
+			k := core.Unpack[ttg.Int1](t.Key)[0]
 			return lapack.PotrfFlops(dim(k)) / m.KernelRate
 		case "TRSM":
-			key := t.Key.(ttg.Int2)
+			key := core.Unpack[ttg.Int2](t.Key)
 			return lapack.TrsmFlops(dim(key[0]), dim(key[1])) / m.KernelRate
 		case "SYRK":
-			key := t.Key.(ttg.Int2)
+			key := core.Unpack[ttg.Int2](t.Key)
 			return lapack.SyrkFlops(dim(key[0]), dim(key[1])) / m.KernelRate
 		case "GEMM":
-			key := t.Key.(ttg.Int3)
+			key := core.Unpack[ttg.Int3](t.Key)
 			return lapack.GemmFlops(dim(key[0]), dim(key[1]), dim(key[2])) / m.KernelRate
 		default:
 			return 0

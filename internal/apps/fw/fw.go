@@ -451,19 +451,16 @@ func CostModel(grid tile.Grid, m cluster.Machine) func(*core.Task) float64 {
 	rate := m.KernelRate * 0.25
 	return func(t *core.Task) float64 {
 		var i, j, k int
-		switch key := t.Key.(type) {
-		case ttg.Int1:
-			i, j, k = key[0], key[0], key[0]
-		case ttg.Int3:
+		switch t.TT.Name() {
+		case "FW_A":
+			k = core.Unpack[ttg.Int1](t.Key)[0]
+			i, j = k, k
+		case "FW_B", "FW_C", "FW_D":
+			key := core.Unpack[ttg.Int3](t.Key)
 			i, j, k = key[0], key[1], key[2]
 		default:
 			return 0
 		}
-		switch t.TT.Name() {
-		case "FW_A", "FW_B", "FW_C", "FW_D":
-			return lapack.MinPlusFlops(grid.Dim(i), grid.Dim(j), grid.Dim(k)) / rate
-		default:
-			return 0
-		}
+		return lapack.MinPlusFlops(grid.Dim(i), grid.Dim(j), grid.Dim(k)) / rate
 	}
 }

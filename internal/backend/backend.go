@@ -199,6 +199,7 @@ type Proc struct {
 	ep       fabric.Endpoint
 	det      *termdet.Detector
 	pool     *sched.Pool
+	batches  [][]sched.Item // SubmitBatch's per-worker item scratch
 	tr       trace.Collector
 	graph    *core.Graph
 	ready    chan struct{}
@@ -232,6 +233,7 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 	p.pool = sched.NewPool(rt.opts.WorkersPerRank, rt.opts.Policy, func(w int, it sched.Item) {
 		it.Value.(*core.Task).Execute(w)
 	})
+	p.batches = make([][]sched.Item, p.pool.Workers())
 	if p.rec != nil {
 		p.pool.Observe(p.rec)
 		// The registry counts nothing itself: whenever it snapshots — a
@@ -357,24 +359,35 @@ func (p *Proc) Submit(t *core.Task) {
 // SubmitBatch implements core.Executor: a fan-out of tasks reaches the
 // scheduler under one queue synchronization. When every task shares the
 // discovering worker (the common case — one body sent to N successors),
-// the whole batch lands on that worker's deque in a single push.
+// the whole batch lands on that worker's deque in a single push, built in
+// that worker's scratch: the pool copies what it keeps, and only the
+// worker itself submits with its index as origin.
 func (p *Proc) SubmitBatch(ts []*core.Task) {
 	if len(ts) == 0 {
 		return
 	}
-	items := make([]sched.Item, len(ts))
 	origin := ts[0].Origin
-	for i, t := range ts {
-		items[i] = sched.Item{Priority: t.Priority, Value: t}
+	for _, t := range ts {
 		if t.Origin != origin {
 			origin = -1
+			break
 		}
 	}
-	if origin >= 0 {
-		p.pool.SubmitLocalBatch(origin, items)
-	} else {
-		p.pool.SubmitBatch(items)
+	local := origin >= 0 && origin < len(p.batches)
+	var items []sched.Item
+	if local {
+		items = p.batches[origin][:0]
 	}
+	for _, t := range ts {
+		items = append(items, sched.Item{Priority: t.Priority, Value: t})
+	}
+	if !local {
+		p.pool.SubmitBatch(items)
+		return
+	}
+	p.pool.SubmitLocalBatch(origin, items)
+	clear(items)
+	p.batches[origin] = items[:0]
 }
 
 // Deliver implements core.Executor: one delivery to one remote rank, over

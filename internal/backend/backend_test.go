@@ -76,7 +76,7 @@ func buildChain(p *backend.Proc, stages int, sink func(k serde.Int1, v float64))
 		Inputs: []core.InputSpec{{Edge: edges[stages]}},
 		Keymap: func(k any) int { return k.(serde.Int1)[0] % p.Size() },
 		Body: func(ctx *core.TaskContext) {
-			sink(ctx.Key().(serde.Int1), ctx.Input(0).(float64))
+			sink(ctx.Key().Value().(serde.Int1), ctx.Input(0).(float64))
 		},
 	})
 	g.Seal()
@@ -396,12 +396,12 @@ func TestDeepRecursiveUnfold(t *testing.T) {
 			Name:    "node",
 			Inputs:  []core.InputSpec{{Edge: e}},
 			Outputs: []core.OutputSpec{{Edge: e}},
-			Keymap:  func(k any) int { return core.HashKey(k) % ranks },
+			Keymap:  func(k any) int { return core.HashKey(core.KeyOf(k)) % ranks },
 			Body: func(ctx *core.TaskContext) {
 				mu.Lock()
 				count++
 				mu.Unlock()
-				k := ctx.Key().(serde.Int2)
+				k := ctx.Key().Value().(serde.Int2)
 				if k[0] < depth {
 					ctx.Send(0, serde.Int2{k[0] + 1, k[1] * 2}, 0.0)
 					ctx.Send(0, serde.Int2{k[0] + 1, k[1]*2 + 1}, 0.0)
@@ -448,7 +448,7 @@ func TestStreamingAcrossRanks(t *testing.T) {
 						return k.(serde.Int2)[1] % ranks
 					},
 					Body: func(ctx *core.TaskContext) {
-						k := ctx.Key().(serde.Int2)
+						k := ctx.Key().Value().(serde.Int2)
 						ctx.Send(0, serde.Int1{k[0]}, float64(k[1]))
 					},
 				})
@@ -462,7 +462,7 @@ func TestStreamingAcrossRanks(t *testing.T) {
 							}
 							return a.(float64) + v.(float64)
 						},
-						StreamSize: func(any) int { return fan },
+						StreamSize: func(core.Key) int { return fan },
 					}},
 					Keymap: func(k any) int {
 						if tc.rankLocal {
@@ -471,7 +471,7 @@ func TestStreamingAcrossRanks(t *testing.T) {
 						return 2
 					},
 					Body: func(ctx *core.TaskContext) {
-						totals[ctx.Key().(serde.Int1)[0]] = ctx.Input(0).(float64)
+						totals[ctx.Key().Value().(serde.Int1)[0]] = ctx.Input(0).(float64)
 					},
 				})
 				g.Seal()

@@ -35,7 +35,7 @@ func TestDeliverLoopback(t *testing.T) {
 		if p.Rank() == 1 {
 			moved := &vec{n: 2, data: []float64{1, 2}}
 			p.Deliver(p.Rank(), core.Delivery{
-				Targets:   []core.TermTarget{{TT: 0, Term: 0, Keys: []any{serde.Int1{1}}}},
+				Targets:   []core.TermTarget{{TT: 0, Term: 0, Keys: []core.Key{core.KeyOf(serde.Int1{1})}}},
 				Value:     moved,
 				Mode:      core.SendMove,
 				OwnsValue: true,
@@ -47,7 +47,7 @@ func TestDeliverLoopback(t *testing.T) {
 
 			kept := &vec{n: 2, data: []float64{3, 4}}
 			p.Deliver(p.Rank(), core.Delivery{
-				Targets: []core.TermTarget{{TT: 0, Term: 0, Keys: []any{serde.Int1{1}}}},
+				Targets: []core.TermTarget{{TT: 0, Term: 0, Keys: []core.Key{core.KeyOf(serde.Int1{1})}}},
 				Value:   kept,
 			})
 			g.Fence()

@@ -94,7 +94,7 @@ func TestStressManyRanksLatencyRace(t *testing.T) {
 			Outputs: []core.OutputSpec{{Edge: e}},
 			Keymap:  func(k any) int { return (k.(serde.Int2)[0] + k.(serde.Int2)[1]) % ranks },
 			Body: func(ctx *core.TaskContext) {
-				k := ctx.Key().(serde.Int2)
+				k := ctx.Key().Value().(serde.Int2)
 				mu.Lock()
 				count++
 				mu.Unlock()

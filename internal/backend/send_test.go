@@ -131,7 +131,7 @@ func TestPerSenderOrderToOnePeerWithTwoWorkers(t *testing.T) {
 					Outputs: []core.OutputSpec{{Edge: out}, {Edge: step}},
 					Keymap:  func(any) int { return 0 },
 					Body: func(ctx *core.TaskContext) {
-						k := ctx.Key().(serde.Int2)
+						k := ctx.Key().Value().(serde.Int2)
 						if k[1] == 0 {
 							// Both chains are running before either sends.
 							started.Done()
@@ -154,12 +154,12 @@ func TestPerSenderOrderToOnePeerWithTwoWorkers(t *testing.T) {
 							seq, _ := acc.([]float64)
 							return append(seq, v.(float64))
 						},
-						StreamSize: func(any) int { return total },
+						StreamSize: func(core.Key) int { return total },
 					}},
 					Keymap: func(any) int { return 1 },
 					Body: func(ctx *core.TaskContext) {
 						mu.Lock()
-						got[ctx.Key().(serde.Int1)[0]] = ctx.Input(0).([]float64)
+						got[ctx.Key().Value().(serde.Int1)[0]] = ctx.Input(0).([]float64)
 						mu.Unlock()
 					},
 				})
@@ -234,7 +234,7 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 							}
 							return acc.(float64) + v.(float64)
 						},
-						StreamSize:  func(any) int { return 1 },
+						StreamSize:  func(core.Key) int { return 1 },
 						Commutative: true,
 					}},
 					Keymap: func(any) int { return owner },

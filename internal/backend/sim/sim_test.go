@@ -108,7 +108,7 @@ func TestCommunicationCostVisible(t *testing.T) {
 				Outputs: []core.OutputSpec{{Edge: e}},
 				Keymap:  func(k any) int { return k.(serde.Int1)[0] % 2 },
 				Body: func(ctx *core.TaskContext) {
-					k := ctx.Key().(serde.Int1)
+					k := ctx.Key().Value().(serde.Int1)
 					if k[0] < 100 {
 						ctx.Send(0, serde.Int1{k[0] + 1}, 0.0)
 					}

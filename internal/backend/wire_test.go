@@ -509,7 +509,7 @@ func testGatherInterleaved(t *testing.T) {
 			Inputs: []core.InputSpec{{Edge: tiles}},
 			Keymap: func(any) int { return 1 },
 			Body: func(ctx *core.TaskContext) {
-				k := ctx.Key().(serde.Int1)[0]
+				k := ctx.Key().Value().(serde.Int1)[0]
 				for i, v := range ctx.Input(0).(*tile.Tile).Data {
 					if v != float64(k) {
 						t.Errorf("tile %d element %d = %v", k, i, v)
@@ -616,7 +616,7 @@ func TestRecvViewSharedReaders(t *testing.T) {
 					pool.PutFloat64s(scratch)
 				}
 				mu.Lock()
-				sums[ctx.Key().(serde.Int1)[0]] = s
+				sums[ctx.Key().Value().(serde.Int1)[0]] = s
 				mu.Unlock()
 			},
 		})

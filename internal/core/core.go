@@ -60,7 +60,7 @@ const (
 type TermTarget struct {
 	TT   int
 	Term int
-	Keys []any
+	Keys []Key
 }
 
 // Delivery is the routing unit exchanged between core and backends: a value
@@ -185,7 +185,7 @@ type InputSpec struct {
 	// StreamSize, when non-nil, gives the expected number of stream
 	// messages per task ID; the terminal is satisfied after that many.
 	// When nil the stream must be closed by CtrlSetSize or CtrlFinalize.
-	StreamSize func(key any) int
+	StreamSize func(Key) int
 	// Commutative declares the Reducer a commutative (and associative)
 	// fold, opting the terminal into hierarchical reduction (reduce.go):
 	// contributions pre-fold in per-rank combining buffers and climb a
@@ -215,12 +215,16 @@ type TTSpec struct {
 	// Body is the task body; it may send to output terminals via the
 	// TaskContext.
 	Body func(ctx *TaskContext)
-	// Keymap maps a task ID to the rank executing it. Defaults to
-	// hash(key) mod size.
-	Keymap func(key any) int
+	// Owner maps a task ID to the rank executing it. Defaults to
+	// HashKey(key) mod size.
+	Owner func(Key) int
+	// Keymap is Owner over the key's application value (Key.Value), for
+	// graphs built on core directly. Unpacking boxes the value on every
+	// call, so the typed ttg layer sets Owner instead. Set at most one.
+	Keymap func(any) int
 	// Priomap maps a task ID to a scheduling priority (larger runs
 	// first). Optional.
-	Priomap func(key any) int64
+	Priomap func(Key) int64
 }
 
 // TT is a template task instance bound to a graph.
@@ -231,8 +235,11 @@ type TT struct {
 	inputs  []InputSpec
 	outputs []OutputSpec
 	body    func(ctx *TaskContext)
-	keymap  func(key any) int
-	priomap func(key any) int64
+	keymap  func(Key) int
+	priomap func(Key) int64
+	// streaming is set when some input terminal has a reducer; only such
+	// TTs give their shells stream bookkeeping.
+	streaming bool
 
 	// match is the sharded (task ID → shell) table; see match.go.
 	match matchTable
@@ -245,6 +252,8 @@ type Graph struct {
 	exec   Executor
 	tts    []*TT
 	sealed bool
+	// keys interns this graph's task IDs that do not pack (key.go).
+	keys keyTable
 
 	// obs is the rank's recorder (nil disables tracing); the metric
 	// handles are resolved once here so events never take the registry
@@ -348,16 +357,25 @@ func (g *Graph) AddTT(spec TTSpec) *TT {
 		inputs:  spec.Inputs,
 		outputs: spec.Outputs,
 		body:    spec.Body,
-		keymap:  spec.Keymap,
+		keymap:  spec.Owner,
 		priomap: spec.Priomap,
 	}
 	tt.match.init()
+	if f := spec.Keymap; f != nil {
+		if tt.keymap != nil {
+			panic(fmt.Sprintf("core: TT %q sets both Owner and Keymap", spec.Name))
+		}
+		tt.keymap = func(key Key) int { return f(key.Value()) }
+	}
 	if tt.keymap == nil {
-		tt.keymap = func(key any) int { return HashKey(key) % g.exec.Size() }
+		tt.keymap = func(key Key) int { return HashKey(key) % g.exec.Size() }
 	}
 	for term, in := range spec.Inputs {
 		if in.Edge == nil {
 			panic(fmt.Sprintf("core: TT %q input %d has no edge", spec.Name, term))
+		}
+		if in.Reducer != nil {
+			tt.streaming = true
 		}
 		in.Edge.consumers = append(in.Edge.consumers, consumer{tt: tt, term: term})
 	}
@@ -411,10 +429,10 @@ func (tt *TT) NumInputs() int { return len(tt.inputs) }
 func (tt *TT) NumOutputs() int { return len(tt.outputs) }
 
 // Owner returns the rank that executes the task with the given ID.
-func (tt *TT) Owner(key any) int { return tt.keymap(key) }
+func (tt *TT) Owner(key Key) int { return tt.keymap(key) }
 
 // Priority returns the scheduling priority for a task ID.
-func (tt *TT) Priority(key any) int64 {
+func (tt *TT) Priority(key Key) int64 {
 	if tt.priomap == nil {
 		return 0
 	}
@@ -427,10 +445,11 @@ func (tt *TT) PendingShells() int {
 	return tt.match.pending()
 }
 
-// Task is one ready task instance.
+// Task is one ready task instance. Tasks made ready by matching come
+// from their shard's free list and go back to it once the body has run.
 type Task struct {
 	TT       *TT
-	Key      any
+	Key      Key
 	Inputs   []any
 	Priority int64
 	// Origin is the worker index that discovered the task, or -1;
@@ -440,16 +459,19 @@ type Task struct {
 	// became ready (0 when tracing is disabled); the match→exec delay
 	// histogram is the gap to execution start.
 	activatedNs int64
-	// sh is the matching shell this task was instantiated from (nil for
-	// Invoke-created tasks); Execute recycles it when the body is done.
-	sh *shell
+	// home is the shard whose free list the task returns to (nil for
+	// Invoke-created tasks); next links it there.
+	home *matchShard
+	next *Task
 	// holds are the tracked handles this task keeps referenced for the
 	// body's duration (read-only inputs); see data.go. The backing array
-	// is recycled through the shell.
+	// is recycled with the task.
 	holds []*tracked
 	// ctx is the body's context, kept in the (recycled) task because one
 	// built in Execute escapes to the heap, once per task.
 	ctx TaskContext
+	// in backs Inputs for TTs with at most inlineInputs terminals.
+	in [inlineInputs]any
 }
 
 // Execute runs the task body and retires the task's activity unit. The
@@ -468,12 +490,8 @@ func (t *Task) Execute(worker int) {
 	}
 	t.releaseHolds()
 	g.exec.Tracer().TasksExecuted.Add(1)
-	if sh := t.sh; sh != nil {
-		// Last use of t: t is the shell's embedded task, and release hands
-		// the shell (t included) back to the matching table for reuse.
-		// The holds backing array survives on the shell for reuse.
-		sh.holdBuf = t.holds[:0]
-		sh.release()
+	if t.home != nil {
+		t.release() // last use of t
 	}
 }
 
@@ -481,7 +499,7 @@ func (t *Task) Execute(worker int) {
 // the latency and match-delay histograms.
 func (t *Task) executeObserved(o obs.Recorder, ctx *TaskContext, worker int) {
 	g := t.TT.g
-	key := fmt.Sprint(t.Key)
+	key := t.Key.String()
 	now := o.Now()
 	o.Record(obs.Event{Kind: obs.EvExecStart, Worker: int32(worker),
 		TT: int32(t.TT.id), TS: now, Name: t.TT.name, Key: key})

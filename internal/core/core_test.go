@@ -146,7 +146,7 @@ func TestKeyTypeChangesAcrossTTs(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: in}},
 		Outputs: []OutputSpec{{Edge: out}},
 		Body: func(ctx *TaskContext) {
-			id := ctx.Key().(serde.Int2)
+			id := ctx.Key().Value().(serde.Int2)
 			keys := []any{
 				serde.Int3{id[0], id[1], 0},
 				serde.Int3{id[0], id[1], 1},
@@ -158,7 +158,7 @@ func TestKeyTypeChangesAcrossTTs(t *testing.T) {
 		Name:   "GEMM",
 		Inputs: []InputSpec{{Edge: out}},
 		Body: func(ctx *TaskContext) {
-			got[ctx.Key().(serde.Int3)] = ctx.Input(0).(float64)
+			got[ctx.Key().Value().(serde.Int3)] = ctx.Input(0).(float64)
 		},
 	})
 	g.Seal()
@@ -194,7 +194,7 @@ func TestStreamingTerminalFixedSize(t *testing.T) {
 				}
 				return a.(float64) + v.(float64)
 			},
-			StreamSize: func(any) int { return 4 },
+			StreamSize: func(Key) int { return 4 },
 		}},
 		Body: func(ctx *TaskContext) {
 			fired++
@@ -329,10 +329,10 @@ func TestRemoteRoutingByKeymap(t *testing.T) {
 		g.AddTT(TTSpec{
 			Name:   "work",
 			Inputs: []InputSpec{{Edge: in}},
-			Keymap: func(k any) int { return k.(serde.Int1)[0] % 2 },
+			Owner:  func(k Key) int { return Unpack[serde.Int1](k)[0] % 2 },
 			Body: func(ctx *TaskContext) {
 				mu.Lock()
-				ranOn[ctx.Key().(serde.Int1)[0]] = append(ranOn[ctx.Key().(serde.Int1)[0]], ctx.Rank())
+				ranOn[ctx.Key().Value().(serde.Int1)[0]] = append(ranOn[ctx.Key().Value().(serde.Int1)[0]], ctx.Rank())
 				mu.Unlock()
 			},
 		})
@@ -365,7 +365,7 @@ func TestBroadcastDedupAcrossRanks(t *testing.T) {
 			Name:    "src",
 			Inputs:  []InputSpec{{Edge: in}},
 			Outputs: []OutputSpec{{Edge: e}},
-			Keymap:  func(any) int { return 0 },
+			Owner:   func(Key) int { return 0 },
 			Body: func(ctx *TaskContext) {
 				keys := []any{serde.Int1{1}, serde.Int1{3}, serde.Int1{5}, serde.Int1{7}}
 				ctx.Broadcast(0, keys, 42.0)
@@ -374,7 +374,7 @@ func TestBroadcastDedupAcrossRanks(t *testing.T) {
 		g.AddTT(TTSpec{
 			Name:   "dst",
 			Inputs: []InputSpec{{Edge: e}},
-			Keymap: func(any) int { return 1 },
+			Owner:  func(Key) int { return 1 },
 			Body: func(ctx *TaskContext) {
 				count++
 			},
@@ -432,7 +432,7 @@ func TestZeroStreamSizeSatisfiedImmediately(t *testing.T) {
 		Name: "sink",
 		Inputs: []InputSpec{
 			{Edge: trig},
-			{Edge: str, Reducer: func(a, v any) any { return v }, StreamSize: func(any) int { return 0 }},
+			{Edge: str, Reducer: func(a, v any) any { return v }, StreamSize: func(Key) int { return 0 }},
 		},
 		Body: func(ctx *TaskContext) {
 			fired = true
@@ -449,12 +449,12 @@ func TestZeroStreamSizeSatisfiedImmediately(t *testing.T) {
 }
 
 func TestHashKeyDeterministic(t *testing.T) {
-	a := HashKey(serde.Int3{1, 2, 3})
-	b := HashKey(serde.Int3{1, 2, 3})
+	a := HashKey(KeyOf(serde.Int3{1, 2, 3}))
+	b := HashKey(KeyOf(serde.Int3{1, 2, 3}))
 	if a != b || a < 0 {
 		t.Fatalf("HashKey not deterministic or negative: %d %d", a, b)
 	}
-	if HashKey(serde.Int3{1, 2, 3}) == HashKey(serde.Int3{3, 2, 1}) {
+	if HashKey(KeyOf(serde.Int3{1, 2, 3})) == HashKey(KeyOf(serde.Int3{3, 2, 1})) {
 		t.Log("hash collision on permuted key (allowed but suspicious)")
 	}
 }
@@ -466,23 +466,24 @@ func TestPriorityAndOwnerExposed(t *testing.T) {
 	tt := g.AddTT(TTSpec{
 		Name:    "p",
 		Inputs:  []InputSpec{{Edge: in}},
-		Keymap:  func(k any) int { return k.(serde.Int1)[0] % 4 },
-		Priomap: func(k any) int64 { return int64(100 - k.(serde.Int1)[0]) },
+		Owner:   func(k Key) int { return Unpack[serde.Int1](k)[0] % 4 },
+		Priomap: func(k Key) int64 { return int64(100 - Unpack[serde.Int1](k)[0]) },
 		Body:    func(ctx *TaskContext) {},
 	})
-	if tt.Owner(serde.Int1{7}) != 3 {
-		t.Errorf("owner = %d", tt.Owner(serde.Int1{7}))
+	k7 := KeyOf(serde.Int1{7})
+	if tt.Owner(k7) != 3 {
+		t.Errorf("owner = %d", tt.Owner(k7))
 	}
-	if tt.Priority(serde.Int1{7}) != 93 {
-		t.Errorf("priority = %d", tt.Priority(serde.Int1{7}))
+	if tt.Priority(k7) != 93 {
+		t.Errorf("priority = %d", tt.Priority(k7))
 	}
 }
 
 func TestWireHeaderRoundTrip(t *testing.T) {
 	d := Delivery{
 		Targets: []TermTarget{
-			{TT: 3, Term: 1, Keys: []any{serde.Int2{1, 2}, serde.Int2{3, 4}}},
-			{TT: 0, Term: 0, Keys: []any{serde.Int1{9}}},
+			{TT: 3, Term: 1, Keys: []Key{KeyOf(serde.Int2{1, 2}), KeyOf(serde.Int2{3, 4})}},
+			{TT: 0, Term: 0, Keys: []Key{KeyOf(serde.Int1{9})}},
 		},
 		Control: CtrlSetSize,
 		N:       17,
@@ -497,7 +498,7 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 	if got.Mode != SendMove {
 		t.Fatalf("send mode lost in header: %+v", got)
 	}
-	if got.Targets[0].Keys[1] != any(serde.Int2{3, 4}) {
+	if got.Targets[0].Keys[1] != KeyOf(serde.Int2{3, 4}) {
 		t.Fatalf("keys corrupted: %+v", got.Targets[0])
 	}
 	// A reduction partial carries its folded contribution count.

@@ -163,7 +163,7 @@ func TestInjectExclusiveReclaim(t *testing.T) {
 		g.Seal()
 		v := &relVal{data: []float64{7}}
 		g.Inject(Delivery{
-			Targets:   []TermTarget{{TT: 0, Term: 0, Keys: []any{serde.Int1{1}, serde.Int1{2}}}},
+			Targets:   []TermTarget{{TT: 0, Term: 0, Keys: []Key{KeyOf(serde.Int1{1}), KeyOf(serde.Int1{2})}}},
 			Value:     v,
 			Exclusive: true,
 		})
@@ -196,7 +196,7 @@ func TestMoveModeSurvivesRemoteDelivery(t *testing.T) {
 			Body: func(ctx *TaskContext) {
 				ctx.BroadcastMode(0, []any{serde.Int1{1}, serde.Int1{2}}, []float64{1, 2}, SendMove)
 			},
-			Keymap: func(any) int { return 0 },
+			Owner: func(Key) int { return 0 },
 		})
 		g.AddTT(TTSpec{
 			Name:   "consumer",
@@ -206,7 +206,7 @@ func TestMoveModeSurvivesRemoteDelivery(t *testing.T) {
 				ran++
 				mu.Unlock()
 			},
-			Keymap: func(any) int { return 1 },
+			Owner: func(Key) int { return 1 },
 		})
 		g.Seal()
 	}
@@ -294,7 +294,7 @@ func TestReadOnlyResendEscapes(t *testing.T) {
 	g.Seal()
 	v := &relVal{data: []float64{3}}
 	g.Inject(Delivery{
-		Targets:   []TermTarget{{TT: 0, Term: 0, Keys: []any{serde.Int1{1}, serde.Int1{2}}}},
+		Targets:   []TermTarget{{TT: 0, Term: 0, Keys: []Key{KeyOf(serde.Int1{1}), KeyOf(serde.Int1{2})}}},
 		Value:     v,
 		Exclusive: true,
 	})
@@ -460,7 +460,7 @@ func TestUntrackedReadOnlyCloneIsReclaimed(t *testing.T) {
 	g.Seal()
 	v := newPoolVal(7)
 	g.Inject(Delivery{
-		Targets:   []TermTarget{{TT: 0, Term: 0, Keys: int1Keys(3)}},
+		Targets:   []TermTarget{{TT: 0, Term: 0, Keys: keysOf(int1Keys(3))}},
 		Value:     v,
 		Exclusive: true,
 	})
@@ -508,7 +508,7 @@ func TestUntrackedCloneEscapes(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: e, Access: ReadOnly}},
 		Outputs: []OutputSpec{{Edge: f}},
 		Body: func(ctx *TaskContext) {
-			if ctx.Key() == (serde.Int1{1}) {
+			if ctx.Key() == KeyOf(serde.Int1{1}) {
 				ctx.SendMode(0, serde.Int1{9}, ctx.Input(0), SendMove)
 			}
 		},
@@ -523,7 +523,7 @@ func TestUntrackedCloneEscapes(t *testing.T) {
 		Name: "folder",
 		Inputs: []InputSpec{{Edge: e, Access: ReadOnly,
 			Reducer:    func(acc, v any) any { return v },
-			StreamSize: func(any) int { return 1 }}},
+			StreamSize: func(Key) int { return 1 }}},
 		Body: func(ctx *TaskContext) {},
 	})
 	g.Seal()
@@ -604,7 +604,7 @@ func TestUntrackedCloneRace(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: in}},
 		Outputs: []OutputSpec{{Edge: e}},
 		Body: func(ctx *TaskContext) {
-			r := ctx.Key().(serde.Int1)[0]
+			r := ctx.Key().Value().(serde.Int1)[0]
 			v := newPoolVal(1, 2, 3, 4)
 			keys := make([]any, k)
 			for i := range keys {
@@ -619,7 +619,7 @@ func TestUntrackedCloneRace(t *testing.T) {
 		Inputs: []InputSpec{{Edge: e, Access: ReadOnly}},
 		Body: func(ctx *TaskContext) {
 			v := ctx.Input(0).(*poolVal)
-			if ctx.Key().(serde.Int2)[1]%4 == 0 {
+			if ctx.Key().Value().(serde.Int2)[1]%4 == 0 {
 				ctx.Retain(v)
 			}
 			if v.data[0]+v.data[1]+v.data[2]+v.data[3] != 10 {
@@ -665,7 +665,7 @@ func TestRouteEdgesFanoutAllocs(t *testing.T) {
 		c := newMockCluster(1, true)
 		g := c.graphs[0]
 		in, e := NewEdge("in"), NewEdge("e")
-		keys := int1Keys(n)
+		keys := keysOf(int1Keys(n))
 		var value any = []float64{1, 2, 3}
 		g.AddTT(TTSpec{
 			Name:    "producer",

@@ -11,22 +11,24 @@ import (
 // typed public API addresses edges directly.
 
 // SendEdge emits value for key on edge e.
-func (c *TaskContext) SendEdge(e *Edge, key, value any, mode SendMode) {
-	g := c.task.TT.g
-	c.task.noteSend(value)
-	g.routeEdges(c.worker, []*Edge{e}, [][]any{{key}}, value, mode)
+func (c *TaskContext) SendEdge(e *Edge, key Key, value any, mode SendMode) {
+	kb := [1]Key{key}
+	c.BroadcastEdge(e, kb[:], value, mode)
 }
 
 // BroadcastEdge emits one value for several task IDs on edge e.
-func (c *TaskContext) BroadcastEdge(e *Edge, keys []any, value any, mode SendMode) {
+func (c *TaskContext) BroadcastEdge(e *Edge, keys []Key, value any, mode SendMode) {
 	g := c.task.TT.g
 	c.task.noteSend(value)
-	g.routeEdges(c.worker, []*Edge{e}, [][]any{keys}, value, mode)
+	// Stack-backed containers: routeEdges does not retain them.
+	eb := [1]*Edge{e}
+	ksb := [1][]Key{keys}
+	g.routeEdges(c.worker, eb[:], ksb[:], value, mode)
 }
 
 // BroadcastEdges emits one value to several edges, each with its own task
 // IDs, crossing each network link at most once (Fig. 2c).
-func (c *TaskContext) BroadcastEdges(edges []*Edge, keys [][]any, value any, mode SendMode) {
+func (c *TaskContext) BroadcastEdges(edges []*Edge, keys [][]Key, value any, mode SendMode) {
 	if len(edges) != len(keys) {
 		panic("core: BroadcastEdges edges/keys length mismatch")
 	}
@@ -36,13 +38,13 @@ func (c *TaskContext) BroadcastEdges(edges []*Edge, keys [][]any, value any, mod
 }
 
 // FinalizeEdge closes streaming terminals fed by e for the given task ID.
-func (c *TaskContext) FinalizeEdge(e *Edge, key any) {
+func (c *TaskContext) FinalizeEdge(e *Edge, key Key) {
 	c.task.TT.g.controlEdge(e, c.worker, key, CtrlFinalize, 0)
 }
 
 // SetStreamSizeEdge announces the expected stream length on terminals fed
 // by e for the given task ID.
-func (c *TaskContext) SetStreamSizeEdge(e *Edge, key any, n int) {
+func (c *TaskContext) SetStreamSizeEdge(e *Edge, key Key, n int) {
 	c.task.TT.g.controlEdge(e, c.worker, key, CtrlSetSize, n)
 }
 
@@ -60,7 +62,7 @@ type remoteDest struct {
 // localTarget is one (consumer, task ID) pair of a send that lands here.
 type localTarget struct {
 	c   consumer
-	key any
+	key Key
 }
 
 // fanout is the recycled bookkeeping of one wide send (Graph.fanouts): its
@@ -80,7 +82,7 @@ func (g *Graph) getFanout(n int) *fanout {
 }
 
 // routeEdges is the edge-list form of route; see route for the semantics.
-func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, mode SendMode) {
+func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]Key, value any, mode SendMode) {
 	// Small sends (the overwhelmingly common case: one edge, one key, one
 	// or two consumers) must not allocate for bookkeeping: the local-target
 	// list starts on a stack buffer and remote destinations collect into a
@@ -107,7 +109,7 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, m
 	// add appends key k for consumer cons to rank dst's target list,
 	// growing the last TermTarget when it already addresses cons (keys of
 	// one consumer arrive consecutively).
-	add := func(cons consumer, dst int, k any) {
+	add := func(cons consumer, dst int, k Key) {
 		idx := -1
 		if spill != nil {
 			if j, ok := spill[dst]; ok {
@@ -139,7 +141,7 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, m
 			d.targets[n-1].Keys = append(d.targets[n-1].Keys, k)
 			return
 		}
-		d.targets = append(d.targets, TermTarget{TT: cons.tt.id, Term: cons.term, Keys: []any{k}})
+		d.targets = append(d.targets, TermTarget{TT: cons.tt.id, Term: cons.term, Keys: []Key{k}})
 	}
 
 	for i, e := range edges {
@@ -150,12 +152,12 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]any, value any, m
 			comb := g.combines(cons.tt, cons.term)
 			for _, k := range keys[i] {
 				if comb {
-					locals = append(locals, localTarget{c: cons, key: k})
+					locals = append(locals, localTarget{c: cons, key: g.canon(k)})
 					continue
 				}
 				dst := cons.tt.keymap(k)
 				if dst == me {
-					locals = append(locals, localTarget{c: cons, key: k})
+					locals = append(locals, localTarget{c: cons, key: g.canon(k)})
 					continue
 				}
 				add(cons, dst, k)

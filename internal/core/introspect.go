@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Live graph introspection: the structured view of the match table that
 // the graph doctor (internal/obs/live) turns into stall reports. A wedged
 // TTG graph manifests as shells that accumulated some but not all of
@@ -38,7 +36,7 @@ type PendingTask struct {
 	TT      string
 	TTID    int
 	Key     string
-	KeyVal  any
+	KeyVal  Key
 	Missing []MissingInput
 }
 
@@ -74,7 +72,7 @@ func (tt *TT) classify(st shellState) PendingTask {
 	pt := PendingTask{
 		TT:     tt.name,
 		TTID:   tt.id,
-		Key:    fmt.Sprint(st.key),
+		Key:    st.key.String(),
 		KeyVal: st.key,
 	}
 	for term := range tt.inputs {
@@ -106,7 +104,7 @@ func (tt *TT) classify(st shellState) PendingTask {
 // template's key type (producer and consumer templates can use different
 // ID tuples); a panicking keymap yields -1 rather than taking down the
 // diagnostic path.
-func safeOwner(tt *TT, key any) (rank int) {
+func safeOwner(tt *TT, key Key) (rank int) {
 	defer func() {
 		if recover() != nil {
 			rank = -1

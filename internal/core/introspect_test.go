@@ -12,7 +12,7 @@ import (
 // exactly the same bytes as before the extension — zero wire cost when
 // tracing is off.
 func TestWireHeaderFlowRoundTrip(t *testing.T) {
-	targets := []TermTarget{{TT: 3, Term: 1, Keys: []any{serde.Int2{1, 2}}}}
+	targets := []TermTarget{{TT: 3, Term: 1, Keys: []Key{KeyOf(serde.Int2{1, 2})}}}
 	for _, ctl := range []ControlKind{CtrlNone, CtrlFinalize, CtrlSetSize} {
 		for _, m := range []SendMode{SendCopy, SendBorrow, SendMove} {
 			for _, flow := range []uint64{0, 1, 1<<48 | 77, 1<<63 + 5} {

@@ -11,7 +11,7 @@ import (
 // graphs whose initial tasks have no upstream producers. It must be called
 // on the rank that owns the key (per the TT's key map), with one value per
 // input terminal, after Seal.
-func (tt *TT) Invoke(key any, inputs ...any) {
+func (tt *TT) Invoke(key Key, inputs ...any) {
 	g := tt.g
 	if !g.sealed {
 		panic("core: Invoke before Seal")
@@ -22,6 +22,7 @@ func (tt *TT) Invoke(key any, inputs ...any) {
 	if owner := tt.keymap(key); owner != g.exec.Rank() {
 		panic(fmt.Sprintf("core: Invoke on %q for key %v owned by rank %d, not %d", tt.name, key, owner, g.exec.Rank()))
 	}
+	key = g.canon(key)
 	t := &Task{TT: tt, Key: key, Inputs: inputs, Priority: tt.Priority(key), Origin: -1}
 	g.submitOne(t, -1)
 }

@@ -21,7 +21,7 @@ func TestInvokeCreatesTaskDirectly(t *testing.T) {
 		},
 	})
 	g.Seal()
-	tt.Invoke(serde.Int1{0}, 1.5, 2.5)
+	tt.Invoke(KeyOf(serde.Int1{0}), 1.5, 2.5)
 	if got != 4 {
 		t.Fatalf("invoked task computed %v", got)
 	}
@@ -37,7 +37,7 @@ func TestInvokeWrongArityPanics(t *testing.T) {
 	})
 	g.Seal()
 	expectPanic(t, "wrong arity", func() {
-		tt.Invoke(serde.Int1{0}, 1.0, 2.0)
+		tt.Invoke(KeyOf(serde.Int1{0}), 1.0, 2.0)
 	})
 }
 
@@ -47,12 +47,12 @@ func TestInvokeOnWrongRankPanics(t *testing.T) {
 	tt := g.AddTT(TTSpec{
 		Name:   "x",
 		Inputs: []InputSpec{{Edge: NewEdge("e")}},
-		Keymap: func(any) int { return 1 },
+		Owner:  func(Key) int { return 1 },
 		Body:   func(*TaskContext) {},
 	})
 	g.Seal()
 	expectPanic(t, "wrong rank", func() {
-		tt.Invoke(serde.Int1{0}, 1.0)
+		tt.Invoke(KeyOf(serde.Int1{0}), 1.0)
 	})
 }
 
@@ -64,7 +64,7 @@ func TestInvokeBeforeSealPanics(t *testing.T) {
 		Body:   func(*TaskContext) {},
 	})
 	expectPanic(t, "before seal", func() {
-		tt.Invoke(serde.Int1{0}, 1.0)
+		tt.Invoke(KeyOf(serde.Int1{0}), 1.0)
 	})
 }
 

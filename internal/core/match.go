@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/serde"
 )
 
 // Sharded task matching. Every send funnels through its TT's matching
@@ -15,8 +13,8 @@ import (
 // to the same template serializes even when the task IDs differ. The
 // table is instead split into power-of-two shards selected by a cheap
 // task-ID hash: sends to different IDs almost always hit different shards
-// and proceed in parallel, and each shard keeps a free list of retired
-// shells so steady-state matching allocates nothing.
+// and proceed in parallel, and each shard keeps free lists of retired
+// shells and tasks so steady-state matching allocates nothing.
 
 // matchShardBits caps the shard count; shardCount picks the real value
 // from GOMAXPROCS at TT construction.
@@ -45,9 +43,10 @@ func shardCount() int {
 // different workers do not false-share.
 type matchShard struct {
 	mu     sync.Mutex
-	shells map[any]*shell
+	shells map[Key]*shell
 	free   *shell // retired shells for reuse, linked by shell.next
-	_      [104]byte
+	tasks  *Task  // retired tasks for reuse, linked by Task.next
+	_      [96]byte
 }
 
 // matchTable is the sharded shell map of one TT.
@@ -64,14 +63,14 @@ func (m *matchTable) init() {
 	m.shards = make([]matchShard, n)
 	m.mask = uint64(n - 1)
 	for i := range m.shards {
-		m.shards[i].shells = map[any]*shell{}
+		m.shards[i].shells = map[Key]*shell{}
 	}
 }
 
 // shard selects the stripe for a task ID. Shard choice is rank-local, so
 // it only needs to be a stable function within this process.
-func (m *matchTable) shard(key any) *matchShard {
-	return &m.shards[taskHash(key)&m.mask]
+func (m *matchTable) shard(key Key) *matchShard {
+	return &m.shards[key.hash()&m.mask]
 }
 
 // pending counts partially filled shells across all shards.
@@ -90,7 +89,7 @@ func (m *matchTable) pending() int {
 // taken under its shard lock. Classification (which inputs are missing,
 // who should have sent them) happens after the lock is released.
 type shellState struct {
-	key       any
+	key       Key
 	satisfied uint64
 	counts    []int
 	targets   []int
@@ -108,12 +107,12 @@ func (m *matchTable) collect(max int) []shellState {
 				sp.mu.Unlock()
 				return out
 			}
-			out = append(out, shellState{
-				key:       key,
-				satisfied: sh.satisfied,
-				counts:    append([]int(nil), sh.counts...),
-				targets:   append([]int(nil), sh.targets...),
-			})
+			st := shellState{key: key, satisfied: sh.satisfied}
+			if x := sh.ext; x != nil {
+				st.counts = append([]int(nil), x.counts...)
+				st.targets = append([]int(nil), x.targets...)
+			}
+			out = append(out, st)
 		}
 		sp.mu.Unlock()
 	}
@@ -121,117 +120,97 @@ func (m *matchTable) collect(max int) []shellState {
 }
 
 // shell accumulates the inputs of one task instance until all terminals
-// are satisfied. Shells are recycled through their shard's free list: the
-// embedded Task is what gets submitted (no per-task allocation), and
-// Task.Execute returns the shell once the body has run.
+// are satisfied. It is as small as a waiting task instance can be, because
+// a wide graph keeps many of them waiting at once (a Cholesky's GEMM
+// shells run to the hundreds of thousands): the inputs of the first four
+// terminals sit inline, and the TT's other terminals and its stream
+// bookkeeping live in ext, which only TTs that need them allocate. The
+// Task that runs the body is taken when the shell completes; the shell
+// goes straight back to its shard's free list.
 type shell struct {
-	inputs    []any
+	in        [inlineInputs]any
 	satisfied uint64
-	counts    []int
-	targets   []int // expected stream size per terminal; -1 unknown
-
-	next  *shell      // free-list link (owned by shard)
-	shard *matchShard // home shard, for release
-	task  Task        // submitted in place when the shell completes
-	// holdBuf is the recycled backing array for Task.holds (read-only
-	// tracked-handle references, data.go); Execute writes it back, emptied,
-	// before releasing the shell, so steady-state holds allocate nothing.
-	holdBuf []*tracked
+	ext       *shellExt
+	next      *shell // free-list link (owned by shard)
 }
 
-// release scrubs the shell and returns it to its shard's free list. Called
-// from Task.Execute after the body has run; the shell (and the task
-// embedded in it) must not be touched afterwards.
-func (sh *shell) release() {
-	for i := range sh.inputs {
-		sh.inputs[i] = nil
+// inlineInputs is the number of terminals whose inputs a shell (and a
+// Task) holds inline.
+const inlineInputs = 4
+
+// shellExt is the part of a shell only some TTs need.
+type shellExt struct {
+	more    []any // inputs of terminals inlineInputs and up
+	counts  []int // stream messages folded per terminal
+	targets []int // expected stream size per terminal; -1 unknown
+}
+
+// input returns the slot of terminal i's input.
+func (sh *shell) input(i int) *any {
+	if i < inlineInputs {
+		return &sh.in[i]
 	}
-	for i := range sh.counts {
-		sh.counts[i] = 0
+	return &sh.ext.more[i-inlineInputs]
+}
+
+// newShell allocates a shell shaped for tt.
+func (tt *TT) newShell() *shell {
+	sh := &shell{}
+	n := len(tt.inputs)
+	if n > inlineInputs || tt.streaming {
+		x := &shellExt{}
+		if n > inlineInputs {
+			x.more = make([]any, n-inlineInputs)
+		}
+		if tt.streaming {
+			x.counts = make([]int, n)
+			x.targets = make([]int, n)
+		}
+		sh.ext = x
 	}
+	return sh
+}
+
+// scrub clears a completed shell for reuse. Its stream targets belong to
+// the previous key and are recomputed when the shell is taken again.
+func (sh *shell) scrub() {
+	sh.in = [inlineInputs]any{}
 	sh.satisfied = 0
-	sh.task = Task{}
-	sp := sh.shard
+	if x := sh.ext; x != nil {
+		clear(x.more)
+		clear(x.counts)
+	}
+}
+
+// takeTask pops a retired task of sp's TT, or allocates one with room for
+// n inputs. Callers hold sp.mu.
+func (sp *matchShard) takeTask(n int) *Task {
+	if t := sp.tasks; t != nil {
+		sp.tasks = t.next
+		t.next = nil
+		return t
+	}
+	t := &Task{home: sp}
+	if n <= inlineInputs {
+		t.Inputs = t.in[:n:n]
+	} else {
+		t.Inputs = make([]any, n)
+	}
+	return t
+}
+
+// release scrubs a task that came from a shard and returns it to that
+// shard's free list. Called from Task.Execute after the body has run; the
+// task must not be touched afterwards.
+func (t *Task) release() {
+	clear(t.Inputs)
+	t.Key = Key{}
+	t.activatedNs = 0
+	t.holds = t.holds[:0]
+	t.ctx = TaskContext{}
+	sp := t.home
 	sp.mu.Lock()
-	sh.next = sp.free
-	sp.free = sh
+	t.next = sp.tasks
+	sp.tasks = t
 	sp.mu.Unlock()
-}
-
-// splitmix64 finalizer: cheap, well-mixed, good enough to spread
-// sequential tuple IDs across shards.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-const hashSeed = 0x9e3779b97f4a7c15
-
-// taskHash hashes a task ID. The common tuple IDs (serde.Int1..Int5, int)
-// and strings are hashed inline without serialization; anything else
-// falls back to hashing its serde encoding with a pooled buffer.
-func taskHash(key any) uint64 {
-	switch k := key.(type) {
-	case serde.Int1:
-		return mix64(uint64(k[0]) ^ hashSeed)
-	case serde.Int2:
-		return mix64(mix64(uint64(k[0])^hashSeed) ^ uint64(k[1]))
-	case serde.Int3:
-		return mix64(mix64(mix64(uint64(k[0])^hashSeed)^uint64(k[1])) ^ uint64(k[2]))
-	case serde.Int4:
-		h := uint64(hashSeed)
-		for _, x := range k {
-			h = mix64(h ^ uint64(x))
-		}
-		return h
-	case serde.Int5:
-		h := uint64(hashSeed)
-		for _, x := range k {
-			h = mix64(h ^ uint64(x))
-		}
-		return h
-	case int:
-		return mix64(uint64(k) ^ hashSeed)
-	case int64:
-		return mix64(uint64(k) ^ hashSeed)
-	case int32:
-		return mix64(uint64(k) ^ hashSeed)
-	case uint64:
-		return mix64(k ^ hashSeed)
-	case string:
-		return fnv64(k)
-	case serde.Void, struct{}:
-		return mix64(hashSeed)
-	default:
-		return taskHashSlow(key)
-	}
-}
-
-// fnv64 is an inline FNV-1a over a string (no hash.Hash allocation).
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// taskHashSlow hashes an arbitrary registered key type through its serde
-// encoding. The encode buffer is pooled, so even this path does not
-// allocate at steady state.
-func taskHashSlow(key any) uint64 {
-	b := serde.GetBuffer(16)
-	serde.EncodeAny(b, key)
-	h := uint64(14695981039346656037)
-	for _, c := range b.Bytes() {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	b.Release()
-	return h
 }

@@ -97,7 +97,7 @@ func TestStreamControlOnPlainTerminalPanics(t *testing.T) {
 	g.AddTT(TTSpec{Name: "x", Inputs: []InputSpec{{Edge: in}}, Body: func(*TaskContext) {}})
 	g.Seal()
 	expectPanic(t, "finalize non-streaming", func() {
-		g.FinalizeSeed(in, serde.Int1{0})
+		g.FinalizeSeed(in, KeyOf(serde.Int1{0}))
 	})
 }
 
@@ -172,7 +172,7 @@ func TestAccessors(t *testing.T) {
 	}
 	// Default keymap must be in range.
 	for k := 0; k < 50; k++ {
-		if o := tt.Owner(serde.Int1{k}); o < 0 || o >= 2 {
+		if o := tt.Owner(KeyOf(serde.Int1{k})); o < 0 || o >= 2 {
 			t.Fatalf("default keymap out of range: %d", o)
 		}
 	}

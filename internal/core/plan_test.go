@@ -42,11 +42,11 @@ func randomDelivery(rng *rand.Rand) Delivery {
 		for range rng.Intn(4) {
 			switch rng.Intn(3) {
 			case 0:
-				t.Keys = append(t.Keys, serde.Int1{num()})
+				t.Keys = append(t.Keys, KeyOf(serde.Int1{num()}))
 			case 1:
-				t.Keys = append(t.Keys, serde.Int2{num(), num()})
+				t.Keys = append(t.Keys, KeyOf(serde.Int2{num(), num()}))
 			default:
-				t.Keys = append(t.Keys, serde.Int3{num(), num(), num()})
+				t.Keys = append(t.Keys, KeyOf(serde.Int3{num(), num(), num()}))
 			}
 		}
 		d.Targets = append(d.Targets, t)
@@ -148,7 +148,7 @@ func TestPlanBcast(t *testing.T) {
 	v := make([]float64, 5000) // ≈ 40 KB tagged
 	dests := map[int]Delivery{}
 	for _, r := range []int{3, 1, 2} {
-		dests[r] = Delivery{Value: v, Targets: []TermTarget{{TT: 1, Keys: []any{serde.Int1{r}}}}}
+		dests[r] = Delivery{Value: v, Targets: []TermTarget{{TT: 1, Keys: []Key{KeyOf(serde.Int1{r})}}}}
 	}
 	tree := SendCaps{TreeBroadcast: true, BcastChunk: 4096}
 	for i := 0; i < 20; i++ {

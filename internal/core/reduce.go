@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/collective"
@@ -39,14 +38,14 @@ import (
 type rkey struct {
 	tt   int
 	term int
-	key  any
+	key  Key
 }
 
 // rslot is one parked partial accumulation.
 type rslot struct {
 	tt    *TT
 	term  int
-	key   any
+	key   Key
 	acc   any
 	count int // contributions folded into acc
 	owner int // tt.keymap(key): the reduce-tree root
@@ -84,8 +83,8 @@ func (g *Graph) initReduce() {
 }
 
 // reduceShardFor selects the stripe for a terminal instance.
-func (g *Graph) reduceShardFor(tt, term int, key any) *reduceShard {
-	h := mix64(taskHash(key) ^ uint64(tt)<<32 ^ uint64(term))
+func (g *Graph) reduceShardFor(tt, term int, key Key) *reduceShard {
+	h := mix64(key.hash() ^ uint64(tt)<<32 ^ uint64(term))
 	return &g.rshards[h&g.rmask]
 }
 
@@ -115,7 +114,7 @@ func (g *Graph) DisableReduceAutoFlush() { g.rflush = false }
 // terminal instance, creating the slot (and taking an activity unit, so
 // termination detection sees the parked partial) on first use. Returns the
 // ready task when the fold tripped the owner's watermark, nil otherwise.
-func (g *Graph) foldLocal(tt *TT, term int, key any, v any, worker int) *Task {
+func (g *Graph) foldLocal(tt *TT, term int, key Key, v any, worker int) *Task {
 	spec := &tt.inputs[term]
 	tr := g.exec.Tracer()
 	me := g.exec.Rank()
@@ -156,7 +155,7 @@ func (g *Graph) foldLocal(tt *TT, term int, key any, v any, worker int) *Task {
 // flush-through backends the combined slot continues toward the owner
 // immediately, on the communication thread, so no rank parks a partial
 // while others block in a fence.
-func (g *Graph) foldPartial(tt *TT, term int, key any, v any, n int, worker int) *Task {
+func (g *Graph) foldPartial(tt *TT, term int, key Key, v any, n int, worker int) *Task {
 	spec := &tt.inputs[term]
 	tr := g.exec.Tracer()
 	me := g.exec.Rank()
@@ -204,7 +203,7 @@ func (g *Graph) foldPartial(tt *TT, term int, key any, v any, n int, worker int)
 }
 
 // newSlotLocked creates a combiner slot; the caller holds rs.mu.
-func (g *Graph) newSlotLocked(rs *reduceShard, k rkey, tt *TT, term int, key any) *rslot {
+func (g *Graph) newSlotLocked(rs *reduceShard, k rkey, tt *TT, term int, key Key) *rslot {
 	me := g.exec.Rank()
 	sl := &rslot{tt: tt, term: term, key: key, owner: tt.keymap(key), target: -1}
 	if sl.owner == me {
@@ -241,7 +240,7 @@ func (g *Graph) extractLocked(rs *reduceShard, k rkey, sl *rslot) {
 // the SetStreamSize path: the control must land on a shell that has
 // already absorbed the parked partial, or the watermark comparison would
 // run against a partial count. Submits any task it completes.
-func (g *Graph) flushKeySlot(tt *TT, term int, key any, worker int) {
+func (g *Graph) flushKeySlot(tt *TT, term int, key Key, worker int) {
 	if !g.combines(tt, term) {
 		return
 	}
@@ -276,11 +275,11 @@ func (g *Graph) flushSlot(sl *rslot, worker int) {
 // sendPartial ships a folded partial one hop toward the owner along the
 // binomial reduce tree. Ownership of acc transfers with the delivery
 // (SendMove): the slot it came from is gone.
-func (g *Graph) sendPartial(tt *TT, term int, key any, acc any, n, owner int) {
+func (g *Graph) sendPartial(tt *TT, term int, key Key, acc any, n, owner int) {
 	parent := collective.ReduceParent(owner, g.exec.Size(), g.exec.Rank())
 	g.exec.Tracer().ReducePartialsSent.Add(1)
 	d := Delivery{
-		Targets: []TermTarget{{TT: tt.id, Term: term, Keys: []any{key}}},
+		Targets: []TermTarget{{TT: tt.id, Term: term, Keys: []Key{key}}},
 		Value:   acc,
 		Control: CtrlReduce,
 		N:       n,
@@ -299,19 +298,21 @@ func (g *Graph) sendPartial(tt *TT, term int, key any, acc any, n, owner int) {
 // delivery representing n contributions: a single shard-lock trip and a
 // single reducer fold however many sends it absorbed. Returns the task if
 // the stream completed.
-func (g *Graph) applyPartial(tt *TT, term int, key any, acc any, n int, worker int) *Task {
+func (g *Graph) applyPartial(tt *TT, term int, key Key, acc any, n int, worker int) *Task {
 	spec := &tt.inputs[term]
 	g.exec.Tracer().MatchOps.Add(1)
 	if o := g.obs; o != nil {
 		o.Record(obs.Event{Kind: obs.EvTerminalMatch, Worker: int32(worker),
-			TT: int32(tt.id), Name: tt.name, Key: fmt.Sprint(key)})
+			TT: int32(tt.id), Name: tt.name, Key: key.String()})
 	}
 	sp := tt.match.shard(key)
 	sp.mu.Lock()
 	sh := tt.getShellLocked(sp, key)
-	sh.inputs[term] = spec.Reducer(sh.inputs[term], acc)
-	sh.counts[term] += n
-	if sh.targets[term] >= 0 && sh.counts[term] >= sh.targets[term] {
+	in := sh.input(term)
+	*in = spec.Reducer(*in, acc)
+	x := sh.ext
+	x.counts[term] += n
+	if x.targets[term] >= 0 && x.counts[term] >= x.targets[term] {
 		sh.satisfied |= 1 << uint(term)
 	}
 	return g.maybeReadyLocked(tt, key, sp, sh, worker)
@@ -398,7 +399,7 @@ func (g *Graph) PendingPartials(max int) []PendingPartial {
 				TT:    sl.tt.name,
 				TTID:  sl.tt.id,
 				Term:  sl.term,
-				Key:   fmt.Sprint(sl.key),
+				Key:   sl.key.String(),
 				Count: sl.count,
 				Owner: sl.owner,
 			})

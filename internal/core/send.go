@@ -14,7 +14,7 @@ type TaskContext struct {
 }
 
 // Key returns the task ID.
-func (c *TaskContext) Key() any { return c.task.Key }
+func (c *TaskContext) Key() Key { return c.task.Key }
 
 // Input returns the value received on input terminal i.
 func (c *TaskContext) Input(i int) any { return c.task.Inputs[i] }
@@ -36,6 +36,10 @@ func (c *TaskContext) Worker() int { return c.worker }
 // then never reclaims it. No-op for values that are not runtime-owned.
 func (c *TaskContext) Retain(v any) { c.task.noteSend(v) }
 
+// The numbered-terminal operations below take task IDs as application
+// values and pack them (KeyOf) on entry; the edge-addressed forms in
+// edgesend.go take packed keys.
+
 // Send emits value to output terminal term for task ID key with the default
 // copy semantics (Fig. 2a).
 func (c *TaskContext) Send(term int, key, value any) {
@@ -49,8 +53,8 @@ func (c *TaskContext) SendMode(term int, key, value any, mode SendMode) {
 	// Stack-backed containers (route/routeEdges do not retain them) keep
 	// the hottest send shape — one terminal, one key — allocation-free.
 	tb := [1]int{term}
-	kb := [1]any{key}
-	ksb := [1][]any{kb[:]}
+	kb := [1]Key{KeyOf(key)}
+	ksb := [1][]Key{kb[:]}
 	g.route(c.task.TT, c.worker, tb[:], ksb[:], value, mode)
 }
 
@@ -65,7 +69,7 @@ func (c *TaskContext) BroadcastMode(term int, keys []any, value any, mode SendMo
 	g := c.task.TT.g
 	c.task.noteSend(value)
 	tb := [1]int{term}
-	ksb := [1][]any{keys}
+	ksb := [1][]Key{keysOf(keys)}
 	g.route(c.task.TT, c.worker, tb[:], ksb[:], value, mode)
 }
 
@@ -79,7 +83,20 @@ func (c *TaskContext) BroadcastMulti(terms []int, keys [][]any, value any, mode 
 	}
 	g := c.task.TT.g
 	c.task.noteSend(value)
-	g.route(c.task.TT, c.worker, terms, keys, value, mode)
+	packed := make([][]Key, len(keys))
+	for i, ks := range keys {
+		packed[i] = keysOf(ks)
+	}
+	g.route(c.task.TT, c.worker, terms, packed, value, mode)
+}
+
+// keysOf packs a list of application key values.
+func keysOf(keys []any) []Key {
+	out := make([]Key, len(keys))
+	for i, k := range keys {
+		out[i] = KeyOf(k)
+	}
+	return out
 }
 
 // FinalizeStream closes the streaming input terminals reachable through
@@ -87,7 +104,7 @@ func (c *TaskContext) BroadcastMulti(terms []int, keys [][]any, value any, mode 
 // accumulation becomes the input value.
 func (c *TaskContext) FinalizeStream(term int, key any) {
 	g := c.task.TT.g
-	g.routeControl(c.task.TT, c.worker, term, key, CtrlFinalize, 0)
+	g.routeControl(c.task.TT, c.worker, term, KeyOf(key), CtrlFinalize, 0)
 }
 
 // SetStreamSize announces the expected number of stream messages for the
@@ -95,12 +112,13 @@ func (c *TaskContext) FinalizeStream(term int, key any) {
 // terminal term (the set_argstream_size analog).
 func (c *TaskContext) SetStreamSize(term int, key any, n int) {
 	g := c.task.TT.g
-	g.routeControl(c.task.TT, c.worker, term, key, CtrlSetSize, n)
+	g.routeControl(c.task.TT, c.worker, term, KeyOf(key), CtrlSetSize, n)
 }
 
 // Seed injects a value into an edge from outside any task (the initial
 // data injection a rank main performs before fencing). Routing follows the
-// consumers' keymaps, so seeding from one rank reaches tasks anywhere.
+// consumers' keymaps, so seeding from one rank reaches tasks anywhere. The
+// task ID is an application value (KeyOf).
 func (g *Graph) Seed(e *Edge, key, value any) {
 	g.SeedMode(e, key, value, SendCopy)
 }
@@ -110,31 +128,25 @@ func (g *Graph) Seed(e *Edge, key, value any) {
 // touch it afterwards, and local consumers share it through the data
 // tracker instead of each cloning the seed.
 func (g *Graph) SeedMode(e *Edge, key, value any, mode SendMode) {
+	// Stack-backed: routeEdges does not retain the key list.
+	kb := [1]Key{KeyOf(key)}
+	g.SeedKeys(e, kb[:], value, mode)
+}
+
+// SeedKeys injects one value into e for several task IDs.
+func (g *Graph) SeedKeys(e *Edge, keys []Key, value any, mode SendMode) {
 	if !g.sealed {
 		panic("core: Seed before Seal")
 	}
 	g.exec.Activate()
 	defer g.exec.Deactivate()
-	// Stack-backed key containers: routeEdges does not retain them, so
-	// escape analysis keeps the per-seed bookkeeping off the heap.
-	kb := [1]any{key}
-	ksb := [1][]any{kb[:]}
+	ksb := [1][]Key{keys}
 	eb := [1]*Edge{e}
 	g.routeEdges(-1, eb[:], ksb[:], value, mode)
 }
 
-// SeedBroadcast injects one value for several task IDs.
-func (g *Graph) SeedBroadcast(e *Edge, keys []any, value any) {
-	if !g.sealed {
-		panic("core: Seed before Seal")
-	}
-	g.exec.Activate()
-	defer g.exec.Deactivate()
-	g.routeEdge(e, -1, [][]any{keys}, value)
-}
-
 // FinalizeSeed closes streaming terminals on e for key from outside tasks.
-func (g *Graph) FinalizeSeed(e *Edge, key any) {
+func (g *Graph) FinalizeSeed(e *Edge, key Key) {
 	g.exec.Activate()
 	defer g.exec.Deactivate()
 	g.controlEdge(e, -1, key, CtrlFinalize, 0)
@@ -142,7 +154,7 @@ func (g *Graph) FinalizeSeed(e *Edge, key any) {
 
 // SetStreamSizeSeed announces a stream length on e for key from outside
 // tasks.
-func (g *Graph) SetStreamSizeSeed(e *Edge, key any, n int) {
+func (g *Graph) SetStreamSizeSeed(e *Edge, key Key, n int) {
 	g.exec.Activate()
 	defer g.exec.Deactivate()
 	g.controlEdge(e, -1, key, CtrlSetSize, n)
@@ -150,7 +162,7 @@ func (g *Graph) SetStreamSizeSeed(e *Edge, key any, n int) {
 
 // route resolves output terminals to their edges and delegates to
 // routeEdges, which implements the fan-out and copy semantics.
-func (g *Graph) route(tt *TT, worker int, terms []int, keys [][]any, value any, mode SendMode) {
+func (g *Graph) route(tt *TT, worker int, terms []int, keys [][]Key, value any, mode SendMode) {
 	// Sends target at most a handful of terminals; resolve them on a stack
 	// buffer so the per-send edge list costs no allocation.
 	var ebuf [4]*Edge
@@ -169,21 +181,17 @@ func (g *Graph) route(tt *TT, worker int, terms []int, keys [][]any, value any, 
 	g.routeEdges(worker, edges, keys, value, mode)
 }
 
-// routeEdge routes directly from an edge (seed path; always copies).
-func (g *Graph) routeEdge(e *Edge, worker int, keys [][]any, value any) {
-	g.routeEdges(worker, []*Edge{e}, keys, value, SendCopy)
-}
-
 // routeControl routes a stream-control action through an output terminal.
-func (g *Graph) routeControl(tt *TT, worker int, term int, key any, ctrl ControlKind, n int) {
+func (g *Graph) routeControl(tt *TT, worker int, term int, key Key, ctrl ControlKind, n int) {
 	if term < 0 || term >= len(tt.outputs) {
 		panic(fmt.Sprintf("core: TT %q has no output terminal %d", tt.name, term))
 	}
 	g.controlEdge(tt.outputs[term].Edge, worker, key, ctrl, n)
 }
 
-func (g *Graph) controlEdge(e *Edge, worker int, key any, ctrl ControlKind, n int) {
+func (g *Graph) controlEdge(e *Edge, worker int, key Key, ctrl ControlKind, n int) {
 	me := g.exec.Rank()
+	key = g.canon(key)
 	for _, cons := range e.consumers {
 		if ctrl == CtrlFinalize && g.combines(cons.tt, cons.term) {
 			panic(fmt.Sprintf("core: FinalizeStream on commutative terminal %d of TT %q: "+
@@ -205,7 +213,7 @@ func (g *Graph) controlEdge(e *Edge, worker int, key any, ctrl ControlKind, n in
 			continue
 		}
 		g.exec.Deliver(dst, Delivery{
-			Targets: []TermTarget{{TT: cons.tt.id, Term: cons.term, Keys: []any{key}}},
+			Targets: []TermTarget{{TT: cons.tt.id, Term: cons.term, Keys: []Key{key}}},
 			Control: ctrl,
 			N:       n,
 		})
@@ -272,6 +280,7 @@ func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 	for _, tgt := range d.Targets {
 		tt := g.tts[tgt.TT]
 		for i, key := range tgt.Keys {
+			key = g.canon(key)
 			if d.Control == CtrlReduce {
 				// A child's partial: fold it into this rank's combiner slot
 				// (reduce.go). Values of later keys never alias — partials
@@ -343,11 +352,11 @@ func (g *Graph) submitCollected(first *Task, extra []*Task) {
 
 // deliverLocal lands a value on one terminal instance and returns the task
 // if it became ready (the caller submits, possibly batched).
-func (g *Graph) deliverLocal(tt *TT, term int, key any, value any, worker int) *Task {
+func (g *Graph) deliverLocal(tt *TT, term int, key Key, value any, worker int) *Task {
 	spec := &tt.inputs[term]
 	if o := g.obs; o != nil {
 		o.Record(obs.Event{Kind: obs.EvTerminalMatch, Worker: int32(worker),
-			TT: int32(tt.id), Name: tt.name, Key: fmt.Sprint(key)})
+			TT: int32(tt.id), Name: tt.name, Key: key.String()})
 		if spec.Reducer != nil {
 			o.Record(obs.Event{Kind: obs.EvReduceFold, Worker: int32(worker),
 				TT: int32(tt.id), Name: tt.name})
@@ -362,12 +371,14 @@ func (g *Graph) deliverLocal(tt *TT, term int, key any, value any, worker int) *
 			sp.mu.Unlock()
 			panic(fmt.Sprintf("core: TT %q key %v terminal %d received a second message (non-streaming)", tt.name, key, term))
 		}
-		sh.inputs[term] = value
+		*sh.input(term) = value
 		sh.satisfied |= 1 << uint(term)
 	} else {
-		sh.inputs[term] = spec.Reducer(sh.inputs[term], value)
-		sh.counts[term]++
-		if sh.targets[term] >= 0 && sh.counts[term] >= sh.targets[term] {
+		in := sh.input(term)
+		*in = spec.Reducer(*in, value)
+		x := sh.ext
+		x.counts[term]++
+		if x.targets[term] >= 0 && x.counts[term] >= x.targets[term] {
 			sh.satisfied |= 1 << uint(term)
 		}
 	}
@@ -376,7 +387,7 @@ func (g *Graph) deliverLocal(tt *TT, term int, key any, value any, worker int) *
 
 // applyControl handles finalize/set-size for a streaming terminal instance
 // and returns the task if the control made it ready.
-func (g *Graph) applyControl(tt *TT, term int, key any, ctrl ControlKind, n int, worker int) *Task {
+func (g *Graph) applyControl(tt *TT, term int, key Key, ctrl ControlKind, n int, worker int) *Task {
 	if tt.inputs[term].Reducer == nil {
 		panic(fmt.Sprintf("core: stream control on non-streaming terminal %d of TT %q", term, tt.name))
 	}
@@ -392,8 +403,8 @@ func (g *Graph) applyControl(tt *TT, term int, key any, ctrl ControlKind, n int,
 	case CtrlFinalize:
 		sh.satisfied |= 1 << uint(term)
 	case CtrlSetSize:
-		sh.targets[term] = n
-		if sh.counts[term] >= n {
+		sh.ext.targets[term] = n
+		if sh.ext.counts[term] >= n {
 			sh.satisfied |= 1 << uint(term)
 		}
 	}
@@ -403,7 +414,7 @@ func (g *Graph) applyControl(tt *TT, term int, key any, ctrl ControlKind, n int,
 // getShellLocked finds or creates the accumulation shell for a key in
 // shard sp, reusing a retired shell from the shard's free list when one is
 // available. Callers hold sp.mu.
-func (tt *TT) getShellLocked(sp *matchShard, key any) *shell {
+func (tt *TT) getShellLocked(sp *matchShard, key Key) *shell {
 	sh, ok := sp.shells[key]
 	if ok {
 		return sh
@@ -412,23 +423,24 @@ func (tt *TT) getShellLocked(sp *matchShard, key any) *shell {
 		sp.free = sh.next
 		sh.next = nil
 	} else {
-		n := len(tt.inputs)
-		sh = &shell{inputs: make([]any, n), counts: make([]int, n), targets: make([]int, n), shard: sp}
+		sh = tt.newShell()
 	}
-	// (Re)compute per-key stream targets; a recycled shell was scrubbed at
-	// release but its targets belong to the previous key.
-	for i := range tt.inputs {
-		if tt.inputs[i].Reducer != nil {
+	if tt.streaming {
+		// Per-key stream targets; a recycled shell's belong to its
+		// previous key.
+		x := sh.ext
+		for i := range tt.inputs {
+			x.targets[i] = 0
+			if tt.inputs[i].Reducer == nil {
+				continue
+			}
+			x.targets[i] = -1
 			if f := tt.inputs[i].StreamSize; f != nil {
-				sh.targets[i] = f(key)
-				if sh.targets[i] == 0 {
+				x.targets[i] = f(key)
+				if x.targets[i] == 0 {
 					sh.satisfied |= 1 << uint(i)
 				}
-			} else {
-				sh.targets[i] = -1
 			}
-		} else {
-			sh.targets[i] = 0
 		}
 	}
 	sp.shells[key] = sh
@@ -439,27 +451,32 @@ func (tt *TT) getShellLocked(sp *matchShard, key any) *shell {
 	return sh
 }
 
-// maybeReadyLocked checks for completion, and if ready removes the shell
-// and returns its embedded task for submission. It releases sp.mu in all
-// paths.
-func (g *Graph) maybeReadyLocked(tt *TT, key any, sp *matchShard, sh *shell, worker int) *Task {
-	full := uint64(1)<<uint(len(tt.inputs)) - 1
-	if sh.satisfied != full {
+// maybeReadyLocked checks for completion, and if ready removes the shell,
+// moves its inputs into a task from the shard's free list, and returns the
+// task for submission; the shell itself goes straight back to the free
+// list. It releases sp.mu in all paths.
+func (g *Graph) maybeReadyLocked(tt *TT, key Key, sp *matchShard, sh *shell, worker int) *Task {
+	n := len(tt.inputs)
+	if sh.satisfied != uint64(1)<<uint(n)-1 {
 		sp.mu.Unlock()
 		return nil
 	}
 	delete(sp.shells, key)
+	t := sp.takeTask(n)
+	copy(t.Inputs, sh.in[:min(n, inlineInputs)])
+	if n > inlineInputs {
+		copy(t.Inputs[inlineInputs:], sh.ext.more)
+	}
+	sh.scrub()
+	sh.next = sp.free
+	sp.free = sh
 	tt.match.live.Add(-1)
 	sp.mu.Unlock()
 	if pg := g.pendingShells; pg != nil {
 		pg.Add(-1)
 	}
-	// The shell leaves the table before its task runs; the embedded task
-	// is submitted in place (no allocation) and Execute recycles the shell.
-	// holds seeds from the shell's recycled backing array (len 0), so
-	// read-only holds usually cost no allocation either.
-	sh.task = Task{TT: tt, Key: key, Inputs: sh.inputs, Priority: tt.Priority(key), Origin: worker, sh: sh, holds: sh.holdBuf}
-	return &sh.task
+	t.TT, t.Key, t.Priority, t.Origin = tt, key, tt.Priority(key), worker
+	return t
 }
 
 // submitOne activates and submits a single ready task.
@@ -494,14 +511,6 @@ func (g *Graph) recordActivate(t *Task, worker int) {
 	}
 	t.activatedNs = o.Now()
 	o.Record(obs.Event{Kind: obs.EvTaskActivate, Worker: int32(worker),
-		TT: int32(t.TT.id), TS: t.activatedNs, Name: t.TT.name, Key: fmt.Sprint(t.Key)})
+		TT: int32(t.TT.id), TS: t.activatedNs, Name: t.TT.name, Key: t.Key.String()})
 	g.readyBacklog.Add(1)
-}
-
-// HashKey hashes any registered key type; the default keymap uses it. The
-// common tuple IDs hash inline with no serialization or allocation (see
-// taskHash); the result is a pure function of the key, so it is identical
-// on every rank.
-func HashKey(key any) int {
-	return int(taskHash(key) & 0x7fffffff)
 }

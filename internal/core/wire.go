@@ -1,13 +1,20 @@
 package core
 
-import "repro/internal/serde"
+import (
+	"fmt"
+
+	"repro/internal/serde"
+)
 
 // Wire format of a Delivery header, shared by the backends so that the
 // PaRSEC-model and MADNESS-model transports interoperate with the same
 // graph code. The header carries routing (terminal targets and task IDs)
 // and stream-control information; how the value itself travels (inline
 // archive bytes, or a gather header with by-reference segments) is
-// PlanSend's choice and is appended after the header.
+// PlanSend's choice and is appended after the header. A task ID is written
+// exactly as serde.EncodeAny writes its application value (wire tag, then
+// the coordinates as varints); a packed key writes those bytes straight
+// from its coordinates, with no registry lookup.
 
 // headerFlowFlag marks a header whose first byte is followed by a causal
 // flow id (uvarint). Bits 0-3 hold the control kind, bits 4-6 the send
@@ -39,15 +46,22 @@ func EncodeHeader(b *serde.Buffer, d Delivery) {
 		b.PutUvarint(uint64(t.Term))
 		b.PutUvarint(uint64(len(t.Keys)))
 		for _, k := range t.Keys {
-			serde.EncodeAny(b, k)
+			encodeKey(b, k)
 		}
 	}
 }
 
 // DecodeHeader reads a routing header written by EncodeHeader; the buffer
-// is left positioned at the value section.
-func DecodeHeader(b *serde.Buffer) Delivery {
-	var d Delivery
+// is left positioned at the value section. The header comes off the wire,
+// so no count in it sizes an allocation before the bytes it claims are
+// known to be there (a target takes at least 3 bytes, a key at least 1),
+// and any malformation panics with a message naming the delivery header.
+func DecodeHeader(b *serde.Buffer) (d Delivery) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("core: corrupt delivery header: %v", r))
+		}
+	}()
 	c := b.U8()
 	d.Control = ControlKind(c & 0x0f)
 	d.Mode = SendMode((c >> 4) & 0x7)
@@ -57,16 +71,14 @@ func DecodeHeader(b *serde.Buffer) Delivery {
 	if d.Control == CtrlSetSize || d.Control == CtrlReduce {
 		d.N = int(b.Varint())
 	}
-	n := int(b.Uvarint())
-	d.Targets = make([]TermTarget, n)
+	d.Targets = make([]TermTarget, b.Count(3))
 	for i := range d.Targets {
 		t := &d.Targets[i]
 		t.TT = int(b.Uvarint())
 		t.Term = int(b.Uvarint())
-		nk := int(b.Uvarint())
-		t.Keys = make([]any, nk)
+		t.Keys = make([]Key, b.Count(1))
 		for j := range t.Keys {
-			t.Keys[j] = serde.DecodeAny(b)
+			t.Keys[j] = decodeKey(b)
 		}
 	}
 	return d
@@ -84,7 +96,7 @@ func HeaderWireSize(d Delivery) int {
 	for _, t := range d.Targets {
 		n += serde.UvarintLen(uint64(t.TT)) + serde.UvarintLen(uint64(t.Term)) + serde.UvarintLen(uint64(len(t.Keys)))
 		for _, k := range t.Keys {
-			n += serde.WireSizeAny(k)
+			n += keyWireSize(k)
 		}
 	}
 	return n

@@ -83,6 +83,9 @@ func (d *Deque) PushBottomBatch(items []Item) {
 		}
 		r = d.resize(r, t, b, newCap)
 	}
+	// One fresh slab per batch. Do not recycle it: a thief that loaded an
+	// *Item from the ring may still be reading it after the owner pops or
+	// the slot is overwritten, so the memory must stay the GC's to free.
 	boxed := make([]Item, n)
 	copy(boxed, items)
 	for i := int64(0); i < n; i++ {

@@ -233,13 +233,23 @@ func EncodeAny(b *Buffer, v any) {
 // DecodeAny reads a tagged value written by EncodeAny.
 func DecodeAny(b *Buffer) any {
 	tag := uint32(b.Uvarint())
+	v, ok := DecodeTag(b, tag)
+	if !ok {
+		panic(fmt.Sprintf("serde: unknown wire tag %d", tag))
+	}
+	return v
+}
+
+// DecodeTag reads the body of a tagged value whose tag the caller has
+// already read; ok is false, and nothing is read, for an unknown tag.
+func DecodeTag(b *Buffer, tag uint32) (v any, ok bool) {
 	regMu.RLock()
 	e := byTag[tag]
 	regMu.RUnlock()
 	if e == nil {
-		panic(fmt.Sprintf("serde: unknown wire tag %d", tag))
+		return nil, false
 	}
-	return e.codec.Decode(b)
+	return e.codec.Decode(b), true
 }
 
 // WireSizeAny returns the encoded size of a tagged value, including the tag.

@@ -73,7 +73,7 @@ func runNetStream(tb testing.TB, nTiles, rows, cols int, gather bool) trace.Snap
 					Keymap: func(any) int { return 1 },
 					Body: func(ctx *core.TaskContext) {
 						tl := ctx.Input(0).(*tile.Tile)
-						if tl.Data[0] != float64(ctx.Key().(serde.Int1)[0]) {
+						if tl.Data[0] != float64(ctx.Key().Value().(serde.Int1)[0]) {
 							panic("net stream corrupted a tile")
 						}
 						landed.Add(1)

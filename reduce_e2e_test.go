@@ -69,12 +69,12 @@ func runTreeReduction(t *testing.T, ranks int, nKeys int, counts []int, plan []c
 					}
 					return acc.(float64) + v.(float64)
 				},
-				StreamSize:  func(k any) int { return counts[k.(serde.Int1)[0]] },
+				StreamSize:  func(k core.Key) int { return counts[k.Value().(serde.Int1)[0]] },
 				Commutative: true,
 			}},
 			Keymap: func(k any) int { return (k.(serde.Int1)[0] + 1) % ranks },
 			Body: func(ctx *core.TaskContext) {
-				k := ctx.Key().(serde.Int1)[0]
+				k := ctx.Key().Value().(serde.Int1)[0]
 				v := ctx.Input(0).(float64)
 				mu.Lock()
 				got[k] = v
@@ -169,7 +169,7 @@ func TestUnflushedPartialDoctor(t *testing.T) {
 					}
 					return acc.(float64) + v.(float64)
 				},
-				StreamSize:  func(any) int { return 100 },
+				StreamSize:  func(core.Key) int { return 100 },
 				Commutative: true,
 			}},
 			Keymap: func(any) int { return 0 },
@@ -242,7 +242,7 @@ func TestCommutativeFinalizePanics(t *testing.T) {
 				t.Errorf("panic message %q does not explain the commutative contract", r)
 			}
 		}()
-		g.FinalizeSeed(in, serde.Int1{0})
+		g.FinalizeSeed(in, core.KeyOf(serde.Int1{0}))
 	})
 }
 

@@ -13,9 +13,11 @@
 #   bspmm_madness 100   ≈ 71 MB since the MADNESS preset's per-consumer
 #                       copies go back to the tile pool after their body;
 #                       380 MB when nobody returned them
-#   potrf_fine    215   ≈ 166 MB (136 on some schedules) since a fan-out's bookkeeping is recycled
-#                       and the key lists are sized; 265 MB when both grew
-#                       by doubling on every TRSM
+#   potrf_fine    113   ≈ 90 MB since task keys are packed and a waiting
+#                       task instance holds a 96-byte shell; 166 MB (136 on
+#                       some schedules) with boxed keys and 336-byte
+#                       shells. The schedule moves it: how far the TRSM
+#                       panels run ahead decides how many shells wait.
 #
 #   ... | bash scripts/alloc_guard.sh mra_stream 40
 set -euo pipefail

@@ -1,6 +1,8 @@
 package ttg
 
 import (
+	"sync"
+
 	"repro/internal/core"
 )
 
@@ -91,7 +93,7 @@ func ReduceInput[K comparable, V any](e Edge[K, V], reduce func(acc, v V) V, siz
 		},
 	}
 	if size != nil {
-		spec.StreamSize = func(key any) int { return size(key.(K)) }
+		spec.StreamSize = func(key core.Key) int { return size(core.Unpack[K](key)) }
 	}
 	return In[K, V]{spec: spec}
 }
@@ -112,38 +114,38 @@ func Out(edges ...rawEdge) []core.OutputSpec {
 type Context interface{ coreCtx() *core.TaskContext }
 
 // Ctx is the typed task context for a template task with task-ID type K.
-type Ctx[K comparable] struct {
-	c *core.TaskContext
-}
+// It is the engine's task context under a typed method set, so handing one
+// to a task body costs nothing.
+type Ctx[K comparable] core.TaskContext
 
-func (x *Ctx[K]) coreCtx() *core.TaskContext { return x.c }
+func (x *Ctx[K]) coreCtx() *core.TaskContext { return (*core.TaskContext)(x) }
 
 // Key returns the task ID.
-func (x *Ctx[K]) Key() K { return x.c.Key().(K) }
+func (x *Ctx[K]) Key() K { return core.Unpack[K](x.coreCtx().Key()) }
 
 // Rank returns the executing rank.
-func (x *Ctx[K]) Rank() int { return x.c.Rank() }
+func (x *Ctx[K]) Rank() int { return x.coreCtx().Rank() }
 
 // Size returns the number of ranks.
-func (x *Ctx[K]) Size() int { return x.c.Size() }
+func (x *Ctx[K]) Size() int { return x.coreCtx().Size() }
 
 // Worker returns the executing worker-thread index.
-func (x *Ctx[K]) Worker() int { return x.c.Worker() }
+func (x *Ctx[K]) Worker() int { return x.coreCtx().Worker() }
 
 // Retain marks a read-only input value as kept beyond the task body (for
 // example stored into an application-side map): the runtime will never
 // reclaim its buffers. Values the body only reads and drops need no Retain.
-func (x *Ctx[K]) Retain(v any) { x.c.Retain(v) }
+func (x *Ctx[K]) Retain(v any) { x.coreCtx().Retain(v) }
 
 // Send emits value for task ID key on edge e with copy semantics
 // (Fig. 2a).
 func Send[K comparable, V any](x Context, e Edge[K, V], key K, value V) {
-	x.coreCtx().SendEdge(e.e, key, value, core.SendCopy)
+	x.coreCtx().SendEdge(e.e, core.Pack(key), value, core.SendCopy)
 }
 
 // SendM is Send with explicit data-passing semantics.
 func SendM[K comparable, V any](x Context, e Edge[K, V], key K, value V, mode Mode) {
-	x.coreCtx().SendEdge(e.e, key, value, mode)
+	x.coreCtx().SendEdge(e.e, core.Pack(key), value, mode)
 }
 
 // Broadcast emits one value for several task IDs on edge e (Fig. 2b); the
@@ -154,81 +156,126 @@ func Broadcast[K comparable, V any](x Context, e Edge[K, V], keys []K, value V) 
 
 // BroadcastM is Broadcast with explicit semantics.
 func BroadcastM[K comparable, V any](x Context, e Edge[K, V], keys []K, value V, mode Mode) {
-	x.coreCtx().BroadcastEdge(e.e, anyKeys(keys), value, mode)
+	kb := keyBufs.Get().(*keyBuf)
+	kb.k = keyList[K](keys).pack(kb.k[:0])
+	x.coreCtx().BroadcastEdge(e.e, kb.k, value, mode)
+	kb.put()
 }
 
 // Target names one edge and the task IDs a multi-terminal broadcast feeds
 // through it; build with To.
 type Target[V any] struct {
 	e    *core.Edge
-	keys []any
+	keys keyPacker
 }
 
-// To builds a broadcast target: edge e for the given task IDs.
+// To builds a broadcast target: edge e for the given task IDs. The keys
+// are packed when the broadcast is sent; the slice must not change until
+// then.
 func To[K comparable, V any](e Edge[K, V], keys ...K) Target[V] {
-	return Target[V]{e: e.e, keys: anyKeys(keys)}
+	return Target[V]{e: e.e, keys: keyList[K](keys)}
 }
 
 // BroadcastMulti emits one value to several output terminals, each with its
 // own task IDs (Fig. 2c — the TRSM pattern of Listing 1). All targets must
 // carry the same value type; the value crosses each link at most once.
 func BroadcastMulti[V any](x Context, value V, mode Mode, targets ...Target[V]) {
-	edges := make([]*core.Edge, len(targets))
-	keys := make([][]any, len(targets))
-	for i, t := range targets {
-		edges[i] = t.e
-		keys[i] = t.keys
+	var eb [4]*core.Edge
+	var ksb [4][]core.Key
+	edges, keys := eb[:0], ksb[:0]
+	n := 0
+	for _, t := range targets {
+		n += t.keys.len()
+	}
+	// One scratch array holds every target's keys; sized up front, so the
+	// per-target views below stay valid.
+	kb := keyBufs.Get().(*keyBuf)
+	buf := kb.k[:0]
+	if cap(buf) < n {
+		buf = make([]core.Key, 0, n)
+	}
+	for _, t := range targets {
+		start := len(buf)
+		buf = t.keys.pack(buf)
+		edges = append(edges, t.e)
+		keys = append(keys, buf[start:len(buf):len(buf)])
 	}
 	x.coreCtx().BroadcastEdges(edges, keys, value, mode)
+	kb.k = buf
+	kb.put()
+}
+
+// keyPacker is a typed key list with its type erased.
+type keyPacker interface {
+	len() int
+	pack(dst []core.Key) []core.Key
+}
+
+// keyList packs a []K.
+type keyList[K comparable] []K
+
+func (l keyList[K]) len() int { return len(l) }
+
+func (l keyList[K]) pack(dst []core.Key) []core.Key {
+	for _, k := range l {
+		dst = append(dst, core.Pack(k))
+	}
+	return dst
+}
+
+// keyBuf is recycled scratch for the packed keys of one broadcast; the
+// engine does not keep them once the send returns.
+type keyBuf struct{ k []core.Key }
+
+var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
+
+// put scrubs interned-key references and returns b to the pool.
+func (b *keyBuf) put() {
+	clear(b.k)
+	b.k = b.k[:0]
+	keyBufs.Put(b)
 }
 
 // Finalize closes the streaming terminals fed by e for the given task ID;
 // their current accumulation becomes the task input.
 func Finalize[K comparable, V any](x Context, e Edge[K, V], key K) {
-	x.coreCtx().FinalizeEdge(e.e, key)
+	x.coreCtx().FinalizeEdge(e.e, core.Pack(key))
 }
 
 // SetStreamSize announces how many stream messages the terminals fed by e
 // should expect for the given task ID.
 func SetStreamSize[K comparable, V any](x Context, e Edge[K, V], key K, n int) {
-	x.coreCtx().SetStreamSizeEdge(e.e, key, n)
+	x.coreCtx().SetStreamSizeEdge(e.e, core.Pack(key), n)
 }
 
 // Seed injects a value into an edge from outside any task (initial data
 // injection from a rank main, between MakeExecutable and Fence). Routing
 // follows the consumers' keymaps, so seeding from one rank is enough.
 func Seed[K comparable, V any](g *Graph, e Edge[K, V], key K, value V) {
-	g.core.Seed(e.e, key, value)
+	SeedM(g, e, key, value, core.SendCopy)
 }
 
 // SeedM is Seed with explicit data-passing semantics. Seeding with Move
 // hands the value to the runtime — the caller must not touch it afterwards,
 // and consumers share it through the data tracker instead of cloning.
 func SeedM[K comparable, V any](g *Graph, e Edge[K, V], key K, value V, mode Mode) {
-	g.core.SeedMode(e.e, key, value, mode)
+	kb := [1]core.Key{core.Pack(key)}
+	g.core.SeedKeys(e.e, kb[:], value, mode)
 }
 
 // SeedBroadcast injects one value for several task IDs.
 func SeedBroadcast[K comparable, V any](g *Graph, e Edge[K, V], keys []K, value V) {
-	g.core.SeedBroadcast(e.e, anyKeys(keys), value)
+	g.core.SeedKeys(e.e, keyList[K](keys).pack(nil), value, core.SendCopy)
 }
 
 // SeedFinalize closes streaming terminals fed by e from outside any task.
 func SeedFinalize[K comparable, V any](g *Graph, e Edge[K, V], key K) {
-	g.core.FinalizeSeed(e.e, key)
+	g.core.FinalizeSeed(e.e, core.Pack(key))
 }
 
 // SeedSetStreamSize announces a stream length from outside any task.
 func SeedSetStreamSize[K comparable, V any](g *Graph, e Edge[K, V], key K, n int) {
-	g.core.SetStreamSizeSeed(e.e, key, n)
-}
-
-func anyKeys[K comparable](keys []K) []any {
-	out := make([]any, len(keys))
-	for i, k := range keys {
-		out[i] = k
-	}
-	return out
+	g.core.SetStreamSizeSeed(e.e, core.Pack(key), n)
 }
 
 // input extracts a typed input, mapping an absent (finalized-empty) stream

@@ -24,16 +24,16 @@ type Options[K comparable] struct {
 	Priomap func(K) int64
 }
 
-func (o Options[K]) lower() (func(any) int, func(any) int64) {
-	var km func(any) int
-	var pm func(any) int64
+func (o Options[K]) lower() (func(core.Key) int, func(core.Key) int64) {
+	var km func(core.Key) int
+	var pm func(core.Key) int64
 	if o.Keymap != nil {
 		f := o.Keymap
-		km = func(k any) int { return f(k.(K)) }
+		km = func(k core.Key) int { return f(core.Unpack[K](k)) }
 	}
 	if o.Priomap != nil {
 		f := o.Priomap
-		pm = func(k any) int64 { return f(k.(K)) }
+		pm = func(k core.Key) int64 { return f(core.Unpack[K](k)) }
 	}
 	return km, pm
 }
@@ -60,10 +60,10 @@ func MakeTT1[K comparable, I0 any](
 		Name:    name,
 		Inputs:  []core.InputSpec{in0.spec},
 		Outputs: outs,
-		Keymap:  km,
+		Owner:   km,
 		Priomap: pm,
 		Body: func(c *core.TaskContext) {
-			body(&Ctx[K]{c: c}, input[I0](c, 0))
+			body((*Ctx[K])(c), input[I0](c, 0))
 		},
 	})
 	return TT{tt: tt}
@@ -82,10 +82,10 @@ func MakeTT2[K comparable, I0, I1 any](
 		Name:    name,
 		Inputs:  []core.InputSpec{in0.spec, in1.spec},
 		Outputs: outs,
-		Keymap:  km,
+		Owner:   km,
 		Priomap: pm,
 		Body: func(c *core.TaskContext) {
-			body(&Ctx[K]{c: c}, input[I0](c, 0), input[I1](c, 1))
+			body((*Ctx[K])(c), input[I0](c, 0), input[I1](c, 1))
 		},
 	})
 	return TT{tt: tt}
@@ -104,10 +104,10 @@ func MakeTT3[K comparable, I0, I1, I2 any](
 		Name:    name,
 		Inputs:  []core.InputSpec{in0.spec, in1.spec, in2.spec},
 		Outputs: outs,
-		Keymap:  km,
+		Owner:   km,
 		Priomap: pm,
 		Body: func(c *core.TaskContext) {
-			body(&Ctx[K]{c: c}, input[I0](c, 0), input[I1](c, 1), input[I2](c, 2))
+			body((*Ctx[K])(c), input[I0](c, 0), input[I1](c, 1), input[I2](c, 2))
 		},
 	})
 	return TT{tt: tt}
@@ -126,10 +126,10 @@ func MakeTT4[K comparable, I0, I1, I2, I3 any](
 		Name:    name,
 		Inputs:  []core.InputSpec{in0.spec, in1.spec, in2.spec, in3.spec},
 		Outputs: outs,
-		Keymap:  km,
+		Owner:   km,
 		Priomap: pm,
 		Body: func(c *core.TaskContext) {
-			body(&Ctx[K]{c: c}, input[I0](c, 0), input[I1](c, 1), input[I2](c, 2), input[I3](c, 3))
+			body((*Ctx[K])(c), input[I0](c, 0), input[I1](c, 1), input[I2](c, 2), input[I3](c, 3))
 		},
 	})
 	return TT{tt: tt}
@@ -143,17 +143,17 @@ func MakeTT4[K comparable, I0, I1, I2, I3 any](
 // exactly the terminal types (e.g. 1.0, not the untyped constant 1, for a
 // float64 terminal) or the task body's type assertion will panic.
 func Invoke1[K comparable, I0 any](t TT, key K, a I0) {
-	t.tt.Invoke(key, a)
+	t.tt.Invoke(core.Pack(key), a)
 }
 
 // Invoke2 creates one task of a binary template directly.
 func Invoke2[K comparable, I0, I1 any](t TT, key K, a I0, b I1) {
-	t.tt.Invoke(key, a, b)
+	t.tt.Invoke(core.Pack(key), a, b)
 }
 
 // Invoke3 creates one task of a ternary template directly.
 func Invoke3[K comparable, I0, I1, I2 any](t TT, key K, a I0, b I1, c I2) {
-	t.tt.Invoke(key, a, b, c)
+	t.tt.Invoke(core.Pack(key), a, b, c)
 }
 
 // Dot renders the template task graph in Graphviz DOT form (the C++
