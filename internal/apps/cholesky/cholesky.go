@@ -17,6 +17,7 @@ package cholesky
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -98,6 +99,17 @@ type App struct {
 	goSyrk  ttg.Edge[ttg.Int2, ttg.Void]
 	goGemm  ttg.Edge[ttg.Int3, ttg.Void]
 	done    ttg.Edge[ttg.Int1, ttg.Void]
+
+	// scratch recycles the POTRF and TRSM bodies' broadcast key lists
+	// (*keyScratch): ttg.To packs them at send and keeps nothing, and
+	// bodies run concurrently on every worker.
+	scratch sync.Pool
+}
+
+// keyScratch is one body's broadcast key lists.
+type keyScratch struct {
+	trsms      []ttg.Int2
+	rows, cols []ttg.Int3
 }
 
 // Build assembles the graph on g. Call Seed after MakeExecutable.
@@ -106,6 +118,7 @@ func Build(g *ttg.Graph, opts Options) *App {
 		opts.P, opts.Q = keymap.Grid2D(g.Size())
 	}
 	a := &App{g: g, opts: opts, nt: opts.Grid.NT()}
+	a.scratch.New = func() any { return new(keyScratch) }
 	a.initPotrf = ttg.NewEdge[ttg.Int1, *tile.Tile]("init_potrf")
 	a.potrfTrsm = ttg.NewEdge[ttg.Int2, *tile.Tile]("potrf_trsm")
 	a.trsmA = ttg.NewEdge[ttg.Int2, *tile.Tile]("gemm_trsm")
@@ -151,7 +164,8 @@ func (a *App) build() {
 				panic(err)
 			}
 		}
-		trsms := make([]ttg.Int2, 0, nt-k-1)
+		s := a.scratch.Get().(*keyScratch)
+		trsms := s.trsms[:0]
 		for m := k + 1; m < nt; m++ {
 			trsms = append(trsms, ttg.Int2{m, k})
 		}
@@ -159,6 +173,8 @@ func (a *App) build() {
 			ttg.To(a.result, ttg.Int2{k, k}),
 			ttg.To(a.potrfTrsm, trsms...),
 		)
+		s.trsms = trsms
+		a.scratch.Put(s)
 		a.notifyBarrier(x, panelPhase(k, opts.Variant))
 	}
 
@@ -168,7 +184,8 @@ func (a *App) build() {
 			lapack.Trsm(lkk, amk)
 		}
 		// The Listing 1 pattern: one broadcast to four terminal sets.
-		rows, cols := make([]ttg.Int3, 0, m-k-1), make([]ttg.Int3, 0, nt-m-1)
+		s := a.scratch.Get().(*keyScratch)
+		rows, cols := s.rows[:0], s.cols[:0]
 		for j := k + 1; j < m; j++ {
 			rows = append(rows, ttg.Int3{m, j, k})
 		}
@@ -186,6 +203,8 @@ func (a *App) build() {
 			ttg.To(a.gemmRow, rows...),
 			ttg.To(a.gemmCol, cols...),
 		)
+		s.rows, s.cols = rows, cols
+		a.scratch.Put(s)
 		a.notifyBarrier(x, panelPhase(k, opts.Variant))
 	}
 

@@ -546,15 +546,7 @@ func (p *Proc) recvMsg(pkt fabric.Packet) {
 	p.recordDeliver(n)
 	switch pkt.Kind {
 	case kData:
-		b := serde.FromBytes(pkt.Data)
-		d := core.DecodeHeader(b)
-		if b.Bool() {
-			d.Value = serde.DecodeAny(b)
-			// Freshly deserialized: the runtime owns the object and may
-			// reclaim pooled payloads once the last consumer is done.
-			d.Exclusive = true
-		}
-		p.graph.Inject(d)
+		p.graph.Inject(decodeData(pkt))
 		// Decoding copies out of the packet, so the wire buffer is dead
 		// here; donate it to the encode pool.
 		serde.Recycle(pkt.Data)
@@ -569,6 +561,27 @@ func (p *Proc) recvMsg(pkt fabric.Packet) {
 		p.handleBcastChunk(pkt.Data)
 	}
 	p.det.Deactivate()
+}
+
+// decodeData reads one eager message: the delivery header, then the value
+// when there is one. Every length in it is the sender's claim; whichever
+// check refuses one, in the header, the buffer or the value's codec, the
+// panic names the packet.
+func decodeData(pkt fabric.Packet) (d core.Delivery) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("backend: malformed kData packet from rank %d: %v", pkt.Src, r))
+		}
+	}()
+	b := serde.FromBytes(pkt.Data)
+	d = core.DecodeHeader(b)
+	if b.Bool() {
+		d.Value = serde.DecodeAny(b)
+		// Freshly deserialized: the runtime owns the object and may
+		// reclaim pooled payloads once the last consumer is done.
+		d.Exclusive = true
+	}
+	return d
 }
 
 // decodeGather reads one gather message (delivery header, codec tag,

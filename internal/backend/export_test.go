@@ -5,6 +5,9 @@ package backend
 // they cannot live in package backend itself.
 const KCtrl = kCtrl
 
+// DecodeData is the receive half of the eager wire path.
+var DecodeData = decodeData
+
 // DecodeGather is the receive half of the by-reference wire path.
 var DecodeGather = (*Proc).decodeGather
 

@@ -128,6 +128,12 @@ func (rp *randProgram) graphMain(t *testing.T, mu *sync.Mutex, sums map[int]floa
 			t.Errorf("rank %d: %d wire packets for %d counted messages, want one each",
 				pc.Rank(), s.WirePackets, s.MsgsSent)
 		}
+		// The match tables' live counters agree with their slots, and a
+		// finished run leaves no shell waiting.
+		if tasks, live := g.Core().PendingTasks(0); int64(len(tasks)) != live || live != 0 {
+			t.Errorf("rank %d: %d shells in the table slots, %d counted live, want 0 of each",
+				pc.Rank(), len(tasks), live)
+		}
 	}
 }
 

@@ -442,7 +442,7 @@ func (tt *TT) Priority(key Key) int64 {
 // PendingShells reports how many partially filled task instances exist
 // (diagnostics; a nonzero value after a fence indicates a hung graph).
 func (tt *TT) PendingShells() int {
-	return tt.match.pending()
+	return int(tt.match.live.Load())
 }
 
 // Task is one ready task instance. Tasks made ready by matching come

@@ -42,19 +42,20 @@ func shardCount() int {
 // each shard's mutex on its own cache line(s) so that shards locked by
 // different workers do not false-share.
 type matchShard struct {
-	mu     sync.Mutex
-	shells map[Key]*shell
-	free   *shell // retired shells for reuse, linked by shell.next
-	tasks  *Task  // retired tasks for reuse, linked by Task.next
-	_      [96]byte
+	mu    sync.Mutex
+	table shellTable
+	free  *shell // retired shells for reuse, linked by shell.next
+	tasks *Task  // retired tasks for reuse, linked by Task.next
+	_     [72]byte
 }
 
-// matchTable is the sharded shell map of one TT.
+// matchTable is the sharded shell table of one TT.
 type matchTable struct {
 	shards []matchShard
 	mask   uint64
 	// live mirrors the total shell count across shards so diagnostics (the
-	// graph doctor, live gauges) can read it without sweeping shard locks.
+	// graph doctor, live gauges, PendingShells) can read it without
+	// sweeping shard locks.
 	live atomic.Int64
 }
 
@@ -62,27 +63,96 @@ func (m *matchTable) init() {
 	n := shardCount()
 	m.shards = make([]matchShard, n)
 	m.mask = uint64(n - 1)
-	for i := range m.shards {
-		m.shards[i].shells = map[Key]*shell{}
+}
+
+// shard selects the stripe for a task-ID hash (Key.hash). It takes the low
+// bits; shellTable indexes with the high ones.
+func (m *matchTable) shard(h uint64) *matchShard {
+	return &m.shards[h&m.mask]
+}
+
+// shellTable is one shard's task ID → waiting shell index, built for that
+// one job: open addressing with linear probing, at most 3/4 full, and
+// backward-shift deletion, so there are no tombstones. The key lives in
+// the shell; a slot holds the key's hash beside the shell pointer, so a
+// probe compares 8 bytes before it touches a shell. Every key of a shard
+// shares the low hash bits that chose the shard, so the slot index is
+// taken from the high 32. The table only grows; it dies with its graph.
+type shellTable struct {
+	slots []shellSlot // power-of-two length; sh == nil marks an empty slot
+	n     int
+}
+
+type shellSlot struct {
+	hash uint64
+	sh   *shell
+}
+
+// minTableSlots is a table's size at its first insert.
+const minTableSlots = 8
+
+func (t *shellTable) home(h uint64) int { return int(h>>32) & (len(t.slots) - 1) }
+
+// find returns key's shell, or nil and the index of the empty slot where
+// insert must put it. It grows the table first when one more entry would
+// pass 3/4 load, so find-or-insert is one probe sequence and the returned
+// slot stays valid for the insert.
+func (t *shellTable) find(key Key, h uint64) (*shell, int) {
+	if t.n >= len(t.slots)-len(t.slots)/4 {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(h); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.sh == nil {
+			return nil, i
+		}
+		if s.hash == h && s.sh.key == key {
+			return s.sh, i
+		}
 	}
 }
 
-// shard selects the stripe for a task ID. Shard choice is rank-local, so
-// it only needs to be a stable function within this process.
-func (m *matchTable) shard(key Key) *matchShard {
-	return &m.shards[key.hash()&m.mask]
+// insert fills the empty slot i that find returned for a shell's key hash.
+func (t *shellTable) insert(i int, h uint64, sh *shell) {
+	t.slots[i] = shellSlot{hash: h, sh: sh}
+	t.n++
 }
 
-// pending counts partially filled shells across all shards.
-func (m *matchTable) pending() int {
-	n := 0
-	for i := range m.shards {
-		sp := &m.shards[i]
-		sp.mu.Lock()
-		n += len(sp.shells)
-		sp.mu.Unlock()
+// remove deletes sh, whose key hashes to h. Entries after it in the probe
+// run shift back into the hole unless that would move one before its home
+// slot, which leaves every remaining entry reachable from its home.
+func (t *shellTable) remove(sh *shell, h uint64) {
+	mask := len(t.slots) - 1
+	i := t.home(h)
+	for t.slots[i].sh != sh {
+		i = (i + 1) & mask
 	}
-	return n
+	for j := (i + 1) & mask; t.slots[j].sh != nil; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j].hash))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = shellSlot{}
+	t.n--
+}
+
+// grow doubles the slot array and re-homes every entry.
+func (t *shellTable) grow() {
+	old := t.slots
+	t.slots = make([]shellSlot, max(2*len(old), minTableSlots))
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.sh == nil {
+			continue
+		}
+		i := t.home(s.hash)
+		for t.slots[i].sh != nil {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
 }
 
 // shellState is a point-in-time copy of one pending shell's fill state,
@@ -102,12 +172,16 @@ func (m *matchTable) collect(max int) []shellState {
 	for i := range m.shards {
 		sp := &m.shards[i]
 		sp.mu.Lock()
-		for key, sh := range sp.shells {
+		for _, s := range sp.table.slots {
+			if s.sh == nil {
+				continue
+			}
 			if max > 0 && len(out) >= max {
 				sp.mu.Unlock()
 				return out
 			}
-			st := shellState{key: key, satisfied: sh.satisfied}
+			sh := s.sh
+			st := shellState{key: sh.key, satisfied: sh.satisfied}
 			if x := sh.ext; x != nil {
 				st.counts = append([]int(nil), x.counts...)
 				st.targets = append([]int(nil), x.targets...)
@@ -128,6 +202,7 @@ func (m *matchTable) collect(max int) []shellState {
 // Task that runs the body is taken when the shell completes; the shell
 // goes straight back to its shard's free list.
 type shell struct {
+	key       Key // the task ID; a table slot holds only its hash
 	in        [inlineInputs]any
 	satisfied uint64
 	ext       *shellExt
@@ -174,6 +249,7 @@ func (tt *TT) newShell() *shell {
 // scrub clears a completed shell for reuse. Its stream targets belong to
 // the previous key and are recomputed when the shell is taken again.
 func (sh *shell) scrub() {
+	sh.key = Key{}
 	sh.in = [inlineInputs]any{}
 	sh.satisfied = 0
 	if x := sh.ext; x != nil {

@@ -305,9 +305,10 @@ func (g *Graph) applyPartial(tt *TT, term int, key Key, acc any, n int, worker i
 		o.Record(obs.Event{Kind: obs.EvTerminalMatch, Worker: int32(worker),
 			TT: int32(tt.id), Name: tt.name, Key: key.String()})
 	}
-	sp := tt.match.shard(key)
+	h := key.hash()
+	sp := tt.match.shard(h)
 	sp.mu.Lock()
-	sh := tt.getShellLocked(sp, key)
+	sh := tt.getShellLocked(sp, key, h)
 	in := sh.input(term)
 	*in = spec.Reducer(*in, acc)
 	x := sh.ext
@@ -315,7 +316,7 @@ func (g *Graph) applyPartial(tt *TT, term int, key Key, acc any, n int, worker i
 	if x.targets[term] >= 0 && x.counts[term] >= x.targets[term] {
 		sh.satisfied |= 1 << uint(term)
 	}
-	return g.maybeReadyLocked(tt, key, sp, sh, worker)
+	return g.maybeReadyLocked(tt, sp, sh, h, worker)
 }
 
 // FlushReductions drains combiner slots. With wave=false (idle and fence

@@ -363,9 +363,10 @@ func (g *Graph) deliverLocal(tt *TT, term int, key Key, value any, worker int) *
 		}
 	}
 	g.exec.Tracer().MatchOps.Add(1)
-	sp := tt.match.shard(key)
+	h := key.hash()
+	sp := tt.match.shard(h)
 	sp.mu.Lock()
-	sh := tt.getShellLocked(sp, key)
+	sh := tt.getShellLocked(sp, key, h)
 	if spec.Reducer == nil {
 		if sh.satisfied&(1<<uint(term)) != 0 {
 			sp.mu.Unlock()
@@ -382,7 +383,7 @@ func (g *Graph) deliverLocal(tt *TT, term int, key Key, value any, worker int) *
 			sh.satisfied |= 1 << uint(term)
 		}
 	}
-	return g.maybeReadyLocked(tt, key, sp, sh, worker)
+	return g.maybeReadyLocked(tt, sp, sh, h, worker)
 }
 
 // applyControl handles finalize/set-size for a streaming terminal instance
@@ -396,9 +397,10 @@ func (g *Graph) applyControl(tt *TT, term int, key Key, ctrl ControlKind, n int,
 			"close the stream by count (StreamSize or SetStreamSize) instead", term, tt.name))
 	}
 	g.exec.Tracer().MatchOps.Add(1)
-	sp := tt.match.shard(key)
+	h := key.hash()
+	sp := tt.match.shard(h)
 	sp.mu.Lock()
-	sh := tt.getShellLocked(sp, key)
+	sh := tt.getShellLocked(sp, key, h)
 	switch ctrl {
 	case CtrlFinalize:
 		sh.satisfied |= 1 << uint(term)
@@ -408,15 +410,15 @@ func (g *Graph) applyControl(tt *TT, term int, key Key, ctrl ControlKind, n int,
 			sh.satisfied |= 1 << uint(term)
 		}
 	}
-	return g.maybeReadyLocked(tt, key, sp, sh, worker)
+	return g.maybeReadyLocked(tt, sp, sh, h, worker)
 }
 
-// getShellLocked finds or creates the accumulation shell for a key in
-// shard sp, reusing a retired shell from the shard's free list when one is
-// available. Callers hold sp.mu.
-func (tt *TT) getShellLocked(sp *matchShard, key Key) *shell {
-	sh, ok := sp.shells[key]
-	if ok {
+// getShellLocked finds or creates the accumulation shell for a key, whose
+// hash h chose shard sp, reusing a retired shell from the shard's free
+// list when one is available. Callers hold sp.mu.
+func (tt *TT) getShellLocked(sp *matchShard, key Key, h uint64) *shell {
+	sh, slot := sp.table.find(key, h)
+	if sh != nil {
 		return sh
 	}
 	if sh = sp.free; sh != nil {
@@ -425,6 +427,7 @@ func (tt *TT) getShellLocked(sp *matchShard, key Key) *shell {
 	} else {
 		sh = tt.newShell()
 	}
+	sh.key = key
 	if tt.streaming {
 		// Per-key stream targets; a recycled shell's belong to its
 		// previous key.
@@ -443,7 +446,7 @@ func (tt *TT) getShellLocked(sp *matchShard, key Key) *shell {
 			}
 		}
 	}
-	sp.shells[key] = sh
+	sp.table.insert(slot, h, sh)
 	tt.match.live.Add(1)
 	if pg := tt.g.pendingShells; pg != nil {
 		pg.Add(1)
@@ -451,17 +454,18 @@ func (tt *TT) getShellLocked(sp *matchShard, key Key) *shell {
 	return sh
 }
 
-// maybeReadyLocked checks for completion, and if ready removes the shell,
-// moves its inputs into a task from the shard's free list, and returns the
-// task for submission; the shell itself goes straight back to the free
-// list. It releases sp.mu in all paths.
-func (g *Graph) maybeReadyLocked(tt *TT, key Key, sp *matchShard, sh *shell, worker int) *Task {
+// maybeReadyLocked checks for completion, and if ready removes the shell
+// (its key hashes to h), moves its inputs into a task from the shard's free
+// list, and returns the task for submission; the shell itself goes straight
+// back to the free list. It releases sp.mu in all paths.
+func (g *Graph) maybeReadyLocked(tt *TT, sp *matchShard, sh *shell, h uint64, worker int) *Task {
 	n := len(tt.inputs)
 	if sh.satisfied != uint64(1)<<uint(n)-1 {
 		sp.mu.Unlock()
 		return nil
 	}
-	delete(sp.shells, key)
+	sp.table.remove(sh, h)
+	key := sh.key
 	t := sp.takeTask(n)
 	copy(t.Inputs, sh.in[:min(n, inlineInputs)])
 	if n > inlineInputs {

@@ -172,8 +172,17 @@ func init() {
 		Dec: func(b *serde.Buffer) *Tile {
 			rows := int(b.Varint())
 			cols := int(b.Varint())
+			if rows < 0 || cols < 0 {
+				panic(fmt.Sprintf("tile: header records a %dx%d tile", rows, cols))
+			}
 			if !b.Bool() {
 				return Phantom(rows, cols)
+			}
+			// The shape is the sender's claim: its payload must fit in what
+			// is left to read before anything is sized by it (the division
+			// catches a product that overflowed into range).
+			if cols > 0 && rows > b.Remaining()/8/cols {
+				panic(fmt.Sprintf("tile: header records a %dx%d tile over %d payload bytes", rows, cols, b.Remaining()))
 			}
 			// Pooled payload; every element is overwritten below.
 			t := get(rows, cols)

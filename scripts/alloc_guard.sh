@@ -13,11 +13,13 @@
 #   bspmm_madness 100   ≈ 71 MB since the MADNESS preset's per-consumer
 #                       copies go back to the tile pool after their body;
 #                       380 MB when nobody returned them
-#   potrf_fine    113   ≈ 90 MB since task keys are packed and a waiting
-#                       task instance holds a 96-byte shell; 166 MB (136 on
-#                       some schedules) with boxed keys and 336-byte
-#                       shells. The schedule moves it: how far the TRSM
-#                       panels run ahead decides how many shells wait.
+#   potrf_fine     76   ≈ 61 MB since each match shard is an open-addressed
+#                       table of 16-byte slots with the key in the shell
+#                       and the Cholesky bodies reuse their broadcast key
+#                       lists; 90 MB with Go maps keyed by the 32-byte key
+#                       and fresh key lists per TRSM. The schedule moves
+#                       it: how far the TRSM panels run ahead decides how
+#                       many shells wait.
 #
 #   ... | bash scripts/alloc_guard.sh mra_stream 40
 set -euo pipefail
