@@ -491,7 +491,7 @@ func Element(gi, gj int) float64 {
 		return 4
 	}
 	d := float64(gi - gj)
-	return 1 / (1 + d*d)
+	return 1 / (1 + float64(d*d))
 }
 
 // Flops returns the factorization's flop count, N³/3.
@@ -539,7 +539,7 @@ func Verify(grid tile.Grid, tiles map[ttg.Int2]*tile.Tile) (maxErr float64, ok b
 		for j := 0; j <= i; j++ {
 			s := 0.0
 			for k := 0; k <= j; k++ {
-				s += l(i, k) * l(j, k)
+				s += float64(l(i, k) * l(j, k))
 			}
 			if e := math.Abs(s - Element(i, j)); e > maxErr {
 				maxErr = e

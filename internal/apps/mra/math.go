@@ -21,7 +21,9 @@
 // element is still the sum, from 0.0 and in ascending j, of M[i][j]·t[j]:
 // the refinement test err > Tol compares exactly these numbers, so a
 // different summation order would change which boxes refine, and with that
-// the task count the benchmark checks. Intermediates live in a workspace
+// the task count the benchmark checks. For the same reason every product
+// is written float64(x*y), which forbids fusing it into the add that
+// follows (arm64 would; DESIGN.md §18). Intermediates live in a workspace
 // borrowed from the Basis for the duration of one call (task body or
 // exported wrapper); a workspace never crosses an edge, so the only slices
 // a task allocates are the coefficient blocks it sends.
@@ -86,7 +88,7 @@ func NewBasis(k, d int) *Basis {
 			for j := 0; j < k; j++ {
 				s := 0.0
 				for q := 0; q < k; q++ {
-					s += b.phiW[j*k+q] * fine[q]
+					s += float64(b.phiW[j*k+q] * fine[q])
 				}
 				b.h[c][i*k+j] = s / math.Sqrt2
 				b.hT[c][j*k+i] = s / math.Sqrt2
@@ -127,7 +129,7 @@ func legendreP(n int, x float64) float64 {
 	}
 	p0, p1 := 1.0, x
 	for m := 2; m <= n; m++ {
-		p0, p1 = p1, (float64(2*m-1)*x*p1-float64(m-1)*p0)/float64(m)
+		p0, p1 = p1, (float64(float64(2*m-1)*x*p1)-float64(float64(m-1)*p0))/float64(m)
 	}
 	return p1
 }
@@ -143,14 +145,14 @@ func gaussLegendre01(k int) (nodes, weights []float64) {
 		for iter := 0; iter < 100; iter++ {
 			p := legendreP(k, x)
 			// Derivative via the standard identity.
-			dp := float64(k) * (x*legendreP(k, x) - legendreP(k-1, x)) / (x*x - 1)
+			dp := float64(k) * (float64(x*legendreP(k, x)) - legendreP(k-1, x)) / (float64(x*x) - 1)
 			dx := p / dp
 			x -= dx
 			if math.Abs(dx) < 1e-15 {
 				break
 			}
 		}
-		w := 2 / ((1 - x*x) * sq(legendreDeriv(k, x)))
+		w := 2 / ((1 - float64(x*x)) * sq(legendreDeriv(k, x)))
 		// Map to [0,1]; note the Cos guesses run right-to-left.
 		nodes[k-1-i] = (x + 1) / 2
 		weights[k-1-i] = w / 2
@@ -159,7 +161,7 @@ func gaussLegendre01(k int) (nodes, weights []float64) {
 }
 
 func legendreDeriv(k int, x float64) float64 {
-	return float64(k) * (x*legendreP(k, x) - legendreP(k-1, x)) / (x*x - 1)
+	return float64(k) * (float64(x*legendreP(k, x)) - legendreP(k-1, x)) / (float64(x*x) - 1)
 }
 
 func sq(x float64) float64 { return x * x }
@@ -226,17 +228,17 @@ func (b *Basis) contractInto(out, t, M []float64, m int) {
 				r0, r1, r2, r3 := M[i*k:][:k], M[(i+1)*k:][:k], M[(i+2)*k:][:k], M[(i+3)*k:][:k]
 				var a0, a1, a2, a3 float64
 				for j, v := range in {
-					a0 += r0[j] * v
-					a1 += r1[j] * v
-					a2 += r2[j] * v
-					a3 += r3[j] * v
+					a0 += float64(r0[j] * v)
+					a1 += float64(r1[j] * v)
+					a2 += float64(r2[j] * v)
+					a3 += float64(r3[j] * v)
 				}
 				o[i], o[i+1], o[i+2], o[i+3] = a0, a1, a2, a3
 			}
 			for ; i < k; i++ {
 				r, a := M[i*k:][:k], 0.0
 				for j, v := range in {
-					a += r[j] * v
+					a += float64(r[j] * v)
 				}
 				o[i] = a
 			}
@@ -256,13 +258,13 @@ func (b *Basis) contractInto(out, t, M []float64, m int) {
 				t0, t1 := t[base+j*stride:][:stride], t[base+(j+1)*stride:][:stride]
 				t2, t3 := t[base+(j+2)*stride:][:stride], t[base+(j+3)*stride:][:stride]
 				for s := range o {
-					o[s] = o[s] + m0*t0[s] + m1*t1[s] + m2*t2[s] + m3*t3[s]
+					o[s] = o[s] + float64(m0*t0[s]) + float64(m1*t1[s]) + float64(m2*t2[s]) + float64(m3*t3[s])
 				}
 			}
 			for ; j < k; j++ {
 				mj, tj := r[j], t[base+j*stride:][:stride]
 				for s := range o {
-					o[s] += mj * tj[s]
+					o[s] += float64(mj * tj[s])
 				}
 			}
 		}
@@ -351,7 +353,7 @@ func (b *Basis) residualInto(w *workspace, out []float64, children [][]float64, 
 			} else {
 				r[i] = -p
 			}
-			norm2 += r[i] * r[i]
+			norm2 += float64(r[i] * r[i])
 		}
 	}
 	return norm2
@@ -398,7 +400,7 @@ func (b *Basis) reconstructInto(w *workspace, sc, sp, d []float64, c int) {
 func Norm2(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return s
 }
@@ -409,7 +411,7 @@ func Gaussian(a float64, center []float64) Func {
 		r2 := 0.0
 		for m := range x {
 			d := x[m] - center[m]
-			r2 += d * d
+			r2 += float64(d * d)
 		}
 		return math.Exp(-a * r2)
 	}

@@ -243,7 +243,7 @@ func Build(g *ttg.Graph, opts Options) *App {
 			// Margin keeps the Gaussians interior so the analytic norm
 			// holds (centers span the middle ~83% of the cube, i.e.
 			// [-5,5] of the paper's [-6,6] box).
-			center[m] = 0.083 + 0.834*rng.Float64()
+			center[m] = 0.083 + float64(0.834*rng.Float64())
 		}
 		a.funcs = append(a.funcs, Gaussian(opts.Exponent, center))
 	}
@@ -639,11 +639,11 @@ func (a *App) AnalyticNorm() float64 {
 func CostModel(k, d int, m cluster.Machine) func(t *core.Task) float64 {
 	kd := math.Pow(float64(k), float64(d))
 	nc := math.Exp2(float64(d))
-	transform := float64(d) * kd * float64(k) * 2
+	transform := float64(float64(d)*kd*float64(k)) * 2 // ×2 compiles to an add
 	return func(t *core.Task) float64 {
 		switch t.TT.Name() {
 		case "Project":
-			return nc * (kd*30 + 3*transform) / m.SmallOpRate
+			return nc * (float64(kd*30) + float64(3*transform)) / m.SmallOpRate
 		case "Compress":
 			return nc * 2 * transform / m.SmallOpRate
 		case "Reconstruct":

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sparse"
@@ -44,6 +45,14 @@ func (o operand) clone() operand {
 	c := operand{backing: append([]float64(nil), o.backing...)}
 	lo := len(o.backing) - guardLen - len(o.t.Data)
 	c.t = &tile.Tile{Rows: o.t.Rows, Cols: o.t.Cols, Data: c.backing[lo : lo+len(o.t.Data) : lo+len(o.t.Data)]}
+	return c
+}
+
+func cloneAll(ops []operand) []operand {
+	c := make([]operand, len(ops))
+	for i, o := range ops {
+		c[i] = o.clone()
+	}
 	return c
 }
 
@@ -139,7 +148,13 @@ var kernelCases = []kernelCase{
 		fill(c, rng, s, nil)
 		fill(a, rng, s, zeros)
 		fill(b, rng, s, zeros)
-		if s.sprinkle && len(a.t.Data) > 0 {
+		if s.sprinkle && len(a.t.Data) > 0 && s.n > 0 {
+			// An Inf in an edge column of B (the last column when there is
+			// no edge) facing a zero of A: taking the skipped update
+			// would write 0·Inf = NaN into that row of C.
+			i, p, j := rng.Intn(s.m), rng.Intn(s.k), s.n-1-rng.Intn(max(s.n%4, 1))
+			a.t.Data[i*s.k+p] = zeros[rng.Intn(2)]
+			b.t.Data[p*s.n+j] = math.Inf(1 - 2*rng.Intn(2))
 			// NaN == 0 is false: one row of C must turn NaN on both paths.
 			a.t.Data[rng.Intn(len(a.t.Data))] = math.NaN()
 		}
@@ -168,6 +183,25 @@ var kernelCases = []kernelCase{
 		fill(l, rng, s, zeros)
 		for i := 0; i < s.n; i++ {
 			l.t.Data[i*s.n+i] = 1 + rng.Float64()
+		}
+		if s.sprinkle && s.n > 0 {
+			// Inf and NaN in B and in the part of L the solve reads, and
+			// one pivot of each sign of zero, so that both paths divide by
+			// it. One of each, not a third: every column of X after a
+			// special value in L is non-finite, so the columns before the
+			// first one keep comparing finite arithmetic.
+			for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+				if s.m > 0 {
+					b.t.Data[rng.Intn(len(b.t.Data))] = v
+				}
+				if j := rng.Intn(s.n); j > 0 {
+					l.t.Data[j*s.n+rng.Intn(j)] = v
+				}
+			}
+			for _, z := range zeros {
+				j := rng.Intn(s.n)
+				l.t.Data[j*s.n+j] = z
+			}
 		}
 		return []operand{b, l}
 	}, func(o []operand) error { Trsm(o[1].t, o[0].t); return nil }},
@@ -210,10 +244,7 @@ func checkBitIdentical(t *testing.T, s kshape, seed int64) {
 	t.Helper()
 	for _, kc := range kernelCases {
 		got := kc.build(s, rand.New(rand.NewSource(seed)))
-		want := make([]operand, len(got))
-		for i := range got {
-			want[i] = got[i].clone()
-		}
+		want := cloneAll(got)
 		gotErr := kc.run(got)
 		var wantErr error
 		withReference(func() { wantErr = kc.run(want) })
@@ -260,6 +291,19 @@ func corpus() []kshape {
 		kshape{m: 40, n: 36, k: 1, off: 1, sprinkle: true},
 		kshape{m: 40, n: 36, k: 2, sprinkle: true},
 	)
+	// Trsm's 16-row panel alone (m = 16) and followed by every kind of
+	// leftover: one single row (17), three quads and three single rows
+	// (31), the same after two panels (47); on n of one, three, five and
+	// 21. GemmNN meets n = 1, 2 and 3, where a row has no whole vector and
+	// its edge is all there is.
+	for _, m := range []int{16, 17, 31, 47} {
+		for _, n := range []int{1, 3, 5, 21} {
+			cs = append(cs, kshape{m: m, n: n, k: 9, off: m % 4}, kshape{m: m, n: n, k: 9, off: n % 4, sprinkle: true})
+		}
+	}
+	for n := 1; n <= 3; n++ {
+		cs = append(cs, kshape{m: 6, n: n, k: 11, off: n, sprinkle: true})
+	}
 	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
 	for i := 0; i+2 < len(p); i += 2 {
 		cs = append(cs, kshape{m: p[i], n: p[i+1], k: p[i+2], off: i % 4, sprinkle: true})
@@ -286,6 +330,80 @@ func FuzzKernelsBitIdentical(f *testing.F) {
 		}
 		checkBitIdentical(t, shapeFromBytes(shape), seed)
 	})
+}
+
+// TestKernelsDoNotAllocate pins the reused scratch: once warm, the
+// kernels that pack operands on the AVX2 path (on the reference path
+// nothing is packed) allocate nothing.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func(rows, cols int) *tile.Tile {
+		x := tile.New(rows, cols)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		return x
+	}
+	trsm := func(n int) func() {
+		l, b := tile.New(n, n), random(n, n)
+		for i := 0; i < n; i++ {
+			l.Data[i*n+i] = 1 // so that repeated solves leave B as it is
+		}
+		return func() { Trsm(l, b) }
+	}
+	// GemmNN on bspmm's first panel triple, which has an edge to pack.
+	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
+	m, n, k := p[0], p[1], p[2]
+	if n%4 == 0 {
+		t.Fatalf("sparse.DefaultSpec(24) panels %v: n = %d has no edge columns", p[:3], n)
+	}
+	c, a, b := random(m, n), random(m, k), random(k, n)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Trsm 128x128", trsm(128)},
+		{"Trsm 16x16", trsm(16)},
+		{fmt.Sprintf("GemmNN %dx%dx%d", m, n, k), func() { GemmNN(c, a, b) }},
+	} {
+		tc.run()
+		if got := testing.AllocsPerRun(20, tc.run); got != 0 {
+			t.Errorf("%s on the %s path: %v allocations per call, want 0", tc.name, Impl(), got)
+		}
+	}
+}
+
+// TestKernelsShareNoScratch runs the kernels that borrow scratch from
+// four goroutines at once: a buffer lent to two calls at a time would mix
+// their rows.
+func TestKernelsShareNoScratch(t *testing.T) {
+	s := kshape{m: 47, n: 21, k: 9, off: 1}
+	var wg sync.WaitGroup
+	for _, kc := range kernelCases {
+		if kc.name != "Trsm" && kc.name != "GemmNN" {
+			continue
+		}
+		in := kc.build(s, rand.New(rand.NewSource(1)))
+		want := cloneAll(in)
+		kc.run(want)
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 50 {
+					got := cloneAll(in)
+					kc.run(got)
+					for i := range got {
+						if at, ok := sameBits(got[i], want[i]); !ok {
+							t.Errorf("%s: operand %d differs at element %d when run concurrently", kc.name, i, at)
+							return
+						}
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // TestShapeMismatchPanics: every kernel refuses operands that do not fit

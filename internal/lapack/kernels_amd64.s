@@ -174,6 +174,8 @@ store:
 //
 // One row of GemmNN over its whole vectors, columns j < n&^3:
 //	for p < k { if a[p] == 0 { continue }; c[j] += a[p]*b[p*n+j] }
+// GemmNN also runs it with n = 4 on a copy of a row's edge columns
+// against B's edge columns, packed and zero-padded.
 // The columns go in chunks that stay in registers while p
 // runs, which reorders nothing an element can see: each c[j] still takes
 // its updates in p order. Requires k >= 1, n >= 4.
@@ -338,6 +340,71 @@ minpskip1:
 	DECQ R9
 	JNZ minpchunk1
 minpdone:
+	VZEROUPPER
+	RET
+
+// func trsmPanelAVX2(p, l *float64, n int)
+//
+// Trsm on sixteen rows of B held as an n×16 column-major panel,
+// p[k*16+r] = row r's element k, so one YMM lane is one row's chain:
+//	for j < n { s := p[j][..]; for k < j { s -= p[k][..]*l[j*n+k] }; p[j][..] = s/l[j*n+j] }
+// Y0..Y3 hold column j (rows 0..15) while k runs. The product keeps the
+// reference's operand order, row element first, so that where two NaNs
+// meet the lane keeps the payload the Go loop keeps. Requires n >= 1.
+TEXT ·trsmPanelAVX2(SB), $0-24
+	MOVQ p+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ CX, R8
+	SHLQ $3, R8            // row stride of l in bytes
+	MOVQ DI, DX            // column j of the panel
+	XORQ R9, R9            // j
+
+trsmcol:
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	LEAQ (SI)(R9*8), BX    // l[j*n+j], the pivot; l[j*n+k] is (BX)(R10*8)
+	MOVQ DI, AX            // column k of the panel
+	MOVQ R9, R10
+	NEGQ R10               // k-j, from -j up to 0
+	JZ trsmdiv
+
+	PCALIGN $32
+trsmk:
+	VBROADCASTSD (BX)(R10*8), Y8
+	VMOVUPD (AX), Y9
+	VMOVUPD 32(AX), Y10
+	VMOVUPD 64(AX), Y11
+	VMOVUPD 96(AX), Y12
+	VMULPD Y8, Y9, Y9
+	VMULPD Y8, Y10, Y10
+	VMULPD Y8, Y11, Y11
+	VMULPD Y8, Y12, Y12
+	VSUBPD Y9, Y0, Y0
+	VSUBPD Y10, Y1, Y1
+	VSUBPD Y11, Y2, Y2
+	VSUBPD Y12, Y3, Y3
+	ADDQ $128, AX
+	INCQ R10
+	JNZ trsmk
+
+trsmdiv:
+	VBROADCASTSD (BX), Y8
+	VDIVPD Y8, Y0, Y0
+	VDIVPD Y8, Y1, Y1
+	VDIVPD Y8, Y2, Y2
+	VDIVPD Y8, Y3, Y3
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	ADDQ $128, DX
+	ADDQ R8, SI
+	INCQ R9
+	CMPQ R9, CX
+	JLT trsmcol
 	VZEROUPPER
 	RET
 

@@ -8,8 +8,10 @@
 // The Go loops in this file are the reference: they own the loop order,
 // the edge rows and columns, the unroll tails and the zero / no-path
 // skips, and they are all that runs where useAVX2 is false. On an amd64
-// CPU with AVX2 the interior of the inner loops runs in the micro-kernels
-// of kernels_amd64.s instead, which produce the same bits (DESIGN.md §18).
+// CPU with AVX2 the inner loops run in the micro-kernels of
+// kernels_amd64.s instead, which produce the same bits (DESIGN.md §18);
+// Potrf, Trsm's rows past its last 16-row panel and the column edges of
+// GemmNT, Syrk and the min-plus kernels stay in Go.
 // Every product is written float64(x*y): the explicit conversion forbids
 // the compiler to fuse it into the add that follows (GOAMD64=v3, arm64),
 // so the reference rounds twice everywhere, as the micro-kernels do.
@@ -127,6 +129,9 @@ func Trsm(l, b *tile.Tile) {
 	m := b.Rows
 	checkShapes("Trsm", l.Cols == n && b.Cols == n, l, b, nil)
 	i := 0
+	if useAVX2 && n > 0 && m >= panelRows {
+		i = trsmPanels(l, b)
+	}
 	for ; i+4 <= m; i += 4 {
 		b0 := b.Data[i*n : (i+1)*n]
 		b1 := b.Data[(i+1)*n : (i+2)*n]
@@ -155,6 +160,79 @@ func Trsm(l, b *tile.Tile) {
 			}
 			bi[j] = s / lj[j]
 		}
+	}
+}
+
+// panelRows is the height of trsmPanelAVX2's panel: sixteen rows of B,
+// one per lane of its four accumulators.
+const panelRows = 16
+
+// trsmPanels solves B's whole 16-row blocks on trsmPanelAVX2 and returns
+// how many rows it took. Each block is copied transposed into an n×16
+// panel and back, which moves bits and computes nothing; the leftover
+// rows are the caller's.
+func trsmPanels(l, b *tile.Tile) int {
+	n, m := l.Rows, b.Rows
+	p := borrow(panelRows * n)
+	i := 0
+	for ; i+panelRows <= m; i += panelRows {
+		rows := b.Data[i*n : (i+panelRows)*n]
+		for r := 0; r < panelRows; r += 4 {
+			r0, r1, r2, r3 := quad(rows, r, n)
+			for k, v := range r0 {
+				q := p[k*panelRows+r:][:4]
+				q[0], q[1], q[2], q[3] = v, r1[k], r2[k], r3[k]
+			}
+		}
+		trsmPanelAVX2(&p[0], &l.Data[0], n)
+		for r := 0; r < panelRows; r += 4 {
+			r0, r1, r2, r3 := quad(rows, r, n)
+			for k := range r0 {
+				q := p[k*panelRows+r:][:4]
+				r0[k], r1[k], r2[k], r3[k] = q[0], q[1], q[2], q[3]
+			}
+		}
+	}
+	giveBack(p)
+	return i
+}
+
+// quad returns rows r..r+3 of the row-major x with n columns, as slices of
+// one length, so that indexing the last three by the first's index needs
+// no bounds check.
+func quad(x []float64, r, n int) (r0, r1, r2, r3 []float64) {
+	r0 = x[r*n : (r+1)*n]
+	return r0, x[(r+1)*n:][:len(r0)], x[(r+2)*n:][:len(r0)], x[(r+3)*n:][:len(r0)]
+}
+
+// scratch is the free list of the buffers the AVX2 path packs operands
+// into (Trsm's panels, GemmNN's edge columns). A call borrows one and
+// gives it back before it returns, so once warm the kernels allocate
+// nothing. Eight buffers cover the kernel calls of up to eight workers
+// running at once; a call beyond them allocates, and its buffer is
+// dropped when the list is full. A channel rather than
+// a sync.Pool: the race detector makes a Pool drop a quarter of what it
+// is given.
+var scratch = make(chan []float64, 8)
+
+// borrow returns a buffer of length n, from scratch when one there is
+// long enough. Its contents are whatever its last user left.
+func borrow(n int) []float64 {
+	select {
+	case s := <-scratch:
+		if cap(s) >= n {
+			return s[:n]
+		}
+	default:
+	}
+	return make([]float64, n)
+}
+
+// giveBack returns s to scratch, or drops it when scratch is full.
+func giveBack(s []float64) {
+	select {
+	case scratch <- s:
+	default:
 	}
 }
 
@@ -237,24 +315,51 @@ func dot4(x, y []float64) float64 {
 func GemmNN(c, a, b *tile.Tile) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	checkShapes("GemmNN", a.Rows == m && b.Rows == k && b.Cols == n, c, a, b)
-	n4 := 0 // columns the micro-kernel takes, p loop and zero skip included
 	if useAVX2 && k > 0 {
-		n4 = n &^ 3
+		gemmNNAVX2(c, a, b)
+		return
 	}
 	for i := 0; i < m; i++ {
 		ci := c.Data[i*n : (i+1)*n]
-		ai := a.Data[i*k : (i+1)*k]
-		if n4 > 0 {
-			axpyPanelAVX2(&ci[0], &ai[0], &b.Data[0], k, n)
-		}
-		if n4 == n {
-			continue
-		}
-		for p, av := range ai {
+		for p, av := range a.Data[i*k : (i+1)*k] {
 			if av == 0 {
 				continue
 			}
-			axpyRow(ci[n4:], b.Data[p*n+n4:(p+1)*n], av)
+			axpyRow(ci, b.Data[p*n:(p+1)*n], av)
+		}
+	}
+}
+
+// gemmNNAVX2 is GemmNN on axpyPanelAVX2 alone. A row's whole vectors run
+// in place. Its n%4 edge columns run on a 4-wide copy of them, against
+// B's edge columns packed once per call into a k×4 panel whose padding
+// columns are zero. The lanes never mix and the a[p] == 0 skip is one
+// decision for all four, so the real lanes take the reference's products
+// in its order; the padding lanes are computed and dropped.
+func gemmNNAVX2(c, a, b *tile.Tile) {
+	m, n, k := c.Rows, c.Cols, a.Cols
+	n4 := n &^ 3
+	var edge, row []float64
+	if n4 < n {
+		s := borrow(4*k + 4)
+		defer giveBack(s)
+		edge, row = s[:4*k], s[4*k:]
+		for p := 0; p < k; p++ {
+			q := edge[4*p : 4*p+4]
+			clear(q[copy(q, b.Data[p*n+n4:(p+1)*n]):])
+		}
+		clear(row)
+	}
+	for i := 0; i < m; i++ {
+		ai := &a.Data[i*k]
+		if n4 > 0 {
+			axpyPanelAVX2(&c.Data[i*n], ai, &b.Data[0], k, n)
+		}
+		if n4 < n {
+			ci := c.Data[i*n+n4 : (i+1)*n]
+			copy(row, ci)
+			axpyPanelAVX2(&row[0], ai, &edge[0], k, 4)
+			copy(ci, row)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package lapack
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/sparse"
 	"repro/internal/tile"
 )
 
@@ -349,6 +351,45 @@ func randTile(rows, cols int, rng *rand.Rand) *tile.Tile {
 		t.Data[i] = rng.NormFloat64()
 	}
 	return t
+}
+
+// BenchmarkTrsm times Trsm at the Cholesky tile sizes of the bench
+// workloads (nb 16 and 128) and between. Each call first restores B,
+// since repeated solves would shrink it into denormals; the copy is n²
+// moves against n³ flops.
+func BenchmarkTrsm(b *testing.B) {
+	for _, n := range []int{16, 32, 128} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			l := randSPD(n, rng)
+			if err := Potrf(l); err != nil {
+				b.Fatal(err)
+			}
+			x0, x := randTile(n, n, rng), tile.New(n, n)
+			for range b.N {
+				copy(x.Data, x0.Data)
+				Trsm(l, x)
+			}
+			b.ReportMetric(TrsmFlops(n, n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+		})
+	}
+}
+
+// BenchmarkGemmNN times GemmNN on bspmm's shapes: the consecutive panel
+// triples of sparse.DefaultSpec(24), none of whose n is a multiple of 4.
+func BenchmarkGemmNN(b *testing.B) {
+	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
+	for i := 0; i+2 < len(p); i++ {
+		m, n, k := p[i], p[i+1], p[i+2]
+		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			c, a, bb := randTile(m, n, rng), randTile(m, k, rng), randTile(k, n, rng)
+			for range b.N {
+				GemmNN(c, a, bb)
+			}
+			b.ReportMetric(GemmFlops(m, n, k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+		})
+	}
 }
 
 func TestBlockedKernelsMatchNaive(t *testing.T) {

@@ -90,7 +90,7 @@ func Generate(spec Spec) *Matrix {
 		for i := 0; i < spec.ClusterSize && len(atoms) < spec.Atoms; i++ {
 			var p [3]float64
 			for d := 0; d < 3; d++ {
-				p[d] = center[d] + rng.NormFloat64()*3
+				p[d] = center[d] + float64(rng.NormFloat64()*3)
 			}
 			atoms = append(atoms, atom{
 				pos:   p,
@@ -148,7 +148,7 @@ func Generate(spec Spec) *Matrix {
 
 func dist(a, b [3]float64) float64 {
 	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 }
 
 // yukawa is the screened-Coulomb kernel exp(-r/λ)/r, regularized at the
@@ -237,7 +237,7 @@ func (m *Matrix) MulFlops() float64 {
 	for i := range m.byRow {
 		for _, k := range m.byRow[i] {
 			for _, j := range m.byRow[k] {
-				total += 2 * float64(m.Dim(i)) * float64(m.Dim(k)) * float64(m.Dim(j))
+				total += float64(2 * float64(m.Dim(i)) * float64(m.Dim(k)) * float64(m.Dim(j)))
 			}
 		}
 	}

@@ -140,7 +140,7 @@ func (t *Tile) Equal(o *Tile, eps float64) bool {
 func (t *Tile) FrobeniusNorm() float64 {
 	s := 0.0
 	for _, v := range t.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
