@@ -108,7 +108,7 @@ type Pool struct {
 	shared Queue      // the FIFO queue; the Banded outside-submission queue under PolicyStealPrio
 	prio   [][]*Deque // per-worker per-band; nil under PolicyFIFO
 	ws     []workerState
-	inline bool // run-next slot enabled (PolicyStealPrio by default)
+	inline bool // run-next slot enabled (PolicyStealPrio only)
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -181,11 +181,6 @@ func NewPool(n int, policy Policy, run func(worker int, it Item)) *Pool {
 
 // Workers returns the number of worker goroutines.
 func (p *Pool) Workers() int { return p.n }
-
-// DisableRunNext turns off the successor-inlining slot (PolicyStealPrio
-// enables it by default). Call before Start; used by the inlining ablation
-// bench and for strict queue-order debugging.
-func (p *Pool) DisableRunNext() { p.inline = false }
 
 // Observe attaches a recorder; call before Start. The pool then maintains
 // the queue-depth gauge and inline-chain histogram and records steal events.

@@ -173,15 +173,16 @@ func TestStealPrioSingleWorkerBandOrder(t *testing.T) {
 }
 
 // TestRunNextInlinesChains: a single-successor chain submitted via
-// SubmitLocal rides the run-next slot (no queue round trip); the ablation
-// knob turns it off.
+// SubmitLocal rides the run-next slot (no queue round trip) under
+// PolicyStealPrio; PolicyFIFO, the MADNESS preset's queue, has no slot and
+// sends every successor through the shared queue.
 func TestRunNextInlinesChains(t *testing.T) {
 	const depth = 200
-	for _, disable := range []bool{false, true} {
+	for _, policy := range []Policy{PolicyStealPrio, PolicyFIFO} {
 		var count int64
 		var wg sync.WaitGroup
 		var p *Pool
-		p = NewPool(1, PolicyStealPrio, func(w int, it Item) {
+		p = NewPool(1, policy, func(w int, it Item) {
 			defer wg.Done()
 			atomic.AddInt64(&count, 1)
 			if d := it.Value.(int); d < depth {
@@ -189,9 +190,6 @@ func TestRunNextInlinesChains(t *testing.T) {
 				p.SubmitLocal(w, Item{Value: d + 1})
 			}
 		})
-		if disable {
-			p.DisableRunNext()
-		}
 		p.Start()
 		wg.Add(1)
 		p.Submit(Item{Value: 0})
@@ -199,12 +197,12 @@ func TestRunNextInlinesChains(t *testing.T) {
 		st := p.Stats()
 		p.Stop()
 		if count != depth+1 {
-			t.Fatalf("ran %d tasks, want %d", count, depth+1)
+			t.Fatalf("%v: ran %d tasks, want %d", policy, count, depth+1)
 		}
-		if disable && st.InlineRuns != 0 {
-			t.Fatalf("DisableRunNext: inlined %d tasks, want 0", st.InlineRuns)
+		if policy == PolicyFIFO && st.InlineRuns != 0 {
+			t.Fatalf("PolicyFIFO: inlined %d tasks, want 0", st.InlineRuns)
 		}
-		if !disable && st.InlineRuns != depth {
+		if policy == PolicyStealPrio && st.InlineRuns != depth {
 			// Every successor is discovered while its parent runs, so all
 			// `depth` of them chain through the slot (depth < maxInlineChain
 			// never binds per-chain because the chain counter only grows

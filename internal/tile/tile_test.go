@@ -119,3 +119,41 @@ func TestEndViewLeaseOnce(t *testing.T) {
 		t.Fatalf("8 concurrent EndViewLease calls left the ledger at %d, want %d (one view, one retirement)", n, base)
 	}
 }
+
+// TestPooledCyclesDoNotAllocate pins the steady state of the two pooled
+// round trips every remote tile send leans on: a Clone drawn from the tile
+// pool and Released back, and an encode into a pooled serde buffer that is
+// Released back. After one warm call neither may allocate.
+func TestPooledCyclesDoNotAllocate(t *testing.T) {
+	// Under the race detector sync.Pool drops a quarter of what is Put, so
+	// recycled buffers are reallocated at random; a pool that loses several
+	// of 64 round trips (a P migration loses at most one) is that.
+	var p sync.Pool
+	lost := 0
+	for range 64 {
+		p.Put(new(int))
+		if p.Get() == nil {
+			lost++
+		}
+	}
+	if lost > 3 {
+		t.Skip("sync.Pool is lossy here (race detector): allocation counts are not stable")
+	}
+	src := New(128, 128)
+	clone := func() { src.Clone().Release() }
+	small := New(64, 64)
+	encode := func() {
+		buf := serde.GetBuffer(256)
+		serde.EncodeAny(buf, small)
+		buf.Release()
+	}
+	for _, c := range []struct {
+		name  string
+		cycle func()
+	}{{"128x128 Clone+Release", clone}, {"64x64 GetBuffer+EncodeAny+Release", encode}} {
+		c.cycle()
+		if n := testing.AllocsPerRun(100, c.cycle); n != 0 {
+			t.Errorf("%s: %v allocs per cycle, want 0", c.name, n)
+		}
+	}
+}
