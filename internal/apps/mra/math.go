@@ -15,36 +15,43 @@
 // exactly those of the standard construction (see DESIGN.md).
 //
 // Every transform here is a chain of mode contractions of a k^d tensor
-// (row-major, mode 0 slowest) with a k×k matrix, and all of them go through
-// one kernel, contractInto, over flat row-major matrices NewBasis builds
-// once. Its inner loops are unit-stride on both operands, but every output
-// element is still the sum, from 0.0 and in ascending j, of M[i][j]·t[j]:
-// the refinement test err > Tol compares exactly these numbers, so a
-// different summation order would change which boxes refine, and with that
-// the task count the benchmark checks. For the same reason every product
-// is written float64(x*y), which forbids fusing it into the add that
-// follows (arm64 would; DESIGN.md §18). Intermediates live in a workspace
-// borrowed from the Basis for the duration of one call (task body or
-// exported wrapper); a workspace never crosses an edge, so the only slices
-// a task allocates are the coefficient blocks it sends.
+// (row-major, mode 0 slowest) with a k×k matrix, and each contraction is
+// one dense product on lapack.Mul, over flat row-major matrices NewBasis
+// builds once. Every output element is the sum, from +0.0 and in ascending
+// j, of M[i][j]·t[j], which is Mul's order: the refinement test err > Tol
+// compares exactly these numbers, so a different summation order would
+// change which boxes refine, and with that the task count the benchmark
+// checks. For the same reason every product is written float64(x*y),
+// which forbids fusing it into the add that follows (arm64 would;
+// DESIGN.md §18). Intermediates live in a workspace borrowed from the
+// Basis for the duration of one call (task body or exported wrapper); a
+// workspace never crosses an edge, so the only slices a task allocates
+// are the coefficient blocks it sends.
 package mra
 
 import (
 	"math"
 	"sync"
+
+	"repro/internal/lapack"
+	"repro/internal/tile"
 )
+
+// mat is a flat row-major k×k matrix, element (i,j) at i*k+j, and its
+// transpose: the strided modes multiply by M, the last mode by Mᵀ.
+type mat struct{ m, t []float64 }
 
 // Basis holds the order-k multiwavelet machinery for d dimensions.
 type Basis struct {
 	K, D int
 	// nodes/weights: k-point Gauss-Legendre rule on [0,1].
 	nodes, weights []float64
-	// Flat row-major k×k matrices, element (i,j) at i*k+j.
 	// phiW(i,q) = w_q·φ_i(node_q). h[c] is the 1-D two-scale filter for
 	// child c (s_parent = Σ_c H_c·s_child_c), hT[c] its transpose
-	// (prolongation s_child_c = H_cᵀ·s_parent).
-	phiW  []float64
-	h, hT [2][]float64
+	// (prolongation s_child_c = H_cᵀ·s_parent), so h[c] and hT[c] share
+	// their two blocks.
+	phiW  mat
+	h, hT [2]mat
 	// stride[m] = k^(d-1-m), the distance between mode-m neighbours.
 	stride [3]int
 	// scratch recycles workspaces between the calls that borrow one.
@@ -71,16 +78,18 @@ func NewBasis(k, d int) *Basis {
 		b.stride[m] = s
 	}
 	kk := k * k
-	mats := make([]float64, 5*kk+k)
-	b.phiW = mats[:kk]
+	mats := make([]float64, 6*kk+k)
+	phiW, phiWT := mats[:kk], mats[5*kk:][:kk]
 	for i := 0; i < k; i++ {
 		for q := 0; q < k; q++ {
-			b.phiW[i*k+q] = b.weights[q] * legendreScaling(i, b.nodes[q])
+			phiW[i*k+q] = b.weights[q] * legendreScaling(i, b.nodes[q])
+			phiWT[q*k+i] = phiW[i*k+q]
 		}
 	}
-	fine := mats[5*kk:] // φ_i at the parent nodes mapped into child c
+	b.phiW = mat{phiW, phiWT}
+	fine := mats[6*kk:] // φ_i at the parent nodes mapped into child c
 	for c := 0; c < 2; c++ {
-		b.h[c], b.hT[c] = mats[(1+2*c)*kk:][:kk], mats[(2+2*c)*kk:][:kk]
+		h, hT := mats[(1+2*c)*kk:][:kk], mats[(2+2*c)*kk:][:kk]
 		for i := 0; i < k; i++ {
 			for q := range fine {
 				fine[q] = legendreScaling(i, (b.nodes[q]+float64(c))/2)
@@ -88,12 +97,13 @@ func NewBasis(k, d int) *Basis {
 			for j := 0; j < k; j++ {
 				s := 0.0
 				for q := 0; q < k; q++ {
-					s += float64(b.phiW[j*k+q] * fine[q])
+					s += float64(phiW[j*k+q] * fine[q])
 				}
-				b.h[c][i*k+j] = s / math.Sqrt2
-				b.hT[c][j*k+i] = s / math.Sqrt2
+				h[i*k+j] = s / math.Sqrt2
+				hT[j*k+i] = s / math.Sqrt2
 			}
 		}
+		b.h[c], b.hT[c] = mat{h, hT}, mat{hT, h}
 	}
 	b.scratch.New = func() any {
 		n, nc := b.Coeffs(), b.Children()
@@ -196,7 +206,7 @@ func (b *Basis) projectInto(w *workspace, out []float64, f Func, n int, l []int)
 		vals[q] = f(x)
 	}
 	// Contract each mode with phiW, then apply the volume factor 2^{-nd/2}.
-	b.transform(w, out, vals, [2][]float64{b.phiW, b.phiW}, 0)
+	b.transform(w, out, vals, [2]mat{b.phiW, b.phiW}, 0)
 	vol := math.Exp2(-float64(n) * float64(d) / 2)
 	for i := range out {
 		out[i] *= vol
@@ -211,63 +221,24 @@ func decompose(q, k, d int, idx []int) {
 	}
 }
 
-// contractInto applies the flat k×k matrix M along mode m of the k^d
-// tensor t: out[…i…] = Σ_j M[i*k+j]·t[…j…]. out and t must not overlap.
-// Each output accumulates from 0.0 in ascending j (see the package
-// comment); the blocking by four only changes which outputs, or which
-// terms of one output's running sum, share a pass over memory.
-func (b *Basis) contractInto(out, t, M []float64, m int) {
+// contractInto applies the k×k matrix M along mode m of the k^d tensor t:
+// out[…i…] = Σ_j M[i][j]·t[…j…]. out and t must not overlap. Each mode is
+// one dense product whose operands are contiguous as they lie: a strided
+// mode is M·T for each k×stride block T, the last mode T·Mᵀ with t viewed
+// as k^(d-1) rows of k. Either way every output is Mul's sum from +0.0
+// in ascending j, the order the package comment requires.
+func (b *Basis) contractInto(out, t []float64, M mat, m int) {
 	k, stride := b.K, b.stride[m]
 	if stride == 1 {
-		// Last mode: a matrix-vector product per contiguous k-row, four
-		// output accumulators per pass over the row.
-		for base := 0; base < len(t); base += k {
-			in, o := t[base:base+k], out[base:base+k]
-			i := 0
-			for ; i+4 <= k; i += 4 {
-				r0, r1, r2, r3 := M[i*k:][:k], M[(i+1)*k:][:k], M[(i+2)*k:][:k], M[(i+3)*k:][:k]
-				var a0, a1, a2, a3 float64
-				for j, v := range in {
-					a0 += float64(r0[j] * v)
-					a1 += float64(r1[j] * v)
-					a2 += float64(r2[j] * v)
-					a3 += float64(r3[j] * v)
-				}
-				o[i], o[i+1], o[i+2], o[i+3] = a0, a1, a2, a3
-			}
-			for ; i < k; i++ {
-				r, a := M[i*k:][:k], 0.0
-				for j, v := range in {
-					a += float64(r[j] * v)
-				}
-				o[i] = a
-			}
-		}
+		rows := len(t) / k
+		lapack.Mul(&tile.Tile{Rows: rows, Cols: k, Data: out},
+			&tile.Tile{Rows: rows, Cols: k, Data: t}, &tile.Tile{Rows: k, Cols: k, Data: M.t})
 		return
 	}
-	// Strided mode: within one k·stride block, output row i is the sum of
-	// M[i][j] times input row j, rows being contiguous and stride long —
-	// an axpy that takes four input rows per pass.
+	mm := &tile.Tile{Rows: k, Cols: k, Data: M.m}
 	for base := 0; base < len(t); base += k * stride {
-		for i := 0; i < k; i++ {
-			o, r := out[base+i*stride:][:stride], M[i*k:][:k]
-			clear(o)
-			j := 0
-			for ; j+4 <= k; j += 4 {
-				m0, m1, m2, m3 := r[j], r[j+1], r[j+2], r[j+3]
-				t0, t1 := t[base+j*stride:][:stride], t[base+(j+1)*stride:][:stride]
-				t2, t3 := t[base+(j+2)*stride:][:stride], t[base+(j+3)*stride:][:stride]
-				for s := range o {
-					o[s] = o[s] + float64(m0*t0[s]) + float64(m1*t1[s]) + float64(m2*t2[s]) + float64(m3*t3[s])
-				}
-			}
-			for ; j < k; j++ {
-				mj, tj := r[j], t[base+j*stride:][:stride]
-				for s := range o {
-					o[s] += float64(mj * tj[s])
-				}
-			}
-		}
+		lapack.Mul(&tile.Tile{Rows: k, Cols: stride, Data: out[base:][:k*stride]},
+			mm, &tile.Tile{Rows: k, Cols: stride, Data: t[base:][:k*stride]})
 	}
 }
 
@@ -275,7 +246,7 @@ func (b *Basis) contractInto(out, t, M []float64, m int) {
 // m takes M[1] when child index c has bit d-1-m set, M[0] otherwise.
 // Intermediates alternate between the workspace's ping-pong pair, which
 // therefore may hold neither src nor dst.
-func (b *Basis) transform(w *workspace, dst, src []float64, M [2][]float64, c int) {
+func (b *Basis) transform(w *workspace, dst, src []float64, M [2]mat, c int) {
 	for m := 0; m < b.D; m++ {
 		out := w.pp[m&1]
 		if m == b.D-1 {

@@ -1,7 +1,9 @@
 package mra
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -12,7 +14,7 @@ func TestGaussLegendreExactness(t *testing.T) {
 		for deg := 0; deg < 2*k; deg++ {
 			s := 0.0
 			for q := 0; q < k; q++ {
-				s += weights[q] * math.Pow(nodes[q], float64(deg))
+				s += float64(weights[q] * math.Pow(nodes[q], float64(deg)))
 			}
 			want := 1 / float64(deg+1)
 			if math.Abs(s-want) > 1e-12 {
@@ -29,7 +31,7 @@ func TestScalingFunctionsOrthonormal(t *testing.T) {
 		for j := 0; j < k; j++ {
 			s := 0.0
 			for q := 0; q < k; q++ {
-				s += weights[q] * legendreScaling(i, nodes[q]) * legendreScaling(j, nodes[q])
+				s += float64(weights[q] * legendreScaling(i, nodes[q]) * legendreScaling(j, nodes[q]))
 			}
 			want := 0.0
 			if i == j {
@@ -46,7 +48,7 @@ func TestProjectExactForPolynomials(t *testing.T) {
 	// A degree < k polynomial is represented exactly: projecting on a box
 	// and evaluating the norm over boxes reproduces ∫f².
 	b := NewBasis(6, 2)
-	f := func(x []float64) float64 { return 1 + 2*x[0] + 3*x[0]*x[1]*x[1] }
+	f := func(x []float64) float64 { return 1 + float64(2*x[0]) + float64(3*x[0]*x[1]*x[1]) }
 	// ∫ f² over [0,1]²: expand f² = 1 +4x +4x² +6xy² +12x²y² +9x²y⁴.
 	want := 1.0 + 4.0/2 + 4.0/3 + 6.0/(2*3) + 12.0/(3*3) + 9.0/(3*5)
 	s := b.ProjectBox(f, 0, []int{0, 0})
@@ -59,7 +61,7 @@ func TestFilterRebuildsParentProjection(t *testing.T) {
 	// Filtering children projections equals projecting on the parent for
 	// a polynomial (both exact).
 	b := NewBasis(5, 2)
-	f := func(x []float64) float64 { return x[0]*x[0] + x[1] }
+	f := func(x []float64) float64 { return float64(x[0]*x[0]) + x[1] }
 	children := make([][]float64, b.Children())
 	for c := 0; c < b.Children(); c++ {
 		l := []int{childOffsetDim(c, 0, 2), childOffsetDim(c, 1, 2)}
@@ -167,7 +169,7 @@ func (b *Basis) contract(t []float64, M [][]float64, m int) []float64 {
 				acc := 0.0
 				row := M[i]
 				for j := 0; j < k; j++ {
-					acc += row[j] * t[off+j*stride]
+					acc += float64(row[j] * t[off+j*stride])
 				}
 				out[off+i*stride] = acc
 			}
@@ -213,7 +215,7 @@ func (b *Basis) refProjectBox(f Func, n int, l []int) []float64 {
 	}
 	s := vals
 	for m := 0; m < d; m++ {
-		s = b.contract(s, rows(b.phiW, k), m)
+		s = b.contract(s, rows(b.phiW.m, k), m)
 	}
 	vol := math.Exp2(-float64(n) * float64(d) / 2)
 	for i := range s {
@@ -230,7 +232,7 @@ func (b *Basis) refFilter(children [][]float64) []float64 {
 		}
 		t := sc
 		for m := 0; m < b.D; m++ {
-			t = b.contract(t, rows(b.h[childBit(c, b.D-1-m)], b.K), m)
+			t = b.contract(t, rows(b.h[childBit(c, b.D-1-m)].m, b.K), m)
 		}
 		for i := range out {
 			out[i] += t[i]
@@ -242,7 +244,7 @@ func (b *Basis) refFilter(children [][]float64) []float64 {
 func (b *Basis) refProlong(sp []float64, c int) []float64 {
 	t := sp
 	for m := 0; m < b.D; m++ {
-		t = b.contractT(t, rows(b.h[childBit(c, b.D-1-m)], b.K), m)
+		t = b.contractT(t, rows(b.h[childBit(c, b.D-1-m)].m, b.K), m)
 	}
 	return t
 }
@@ -282,18 +284,18 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 func testFunc(x []float64) float64 {
 	v := 0.3
 	for m, xm := range x {
-		v += math.Sin(float64(7*m+3)*xm+0.1) - 0.2*xm*xm
+		v += math.Sin(float64(float64(7*m+3)*xm)+0.1) - float64(0.2*xm*xm)
 	}
 	return v
 }
 
 // TestKernelsBitIdentical pins the property the gain rests on: the
-// unit-stride kernel and everything built on it return exactly the bits
-// the allocating reference does. k covers both remainder loops (k mod 4 in
-// {0,1,2,3}) and k below the blocking factor; d covers the stride-1 arm
-// alone (d=1) and with one and two strided modes.
+// contraction and everything built on it return exactly the bits the
+// allocating reference does. k covers Mul's leftover rows (k mod 4 in
+// {0,1,2,3}) and edge columns, k below its 4×8 block, and Fig. 13's k = 6;
+// d covers the last mode alone (d=1) and with one and two strided modes.
 func TestKernelsBitIdentical(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 5, 8, 10} {
+	for _, k := range []int{1, 2, 3, 5, 6, 8, 10} {
 		for d := 1; d <= 3; d++ {
 			b := NewBasis(k, d)
 			nc := b.Children()
@@ -347,6 +349,72 @@ func TestKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// namedMats lists every matrix a contraction takes.
+func (b *Basis) namedMats() map[string]mat {
+	return map[string]mat{"phiW": b.phiW, "h[0]": b.h[0], "h[1]": b.h[1], "hT[0]": b.hT[0], "hT[1]": b.hT[1]}
+}
+
+// TestKernelsBitIdenticalSpecialValues contracts tensors sprinkled with
+// ±0, ±Inf, NaN, subnormals and all-zero runs, along every mode and with
+// every matrix, at mra_stream's k, against the reference. Real input has
+// the zero runs: exp(−600·r²) underflows to 0 for r² ≳ 1.18. The NaN is
+// the one x86 makes of Inf − Inf, so that no two NaN payloads meet in a
+// sum, where the survivor would be the compiler's choice (lapack.Mul).
+func TestKernelsBitIdenticalSpecialValues(t *testing.T) {
+	nan := math.Float64frombits(0xfff8000000000000)
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), nan, 5e-324, -2.5e-310}
+	rng := rand.New(rand.NewSource(1))
+	const k = 8
+	for d := 1; d <= 3; d++ {
+		b := NewBasis(k, d)
+		for rep := 0; rep < 20; rep++ {
+			tn := make([]float64, b.Coeffs())
+			for i := range tn {
+				tn[i] = rng.NormFloat64()
+				if rng.Intn(6) == 0 {
+					tn[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			for range 2 {
+				n := 1 + rng.Intn(min(len(tn), k*k))
+				clear(tn[rng.Intn(len(tn)-n+1):][:n])
+			}
+			for name, M := range b.namedMats() {
+				for m := 0; m < d; m++ {
+					out := make([]float64, len(tn))
+					b.contractInto(out, tn, M, m)
+					sameBits(t, fmt.Sprintf("d=%d rep %d: %s along mode %d", d, rep, name, m), out, b.contract(tn, rows(M.m, k), m))
+				}
+			}
+		}
+	}
+}
+
+// TestBasisMatricesFinite: every matrix entry is finite, and each mat's
+// second block is exactly the first's transpose. A finite M is why the
+// operand order inside a product cannot pick a NaN payload: the strided
+// modes broadcast M, the last mode broadcasts the tensor.
+func TestBasisMatricesFinite(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 5, 6, 8, 10} {
+		for d := 1; d <= 3; d++ {
+			b := NewBasis(k, d)
+			for name, M := range b.namedMats() {
+				for i := 0; i < k; i++ {
+					for j := 0; j < k; j++ {
+						v := M.m[i*k+j]
+						if math.IsInf(v, 0) || math.IsNaN(v) {
+							t.Fatalf("k=%d d=%d: %s[%d][%d] = %v", k, d, name, i, j, v)
+						}
+						if math.Float64bits(M.t[j*k+i]) != math.Float64bits(v) {
+							t.Fatalf("k=%d d=%d: %s's transpose differs at [%d][%d]", k, d, name, j, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestContractionStridesAllModes(t *testing.T) {
 	// Contracting with the identity leaves the tensor unchanged on every
 	// mode in 3-D, in the reference and in the kernel.
@@ -358,7 +426,7 @@ func TestContractionStridesAllModes(t *testing.T) {
 	}
 	for m := 0; m < 3; m++ {
 		out := make([]float64, len(tn))
-		b.contractInto(out, tn, id, m)
+		b.contractInto(out, tn, mat{id, id}, m)
 		sameBits(t, "kernel identity contraction", out, tn)
 		sameBits(t, "reference identity contraction", b.contract(tn, rows(id, 3), m), tn)
 	}

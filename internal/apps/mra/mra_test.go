@@ -276,7 +276,7 @@ func TestTreeMsgWireRoundTrip(t *testing.T) {
 	block := func(seed float64) []float64 {
 		v := make([]float64, 27)
 		for i := range v {
-			v[i] = seed + float64(i)/8
+			v[i] = seed + float64(float64(i)/8)
 		}
 		return v
 	}

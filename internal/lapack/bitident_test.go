@@ -107,13 +107,21 @@ var (
 	zeros    = []float64{0, math.Copysign(0, -1)}
 	noPaths  = []float64{Inf, 2 * Inf, math.Inf(1), 0, math.Copysign(0, -1)}
 	stickyCs = []float64{Inf, math.Inf(1), math.NaN(), 0, math.Copysign(0, -1)}
+	// specials are what an exact product must carry through: zeros of
+	// both signs (a run of them sums to +0 from +0.0), infinities (0·Inf is
+	// NaN), NaN and a subnormal. The NaN is defaultNaN: where two NaNs meet
+	// in Mul's sum, which payload survives is the compiler's choice in the
+	// Go loop (it commutes that add differently under -race), so every NaN
+	// the product sees is the one x86 makes of 0·Inf and Inf − Inf.
+	specials   = []float64{0, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), defaultNaN, 5e-324}
+	defaultNaN = math.Float64frombits(0xfff8000000000000)
 )
 
 // distances fills a min-plus operand with path lengths; c operands also
 // get NaN, which `v < c` and VMINPD must both leave in place.
 func distances(o operand, rng *rand.Rand, s kshape, special []float64) {
 	for i := range o.t.Data {
-		v := rng.Float64()*20 - 2
+		v := float64(rng.Float64()*20) - 2
 		if s.sprinkle && rng.Intn(3) == 0 {
 			v = special[rng.Intn(len(special))]
 		}
@@ -160,13 +168,23 @@ var kernelCases = []kernelCase{
 		}
 		return []operand{c, a, b}
 	}, func(o []operand) error { GemmNN(o[0].t, o[1].t, o[2].t); return nil }},
+	{"Mul", func(s kshape, rng *rand.Rand) []operand {
+		// C starts full of values, which a kernel that added into C instead
+		// of overwriting it would keep; A's zeros meet B's Infs and NaNs,
+		// which a zero skip would hide.
+		c, a, b := newOperand(s.m, s.n, s.off), newOperand(s.m, s.k, s.off), newOperand(s.k, s.n, s.off)
+		fill(c, rng, s, nil)
+		fill(a, rng, s, specials)
+		fill(b, rng, s, specials)
+		return []operand{c, a, b}
+	}, func(o []operand) error { Mul(o[0].t, o[1].t, o[2].t); return nil }},
 	{"Potrf", func(s kshape, rng *rand.Rand) []operand {
 		// Diagonally dominant, hence positive definite — unless sprinkled,
 		// when one pivot is spoiled so that the error return and the
 		// half-factored tile it leaves are compared too.
 		a := newOperand(s.m, s.m, s.off)
 		for i := range a.t.Data {
-			a.t.Data[i] = rng.Float64() - 0.5
+			a.t.Data[i] = float64(rng.Float64()) - 0.5
 		}
 		for i := 0; i < s.m; i++ {
 			a.t.Data[i*s.m+i] += float64(s.m)
@@ -182,7 +200,7 @@ var kernelCases = []kernelCase{
 		fill(b, rng, s, zeros)
 		fill(l, rng, s, zeros)
 		for i := 0; i < s.n; i++ {
-			l.t.Data[i*s.n+i] = 1 + rng.Float64()
+			l.t.Data[i*s.n+i] = 1 + float64(rng.Float64())
 		}
 		if s.sprinkle && s.n > 0 {
 			// Inf and NaN in B and in the part of L the solve reads, and
@@ -253,8 +271,10 @@ func checkBitIdentical(t *testing.T, s kshape, seed int64) {
 		}
 		for i := range got {
 			if at, ok := sameBits(got[i], want[i]); !ok {
-				t.Fatalf("%s %+v seed %d: operand %d differs from the reference at element %d of %dx%d (negative or past the end: a guard word)",
-					kc.name, s, seed, i, at, got[i].t.Rows, got[i].t.Cols)
+				lo := len(got[i].backing) - guardLen - len(got[i].t.Data)
+				t.Fatalf("%s %+v seed %d: operand %d differs from the reference at element %d of %dx%d (negative or past the end: a guard word): %#x, reference %#x",
+					kc.name, s, seed, i, at, got[i].t.Rows, got[i].t.Cols,
+					math.Float64bits(got[i].backing[lo+at]), math.Float64bits(want[i].backing[lo+at]))
 			}
 		}
 	}
@@ -304,6 +324,18 @@ func corpus() []kshape {
 	for n := 1; n <= 3; n++ {
 		cs = append(cs, kshape{m: 6, n: n, k: 11, off: n, sprinkle: true})
 	}
+	// MRA's contractions of a k^3 tensor: a strided mode's k×k² and k×k
+	// blocks, and the last mode's k²×k rows. k = 8 is mra_stream's, whose
+	// blocks Mul's micro-kernel takes whole; k = 6 (Fig. 13) and k = 10
+	// leave it leftover rows and edge columns, and at k = 6 the last mode
+	// has no whole 8-column block at all.
+	for _, k := range []int{6, 8, 10} {
+		for i, s := range []kshape{{m: k, n: k * k, k: k}, {m: k, n: k, k: k}, {m: k * k, n: k, k: k}} {
+			sp := s
+			sp.off, sp.sprinkle = i+1, true
+			cs = append(cs, s, sp)
+		}
+	}
 	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
 	for i := 0; i+2 < len(p); i += 2 {
 		cs = append(cs, kshape{m: p[i], n: p[i+1], k: p[i+2], off: i % 4, sprinkle: true})
@@ -334,7 +366,8 @@ func FuzzKernelsBitIdentical(f *testing.F) {
 
 // TestKernelsDoNotAllocate pins the reused scratch: once warm, the
 // kernels that pack operands on the AVX2 path (on the reference path
-// nothing is packed) allocate nothing.
+// nothing is packed) allocate nothing. Mul packs nothing and must keep it
+// so: MRA calls it on operands built on the caller's stack.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := func(rows, cols int) *tile.Tile {
@@ -365,6 +398,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"Trsm 128x128", trsm(128)},
 		{"Trsm 16x16", trsm(16)},
 		{fmt.Sprintf("GemmNN %dx%dx%d", m, n, k), func() { GemmNN(c, a, b) }},
+		{fmt.Sprintf("Mul %dx%dx%d", m, n, k), func() { Mul(c, a, b) }},
 	} {
 		tc.run()
 		if got := testing.AllocsPerRun(20, tc.run); got != 0 {
@@ -373,14 +407,14 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestKernelsShareNoScratch runs the kernels that borrow scratch from
-// four goroutines at once: a buffer lent to two calls at a time would mix
-// their rows.
+// TestKernelsShareNoScratch runs the kernels that borrow scratch, and
+// Mul, which has none to share, from four goroutines at once: a buffer
+// lent to two calls at a time would mix their rows.
 func TestKernelsShareNoScratch(t *testing.T) {
 	s := kshape{m: 47, n: 21, k: 9, off: 1}
 	var wg sync.WaitGroup
 	for _, kc := range kernelCases {
-		if kc.name != "Trsm" && kc.name != "GemmNN" {
+		if kc.name != "Trsm" && kc.name != "GemmNN" && kc.name != "Mul" {
 			continue
 		}
 		in := kc.build(s, rand.New(rand.NewSource(1)))
@@ -421,6 +455,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 	}
 	gemmNT := func(ts []*tile.Tile) { GemmNT(ts[0], ts[1], ts[2]) }
 	gemmNN := func(ts []*tile.Tile) { GemmNN(ts[0], ts[1], ts[2]) }
+	mul := func(ts []*tile.Tile) { Mul(ts[0], ts[1], ts[2]) }
 	fwD := func(ts []*tile.Tile) { FWKernelD(ts[0], ts[1], ts[2]) }
 	syrk := func(ts []*tile.Tile) { Syrk(ts[0], ts[1]) }
 	trsm := func(ts []*tile.Tile) { Trsm(ts[1], ts[0]) }
@@ -446,6 +481,9 @@ func TestShapeMismatchPanics(t *testing.T) {
 		{"GemmNN", "b.Cols != c.Cols", []*tile.Tile{n(8, 8), n(8, 8), n(8, 4)}, gemmNN},
 		{"GemmNN", "a.Rows != c.Rows", []*tile.Tile{n(8, 8), n(4, 8), n(8, 8)}, gemmNN},
 		{"GemmNN", "short c", []*tile.Tile{short(8, 8), n(8, 8), n(8, 8)}, gemmNN},
+		{"Mul", "b.Rows != a.Cols", []*tile.Tile{n(8, 8), n(8, 8), n(4, 8)}, mul},
+		{"Mul", "a.Rows != c.Rows", []*tile.Tile{n(8, 8), n(4, 8), n(8, 8)}, mul},
+		{"Mul", "short b", []*tile.Tile{n(8, 8), n(8, 8), short(8, 8)}, mul},
 		{"Potrf", "not square", []*tile.Tile{n(8, 4)}, potrf},
 		{"Potrf", "short", []*tile.Tile{short(8, 8)}, potrf},
 		{"Trsm", "l not square", []*tile.Tile{n(8, 8), n(8, 4)}, trsm},

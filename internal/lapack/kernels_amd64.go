@@ -21,6 +21,9 @@ func minPlusAVX2(c, b *float64, s float64, n int)
 //go:noescape
 func trsmPanelAVX2(p, l *float64, n int)
 
+//go:noescape
+func mulAVX2(c, a, b *float64, m4, k, n int)
+
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers across context switches.
 func detectAVX2() bool {

@@ -408,6 +408,96 @@ trsmdiv:
 	VZEROUPPER
 	RET
 
+// func mulAVX2(c, a, b *float64, m4, k, n int)
+//
+// Mul's whole 4×8 blocks, rows i < m4 (a multiple of 4) and columns
+// j < n&^7, with a, b and c row-major (strides k, n and n):
+//	c[i*n+j] = 0 + a[i*k]*b[j] + a[i*k+1]*b[n+j] + … + a[i*k+k-1]*b[(k-1)*n+j]
+// A block's 32 sums stay in Y0..Y7 while p runs, row r of the quad in
+// Y(2r) (columns j..j+3) and Y(2r+1) (j+4..j+7), so each lane is one
+// element's chain. Every term is added, zeros included. The product keeps
+// the reference's operand order, a[i][p] first. Requires m4 >= 4, k >= 1,
+// n >= 8.
+TEXT ·mulAVX2(SB), $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ m4+24(FP), R8
+	MOVQ n+40(FP), R10
+	MOVQ R10, R11
+	SHLQ $3, R11           // row stride of b and c in bytes
+	ANDQ $-8, R10
+	SHLQ $3, R10           // bytes of a row the blocks cover
+	MOVQ k+32(FP), R12
+	SHLQ $3, R12           // row stride of a in bytes
+	LEAQ (R12)(R12*2), R13 // three rows of a
+	SHRQ $2, R8            // row quads
+
+mulquad:
+	XORQ R9, R9            // byte offset of the block in its rows
+mulblock:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ SI, AX            // a[i][p]: rows at AX + {0, R12, 2*R12, R13}
+	LEAQ (DX)(R9*1), BX    // row p of b, this block's columns
+	MOVQ k+32(FP), CX
+
+	PCALIGN $32
+mulp:
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	VBROADCASTSD (AX), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y0, Y0
+	VMULPD Y9, Y10, Y12
+	VADDPD Y12, Y1, Y1
+	VBROADCASTSD (AX)(R12*1), Y10
+	VMULPD Y8, Y10, Y13
+	VADDPD Y13, Y2, Y2
+	VMULPD Y9, Y10, Y14
+	VADDPD Y14, Y3, Y3
+	VBROADCASTSD (AX)(R12*2), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y4, Y4
+	VMULPD Y9, Y10, Y12
+	VADDPD Y12, Y5, Y5
+	VBROADCASTSD (AX)(R13*1), Y10
+	VMULPD Y8, Y10, Y13
+	VADDPD Y13, Y6, Y6
+	VMULPD Y9, Y10, Y14
+	VADDPD Y14, Y7, Y7
+	ADDQ $8, AX
+	ADDQ R11, BX
+	DECQ CX
+	JNZ mulp
+
+	LEAQ (DI)(R9*1), BX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, (BX)(R11*1)
+	VMOVUPD Y3, 32(BX)(R11*1)
+	VMOVUPD Y4, (BX)(R11*2)
+	VMOVUPD Y5, 32(BX)(R11*2)
+	ADDQ R11, BX
+	VMOVUPD Y6, (BX)(R11*2)
+	VMOVUPD Y7, 32(BX)(R11*2)
+	ADDQ $64, R9
+	CMPQ R9, R10
+	JLT mulblock
+
+	LEAQ (DI)(R11*4), DI
+	LEAQ (SI)(R12*4), SI
+	DECQ R8
+	JNZ mulquad
+	VZEROUPPER
+	RET
+
 // func minPlusAVX2(c, b *float64, s float64, n int)
 //
 // if v := s + b[j]; v < c[j] { c[j] = v } for j < n; n is a positive

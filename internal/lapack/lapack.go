@@ -1,17 +1,19 @@
 // Package lapack implements the dense kernels the applications need: the
-// Cholesky kernel set (POTRF, TRSM, SYRK, GEMM over tiles, as in Fig. 1)
-// and the min-plus kernels A–D of the tiled Floyd-Warshall algorithm
-// (Fig. 7). It substitutes for the MKL of Table I in real (correctness)
-// runs; virtual-time runs charge the flop counts reported by the *Flops
-// helpers against the machine model instead of executing.
+// Cholesky kernel set (POTRF, TRSM, SYRK, GEMM over tiles, as in Fig. 1),
+// the min-plus kernels A–D of the tiled Floyd-Warshall algorithm (Fig. 7),
+// the block-sparse GemmNN of bspmm and the exact product Mul that MRA's
+// mode contractions run on. It substitutes for the MKL of Table I in real
+// (correctness) runs; virtual-time runs charge the flop counts reported
+// by the *Flops helpers against the machine model instead of executing.
 //
 // The Go loops in this file are the reference: they own the loop order,
 // the edge rows and columns, the unroll tails and the zero / no-path
 // skips, and they are all that runs where useAVX2 is false. On an amd64
 // CPU with AVX2 the inner loops run in the micro-kernels of
 // kernels_amd64.s instead, which produce the same bits (DESIGN.md §18);
-// Potrf, Trsm's rows past its last 16-row panel and the column edges of
-// GemmNT, Syrk and the min-plus kernels stay in Go.
+// Potrf, Trsm's rows past its last 16-row panel, Mul's m%4 rows and n%8
+// columns and the column edges of GemmNT, Syrk and the min-plus kernels
+// stay in Go.
 // Every product is written float64(x*y): the explicit conversion forbids
 // the compiler to fuse it into the add that follows (GOAMD64=v3, arm64),
 // so the reference rounds twice everywhere, as the micro-kernels do.
@@ -360,6 +362,47 @@ func gemmNNAVX2(c, a, b *tile.Tile) {
 			copy(row, ci)
 			axpyPanelAVX2(&row[0], ai, &edge[0], k, 4)
 			copy(ci, row)
+		}
+	}
+}
+
+// Mul overwrites C with A·B. Each element is the sum, from +0.0 and in
+// ascending p, of float64(a[i][p]·b[p][j]), and no term is skipped: unlike
+// GemmNN, which adds into C and skips zero entries of A, a zero of A still
+// turns an Inf of B into NaN, and a sum of −0 terms is +0. MRA's mode
+// contractions are this product (their refinement test compares these
+// exact sums). On the AVX2 path mulAVX2 takes the whole 4×8 blocks; the
+// m%4 leftover rows and the n%8 edge columns run the Go loop.
+func Mul(c, a, b *tile.Tile) {
+	m, n, k := c.Rows, c.Cols, a.Cols
+	checkShapes("Mul", a.Rows == m && b.Rows == k && b.Cols == n, c, a, b)
+	m4, n8 := 0, 0
+	if useAVX2 && k > 0 && m >= 4 && n >= 8 {
+		m4, n8 = m&^3, n&^7
+		mulAVX2(&c.Data[0], &a.Data[0], &b.Data[0], m4, k, n)
+	}
+	if n8 < n {
+		mulRows(c.Data, a.Data, b.Data, k, n, 0, m4, n8)
+	}
+	mulRows(c.Data, a.Data, b.Data, k, n, m4, m, 0)
+}
+
+// mulRows is Mul's reference loop on rows i0 ≤ i < i1 from column j0 on:
+// one running sum per element, stored once. mulAVX2 orders its operands
+// as a plain build of this loop does, a[i][p] first in the product and
+// the sum first in the add. That matters only where two NaNs of different
+// payloads meet, x86 keeping the first one's, and Go lets the compiler
+// commute either operation (a -race build does): there the payload of
+// the result is unspecified, and every other bit is Mul's contract.
+func mulRows(c, a, b []float64, k, n, i0, i1, j0 int) {
+	for i := i0; i < i1; i++ {
+		ai := a[i*k : (i+1)*k]
+		for j := j0; j < n; j++ {
+			s := 0.0
+			for p, av := range ai {
+				s += float64(av * b[p*n+j])
+			}
+			c[i*n+j] = s
 		}
 	}
 }

@@ -15,14 +15,14 @@ import (
 func randSPD(n int, rng *rand.Rand) *tile.Tile {
 	b := tile.New(n, n)
 	for i := range b.Data {
-		b.Data[i] = rng.Float64() - 0.5
+		b.Data[i] = float64(rng.Float64()) - 0.5
 	}
 	a := tile.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for k := 0; k < n; k++ {
-				s += b.At(i, k) * b.At(j, k)
+				s += float64(b.At(i, k) * b.At(j, k))
 			}
 			a.Set(i, j, s)
 		}
@@ -38,7 +38,7 @@ func reconstructLLT(l *tile.Tile) *tile.Tile {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for k := 0; k <= min(i, j); k++ {
-				s += l.At(i, k) * l.At(j, k)
+				s += float64(l.At(i, k) * l.At(j, k))
 			}
 			c.Set(i, j, s)
 		}
@@ -85,7 +85,7 @@ func TestTrsmSolves(t *testing.T) {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for k := 0; k <= j; k++ {
-				s += x.At(i, k) * l.At(j, k)
+				s += float64(x.At(i, k) * l.At(j, k))
 			}
 			b.Set(i, j, s)
 		}
@@ -155,7 +155,7 @@ func randDist(n int, rng *rand.Rand) [][]float64 {
 			case i == j:
 				d[i][j] = 0
 			case rng.Float64() < 0.4:
-				d[i][j] = 1 + rng.Float64()*9
+				d[i][j] = 1 + float64(rng.Float64()*9)
 			default:
 				d[i][j] = Inf
 			}
@@ -392,6 +392,23 @@ func BenchmarkGemmNN(b *testing.B) {
 	}
 }
 
+// BenchmarkMul times Mul on the three shapes of an mra_stream contraction
+// (k = 8, d = 3): mode 0's 8×64 block, mode 1's 8×8 blocks and the last
+// mode's 64 rows against Mᵀ.
+func BenchmarkMul(b *testing.B) {
+	for _, s := range [][3]int{{8, 64, 8}, {8, 8, 8}, {64, 8, 8}} {
+		m, n, k := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			c, a, bb := randTile(m, n, rng), randTile(m, k, rng), randTile(k, n, rng)
+			for range b.N {
+				Mul(c, a, bb)
+			}
+			b.ReportMetric(GemmFlops(m, n, k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+		})
+	}
+}
+
 func TestBlockedKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Shapes chosen to hit the unroll tails (n % 4 ∈ {0,1,2,3}).
@@ -419,6 +436,20 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 		naiveGemmNN(c4, a, bnn)
 		if !c3.Equal(c4, 0) {
 			t.Fatalf("GemmNN mismatch at %v (must be bitwise: same order)", s)
+		}
+		// Mul: the same A, zeros and all, and one chain per element, from
+		// +0.0 and in p order, with nothing skipped.
+		Mul(c3, a, bnn)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				sum := 0.0
+				for p := 0; p < k; p++ {
+					sum += float64(a.At(i, p) * bnn.At(p, j))
+				}
+				if c3.At(i, j) != sum {
+					t.Fatalf("Mul mismatch at %v, element (%d,%d) (must be bitwise: same order)", s, i, j)
+				}
+			}
 		}
 	}
 	for _, n := range []int{1, 4, 7, 16, 33} {

@@ -40,14 +40,22 @@ func (e *Endpoint) readLoop(pr *peer) {
 }
 
 // readFrame reads the remainder of one frame (head[:4] already holds the
-// length field) and dispatches it.
+// length field) and dispatches it. Every count in the frame is checked
+// against the length field before anything is allocated for it, so a
+// frame costs no more memory than it says it carries.
 func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 	if _, err := io.ReadFull(br, head[4:frameHeadLen]); err != nil {
 		return err
 	}
+	rest := int(binary.LittleEndian.Uint32(head[:4]))
 	kind := head[4]
 	dataLen := int(binary.LittleEndian.Uint32(head[5:9]))
 	nsegs := int(binary.LittleEndian.Uint32(head[9:13]))
+	// left counts the payload bytes the length field still allows.
+	left := rest - (frameHeadLen - 4) - dataLen - 5*nsegs
+	if left < 0 {
+		return fmt.Errorf("frame of %d bytes cannot hold %d data bytes and %d segments", rest, dataLen, nsegs)
+	}
 
 	var data []byte
 	if dataLen > 0 {
@@ -66,6 +74,13 @@ func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 		for i := range segs {
 			typ := dir[5*i]
 			elems := int(binary.LittleEndian.Uint32(dir[5*i+1:]))
+			size := elems
+			if typ == segF64 {
+				size *= 8
+			}
+			if left -= size; left < 0 {
+				return fmt.Errorf("frame of %d bytes cannot hold segment %d of %d bytes", rest, i, size)
+			}
 			switch typ {
 			case segF64:
 				f := pool.Float64s(elems)
