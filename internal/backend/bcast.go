@@ -91,7 +91,8 @@ type bcastKey struct {
 type bcastState struct {
 	kids    []int // this rank's tree children
 	mine    core.Delivery
-	buf     []byte // payload reassembly target; aliases the packet when nchunks == 1
+	buf     []byte // the pieces so far; aliases the packet when nchunks == 1
+	total   int
 	chunk   int
 	nchunks int
 	got     int
@@ -103,13 +104,16 @@ type bcastState struct {
 // the pipeline. Chunk 0 (per-link FIFO: always first) sets the state up
 // from the plan it carries; the last chunk completes the value and injects
 // this rank's delivery (every non-root participant is a destination).
+// The pieces arrive in order, so the value is reassembled by appending
+// them: what it allocates is what has arrived, never the total chunk 0
+// claims.
 func (p *Proc) handleBcastChunk(data []byte) {
-	key, idx, total, st, piece := p.readBcastChunk(data)
+	key, idx, st, piece := p.readBcastChunk(data)
 	if idx == 0 {
 		p.tr.BcastsForwarded.Add(int64(len(st.kids)))
 		if p.rec != nil {
 			for range st.kids {
-				p.rec.Record(obs.Event{Kind: obs.EvBcastForward, Worker: -1, TT: -1, Bytes: int64(total)})
+				p.rec.Record(obs.Event{Kind: obs.EvBcastForward, Worker: -1, TT: -1, Bytes: int64(st.total)})
 			}
 		}
 		if st.nchunks > 1 {
@@ -125,7 +129,7 @@ func (p *Proc) handleBcastChunk(data []byte) {
 	if st.nchunks == 1 {
 		st.buf = piece
 	} else {
-		copy(st.buf[idx*st.chunk:], piece)
+		st.buf = append(st.buf, piece...)
 	}
 	if st.got++; st.got < st.nchunks {
 		return
@@ -139,12 +143,14 @@ func (p *Proc) handleBcastChunk(data []byte) {
 
 // readBcastChunk decodes one kBcastChunk packet: the broadcast's key, the
 // chunk index and piece, and its state — new from the plan and geometry
-// chunk 0 carries (total is then the payload length), or the one chunk 0
-// left behind. Every count, index and piece length is the sender's claim
-// and is checked before it sizes an allocation or a copy; whichever check
-// refuses one, the panic names the packet and the broadcast. total itself
-// is not bounded: only a protocol maximum could (ROADMAP item 7).
-func (p *Proc) readBcastChunk(data []byte) (key bcastKey, idx, total int, st *bcastState, piece []byte) {
+// chunk 0 carries, or the one chunk 0 left behind. Every count, index and
+// piece length is the sender's claim and is checked before it sizes an
+// allocation or a copy; whichever check refuses one, the panic names the
+// packet and the broadcast. The claimed total sizes nothing: the chunks of
+// a broadcast cross one link after another in order, so a chunk must be
+// the next one, every piece but the last must fill a chunk, and the last
+// must end the payload at total.
+func (p *Proc) readBcastChunk(data []byte) (key bcastKey, idx int, st *bcastState, piece []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			panic(fmt.Sprintf("backend: malformed kBcastChunk packet (root %d, broadcast %d): %v", key.root, key.bid, r))
@@ -165,23 +171,22 @@ func (p *Proc) readBcastChunk(data []byte) (key bcastKey, idx, total int, st *bc
 				st.mine = d
 			}
 		}
-		total, st.chunk = int(b.Uvarint()), int(b.Uvarint())
-		if total < 0 || st.chunk < 1 {
-			panic(fmt.Sprintf("payload of %d bytes in chunks of %d", total, st.chunk))
+		st.total, st.chunk = int(b.Uvarint()), int(b.Uvarint())
+		if st.total < 1 || st.chunk < 1 {
+			panic(fmt.Sprintf("payload of %d bytes in chunks of %d", st.total, st.chunk))
 		}
-		st.nchunks = total/st.chunk + min(total%st.chunk, 1)
+		st.nchunks = st.total/st.chunk + min(st.total%st.chunk, 1)
 		st.kids = collective.Fanout(order, p.rank)
-		if st.nchunks > 1 {
-			st.buf = make([]byte, total)
-		}
 	} else if st = p.bcasts[key]; st == nil {
 		panic(fmt.Sprintf("chunk %d arrived before chunk 0", idx))
-	} else if idx < 0 || idx >= st.nchunks {
-		panic(fmt.Sprintf("chunk %d of %d", idx, st.nchunks))
+	} else if idx != st.got {
+		panic(fmt.Sprintf("chunk %d arrived where chunk %d of %d was due", idx, st.got, st.nchunks))
 	}
 	piece = b.RawOut(b.Count(1))
-	if len(piece) > st.chunk {
-		panic(fmt.Sprintf("chunk %d holds %d bytes, more than the chunk size %d", idx, len(piece), st.chunk))
+	if last := idx == st.nchunks-1; len(piece) > st.chunk || !last && len(piece) < st.chunk {
+		panic(fmt.Sprintf("chunk %d of %d holds %d bytes in chunks of %d", idx, st.nchunks, len(piece), st.chunk))
+	} else if last && idx*st.chunk+len(piece) != st.total {
+		panic(fmt.Sprintf("chunk %d ends the payload at %d bytes, not %d", idx, idx*st.chunk+len(piece), st.total))
 	}
-	return key, idx, total, st, piece
+	return key, idx, st, piece
 }

@@ -426,6 +426,21 @@ func TestBcastChunkChecksWireLengths(t *testing.T) {
 		{"piece longer than a chunk",
 			func(bid uint64) []byte { return chunk0(bid, 1, 0, 4, 2) },
 			func(bid uint64) []byte { return later(bid, 1, []byte{3, 4, 5}) }},
+		{"empty payload", nil,
+			func(bid uint64) []byte { return chunk0(bid, 1, 0, 0, 2) }},
+		{"chunk 0 short of its chunk", nil,
+			func(bid uint64) []byte { return chunk0(bid, 1, 0, 6, 3) }},
+		{"chunk 0 alone short of the payload", nil,
+			func(bid uint64) []byte { return chunk0(bid, 1, 0, 3, 4) }},
+		{"chunk out of order",
+			func(bid uint64) []byte { return chunk0(bid, 1, 0, 6, 2) },
+			func(bid uint64) []byte { return later(bid, 2, []byte{5, 6}) }},
+		{"middle chunk short",
+			func(bid uint64) []byte { return chunk0(bid, 1, 0, 6, 2) },
+			func(bid uint64) []byte { return later(bid, 1, []byte{3}) }},
+		{"last chunk short of the payload",
+			func(bid uint64) []byte { return chunk0(bid, 1, 0, 4, 2) },
+			func(bid uint64) []byte { return later(bid, 1, []byte{3}) }},
 	} {
 		bid := uint64(100 + i)
 		if bad.setup != nil {

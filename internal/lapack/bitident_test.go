@@ -156,15 +156,8 @@ var kernelCases = []kernelCase{
 		fill(c, rng, s, nil)
 		fill(a, rng, s, zeros)
 		fill(b, rng, s, zeros)
-		if s.sprinkle && len(a.t.Data) > 0 && s.n > 0 {
-			// An Inf in an edge column of B (the last column when there is
-			// no edge) facing a zero of A: taking the skipped update
-			// would write 0·Inf = NaN into that row of C.
-			i, p, j := rng.Intn(s.m), rng.Intn(s.k), s.n-1-rng.Intn(max(s.n%4, 1))
-			a.t.Data[i*s.k+p] = zeros[rng.Intn(2)]
-			b.t.Data[p*s.n+j] = math.Inf(1 - 2*rng.Intn(2))
-			// NaN == 0 is false: one row of C must turn NaN on both paths.
-			a.t.Data[rng.Intn(len(a.t.Data))] = math.NaN()
+		if s.sprinkle && s.m > 0 && s.n > 0 && s.k > 0 {
+			gemmNNSpecials(c.t, a.t, b.t, rng)
 		}
 		return []operand{c, a, b}
 	}, func(o []operand) error { GemmNN(o[0].t, o[1].t, o[2].t); return nil }},
@@ -249,6 +242,47 @@ var kernelCases = []kernelCase{
 	}, func(o []operand) error { FWKernelD(o[0].t, o[1].t, o[2].t); return nil }},
 }
 
+// gemmNNSpecials plants what GemmNN's zero skip decides on where its
+// micro-kernel treats steps and columns apart: the quad's per-step marks,
+// the whole blocks, the packed edge columns and the padded leftover rows.
+// Every NaN is defaultNaN, so where two meet in a sum it does not matter
+// which one the sum keeps (see specials).
+func gemmNNSpecials(c, a, b *tile.Tile, rng *rand.Rand) {
+	m, n, k := c.Rows, c.Cols, a.Cols
+	zero := func(i, p int) { a.Data[i*k+p] = zeros[rng.Intn(2)] }
+	// NaN == 0 is false: a row with a NaN in A turns NaN on both paths.
+	iz := rng.Intn(m) // the row of A that is all zeros
+	for _, i := range []int{rng.Intn(m), m - 1} {
+		if i != iz {
+			a.Data[i*k+rng.Intn(k)] = defaultNaN
+		}
+	}
+	// Zeros at the first and the last step, and one step at which a whole
+	// quad (or every leftover row) is zero.
+	zero(rng.Intn(m), 0)
+	zero(rng.Intn(m), k-1)
+	q, p := 4*rng.Intn((m+3)/4), rng.Intn(k)
+	for i := q; i < min(q+4, m); i++ {
+		zero(i, p)
+	}
+	// Every step skips the all-zero row, so its row of C keeps its bits,
+	// −0 included: adding a +0 product would make it +0.
+	for p := range k {
+		zero(iz, p)
+	}
+	for j := 0; j < n; j += 2 {
+		c.Data[iz*n+j] = math.Copysign(0, -1)
+	}
+	// ±Inf or NaN in B, in a whole-block column and in an edge column (or
+	// twice in whichever kind there is), each facing a zero of A: taking
+	// the skipped update would write 0·Inf = NaN into that row of C.
+	for _, j := range []int{rng.Intn(max(n&^7, 1)), n - 1 - rng.Intn(max(n%8, 1))} {
+		i, p := rng.Intn(m), rng.Intn(k)
+		zero(i, p)
+		b.Data[p*n+j] = []float64{math.Inf(1), math.Inf(-1), defaultNaN}[rng.Intn(3)]
+	}
+}
+
 // withReference runs f on the Go reference loops alone.
 func withReference(f func()) {
 	defer func(v bool) { useAVX2 = v }(useAVX2)
@@ -324,6 +358,19 @@ func corpus() []kshape {
 	for n := 1; n <= 3; n++ {
 		cs = append(cs, kshape{m: 6, n: n, k: 11, off: n, sprinkle: true})
 	}
+	// GemmNN's 4×8 blocks followed by every kind of leftover: m%4 rows
+	// on a padded quad beside whole quads, n%8 edge columns beside whole
+	// blocks or alone (n < 8), on one and two inner steps.
+	for mr := 1; mr <= 3; mr++ {
+		for nr := 0; nr < 8; nr++ {
+			for k := 1; k <= 2; k++ {
+				cs = append(cs, kshape{m: 4 + mr, n: 8 + nr, k: k, off: nr % 4, sprinkle: true})
+				if nr > 0 {
+					cs = append(cs, kshape{m: 4 + mr, n: nr, k: k, off: mr, sprinkle: true})
+				}
+			}
+		}
+	}
 	// MRA's contractions of a k^3 tensor: a strided mode's k×k² and k×k
 	// blocks, and the last mode's k²×k rows. k = 8 is mra_stream's, whose
 	// blocks Mul's micro-kernel takes whole; k = 6 (Fig. 13) and k = 10
@@ -384,11 +431,12 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		}
 		return func() { Trsm(l, b) }
 	}
-	// GemmNN on bspmm's first panel triple, which has an edge to pack.
+	// GemmNN on bspmm's first panel triple, which has edge columns to
+	// pack and leftover rows to pad.
 	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
 	m, n, k := p[0], p[1], p[2]
-	if n%4 == 0 {
-		t.Fatalf("sparse.DefaultSpec(24) panels %v: n = %d has no edge columns", p[:3], n)
+	if n%8 == 0 || m%4 == 0 {
+		t.Fatalf("sparse.DefaultSpec(24) panels %v: no edge columns or no leftover rows", p[:3])
 	}
 	c, a, b := random(m, n), random(m, k), random(k, n)
 	for _, tc := range []struct {

@@ -10,9 +10,6 @@ func xgetbv0() uint32
 func dotBlocksAVX2(c *float64, ldc int, a, b *float64, k, nblk int)
 
 //go:noescape
-func axpyPanelAVX2(c, a, b *float64, k, n int)
-
-//go:noescape
 func minPlusPanelAVX2(c, a, b *float64, k, n int, skip float64)
 
 //go:noescape
@@ -23,6 +20,9 @@ func trsmPanelAVX2(p, l *float64, n int)
 
 //go:noescape
 func mulAVX2(c, a, b *float64, m4, k, n int)
+
+//go:noescape
+func mulAddAVX2(c, a, b, mark *float64, k, n int)
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers across context switches.

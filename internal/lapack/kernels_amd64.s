@@ -140,11 +140,10 @@ store:
 	VZEROUPPER
 	RET
 
-// The panel kernels keep a chunk of one row of C in Y0..Y7 (LOAD8, STORE8)
+// minPlusPanelAVX2 keeps a chunk of one row of C in Y0..Y7 (LOAD8, STORE8)
 // while the inner index p runs; Y8 holds a[p] broadcast, BX points at row p
-// of b. One step of each, on the vector at byte offset off of the chunk:
-//	AXPY:     acc += a[p]*b[p][..]               (two roundings)
-//	MINPLUS:  acc = min(a[p]+b[p][..], acc)      (acc kept unless strictly greater)
+// of b. MINPLUS is one step on the vector at byte offset off of the chunk:
+//	acc = min(a[p]+b[p][..], acc)      (acc kept unless strictly greater)
 #define LOAD8 \
 	VMOVUPD (DI), Y0 \
 	VMOVUPD 32(DI), Y1 \
@@ -163,109 +162,18 @@ store:
 	VMOVUPD Y5, 160(DI) \
 	VMOVUPD Y6, 192(DI) \
 	VMOVUPD Y7, 224(DI)
-#define AXPY(off, acc, tmp) \
-	VMULPD off(BX), Y8, tmp \
-	VADDPD tmp, acc, acc
 #define MINPLUS(off, acc, tmp) \
 	VADDPD off(BX), Y8, tmp \
 	VMINPD acc, tmp, acc
-
-// func axpyPanelAVX2(c, a, b *float64, k, n int)
-//
-// One row of GemmNN over its whole vectors, columns j < n&^3:
-//	for p < k { if a[p] == 0 { continue }; c[j] += a[p]*b[p*n+j] }
-// GemmNN also runs it with n = 4 on a copy of a row's edge columns
-// against B's edge columns, packed and zero-padded.
-// The columns go in chunks that stay in registers while p
-// runs, which reorders nothing an element can see: each c[j] still takes
-// its updates in p order. Requires k >= 1, n >= 4.
-TEXT ·axpyPanelAVX2(SB), $0-40
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ k+24(FP), R8
-	MOVQ n+32(FP), R9
-	VXORPD X14, X14, X14
-	MOVQ R9, R10
-	SHLQ $3, R10           // row stride of b in bytes
-	SHRQ $2, R9            // whole vectors in a row
-	MOVQ R9, R11
-	SHRQ $3, R11           // eight-vector column chunks
-	ANDQ $7, R9            // single-vector chunks after them
-	TESTQ R11, R11
-	JZ axpysingles
-
-axpychunk8:
-	LOAD8
-	MOVQ SI, AX            // a[p]
-	MOVQ DX, BX            // row p of b, this chunk's columns
-	MOVQ R8, CX
-
-	PCALIGN $32
-axpyp8:
-	VMOVSD (AX), X8
-	VUCOMISD X14, X8
-	JNE axpydo8
-	JPC axpyskip8       // equal and ordered: a zero of either sign
-axpydo8:
-	VBROADCASTSD X8, Y8
-	AXPY(0, Y0, Y9)
-	AXPY(32, Y1, Y10)
-	AXPY(64, Y2, Y11)
-	AXPY(96, Y3, Y12)
-	AXPY(128, Y4, Y13)
-	AXPY(160, Y5, Y9)
-	AXPY(192, Y6, Y10)
-	AXPY(224, Y7, Y11)
-axpyskip8:
-	ADDQ $8, AX
-	ADDQ R10, BX
-	DECQ CX
-	JNZ axpyp8
-	STORE8
-	ADDQ $256, DI
-	ADDQ $256, DX
-	DECQ R11
-	JNZ axpychunk8
-
-axpysingles:
-	TESTQ R9, R9
-	JZ axpydone
-axpychunk1:
-	VMOVUPD (DI), Y0
-	MOVQ SI, AX
-	MOVQ DX, BX
-	MOVQ R8, CX
-
-	PCALIGN $32
-axpyp1:
-	VMOVSD (AX), X8
-	VUCOMISD X14, X8
-	JNE axpydo1
-	JPC axpyskip1       // equal and ordered: a zero of either sign
-axpydo1:
-	VBROADCASTSD X8, Y8
-	AXPY(0, Y0, Y9)
-axpyskip1:
-	ADDQ $8, AX
-	ADDQ R10, BX
-	DECQ CX
-	JNZ axpyp1
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-	ADDQ $32, DX
-	DECQ R9
-	JNZ axpychunk1
-axpydone:
-	VZEROUPPER
-	RET
 
 // func minPlusPanelAVX2(c, a, b *float64, k, n int, skip float64)
 //
 // One row of FWKernelD over its whole vectors, columns j < n&^3:
 //	for p < k { if a[p] >= skip { continue }; c[j] = min(c[j], a[p]+b[p*n+j]) }
-// with skip = Inf and min as in minPlusAVX2; chunked like axpyPanelAVX2.
-// Requires k >= 1, n >= 4.
+// with skip = Inf and min as in minPlusAVX2. The columns go in chunks
+// that stay in registers while p runs, which reorders nothing an element
+// can see: each c[j] still takes its updates in p order. Requires k >= 1,
+// n >= 4.
 TEXT ·minPlusPanelAVX2(SB), $0-48
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -408,16 +316,49 @@ trsmdiv:
 	VZEROUPPER
 	RET
 
+// The 4×8 block kernels, mulAVX2 and mulAddAVX2, keep a block of C in
+// Y0..Y7, row r of the quad in Y(2r) (columns j..j+3) and Y(2r+1)
+// (j+4..j+7). LOADBLOCK and STOREBLOCK move it from and to the block at
+// BX, rows R11 bytes apart, and leave BX one row on. BLOCKROW is one step
+// p of one row: with Y8, Y9 holding row p of b's eight columns, it
+// broadcasts a[i][p] from a and adds its two products into lo and hi, the
+// product a[i][p] first and the add the running sum first, as the Go
+// loops write them.
+#define LOADBLOCK \
+	VMOVUPD (BX), Y0 \
+	VMOVUPD 32(BX), Y1 \
+	VMOVUPD (BX)(R11*1), Y2 \
+	VMOVUPD 32(BX)(R11*1), Y3 \
+	VMOVUPD (BX)(R11*2), Y4 \
+	VMOVUPD 32(BX)(R11*2), Y5 \
+	ADDQ R11, BX \
+	VMOVUPD (BX)(R11*2), Y6 \
+	VMOVUPD 32(BX)(R11*2), Y7
+#define STOREBLOCK \
+	VMOVUPD Y0, (BX) \
+	VMOVUPD Y1, 32(BX) \
+	VMOVUPD Y2, (BX)(R11*1) \
+	VMOVUPD Y3, 32(BX)(R11*1) \
+	VMOVUPD Y4, (BX)(R11*2) \
+	VMOVUPD Y5, 32(BX)(R11*2) \
+	ADDQ R11, BX \
+	VMOVUPD Y6, (BX)(R11*2) \
+	VMOVUPD Y7, 32(BX)(R11*2)
+#define BLOCKROW(a, lo, hi, t0, t1) \
+	VBROADCASTSD a, Y10 \
+	VMULPD Y8, Y10, t0 \
+	VADDPD t0, lo, lo \
+	VMULPD Y9, Y10, t1 \
+	VADDPD t1, hi, hi
+
 // func mulAVX2(c, a, b *float64, m4, k, n int)
 //
 // Mul's whole 4×8 blocks, rows i < m4 (a multiple of 4) and columns
 // j < n&^7, with a, b and c row-major (strides k, n and n):
 //	c[i*n+j] = 0 + a[i*k]*b[j] + a[i*k+1]*b[n+j] + … + a[i*k+k-1]*b[(k-1)*n+j]
-// A block's 32 sums stay in Y0..Y7 while p runs, row r of the quad in
-// Y(2r) (columns j..j+3) and Y(2r+1) (j+4..j+7), so each lane is one
-// element's chain. Every term is added, zeros included. The product keeps
-// the reference's operand order, a[i][p] first. Requires m4 >= 4, k >= 1,
-// n >= 8.
+// A block's 32 sums stay in Y0..Y7 while p runs, so each lane is one
+// element's chain. Every term is added, zeros included. Requires m4 >= 4,
+// k >= 1, n >= 8.
 TEXT ·mulAVX2(SB), $0-48
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -452,41 +393,17 @@ mulblock:
 mulp:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
-	VBROADCASTSD (AX), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y0, Y0
-	VMULPD Y9, Y10, Y12
-	VADDPD Y12, Y1, Y1
-	VBROADCASTSD (AX)(R12*1), Y10
-	VMULPD Y8, Y10, Y13
-	VADDPD Y13, Y2, Y2
-	VMULPD Y9, Y10, Y14
-	VADDPD Y14, Y3, Y3
-	VBROADCASTSD (AX)(R12*2), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y4, Y4
-	VMULPD Y9, Y10, Y12
-	VADDPD Y12, Y5, Y5
-	VBROADCASTSD (AX)(R13*1), Y10
-	VMULPD Y8, Y10, Y13
-	VADDPD Y13, Y6, Y6
-	VMULPD Y9, Y10, Y14
-	VADDPD Y14, Y7, Y7
+	BLOCKROW((AX), Y0, Y1, Y11, Y12)
+	BLOCKROW((AX)(R12*1), Y2, Y3, Y13, Y14)
+	BLOCKROW((AX)(R12*2), Y4, Y5, Y11, Y12)
+	BLOCKROW((AX)(R13*1), Y6, Y7, Y13, Y14)
 	ADDQ $8, AX
 	ADDQ R11, BX
 	DECQ CX
 	JNZ mulp
 
 	LEAQ (DI)(R9*1), BX
-	VMOVUPD Y0, (BX)
-	VMOVUPD Y1, 32(BX)
-	VMOVUPD Y2, (BX)(R11*1)
-	VMOVUPD Y3, 32(BX)(R11*1)
-	VMOVUPD Y4, (BX)(R11*2)
-	VMOVUPD Y5, 32(BX)(R11*2)
-	ADDQ R11, BX
-	VMOVUPD Y6, (BX)(R11*2)
-	VMOVUPD Y7, 32(BX)(R11*2)
+	STOREBLOCK
 	ADDQ $64, R9
 	CMPQ R9, R10
 	JLT mulblock
@@ -497,6 +414,84 @@ mulp:
 	JNZ mulquad
 	VZEROUPPER
 	RET
+
+// func mulAddAVX2(c, a, b, mark *float64, k, n int)
+//
+// GemmNN on one quad of rows over its whole 4×8 blocks, columns
+// j < n&^7, with a (four rows, stride k), b and c (stride n) row-major:
+//	for p < k { if a[i][p] == 0 { continue }; c[i*n+j] += a[i][p]*b[p*n+j] }
+// mulAVX2's block, loaded from C instead of zeroed: lane by lane, each
+// element's chain starts from c and adds in ascending p. The zero test is
+// the caller's: the low four bits of mark[p], read as an integer, are the
+// rows r whose a[r][p] == 0 (bit r). An unmarked step, all of them but a
+// few, runs the four rows unchecked; a marked one runs each row whose bit
+// is clear. Requires k >= 1, n >= 8.
+TEXT ·mulAddAVX2(SB), $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ mark+24(FP), R8
+	SUBQ SI, R8            // mark[p] is at (AX)(R8*1) while AX is at a[0][p]
+	MOVQ n+40(FP), R10
+	MOVQ R10, R11
+	SHLQ $3, R11           // row stride of b and c in bytes
+	ANDQ $-8, R10
+	SHLQ $3, R10           // bytes of a row the blocks cover
+	MOVQ k+32(FP), R12
+	SHLQ $3, R12           // row stride of a in bytes
+	LEAQ (R12)(R12*2), R13 // three rows of a
+	XORQ R9, R9            // byte offset of the block in its rows
+
+muladdblock:
+	LEAQ (DI)(R9*1), BX
+	LOADBLOCK
+	MOVQ SI, AX            // a[i][p]: rows at AX + {0, R12, 2*R12, R13}
+	LEAQ (DX)(R9*1), BX    // row p of b, this block's columns
+	MOVQ k+32(FP), CX
+
+	PCALIGN $32
+muladdp:
+	CMPQ (AX)(R8*1), $0
+	JNE muladdmarked
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	BLOCKROW((AX), Y0, Y1, Y11, Y12)
+	BLOCKROW((AX)(R12*1), Y2, Y3, Y13, Y14)
+	BLOCKROW((AX)(R12*2), Y4, Y5, Y11, Y12)
+	BLOCKROW((AX)(R13*1), Y6, Y7, Y13, Y14)
+muladdnext:
+	ADDQ $8, AX
+	ADDQ R11, BX
+	DECQ CX
+	JNZ muladdp
+
+	LEAQ (DI)(R9*1), BX
+	STOREBLOCK
+	ADDQ $64, R9
+	CMPQ R9, R10
+	JLT muladdblock
+	VZEROUPPER
+	RET
+
+muladdmarked:
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	TESTB $1, (AX)(R8*1)
+	JNZ muladdrow1
+	BLOCKROW((AX), Y0, Y1, Y11, Y12)
+muladdrow1:
+	TESTB $2, (AX)(R8*1)
+	JNZ muladdrow2
+	BLOCKROW((AX)(R12*1), Y2, Y3, Y13, Y14)
+muladdrow2:
+	TESTB $4, (AX)(R8*1)
+	JNZ muladdrow3
+	BLOCKROW((AX)(R12*2), Y4, Y5, Y11, Y12)
+muladdrow3:
+	TESTB $8, (AX)(R8*1)
+	JNZ muladdnext
+	BLOCKROW((AX)(R13*1), Y6, Y7, Y13, Y14)
+	JMP muladdnext
 
 // func minPlusAVX2(c, b *float64, s float64, n int)
 //

@@ -10,10 +10,11 @@
 // the edge rows and columns, the unroll tails and the zero / no-path
 // skips, and they are all that runs where useAVX2 is false. On an amd64
 // CPU with AVX2 the inner loops run in the micro-kernels of
-// kernels_amd64.s instead, which produce the same bits (DESIGN.md §18);
-// Potrf, Trsm's rows past its last 16-row panel, Mul's m%4 rows and n%8
-// columns and the column edges of GemmNT, Syrk and the min-plus kernels
-// stay in Go.
+// kernels_amd64.s instead, which produce the same bits (DESIGN.md §18).
+// GemmNN runs whole on its 4×8 block kernel, its m%4 rows and n%8 columns
+// on zero-padded copies; Potrf, Trsm's rows past its last 16-row panel,
+// Mul's m%4 rows and n%8 columns and the column edges of GemmNT, Syrk and
+// the min-plus kernels stay in Go.
 // Every product is written float64(x*y): the explicit conversion forbids
 // the compiler to fuse it into the add that follows (GOAMD64=v3, arm64),
 // so the reference rounds twice everywhere, as the micro-kernels do.
@@ -208,7 +209,7 @@ func quad(x []float64, r, n int) (r0, r1, r2, r3 []float64) {
 }
 
 // scratch is the free list of the buffers the AVX2 path packs operands
-// into (Trsm's panels, GemmNN's edge columns). A call borrows one and
+// into (Trsm's panels, GemmNN's zero marks and padded copies). A call borrows one and
 // gives it back before it returns, so once warm the kernels allocate
 // nothing. Eight buffers cover the kernel calls of up to eight workers
 // running at once; a call beyond them allocates, and its buffer is
@@ -317,7 +318,7 @@ func dot4(x, y []float64) float64 {
 func GemmNN(c, a, b *tile.Tile) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	checkShapes("GemmNN", a.Rows == m && b.Rows == k && b.Cols == n, c, a, b)
-	if useAVX2 && k > 0 {
+	if useAVX2 && k > 0 && n > 0 {
 		gemmNNAVX2(c, a, b)
 		return
 	}
@@ -332,38 +333,82 @@ func GemmNN(c, a, b *tile.Tile) {
 	}
 }
 
-// gemmNNAVX2 is GemmNN on axpyPanelAVX2 alone. A row's whole vectors run
-// in place. Its n%4 edge columns run on a 4-wide copy of them, against
-// B's edge columns packed once per call into a k×4 panel whose padding
-// columns are zero. The lanes never mix and the a[p] == 0 skip is one
-// decision for all four, so the real lanes take the reference's products
-// in its order; the padding lanes are computed and dropped.
+// gemmNNAVX2 is GemmNN on mulAddAVX2 alone, one quad of rows at a time.
+// Before a quad runs, its four A rows are scanned once into per-step zero
+// marks, so that the kernel's inner loop tests an integer, not four
+// floats. The kernel takes whole 4×8 blocks; everything else runs it on
+// padded copies. B's n%8 edge columns are packed once per call into a k×8
+// panel whose padding columns are zero, and each quad's edge block of C
+// is copied to a 4×8 buffer and back. The m%4 leftover rows run as a quad
+// on copies of their A and C rows, padded with zero A rows whose C rows
+// are dropped. Lanes never mix, so the real lanes take the reference's
+// products in its order; the padding lanes are computed and dropped.
 func gemmNNAVX2(c, a, b *tile.Tile) {
 	m, n, k := c.Rows, c.Cols, a.Cols
-	n4 := n &^ 3
-	var edge, row []float64
-	if n4 < n {
-		s := borrow(4*k + 4)
-		defer giveBack(s)
-		edge, row = s[:4*k], s[4*k:]
+	// marks k | B's edge panel 8k | C's edge block 32 | padded A 4k | padded C 4n
+	s := borrow(13*k + 4*n + 32)
+	defer giveBack(s)
+	q := quadNN{b: b.Data, k: k, n: n, marks: s[:k], bEdge: s[k : 9*k], cEdge: s[9*k : 9*k+32]}
+	if n8 := n &^ 7; n8 < n {
 		for p := 0; p < k; p++ {
-			q := edge[4*p : 4*p+4]
-			clear(q[copy(q, b.Data[p*n+n4:(p+1)*n]):])
-		}
-		clear(row)
-	}
-	for i := 0; i < m; i++ {
-		ai := &a.Data[i*k]
-		if n4 > 0 {
-			axpyPanelAVX2(&c.Data[i*n], ai, &b.Data[0], k, n)
-		}
-		if n4 < n {
-			ci := c.Data[i*n+n4 : (i+1)*n]
-			copy(row, ci)
-			axpyPanelAVX2(&row[0], ai, &edge[0], k, 4)
-			copy(ci, row)
+			e := q.bEdge[8*p : 8*p+8]
+			clear(e[copy(e, b.Data[p*n+n8:(p+1)*n]):])
 		}
 	}
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		q.run(c.Data[i*n:(i+4)*n], a.Data[i*k:(i+4)*k])
+	}
+	if i < m {
+		aPad, cPad := s[9*k+32:13*k+32], s[13*k+32:]
+		clear(aPad[copy(aPad, a.Data[i*k:]):])
+		clear(cPad[copy(cPad, c.Data[i*n:]):])
+		q.run(cPad, aPad)
+		copy(c.Data[i*n:], cPad)
+	}
+}
+
+// quadNN is what gemmNNAVX2's quads share: B, its packed edge columns,
+// and the buffers for C's edge block and for the zero marks. marks[p]
+// holds, as its bit pattern, the set of rows r whose a[r][p] is zero
+// (bit r), all bits zero when there is none.
+type quadNN struct {
+	b, marks, bEdge, cEdge []float64
+	k, n                   int
+}
+
+// run adds A·B into the four rows of c (stride n) from the four rows of a
+// (stride k).
+func (q *quadNN) run(c, a []float64) {
+	k, n := q.k, q.n
+	a0, a1, a2, a3 := quad(a, 0, k)
+	for p, v := range a0 {
+		q.marks[p] = math.Float64frombits(zeroBit(v, 0) | zeroBit(a1[p], 1) | zeroBit(a2[p], 2) | zeroBit(a3[p], 3))
+	}
+	n8 := n &^ 7
+	if n8 > 0 {
+		mulAddAVX2(&c[0], &a[0], &q.b[0], &q.marks[0], k, n)
+	}
+	if n8 == n {
+		return
+	}
+	for r := 0; r < 4; r++ {
+		e := q.cEdge[8*r : 8*r+8]
+		clear(e[copy(e, c[r*n+n8:(r+1)*n]):])
+	}
+	mulAddAVX2(&q.cEdge[0], &a[0], &q.bEdge[0], &q.marks[0], k, 8)
+	for r := 0; r < 4; r++ {
+		copy(c[r*n+n8:(r+1)*n], q.cEdge[8*r:])
+	}
+}
+
+// zeroBit is bit r when v is a zero of either sign, and no bit otherwise
+// (NaN included), as GemmNN's av == 0 skip decides.
+func zeroBit(v float64, r uint) uint64 {
+	if v == 0 {
+		return 1 << r
+	}
+	return 0
 }
 
 // Mul overwrites C with A·B. Each element is the sum, from +0.0 and in

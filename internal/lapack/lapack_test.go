@@ -375,12 +375,17 @@ func BenchmarkTrsm(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmNN times GemmNN on bspmm's shapes: the consecutive panel
-// triples of sparse.DefaultSpec(24), none of whose n is a multiple of 4.
+// BenchmarkGemmNN times GemmNN on bspmm's shapes, the consecutive panel
+// triples of sparse.DefaultSpec(24), none of whose n is a multiple of 8,
+// and on 224×192×240, which is whole 4×8 blocks only.
 func BenchmarkGemmNN(b *testing.B) {
 	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
+	shapes := [][3]int{{224, 192, 240}}
 	for i := 0; i+2 < len(p); i++ {
-		m, n, k := p[i], p[i+1], p[i+2]
+		shapes = append(shapes, [3]int{p[i], p[i+1], p[i+2]})
+	}
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
 		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			c, a, bb := randTile(m, n, rng), randTile(m, k, rng), randTile(k, n, rng)

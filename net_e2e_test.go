@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/apps/bspmm"
 	"repro/internal/apps/cholesky"
+	"repro/internal/apps/fw"
 	"repro/internal/netfab"
 	"repro/internal/sparse"
 	"repro/internal/tile"
@@ -25,10 +26,10 @@ import (
 // workers bootstrap a TCP mesh, run the application to a fence, and dump
 // their locally owned result tiles; the parent merges the dumps and
 // demands bit-identical float64s against the in-process run of the same
-// problem. Bit-identity holds because both applications fix their
-// accumulation order by dataflow (Cholesky's k-loop, bspmm's ascending-k
-// MultiplyAdd chain), so any divergence means the transport corrupted,
-// duplicated, or dropped a payload.
+// problem. Bit-identity holds because every application here fixes its
+// order of operations by dataflow (Cholesky's and Floyd–Warshall's k
+// loops, bspmm's ascending-k MultiplyAdd chain), so any divergence means
+// the transport corrupted, duplicated, or dropped a payload.
 
 const (
 	netWorkerEnv = "TTG_NET_E2E_WORKER" // app name; presence selects worker mode
@@ -71,6 +72,15 @@ func runNetApp(app string, cfg ttg.Config) map[[2]int]*tile.Tile {
 			a.Seed()
 			g.Fence()
 		})
+	case "fwapsp":
+		grid := tile.Grid{N: 256, NB: 32}
+		ttg.Run(cfg, func(pc *ttg.Process) {
+			g := pc.NewGraph()
+			a := fw.Build(g, fw.Options{Grid: grid, Priorities: true, OnResult: onResult})
+			g.MakeExecutable()
+			a.Seed()
+			g.Fence()
+		})
 	default:
 		panic("unknown app " + app)
 	}
@@ -82,7 +92,7 @@ func runNetApp(app string, cfg ttg.Config) map[[2]int]*tile.Tile {
 func TestNetE2EWorker(t *testing.T) {
 	app := os.Getenv(netWorkerEnv)
 	if app == "" {
-		t.Skip("subprocess helper: driven by TestNetCholesky/TestNetBspmm")
+		t.Skip("subprocess helper: driven by TestNetCholesky/TestNetBspmm/TestNetFW")
 	}
 	rank, _ := strconv.Atoi(os.Getenv(netRankEnv))
 	size, _ := strconv.Atoi(os.Getenv(netSizeEnv))
@@ -214,6 +224,9 @@ func runNetE2E(t *testing.T, app string, ranks int) {
 	}
 
 	ref := runNetApp(app, ttg.Config{Ranks: 2, WorkersPerRank: 2})
+	if len(ref) == 0 {
+		t.Fatal("no result tiles in-process")
+	}
 	if len(merged) != len(ref) {
 		t.Fatalf("%d tiles over the fabric, %d in-process", len(merged), len(ref))
 	}
@@ -235,3 +248,5 @@ func TestNetCholesky2Proc(t *testing.T) { runNetE2E(t, "potrf", 2) }
 func TestNetCholesky4Proc(t *testing.T) { runNetE2E(t, "potrf", 4) }
 func TestNetBspmm2Proc(t *testing.T)    { runNetE2E(t, "bspmm", 2) }
 func TestNetBspmm4Proc(t *testing.T)    { runNetE2E(t, "bspmm", 4) }
+func TestNetFW2Proc(t *testing.T)       { runNetE2E(t, "fwapsp", 2) }
+func TestNetFW4Proc(t *testing.T)       { runNetE2E(t, "fwapsp", 4) }
