@@ -257,14 +257,15 @@ func (a *App) build() {
 	// place (ReadWrite). The runtime shares the read-only fan-out and
 	// materializes writer copies lazily.
 	if !bsp {
+		// Each kernel declares its key box (keybox.go).
 		ttg.MakeTT1(a.g, "POTRF", ttg.Input(a.initPotrf).ReadWrite(),
-			ttg.Out(a.result, a.potrfTrsm), potrfBody, potrfOpts)
+			ttg.Out(a.result, a.potrfTrsm), potrfBody, potrfBox(nt).on(potrfOpts))
 		ttg.MakeTT2(a.g, "TRSM", ttg.ConstInput(a.potrfTrsm), ttg.Input(a.trsmA).ReadWrite(),
-			ttg.Out(a.result, a.trsmSyrk, a.gemmRow, a.gemmCol), trsmBody, trsmOpts)
+			ttg.Out(a.result, a.trsmSyrk, a.gemmRow, a.gemmCol), trsmBody, panelBox(nt).on(trsmOpts))
 		ttg.MakeTT2(a.g, "SYRK", ttg.ConstInput(a.trsmSyrk), ttg.Input(a.syrkC).ReadWrite(),
-			ttg.Out(a.initPotrf, a.syrkC), syrkBody, syrkOpts)
+			ttg.Out(a.initPotrf, a.syrkC), syrkBody, panelBox(nt).on(syrkOpts))
 		ttg.MakeTT3(a.g, "GEMM", ttg.ConstInput(a.gemmRow), ttg.ConstInput(a.gemmCol), ttg.Input(a.gemmC).ReadWrite(),
-			ttg.Out(a.trsmA, a.gemmC), gemmBody, gemmOpts)
+			ttg.Out(a.trsmA, a.gemmC), gemmBody, gemmBox(nt).on(gemmOpts))
 	} else {
 		// Bulk-synchronous variants: every kernel is additionally gated by
 		// a GO token from the phase barrier. Terminals stay on default

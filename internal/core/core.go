@@ -225,6 +225,10 @@ type TTSpec struct {
 	// Priomap maps a task ID to a scheduling priority (larger runs
 	// first). Optional.
 	Priomap func(Key) int64
+	// Dense declares the box the template's task IDs fill, so that keys
+	// inside it match in flat join slots instead of the shell table
+	// (dense.go). Optional; not allowed with streaming inputs.
+	Dense *DenseKeys
 }
 
 // TT is a template task instance bound to a graph.
@@ -243,6 +247,9 @@ type TT struct {
 
 	// match is the sharded (task ID → shell) table; see match.go.
 	match matchTable
+	// dense holds the join slots of a declared key box (dense.go), or is
+	// nil; keys outside the box use match.
+	dense *denseSlots
 }
 
 // Graph is one rank's instance of the template task graph. Every rank of
@@ -350,6 +357,7 @@ func (g *Graph) AddTT(spec TTSpec) *TT {
 	if spec.Body == nil {
 		panic(fmt.Sprintf("core: TT %q has no body", spec.Name))
 	}
+	checkDense(&spec)
 	tt := &TT{
 		g:       g,
 		id:      len(g.tts),
@@ -361,6 +369,7 @@ func (g *Graph) AddTT(spec TTSpec) *TT {
 		priomap: spec.Priomap,
 	}
 	tt.match.init()
+	tt.dense = newDenseSlots(spec.Dense, len(spec.Inputs))
 	if f := spec.Keymap; f != nil {
 		if tt.keymap != nil {
 			panic(fmt.Sprintf("core: TT %q sets both Owner and Keymap", spec.Name))
@@ -442,7 +451,17 @@ func (tt *TT) Priority(key Key) int64 {
 // PendingShells reports how many partially filled task instances exist
 // (diagnostics; a nonzero value after a fence indicates a hung graph).
 func (tt *TT) PendingShells() int {
-	return int(tt.match.live.Load())
+	return int(tt.pending())
+}
+
+// pending counts the waiting shells and, with a key box, sweeps its
+// slots.
+func (tt *TT) pending() int64 {
+	n := tt.match.live.Load()
+	if tt.dense != nil {
+		n += tt.dense.pending()
+	}
+	return n
 }
 
 // Task is one ready task instance. Tasks made ready by matching come
@@ -477,10 +496,11 @@ type Task struct {
 // Execute runs the task body and retires the task's activity unit. The
 // backend must call it exactly once, passing the executing worker's index.
 // After Execute returns, the task (and its shell) may be recycled: the
-// backend and the body must not retain t or its TaskContext.
+// backend and the body must not retain t or its TaskContext. A body that
+// panics leaves its unit active, so Fence cannot return while the
+// backend's panic hook is still writing its crash dump.
 func (t *Task) Execute(worker int) {
 	g := t.TT.g
-	defer g.exec.Deactivate()
 	t.materialize()
 	t.ctx = TaskContext{task: t, worker: worker}
 	if o := g.obs; o != nil {
@@ -493,6 +513,7 @@ func (t *Task) Execute(worker int) {
 	if t.home != nil {
 		t.release() // last use of t
 	}
+	g.exec.Deactivate()
 }
 
 // executeObserved wraps the body in exec-start/exec-end events and feeds

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -519,5 +520,48 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 				t.Fatalf("packed byte round trip: ctl=%v mode=%v got %+v", ctl, m, got)
 			}
 		}
+	}
+}
+
+// countingExec counts units of pending work as a backend's termination
+// detector does.
+type countingExec struct {
+	*mockExec
+	active atomic.Int64
+}
+
+func (e *countingExec) Activate()   { e.active.Add(1) }
+func (e *countingExec) Deactivate() { e.active.Add(-1) }
+
+// TestPanickedTaskStaysActive checks that a task whose body panics is not
+// retired: a fence must not see quiescence while the panic is on its way
+// to the backend's crash handler.
+func TestPanickedTaskStaysActive(t *testing.T) {
+	ex := &countingExec{mockExec: &mockExec{size: 1}}
+	g := NewGraph(ex)
+	tt := g.AddTT(TTSpec{
+		Name:   "P",
+		Inputs: []InputSpec{{Edge: NewEdge("in")}},
+		Body: func(ctx *TaskContext) {
+			if ctx.Input(0).(bool) {
+				panic("deliberate")
+			}
+		},
+	})
+	g.Seal()
+	tt.Invoke(KeyOf(0), false)
+	if n := ex.active.Load(); n != 0 {
+		t.Fatalf("%d units active after a task returned", n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the body's panic did not propagate")
+			}
+		}()
+		tt.Invoke(KeyOf(1), true)
+	}()
+	if n := ex.active.Load(); n != 1 {
+		t.Fatalf("%d units active after a task panicked, want 1", n)
 	}
 }

@@ -42,11 +42,11 @@ type PendingTask struct {
 
 // PendingTaskCount reports the number of partially matched shells across
 // all templates without taking any shard lock (each table mirrors its
-// size in an atomic).
+// size in an atomic; key boxes are swept).
 func (g *Graph) PendingTaskCount() int64 {
 	var n int64
 	for _, tt := range g.tts {
-		n += tt.match.live.Load()
+		n += tt.pending()
 	}
 	return n
 }
@@ -58,8 +58,11 @@ func (g *Graph) PendingTaskCount() int64 {
 // pending shell, including ones beyond the maxPerTT sample.
 func (g *Graph) PendingTasks(maxPerTT int) (tasks []PendingTask, total int64) {
 	for _, tt := range g.tts {
-		total += tt.match.live.Load()
+		total += tt.pending()
 		states := tt.match.collect(maxPerTT)
+		if tt.dense != nil {
+			states = tt.dense.collect(g, maxPerTT, states)
+		}
 		for _, st := range states {
 			tasks = append(tasks, tt.classify(st))
 		}

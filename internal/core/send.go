@@ -363,6 +363,11 @@ func (g *Graph) deliverLocal(tt *TT, term int, key Key, value any, worker int) *
 		}
 	}
 	g.exec.Tracer().MatchOps.Add(1)
+	if d := tt.dense; d != nil {
+		if i := d.index(key); i >= 0 {
+			return g.deliverDense(tt, term, key, i, value, worker)
+		}
+	}
 	h := key.hash()
 	sp := tt.match.shard(h)
 	sp.mu.Lock()

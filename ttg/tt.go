@@ -15,27 +15,45 @@ func (t TT) Name() string { return t.tt.Name() }
 
 // Options carry the optional per-template maps of the paper: the process
 // map assigning task IDs to ranks and the priority map assigning task IDs
-// to scheduling priorities.
+// to scheduling priorities. Slots, Index and KeyAt declare the box the
+// template's task IDs fill, so that those keys match in flat join slots
+// rather than a hashed table.
 type Options[K comparable] struct {
 	// Keymap maps a task ID to the rank that executes it. Defaults to
 	// hash(key) mod ranks.
 	Keymap func(K) int
 	// Priomap maps a task ID to a priority; larger runs first.
 	Priomap func(K) int64
+	// Slots is the size of the key box; Index numbers a task ID in
+	// [0, Slots) and returns -1 for one outside the box, and KeyAt
+	// inverts Index. Keys outside the box still match. A box is for
+	// templates whose every key runs once, with no streaming input.
+	Slots int
+	Index func(K) int
+	KeyAt func(int) K
 }
 
-func (o Options[K]) lower() (func(core.Key) int, func(core.Key) int64) {
-	var km func(core.Key) int
-	var pm func(core.Key) int64
+// spec fills the options' part of a template spec.
+func (o Options[K]) spec(s core.TTSpec) core.TTSpec {
 	if o.Keymap != nil {
 		f := o.Keymap
-		km = func(k core.Key) int { return f(core.Unpack[K](k)) }
+		s.Owner = func(k core.Key) int { return f(core.Unpack[K](k)) }
 	}
 	if o.Priomap != nil {
 		f := o.Priomap
-		pm = func(k core.Key) int64 { return f(core.Unpack[K](k)) }
+		s.Priomap = func(k core.Key) int64 { return f(core.Unpack[K](k)) }
 	}
-	return km, pm
+	if o.Slots != 0 || o.Index != nil || o.KeyAt != nil {
+		d := &core.DenseKeys{Slots: o.Slots}
+		if f := o.Index; f != nil {
+			d.Index = func(k core.Key) int { return f(core.Unpack[K](k)) }
+		}
+		if f := o.KeyAt; f != nil {
+			d.KeyAt = func(i int) core.Key { return core.Pack(f(i)) }
+		}
+		s.Dense = d
+	}
+	return s
 }
 
 func firstOpt[K comparable](opts []Options[K]) Options[K] {
@@ -55,17 +73,14 @@ func MakeTT1[K comparable, I0 any](
 	body func(x *Ctx[K], a I0),
 	opts ...Options[K],
 ) TT {
-	km, pm := firstOpt(opts).lower()
-	tt := g.core.AddTT(core.TTSpec{
+	tt := g.core.AddTT(firstOpt(opts).spec(core.TTSpec{
 		Name:    name,
 		Inputs:  []core.InputSpec{in0.spec},
 		Outputs: outs,
-		Owner:   km,
-		Priomap: pm,
 		Body: func(c *core.TaskContext) {
 			body((*Ctx[K])(c), input[I0](c, 0))
 		},
-	})
+	}))
 	return TT{tt: tt}
 }
 
@@ -77,17 +92,14 @@ func MakeTT2[K comparable, I0, I1 any](
 	body func(x *Ctx[K], a I0, b I1),
 	opts ...Options[K],
 ) TT {
-	km, pm := firstOpt(opts).lower()
-	tt := g.core.AddTT(core.TTSpec{
+	tt := g.core.AddTT(firstOpt(opts).spec(core.TTSpec{
 		Name:    name,
 		Inputs:  []core.InputSpec{in0.spec, in1.spec},
 		Outputs: outs,
-		Owner:   km,
-		Priomap: pm,
 		Body: func(c *core.TaskContext) {
 			body((*Ctx[K])(c), input[I0](c, 0), input[I1](c, 1))
 		},
-	})
+	}))
 	return TT{tt: tt}
 }
 
@@ -99,17 +111,14 @@ func MakeTT3[K comparable, I0, I1, I2 any](
 	body func(x *Ctx[K], a I0, b I1, c I2),
 	opts ...Options[K],
 ) TT {
-	km, pm := firstOpt(opts).lower()
-	tt := g.core.AddTT(core.TTSpec{
+	tt := g.core.AddTT(firstOpt(opts).spec(core.TTSpec{
 		Name:    name,
 		Inputs:  []core.InputSpec{in0.spec, in1.spec, in2.spec},
 		Outputs: outs,
-		Owner:   km,
-		Priomap: pm,
 		Body: func(c *core.TaskContext) {
 			body((*Ctx[K])(c), input[I0](c, 0), input[I1](c, 1), input[I2](c, 2))
 		},
-	})
+	}))
 	return TT{tt: tt}
 }
 
@@ -121,17 +130,14 @@ func MakeTT4[K comparable, I0, I1, I2, I3 any](
 	body func(x *Ctx[K], a I0, b I1, c I2, d I3),
 	opts ...Options[K],
 ) TT {
-	km, pm := firstOpt(opts).lower()
-	tt := g.core.AddTT(core.TTSpec{
+	tt := g.core.AddTT(firstOpt(opts).spec(core.TTSpec{
 		Name:    name,
 		Inputs:  []core.InputSpec{in0.spec, in1.spec, in2.spec, in3.spec},
 		Outputs: outs,
-		Owner:   km,
-		Priomap: pm,
 		Body: func(c *core.TaskContext) {
 			body((*Ctx[K])(c), input[I0](c, 0), input[I1](c, 1), input[I2](c, 2), input[I3](c, 3))
 		},
-	})
+	}))
 	return TT{tt: tt}
 }
 

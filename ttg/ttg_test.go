@@ -2,6 +2,7 @@ package ttg_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/ttg"
@@ -266,5 +267,49 @@ func TestPriorityMapReachesScheduler(t *testing.T) {
 	// the queue is populated; at minimum the last task must be key 0.
 	if order[len(order)-1] != 0 {
 		t.Fatalf("priority order = %v; lowest priority should finish last", order)
+	}
+}
+
+// TestTypedKeyBox runs a join whose options declare a key box covering
+// half its keys: keys inside the box and outside it must both join, on
+// two ranks with two workers each.
+func TestTypedKeyBox(t *testing.T) {
+	const n, box = 512, 256
+	var sum atomic.Int64
+	ttg.Run(ttg.Config{Ranks: 2, WorkersPerRank: 2}, func(pc *ttg.Process) {
+		g := pc.NewGraph()
+		in := ttg.NewEdge[ttg.Int1, int]("in")
+		a := ttg.NewEdge[ttg.Int1, int]("a")
+		b := ttg.NewEdge[ttg.Int1, int]("b")
+		ttg.MakeTT1(g, "fan", ttg.Input(in), ttg.Out(a, b),
+			func(x *ttg.Ctx[ttg.Int1], v int) {
+				ttg.Send(x, a, x.Key(), v)
+				ttg.Send(x, b, x.Key(), 2*v)
+			},
+		)
+		ttg.MakeTT2(g, "join", ttg.Input(a), ttg.Input(b), nil,
+			func(x *ttg.Ctx[ttg.Int1], va, vb int) { sum.Add(int64(va + vb)) },
+			ttg.Options[ttg.Int1]{
+				Keymap: func(k ttg.Int1) int { return k[0] % 2 },
+				Slots:  box,
+				Index: func(k ttg.Int1) int {
+					if k[0] < box {
+						return k[0]
+					}
+					return -1
+				},
+				KeyAt: func(i int) ttg.Int1 { return ttg.Int1{i} },
+			},
+		)
+		g.MakeExecutable()
+		if pc.Rank() == 0 {
+			for k := 0; k < n; k++ {
+				ttg.Seed(g, in, ttg.Int1{k}, k)
+			}
+		}
+		g.Fence()
+	})
+	if got, want := sum.Load(), int64(3*n*(n-1)/2); got != want {
+		t.Fatalf("join sum = %d, want %d", got, want)
 	}
 }
