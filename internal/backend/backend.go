@@ -52,14 +52,11 @@ type Options struct {
 	// SendCaps are the protocol properties and thresholds core.PlanSend
 	// and core.PlanBcast decide by; this engine executes their plans.
 	core.SendCaps
-	// Net configures latency/bandwidth of the virtual fabric.
-	Net simnet.Config
 	// Fabric, when non-nil, replaces the in-process simnet cluster with an
 	// externally bootstrapped transport endpoint (internal/netfab): the
 	// runtime then hosts exactly ONE rank — Fabric.Rank() — of a cluster
 	// whose other ranks are separate OS processes, and the ranks argument
-	// to New is ignored in favor of Fabric.Size(). Net is unused in this
-	// mode; latency and bandwidth are the real network's.
+	// to New is ignored in favor of Fabric.Size(). Shutdown closes it.
 	Fabric fabric.Endpoint
 	// Obs, when non-nil, enables structured observability: every rank
 	// records lifecycle events and metrics into the session, and the
@@ -98,17 +95,15 @@ func (o *Options) fill(ranks int) {
 			o.WorkersPerRank = 1
 		}
 	}
-	o.Net.Ranks = ranks
 }
 
 // Runtime owns the local share of a cluster executing one TTG program: in
-// the default (simnet) mode every rank of a virtual cluster, in fabric
+// the default (simnet) mode every rank of an in-process cluster, in fabric
 // mode the single local rank of a multi-process cluster.
 type Runtime struct {
 	opts   Options
-	net    *simnet.Network // nil in fabric mode
-	size   int             // cluster size (== len(procs) in simnet mode)
-	procs  []*Proc         // local ranks only
+	size   int     // cluster size (== len(procs) in simnet mode)
+	procs  []*Proc // local ranks only, in rank order
 	commWG sync.WaitGroup
 }
 
@@ -119,22 +114,22 @@ func New(ranks int, opts Options) *Runtime {
 	if opts.SplitMD {
 		panic("backend: SendCaps.SplitMD is set, but neither fabric the engine runs over (simnet, netfab) can fetch remote memory; only backend/sim's flavors model splitmd")
 	}
+	var eps []fabric.Endpoint
 	if opts.Fabric != nil {
-		ep := opts.Fabric
-		opts.fill(ep.Size())
-		rt := &Runtime{opts: opts, size: ep.Size()}
-		rt.procs = []*Proc{newProc(rt, ep)}
-		rt.procs[0].start(&rt.commWG)
-		return rt
+		eps = []fabric.Endpoint{opts.Fabric}
+	} else {
+		var inflight *obs.Gauge
+		if opts.Obs != nil {
+			inflight = opts.Obs.Global().Gauge(obs.GaugeInflightMsgs)
+		}
+		for _, ep := range simnet.New(ranks, inflight) {
+			eps = append(eps, ep)
+		}
 	}
-	opts.fill(ranks)
-	rt := &Runtime{opts: opts, net: simnet.New(opts.Net), size: ranks}
-	if opts.Obs != nil {
-		rt.net.Observe(opts.Obs.Global().Gauge(obs.GaugeInflightMsgs))
-	}
-	rt.procs = make([]*Proc, ranks)
-	for r := 0; r < ranks; r++ {
-		rt.procs[r] = newProc(rt, rt.net.Endpoint(r))
+	opts.fill(eps[0].Size())
+	rt := &Runtime{opts: opts, size: eps[0].Size()}
+	for _, ep := range eps {
+		rt.procs = append(rt.procs, newProc(rt, ep))
 	}
 	for _, p := range rt.procs {
 		p.start(&rt.commWG)
@@ -148,13 +143,10 @@ func (rt *Runtime) Options() Options { return rt.opts }
 // Proc returns rank r's process context. In fabric mode only the local
 // rank is hosted here; asking for a remote rank panics.
 func (rt *Runtime) Proc(r int) *Proc {
-	if rt.net == nil {
-		if p := rt.procs[0]; p.rank == r {
-			return p
-		}
-		panic(fmt.Sprintf("backend: rank %d is not hosted by this process", r))
+	if i := r - rt.procs[0].rank; i >= 0 && i < len(rt.procs) {
+		return rt.procs[i]
 	}
-	return rt.procs[r]
+	panic(fmt.Sprintf("backend: rank %d is not hosted by this process", r))
 }
 
 // Ranks returns the cluster size (across all processes in fabric mode).
@@ -176,18 +168,14 @@ func (rt *Runtime) Run(main func(p *Proc)) {
 	rt.Shutdown()
 }
 
-// Shutdown stops pools and the network. Idempotent; called by Run.
+// Shutdown stops pools and closes every local rank's endpoint, so its
+// comm loop exits. Idempotent; called by Run.
 func (rt *Runtime) Shutdown() {
 	for _, p := range rt.procs {
 		p.pool.Stop()
 	}
-	if rt.net != nil {
-		rt.net.Close()
-	} else if c, ok := rt.procs[0].ep.(interface{ Close() error }); ok {
-		// Fabric mode: the endpoint owns its sockets; Close drains send
-		// queues, performs the shutdown handshake with every peer, and
-		// closes the inbox so the comm loop exits.
-		c.Close()
+	for _, p := range rt.procs {
+		p.ep.Close()
 	}
 	rt.commWG.Wait()
 }

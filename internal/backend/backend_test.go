@@ -5,14 +5,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/serde"
-	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
@@ -83,11 +81,13 @@ func buildChain(p *backend.Proc, stages int, sink func(k serde.Int1, v float64))
 	return g, edges[0]
 }
 
-func runChain(t *testing.T, rt *backend.Runtime, keys int, stages int) map[int]float64 {
+// runChain runs a stages-deep chain on keys keys; run executes its SPMD
+// main (a Runtime's Run, or runOn over some transport).
+func runChain(t *testing.T, run func(main func(p *backend.Proc)), keys int, stages int) map[int]float64 {
 	t.Helper()
 	var mu sync.Mutex
 	results := map[int]float64{}
-	rt.Run(func(p *backend.Proc) {
+	run(func(p *backend.Proc) {
 		g, in := buildChain(p, stages, func(k serde.Int1, v float64) {
 			mu.Lock()
 			results[k[0]] = v
@@ -122,21 +122,22 @@ func expectChain(t *testing.T, results map[int]float64, keys, stages int) {
 
 func TestChainAcrossRanksParsec(t *testing.T) {
 	rt := backend.New(4, withWorkers(backend.PaRSEC(), 2))
-	results := runChain(t, rt, 20, 8)
+	results := runChain(t, rt.Run, 20, 8)
 	expectChain(t, results, 20, 8)
 }
 
 func TestChainAcrossRanksMadness(t *testing.T) {
 	rt := backend.New(4, withWorkers(backend.MADNESS(), 2))
-	results := runChain(t, rt, 20, 8)
+	results := runChain(t, rt.Run, 20, 8)
 	expectChain(t, results, 20, 8)
 }
 
+// TestChainWithNetworkLatency runs the chain with every rank's comm thread
+// slowed by the seeded receive-delay decorator.
 func TestChainWithNetworkLatency(t *testing.T) {
-	o := withWorkers(backend.PaRSEC(), 2)
-	o.Net = simnet.Config{Latency: 100 * time.Microsecond, BandwidthBps: 1 << 30}
-	rt := backend.New(3, o)
-	results := runChain(t, rt, 10, 5)
+	results := runChain(t, func(main func(p *backend.Proc)) {
+		runOn(t, "delayed", 3, withWorkers(backend.PaRSEC(), 2), main)
+	}, 10, 5)
 	expectChain(t, results, 10, 5)
 }
 
@@ -146,7 +147,7 @@ func TestAllSchedulerPolicies(t *testing.T) {
 			o := withWorkers(backend.PaRSEC(), 2)
 			o.Policy = pol
 			rt := backend.New(2, o)
-			results := runChain(t, rt, 12, 4)
+			results := runChain(t, rt.Run, 12, 4)
 			expectChain(t, results, 12, 4)
 		})
 	}
@@ -501,13 +502,13 @@ func TestStreamingAcrossRanks(t *testing.T) {
 }
 
 // fanInSharing runs one remote broadcast of a single value to two
-// consumers on the far rank and reports whether they saw the same
-// physical object.
-func fanInSharing(t *testing.T, rt *backend.Runtime, mode core.SendMode, access core.AccessMode) (shared bool, vals []float64) {
+// consumers on the far rank of a 2-rank run over the delayed in-process
+// fabric, and reports whether they saw the same physical object.
+func fanInSharing(t *testing.T, opts backend.Options, mode core.SendMode, access core.AccessMode) (shared bool, vals []float64) {
 	t.Helper()
 	var mu sync.Mutex
 	var ptrs []*float64
-	rt.Run(func(p *backend.Proc) {
+	runOn(t, "delayed", 2, opts, func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
 		out := core.NewEdge("out")
@@ -547,18 +548,15 @@ func fanInSharing(t *testing.T, rt *backend.Runtime, mode core.SendMode, access 
 }
 
 // TestRemoteFanInSharingSimnet checks data-tracking semantics across the
-// simulated network: one value broadcast to two read-only consumers on the
-// far rank crosses the wire once and is shared in memory on arrival under
-// a tracking runtime (PaRSEC model), but is cloned per consumer under the
+// in-process fabric, each comm thread slowed by the receive-delay
+// decorator: one value broadcast to two read-only consumers on the far
+// rank crosses the wire once and is shared in memory on arrival under a
+// tracking runtime (PaRSEC model), but is cloned per consumer under the
 // eager-copy MADNESS model. Send modes survive the wire either way.
 func TestRemoteFanInSharingSimnet(t *testing.T) {
 	par, mad := withWorkers(backend.PaRSEC(), 2), withWorkers(backend.MADNESS(), 2)
-	par.Net = simnet.Config{Latency: 20 * time.Microsecond, BandwidthBps: 1 << 30}
-	mad.Net = par.Net
 
-	shared, vals := fanInSharing(t,
-		backend.New(2, par),
-		core.SendMove, core.ReadOnly)
+	shared, vals := fanInSharing(t, par, core.SendMove, core.ReadOnly)
 	if !shared {
 		t.Errorf("parsec: remote read-only consumers did not share one value")
 	}
@@ -569,16 +567,12 @@ func TestRemoteFanInSharingSimnet(t *testing.T) {
 	}
 
 	// ReadWrite consumers must never share, tracking runtime or not.
-	shared, _ = fanInSharing(t,
-		backend.New(2, par),
-		core.SendMove, core.ReadWrite)
+	shared, _ = fanInSharing(t, par, core.SendMove, core.ReadWrite)
 	if shared {
 		t.Errorf("parsec: remote read-write consumers shared one value")
 	}
 
-	shared, vals = fanInSharing(t,
-		backend.New(2, mad),
-		core.SendCopy, core.ReadOnly)
+	shared, vals = fanInSharing(t, mad, core.SendCopy, core.ReadOnly)
 	if shared {
 		t.Errorf("madness: eager-copy runtime shared a value across consumers")
 	}

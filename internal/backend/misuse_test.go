@@ -3,12 +3,10 @@ package backend_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/serde"
-	"repro/internal/simnet"
 )
 
 func TestBindTwicePanics(t *testing.T) {
@@ -75,17 +73,14 @@ func TestProcAccessors(t *testing.T) {
 }
 
 // TestStressManyRanksLatencyRace floods an 8-rank fabric with fine-grained
-// cross-rank traffic under latency; run with -race this doubles as the
-// backend's concurrency audit.
+// cross-rank traffic while the receive-delay decorator slows every comm
+// thread; run with -race this doubles as the backend's concurrency audit.
 func TestStressManyRanksLatencyRace(t *testing.T) {
 	const ranks = 8
 	const keys = 200
 	var count int64
 	var mu sync.Mutex
-	o := withWorkers(backend.PaRSEC(), 2)
-	o.Net = simnet.Config{Latency: 20 * time.Microsecond}
-	rt := backend.New(ranks, o)
-	rt.Run(func(p *backend.Proc) {
+	runOn(t, "delayed", ranks, withWorkers(backend.PaRSEC(), 2), func(p *backend.Proc) {
 		g := p.NewGraph()
 		e := core.NewEdge("ring")
 		g.AddTT(core.TTSpec{

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apps/cholesky"
 	"repro/internal/backend"
+	"repro/internal/fabric"
 	"repro/internal/netfab"
 	"repro/internal/serde"
 	"repro/internal/tile"
@@ -33,41 +34,21 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 			rp := newRandProgram(seed)
 			ref := rp.run(t, ttg.PaRSEC, 1)
 			for _, be := range []ttg.Backend{ttg.PaRSEC, ttg.MADNESS} {
-				eps, err := netfab.NewLocalMesh(ranks, netfab.Config{
+				mesh, err := netfab.NewLocalMesh(ranks, netfab.Config{
 					Transport:   "tcp",
 					MaxInflight: 4 << 10, // park senders constantly
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				eps := make([]fabric.Endpoint, ranks)
+				for r, ep := range mesh {
+					eps[r] = ep
+				}
 				closed := ledgerCloses(t)
-				var mu sync.Mutex
-				sums := map[int]float64{}
-				main := rp.graphMain(t, &mu, sums)
-				var wg sync.WaitGroup
-				for r := 0; r < ranks; r++ {
-					wg.Add(1)
-					go func(r int) {
-						defer wg.Done()
-						// Each rank is its own runtime over its endpoint;
-						// Run closes the endpoint after the fence.
-						ttg.Run(ttg.Config{
-							Fabric:         eps[r],
-							WorkersPerRank: 2,
-							Backend:        be,
-						}, main)
-					}(r)
-				}
-				wg.Wait()
+				sums := rp.runEach(t, be, eps)
 				closed(be.String())
-				if len(sums) != len(ref) {
-					t.Fatalf("%s: %d sink keys vs reference %d", be, len(sums), len(ref))
-				}
-				for k, v := range ref {
-					if dv := sums[k] - v; dv > 1e-9 || dv < -1e-9 {
-						t.Fatalf("%s: sink %d = %v, reference %v", be, k, sums[k], v)
-					}
-				}
+				expectSums(t, be.String(), sums, ref)
 			}
 		})
 	}

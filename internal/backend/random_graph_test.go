@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/serde"
 	"repro/ttg"
 )
@@ -62,6 +63,38 @@ func (rp *randProgram) run(t *testing.T, be ttg.Backend, ranks int) map[int]floa
 	sums := map[int]float64{}
 	ttg.Run(ttg.Config{Ranks: ranks, WorkersPerRank: 2, Backend: be}, rp.graphMain(t, &mu, sums))
 	return sums
+}
+
+// runEach is run with each rank its own runtime over its endpoint, as in
+// a multi-process run; Run closes the endpoint after the fence.
+func (rp *randProgram) runEach(t *testing.T, be ttg.Backend, eps []fabric.Endpoint) map[int]float64 {
+	var mu sync.Mutex
+	sums := map[int]float64{}
+	main := rp.graphMain(t, &mu, sums)
+	var wg sync.WaitGroup
+	for _, ep := range eps {
+		wg.Add(1)
+		go func(ep fabric.Endpoint) {
+			defer wg.Done()
+			ttg.Run(ttg.Config{Fabric: ep, WorkersPerRank: 2, Backend: be}, main)
+		}(ep)
+	}
+	wg.Wait()
+	return sums
+}
+
+// expectSums fails the test unless every sink of a run summed what the
+// reference run's did.
+func expectSums(t *testing.T, what string, got, ref map[int]float64) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d sink keys vs reference %d", what, len(got), len(ref))
+	}
+	for k, v := range ref {
+		if dv := got[k] - v; dv > 1e-9 || dv < -1e-9 {
+			t.Fatalf("%s: sink %d = %v, reference %v", what, k, got[k], v)
+		}
+	}
 }
 
 // graphMain builds the per-rank SPMD main, accumulating sink values into
@@ -149,27 +182,33 @@ func ledgerCloses(t *testing.T) func(what string) {
 	}
 }
 
+// TestRandomGraphEquivalence runs each program on 4 in-process ranks under
+// both presets; for seeds 1-3 a "delayed" leg runs it again over 4
+// endpoints behind the seeded receive-delay decorator, one runtime each.
 func TestRandomGraphEquivalence(t *testing.T) {
+	const ranks = 4
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rp := newRandProgram(seed)
 			ref := rp.run(t, ttg.PaRSEC, 1)
-			for _, ranks := range []int{4} {
+			for _, be := range []ttg.Backend{ttg.PaRSEC, ttg.MADNESS} {
+				closed := ledgerCloses(t)
+				got := rp.run(t, be, ranks)
+				closed(fmt.Sprintf("%s/%d", be, ranks))
+				expectSums(t, fmt.Sprintf("%s/%d", be, ranks), got, ref)
+			}
+			if seed > 3 {
+				return
+			}
+			t.Run("delayed", func(t *testing.T) {
 				for _, be := range []ttg.Backend{ttg.PaRSEC, ttg.MADNESS} {
 					closed := ledgerCloses(t)
-					got := rp.run(t, be, ranks)
-					closed(fmt.Sprintf("%s/%d", be, ranks))
-					if len(got) != len(ref) {
-						t.Fatalf("%s/%d: %d sink keys vs reference %d", be, ranks, len(got), len(ref))
-					}
-					for k, v := range ref {
-						if dv := got[k] - v; dv > 1e-9 || dv < -1e-9 {
-							t.Fatalf("%s/%d: sink %d = %v, reference %v", be, ranks, k, got[k], v)
-						}
-					}
+					got := rp.runEach(t, be, delayed(ranks, seed))
+					closed(be.String())
+					expectSums(t, be.String(), got, ref)
 				}
-			}
+			})
 		})
 	}
 }

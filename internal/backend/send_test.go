@@ -10,6 +10,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/netfab"
 	"repro/internal/serde"
 )
@@ -18,27 +19,37 @@ import (
 // a wedge, which must fail the test rather than hang it.
 const sendTimeout = 10 * time.Second
 
-// runOn executes main SPMD on ranks ranks of the engine configured by opts,
-// over the in-process simnet or over a loopback TCP mesh of real sockets
-// (one single-rank runtime per endpoint, as in a multi-process run).
+// runOn executes main SPMD on ranks ranks of the engine configured by opts:
+// over the in-process simnet ("simnet"), over in-process endpoints behind
+// the seeded receive-delay decorator ("delayed"), or over a loopback mesh
+// of real sockets ("tcp", "unix"). All but "simnet" run one single-rank
+// runtime per endpoint, as in a multi-process run.
 func runOn(t *testing.T, transport string, ranks int, opts backend.Options, main func(p *backend.Proc)) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if transport == "simnet" {
+		var eps []fabric.Endpoint
+		switch transport {
+		case "simnet":
 			backend.New(ranks, opts).Run(main)
 			return
-		}
-		eps, err := netfab.NewLocalMesh(ranks, netfab.Config{Transport: transport})
-		if err != nil {
-			t.Error(err)
-			return
+		case "delayed":
+			eps = delayed(ranks, 1)
+		default:
+			mesh, err := netfab.NewLocalMesh(ranks, netfab.Config{Transport: transport})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, ep := range mesh {
+				eps = append(eps, ep)
+			}
 		}
 		var wg sync.WaitGroup
 		for _, ep := range eps {
 			wg.Add(1)
-			go func(ep *netfab.Endpoint) {
+			go func(ep fabric.Endpoint) {
 				defer wg.Done()
 				o := opts
 				o.Fabric = ep

@@ -2,11 +2,14 @@
 // backends speak: point-to-point framed sends with optional by-reference
 // payload segments (the iovec of the zero-copy wire path) and a blocking
 // inbox. Nothing here fetches remote memory: a payload crosses by being
-// pushed. Two fabrics implement it — internal/simnet, the process-local
-// virtual-time cluster, and internal/netfab, the real TCP/Unix-socket
-// transport where ranks are separate OS processes — so the engine in internal/backend is written once against this interface
-// and the choice of wire is a configuration value, exactly as the paper's
-// TTG runs unchanged over PaRSEC's and MADNESS's transports.
+// pushed. Two fabrics implement it — internal/simnet, which carries the
+// bytes between ranks living in one process and models nothing, and
+// internal/netfab, the real TCP/Unix-socket transport where ranks are
+// separate OS processes — so the engine in internal/backend is written
+// once against this interface and the choice of wire is a configuration
+// value, exactly as the paper's TTG runs unchanged over PaRSEC's and
+// MADNESS's transports. Network cost is modelled only in virtual time, by
+// internal/backend/sim.
 package fabric
 
 import "repro/internal/serde"
@@ -55,10 +58,14 @@ type Endpoint interface {
 	// returns it to its pool once the bytes are on the wire.
 	SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment)
 
-	// Recv blocks for the next packet; ok is false once the fabric is
-	// closed and the inbox drained. TryRecv returns immediately.
+	// Recv blocks for the next packet; ok is false once the endpoint is
+	// closed and the inbox drained.
 	Recv() (Packet, bool)
-	TryRecv() (Packet, bool)
+
+	// Close shuts the endpoint down once its rank has quiesced: whatever
+	// the fabric still holds for this rank is delivered, then the inbox
+	// closes so Recv returns false. Idempotent.
+	Close() error
 }
 
 // PeerStat is one peer link's transport counters, exposed by fabrics

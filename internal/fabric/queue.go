@@ -56,20 +56,6 @@ func (q *Queue[T]) Pop() (T, bool) {
 	return v, true
 }
 
-// TryPop returns a value if one is immediately available.
-func (q *Queue[T]) TryPop() (T, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var zero T
-	if q.head >= len(q.items) {
-		return zero, false
-	}
-	v := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	return v, true
-}
-
 // Close wakes all blocked Pops; further pushes are dropped.
 func (q *Queue[T]) Close() {
 	q.mu.Lock()

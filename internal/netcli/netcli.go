@@ -1,8 +1,9 @@
 // Package netcli gives every application CLI the same multi-process
 // fabric switches. With no -transport flag a command runs exactly as
-// before — all ranks in-process over the virtual simnet fabric. With
-// -transport tcp|unix the ranks become separate OS processes over the
-// real-network fabric (internal/netfab), in one of two launch styles:
+// before — all ranks in-process over simnet, which carries their bytes
+// and models no network cost. With -transport tcp|unix the ranks become
+// separate OS processes over the real-network fabric (internal/netfab),
+// in one of two launch styles:
 //
 //	potrf -transport tcp -ranks 4            # self-spawning: the parent
 //	                                         # re-execs itself once per

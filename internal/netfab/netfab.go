@@ -98,7 +98,7 @@ func (c *Config) fill() error {
 }
 
 // Endpoint is one rank's attachment to the real-network fabric. It
-// implements fabric.Endpoint, fabric.StatSource, and Close.
+// implements fabric.Endpoint and fabric.StatSource.
 type Endpoint struct {
 	rank, size int
 	cfg        Config
@@ -373,9 +373,6 @@ func (e *Endpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segme
 // Recv blocks for the next packet; ok is false once the endpoint is
 // closed and the inbox drained.
 func (e *Endpoint) Recv() (fabric.Packet, bool) { return e.inbox.Pop() }
-
-// TryRecv returns a packet if one is immediately available.
-func (e *Endpoint) TryRecv() (fabric.Packet, bool) { return e.inbox.TryPop() }
 
 // PeerStats implements fabric.StatSource.
 func (e *Endpoint) PeerStats() []fabric.PeerStat {

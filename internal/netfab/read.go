@@ -42,7 +42,8 @@ func (e *Endpoint) readLoop(pr *peer) {
 // readFrame reads the remainder of one frame (head[:4] already holds the
 // length field) and dispatches it. Every count in the frame is checked
 // against the length field before anything is allocated for it, so a
-// frame costs no more memory than it says it carries.
+// frame costs no more memory than it says it carries, and the data and
+// segments must use up the length exactly.
 func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 	if _, err := io.ReadFull(br, head[4:frameHeadLen]); err != nil {
 		return err
@@ -99,6 +100,11 @@ func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 			}
 		}
 		pool.PutBytes(dir)
+	}
+	if left != 0 {
+		// Bytes the length field claims but nothing accounts for would
+		// be read as the next frame's header.
+		return fmt.Errorf("frame of %d bytes carries %d bytes its data and segments do not account for", rest, left)
 	}
 
 	// Counted before the frame is handed on, so whoever receives the

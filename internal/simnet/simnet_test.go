@@ -8,63 +8,43 @@ import (
 	"repro/internal/obs"
 )
 
+// closeAll closes every endpoint of a fabric.
+func closeAll(eps []*Endpoint) {
+	for _, ep := range eps {
+		ep.Close()
+	}
+}
+
 func TestPointToPointDelivery(t *testing.T) {
-	n := New(Config{Ranks: 2})
-	defer n.Close()
-	n.Endpoint(0).Send(1, 7, []byte("hello"))
-	p, ok := n.Endpoint(1).Recv()
+	eps := New(2, nil)
+	defer closeAll(eps)
+	eps[0].Send(1, 7, []byte("hello"))
+	p, ok := eps[1].Recv()
 	if !ok || string(p.Data) != "hello" || p.Kind != 7 || p.Src != 0 {
 		t.Fatalf("got %+v ok=%v", p, ok)
 	}
 }
 
 func TestInOrderPerLink(t *testing.T) {
-	n := New(Config{Ranks: 2, Latency: 50 * time.Microsecond})
-	defer n.Close()
+	eps := New(2, nil)
+	defer closeAll(eps)
 	const k = 100
 	for i := 0; i < k; i++ {
-		n.Endpoint(0).Send(1, uint8(i%256), []byte{byte(i)})
+		eps[0].Send(1, uint8(i%256), []byte{byte(i)})
 	}
 	for i := 0; i < k; i++ {
-		p, ok := n.Endpoint(1).Recv()
+		p, ok := eps[1].Recv()
 		if !ok || p.Data[0] != byte(i) {
 			t.Fatalf("packet %d out of order: %+v", i, p)
 		}
 	}
 }
 
-func TestLatencyApplied(t *testing.T) {
-	n := New(Config{Ranks: 2, Latency: 20 * time.Millisecond})
-	defer n.Close()
-	start := time.Now()
-	n.Endpoint(0).Send(1, 0, []byte{1})
-	if _, ok := n.Endpoint(1).Recv(); !ok {
-		t.Fatal("recv failed")
-	}
-	if el := time.Since(start); el < 15*time.Millisecond {
-		t.Fatalf("delivered too fast: %v", el)
-	}
-}
-
-func TestBandwidthThrottling(t *testing.T) {
-	// 1 MB at 10 MB/s should take ~100ms.
-	n := New(Config{Ranks: 2, BandwidthBps: 10 << 20})
-	defer n.Close()
-	start := time.Now()
-	n.Endpoint(0).Send(1, 0, make([]byte, 1<<20))
-	if _, ok := n.Endpoint(1).Recv(); !ok {
-		t.Fatal("recv failed")
-	}
-	if el := time.Since(start); el < 50*time.Millisecond {
-		t.Fatalf("bandwidth not applied: delivered in %v", el)
-	}
-}
-
 func TestAllToAllConcurrent(t *testing.T) {
 	const r = 8
 	const per = 50
-	n := New(Config{Ranks: r})
-	defer n.Close()
+	eps := New(r, nil)
+	defer closeAll(eps)
 	var wg sync.WaitGroup
 	for src := 0; src < r; src++ {
 		wg.Add(1)
@@ -75,7 +55,7 @@ func TestAllToAllConcurrent(t *testing.T) {
 					continue
 				}
 				for i := 0; i < per; i++ {
-					n.Endpoint(src).Send(dst, 1, []byte{byte(src)})
+					eps[src].Send(dst, 1, []byte{byte(src)})
 				}
 			}
 		}(src)
@@ -87,7 +67,7 @@ func TestAllToAllConcurrent(t *testing.T) {
 		go func(dst int) {
 			defer rg.Done()
 			for i := 0; i < (r-1)*per; i++ {
-				if _, ok := n.Endpoint(dst).Recv(); !ok {
+				if _, ok := eps[dst].Recv(); !ok {
 					t.Errorf("rank %d inbox closed early", dst)
 					return
 				}
@@ -105,19 +85,19 @@ func TestAllToAllConcurrent(t *testing.T) {
 }
 
 func TestCloseUnblocksReceivers(t *testing.T) {
-	n := New(Config{Ranks: 2})
+	eps := New(2, nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for {
-			if _, ok := n.Endpoint(1).Recv(); !ok {
+			if _, ok := eps[1].Recv(); !ok {
 				return
 			}
 		}
 	}()
-	n.Endpoint(0).Send(1, 0, []byte{1})
+	eps[0].Send(1, 0, []byte{1})
 	time.Sleep(time.Millisecond)
-	n.Close()
+	closeAll(eps)
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -126,103 +106,88 @@ func TestCloseUnblocksReceivers(t *testing.T) {
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	n := New(Config{Ranks: 1})
-	n.Close()
-	n.Close()
+	ep := New(1, nil)[0]
+	if ep.Close() != nil || ep.Close() != nil {
+		t.Fatal("Close returned an error")
+	}
 }
 
-func TestAccessorsAndTryRecv(t *testing.T) {
-	n := New(Config{Ranks: 3})
-	defer n.Close()
-	if n.Ranks() != 3 || n.Endpoint(1).Rank() != 1 || n.Endpoint(1).Size() != 3 {
+func TestAccessors(t *testing.T) {
+	eps := New(3, nil)
+	defer closeAll(eps)
+	if len(eps) != 3 || eps[1].Rank() != 1 || eps[1].Size() != 3 {
 		t.Fatal("accessors wrong")
-	}
-	if _, ok := n.Endpoint(2).TryRecv(); ok {
-		t.Fatal("TryRecv on empty inbox succeeded")
-	}
-	n.Endpoint(0).Send(2, 5, []byte{9})
-	// Zero-latency fabric delivers synchronously.
-	p, ok := n.Endpoint(2).TryRecv()
-	if !ok || p.Data[0] != 9 {
-		t.Fatalf("TryRecv = %+v, %v", p, ok)
 	}
 }
 
 func TestSendToInvalidRankPanics(t *testing.T) {
-	n := New(Config{Ranks: 1})
-	defer n.Close()
+	eps := New(1, nil)
+	defer closeAll(eps)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("send to invalid rank did not panic")
 		}
 	}()
-	n.Endpoint(0).Send(7, 0, nil)
+	eps[0].Send(7, 0, nil)
 }
 
 func TestSendAfterCloseDropped(t *testing.T) {
-	n := New(Config{Ranks: 2, Latency: time.Microsecond})
-	n.Endpoint(0).Send(1, 0, []byte{1})
-	if _, ok := n.Endpoint(1).Recv(); !ok {
+	eps := New(2, nil)
+	eps[0].Send(1, 0, []byte{1})
+	if _, ok := eps[1].Recv(); !ok {
 		t.Fatal("pre-close packet lost")
 	}
-	n.Close()
-	// Dropped silently at the closed-fabric check.
-	n.Endpoint(0).Send(1, 0, []byte{2})
+	closeAll(eps)
+	eps[0].Send(1, 0, []byte{2})
+	if p, ok := eps[1].Recv(); ok {
+		t.Fatalf("post-close send delivered %+v", p)
+	}
 }
 
 func TestSendAfterCloseAllocFree(t *testing.T) {
-	for _, cfg := range []Config{
-		{Ranks: 2},
-		{Ranks: 2, Latency: time.Microsecond},
-	} {
-		n := New(cfg)
-		n.Close()
-		payload := []byte{1}
-		if allocs := testing.AllocsPerRun(100, func() {
-			n.Endpoint(0).Send(1, 0, payload)
-		}); allocs != 0 {
-			t.Errorf("post-close send allocates %.1f times (cfg %+v), want 0", allocs, cfg)
-		}
+	eps := New(2, nil)
+	closeAll(eps)
+	payload := []byte{1}
+	if allocs := testing.AllocsPerRun(100, func() {
+		eps[0].Send(1, 0, payload)
+	}); allocs != 0 {
+		t.Errorf("post-close send allocates %.1f times, want 0", allocs)
 	}
 }
 
 func TestInflightGaugeZeroAfterClose(t *testing.T) {
-	for _, cfg := range []Config{
-		{Ranks: 4},
-		{Ranks: 4, Latency: 20 * time.Microsecond},
-	} {
-		n := New(cfg)
-		var reg obs.Registry
-		g := reg.Gauge(obs.GaugeInflightMsgs)
-		n.Observe(g)
-		const per = 25
-		for src := 0; src < 4; src++ {
-			for dst := 0; dst < 4; dst++ {
-				if dst == src {
-					continue
-				}
-				for i := 0; i < per; i++ {
-					n.Endpoint(src).Send(dst, 1, []byte{byte(i)})
-				}
-			}
-		}
-		// Close drains delayed links into the inboxes; receivers may still
-		// pop what was delivered before teardown.
-		n.Close()
+	var reg obs.Registry
+	g := reg.Gauge(obs.GaugeInflightMsgs)
+	eps := New(4, g)
+	const per = 25
+	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
-			for {
-				if _, ok := n.Endpoint(dst).Recv(); !ok {
-					break
-				}
+			if dst == src {
+				continue
+			}
+			for i := 0; i < per; i++ {
+				eps[src].Send(dst, 1, []byte{byte(i)})
 			}
 		}
-		if v := g.Load(); v != 0 {
-			t.Fatalf("in-flight gauge = %d after close+drain (cfg %+v), want 0", v, cfg)
+	}
+	if v, want := g.Load(), int64(4*3*per); v != want {
+		t.Fatalf("in-flight gauge = %d before any receive, want %d", v, want)
+	}
+	// Receivers may still pop what was delivered before teardown.
+	closeAll(eps)
+	for _, ep := range eps {
+		for {
+			if _, ok := ep.Recv(); !ok {
+				break
+			}
 		}
-		// Post-close sends are dropped before being counted.
-		n.Endpoint(0).Send(1, 0, []byte{9})
-		if v := g.Load(); v != 0 {
-			t.Fatalf("post-close send moved the gauge to %d", v)
-		}
+	}
+	if v := g.Load(); v != 0 {
+		t.Fatalf("in-flight gauge = %d after close+drain, want 0", v)
+	}
+	// Post-close sends are dropped and leave the gauge where it was.
+	eps[0].Send(1, 0, []byte{9})
+	if v := g.Load(); v != 0 {
+		t.Fatalf("post-close send moved the gauge to %d", v)
 	}
 }

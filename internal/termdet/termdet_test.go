@@ -13,16 +13,16 @@ import (
 // harness wires detectors over a simnet fabric with a dispatch goroutine
 // per rank, the way a backend's communication thread would.
 type harness struct {
-	net  *simnet.Network
+	eps  []*simnet.Endpoint
 	dets []*Detector
 	wg   sync.WaitGroup
 }
 
 func newHarness(ranks int) *harness {
-	h := &harness{net: simnet.New(simnet.Config{Ranks: ranks})}
+	h := &harness{eps: simnet.New(ranks, nil)}
 	h.dets = make([]*Detector, ranks)
 	for r := 0; r < ranks; r++ {
-		ep := h.net.Endpoint(r)
+		ep := h.eps[r]
 		h.dets[r] = New(r, ranks, func(dst int, data []byte) {
 			ep.Send(dst, 0, data)
 		})
@@ -32,7 +32,7 @@ func newHarness(ranks int) *harness {
 		go func(r int) {
 			defer h.wg.Done()
 			for {
-				p, ok := h.net.Endpoint(r).Recv()
+				p, ok := h.eps[r].Recv()
 				if !ok {
 					return
 				}
@@ -44,7 +44,9 @@ func newHarness(ranks int) *harness {
 }
 
 func (h *harness) close() {
-	h.net.Close()
+	for _, ep := range h.eps {
+		ep.Close()
+	}
 	h.wg.Wait()
 }
 

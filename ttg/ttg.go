@@ -8,10 +8,12 @@
 // task bodies are all checked at compile time.
 //
 // Programs run over one of two runtime backends modeled on the paper's
-// PaRSEC and MADNESS backends, on a process-local virtual cluster standing
-// in for an MPI fabric. The same application code runs on either backend —
-// selecting one is a configuration value rather than the C++
-// implementation's preprocessor macro.
+// PaRSEC and MADNESS backends, with every rank in this process (their
+// messages cross the in-process fabric as bytes, at no modelled cost) or
+// one rank per OS process over real sockets. The same application code
+// runs on either backend and either transport — selecting one is a
+// configuration value rather than the C++ implementation's preprocessor
+// macro.
 //
 //	ttg.Run(ttg.Config{Ranks: 4, Backend: ttg.PaRSEC}, func(pc *ttg.Process) {
 //		g := pc.NewGraph()
@@ -35,7 +37,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/serde"
-	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
@@ -113,18 +114,19 @@ func ParseBackend(name string) (Backend, error) {
 	return 0, fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
-// Config describes the virtual cluster and backend for a run.
+// Config describes the cluster and backend for a run. It has no network
+// settings: in-process ranks exchange messages immediately and in order
+// (internal/simnet carries bytes and models no latency or bandwidth), and
+// a Fabric run pays whatever its real network costs. Latency and
+// bandwidth are modelled only in virtual time, by internal/backend/sim.
 type Config struct {
-	// Ranks is the number of virtual processes (default 1).
+	// Ranks is the number of in-process ranks (default 1).
 	Ranks int
 	// WorkersPerRank is each rank's worker-thread count (default
 	// NumCPU/Ranks, minimum 1).
 	WorkersPerRank int
 	// Backend picks the runtime model.
 	Backend Backend
-	// Net sets fabric latency/bandwidth; zero values mean an ideal fabric.
-	// Ignored when Fabric is set.
-	Net simnet.Config
 	// Fabric, when non-nil, runs this process as ONE rank of a real
 	// multi-process cluster over the given transport endpoint (e.g. a
 	// netfab TCP/Unix-socket fabric) instead of the in-process simnet
@@ -216,7 +218,7 @@ func (g *Graph) MakeExecutable() {
 // Fence blocks until the distributed computation quiesces (collective).
 func (g *Graph) Fence() { g.core.Fence() }
 
-// Run executes main once per rank over a fresh virtual cluster, then shuts
+// Run executes main once per rank over a fresh cluster, then shuts
 // the cluster down. Each main must build identical graphs (the SPMD
 // convention), call MakeExecutable, inject any seeds, and Fence.
 func Run(cfg Config, main func(pc *Process)) {
@@ -236,7 +238,6 @@ func RunLive(cfg Config, hook func(targets []live.Target, collectors []live.Coll
 		panic(fmt.Sprintf("ttg: unknown backend %v", cfg.Backend))
 	}
 	opts.WorkersPerRank = cfg.WorkersPerRank
-	opts.Net = cfg.Net
 	opts.Fabric = cfg.Fabric
 	opts.Obs = cfg.Obs
 	rt := backend.New(cfg.Ranks, opts)
