@@ -13,9 +13,10 @@ import (
 )
 
 // The contract of kernels_amd64.s is bit identity with the Go loops, not a
-// tolerance. These tests run every exported kernel twice in one process —
-// once as the CPU selects, once with useAVX2 cleared — on the same input
-// bits and compare every operand with math.Float64bits.
+// tolerance. These tests run every exported kernel on each tier the CPU
+// has (avx512, then avx2 with useAVX512 cleared) and on the reference
+// loops (both flags cleared), in one process, on the same input bits, and
+// compare every operand with math.Float64bits.
 
 // guard is written around every operand; a micro-kernel that strays
 // outside its tile changes it.
@@ -238,8 +239,32 @@ var kernelCases = []kernelCase{
 		distances(c, rng, s, stickyCs)
 		distances(a, rng, s, noPaths)
 		distances(b, rng, s, noPaths)
+		if s.sprinkle && s.m > 0 && s.n > 0 && s.k > 0 {
+			fwDSpecials(a.t, b.t, rng)
+		}
 		return []operand{c, a, b}
 	}, func(o []operand) error { FWKernelD(o[0].t, o[1].t, o[2].t); return nil }},
+}
+
+// fwDSpecials plants what FWKernelD's no-path skip decides on, where its
+// 4×32 block kernel makes the skip a per-row lane mask: in one quad of
+// rows (or the leftover rows), a no-path a[i][p] beside rows that have a
+// path at the same step p, facing −∞, −2·Inf and NaN in row p of B, once
+// in a whole-block column and once in an edge column (or twice in
+// whichever kind there is). Taking the skipped update would write
+// Inf + (−2·Inf) = −Inf, a finite value, or Inf + (−∞) = −∞ into that
+// row of C.
+func fwDSpecials(a, b *tile.Tile, rng *rand.Rand) {
+	m, n, k := a.Rows, b.Cols, a.Cols
+	for _, j := range []int{rng.Intn(max(n&^31, 1)), n - 1 - rng.Intn(max(n%32, 1))} {
+		q, p := 4*rng.Intn(max(m/4, 1)), rng.Intn(k)
+		i := q + rng.Intn(min(4, m-q))
+		for r := q; r < min(q+4, m); r++ {
+			a.Data[r*k+p] = float64(rng.Float64()*20) - 2
+		}
+		a.Data[i*k+p] = []float64{Inf, 2 * Inf, math.Inf(1)}[rng.Intn(3)]
+		b.Data[p*n+j] = []float64{math.Inf(-1), -2 * Inf, math.NaN()}[rng.Intn(3)]
+	}
 }
 
 // gemmNNSpecials plants what GemmNN's zero skip decides on where its
@@ -285,29 +310,61 @@ func gemmNNSpecials(c, a, b *tile.Tile, rng *rand.Rand) {
 
 // withReference runs f on the Go reference loops alone.
 func withReference(f func()) {
-	defer func(v bool) { useAVX2 = v }(useAVX2)
-	useAVX2 = false
+	defer func(v2, v512 bool) { useAVX2, useAVX512 = v2, v512 }(useAVX2, useAVX512)
+	useAVX2, useAVX512 = false, false
 	f()
 }
 
-// checkBitIdentical runs every kernel on shape s both ways and fails on
-// the first differing bit, changed input or touched guard word.
+// withAVX2 runs f on the AVX2 tier, FWKernelD's AVX-512F blocks off.
+func withAVX2(f func()) {
+	defer func(v bool) { useAVX512 = v }(useAVX512)
+	useAVX512 = false
+	f()
+}
+
+// tier is one kernel path the bit-identity tests compare with the
+// reference: its Impl name, the CPU feature it needs, whether this CPU
+// has it, and how to run f on it alone.
+type tier struct {
+	name, feature string
+	has           bool
+	with          func(f func())
+}
+
+var tiers = []tier{
+	{"avx512", "AVX-512F", useAVX512, func(f func()) { f() }},
+	{"avx2", "AVX2", useAVX2, withAVX2},
+}
+
+// checkBitIdentical runs every kernel on shape s on each tier the CPU has
+// and on the reference, and fails on the first differing bit, changed
+// input or touched guard word.
 func checkBitIdentical(t *testing.T, s kshape, seed int64) {
+	t.Helper()
+	for _, tr := range tiers {
+		if tr.has {
+			checkTier(t, tr, s, seed)
+		}
+	}
+}
+
+// checkTier is checkBitIdentical on one tier.
+func checkTier(t *testing.T, tr tier, s kshape, seed int64) {
 	t.Helper()
 	for _, kc := range kernelCases {
 		got := kc.build(s, rand.New(rand.NewSource(seed)))
 		want := cloneAll(got)
-		gotErr := kc.run(got)
-		var wantErr error
+		var gotErr, wantErr error
+		tr.with(func() { gotErr = kc.run(got) })
 		withReference(func() { wantErr = kc.run(want) })
 		if gotErr != wantErr {
-			t.Fatalf("%s %+v seed %d: %s path returned %v, reference %v", kc.name, s, seed, Impl(), gotErr, wantErr)
+			t.Fatalf("%s %+v seed %d: %s path returned %v, reference %v", kc.name, s, seed, tr.name, gotErr, wantErr)
 		}
 		for i := range got {
 			if at, ok := sameBits(got[i], want[i]); !ok {
 				lo := len(got[i].backing) - guardLen - len(got[i].t.Data)
-				t.Fatalf("%s %+v seed %d: operand %d differs from the reference at element %d of %dx%d (negative or past the end: a guard word): %#x, reference %#x",
-					kc.name, s, seed, i, at, got[i].t.Rows, got[i].t.Cols,
+				t.Fatalf("%s %+v seed %d: %s operand %d differs from the reference at element %d of %dx%d (negative or past the end: a guard word): %#x, reference %#x",
+					kc.name, s, seed, tr.name, i, at, got[i].t.Rows, got[i].t.Cols,
 					math.Float64bits(got[i].backing[lo+at]), math.Float64bits(want[i].backing[lo+at]))
 			}
 		}
@@ -390,18 +447,30 @@ func corpus() []kshape {
 	return cs
 }
 
+// TestKernelsBitIdentical compares each tier in its own subtest, which
+// skips, naming the feature, on a CPU without it: a green run there
+// covers only the tiers it did not skip.
 func TestKernelsBitIdentical(t *testing.T) {
-	if !useAVX2 {
-		t.Skipf("kernel path %q: only the reference loops exist on this machine", Impl())
-	}
-	for i, s := range corpus() {
-		checkBitIdentical(t, s, int64(i+1))
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			if !tr.has {
+				t.Skipf("this CPU has no %s: the %s tier is not compared", tr.feature, tr.name)
+			}
+			for i, s := range corpus() {
+				checkTier(t, tr, s, int64(i+1))
+			}
+		})
 	}
 }
 
 func FuzzKernelsBitIdentical(f *testing.F) {
 	for i, s := range corpus() {
 		f.Add(s.bytes(), int64(i+1))
+	}
+	for _, tr := range tiers {
+		if !tr.has {
+			f.Logf("this CPU has no %s: the %s tier is not compared", tr.feature, tr.name)
+		}
 	}
 	f.Fuzz(func(t *testing.T, shape []byte, seed int64) {
 		if !useAVX2 {
@@ -413,8 +482,9 @@ func FuzzKernelsBitIdentical(f *testing.F) {
 
 // TestKernelsDoNotAllocate pins the reused scratch: once warm, the
 // kernels that pack operands on the AVX2 path (on the reference path
-// nothing is packed) allocate nothing. Mul packs nothing and must keep it
-// so: MRA calls it on operands built on the caller's stack.
+// nothing is packed) allocate nothing. Mul and FWKernelD pack nothing and
+// must keep it so: MRA calls Mul on operands built on the caller's stack,
+// and FWKernelD is most of fw_tcp's task bodies.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := func(rows, cols int) *tile.Tile {
@@ -430,6 +500,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			l.Data[i*n+i] = 1 // so that repeated solves leave B as it is
 		}
 		return func() { Trsm(l, b) }
+	}
+	fwD := func(m, n, k int) func() {
+		c, a, b := random(m, n), random(m, k), random(k, n)
+		return func() { FWKernelD(c, a, b) }
 	}
 	// GemmNN on bspmm's first panel triple, which has edge columns to
 	// pack and leftover rows to pad.
@@ -447,6 +521,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"Trsm 16x16", trsm(16)},
 		{fmt.Sprintf("GemmNN %dx%dx%d", m, n, k), func() { GemmNN(c, a, b) }},
 		{fmt.Sprintf("Mul %dx%dx%d", m, n, k), func() { Mul(c, a, b) }},
+		{"FWKernelD 32x32x32", fwD(32, 32, 32)},
+		{"FWKernelD 38x45x32", fwD(38, 45, 32)},
 	} {
 		tc.run()
 		if got := testing.AllocsPerRun(20, tc.run); got != 0 {
@@ -576,9 +652,15 @@ func TestShapeMismatchPanics(t *testing.T) {
 }
 
 func TestImplNamesThePath(t *testing.T) {
-	if got := Impl(); got != "avx2" && got != "generic" {
+	if got := Impl(); got != "avx512" && got != "avx2" && got != "generic" {
 		t.Fatalf("Impl() = %q", got)
 	}
+	t.Logf("Impl() = %q", Impl())
+	withAVX2(func() {
+		if useAVX2 && Impl() != "avx2" {
+			t.Fatalf("Impl() = %q with the AVX-512F kernel off", Impl())
+		}
+	})
 	withReference(func() {
 		if Impl() != "generic" {
 			t.Fatalf("Impl() = %q with the micro-kernels off", Impl())

@@ -24,22 +24,27 @@ func mulAVX2(c, a, b *float64, m4, k, n int)
 //go:noescape
 func mulAddAVX2(c, a, b, mark *float64, k, n int)
 
-// detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches.
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
+//go:noescape
+func minPlusBlockAVX512(c, a, b *float64, k, n int, skip float64)
+
+// detect reports which micro-kernel tiers the CPU has and the OS
+// supports. avx2: the CPU has AVX2 and the OS saves the YMM registers
+// across context switches, XCR0 bits 1–2. avx512: AVX2, and the CPU has
+// AVX-512F and the OS also saves the opmask and all 32 ZMM registers,
+// XCR0 bits 5–7 (XCR0 & 0xE6 == 0xE6).
+func detect() (avx2, avx512 bool) {
 	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
-		return false
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, c, _ := cpuid(1, 0)
+	if maxLeaf < 7 || c&(osxsave|avx) != osxsave|avx {
+		return false, false
 	}
-	const xmmYmmState = 0x6
-	if xgetbv0()&xmmYmmState != xmmYmmState {
-		return false
-	}
-	const avx2 = 1 << 5
+	const avx2Bit, avx512fBit = 1 << 5, 1 << 16
+	const ymmState, zmmState = 0x6, 0xe6
 	_, b, _, _ := cpuid(7, 0)
-	return b&avx2 != 0
+	xcr0 := xgetbv0()
+	if b&avx2Bit == 0 || xcr0&ymmState != ymmState {
+		return false, false
+	}
+	return true, b&avx512fBit != 0 && xcr0&zmmState == zmmState
 }

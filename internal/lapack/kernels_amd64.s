@@ -1,11 +1,13 @@
-// Leaf micro-kernels for amd64 with AVX2. Each one is the vector form of
+// Leaf micro-kernels for amd64 with AVX2, and one for AVX-512F
+// (minPlusBlockAVX512, last in the file). Each one is the vector form of
 // an inner loop in lapack.go and must produce that loop's bits (DESIGN.md
 // §18): multiply and add are separate instructions, never a fused
-// multiply-add; a YMM lane is one of the reference's independent
+// multiply-add; a YMM or ZMM lane is one of the reference's independent
 // accumulation chains; the reduction tree is the reference's. Callers
 // guarantee every pointer and count (checkShapes), so nothing here is
-// bounds-checked. Every inner loop head is PCALIGN $32, so kernel speed
-// does not move when unrelated text is added or removed.
+// bounds-checked. Every inner loop head is PCALIGN $32 ($64 in
+// minPlusBlockAVX512), so kernel speed does not move when unrelated text
+// is added or removed.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), $0-24
@@ -543,5 +545,110 @@ minplus1loop:
 	DECQ CX
 	JNZ minplus1loop
 minplusdone:
+	VZEROUPPER
+	RET
+
+// The AVX-512F kernel, minPlusBlockAVX512, keeps a 4×32 block of C in
+// Z0..Z15, row r of the quad in Z(4r)..Z(4r+3), while Z16..Z19 hold row p
+// of b's 32 columns and Z31 the skip value. BLOCKMIN is one step p of one
+// row: it broadcasts a[i][p] from a, sets mask k where !(a[i][p] >= skip)
+// (VCMPPD predicate 0x19, NGE_UQ: true for NaN, as Go's >= is false), and
+// takes the min into the lanes of k only. The add is a[i][p] first and the
+// min keeps acc unless the sum is strictly smaller, as in MINPLUS above.
+#define BLOCKMIN(a, k, c0, c1, c2, c3) \
+	VBROADCASTSD a, Z20 \
+	VCMPPD $0x19, Z31, Z20, k \
+	VADDPD Z16, Z20, Z24 \
+	VADDPD Z17, Z20, Z25 \
+	VADDPD Z18, Z20, Z26 \
+	VADDPD Z19, Z20, Z27 \
+	VMINPD c0, Z24, k, c0 \
+	VMINPD c1, Z25, k, c1 \
+	VMINPD c2, Z26, k, c2 \
+	VMINPD c3, Z27, k, c3
+
+// func minPlusBlockAVX512(c, a, b *float64, k, n int, skip float64)
+//
+// FWKernelD on one quad of rows over its whole 4×32 blocks, columns
+// j < n&^31, with a (four rows, stride k), b and c (stride n) row-major:
+//	for p < k { if a[i][p] >= skip { continue }; c[i*n+j] = min(c[i*n+j], a[i][p]+b[p*n+j]) }
+// Each lane is one element's chain in p order, as in minPlusPanelAVX2.
+// The skip is a lane mask, not a branch, and it cannot be dropped: a
+// no-path a[i][p] facing b = −Inf or −2·Inf sums to a finite or −Inf
+// value the reference never takes. Requires k >= 1, n >= 32.
+TEXT ·minPlusBlockAVX512(SB), $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), R8
+	MOVQ n+32(FP), R10
+	VBROADCASTSD skip+40(FP), Z31
+	MOVQ R10, R11
+	SHLQ $3, R11           // row stride of b and c in bytes
+	ANDQ $-32, R10
+	SHLQ $3, R10           // bytes of a row the blocks cover
+	MOVQ R8, R12
+	SHLQ $3, R12           // row stride of a in bytes
+	LEAQ (R12)(R12*2), R13 // three rows of a
+	LEAQ (R11)(R11*2), R14 // three rows of c
+	XORQ R9, R9            // byte offset of the block in its rows
+
+minblock:
+	LEAQ (DI)(R9*1), BX
+	VMOVUPD (BX), Z0
+	VMOVUPD 64(BX), Z1
+	VMOVUPD 128(BX), Z2
+	VMOVUPD 192(BX), Z3
+	VMOVUPD (BX)(R11*1), Z4
+	VMOVUPD 64(BX)(R11*1), Z5
+	VMOVUPD 128(BX)(R11*1), Z6
+	VMOVUPD 192(BX)(R11*1), Z7
+	VMOVUPD (BX)(R11*2), Z8
+	VMOVUPD 64(BX)(R11*2), Z9
+	VMOVUPD 128(BX)(R11*2), Z10
+	VMOVUPD 192(BX)(R11*2), Z11
+	VMOVUPD (BX)(R14*1), Z12
+	VMOVUPD 64(BX)(R14*1), Z13
+	VMOVUPD 128(BX)(R14*1), Z14
+	VMOVUPD 192(BX)(R14*1), Z15
+	MOVQ SI, AX            // a[i][p]: rows at AX + {0, R12, 2*R12, R13}
+	LEAQ (DX)(R9*1), BX    // row p of b, this block's columns
+	MOVQ R8, CX
+
+	PCALIGN $64
+minblockp:
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+	VMOVUPD 128(BX), Z18
+	VMOVUPD 192(BX), Z19
+	BLOCKMIN((AX), K1, Z0, Z1, Z2, Z3)
+	BLOCKMIN((AX)(R12*1), K2, Z4, Z5, Z6, Z7)
+	BLOCKMIN((AX)(R12*2), K3, Z8, Z9, Z10, Z11)
+	BLOCKMIN((AX)(R13*1), K4, Z12, Z13, Z14, Z15)
+	ADDQ $8, AX
+	ADDQ R11, BX
+	DECQ CX
+	JNZ minblockp
+
+	LEAQ (DI)(R9*1), BX
+	VMOVUPD Z0, (BX)
+	VMOVUPD Z1, 64(BX)
+	VMOVUPD Z2, 128(BX)
+	VMOVUPD Z3, 192(BX)
+	VMOVUPD Z4, (BX)(R11*1)
+	VMOVUPD Z5, 64(BX)(R11*1)
+	VMOVUPD Z6, 128(BX)(R11*1)
+	VMOVUPD Z7, 192(BX)(R11*1)
+	VMOVUPD Z8, (BX)(R11*2)
+	VMOVUPD Z9, 64(BX)(R11*2)
+	VMOVUPD Z10, 128(BX)(R11*2)
+	VMOVUPD Z11, 192(BX)(R11*2)
+	VMOVUPD Z12, (BX)(R14*1)
+	VMOVUPD Z13, 64(BX)(R14*1)
+	VMOVUPD Z14, 128(BX)(R14*1)
+	VMOVUPD Z15, 192(BX)(R14*1)
+	ADDQ $256, R9
+	CMPQ R9, R10
+	JLT minblock
 	VZEROUPPER
 	RET

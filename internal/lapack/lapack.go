@@ -10,7 +10,9 @@
 // the edge rows and columns, the unroll tails and the zero / no-path
 // skips, and they are all that runs where useAVX2 is false. On an amd64
 // CPU with AVX2 the inner loops run in the micro-kernels of
-// kernels_amd64.s instead, which produce the same bits (DESIGN.md §18).
+// kernels_amd64.s instead, which produce the same bits (DESIGN.md §18);
+// where the CPU also has AVX-512F, FWKernelD's whole 4×32 blocks run on
+// one AVX-512F kernel, its skip a lane mask. Impl names the tier.
 // GemmNN runs whole on its 4×8 block kernel, its m%4 rows and n%8 columns
 // on zero-padded copies; Potrf, Trsm's rows past its last 16-row panel,
 // Mul's m%4 rows and n%8 columns and the column edges of GemmNT, Syrk and
@@ -29,14 +31,20 @@ import (
 	"repro/internal/tile"
 )
 
-// useAVX2 routes the inner loops through kernels_amd64.s. It is what the
-// CPU reports at package init and nothing else; only tests clear it, to
-// run the reference loops beside the micro-kernels in one process.
-var useAVX2 = detectAVX2()
+// useAVX2 routes the inner loops through kernels_amd64.s, and useAVX512
+// (never set without useAVX2) FWKernelD's whole 4×32 blocks through its
+// AVX-512F kernel. They are what the CPU reports at package init and
+// nothing else; only tests clear them, to run each tier beside the
+// reference loops in one process.
+var useAVX2, useAVX512 = detect()
 
-// Impl names the kernel path this process runs: "avx2" or "generic".
+// Impl names the kernel tier this process runs: "avx512", "avx2" or
+// "generic".
 func Impl() string {
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useAVX2:
 		return "avx2"
 	}
 	return "generic"
@@ -526,29 +534,47 @@ func FWKernelC(c, d *tile.Tile) {
 // FWKernelD is the independent update C ← min(C, A⊗B) with A from the
 // tile's row panel and B from its column panel. It has no self-dependence,
 // so the i-k-j order with hoisted rows is legal (kernels A–C must keep k
-// outermost).
+// outermost). With AVX-512F, minPlusBlockAVX512 takes each quad of rows
+// over its whole 4×32 blocks and the n%32 edge columns run minPlusRow;
+// the m%4 leftover rows, and every row without AVX-512F, run
+// minPlusPanelAVX2 over the whole vectors and the Go loop after them.
 func FWKernelD(c, a, b *tile.Tile) {
 	m, n, kk := c.Rows, c.Cols, a.Cols
 	checkShapes("FWKernelD", a.Rows == m && b.Rows == kk && b.Cols == n, c, a, b)
+	i := 0
+	if useAVX512 && kk > 0 && n >= 32 {
+		for ; i+4 <= m; i += 4 {
+			minPlusBlockAVX512(&c.Data[i*n], &a.Data[i*kk], &b.Data[0], kk, n, Inf)
+			for r := i; r < i+4 && n&31 != 0; r++ {
+				minPlusCols(c.Data[r*n:(r+1)*n], a.Data[r*kk:(r+1)*kk], b.Data, n&^31)
+			}
+		}
+	}
 	n4 := 0 // columns the micro-kernel takes, k loop and no-path skip included
 	if useAVX2 && kk > 0 {
 		n4 = n &^ 3
 	}
-	for i := 0; i < m; i++ {
+	for ; i < m; i++ {
 		ci := c.Data[i*n : (i+1)*n]
 		ai := a.Data[i*kk : (i+1)*kk]
 		if n4 > 0 {
 			minPlusPanelAVX2(&ci[0], &ai[0], &b.Data[0], kk, n, Inf)
 		}
-		if n4 == n {
+		if n4 < n {
+			minPlusCols(ci, ai, b.Data, n4)
+		}
+	}
+}
+
+// minPlusCols is FWKernelD's reference loop on one row ci from column j0
+// on, with ai the row's A entries and b all of B.
+func minPlusCols(ci, ai, b []float64, j0 int) {
+	n := len(ci)
+	for k, aik := range ai {
+		if aik >= Inf {
 			continue
 		}
-		for k, aik := range ai {
-			if aik >= Inf {
-				continue
-			}
-			minPlusRow(ci[n4:], b.Data[k*n+n4:(k+1)*n], aik)
-		}
+		minPlusRow(ci[j0:], b[k*n+j0:(k+1)*n], aik)
 	}
 }
 

@@ -414,6 +414,35 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
+// BenchmarkFWKernelD times FWKernelD at fw_tcp's tile size (nb 32) and at
+// 128, on each tier this CPU has, with every entry a path (no skips).
+func BenchmarkFWKernelD(b *testing.B) {
+	for _, n := range []int{32, 128} {
+		for _, tr := range tiers {
+			if !tr.has {
+				continue
+			}
+			b.Run(fmt.Sprintf("%d/%s", n, tr.name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				paths := func() *tile.Tile {
+					t := tile.New(n, n)
+					for i := range t.Data {
+						t.Data[i] = float64(rng.Float64() * 20)
+					}
+					return t
+				}
+				c, a, bb := paths(), paths(), paths()
+				tr.with(func() {
+					for range b.N {
+						FWKernelD(c, a, bb)
+					}
+				})
+				b.ReportMetric(MinPlusFlops(n, n, n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			})
+		}
+	}
+}
+
 func TestBlockedKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Shapes chosen to hit the unroll tails (n % 4 ∈ {0,1,2,3}).

@@ -358,7 +358,8 @@ func (e *Endpoint) Send(dst int, kind uint8, data []byte) {
 // SendSegs transmits framed data plus by-reference payload segments. The
 // segment memory is owned by the fabric: once the bytes are on the wire
 // it returns to its pool, completing the pool -> socket zero-copy path.
-// Self-sends land directly in the local inbox (parity with simnet).
+// Self-sends land directly in the local inbox (parity with simnet); a
+// frame to a peer longer than maxFrameLen panics, naming its size.
 func (e *Endpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment) {
 	if dst == e.rank {
 		e.inbox.Push(fabric.Packet{Src: e.rank, Dst: dst, Kind: kind, Data: data, Segs: segs})
@@ -366,6 +367,9 @@ func (e *Endpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segme
 	}
 	if dst < 0 || dst >= e.size {
 		panic(fmt.Sprintf("netfab: send to invalid rank %d", dst))
+	}
+	if rest := frameRest(data, segs); rest > maxFrameLen {
+		panic(fmt.Sprintf("netfab: frame of %d bytes to rank %d exceeds the protocol maximum of %d", rest, dst, maxFrameLen))
 	}
 	e.peers[dst].enqueue(buildFrame(kind, data, segs))
 }

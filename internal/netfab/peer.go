@@ -26,6 +26,13 @@ import (
 // every segment payload are separate iovecs in one vectored write.
 const frameHeadLen = 13
 
+// maxFrameLen is the protocol maximum of a frame's rest field: 256 MiB, a
+// float64 tile of order 5792. The bench workloads' tiles are 8 and
+// 128 KiB. The reader refuses a longer frame before it allocates anything
+// for it, so a 13-byte header cannot make it allocate 4 GiB; the sender
+// refuses to build one.
+const maxFrameLen = 256 << 20
+
 // outFrame is one frame queued on a peer's writer.
 type outFrame struct {
 	bufs    net.Buffers // iovecs: head, [data], [segdir], seg payloads...
@@ -35,11 +42,16 @@ type outFrame struct {
 	wireLen int // total bytes across bufs
 }
 
+// frameRest is the rest field of a frame carrying data and segs: every
+// byte after the field itself.
+func frameRest(data []byte, segs []serde.Segment) int {
+	return frameHeadLen - 4 + len(data) + 5*len(segs) + serde.SegmentBytes(segs)
+}
+
 // buildFrame assembles the iovec list for one frame without copying data
 // or segment payloads.
 func buildFrame(kind uint8, data []byte, segs []serde.Segment) outFrame {
-	segBytes := serde.SegmentBytes(segs)
-	rest := frameHeadLen - 4 + len(data) + 5*len(segs) + segBytes
+	rest := frameRest(data, segs)
 	head := pool.Bytes(frameHeadLen)[:frameHeadLen]
 	binary.LittleEndian.PutUint32(head[:4], uint32(rest))
 	head[4] = kind

@@ -40,15 +40,19 @@ func (e *Endpoint) readLoop(pr *peer) {
 }
 
 // readFrame reads the remainder of one frame (head[:4] already holds the
-// length field) and dispatches it. Every count in the frame is checked
-// against the length field before anything is allocated for it, so a
-// frame costs no more memory than it says it carries, and the data and
-// segments must use up the length exactly.
+// length field) and dispatches it. A length over maxFrameLen is refused
+// first, and every count in the frame is checked against the length
+// before anything is allocated for it, so a frame costs no more memory
+// than it says it carries, and the data and segments must use up the
+// length exactly.
 func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
+	rest := int(binary.LittleEndian.Uint32(head[:4]))
+	if rest > maxFrameLen {
+		return fmt.Errorf("frame of %d bytes exceeds the protocol maximum of %d", rest, maxFrameLen)
+	}
 	if _, err := io.ReadFull(br, head[4:frameHeadLen]); err != nil {
 		return err
 	}
-	rest := int(binary.LittleEndian.Uint32(head[:4]))
 	kind := head[4]
 	dataLen := int(binary.LittleEndian.Uint32(head[5:9]))
 	nsegs := int(binary.LittleEndian.Uint32(head[9:13]))
