@@ -144,12 +144,18 @@ var kernelCases = []kernelCase{
 		fill(c, rng, s, nil)
 		fill(a, rng, s, zeros)
 		fill(b, rng, s, zeros)
+		if s.sprinkle && s.m > 0 && s.n > 0 && s.k > 0 {
+			dotSpecials(a.t, b.t, rng)
+		}
 		return []operand{c, a, b}
 	}, func(o []operand) error { GemmNT(o[0].t, o[1].t, o[2].t); return nil }},
 	{"Syrk", func(s kshape, rng *rand.Rand) []operand {
 		c, a := newOperand(s.m, s.m, s.off), newOperand(s.m, s.k, s.off)
 		fill(c, rng, s, nil)
 		fill(a, rng, s, zeros)
+		if s.sprinkle && s.m > 0 && s.k > 0 {
+			dotSpecials(a.t, a.t, rng)
+		}
 		return []operand{c, a}
 	}, func(o []operand) error { Syrk(o[0].t, o[1].t); return nil }},
 	{"GemmNN", func(s kshape, rng *rand.Rand) []operand {
@@ -264,6 +270,28 @@ func fwDSpecials(a, b *tile.Tile, rng *rand.Rand) {
 		}
 		a.Data[i*k+p] = []float64{Inf, 2 * Inf, math.Inf(1)}[rng.Intn(3)]
 		b.Data[p*n+j] = []float64{math.Inf(-1), -2 * Inf, math.NaN()}[rng.Intn(3)]
+	}
+}
+
+// dotSpecials plants what GemmNT's and Syrk's dot products must carry
+// through where dotQuadAVX512 holds two rows of A in one register and
+// broadcasts one row of B into both its halves: in one row of A, which
+// shares its register with a row that stays finite, and in one row of B
+// (for Syrk another row of A), two values each from NaN, ±Inf, −0 and a
+// subnormal at random steps, vector steps and k%4 tail alike. Their
+// products make that row's and that column's chains diverge from their
+// neighbours', so a result moved to another row, column or half shows.
+// Every NaN is defaultNaN, which is also what Inf − Inf makes: the Go
+// loop may take either operand of a product or a sum first, so where two
+// NaNs meet only one payload keeps the reference's bits defined.
+func dotSpecials(a, b *tile.Tile, rng *rand.Rand) {
+	k := a.Cols
+	vals := []float64{defaultNaN, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324}
+	for _, t := range []*tile.Tile{a, b} {
+		i := rng.Intn(t.Rows)
+		for range 2 {
+			t.Data[i*k+rng.Intn(k)] = vals[rng.Intn(len(vals))]
+		}
 	}
 }
 
@@ -428,6 +456,23 @@ func corpus() []kshape {
 			}
 		}
 	}
+	// dotQuadAVX512's 4×8 blocks followed by every kind of leftover: the
+	// m%4 rows, the n%8 edge columns (dotBlocksAVX2's 2×4 blocks and
+	// dotRow's single columns), and dot4's k%4 tail, on rows at every
+	// element offset. Syrk runs the m×m case of each.
+	for mr := 1; mr <= 3; mr++ {
+		for nr := 1; nr < 8; nr++ {
+			for kr := 1; kr <= 3; kr++ {
+				cs = append(cs, kshape{m: 8 + mr, n: 16 + nr, k: 8 + kr, off: 1 + (nr+kr)%3, sprinkle: (mr+nr+kr)%2 == 0})
+			}
+		}
+	}
+	// Syrk's diagonal band, the columns from (i&^3)&^7 to the diagonal,
+	// starts at every quad of every order from 8 to 40, with and without
+	// whole blocks left of it.
+	for n := 8; n <= 40; n++ {
+		cs = append(cs, kshape{m: n, n: 8, k: 4 + n%4, off: n % 4, sprinkle: n%2 == 1})
+	}
 	// MRA's contractions of a k^3 tensor: a strided mode's k×k² and k×k
 	// blocks, and the last mode's k²×k rows. k = 8 is mra_stream's, whose
 	// blocks Mul's micro-kernel takes whole; k = 6 (Fig. 13) and k = 10
@@ -482,9 +527,10 @@ func FuzzKernelsBitIdentical(f *testing.F) {
 
 // TestKernelsDoNotAllocate pins the reused scratch: once warm, the
 // kernels that pack operands on the AVX2 path (on the reference path
-// nothing is packed) allocate nothing. Mul and FWKernelD pack nothing and
-// must keep it so: MRA calls Mul on operands built on the caller's stack,
-// and FWKernelD is most of fw_tcp's task bodies.
+// nothing is packed) allocate nothing. Mul, FWKernelD, GemmNT and Syrk
+// pack nothing and must keep it so: MRA calls Mul on operands built on
+// the caller's stack, FWKernelD is most of fw_tcp's task bodies and
+// GemmNT and Syrk most of the Cholesky's.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := func(rows, cols int) *tile.Tile {
@@ -513,6 +559,14 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		t.Fatalf("sparse.DefaultSpec(24) panels %v: no edge columns or no leftover rows", p[:3])
 	}
 	c, a, b := random(m, n), random(m, k), random(k, n)
+	gemmNT := func(m, n, k int) func() {
+		c, a, b := random(m, n), random(m, k), random(n, k)
+		return func() { GemmNT(c, a, b) }
+	}
+	syrk := func(n, k int) func() {
+		c, a := random(n, n), random(n, k)
+		return func() { Syrk(c, a) }
+	}
 	for _, tc := range []struct {
 		name string
 		run  func()
@@ -523,10 +577,59 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{fmt.Sprintf("Mul %dx%dx%d", m, n, k), func() { Mul(c, a, b) }},
 		{"FWKernelD 32x32x32", fwD(32, 32, 32)},
 		{"FWKernelD 38x45x32", fwD(38, 45, 32)},
+		{"GemmNT 128x128x128", gemmNT(128, 128, 128)},
+		{"GemmNT 38x45x14", gemmNT(38, 45, 14)},
+		{"Syrk 128x128", syrk(128, 128)},
+		{"Syrk 38x14", syrk(38, 14)},
 	} {
 		tc.run()
 		if got := testing.AllocsPerRun(20, tc.run); got != 0 {
 			t.Errorf("%s on the %s path: %v allocations per call, want 0", tc.name, Impl(), got)
+		}
+	}
+}
+
+// TestDotKernelsNaNOperandOrder pins the one bit of GemmNT and Syrk that
+// the Go reference leaves open: which payload a product of two NaNs
+// keeps. dot4's float64(x*y) may be compiled either way round (a plain
+// build multiplies y by x, keeping B's), so the bit-identity corpus has a
+// single NaN. The micro-kernels write the product A operand first, and
+// x86 keeps the first operand's NaN: where a NaN of A meets one of B, in
+// a whole block, at a vector step or in the k%4 tail, C carries A's.
+func TestDotKernelsNaNOperandOrder(t *testing.T) {
+	nanA, nanB := math.Float64frombits(0x7ff80000000000a1), math.Float64frombits(0x7ff80000000000b2)
+	const k = 6 // one vector step and a tail of two
+	type meet struct{ i, j, p int }
+	for _, tc := range []struct {
+		name  string
+		m, n  int
+		meets []meet
+		run   func(c, a, b *tile.Tile)
+	}{
+		{"GemmNT", 4, 8, []meet{{0, 0, 1}, {2, 5, 5}}, func(c, a, b *tile.Tile) { GemmNT(c, a, b) }},
+		// B is A: row j of B is row j of A, which the block reaches from
+		// row i ≥ 8.
+		{"Syrk", 12, 12, []meet{{8, 0, 2}, {11, 6, 4}}, func(c, a, _ *tile.Tile) { Syrk(c, a) }},
+	} {
+		for _, tr := range tiers {
+			if !tr.has {
+				continue
+			}
+			rng := rand.New(rand.NewSource(1))
+			c, a, b := randTile(tc.m, tc.n, rng), randTile(tc.m, k, rng), randTile(tc.n, k, rng)
+			if tc.name == "Syrk" {
+				b = a
+			}
+			for _, mt := range tc.meets {
+				a.Data[mt.i*k+mt.p], b.Data[mt.j*k+mt.p] = nanA, nanB
+			}
+			tr.with(func() { tc.run(c, a, b) })
+			for _, mt := range tc.meets {
+				if got := math.Float64bits(c.At(mt.i, mt.j)); got != math.Float64bits(nanA) {
+					t.Errorf("%s on %s: C[%d][%d] = %#x where A's NaN met B's at step %d, want A's %#x",
+						tc.name, tr.name, mt.i, mt.j, got, mt.p, math.Float64bits(nanA))
+				}
+			}
 		}
 	}
 }

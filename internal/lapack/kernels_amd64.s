@@ -1,12 +1,12 @@
-// Leaf micro-kernels for amd64 with AVX2, and one for AVX-512F
-// (minPlusBlockAVX512, last in the file). Each one is the vector form of
+// Leaf micro-kernels for amd64 with AVX2, and two for AVX-512F
+// (minPlusBlockAVX512 and dotQuadAVX512, last in the file). Each one is the vector form of
 // an inner loop in lapack.go and must produce that loop's bits (DESIGN.md
 // §18): multiply and add are separate instructions, never a fused
 // multiply-add; a YMM or ZMM lane is one of the reference's independent
 // accumulation chains; the reduction tree is the reference's. Callers
 // guarantee every pointer and count (checkShapes), so nothing here is
-// bounds-checked. Every inner loop head is PCALIGN $32 ($64 in
-// minPlusBlockAVX512), so kernel speed does not move when unrelated text
+// bounds-checked. Every inner loop head is PCALIGN $32 ($64 in the
+// AVX-512F kernels), so kernel speed does not move when unrelated text
 // is added or removed.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -650,5 +650,176 @@ minblockp:
 	ADDQ $256, R9
 	CMPQ R9, R10
 	JLT minblock
+	VZEROUPPER
+	RET
+
+// The AVX-512F kernel dotQuadAVX512 keeps, for one quad of rows of a and
+// eight rows of b, the 16 accumulators of its 4×8 block of dot4 chains
+// in Z16..Z31: Z(16+j) for rows 0 and 1 against row j of b, Z(24+j) for
+// rows 2 and 3. Each is two of dotBlocksAVX2's accumulators side by side,
+// lanes 0..3 the first row's s0..s3 and lanes 4..7 the second row's.
+// DOTPAIRS is one step p of row j of b: it broadcasts b[j][p..p+3] to
+// both halves of Z2 and adds its products with the two row pairs, Z0 and
+// Z1, into the pairs' accumulators, the product a first and the add the
+// running sum first, as dotBlocksAVX2 does.
+#define DOTPAIRS(b, acc0, acc1) \
+	VBROADCASTF64X4 b, Z2 \
+	VMULPD Z2, Z0, Z3 \
+	VADDPD Z3, acc0, acc0 \
+	VMULPD Z2, Z1, Z4 \
+	VADDPD Z4, acc1, acc1
+
+// REDUCEPAIR turns one row pair's eight accumulators into its two rows of
+// (s0+s1)+(s2+s3) over the block's eight columns, lo (the first row) and
+// hi.
+// VUNPCKLPD/VUNPCKHPD put s0 beside s1 and s2 beside s3 of two columns
+// in each 128-bit lane, so one add gives x = s0+s1 and y = s2+s3:
+// T(j,j+1) = [x of row lo | y of row lo | x of row hi | y of row hi], each
+// lane columns j and j+1. VSHUFF64X2 $0x88 gathers lanes 0 and 2 of two
+// such registers (the x lanes of T01 and T23) and $0xDD lanes 1 and 3
+// (their y lanes), so a second add gives x+y, lane by lane [row lo c0 c1
+// | row hi c0 c1 | row lo c2 c3 | row hi c2 c3]; the same two shuffles
+// of that sum and its columns 4..7 give each row in column order.
+#define REDUCEPAIR(a0, a1, a2, a3, a4, a5, a6, a7, lo, hi) \
+	VUNPCKLPD a1, a0, Z0 \
+	VUNPCKHPD a1, a0, Z1 \
+	VADDPD Z1, Z0, Z0 \
+	VUNPCKLPD a3, a2, Z2 \
+	VUNPCKHPD a3, a2, Z3 \
+	VADDPD Z3, Z2, Z2 \
+	VUNPCKLPD a5, a4, Z4 \
+	VUNPCKHPD a5, a4, Z5 \
+	VADDPD Z5, Z4, Z4 \
+	VUNPCKLPD a7, a6, Z6 \
+	VUNPCKHPD a7, a6, Z7 \
+	VADDPD Z7, Z6, Z6 \
+	VSHUFF64X2 $0x88, Z2, Z0, Z1 \
+	VSHUFF64X2 $0xDD, Z2, Z0, Z3 \
+	VADDPD Z3, Z1, Z1 \
+	VSHUFF64X2 $0x88, Z6, Z4, Z5 \
+	VSHUFF64X2 $0xDD, Z6, Z4, Z7 \
+	VADDPD Z7, Z5, Z5 \
+	VSHUFF64X2 $0x88, Z5, Z1, lo \
+	VSHUFF64X2 $0xDD, Z5, Z1, hi
+
+// DOTTAIL is one k%4 step of one row: with Z2 holding b[0..7][p], it
+// adds a[i][p]·b[j][p] into the row's sums, product a first, sum first.
+#define DOTTAIL(a, row) \
+	VBROADCASTSD a, Z3 \
+	VMULPD Z2, Z3, Z3 \
+	VADDPD Z3, row, row
+
+// DOTSTORE is C −= row over the block's eight columns of one row at c.
+#define DOTSTORE(c, row) \
+	VMOVUPD c, Z0 \
+	VSUBPD row, Z0, Z0 \
+	VMOVUPD Z0, c
+
+// func dotQuadAVX512(c *float64, ldc int, a, b *float64, k, nquad int)
+//
+// For rows i = 0 .. 4*nquad-1 of a (stride k) and the eight rows j = 0..7
+// of b (stride k):  c[i*ldc+j] -= dot4(a[i*k:][:k], b[j*k:][:k]).
+// One quad of rows at a time against the same eight rows of b, which stay
+// in L1: each lane is one of dot4's chains s0..s3, reduced as
+// (s0+s1)+(s2+s3) (REDUCEPAIR), then dot4's scalar k%4 tail in order.
+// Requires k >= 1, nquad >= 1.
+TEXT ·dotQuadAVX512(SB), $0-48
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ b+24(FP), DX
+	MOVQ k+32(FP), CX
+	MOVQ nquad+40(FP), BX
+	SHLQ $3, R8            // ldc in bytes
+	MOVQ CX, R9
+	SHLQ $3, R9            // row stride of a and b in bytes
+	LEAQ (R9)(R9*2), R10   // three rows
+	MOVQ CX, R11
+	SHRQ $2, R11           // k/4 vector steps
+	ANDQ $3, CX            // k%4 scalar steps
+
+dotquad:
+	MOVQ SI, AX            // a cursor: rows at AX + {0, R9, 2*R9, R10}
+	MOVQ DX, R12           // b cursor: rows 0..3 at R12 + {0, R9, 2*R9, R10}
+	LEAQ (DX)(R9*4), R13   // and rows 4..7 at R13 + the same
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	MOVQ R11, R14
+	TESTQ R14, R14
+	JZ dotquadreduce
+
+	PCALIGN $64
+dotquadp:
+	VMOVUPD (AX), Y0
+	VINSERTF64X4 $1, (AX)(R9*1), Z0, Z0
+	VMOVUPD (AX)(R9*2), Y1
+	VINSERTF64X4 $1, (AX)(R10*1), Z1, Z1
+	DOTPAIRS((R12), Z16, Z24)
+	DOTPAIRS((R12)(R9*1), Z17, Z25)
+	DOTPAIRS((R12)(R9*2), Z18, Z26)
+	DOTPAIRS((R12)(R10*1), Z19, Z27)
+	DOTPAIRS((R13), Z20, Z28)
+	DOTPAIRS((R13)(R9*1), Z21, Z29)
+	DOTPAIRS((R13)(R9*2), Z22, Z30)
+	DOTPAIRS((R13)(R10*1), Z23, Z31)
+	ADDQ $32, AX
+	ADDQ $32, R12
+	ADDQ $32, R13
+	DECQ R14
+	JNZ dotquadp
+
+dotquadreduce:
+	REDUCEPAIR(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z8, Z9)
+	REDUCEPAIR(Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31, Z10, Z11)
+
+	MOVQ CX, R14
+	TESTQ R14, R14
+	JZ dotquadstore
+dotquadtail:
+	VMOVSD (R12), X2
+	VMOVHPD (R12)(R9*1), X2, X2
+	VMOVSD (R12)(R9*2), X3
+	VMOVHPD (R12)(R10*1), X3, X3
+	VINSERTF128 $1, X3, Y2, Y2
+	VMOVSD (R13), X3
+	VMOVHPD (R13)(R9*1), X3, X3
+	VMOVSD (R13)(R9*2), X4
+	VMOVHPD (R13)(R10*1), X4, X4
+	VINSERTF128 $1, X4, Y3, Y3
+	VINSERTF64X4 $1, Y3, Z2, Z2
+	DOTTAIL((AX), Z8)
+	DOTTAIL((AX)(R9*1), Z9)
+	DOTTAIL((AX)(R9*2), Z10)
+	DOTTAIL((AX)(R10*1), Z11)
+	ADDQ $8, AX
+	ADDQ $8, R12
+	ADDQ $8, R13
+	DECQ R14
+	JNZ dotquadtail
+
+dotquadstore:
+	DOTSTORE((DI), Z8)
+	DOTSTORE((DI)(R8*1), Z9)
+	DOTSTORE((DI)(R8*2), Z10)
+	LEAQ (DI)(R8*2), R12
+	DOTSTORE((R12)(R8*1), Z11)
+	LEAQ (DI)(R8*4), DI
+	LEAQ (SI)(R9*4), SI
+	DECQ BX
+	JNZ dotquad
 	VZEROUPPER
 	RET

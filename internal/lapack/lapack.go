@@ -12,11 +12,12 @@
 // CPU with AVX2 the inner loops run in the micro-kernels of
 // kernels_amd64.s instead, which produce the same bits (DESIGN.md §18);
 // where the CPU also has AVX-512F, FWKernelD's whole 4×32 blocks run on
-// one AVX-512F kernel, its skip a lane mask. Impl names the tier.
-// GemmNN runs whole on its 4×8 block kernel, its m%4 rows and n%8 columns
-// on zero-padded copies; Potrf, Trsm's rows past its last 16-row panel,
-// Mul's m%4 rows and n%8 columns and the column edges of GemmNT, Syrk and
-// the min-plus kernels stay in Go.
+// one AVX-512F kernel, its skip a lane mask, and the whole 4×8 blocks of
+// GemmNT and Syrk on another, their edges on the AVX2 kernel. Impl names
+// the tier. GemmNN runs whole on its 4×8 block kernel, its m%4 rows and
+// n%8 columns on zero-padded copies; Potrf, Trsm's rows past its last
+// 16-row panel, Mul's m%4 rows and n%8 columns and the column edges of
+// GemmNT, Syrk and the min-plus kernels stay in Go.
 // Every product is written float64(x*y): the explicit conversion forbids
 // the compiler to fuse it into the add that follows (GOAMD64=v3, arm64),
 // so the reference rounds twice everywhere, as the micro-kernels do.
@@ -32,10 +33,10 @@ import (
 )
 
 // useAVX2 routes the inner loops through kernels_amd64.s, and useAVX512
-// (never set without useAVX2) FWKernelD's whole 4×32 blocks through its
-// AVX-512F kernel. They are what the CPU reports at package init and
-// nothing else; only tests clear them, to run each tier beside the
-// reference loops in one process.
+// (never set without useAVX2) the whole blocks of FWKernelD, GemmNT and
+// Syrk through the AVX-512F kernels. They are what the CPU reports at
+// package init and nothing else; only tests clear them, to run each tier
+// beside the reference loops in one process.
 var useAVX2, useAVX512 = detect()
 
 // Impl names the kernel tier this process runs: "avx512", "avx2" or
@@ -248,17 +249,32 @@ func giveBack(s []float64) {
 }
 
 // Syrk updates C ← C − A·Aᵀ on the lower triangle (diagonal tile update):
-// GemmNT with B = A, each row stopped at its diagonal.
+// GemmNT with B = A, each row stopped at its diagonal. With AVX-512F,
+// dotQuadAVX512 takes each quad of rows left of its diagonal band, the
+// columns j < (i&^3)&^7 of row i, one column block at a time against
+// every quad below it; the band and the n%4 leftover rows run on
+// dotBlocksAVX2 and dotRow.
 func Syrk(c, a *tile.Tile) {
 	n, k := c.Rows, a.Cols
 	checkShapes("Syrk", c.Cols == n && a.Rows == n, c, a, nil)
+	n4 := 0 // the rows dotQuadAVX512 takes, left of their band
+	if useAVX512 && k > 0 {
+		n4 = n &^ 3
+		// Column block j meets the quads from row j+8 on.
+		for j := 0; j+12 <= n4; j += 8 {
+			dotQuadAVX512(&c.Data[(j+8)*n+j], n, &a.Data[(j+8)*k], &a.Data[j*k], k, (n4-j-8)/4)
+		}
+	}
 	i := 0
 	if useAVX2 && k > 0 {
 		for ; i+2 <= n; i += 2 {
-			// Rows i and i+1 share the 2×4 blocks left of column j0.
-			j0 := (i + 1) &^ 3
-			if j0 > 0 {
-				dotBlocksAVX2(&c.Data[i*n], n, &a.Data[i*k], &a.Data[0], k, j0/4)
+			// Rows i and i+1 share the 2×4 blocks from column jq to j0.
+			jq, j0 := 0, (i+1)&^3
+			if i < n4 {
+				jq = i &^ 7
+			}
+			if j0 > jq {
+				dotBlocksAVX2(&c.Data[i*n+jq], n, &a.Data[i*k], &a.Data[jq*k], k, (j0-jq)/4)
 			}
 			dotRow(c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], a.Data, j0, i+1)
 			dotRow(c.Data[(i+1)*n:(i+2)*n], a.Data[(i+1)*k:(i+2)*k], a.Data, j0, i+2)
@@ -269,18 +285,42 @@ func Syrk(c, a *tile.Tile) {
 	}
 }
 
+// dotPair updates rows i and i+1 of C (n columns) over columns j0 ≤ j <
+// j1, A and B having k columns: the whole 2×4 blocks on dotBlocksAVX2,
+// the rest on dotRow.
+func dotPair(c, a, b []float64, n, k, i, j0, j1 int) {
+	j4 := j0 + (j1-j0)&^3
+	if j4 > j0 {
+		dotBlocksAVX2(&c[i*n+j0], n, &a[i*k], &b[j0*k], k, (j4-j0)/4)
+	}
+	dotRow(c[i*n:(i+1)*n], a[i*k:(i+1)*k], b, j4, j1)
+	dotRow(c[(i+1)*n:(i+2)*n], a[(i+1)*k:(i+2)*k], b, j4, j1)
+}
+
 // GemmNT updates C ← C − A·Bᵀ (the trailing update of the tiled Cholesky).
 // Both operands are traversed row-major (Bᵀ means rows of B are the
 // columns we need), so each 4-wide dot product streams two contiguous rows.
+// With AVX-512F, dotQuadAVX512 takes the whole 4×8 blocks, one column
+// block at a time against every quad of rows, so that its eight rows of B
+// stay in L1; the n%8 edge columns and the m%4 leftover rows run on
+// dotPair.
 func GemmNT(c, a, b *tile.Tile) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	checkShapes("GemmNT", a.Rows == m && b.Rows == n && b.Cols == k, c, a, b)
 	i := 0
-	if useAVX2 && n >= 4 && k > 0 {
+	if useAVX512 && k > 0 && m >= 4 && n >= 8 {
+		i = m &^ 3
+		n8 := n &^ 7
+		for j := 0; j < n8; j += 8 {
+			dotQuadAVX512(&c.Data[j], n, &a.Data[0], &b.Data[j*k], k, i/4)
+		}
+		for r := 0; r < i && n8 < n; r += 2 {
+			dotPair(c.Data, a.Data, b.Data, n, k, r, n8, n)
+		}
+	}
+	if useAVX2 && k > 0 {
 		for ; i+2 <= m; i += 2 {
-			dotBlocksAVX2(&c.Data[i*n], n, &a.Data[i*k], &b.Data[0], k, n/4)
-			dotRow(c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, n&^3, n)
-			dotRow(c.Data[(i+1)*n:(i+2)*n], a.Data[(i+1)*k:(i+2)*k], b.Data, n&^3, n)
+			dotPair(c.Data, a.Data, b.Data, n, k, i, 0, n)
 		}
 	}
 	for ; i < m; i++ {
@@ -300,7 +340,8 @@ func dotRow(ci, ai, b []float64, j0, j1 int) {
 
 // dot4 is a four-chain unrolled dot product over equal-length slices, so
 // the FP units overlap independent chains. dotBlocksAVX2 is its vector
-// form: s0..s3 are the lanes of one register.
+// form: s0..s3 are the lanes of one register (of one half of a register
+// in dotQuadAVX512).
 func dot4(x, y []float64) float64 {
 	k := len(x)
 	y = y[:k]

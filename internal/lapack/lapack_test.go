@@ -443,6 +443,50 @@ func BenchmarkFWKernelD(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmNT times GemmNT at the Cholesky tile sizes of the bench
+// workloads (nb 16 and 128), on each tier this CPU has.
+func BenchmarkGemmNT(b *testing.B) {
+	for _, n := range []int{16, 128} {
+		for _, tr := range tiers {
+			if !tr.has {
+				continue
+			}
+			b.Run(fmt.Sprintf("%d/%s", n, tr.name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				c, a, bb := randTile(n, n, rng), randTile(n, n, rng), randTile(n, n, rng)
+				tr.with(func() {
+					for range b.N {
+						GemmNT(c, a, bb)
+					}
+				})
+				b.ReportMetric(GemmFlops(n, n, n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			})
+		}
+	}
+}
+
+// BenchmarkSyrk is BenchmarkGemmNT for Syrk, which computes the lower
+// triangle only: SyrkFlops counts n²k, the triangle's multiply-adds.
+func BenchmarkSyrk(b *testing.B) {
+	for _, n := range []int{16, 128} {
+		for _, tr := range tiers {
+			if !tr.has {
+				continue
+			}
+			b.Run(fmt.Sprintf("%d/%s", n, tr.name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				c, a := randTile(n, n, rng), randTile(n, n, rng)
+				tr.with(func() {
+					for range b.N {
+						Syrk(c, a)
+					}
+				})
+				b.ReportMetric(SyrkFlops(n, n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			})
+		}
+	}
+}
+
 func TestBlockedKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Shapes chosen to hit the unroll tails (n % 4 ∈ {0,1,2,3}).

@@ -359,11 +359,15 @@ func (e *Endpoint) Send(dst int, kind uint8, data []byte) {
 // segment memory is owned by the fabric: once the bytes are on the wire
 // it returns to its pool, completing the pool -> socket zero-copy path.
 // Self-sends land directly in the local inbox (parity with simnet); a
-// frame to a peer longer than maxFrameLen panics, naming its size.
+// frame to a peer longer than maxFrameLen, or with more than maxFrameSegs
+// segments, panics, naming its size or its count.
 func (e *Endpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment) {
 	if dst == e.rank {
 		e.inbox.Push(fabric.Packet{Src: e.rank, Dst: dst, Kind: kind, Data: data, Segs: segs})
 		return
+	}
+	if len(segs) > maxFrameSegs {
+		panic(fmt.Sprintf("netfab: frame of %d segments to rank %d exceeds the protocol maximum of %d", len(segs), dst, maxFrameSegs))
 	}
 	if dst < 0 || dst >= e.size {
 		panic(fmt.Sprintf("netfab: send to invalid rank %d", dst))

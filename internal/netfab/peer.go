@@ -33,6 +33,14 @@ const frameHeadLen = 13
 // refuses to build one.
 const maxFrameLen = 256 << 20
 
+// maxFrameSegs is the protocol maximum of a frame's segment count: 65 536.
+// The repository's frames carry one segment per tile, or one per present
+// child of an MRA node (2^d, eight at d = 3). Each segment costs the
+// reader a directory entry and a slot of the segment slice, ten times the
+// five bytes its entry takes on the wire, so the reader refuses a larger
+// count before it allocates either; the sender refuses to build one.
+const maxFrameSegs = 1 << 16
+
 // outFrame is one frame queued on a peer's writer.
 type outFrame struct {
 	bufs    net.Buffers // iovecs: head, [data], [segdir], seg payloads...

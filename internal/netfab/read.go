@@ -40,11 +40,12 @@ func (e *Endpoint) readLoop(pr *peer) {
 }
 
 // readFrame reads the remainder of one frame (head[:4] already holds the
-// length field) and dispatches it. A length over maxFrameLen is refused
-// first, and every count in the frame is checked against the length
-// before anything is allocated for it, so a frame costs no more memory
-// than it says it carries, and the data and segments must use up the
-// length exactly.
+// length field) and dispatches it. A length over maxFrameLen and a
+// segment count over maxFrameSegs are refused first, and every count in
+// the frame is checked against the length before anything is allocated
+// for it, so a frame costs no more memory than a fixed multiple of what
+// it says it carries, and the data and segments must use up the length
+// exactly.
 func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 	rest := int(binary.LittleEndian.Uint32(head[:4]))
 	if rest > maxFrameLen {
@@ -56,6 +57,9 @@ func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 	kind := head[4]
 	dataLen := int(binary.LittleEndian.Uint32(head[5:9]))
 	nsegs := int(binary.LittleEndian.Uint32(head[9:13]))
+	if nsegs > maxFrameSegs {
+		return fmt.Errorf("frame of %d segments exceeds the protocol maximum of %d", nsegs, maxFrameSegs)
+	}
 	// left counts the payload bytes the length field still allows.
 	left := rest - (frameHeadLen - 4) - dataLen - 5*nsegs
 	if left < 0 {

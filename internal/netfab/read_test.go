@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"strings"
@@ -20,7 +21,10 @@ import (
 // the claimed memory is allocated. A reader that trusted the counts would
 // allocate tens of MB for each (up to 4 GiB for a full u32). A frame
 // whose length claims more than its counts use is refused too: the
-// unclaimed bytes would otherwise be read as the next frame's header.
+// unclaimed bytes would otherwise be read as the next frame's header. So
+// is a frame whose length does hold its directory but whose segment count
+// is over maxFrameSegs: a million empty segments in 5 MiB would cost
+// 55 MB of directory and segment slice (2.8 GB at maxFrameLen).
 func TestReadFrameBoundsCountsByLength(t *testing.T) {
 	frame := func(rest, dataLen, nsegs uint32, dir ...byte) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, rest)
@@ -43,6 +47,7 @@ func TestReadFrameBoundsCountsByLength(t *testing.T) {
 		{"byte segment past the length", frame(frameHeadLen-4+5+16, 0, 1, seg(segB, big)...)},
 		{"second segment past the length", frame(frameHeadLen-4+10+8, 0, 2, slices.Concat(seg(segF64, 1), seg(segB, big), make([]byte, 8))...)},
 		{"length past the data", frame(frameHeadLen-4+2+8, 2, 0, make([]byte, 2+8)...)},
+		{"a million empty segments", frame(frameHeadLen-4+5<<20, 0, 1<<20, make([]byte, 5<<20)...)},
 	} {
 		br := bufio.NewReader(bytes.NewReader(tc.bytes))
 		head := make([]byte, frameHeadLen)
@@ -56,7 +61,7 @@ func TestReadFrameBoundsCountsByLength(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 			t.Errorf("%s: allocated %d bytes before refusing (err %v)", tc.name, got, err)
 		}
 	}
@@ -122,4 +127,94 @@ func TestFrameLengthMaximum(t *testing.T) {
 		}
 	}
 	pool.PutFloat64s(pkt.Segs[0].F64)
+}
+
+// TestFrameSegmentMaximum: the sender refuses to build a frame with more
+// than maxFrameSegs segments, naming the count and the peer, and a frame
+// with exactly that many still round-trips.
+func TestFrameSegmentMaximum(t *testing.T) {
+	eps := mesh(t, 2, Config{Transport: "tcp"})
+	segs := make([]serde.Segment, maxFrameSegs+1)
+	want := fmt.Sprintf("netfab: frame of %d segments to rank 1 exceeds the protocol maximum of %d", len(segs), maxFrameSegs)
+	func() {
+		defer func() {
+			if got := fmt.Sprint(recover()); got != want {
+				t.Errorf("oversized send: panic %q, want %q", got, want)
+			}
+		}()
+		eps[0].SendSegs(1, 21, nil, segs)
+	}()
+
+	eps[0].SendSegs(1, 21, nil, segs[:maxFrameSegs])
+	pkt, ok := eps[1].Recv()
+	if !ok || len(pkt.Segs) != maxFrameSegs {
+		t.Fatalf("frame of %d segments: bad packet ok=%v segs=%d", maxFrameSegs, ok, len(pkt.Segs))
+	}
+}
+
+// FuzzReadFrame drives readFrame, the header and segment-directory
+// decoder, two ways. A frame the sender's own encoder builds from kind,
+// data and one segment per byte of shape (its low bit the type, the rest
+// the length) must come back as the same packet. The bytes of raw, behind
+// a length field that counts them, must give an error or a packet, never
+// a panic, and never allocate more than a fixed multiple of that length:
+// 64 bytes per byte, the worst case being a directory of one-byte
+// segments, each of which lands in the smallest pooled buffer.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(uint8(7), []byte(nil), []byte(nil), []byte(nil))
+	f.Add(uint8(21), []byte("header"), []byte{0, 1, 2, 3, 17, 64}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(1), []byte{9}, []byte{255, 254}, binary.LittleEndian.AppendUint32([]byte{1, 0, 0, 0, 0}, 1<<20))
+	f.Add(uint8(2), []byte(nil), []byte{3}, slices.Concat([]byte{2, 0, 0, 0, 0, 2, 0, 0, 0}, []byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 8)))
+	read := func(frame []byte) (fabric.Packet, error) {
+		e := &Endpoint{inbox: fabric.NewQueue[fabric.Packet]()}
+		br := bufio.NewReader(bytes.NewReader(frame))
+		head := make([]byte, frameHeadLen)
+		if _, err := io.ReadFull(br, head[:4]); err != nil {
+			return fabric.Packet{}, err
+		}
+		if err := e.readFrame(&peer{}, br, head); err != nil {
+			return fabric.Packet{}, err
+		}
+		e.inbox.Close()
+		pkt, _ := e.inbox.Pop()
+		return pkt, nil
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data, shape, raw []byte) {
+		kind %= fabric.KindReserved
+		segs := make([]serde.Segment, min(len(shape), 64))
+		for i := range segs {
+			n := int(shape[i] >> 1)
+			if shape[i]&1 == 1 {
+				segs[i].F64 = make([]float64, n)
+				for j := range n {
+					segs[i].F64[j] = float64(i<<8 + j)
+				}
+			} else {
+				segs[i].B = bytes.Repeat([]byte{byte(i)}, n)
+			}
+		}
+		pkt, err := read(slices.Concat(buildFrame(kind, data, segs).bufs...))
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		if pkt.Kind != kind || !bytes.Equal(pkt.Data, data) || len(pkt.Segs) != len(segs) {
+			t.Fatalf("round trip: kind %d data %d bytes %d segments, sent %d, %d, %d", pkt.Kind, len(pkt.Data), len(pkt.Segs), kind, len(data), len(segs))
+		}
+		for i, s := range segs {
+			got := pkt.Segs[i]
+			if (got.F64 != nil) != (s.F64 != nil) || !slices.Equal(got.F64, s.F64) || !bytes.Equal(got.B, s.B) {
+				t.Fatalf("round trip: segment %d differs", i)
+			}
+		}
+
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(raw)))
+		frame = append(frame, raw...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = read(frame)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(frame))+16<<10; got > limit {
+			t.Fatalf("a frame of %d bytes allocated %d bytes (err %v), over %d", len(frame), got, err, limit)
+		}
+	})
 }
