@@ -42,13 +42,14 @@ type Config struct {
 }
 
 // Runtime is a virtual cluster executing one TTG program in virtual time.
+// Only the fence's drainer touches the engine, the procs' virtual-clock
+// state, the profile and the timeline; rank mains reach them through their
+// Proc's effect buffer, which the drainer replays in rank order, so a run
+// is the same whatever the Go scheduler does.
 type Runtime struct {
 	cfg   Config
 	eng   *des.Engine
 	procs []*Proc
-
-	mu      sync.Mutex // guards engine+procs during the seeding phase
-	inDrain atomic.Bool
 
 	fmu       sync.Mutex
 	fcond     *sync.Cond
@@ -56,15 +57,9 @@ type Runtime struct {
 	epoch     int
 	lastDrain float64
 
-	curExtra float64 // copy-time charged during the current event
 	profile  map[string]*TTStat
 	timeline *Timeline
-	flowSeq  atomic.Uint64 // causal-span ids for timeline flow arrows
-	// effectBuf, when non-nil, captures executor effects (submits, sends)
-	// of the task body being executed so they can be released after the
-	// body's copy-time extension — copies then delay consumers, not just
-	// the worker.
-	effectBuf *[]func()
+	flowSeq  uint64 // causal-span ids for timeline flow arrows
 }
 
 // New builds a virtual cluster.
@@ -86,6 +81,7 @@ func New(cfg Config) *Runtime {
 			rt: rt, rank: r,
 			ready:       sched.NewPriority(),
 			freeWorkers: cfg.WorkersPerRank,
+			buffering:   true,
 		}
 	}
 	return rt
@@ -159,16 +155,6 @@ func (rt *Runtime) Run(main func(p *Proc)) {
 	wg.Wait()
 }
 
-// lock serializes executor calls during the seeding phase; during a drain
-// the single drainer goroutine owns everything, so locking is skipped.
-func (rt *Runtime) lock() func() {
-	if rt.inDrain.Load() {
-		return func() {}
-	}
-	rt.mu.Lock()
-	return rt.mu.Unlock
-}
-
 func (rt *Runtime) cost(t *core.Task) float64 {
 	if rt.cfg.Cost == nil {
 		return 0
@@ -185,7 +171,14 @@ type Proc struct {
 	nicFreeAt   float64 // outgoing link reservation
 	recvFreeAt  float64 // communication-thread reservation
 	tr          trace.Collector
-	graph       *core.Graph
+	// effects holds the executor calls (submits, sends) this rank made
+	// while buffering: from its main outside a drain, replayed in rank
+	// order by the fence's drainer, and from the task body complete is
+	// running, released after the body's copy-time extension so copies
+	// delay consumers, not just the worker.
+	effects   []func()
+	buffering bool
+	graph     *core.Graph
 	// bound mirrors graph for concurrent readers (the doctor probes from
 	// its own goroutine while rank mains may still be binding).
 	bound atomic.Pointer[core.Graph]
@@ -267,34 +260,28 @@ func (p *Proc) NewGraph() *core.Graph { return core.NewGraph(p) }
 // Submit implements core.Executor: the task enters the rank's ready queue
 // and dispatches onto a free virtual worker.
 func (p *Proc) Submit(t *core.Task) {
-	if buf := p.rt.effectBuf; buf != nil {
-		*buf = append(*buf, func() { p.enqueue(t) })
+	if p.buffering {
+		p.effects = append(p.effects, func() { p.enqueue(t) })
 		return
 	}
-	unlock := p.rt.lock()
-	defer unlock()
 	p.enqueue(t)
 }
 
 // SubmitBatch implements core.Executor. Each enqueue stays an
-// instantaneous virtual-time event, but the batch pays for the effect
-// buffer or the seeding lock once instead of per task (seeding a large
-// graph used to take and release the runtime lock for every root task).
+// instantaneous virtual-time event; a buffered batch takes one effect.
 func (p *Proc) SubmitBatch(ts []*core.Task) {
 	if len(ts) == 0 {
 		return
 	}
-	if buf := p.rt.effectBuf; buf != nil {
-		batch := append([]*core.Task(nil), ts...)
-		*buf = append(*buf, func() {
+	if p.buffering {
+		batch := append([]*core.Task(nil), ts...) // ts is the caller's scratch
+		p.effects = append(p.effects, func() {
 			for _, t := range batch {
 				p.enqueue(t)
 			}
 		})
 		return
 	}
-	unlock := p.rt.lock()
-	defer unlock()
 	for _, t := range ts {
 		p.enqueue(t)
 	}
@@ -305,8 +292,8 @@ func (p *Proc) enqueue(t *core.Task) {
 	p.dispatch()
 }
 
-// dispatch starts ready tasks on free workers. Virtual-clock invariant:
-// callers hold the run context (lock or drain).
+// dispatch starts ready tasks on free workers. It runs on the drainer
+// only.
 func (p *Proc) dispatch() {
 	fl := p.rt.cfg.Flavor
 	for p.freeWorkers > 0 {
@@ -332,13 +319,13 @@ func (p *Proc) complete(t *core.Task) {
 	rt := p.rt
 	// Execute may recycle the task (shell reuse); read identity up front.
 	name := t.TT.Name()
-	rt.curExtra = 0
-	var buf []func()
-	rt.effectBuf = &buf
+	copied := p.tr.BytesCopied.Load()
+	p.buffering = true
 	t.Execute(0)
-	rt.effectBuf = nil
-	extra := rt.curExtra
-	rt.curExtra = 0
+	p.buffering = false
+	buf := p.effects
+	p.effects = nil
+	extra := p.copyTime(copied)
 	if extra > 0 {
 		rt.recordExtra(name, extra)
 	}
@@ -360,13 +347,17 @@ func (p *Proc) complete(t *core.Task) {
 // virtual fabric. The value object itself is handed to the destination
 // graph (phantom-payload contract); only the time is simulated.
 func (p *Proc) Deliver(dest int, d core.Delivery) {
-	if buf := p.rt.effectBuf; buf != nil {
-		*buf = append(*buf, func() { p.deliver(dest, d) })
+	if p.buffering {
+		p.effects = append(p.effects, func() { p.deliver(dest, d) })
 		return
 	}
-	unlock := p.rt.lock()
-	defer unlock()
 	p.deliver(dest, d)
+}
+
+// copyTime is the memcpy time of the bytes this rank's clones copied
+// after its BytesCopied counter read since.
+func (p *Proc) copyTime(since int64) float64 {
+	return float64(p.tr.BytesCopied.Load()-since) / p.rt.cfg.Machine.CopyBandwidth
 }
 
 // splitMetaBytes is the modeled size of a splitmd phase-1 message beyond
@@ -380,7 +371,8 @@ func (p *Proc) deliver(dest int, d core.Delivery) {
 	// arrow. Flow ids ride outside HeaderWireSize, so tracing never
 	// perturbs simulated message sizes or timings.
 	if p.rt.timeline != nil && d.Flow == 0 {
-		d.Flow = p.rt.flowSeq.Add(1)
+		p.rt.flowSeq++
+		d.Flow = p.rt.flowSeq
 		p.rt.timeline.flowSend(d.Flow, p.rank, p.rt.eng.Now())
 	}
 	pl := core.PlanSend(d, p.rt.cfg.Flavor.SendCaps)
@@ -451,17 +443,16 @@ func (p *Proc) transfer(q *Proc, d core.Delivery, sendCopy, recvCopy, frame, lan
 // receiving comm thread.
 func (q *Proc) inject(d core.Delivery, wireBytes int) {
 	rt := q.rt
-	rt.curExtra = 0
 	if d.Flow != 0 && rt.timeline != nil {
 		rt.timeline.flowRecv(d.Flow, q.rank, rt.eng.Now())
 	}
 	q.tr.MsgsReceived.Add(1)
 	q.tr.BytesReceived.Add(int64(wireBytes))
+	copied := q.tr.BytesCopied.Load()
 	q.graph.Inject(d)
-	if extra := rt.curExtra; extra > 0 {
+	if extra := q.copyTime(copied); extra > 0 {
 		q.recvFreeAt = max(q.recvFreeAt, rt.eng.Now()+extra)
 	}
-	rt.curExtra = 0
 }
 
 // Broadcast implements core.Executor. Under a tree flavor the value is
@@ -469,12 +460,10 @@ func (q *Proc) inject(d core.Delivery, wireBytes int) {
 // the root sends point-to-point, serializing on its NIC (the bottleneck
 // the optimized broadcast removes).
 func (p *Proc) Broadcast(dests map[int]core.Delivery) {
-	if buf := p.rt.effectBuf; buf != nil {
-		*buf = append(*buf, func() { p.broadcast(dests) })
+	if p.buffering {
+		p.effects = append(p.effects, func() { p.broadcast(dests) })
 		return
 	}
-	unlock := p.rt.lock()
-	defer unlock()
 	p.broadcast(dests)
 }
 
@@ -494,7 +483,8 @@ func (p *Proc) broadcast(dests map[int]core.Delivery) {
 		for _, dst := range pl.Ranks {
 			d := dests[dst]
 			if d.Flow == 0 {
-				d.Flow = p.rt.flowSeq.Add(1)
+				p.rt.flowSeq++
+				d.Flow = p.rt.flowSeq
 				p.rt.timeline.flowSend(d.Flow, p.rank, now)
 				dests[dst] = d
 			}
@@ -556,7 +546,8 @@ func (p *Proc) forwardBcast(pl core.BcastPlan, dests map[int]core.Delivery, tota
 }
 
 // Fence implements core.Executor: a barrier across rank mains; the last
-// arriver drains the event queue in virtual time and releases everyone.
+// arriver replays every rank's buffered effects in rank order, drains the
+// event queue in virtual time and releases everyone.
 func (p *Proc) Fence() {
 	rt := p.rt
 	rt.fmu.Lock()
@@ -564,17 +555,23 @@ func (p *Proc) Fence() {
 	rt.waiting++
 	if rt.waiting == len(rt.procs) {
 		rt.waiting = 0
-		rt.inDrain.Store(true)
-		des.SetChargeHook(func(bytes int) {
-			rt.curExtra += float64(bytes) / rt.cfg.Machine.CopyBandwidth
-		})
+		for _, q := range rt.procs {
+			q.buffering = false
+		}
+		for _, q := range rt.procs {
+			for _, fn := range q.effects {
+				fn()
+			}
+			q.effects = nil
+		}
 		start := rt.eng.Now()
 		rt.eng.Run()
 		// Idle waves: the event queue is dry, so release combiner slots
 		// whose reduce-tree children have flushed (core.FlushReductions'
 		// age gate) and drain the traffic they generate; repeat until no
-		// parked partials remain. Procs sweep in rank order and shards in
-		// creation order, keeping virtual time deterministic.
+		// parked partials remain. Procs sweep in rank order and each
+		// flushes its slots in creation order, keeping virtual time
+		// deterministic.
 		for {
 			swept := 0
 			for _, q := range rt.procs {
@@ -588,8 +585,9 @@ func (p *Proc) Fence() {
 			rt.eng.Run()
 		}
 		rt.lastDrain = rt.eng.Now() - start
-		des.SetChargeHook(nil)
-		rt.inDrain.Store(false)
+		for _, q := range rt.procs {
+			q.buffering = true
+		}
 		rt.epoch++
 		rt.fcond.Broadcast()
 		rt.fmu.Unlock()

@@ -2,12 +2,14 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/serde"
 )
 
@@ -80,12 +82,76 @@ func TestVirtualTimeStrongScalesAcrossRanks(t *testing.T) {
 	}
 }
 
-// TestDeterministicVirtualTime: identical runs give identical clocks.
+// runAllToAll has every rank seed every other rank, fig13's projection
+// pattern: rank r sends m contributions to each other rank's key through
+// a commutative streaming terminal and m work tasks to each other rank.
+// Task costs vary by key, so the clock and the profile's busy sums follow
+// the order in which the seeds reach the engine and the reductions flush.
+func runAllToAll(ranks, m int) (float64, map[string]TTStat) {
+	rt := New(Config{
+		Ranks: ranks, WorkersPerRank: 2, Machine: idealMachine(),
+		Flavor: cluster.Flavor{Name: "bare"},
+		Cost: func(t *core.Task) float64 {
+			return 1e-5 * float64(1+core.Unpack[serde.Int2](t.Key)[1]%7) / 3
+		},
+	})
+	rt.Run(func(p *Proc) {
+		g := p.NewGraph()
+		acc, work := core.NewEdge("acc"), core.NewEdge("work")
+		owner := func(k any) int { return k.(serde.Int2)[0] }
+		g.AddTT(core.TTSpec{
+			Name: "sum",
+			Inputs: []core.InputSpec{{
+				Edge:        acc,
+				Reducer:     func(a, v any) any { x, _ := a.(float64); return x + v.(float64) },
+				StreamSize:  func(core.Key) int { return (ranks - 1) * m },
+				Commutative: true,
+			}},
+			Keymap: owner,
+			Body:   func(ctx *core.TaskContext) {},
+		})
+		g.AddTT(core.TTSpec{
+			Name:   "work",
+			Inputs: []core.InputSpec{{Edge: work}},
+			Keymap: owner,
+			Body:   func(ctx *core.TaskContext) {},
+		})
+		g.Seal()
+		p.Bind(g)
+		for d := range ranks {
+			if d == p.Rank() {
+				continue
+			}
+			for j := range m {
+				g.Seed(acc, serde.Int2{d, 0}, float64(j))
+				g.Seed(work, serde.Int2{d, p.Rank()*m + j}, 0.0)
+			}
+		}
+		p.Fence()
+	})
+	return rt.LastDrainTime(), rt.Profile()
+}
+
+// TestDeterministicVirtualTime: identical runs give identical clocks, and
+// a run whose every rank seeds every other rank gives the same clock and
+// profile whatever GOMAXPROCS was when its graphs were built — the rank
+// mains' interleaving and the combiner shard count must not show.
 func TestDeterministicVirtualTime(t *testing.T) {
 	a := runIndependent(4, 3, 100, 1e-4)
 	b := runIndependent(4, 3, 100, 1e-4)
 	if a != b {
 		t.Fatalf("virtual time not deterministic: %v vs %v", a, b)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	t1, p1 := runAllToAll(6, 40)
+	runtime.GOMAXPROCS(8)
+	t8, p8 := runAllToAll(6, 40)
+	if t1 != t8 || !reflect.DeepEqual(p1, p8) {
+		t.Fatalf("all-to-all seeding depends on GOMAXPROCS: %v %v at 1, %v %v at 8", t1, p1, t8, p8)
+	}
+	if p1["sum"].Tasks != 6 || p1["work"].Tasks != 6*5*40 {
+		t.Fatalf("profile %v: want 6 sum and 1200 work tasks", p1)
 	}
 }
 
@@ -214,28 +280,69 @@ func TestTreeBroadcastBeatsNaive(t *testing.T) {
 	}
 }
 
-// TestCopyChargeExtendsWork: charged copies consume worker time.
-func TestCopyChargeExtendsWork(t *testing.T) {
+// runCopier runs, on each of copies independent simulators at once, a
+// body that sends one phantom 10 MB simVec to n local consumers (one
+// clone each at 1 GB/s) and returns each simulator's drain time.
+func runCopier(copies, n int) []float64 {
 	m := idealMachine()
 	m.CopyBandwidth = 1e9
-	rt := New(Config{Ranks: 1, WorkersPerRank: 1, Machine: m, Flavor: cluster.Flavor{Name: "bare"}})
-	rt.Run(func(p *Proc) {
-		g := p.NewGraph()
-		in := core.NewEdge("in")
-		g.AddTT(core.TTSpec{
-			Name:   "copier",
-			Inputs: []core.InputSpec{{Edge: in}},
-			Body: func(ctx *core.TaskContext) {
-				des.ChargeCopy(10 << 20) // 10 MB "memcpy"
-			},
-		})
-		g.Seal()
-		p.Bind(g)
-		g.Seed(in, serde.Int1{0}, 0.0)
-		p.Fence()
-	})
-	if got := rt.LastDrainTime(); got < 10e-3 {
-		t.Fatalf("10MB copy at 1GB/s charged %v, want >= 10ms", got)
+	out := make([]float64, copies)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt := New(Config{Ranks: 1, WorkersPerRank: 1, Machine: m, Flavor: cluster.Flavor{Name: "bare"}})
+			rt.Run(func(p *Proc) {
+				g := p.NewGraph()
+				in, vec := core.NewEdge("in"), core.NewEdge("vec")
+				g.AddTT(core.TTSpec{
+					Name:    "copier",
+					Inputs:  []core.InputSpec{{Edge: in}},
+					Outputs: []core.OutputSpec{{Edge: vec}},
+					Body: func(ctx *core.TaskContext) {
+						keys := make([]core.Key, n)
+						for k := range keys {
+							keys[k] = core.Pack(serde.Int1{k})
+						}
+						ctx.BroadcastEdge(vec, keys, &simVec{n: 10 << 20 / 8}, core.SendCopy)
+					},
+				})
+				g.AddTT(core.TTSpec{
+					Name:   "consumer",
+					Inputs: []core.InputSpec{{Edge: vec}},
+					Body:   func(ctx *core.TaskContext) {},
+				})
+				g.Seal()
+				p.Bind(g)
+				g.Seed(in, serde.Int1{0}, 0.0)
+				p.Fence()
+			})
+			out[i] = rt.LastDrainTime()
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// TestCopyChargeExtendsWork: the clones a body's send makes consume worker
+// time — n consumers of a 10 MB phantom at 1 GB/s take n × 10 ms.
+func TestCopyChargeExtendsWork(t *testing.T) {
+	const n = 3
+	got := runCopier(1, n)[0]
+	if want := n * float64(10<<20) / 1e9; got < want {
+		t.Fatalf("%d clones of 10MB at 1GB/s charged %v, want >= %v", n, got, want)
+	}
+}
+
+// TestConcurrentRuntimes: simulators running side by side in one process
+// charge their copies to themselves only — each reads the solo drain time.
+func TestConcurrentRuntimes(t *testing.T) {
+	solo := runCopier(1, 3)[0]
+	for i, got := range runCopier(4, 3) {
+		if got != solo {
+			t.Errorf("concurrent run %d drained in %v, alone %v", i, got, solo)
+		}
 	}
 }
 
@@ -286,10 +393,7 @@ func init() {
 		Enc:  func(b *serde.Buffer, v *simVec) { b.PutVarint(int64(v.n)) },
 		Dec:  func(b *serde.Buffer) *simVec { return &simVec{n: int(b.Varint())} },
 		Size: func(v *simVec) int { return 8 + 8*v.n },
-		Copy: func(v *simVec) *simVec {
-			des.ChargeCopy(8 * v.n)
-			return &simVec{n: v.n}
-		},
+		Copy: func(v *simVec) *simVec { return &simVec{n: v.n} },
 	})
 	serde.RegisterSplitMD(&simVec{})
 }

@@ -13,8 +13,7 @@ import (
 type Timeline struct {
 	spans []Span
 	// Causal flow points: sends keyed by flow id, receives in arrival
-	// order. Only the drain goroutine (or the seed-phase lock holder)
-	// writes, matching spans.
+	// order. Only the drain goroutine writes, matching spans.
 	flowSends map[uint64]flowPoint
 	flowRecvs []flowEnd
 }

@@ -284,6 +284,7 @@ type Graph struct {
 	rshards   []reduceShard
 	rmask     uint64
 	rlive     atomic.Int64
+	rseq      atomic.Uint64 // creation order of combiner slots
 	preReduce bool
 	rbuffered bool
 	rflush    bool

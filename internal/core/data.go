@@ -110,7 +110,9 @@ func newTracked(value any, refs int, reclaim bool) *tracked {
 // handle that returns it to its pool after the body (unless the body
 // Retains or re-sends it). Other consumers may keep or fold what they
 // receive and get the raw copy, as does everyone for the immutable boxes
-// Clone passes through, which are still the sender's.
+// Clone passes through, which are still the sender's. A deep copy of a
+// serde.SplitMD value adds its payload bytes to tr.BytesCopied, which is
+// what the simulator charges as memcpy time (phantom payloads included).
 func cloneFor(in *InputSpec, value any, tr *trace.Collector) any {
 	tr.DataCopies.Add(1)
 	if serde.SharedFast(value) {
@@ -118,6 +120,9 @@ func cloneFor(in *InputSpec, value any, tr *trace.Collector) any {
 	}
 	cc := in.Edge.codecFor(value)
 	cl := cc.Clone(value)
+	if sm, ok := value.(serde.SplitMD); ok && !cc.Shareable() {
+		tr.BytesCopied.Add(int64(sm.PayloadBytes()))
+	}
 	if _, pooled := cl.(pool.Releasable); pooled && !cc.Shareable() &&
 		in.Access == ReadOnly && in.Reducer == nil {
 		h := newTracked(cl, 1, true)

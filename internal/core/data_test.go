@@ -550,10 +550,14 @@ func TestUntrackedCloneEscapes(t *testing.T) {
 
 	ro := &InputSpec{Edge: NewEdge("ro"), Access: ReadOnly}
 	tr := &c.execs[0].tr
+	copied := tr.BytesCopied.Load()
 	for _, v := range []any{7, serde.Int2{1, 2}, podVal{3}} {
 		if got := cloneFor(ro, v, tr); got != v {
 			t.Errorf("cloneFor(%#v) = %#v: a pass-through must reach the consumer as it is", v, got)
 		}
+	}
+	if n := tr.BytesCopied.Load() - copied; n != 0 {
+		t.Errorf("pass-throughs counted %d copied bytes, want 0", n)
 	}
 	if n := LiveTrackedHandles() - live; n != 0 {
 		t.Errorf("a pass-through was wrapped: %d tracked handles live", n)

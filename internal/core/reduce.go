@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/collective"
@@ -58,18 +60,18 @@ type rslot struct {
 	// the owner's inbound partial count at the binomial bound even though
 	// flushing is driven by global idleness rather than per-hop acks.
 	hold int
-	dead bool // extracted from the map; order entry pending cleanup
+	// seq is the slot's place in the graph's creation order: sweeps flush
+	// in it, so the simulator's virtual time depends neither on map
+	// iteration nor on the shard count.
+	seq uint64
 }
 
 // reduceShard is one stripe of a graph's combining buffers. The padding
-// keeps shard locks off each other's cache lines, as in matchShard; order
-// preserves slot creation order so sweeps flush deterministically (the
-// simulator's virtual time must not depend on map iteration).
+// keeps shard locks off each other's cache lines, as in matchShard.
 type reduceShard struct {
 	mu    sync.Mutex
 	slots map[rkey]*rslot
-	order []*rslot
-	_     [88]byte
+	_     [112]byte
 }
 
 // initReduce sizes the combining buffers (called by NewGraph).
@@ -205,7 +207,8 @@ func (g *Graph) foldPartial(tt *TT, term int, key Key, v any, n int, worker int)
 // newSlotLocked creates a combiner slot; the caller holds rs.mu.
 func (g *Graph) newSlotLocked(rs *reduceShard, k rkey, tt *TT, term int, key Key) *rslot {
 	me := g.exec.Rank()
-	sl := &rslot{tt: tt, term: term, key: key, owner: tt.keymap(key), target: -1}
+	sl := &rslot{tt: tt, term: term, key: key, owner: tt.keymap(key), target: -1,
+		seq: g.rseq.Add(1)}
 	if sl.owner == me {
 		if f := tt.inputs[term].StreamSize; f != nil {
 			sl.target = f(key)
@@ -215,7 +218,6 @@ func (g *Graph) newSlotLocked(rs *reduceShard, k rkey, tt *TT, term int, key Key
 		sl.hold = collective.ReduceHeight(sl.owner, g.exec.Size(), me)
 	}
 	rs.slots[k] = sl
-	rs.order = append(rs.order, sl)
 	g.rlive.Add(1)
 	if pg := g.pendingReduces; pg != nil {
 		pg.Add(1)
@@ -224,12 +226,11 @@ func (g *Graph) newSlotLocked(rs *reduceShard, k rkey, tt *TT, term int, key Key
 	return sl
 }
 
-// extractLocked removes a slot from its shard map (the order entry is
-// cleaned up lazily by the next sweep). The caller holds rs.mu and owns
-// the flush — and the slot's activity unit — once the lock is released.
+// extractLocked removes a slot from its shard map. The caller holds rs.mu
+// and owns the flush — and the slot's activity unit — once the lock is
+// released.
 func (g *Graph) extractLocked(rs *reduceShard, k rkey, sl *rslot) {
 	delete(rs.slots, k)
-	sl.dead = true
 	g.rlive.Add(-1)
 	if pg := g.pendingReduces; pg != nil {
 		pg.Add(-1)
@@ -335,36 +336,26 @@ func (g *Graph) FlushReductions(wave bool) int {
 	for i := range g.rshards {
 		rs := &g.rshards[i]
 		rs.mu.Lock()
-		if len(rs.order) == 0 {
-			rs.mu.Unlock()
-			continue
-		}
-		keep := rs.order[:0]
-		for _, sl := range rs.order {
-			if sl.dead {
-				continue // extracted earlier; drop the stale entry
-			}
+		for k, sl := range rs.slots {
+			swept++
 			if wave && sl.hold > 0 {
 				sl.hold--
-				swept++
-				keep = append(keep, sl)
 				continue
 			}
-			g.extractLocked(rs, rkey{tt: sl.tt.id, term: sl.term, key: sl.key}, sl)
+			g.extractLocked(rs, k, sl)
 			flush = append(flush, sl)
-			swept++
 		}
-		for j := len(keep); j < len(rs.order); j++ {
-			rs.order[j] = nil
-		}
-		rs.order = keep
 		rs.mu.Unlock()
 	}
+	slices.SortFunc(flush, bySeq)
 	for _, sl := range flush {
 		g.flushSlot(sl, -1)
 	}
 	return swept
 }
+
+// bySeq orders combiner slots by creation.
+func bySeq(a, b *rslot) int { return cmp.Compare(a.seq, b.seq) }
 
 // PendingReductions reports how many combiner slots hold unflushed
 // partials, without taking any shard lock. Nonzero after a fence means
@@ -382,30 +373,31 @@ type PendingPartial struct {
 }
 
 // PendingPartials snapshots up to max parked combiner slots (all of them
-// when max <= 0), locking one shard at a time.
+// when max <= 0) in creation order, locking one shard at a time.
 func (g *Graph) PendingPartials(max int) []PendingPartial {
-	var out []PendingPartial
+	var slots []*rslot
 	for i := range g.rshards {
 		rs := &g.rshards[i]
 		rs.mu.Lock()
-		for _, sl := range rs.order {
-			if sl.dead {
-				continue
-			}
-			if max > 0 && len(out) >= max {
-				rs.mu.Unlock()
-				return out
-			}
-			out = append(out, PendingPartial{
-				TT:    sl.tt.name,
-				TTID:  sl.tt.id,
-				Term:  sl.term,
-				Key:   sl.key.String(),
-				Count: sl.count,
-				Owner: sl.owner,
-			})
+		for _, sl := range rs.slots {
+			slots = append(slots, sl)
 		}
 		rs.mu.Unlock()
+	}
+	slices.SortFunc(slots, bySeq)
+	if max > 0 && len(slots) > max {
+		slots = slots[:max]
+	}
+	var out []PendingPartial
+	for _, sl := range slots {
+		out = append(out, PendingPartial{
+			TT:    sl.tt.name,
+			TTID:  sl.tt.id,
+			Term:  sl.term,
+			Key:   sl.key.String(),
+			Count: sl.count,
+			Owner: sl.owner,
+		})
 	}
 	return out
 }

@@ -11,7 +11,7 @@ package des
 import "container/heap"
 
 // Engine is a virtual-time event loop. It is not safe for concurrent use;
-// the sim backend serializes access behind its own lock.
+// the sim backend touches it only from the goroutine draining a fence.
 type Engine struct {
 	h   eventHeap
 	now float64

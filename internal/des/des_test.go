@@ -99,17 +99,3 @@ func TestTimeMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestChargeHookNilSafe(t *testing.T) {
-	SetChargeHook(nil)
-	ChargeCopy(100) // must not panic
-	total := 0
-	SetChargeHook(func(b int) { total += b })
-	ChargeCopy(7)
-	ChargeCopy(3)
-	SetChargeHook(nil)
-	ChargeCopy(100)
-	if total != 10 {
-		t.Fatalf("charged %d, want 10", total)
-	}
-}

@@ -13,7 +13,8 @@ import (
 
 // The experiment tests assert the paper's qualitative claims — who wins
 // and roughly by how much — on the Quick sweeps. Absolute values are
-// model outputs and not asserted.
+// model outputs, pinned byte for byte by TestFigureDigests rather than
+// asserted here. Simulators share no state, so the tests run in parallel.
 
 func maxX(f Figure) float64 {
 	m := 0.0
@@ -26,6 +27,7 @@ func maxX(f Figure) float64 {
 }
 
 func TestFig5TaskBasedSeparation(t *testing.T) {
+	t.Parallel()
 	f := Fig5(Quick)
 	x := maxX(f)
 	taskBased := []string{"TTG/PaRSEC", "TTG/MADNESS", "DPLASMA", "Chameleon"}
@@ -55,6 +57,7 @@ func TestFig5TaskBasedSeparation(t *testing.T) {
 }
 
 func TestFig5WeakScalingGrows(t *testing.T) {
+	t.Parallel()
 	f := Fig5(Quick)
 	v1, _ := f.Get("TTG/PaRSEC", 1)
 	v16, ok := f.Get("TTG/PaRSEC", 16)
@@ -64,6 +67,7 @@ func TestFig5WeakScalingGrows(t *testing.T) {
 }
 
 func TestFig6PeakGrowsWithProblemSize(t *testing.T) {
+	t.Parallel()
 	f := Fig6(Quick)
 	small, _ := f.Get("TTG/PaRSEC", 8192)
 	large, ok := f.Get("TTG/PaRSEC", 24576)
@@ -73,6 +77,7 @@ func TestFig6PeakGrowsWithProblemSize(t *testing.T) {
 }
 
 func TestFig8TTGOutperformsForkJoin(t *testing.T) {
+	t.Parallel()
 	f := Fig8(Quick)
 	x := maxX(f)
 	ttgV, ok1 := f.Get("TTG/PaRSEC b=128", x)
@@ -90,6 +95,7 @@ func TestFig8TTGOutperformsForkJoin(t *testing.T) {
 }
 
 func TestFig9SeawulfShape(t *testing.T) {
+	t.Parallel()
 	f := Fig9(Quick)
 	x := maxX(f)
 	ttgV, ok1 := f.Get("TTG/PaRSEC b=128", x)
@@ -103,6 +109,7 @@ func TestFig9SeawulfShape(t *testing.T) {
 }
 
 func TestFig12BackendsOrdered(t *testing.T) {
+	t.Parallel()
 	f := Fig12(Quick)
 	for _, x := range []float64{4, 16, 64} {
 		pv, ok1 := f.Get("TTG/PaRSEC", x)
@@ -121,6 +128,7 @@ func TestFig12BackendsOrdered(t *testing.T) {
 }
 
 func TestFig13MRABackendOrdering(t *testing.T) {
+	t.Parallel()
 	f := Fig13a(Quick)
 	x := maxX(f)
 	pv, ok1 := f.Get("TTG/PaRSEC", x)
@@ -172,6 +180,7 @@ func TestTableIReportsAllConfigs(t *testing.T) {
 }
 
 func TestFig12TTG25DValidatesPrediction(t *testing.T) {
+	t.Parallel()
 	// §III-D's closing expectation: the 2.5D conversion lets TTG at least
 	// match DBCSR's strong scaling.
 	f := Fig12(Quick)
@@ -195,6 +204,7 @@ func TestFig12TTG25DValidatesPrediction(t *testing.T) {
 // priority handling, not a flaky timing test. (Observed speedup ~1.066;
 // asserted floor leaves headroom for cost-model tweaks.)
 func TestAblationPriorityInvariant(t *testing.T) {
+	t.Parallel()
 	grid := tile.Grid{N: 16384, NB: 256}
 	machine := cluster.Hawk()
 	run := func(prio bool) float64 {

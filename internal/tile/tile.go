@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/des"
 	"repro/internal/pool"
 	"repro/internal/serde"
 )
@@ -111,11 +110,10 @@ func (t *Tile) Add(i, j int, v float64) { t.Data[i*t.Cols+j] += v }
 func (t *Tile) PayloadSize() int { return 8 * t.Rows * t.Cols }
 
 // Clone deep-copies the tile; the copy is drawn from the tile pool (give
-// it back with Release when its lifetime is known). Phantom clones report
-// the would-be memcpy to the active simulation.
+// it back with Release when its lifetime is known). A phantom's clone is
+// another phantom of the same shape.
 func (t *Tile) Clone() *Tile {
 	if t.Data == nil {
-		des.ChargeCopy(t.PayloadSize())
 		return &Tile{Rows: t.Rows, Cols: t.Cols}
 	}
 	c := get(t.Rows, t.Cols)

@@ -26,6 +26,7 @@ type Collector struct {
 	BytesReceived    atomic.Int64
 	DataCopies       atomic.Int64 // deep copies made for copy-on-send
 	CopiesAvoided    atomic.Int64 // borrows/moves that skipped a copy
+	BytesCopied      atomic.Int64 // payload bytes of the deep copies (the simulator charges them as memcpy time)
 	SplitMDTransfers atomic.Int64 // payloads sent via the splitmd protocol
 	ArchiveTransfers atomic.Int64 // payloads sent via whole-object archives
 	BcastsForwarded  atomic.Int64 // tree-broadcast forwards performed
@@ -70,6 +71,7 @@ type Snapshot struct {
 	BytesReceived    int64
 	DataCopies       int64
 	CopiesAvoided    int64
+	BytesCopied      int64
 	SplitMDTransfers int64
 	ArchiveTransfers int64
 	BcastsForwarded  int64
@@ -129,6 +131,7 @@ func counters(c *Collector, s *Snapshot) []counter {
 		{"net.coalesced_msgs", "", &c.CoalescedMsgs, &s.CoalescedMsgs},
 		{obs.CounterDataCopies, " copies=%d", &c.DataCopies, &s.DataCopies},
 		{obs.CounterCopiesAvoided, " avoided=%d", &c.CopiesAvoided, &s.CopiesAvoided},
+		{"core.bytes_copied", "", &c.BytesCopied, &s.BytesCopied},
 		{"net.rendezvous_sends", " splitmd=%d", &c.SplitMDTransfers, &s.SplitMDTransfers},
 		{"net.archive_sends", " archive=%d", &c.ArchiveTransfers, &s.ArchiveTransfers},
 		{"bcast.forwards", " bcast-fwd=%d", &c.BcastsForwarded, &s.BcastsForwarded},
