@@ -60,14 +60,13 @@ type Basis struct {
 
 // workspace is the scratch of one node computation: the ping-pong pair a
 // contraction chain alternates between, one temporary tensor, and (for
-// Project) the 2^d child blocks, all k^d long, plus the quadrature point
-// and its multi-index.
+// Project) the 2^d child blocks, all k^d long, plus the d quadrature axes
+// of k coordinates each that a box's grid is evaluated on.
 type workspace struct {
 	pp    [2][]float64
 	tmp   []float64
 	child [][]float64
-	x     [3]float64
-	idx   [3]int
+	axes  [][]float64
 }
 
 // NewBasis builds the order-k basis in d dimensions (1 ≤ d ≤ 3, k ≥ 1).
@@ -107,10 +106,13 @@ func NewBasis(k, d int) *Basis {
 	}
 	b.scratch.New = func() any {
 		n, nc := b.Coeffs(), b.Children()
-		buf := make([]float64, (3+nc)*n)
-		w := &workspace{pp: [2][]float64{buf[:n], buf[n : 2*n]}, tmp: buf[2*n : 3*n], child: make([][]float64, nc)}
+		buf := make([]float64, (3+nc)*n+d*k)
+		w := &workspace{pp: [2][]float64{buf[:n], buf[n : 2*n]}, tmp: buf[2*n : 3*n], child: make([][]float64, nc), axes: make([][]float64, d)}
 		for c := range w.child {
 			w.child[c] = buf[(3+c)*n : (4+c)*n]
+		}
+		for m := range w.axes {
+			w.axes[m] = buf[(3+nc)*n+m*k:][:k]
 		}
 		return w
 	}
@@ -176,8 +178,11 @@ func legendreDeriv(k int, x float64) float64 {
 
 func sq(x float64) float64 { return x * x }
 
-// Func is a scalar function on the unit cube [0,1]^d.
-type Func func(x []float64) float64
+// Func evaluates a function on the unit cube [0,1]^d over a tensor grid:
+// out[q] = f(axes[0][i0], …, axes[d-1][i_{d-1}]), where (i0, …, i_{d-1})
+// are q's base-k digits, mode 0 slowest, and k = len(axes[m]). The axes
+// are the caller's scratch, which f may overwrite.
+type Func func(out []float64, axes [][]float64)
 
 // borrow takes a workspace for one call; hand it back with b.scratch.Put.
 func (b *Basis) borrow() *workspace { return b.scratch.Get().(*workspace) }
@@ -193,31 +198,21 @@ func (b *Basis) ProjectBox(f Func, n int, l []int) []float64 {
 	return out
 }
 
-// projectInto is ProjectBox into a caller-supplied k^d slice.
+// projectInto is ProjectBox into a caller-supplied k^d slice: f fills the
+// box's whole quadrature grid in one call.
 func (b *Basis) projectInto(w *workspace, out []float64, f Func, n int, l []int) {
-	k, d := b.K, b.D
 	scale := math.Exp2(-float64(n))
-	x, idx, vals := w.x[:d], w.idx[:d], w.tmp
-	for q := range vals {
-		decompose(q, k, d, idx)
-		for m := 0; m < d; m++ {
-			x[m] = (float64(l[m]) + b.nodes[idx[m]]) * scale
+	for m, ax := range w.axes {
+		for i := range ax {
+			ax[i] = (float64(l[m]) + b.nodes[i]) * scale
 		}
-		vals[q] = f(x)
 	}
+	f(w.tmp, w.axes)
 	// Contract each mode with phiW, then apply the volume factor 2^{-nd/2}.
-	b.transform(w, out, vals, [2]mat{b.phiW, b.phiW}, 0)
-	vol := math.Exp2(-float64(n) * float64(d) / 2)
+	b.transform(w, out, w.tmp, [2]mat{b.phiW, b.phiW}, 0)
+	vol := math.Exp2(-float64(n) * float64(b.D) / 2)
 	for i := range out {
 		out[i] *= vol
-	}
-}
-
-// decompose writes q's base-k digits into idx (mode-major order).
-func decompose(q, k, d int, idx []int) {
-	for m := d - 1; m >= 0; m-- {
-		idx[m] = q % k
-		q /= k
 	}
 }
 
@@ -376,15 +371,34 @@ func Norm2(v []float64) float64 {
 	return s
 }
 
-// Gaussian builds exp(−a·|x−c|²) on the unit cube.
+// Gaussian builds exp(−a·|x−c|²) on the unit cube. It squares each
+// mode's k differences once, in place in axes, and sums the grid's r² in
+// the order of a point-by-point loop, ((0 + d0²) + d1²) + d2²: each mode
+// expands the partial sums of the modes before it k-fold, from the back,
+// so a sum is read before its slot is overwritten. Then one lapack.Exp
+// call takes the whole grid of −a·r², so every tier gives the same bits.
 func Gaussian(a float64, center []float64) Func {
-	return func(x []float64) float64 {
-		r2 := 0.0
-		for m := range x {
-			d := x[m] - center[m]
-			r2 += float64(d * d)
+	return func(out []float64, axes [][]float64) {
+		out[0] = 0
+		n := 1
+		for m, ax := range axes {
+			for i, x := range ax {
+				d := x - center[m]
+				ax[i] = float64(d * d)
+			}
+			for p := n - 1; p >= 0; p-- {
+				r2 := out[p]
+				for i, d2 := range ax {
+					out[p*len(ax)+i] = r2 + d2
+				}
+			}
+			n *= len(ax)
 		}
-		return math.Exp(-a * r2)
+		out = out[:n]
+		for q, r2 := range out {
+			out[q] = -a * r2
+		}
+		lapack.Exp(out, out)
 	}
 }
 

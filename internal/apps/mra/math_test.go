@@ -1,10 +1,16 @@
 package mra
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/lapack"
 )
 
 func TestGaussLegendreExactness(t *testing.T) {
@@ -48,7 +54,7 @@ func TestProjectExactForPolynomials(t *testing.T) {
 	// A degree < k polynomial is represented exactly: projecting on a box
 	// and evaluating the norm over boxes reproduces ∫f².
 	b := NewBasis(6, 2)
-	f := func(x []float64) float64 { return 1 + float64(2*x[0]) + float64(3*x[0]*x[1]*x[1]) }
+	f := pointwise(func(x []float64) float64 { return 1 + float64(2*x[0]) + float64(3*x[0]*x[1]*x[1]) })
 	// ∫ f² over [0,1]²: expand f² = 1 +4x +4x² +6xy² +12x²y² +9x²y⁴.
 	want := 1.0 + 4.0/2 + 4.0/3 + 6.0/(2*3) + 12.0/(3*3) + 9.0/(3*5)
 	s := b.ProjectBox(f, 0, []int{0, 0})
@@ -61,7 +67,7 @@ func TestFilterRebuildsParentProjection(t *testing.T) {
 	// Filtering children projections equals projecting on the parent for
 	// a polynomial (both exact).
 	b := NewBasis(5, 2)
-	f := func(x []float64) float64 { return float64(x[0]*x[0]) + x[1] }
+	f := pointwise(func(x []float64) float64 { return float64(x[0]*x[0]) + x[1] })
 	children := make([][]float64, b.Children())
 	for c := 0; c < b.Children(); c++ {
 		l := []int{childOffsetDim(c, 0, 2), childOffsetDim(c, 1, 2)}
@@ -200,7 +206,35 @@ func rows(flat []float64, k int) [][]float64 {
 	return out
 }
 
-func (b *Basis) refProjectBox(f Func, n int, l []int) []float64 {
+// pointFunc is a scalar function on the unit cube, one point per call.
+type pointFunc func(x []float64) float64
+
+// decompose writes q's base-k digits into idx (mode-major order).
+func decompose(q, k, d int, idx []int) {
+	for m := d - 1; m >= 0; m-- {
+		idx[m] = q % k
+		q /= k
+	}
+}
+
+// pointwise adapts a scalar function to Func: one call per grid point.
+func pointwise(f pointFunc) Func {
+	return func(out []float64, axes [][]float64) {
+		d, k := len(axes), len(axes[0])
+		x, idx := make([]float64, d), make([]int, d)
+		for q := range out {
+			decompose(q, k, d, idx)
+			for m := range x {
+				x[m] = axes[m][idx[m]]
+			}
+			out[q] = f(x)
+		}
+	}
+}
+
+// refProjectBox is ProjectBox as it was before Func took a grid: the
+// points one at a time, each from q's digits.
+func (b *Basis) refProjectBox(f pointFunc, n int, l []int) []float64 {
 	k, d := b.K, b.D
 	vals := make([]float64, b.Coeffs())
 	scale := math.Exp2(-float64(n))
@@ -307,7 +341,7 @@ func TestKernelsBitIdentical(t *testing.T) {
 					cl[m] = 2*l[m] + childOffsetDim(c, m, d)
 				}
 				children[c] = b.refProjectBox(testFunc, 2, cl)
-				sameBits(t, "ProjectBox", b.ProjectBox(testFunc, 2, cl), children[c])
+				sameBits(t, "ProjectBox", b.ProjectBox(pointwise(testFunc), 2, cl), children[c])
 			}
 			sp := b.refFilter(children)
 			sameBits(t, "Filter", b.Filter(children), sp)
@@ -323,7 +357,7 @@ func TestKernelsBitIdentical(t *testing.T) {
 			// The fused Project node: sp and the residual norm it folds on
 			// the fly instead of materialising the residual.
 			w := b.borrow()
-			gotSp, gotErr2 := b.projectNode(w, testFunc, 1, l)
+			gotSp, gotErr2 := b.projectNode(w, pointwise(testFunc), 1, l)
 			sameBits(t, "projectNode sp", gotSp, sp)
 			sameBits(t, "projectNode residual norm", []float64{gotErr2}, []float64{Norm2(b.refResidual(children, sp))})
 			// Compress and Reconstruct write where they send.
@@ -429,6 +463,88 @@ func TestContractionStridesAllModes(t *testing.T) {
 		b.contractInto(out, tn, mat{id, id}, m)
 		sameBits(t, "kernel identity contraction", out, tn)
 		sameBits(t, "reference identity contraction", b.contract(tn, rows(id, 3), m), tn)
+	}
+}
+
+// gaussPoint is Gaussian one point at a time, as it was before Func took
+// a grid: r² summed over the modes from 0.0, then the reference exp (a
+// one-element lapack.Exp runs its Go tail on every tier).
+func gaussPoint(a float64, center []float64) pointFunc {
+	return func(x []float64) float64 {
+		r2 := 0.0
+		for m := range x {
+			d := x[m] - center[m]
+			r2 += float64(d * d)
+		}
+		e := []float64{-a * r2}
+		lapack.Exp(e, e)
+		return e[0]
+	}
+}
+
+// gridAxes builds box (n, l)'s quadrature axes as projectInto does.
+func (b *Basis) gridAxes(n int, l []int) [][]float64 {
+	scale := math.Exp2(-float64(n))
+	axes := make([][]float64, b.D)
+	for m := range axes {
+		axes[m] = make([]float64, b.K)
+		for i, t := range b.nodes {
+			axes[m][i] = (float64(l[m]) + t) * scale
+		}
+	}
+	return axes
+}
+
+// TestGaussianGridMatchesPointwise: the grid Gaussian, with its squares
+// taken once per mode, its r² expanded mode by mode and one Exp call over
+// the grid (the AVX-512F kernel where the CPU has it), gives the bits of
+// the point-by-point form, and so does ProjectBox on it. The boxes are the
+// whole cube, two around the centre at levels 2 and 4, and the far
+// corner at level 3, where every value underflows to 0 once a ≥ 1e4.
+func TestGaussianGridMatchesPointwise(t *testing.T) {
+	center := []float64{0.41, 0.57, 0.33}
+	boxes := []struct {
+		n int
+		l []int
+	}{{0, []int{0, 0, 0}}, {2, []int{1, 2, 1}}, {4, []int{6, 9, 5}}, {3, []int{7, 7, 7}}}
+	for _, k := range []int{1, 2, 3, 6, 8, 10} {
+		for d := 1; d <= 3; d++ {
+			b := NewBasis(k, d)
+			for _, a := range []float64{1, 600, 1e4, 3e5} {
+				f, ref := Gaussian(a, center[:d]), gaussPoint(a, center[:d])
+				for _, box := range boxes {
+					l := box.l[:d]
+					what := fmt.Sprintf("k=%d d=%d a=%g box (%d, %v)", k, d, a, box.n, l)
+					got, want := make([]float64, b.Coeffs()), make([]float64, b.Coeffs())
+					f(got, b.gridAxes(box.n, l))
+					pointwise(ref)(want, b.gridAxes(box.n, l))
+					sameBits(t, what+": grid", got, want)
+					if box.n == 3 && a >= 1e4 && slices.ContainsFunc(got, func(v float64) bool { return v != 0 }) {
+						t.Fatalf("%s: the far corner does not underflow", what)
+					}
+					sameBits(t, what+": ProjectBox", b.ProjectBox(f, box.n, l), b.refProjectBox(ref, box.n, l))
+				}
+			}
+		}
+	}
+}
+
+// TestProjectNodePinned pins the bits of one of mra_stream's Project
+// bodies (k = 8, d = 3): a sha256 of the parent coefficients sp and of
+// err2, which decides whether the box refines. Exp gives the same bits on
+// every tier and architecture, and every product here is written
+// float64(x*y), so no host, GOAMD64 level or CPU flag may change it.
+func TestProjectNodePinned(t *testing.T) {
+	b := NewBasis(8, 3)
+	w := b.borrow()
+	defer b.scratch.Put(w)
+	sp, err2 := b.projectNode(w, Gaussian(600, []float64{0.41, 0.57, 0.33}), 2, []int{1, 2, 1})
+	h := sha256.New()
+	binary.Write(h, binary.LittleEndian, sp)
+	binary.Write(h, binary.LittleEndian, err2)
+	const want = "ba3d1d1a21ded43b719df237d4f5ecfc5fe389da07437c2b4f182e2b09c2878c"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("projectNode digest %s, want %s (err2 = %v)", got, want, err2)
 	}
 }
 

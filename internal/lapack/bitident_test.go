@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/sparse"
 	"repro/internal/tile"
 )
 
@@ -250,6 +249,117 @@ var kernelCases = []kernelCase{
 		}
 		return []operand{c, a, b}
 	}, func(o []operand) error { FWKernelD(o[0].t, o[1].t, o[2].t); return nil }},
+	{"Exp", func(s kshape, rng *rand.Rand) []operand {
+		dst, src := newOperand(s.m, s.n, s.off), newOperand(s.m, s.n, s.off)
+		fill(dst, rng, s, nil)
+		expInputs(src, rng, s)
+		return []operand{dst, src}
+	}, func(o []operand) error { Exp(o[0].t.Data, o[1].t.Data); return nil }},
+	{"Exp in place", func(s kshape, rng *rand.Rand) []operand {
+		x := newOperand(s.m, s.n, s.off)
+		expInputs(x, rng, s)
+		return []operand{x}
+	}, func(o []operand) error { Exp(o[0].t.Data, o[0].t.Data); return nil }},
+}
+
+// expInputs fills an Exp operand, a third each: uniform over exp's finite
+// range and past both thresholds, random bit patterns (NaNs, infinities
+// and huge or subnormal magnitudes among them), and small values on both
+// sides of the |x| < 2⁻²⁸ branch; when sprinkling, a third of all that is
+// replaced by expSpecials.
+func expInputs(o operand, rng *rand.Rand, s kshape) {
+	specials := expSpecials()
+	for i := range o.t.Data {
+		var v float64
+		switch rng.Intn(3) {
+		case 0:
+			v = float64(rng.Float64()*1600) - 800
+		case 1:
+			v = math.Float64frombits(rng.Uint64())
+		default:
+			v = math.Ldexp(rng.NormFloat64(), -20-rng.Intn(20))
+		}
+		if s.sprinkle && rng.Intn(3) == 0 {
+			v = specials[rng.Intn(len(specials))]
+		}
+		o.t.Data[i] = v
+	}
+}
+
+// exp's thresholds: above expOverflow it returns +Inf, below expUnderflow
+// 0, and within ±expNearZero 1 + x.
+const (
+	expOverflow  = 7.09782712893383973096e+02
+	expUnderflow = -7.45133219101941108420e+02
+	expNearZero  = 1.0 / (1 << 28)
+)
+
+// expSpecials are the inputs at which exp changes branch or Ldexp case:
+// ±0, ±Inf, NaNs of both signs, quiet and signalling (exp returns x
+// itself, payload and all), the extremes; exp's overflow and underflow
+// thresholds and ±2⁻²⁸ each ±1 ulp; a run of x in (−745.13, −708.4),
+// whose results are subnormal; and the k boundaries, (j + ½)·ln2 ±1 ulp
+// for every k exp reaches.
+func expSpecials() []float64 {
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), defaultNaN,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff0000000000abc),
+		math.Float64frombits(0xfff4000000000001), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64}
+	around := func(x float64) {
+		xs = append(xs, math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1)))
+	}
+	for _, x := range []float64{expOverflow, expUnderflow, expNearZero, -expNearZero} {
+		around(x)
+	}
+	for x := -745.13; x < -708.4; x += 0.0625 {
+		xs = append(xs, x)
+	}
+	for j := -1076; j <= 1024; j++ {
+		around(float64(float64(j)+0.5) * math.Ln2)
+	}
+	return xs
+}
+
+// checkExp compares Exp on tier tr with the reference on expSpecials: the
+// whole list in one call, and every window of each length from 0 to 17
+// (blocks of eight and the Go tail, alone and together) starting at each
+// fifth element, into a guarded slice and in place.
+func checkExp(t *testing.T, tr tier) {
+	t.Helper()
+	xs := expSpecials()
+	for n := 0; n <= 18; n++ {
+		step := 5
+		if n == 18 {
+			n, step = len(xs), 1
+		}
+		for start := 0; start+n <= len(xs); start += step {
+			src := xs[start : start+n]
+			for _, inPlace := range []bool{false, true} {
+				got := newOperand(1, n, start%4)
+				if inPlace {
+					copy(got.t.Data, src)
+				}
+				want := got.clone()
+				run := func(o operand) {
+					if inPlace {
+						Exp(o.t.Data, o.t.Data)
+					} else {
+						Exp(o.t.Data, src)
+					}
+				}
+				tr.with(func() { run(got) })
+				withReference(func() { run(want) })
+				if at, ok := sameBits(got, want); !ok {
+					lo := len(got.backing) - guardLen - n
+					x := "a guard word"
+					if at >= 0 && at < n {
+						x = fmt.Sprintf("x = %#x", math.Float64bits(src[at]))
+					}
+					t.Fatalf("Exp on %s, %d elements from corpus element %d (in place %v): element %d (%s) is %#x, reference %#x",
+						tr.name, n, start, inPlace, at, x, math.Float64bits(got.backing[lo+at]), math.Float64bits(want.backing[lo+at]))
+				}
+			}
+		}
+	}
 }
 
 // fwDSpecials plants what FWKernelD's no-path skip decides on, where its
@@ -485,7 +595,7 @@ func corpus() []kshape {
 			cs = append(cs, s, sp)
 		}
 	}
-	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
+	p := bspmmPanels
 	for i := 0; i+2 < len(p); i += 2 {
 		cs = append(cs, kshape{m: p[i], n: p[i+1], k: p[i+2], off: i % 4, sprinkle: true})
 	}
@@ -504,6 +614,7 @@ func TestKernelsBitIdentical(t *testing.T) {
 			for i, s := range corpus() {
 				checkTier(t, tr, s, int64(i+1))
 			}
+			checkExp(t, tr)
 		})
 	}
 }
@@ -527,10 +638,11 @@ func FuzzKernelsBitIdentical(f *testing.F) {
 
 // TestKernelsDoNotAllocate pins the reused scratch: once warm, the
 // kernels that pack operands on the AVX2 path (on the reference path
-// nothing is packed) allocate nothing. Mul, FWKernelD, GemmNT and Syrk
-// pack nothing and must keep it so: MRA calls Mul on operands built on
-// the caller's stack, FWKernelD is most of fw_tcp's task bodies and
-// GemmNT and Syrk most of the Cholesky's.
+// nothing is packed) allocate nothing. Mul, FWKernelD, GemmNT, Syrk and
+// Exp pack nothing and must keep it so: MRA calls Mul on operands built
+// on the caller's stack and Exp on every box it projects, FWKernelD is
+// most of fw_tcp's task bodies and GemmNT and Syrk most of the
+// Cholesky's.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := func(rows, cols int) *tile.Tile {
@@ -553,7 +665,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	}
 	// GemmNN on bspmm's first panel triple, which has edge columns to
 	// pack and leftover rows to pad.
-	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
+	p := bspmmPanels
 	m, n, k := p[0], p[1], p[2]
 	if n%8 == 0 || m%4 == 0 {
 		t.Fatalf("sparse.DefaultSpec(24) panels %v: no edge columns or no leftover rows", p[:3])
@@ -566,6 +678,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	syrk := func(n, k int) func() {
 		c, a := random(n, n), random(n, k)
 		return func() { Syrk(c, a) }
+	}
+	exp := func(n int) func() {
+		x := random(1, n).Data
+		return func() { Exp(x, x) }
 	}
 	for _, tc := range []struct {
 		name string
@@ -581,6 +697,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"GemmNT 38x45x14", gemmNT(38, 45, 14)},
 		{"Syrk 128x128", syrk(128, 128)},
 		{"Syrk 38x14", syrk(38, 14)},
+		{"Exp 512", exp(512)},
+		{"Exp 13", exp(13)},
 	} {
 		tc.run()
 		if got := testing.AllocsPerRun(20, tc.run); got != 0 {

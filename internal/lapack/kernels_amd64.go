@@ -30,6 +30,9 @@ func minPlusBlockAVX512(c, a, b *float64, k, n int, skip float64)
 //go:noescape
 func dotQuadAVX512(c *float64, ldc int, a, b *float64, k, nquad int)
 
+//go:noescape
+func expAVX512(dst, src *float64, nblk int)
+
 // detect reports which micro-kernel tiers the CPU has and the OS
 // supports. avx2: the CPU has AVX2 and the OS saves the YMM registers
 // across context switches, XCR0 bits 1–2. avx512: AVX2, and the CPU has

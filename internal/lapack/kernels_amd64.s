@@ -1,13 +1,14 @@
-// Leaf micro-kernels for amd64 with AVX2, and two for AVX-512F
-// (minPlusBlockAVX512 and dotQuadAVX512, last in the file). Each one is the vector form of
-// an inner loop in lapack.go and must produce that loop's bits (DESIGN.md
-// §18): multiply and add are separate instructions, never a fused
-// multiply-add; a YMM or ZMM lane is one of the reference's independent
-// accumulation chains; the reduction tree is the reference's. Callers
-// guarantee every pointer and count (checkShapes), so nothing here is
-// bounds-checked. Every inner loop head is PCALIGN $32 ($64 in the
-// AVX-512F kernels), so kernel speed does not move when unrelated text
-// is added or removed.
+// Leaf micro-kernels for amd64 with AVX2, and three for AVX-512F
+// (minPlusBlockAVX512, dotQuadAVX512 and expAVX512, last in the file).
+// Each one is the vector form of an inner loop in lapack.go, or of exp in
+// exp.go, and must produce that loop's bits (DESIGN.md §18): multiply
+// and add are separate instructions, never a fused multiply-add; a YMM or
+// ZMM lane is one of the reference's independent accumulation chains (or,
+// in expAVX512, one element's whole computation); the reduction tree is
+// the reference's. Callers guarantee every pointer and count
+// (checkShapes), so nothing here is bounds-checked. Every inner loop head
+// is PCALIGN $32 ($64 in the AVX-512F kernels), so kernel speed does not
+// move when unrelated text is added or removed.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), $0-24
@@ -821,5 +822,101 @@ dotquadstore:
 	LEAQ (SI)(R9*4), SI
 	DECQ BX
 	JNZ dotquad
+	VZEROUPPER
+	RET
+
+// func expAVX512(dst, src *float64, nblk int)
+//
+// dst[i] = exp(src[i]) for i < 8*nblk, eight lanes at a time, each lane the
+// reference's operations in its order, never fused; dst may be src. The
+// reference's branches are lane masks: k is the truncation of Log2e·x +
+// copysign(0.5, x), and the special cases (NaN, the overflow and
+// underflow thresholds, which take ±Inf, and |x| < 2⁻²⁸) overwrite the
+// lanes they hold after the main path. Ldexp(y, k) of the reference's
+// positive normal y is the correctly rounded y·2^k, overflow, subnormal
+// and underflow alike, which is what VSCALEFPD computes. Requires
+// nblk >= 1.
+TEXT ·expAVX512(SB), $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ nblk+16(FP), CX
+	SUBQ SI, DI                  // dst as an offset from the src cursor
+	MOVQ $0x3ff71547652b82fe, AX // Log2e
+	VPBROADCASTQ AX, Z16
+	MOVQ $0x3fe0000000000000, AX // 0.5
+	VPBROADCASTQ AX, Z17
+	MOVQ $0x8000000000000000, AX // sign bit
+	VPBROADCASTQ AX, Z18
+	MOVQ $0x3fe62e42fee00000, AX // Ln2Hi
+	VPBROADCASTQ AX, Z19
+	MOVQ $0x3dea39ef35793c76, AX // Ln2Lo
+	VPBROADCASTQ AX, Z20
+	MOVQ $0x3e66376972bea4d0, AX // P5
+	VPBROADCASTQ AX, Z21
+	MOVQ $0xbebbbd41c5d26bf1, AX // P4
+	VPBROADCASTQ AX, Z22
+	MOVQ $0x3f11566aaf25de2c, AX // P3
+	VPBROADCASTQ AX, Z23
+	MOVQ $0xbf66c16c16bebd93, AX // P2
+	VPBROADCASTQ AX, Z24
+	MOVQ $0x3fc5555555555555, AX // P1
+	VPBROADCASTQ AX, Z25
+	MOVQ $0x3ff0000000000000, AX // 1
+	VPBROADCASTQ AX, Z26
+	MOVQ $0x4000000000000000, AX // 2
+	VPBROADCASTQ AX, Z27
+	MOVQ $0x40862e42fefa39ef, AX // Overflow
+	VPBROADCASTQ AX, Z28
+	MOVQ $0xc0874910d52d3051, AX // Underflow
+	VPBROADCASTQ AX, Z29
+	MOVQ $0x3e30000000000000, AX // NearZero, 2⁻²⁸
+	VPBROADCASTQ AX, Z30
+	MOVQ $0x7ff0000000000000, AX // +Inf
+	VPBROADCASTQ AX, Z31
+
+	PCALIGN $64
+exploop:
+	VMOVUPD (SI), Z0              // x
+	VMULPD Z16, Z0, Z1            // Log2e·x
+	VPANDQ Z18, Z0, Z2
+	VPORQ Z17, Z2, Z2             // copysign(0.5, x)
+	VADDPD Z2, Z1, Z1
+	VCVTTPD2DQ Z1, Y3             // k
+	VCVTDQ2PD Y3, Z2              // float64(k)
+	VMULPD Z19, Z2, Z4
+	VSUBPD Z4, Z0, Z4             // hi = x − k·Ln2Hi
+	VMULPD Z20, Z2, Z5            // lo = k·Ln2Lo
+	VSUBPD Z5, Z4, Z6             // r = hi − lo
+	VMULPD Z6, Z6, Z7             // t = r·r
+	VMULPD Z21, Z7, Z8
+	VADDPD Z22, Z8, Z8
+	VMULPD Z8, Z7, Z8
+	VADDPD Z23, Z8, Z8
+	VMULPD Z8, Z7, Z8
+	VADDPD Z24, Z8, Z8
+	VMULPD Z8, Z7, Z8
+	VADDPD Z25, Z8, Z8
+	VMULPD Z8, Z7, Z8             // t·(P1+t·(P2+t·(P3+t·(P4+t·P5))))
+	VSUBPD Z8, Z6, Z9             // c = r − that
+	VMULPD Z9, Z6, Z10            // r·c
+	VSUBPD Z9, Z27, Z11           // 2 − c
+	VDIVPD Z11, Z10, Z10
+	VSUBPD Z10, Z5, Z10           // lo − (r·c)/(2−c)
+	VSUBPD Z4, Z10, Z10           // … − hi
+	VSUBPD Z10, Z26, Z10          // y = 1 − …
+	VSCALEFPD Z2, Z10, Z10        // Ldexp(y, k)
+	VCMPPD $0x1e, Z28, Z0, K1     // x > Overflow (+Inf too): +Inf
+	VMOVAPD Z31, K1, Z10
+	VCMPPD $0x11, Z29, Z0, K2     // x < Underflow (−Inf too): 0
+	VPXORQ Z10, Z10, K2, Z10
+	VPANDNQ Z0, Z18, Z1
+	VCMPPD $0x11, Z30, Z1, K3     // |x| < NearZero: 1 + x
+	VADDPD Z0, Z26, K3, Z10
+	VCMPPD $0x03, Z0, Z0, K4      // NaN: x
+	VMOVAPD Z0, K4, Z10
+	VMOVUPD Z10, (SI)(DI*1)
+	ADDQ $64, SI
+	DECQ CX
+	JNZ exploop
 	VZEROUPPER
 	RET

@@ -1,10 +1,12 @@
 // Package lapack implements the dense kernels the applications need: the
 // Cholesky kernel set (POTRF, TRSM, SYRK, GEMM over tiles, as in Fig. 1),
 // the min-plus kernels A–D of the tiled Floyd-Warshall algorithm (Fig. 7),
-// the block-sparse GemmNN of bspmm and the exact product Mul that MRA's
-// mode contractions run on. It substitutes for the MKL of Table I in real
-// (correctness) runs; virtual-time runs charge the flop counts reported
-// by the *Flops helpers against the machine model instead of executing.
+// the block-sparse GemmNN of bspmm, the exact product Mul that MRA's
+// mode contractions run on, and Exp, the exponential of MRA's Gaussians
+// and of bspmm's Yukawa norms. It substitutes for the MKL of Table I in
+// real (correctness) runs; virtual-time runs charge the flop counts
+// reported by the *Flops helpers against the machine model instead of
+// executing.
 //
 // The Go loops in this file are the reference: they own the loop order,
 // the edge rows and columns, the unroll tails and the zero / no-path
@@ -14,8 +16,11 @@
 // where the CPU also has AVX-512F, FWKernelD's whole 4×32 blocks run on
 // one AVX-512F kernel, its skip a lane mask, and the whole 4×8 blocks of
 // GemmNT and Syrk on another, their edges on the AVX2 kernel. Impl names
-// the tier. GemmNN runs whole on its 4×8 block kernel, its m%4 rows and
-// n%8 columns on zero-padded copies; Potrf, Trsm's rows past its last
+// the tier. Exp's reference is exp.go's port of the standard library's
+// pure-Go exp; with AVX-512F its whole blocks of eight run on an 8-lane
+// kernel with the same bits, and it has no AVX2 kernel. GemmNN runs
+// whole on its 4×8 block kernel, its m%4 rows and n%8 columns on
+// zero-padded copies; Potrf, Trsm's rows past its last
 // 16-row panel, Mul's m%4 rows and n%8 columns and the column edges of
 // GemmNT, Syrk and the min-plus kernels stay in Go.
 // Every product is written float64(x*y): the explicit conversion forbids
@@ -33,8 +38,8 @@ import (
 )
 
 // useAVX2 routes the inner loops through kernels_amd64.s, and useAVX512
-// (never set without useAVX2) the whole blocks of FWKernelD, GemmNT and
-// Syrk through the AVX-512F kernels. They are what the CPU reports at
+// (never set without useAVX2) the whole blocks of FWKernelD, GemmNT, Syrk
+// and Exp through the AVX-512F kernels. They are what the CPU reports at
 // package init and nothing else; only tests clear them, to run each tier
 // beside the reference loops in one process.
 var useAVX2, useAVX512 = detect()

@@ -7,9 +7,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/sparse"
 	"repro/internal/tile"
 )
+
+// bspmmPanels are the panel sizes of sparse.DefaultSpec(24), the tiles
+// bspmm_madness multiplies; internal/sparse pins them
+// (TestDefaultSpecPinned). They are written out because sparse imports
+// this package for Exp, so this package's tests cannot import sparse.
+var bspmmPanels = []int{227, 198, 241, 225, 193, 190, 119}
 
 // randSPD builds a random symmetric positive-definite tile.
 func randSPD(n int, rng *rand.Rand) *tile.Tile {
@@ -379,7 +384,7 @@ func BenchmarkTrsm(b *testing.B) {
 // triples of sparse.DefaultSpec(24), none of whose n is a multiple of 8,
 // and on 224×192×240, which is whole 4×8 blocks only.
 func BenchmarkGemmNN(b *testing.B) {
-	p := sparse.Generate(sparse.DefaultSpec(24)).Panels
+	p := bspmmPanels
 	shapes := [][3]int{{224, 192, 240}}
 	for i := 0; i+2 < len(p); i++ {
 		shapes = append(shapes, [3]int{p[i], p[i+1], p[i+2]})
@@ -412,6 +417,104 @@ func BenchmarkMul(b *testing.B) {
 			b.ReportMetric(GemmFlops(m, n, k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
 		})
 	}
+}
+
+// BenchmarkExp times Exp over 512 elements, an mra_stream box's grid
+// (k = 8, d = 3), in place, on each tier this CPU has (the avx2 tier is
+// the Go reference), beside math.Exp on the same inputs. The inputs are
+// uniform over (−700, 0], where neither exp takes an early return.
+func BenchmarkExp(b *testing.B) {
+	const n = 512
+	rng := rand.New(rand.NewSource(1))
+	src := make([]float64, n)
+	for i := range src {
+		src[i] = -float64(rng.Float64() * 700)
+	}
+	x := make([]float64, n)
+	perElement := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/element")
+	}
+	for _, tr := range tiers {
+		if !tr.has {
+			continue
+		}
+		b.Run(tr.name, func(b *testing.B) {
+			tr.with(func() {
+				for range b.N {
+					copy(x, src)
+					Exp(x, x)
+				}
+			})
+			perElement(b)
+		})
+	}
+	b.Run("math.Exp", func(b *testing.B) {
+		for range b.N {
+			copy(x, src)
+			for i, v := range x {
+				x[i] = math.Exp(v)
+			}
+		}
+		perElement(b)
+	})
+}
+
+// TestExpIsExp anchors the reference itself, which the bit-identity tests
+// only compare the kernel with. On expSpecials and on random inputs, exp
+// returns a NaN x itself, +Inf above its overflow threshold and 0 below
+// its underflow threshold; below 709.4 it is within two ulps of math.Exp
+// (each is within one ulp of e^x, and the results are never negative, so
+// their bit patterns count ulps, subnormals and 0 included); from there
+// to the threshold it is finite, where math.Exp's amd64 assembly already
+// overflows from 1023.5·ln2 ≈ 709.44 on.
+func TestExpIsExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	xs := expSpecials()
+	for range 200000 {
+		xs = append(xs, float64(rng.Float64()*1500)-750, math.Float64frombits(rng.Uint64()))
+	}
+	for _, x := range xs {
+		got := exp(x)
+		gb, wb := math.Float64bits(got), math.Float64bits(math.Exp(x))
+		var ok bool
+		switch {
+		case math.IsNaN(x):
+			ok = gb == math.Float64bits(x)
+		case x > expOverflow:
+			ok = math.IsInf(got, 1)
+		case x < expUnderflow:
+			ok = gb == 0
+		case x < 709.4:
+			ok = gb-wb+2 <= 4
+		default:
+			ok = !math.IsInf(got, 0)
+		}
+		if !ok {
+			t.Fatalf("exp(%v) = %#x; math.Exp gives %#x", x, gb, wb)
+		}
+	}
+}
+
+// TestExpShortDstPanics: Exp refuses a dst shorter than src, on every
+// path, before it writes anything.
+func TestExpShortDstPanics(t *testing.T) {
+	refuses := func(path string) {
+		dst, src := []float64{7, 7, 7, 7, 7, 7, 7, 7}, make([]float64, 9)
+		defer func() {
+			if msg := fmt.Sprint(recover()); msg != "lapack.Exp: dst has 8 elements, src 9" {
+				t.Errorf("%s path: want the length panic, got %q", path, msg)
+			}
+			for _, v := range dst {
+				if v != 7 {
+					t.Errorf("%s path: wrote dst before refusing", path)
+					return
+				}
+			}
+		}()
+		Exp(dst, src)
+	}
+	refuses(Impl())
+	withReference(func() { refuses("reference") })
 }
 
 // BenchmarkFWKernelD times FWKernelD at fw_tcp's tile size (nb 32) and at

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/lapack"
 	"repro/internal/serde"
 	"repro/internal/tile"
 )
@@ -152,12 +153,17 @@ func dist(a, b [3]float64) float64 {
 }
 
 // yukawa is the screened-Coulomb kernel exp(-r/λ)/r, regularized at the
-// origin (diagonal tiles).
+// origin (diagonal tiles). The exp is lapack.Exp's, whose bits are the
+// same on every host: Generate keeps a tile by comparing this number with
+// DropTol, so the sparsity pattern, and with it bspmm's task count, must
+// not depend on the CPU.
 func yukawa(r, lambda float64) float64 {
 	if r < 1 {
 		r = 1
 	}
-	return math.Exp(-r/lambda) / r
+	e := [1]float64{-r / lambda}
+	lapack.Exp(e[:], e[:])
+	return e[0] / r
 }
 
 // NT returns the number of tile rows/columns.

@@ -1,6 +1,11 @@
 package sparse
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/serde"
@@ -151,4 +156,29 @@ func TestIrregularPanelSizes(t *testing.T) {
 		t.Fatal("panels are uniform; expected irregular tiling")
 	}
 	_ = serde.Int2{}
+}
+
+// TestDefaultSpecPinned pins bspmm_madness's matrix, sparse.DefaultSpec(24):
+// its panel sizes (internal/lapack's tests name them too), its tile count
+// and a sha256 over every kept tile's (i, j, norm bits) in row-major
+// order. yukawa's exp is lapack.Exp, whose bits no host's FMA can change,
+// so neither may this digest.
+func TestDefaultSpecPinned(t *testing.T) {
+	m := Generate(DefaultSpec(24))
+	if want := []int{227, 198, 241, 225, 193, 190, 119}; !slices.Equal(m.Panels, want) {
+		t.Fatalf("panels %v, want %v", m.Panels, want)
+	}
+	if m.NNZ() != 49 {
+		t.Fatalf("NNZ = %d, want 49", m.NNZ())
+	}
+	h := sha256.New()
+	for i := 0; i < m.NT(); i++ {
+		for _, j := range m.Row(i) {
+			binary.Write(h, binary.LittleEndian, [3]uint64{uint64(i), uint64(j), math.Float64bits(m.Norm(i, j))})
+		}
+	}
+	const want = "14a08d7981d8996a1a9a692cf003e5a5da96f0bd7cb9c30675191c73717f288d"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("norms digest %s, want %s", got, want)
+	}
 }
