@@ -1,13 +1,15 @@
 // Package backend implements the shared distributed-runtime engine under
 // the PaRSEC-model and MADNESS-model backends. Each rank of the virtual
-// cluster gets a worker pool, a communication thread serving active
-// messages, a termination detector, and a transport speaking the wire
-// protocols of §II: eager whole-object (archive) messages, by-reference
-// gather messages (metadata framed, payload landed in place — what the
-// split-metadata protocol becomes on a fabric without RMA), and
-// tree-forwarded optimized broadcasts. The two named backends are Options
-// presets of this engine (PaRSEC and MADNESS below), just as the C++ TTG
-// backends configure shared machinery over their runtimes.
+// cluster gets a worker pool, a receive handler serving active messages on
+// whichever goroutine lands them (a socket reader, or in-process the
+// sending worker — there is no communication thread), a termination
+// detector, and a transport speaking the wire protocols of §II: eager
+// whole-object (archive) messages, by-reference gather messages (metadata
+// framed, payload landed in place — what the split-metadata protocol
+// becomes on a fabric without RMA), and tree-forwarded optimized
+// broadcasts. The two named backends are Options presets of this engine
+// (PaRSEC and MADNESS below), just as the C++ TTG backends configure
+// shared machinery over their runtimes.
 package backend
 
 import (
@@ -31,7 +33,7 @@ import (
 
 // Wire kinds on the fabric. Kinds at or above fabric.KindReserved belong
 // to the transport itself (netfab's bootstrap hello) and never reach the
-// comm loop.
+// receive handler.
 const (
 	kCtrl       uint8 = iota + 1 // termination-detection control
 	kData                        // eager data: header + inline archive value
@@ -59,9 +61,8 @@ type Options struct {
 	// to New is ignored in favor of Fabric.Size(). Shutdown closes it.
 	Fabric fabric.Endpoint
 	// Obs, when non-nil, enables structured observability: every rank
-	// records lifecycle events and metrics into the session, and the
-	// fabric maintains the in-flight-message gauge. Nil costs one branch
-	// per instrumentation point.
+	// records lifecycle events and metrics into the session. Nil costs one
+	// branch per instrumentation point.
 	Obs *obs.Session
 }
 
@@ -79,7 +80,7 @@ func PaRSEC() Options {
 }
 
 // MADNESS is the preset modeling the paper's MADNESS backend (§II-D): one
-// FIFO thread pool per process beside the thread serving active messages.
+// FIFO thread pool per process, active messages served where they land.
 // Data always travels as whole serialized objects (no splitmd) and the
 // runtime does not track data lifetimes, so const-ref sends still copy —
 // the copy and communication overheads the paper observes for
@@ -101,10 +102,9 @@ func (o *Options) fill(ranks int) {
 // the default (simnet) mode every rank of an in-process cluster, in fabric
 // mode the single local rank of a multi-process cluster.
 type Runtime struct {
-	opts   Options
-	size   int     // cluster size (== len(procs) in simnet mode)
-	procs  []*Proc // local ranks only, in rank order
-	commWG sync.WaitGroup
+	opts  Options
+	size  int     // cluster size (== len(procs) in simnet mode)
+	procs []*Proc // local ranks only, in rank order
 }
 
 // New builds a runtime with the given number of ranks, or — when
@@ -118,11 +118,7 @@ func New(ranks int, opts Options) *Runtime {
 	if opts.Fabric != nil {
 		eps = []fabric.Endpoint{opts.Fabric}
 	} else {
-		var inflight *obs.Gauge
-		if opts.Obs != nil {
-			inflight = opts.Obs.Global().Gauge(obs.GaugeInflightMsgs)
-		}
-		for _, ep := range simnet.New(ranks, inflight) {
+		for _, ep := range simnet.New(ranks) {
 			eps = append(eps, ep)
 		}
 	}
@@ -132,7 +128,7 @@ func New(ranks int, opts Options) *Runtime {
 		rt.procs = append(rt.procs, newProc(rt, ep))
 	}
 	for _, p := range rt.procs {
-		p.start(&rt.commWG)
+		p.start()
 	}
 	return rt
 }
@@ -168,8 +164,8 @@ func (rt *Runtime) Run(main func(p *Proc)) {
 	rt.Shutdown()
 }
 
-// Shutdown stops pools and closes every local rank's endpoint, so its
-// comm loop exits. Idempotent; called by Run.
+// Shutdown stops pools and closes every local rank's endpoint; no receive
+// handler is running when it returns. Idempotent; called by Run.
 func (rt *Runtime) Shutdown() {
 	for _, p := range rt.procs {
 		p.pool.Stop()
@@ -177,7 +173,6 @@ func (rt *Runtime) Shutdown() {
 	for _, p := range rt.procs {
 		p.ep.Close()
 	}
-	rt.commWG.Wait()
 }
 
 // Proc is one rank's runtime context; it implements core.Executor.
@@ -195,8 +190,9 @@ type Proc struct {
 
 	// Tree-broadcast state: bcastSeq numbers broadcasts this rank roots;
 	// bcasts holds in-progress multi-chunk reassemblies keyed by {root,
-	// id}. Only the comm thread touches bcasts, so it needs no lock.
+	// id}, under bcastMu: any peer's reader may deliver a chunk.
 	bcastSeq atomic.Uint64
+	bcastMu  sync.Mutex
 	bcasts   map[bcastKey]*bcastState
 
 	// rec is the rank's observability recorder (nil when disabled); the
@@ -216,7 +212,7 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 		p.bcastFanout = m.Histogram(obs.HistBcastFanout)
 	}
 	p.det = termdet.New(rank, rt.Ranks(), func(dst int, data []byte) {
-		p.ep.Send(dst, kCtrl, data)
+		p.ep.Relay(dst, kCtrl, data, nil)
 	})
 	p.pool = sched.NewPool(rt.opts.WorkersPerRank, rt.opts.Policy, func(w int, it sched.Item) {
 		it.Value.(*core.Task).Execute(w)
@@ -251,13 +247,10 @@ func (p *Proc) drainReductions() {
 	}
 }
 
-func (p *Proc) start(wg *sync.WaitGroup) {
+// start launches the rank's workers and installs its receive handler.
+func (p *Proc) start() {
 	p.pool.Start()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.commLoop()
-	}()
+	p.ep.Start(p.handle)
 }
 
 // Rank implements core.Executor.
@@ -403,7 +396,7 @@ func (p *Proc) deliverCopy(dest int, d core.Delivery, pl core.SendPlan) {
 		p.tr.ArchiveTransfers.Add(1)
 		p.tr.CopySends.Add(1)
 	}
-	p.send(dest, kData, b.Detach(), nil)
+	p.send(dest, kData, b.Detach(), nil, d.Control == core.CtrlReduce)
 }
 
 // deliverLoopback handles a Deliver whose destination is the local rank.
@@ -479,7 +472,7 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, pl core.SendPlan) bool {
 	hdr.Release()
 	p.tr.GatherSends.Add(1)
 	p.tr.BytesZeroCopied.Add(int64(serde.SegmentBytes(segs)))
-	p.send(dest, kGatherData, b.Detach(), segs)
+	p.send(dest, kGatherData, b.Detach(), segs, d.Control == core.CtrlReduce)
 	return true
 }
 
@@ -489,8 +482,10 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, pl core.SendPlan) bool {
 // this returns, and a network fabric merges frames queued behind an
 // in-flight write by itself. Termination detection, the logical-message
 // stats and the wire stats are all charged here, at the full size: a
-// zero-copy payload occupies the link exactly like its bytes.
-func (p *Proc) send(dest int, kind uint8, data []byte, segs []serde.Segment) {
+// zero-copy payload occupies the link exactly like its bytes. A relay (a
+// forwarded broadcast chunk or reduce-tree partial) goes out through
+// Relay, which never parks on the fabric's in-flight bound.
+func (p *Proc) send(dest int, kind uint8, data []byte, segs []serde.Segment, relay bool) {
 	n := int64(len(data) + serde.SegmentBytes(segs))
 	p.det.MsgSent()
 	p.tr.MsgsSent.Add(1)
@@ -500,25 +495,24 @@ func (p *Proc) send(dest int, kind uint8, data []byte, segs []serde.Segment) {
 		p.rec.Record(obs.Event{Kind: obs.EvMsgEnqueue, Worker: -1, TT: -1, Bytes: n})
 		p.msgBytes.Observe(n)
 	}
-	p.ep.SendSegs(dest, kind, data, segs)
+	if relay {
+		p.ep.Relay(dest, kind, data, segs)
+	} else {
+		p.ep.SendSegs(dest, kind, data, segs)
+	}
 }
 
-// commLoop is the rank's communication thread (the MADNESS-model's
-// dedicated AM server thread; PaRSEC's communication engine).
-func (p *Proc) commLoop() {
-	for {
-		pkt, ok := p.ep.Recv()
-		if !ok {
-			return
-		}
-		switch pkt.Kind {
-		case kCtrl:
-			p.det.HandleControl(pkt.Data)
-		case kData, kGatherData, kBcastChunk:
-			p.recvMsg(pkt)
-		default:
-			panic(fmt.Sprintf("backend: unknown packet kind %d", pkt.Kind))
-		}
+// handle is the rank's receive handler (the MADNESS model's AM server,
+// PaRSEC's communication engine), called by the fabric on the goroutine
+// that lands each packet.
+func (p *Proc) handle(pkt fabric.Packet) {
+	switch pkt.Kind {
+	case kCtrl:
+		p.det.HandleControl(pkt.Data)
+	case kData, kGatherData, kBcastChunk:
+		p.recvMsg(pkt)
+	default:
+		panic(fmt.Sprintf("backend: unknown packet kind %d", pkt.Kind))
 	}
 }
 
@@ -608,7 +602,7 @@ func (p *Proc) decodeGather(pkt fabric.Packet) (d core.Delivery) {
 	return d
 }
 
-// recordDeliver emits a message-delivery event on the comm thread.
+// recordDeliver emits a message-delivery event from the receive handler.
 func (p *Proc) recordDeliver(bytes int) {
 	if p.rec != nil {
 		p.rec.Record(obs.Event{Kind: obs.EvMsgDeliver, Worker: -1, TT: -1,

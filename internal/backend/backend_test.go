@@ -132,8 +132,8 @@ func TestChainAcrossRanksMadness(t *testing.T) {
 	expectChain(t, results, 20, 8)
 }
 
-// TestChainWithNetworkLatency runs the chain with every rank's comm thread
-// slowed by the seeded receive-delay decorator.
+// TestChainWithNetworkLatency runs the chain with every rank's receive
+// handler slowed by the seeded receive-delay decorator.
 func TestChainWithNetworkLatency(t *testing.T) {
 	results := runChain(t, func(main func(p *backend.Proc)) {
 		runOn(t, "delayed", 3, withWorkers(backend.PaRSEC(), 2), main)
@@ -548,7 +548,7 @@ func fanInSharing(t *testing.T, opts backend.Options, mode core.SendMode, access
 }
 
 // TestRemoteFanInSharingSimnet checks data-tracking semantics across the
-// in-process fabric, each comm thread slowed by the receive-delay
+// in-process fabric, each receive handler slowed by the receive-delay
 // decorator: one value broadcast to two read-only consumers on the far
 // rank crosses the wire once and is shared in memory on arrival under a
 // tracking runtime (PaRSEC model), but is cloned per consumer under the

@@ -60,7 +60,7 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 		// send and forwarded down the tree, so it is never recycled.
 		data := b.Detach()
 		for _, child := range kids {
-			p.send(child, kBcastChunk, data, nil)
+			p.send(child, kBcastChunk, data, nil, false)
 		}
 	}
 	vb.Release()
@@ -87,7 +87,7 @@ type bcastKey struct {
 }
 
 // bcastState is one rank's view of a broadcast between its first and last
-// chunk. All fields are owned by the comm thread.
+// chunk. Its chunks cross one link in order, one handler call at a time.
 type bcastState struct {
 	kids    []int // this rank's tree children
 	mine    core.Delivery
@@ -116,15 +116,9 @@ func (p *Proc) handleBcastChunk(data []byte) {
 				p.rec.Record(obs.Event{Kind: obs.EvBcastForward, Worker: -1, TT: -1, Bytes: int64(st.total)})
 			}
 		}
-		if st.nchunks > 1 {
-			if p.bcasts == nil {
-				p.bcasts = map[bcastKey]*bcastState{}
-			}
-			p.bcasts[key] = st
-		}
 	}
 	for _, child := range st.kids {
-		p.send(child, kBcastChunk, data, nil)
+		p.send(child, kBcastChunk, data, nil, true)
 	}
 	if st.nchunks == 1 {
 		st.buf = piece
@@ -134,7 +128,11 @@ func (p *Proc) handleBcastChunk(data []byte) {
 	if st.got++; st.got < st.nchunks {
 		return
 	}
-	delete(p.bcasts, key)
+	if st.nchunks > 1 {
+		p.bcastMu.Lock()
+		delete(p.bcasts, key)
+		p.bcastMu.Unlock()
+	}
 	st.mine.Value = serde.DecodeAny(serde.FromBytes(st.buf))
 	// Each rank decodes its own object: hand it to the runtime outright.
 	st.mine.Exclusive = true
@@ -177,7 +175,15 @@ func (p *Proc) readBcastChunk(data []byte) (key bcastKey, idx int, st *bcastStat
 		}
 		st.nchunks = st.total/st.chunk + min(st.total%st.chunk, 1)
 		st.kids = collective.Fanout(order, p.rank)
-	} else if st = p.bcasts[key]; st == nil {
+		if st.nchunks > 1 {
+			p.bcastMu.Lock()
+			if p.bcasts == nil {
+				p.bcasts = map[bcastKey]*bcastState{}
+			}
+			p.bcasts[key] = st
+			p.bcastMu.Unlock()
+		}
+	} else if st = p.bcast(key); st == nil {
 		panic(fmt.Sprintf("chunk %d arrived before chunk 0", idx))
 	} else if idx != st.got {
 		panic(fmt.Sprintf("chunk %d arrived where chunk %d of %d was due", idx, st.got, st.nchunks))
@@ -189,4 +195,12 @@ func (p *Proc) readBcastChunk(data []byte) (key bcastKey, idx int, st *bcastStat
 		panic(fmt.Sprintf("chunk %d ends the payload at %d bytes, not %d", idx, idx*st.chunk+len(piece), st.total))
 	}
 	return key, idx, st, piece
+}
+
+// bcast returns the reassembly state chunk 0 of key left behind, if any.
+func (p *Proc) bcast(key bcastKey) *bcastState {
+	p.bcastMu.Lock()
+	st := p.bcasts[key]
+	p.bcastMu.Unlock()
+	return st
 }

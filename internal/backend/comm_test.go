@@ -37,16 +37,17 @@ func TestEagerRendezvousSwitch(t *testing.T) {
 	}
 }
 
-// runBroadcast broadcasts one floats-long vector from rank 0 to all ranks
-// and returns each rank's received checksum plus the root trace snapshot.
-func runBroadcast(t *testing.T, ranks, floats, bcastChunk int) (sums map[int]float64, snap trace.Snapshot) {
+// runBroadcast has every rank broadcast one floats-long vector to a key on
+// every rank at once, over transport, and returns the checksum each rank
+// received from each root plus rank 0's trace snapshot. Several roots'
+// chunks reach a rank together, each broadcast's on its own link.
+func runBroadcast(t *testing.T, transport string, ranks, floats, bcastChunk int) (sums map[[2]int]float64, snap trace.Snapshot) {
 	t.Helper()
 	var mu sync.Mutex
-	sums = map[int]float64{}
+	sums = map[[2]int]float64{}
 	o := withWorkers(backend.PaRSEC(), 1)
 	o.BcastChunk = bcastChunk
-	rt := backend.New(ranks, o)
-	rt.Run(func(p *backend.Proc) {
+	runOn(t, transport, ranks, o, func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
 		out := core.NewEdge("out")
@@ -54,7 +55,7 @@ func runBroadcast(t *testing.T, ranks, floats, bcastChunk int) (sums map[int]flo
 			Name:    "src",
 			Inputs:  []core.InputSpec{{Edge: in}},
 			Outputs: []core.OutputSpec{{Edge: out}},
-			Keymap:  func(any) int { return 0 },
+			Keymap:  func(k any) int { return k.(serde.Int1)[0] },
 			Body: func(ctx *core.TaskContext) {
 				v := &vec{n: floats, data: make([]float64, floats)}
 				for i := range v.data {
@@ -62,7 +63,7 @@ func runBroadcast(t *testing.T, ranks, floats, bcastChunk int) (sums map[int]flo
 				}
 				keys := make([]any, ranks)
 				for r := 0; r < ranks; r++ {
-					keys[r] = serde.Int1{r}
+					keys[r] = serde.Int2{ctx.Rank(), r}
 				}
 				ctx.Broadcast(0, keys, v)
 			},
@@ -70,7 +71,7 @@ func runBroadcast(t *testing.T, ranks, floats, bcastChunk int) (sums map[int]flo
 		g.AddTT(core.TTSpec{
 			Name:   "dst",
 			Inputs: []core.InputSpec{{Edge: out}},
-			Keymap: func(k any) int { return k.(serde.Int1)[0] % ranks },
+			Keymap: func(k any) int { return k.(serde.Int2)[1] },
 			Body: func(ctx *core.TaskContext) {
 				v := ctx.Input(0).(*vec)
 				s := 0.0
@@ -78,15 +79,13 @@ func runBroadcast(t *testing.T, ranks, floats, bcastChunk int) (sums map[int]flo
 					s += x
 				}
 				mu.Lock()
-				sums[ctx.Rank()] = s
+				sums[[2]int{ctx.Key().Value().(serde.Int2)[0], ctx.Rank()}] = s
 				mu.Unlock()
 			},
 		})
 		g.Seal()
 		p.Bind(g)
-		if p.Rank() == 0 {
-			g.Seed(in, serde.Int1{0}, 0.0)
-		}
+		g.Seed(in, serde.Int1{p.Rank()}, 0.0)
 		g.Fence()
 		if p.Rank() == 0 {
 			snap = p.Tracer().Snapshot()
@@ -96,8 +95,8 @@ func runBroadcast(t *testing.T, ranks, floats, bcastChunk int) (sums map[int]flo
 }
 
 // TestPipelinedBroadcast checks the chunked relay path delivers an
-// identical payload to every rank, and that disabling pipelining
-// (store-and-forward) produces the same result.
+// identical payload to every rank from every root at once, and that
+// disabling pipelining (store-and-forward) produces the same result.
 func TestPipelinedBroadcast(t *testing.T) {
 	const ranks = 8
 	const floats = 16384 // 128 KiB payload, 32 chunks at 4 KiB
@@ -106,33 +105,38 @@ func TestPipelinedBroadcast(t *testing.T) {
 	for i := 0; i < floats; i++ {
 		want += float64(i % 97)
 	}
+	// The delayed leg's decorator refuses a forward that could park.
+	for _, tr := range append(transports, "delayed") {
+		t.Run(tr, func(t *testing.T) {
+			piped, snap := runBroadcast(t, tr, ranks, floats, 4096)
+			if len(piped) != ranks*ranks {
+				t.Fatalf("pipelined: fired %d times, want %d", len(piped), ranks*ranks)
+			}
+			for k, s := range piped {
+				if s != want {
+					t.Fatalf("pipelined: rank %d checksum from root %d %v, want %v", k[1], k[0], s, want)
+				}
+			}
+			// Rank 0 streams a header plus ~32 chunks per child; far more
+			// wire packets than the few a store-and-forward tree uses, even
+			// with its relays of the other roots' trees, proving the chunk
+			// path actually ran.
+			if snap.WirePackets < 32 {
+				t.Fatalf("pipelined: rank 0 sent %d wire packets; chunking did not engage", snap.WirePackets)
+			}
 
-	piped, snap := runBroadcast(t, ranks, floats, 4096)
-	if len(piped) != ranks {
-		t.Fatalf("pipelined: fired on %d ranks, want %d", len(piped), ranks)
-	}
-	for r, s := range piped {
-		if s != want {
-			t.Fatalf("pipelined: rank %d checksum %v, want %v", r, s, want)
-		}
-	}
-	// The root streams a header plus ~32 chunks per child; far more wire
-	// packets than the 3 a store-and-forward tree would use, proving the
-	// chunk path actually ran.
-	if snap.WirePackets < 32 {
-		t.Fatalf("pipelined: root sent %d wire packets; chunking did not engage", snap.WirePackets)
-	}
-
-	plain, snap := runBroadcast(t, ranks, floats, -1)
-	if len(plain) != ranks {
-		t.Fatalf("store-and-forward: fired on %d ranks, want %d", len(plain), ranks)
-	}
-	for r, s := range plain {
-		if s != want {
-			t.Fatalf("store-and-forward: rank %d checksum %v, want %v", r, s, want)
-		}
-	}
-	if snap.WirePackets >= 32 {
-		t.Fatalf("store-and-forward: root sent %d wire packets, expected one frame per child", snap.WirePackets)
+			plain, snap := runBroadcast(t, tr, ranks, floats, -1)
+			if len(plain) != ranks*ranks {
+				t.Fatalf("store-and-forward: fired %d times, want %d", len(plain), ranks*ranks)
+			}
+			for k, s := range plain {
+				if s != want {
+					t.Fatalf("store-and-forward: rank %d checksum from root %d %v, want %v", k[1], k[0], s, want)
+				}
+			}
+			if snap.WirePackets >= 32 {
+				t.Fatalf("store-and-forward: rank 0 sent %d wire packets, expected one frame per tree edge", snap.WirePackets)
+			}
+		})
 	}
 }

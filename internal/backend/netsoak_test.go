@@ -71,9 +71,9 @@ func (e *countingEndpoint) note(dst int, kind uint8) {
 	}
 }
 
-func (e *countingEndpoint) Send(dst int, kind uint8, data []byte) {
+func (e *countingEndpoint) Relay(dst int, kind uint8, data []byte, segs []serde.Segment) {
 	e.note(dst, kind)
-	e.Endpoint.Send(dst, kind, data)
+	e.Endpoint.Relay(dst, kind, data, segs)
 }
 
 func (e *countingEndpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment) {

@@ -122,7 +122,7 @@ func TestSendsLeaveWithTheirTask(t *testing.T) {
 // out to rank 1 at once: sender 0 ends a task after every message, sender
 // 1 after every twenty, so their packets interleave on the one link. Each
 // sender's messages fold into an order-sensitive stream on rank 1 — the
-// fold runs on the comm thread in arrival order — which must see every
+// fold runs in the receive handler in arrival order — which must see every
 // sequence number once, in order.
 func TestPerSenderOrderToOnePeerWithTwoWorkers(t *testing.T) {
 	const total = 400
@@ -197,12 +197,12 @@ func TestPerSenderOrderToOnePeerWithTwoWorkers(t *testing.T) {
 	}
 }
 
-// TestForwardedPartialLeavesFromCommThread: a reduction partial that climbs
-// the combine tree through a rank with no tasks is folded and forwarded by
-// that rank's comm thread. Its pool never wakes, and its main goroutine is
-// already inside Fence, so the packet handler itself must put the
-// forwarded partial on the wire.
-func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
+// TestReceiveHandlerForwardsPartial: a reduction partial that climbs the
+// combine tree through a rank with no tasks is folded and forwarded by
+// that rank's receive handler. Its pool never wakes, and its main
+// goroutine is already inside Fence, so the handler itself must put the
+// forwarded partial on the wire — as a relay, which never parks.
+func TestReceiveHandlerForwardsPartial(t *testing.T) {
 	const ranks, owner = 4, 0
 	leaf, relay := -1, -1
 	for r := 1; r < ranks; r++ {
@@ -213,7 +213,8 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 	if leaf < 0 {
 		t.Fatal("no two-hop path in the reduce tree")
 	}
-	for _, tr := range transports {
+	// The delayed leg's decorator refuses a forward that could park.
+	for _, tr := range append(transports, "delayed") {
 		t.Run(tr, func(t *testing.T) {
 			relayFencing := make(chan struct{})
 			result := make(chan float64, 1)
@@ -282,8 +283,9 @@ func TestForwardedPartialLeavesFromCommThread(t *testing.T) {
 	}
 }
 
-// recordingEndpoint notes every counted message (Proc.send is the only
-// SendSegs caller) its rank puts on the fabric, in departure order.
+// recordingEndpoint notes every counted message its rank first-sends
+// (Proc.send is the only SendSegs caller; relays go through Relay), in
+// departure order.
 type recordingEndpoint struct {
 	*netfab.Endpoint
 	mu   sync.Mutex

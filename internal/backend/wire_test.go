@@ -489,8 +489,8 @@ func TestGatherAblationSwitch(t *testing.T) {
 }
 
 // testGatherInterleaved: one task sends tile k then scalar k to rank 1 for
-// k = 0..msgs-1. Rank 1 has one FIFO worker fed by one comm thread, so its
-// sinks run in arrival order.
+// k = 0..msgs-1. Rank 1 has one FIFO worker, and its handler takes the
+// one sender's packets in send order, so its sinks run in arrival order.
 func testGatherInterleaved(t *testing.T) {
 	const msgs = 24
 	const rows, cols = 16, 16 // 2 KiB per tile

@@ -302,9 +302,9 @@ type Graph struct {
 // returns true (the discrete-event simulator) parks partials until the
 // engine's idle waves sweep them up the tree age-gated; a backend without
 // it (the real thread-pool transports) gets flush-through: an arriving
-// partial folds and immediately continues toward the owner on the
-// communication thread, so no rank ever parks a partial while another
-// blocks in a fence.
+// partial folds and immediately continues toward the owner from the
+// receive handler, so no rank ever parks a partial while another blocks
+// in a fence.
 type reductionBuffering interface {
 	BuffersReductions() bool
 }

@@ -155,8 +155,8 @@ func (g *Graph) foldLocal(tt *TT, term int, key Key, v any, worker int) *Task {
 // foldPartial absorbs a CtrlReduce delivery (a child's partial) into the
 // local slot. Buffering backends leave it parked for the wave sweep; on
 // flush-through backends the combined slot continues toward the owner
-// immediately, on the communication thread, so no rank parks a partial
-// while others block in a fence.
+// immediately, from the receive handler, so no rank parks a partial while
+// others block in a fence.
 func (g *Graph) foldPartial(tt *TT, term int, key Key, v any, n int, worker int) *Task {
 	spec := &tt.inputs[term]
 	tr := g.exec.Tracer()

@@ -221,7 +221,7 @@ func (g *Graph) controlEdge(e *Edge, worker int, key Key, ctrl ControlKind, n in
 }
 
 // Inject applies a delivery that arrived from the network; backends call it
-// from their communication threads. The delivered value is freshly owned.
+// from their receive handlers. The delivered value is freshly owned.
 func (g *Graph) Inject(d Delivery) {
 	// As in routeEdges, the common delivery (one target, one key, at most
 	// one task made ready) must not allocate a slice for the batch.

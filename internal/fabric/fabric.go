@@ -1,15 +1,16 @@
 // Package fabric defines the narrow transport contract the runtime
 // backends speak: point-to-point framed sends with optional by-reference
-// payload segments (the iovec of the zero-copy wire path) and a blocking
-// inbox. Nothing here fetches remote memory: a payload crosses by being
-// pushed. Two fabrics implement it — internal/simnet, which carries the
-// bytes between ranks living in one process and models nothing, and
-// internal/netfab, the real TCP/Unix-socket transport where ranks are
-// separate OS processes — so the engine in internal/backend is written
-// once against this interface and the choice of wire is a configuration
-// value, exactly as the paper's TTG runs unchanged over PaRSEC's and
-// MADNESS's transports. Network cost is modelled only in virtual time, by
-// internal/backend/sim.
+// payload segments (the iovec of the zero-copy wire path), and a receive
+// handler the fabric calls on whichever goroutine lands a packet — there
+// is no inbox and no receive thread. Nothing here fetches remote memory: a
+// payload crosses by being pushed. Two fabrics implement it —
+// internal/simnet, which carries the bytes between ranks living in one
+// process and models nothing, and internal/netfab, the real
+// TCP/Unix-socket transport where ranks are separate OS processes — so the
+// engine in internal/backend is written once against this interface and
+// the choice of wire is a configuration value, exactly as the paper's TTG
+// runs unchanged over PaRSEC's and MADNESS's transports. Network cost is
+// modelled only in virtual time, by internal/backend/sim.
 package fabric
 
 import "repro/internal/serde"
@@ -40,31 +41,41 @@ func (p *Packet) WireLen() int { return len(p.Data) + serde.SegmentBytes(p.Segs)
 const KindReserved uint8 = 0xF0
 
 // Endpoint is one rank's attachment to a fabric. Implementations must be
-// safe for concurrent use: workers send while the comm thread receives.
+// safe for concurrent use: workers send while handlers run.
 type Endpoint interface {
 	// Rank returns this endpoint's rank; Size the number of ranks.
 	Rank() int
 	Size() int
 
-	// Send transmits framed data to dst. The data slice is owned by the
-	// fabric after the call for reading, but the fabric must not recycle
-	// it: tree broadcasts hand one array to several sends.
-	Send(dst int, kind uint8, data []byte)
+	// Start installs h, the rank's receive handler; call it once. The
+	// fabric calls h on the goroutine that lands each packet (a network
+	// fabric's per-peer reader, an in-process fabric's sender), so calls
+	// may overlap, but two packets sent one after the other reach h in
+	// that order. A send to a rank that has not Started waits for it.
+	Start(h func(Packet))
 
 	// SendSegs transmits framed data plus by-reference payload segments
-	// (the zero-copy gather path). Data follows the Send ownership rule;
-	// segment memory is owned by the fabric outright — an in-process
-	// fabric hands it to the receiver's decoder, a network fabric
-	// returns it to its pool once the bytes are on the wire.
+	// (the zero-copy gather path; segs may be nil). The data slice is
+	// owned by the fabric after the call for reading, but the fabric must
+	// not recycle it: tree broadcasts hand one array to several sends.
+	// Segment memory is owned by the fabric outright — an in-process
+	// fabric hands it to the receiver's handler, a network fabric returns
+	// it to its pool once the bytes are on the wire. A network fabric may
+	// park the caller while dst's link holds more than its in-flight
+	// bound: a value's first send, from a task body or a rank main, waits
+	// there.
 	SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment)
 
-	// Recv blocks for the next packet; ok is false once the endpoint is
-	// closed and the inbox drained.
-	Recv() (Packet, bool)
+	// Relay is SendSegs for traffic that forwards what this rank received
+	// (termination-detection control, broadcast chunks, reduce-tree
+	// partials); it never parks, so two relaying handlers cannot wait on
+	// each other's credit.
+	Relay(dst int, kind uint8, data []byte, segs []serde.Segment)
 
 	// Close shuts the endpoint down once its rank has quiesced: whatever
-	// the fabric still holds for this rank is delivered, then the inbox
-	// closes so Recv returns false. Idempotent.
+	// the fabric still holds for this rank reaches the handler, no handler
+	// call is running when Close returns, and a late send is dropped.
+	// Idempotent.
 	Close() error
 }
 

@@ -39,10 +39,9 @@ type Flags struct {
 	transport *string
 	rank      *int
 	peers     *string
-	inflight  *int
 }
 
-// Register installs -transport, -rank, -peers, and -net-inflight on fs
+// Register installs -transport, -rank and -peers on fs
 // (the global flag set when nil).
 func Register(fs *flag.FlagSet) *Flags {
 	if fs == nil {
@@ -52,7 +51,6 @@ func Register(fs *flag.FlagSet) *Flags {
 		transport: fs.String("transport", "", `multi-process fabric: "tcp" or "unix" (empty = in-process virtual fabric)`),
 		rank:      fs.Int("rank", -1, "this process's rank for manual multi-process launch (default: self-spawn every rank)"),
 		peers:     fs.String("peers", "", "coordinator address the ranks meet at (tcp host:port, unix socket path)"),
-		inflight:  fs.Int("net-inflight", 0, "per-peer in-flight byte bound (0 = 8 MiB default, negative = unbounded)"),
 	}
 }
 
@@ -79,11 +77,10 @@ func (f *Flags) Launch(ranks int) (fabric.Endpoint, error) {
 			return nil, fmt.Errorf("netcli: -rank %d requires -peers", *f.rank)
 		}
 		return netfab.Bootstrap(netfab.Config{
-			Transport:   *f.transport,
-			Rank:        *f.rank,
-			Size:        ranks,
-			Coord:       coord,
-			MaxInflight: *f.inflight,
+			Transport: *f.transport,
+			Rank:      *f.rank,
+			Size:      ranks,
+			Coord:     coord,
 		})
 	}
 	os.Exit(f.spawn(ranks))

@@ -14,11 +14,13 @@
 //     the write, segment memory returns to its pool.
 //   - Receives land whole frames into pooled buffers — framed bytes into
 //     the serde buffer pool, float64 segments into the float64 pool — so
-//     scatter-decoded receive views alias the landed memory unchanged.
-//   - Bounded per-peer in-flight bytes: senders park once a peer's queued
-//     bytes exceed MaxInflight and resume as the writer drains, providing
-//     the backpressure a virtual fabric never needed. Reader goroutines
-//     never send, so they cannot join a credit cycle.
+//     scatter-decoded receive views alias the landed memory unchanged; the
+//     peer's reader then calls the receive handler on the packet itself.
+//   - Bounded per-peer in-flight bytes: SendSegs parks once a peer's
+//     queued bytes exceed MaxInflight and resumes as the writer drains,
+//     providing the backpressure a virtual fabric never needed. A handler
+//     relays through Relay, which never parks: two readers each parked on
+//     the other's full queue would wait forever.
 //
 // Bootstrap is rank-0 coordinated: every rank opens a data listener, rank
 // 0 additionally listens on the well-known coordinator address, collects
@@ -70,9 +72,8 @@ type Config struct {
 	// Listen overrides the data listener address (tcp only; default
 	// 127.0.0.1:0).
 	Listen string
-	// MaxInflight bounds per-peer queued (unwritten) bytes; senders park
-	// above it. Zero means the 8 MiB default; negative
-	// disables backpressure.
+	// MaxInflight bounds per-peer queued (unwritten) bytes; SendSegs
+	// parks above it. Zero or less means the 8 MiB default.
 	MaxInflight int
 	// DialTimeout bounds bootstrap patience per connection (default 10s).
 	DialTimeout time.Duration
@@ -88,7 +89,7 @@ func (c *Config) fill() error {
 	if c.Size < 1 || c.Rank < 0 || c.Rank >= c.Size {
 		return fmt.Errorf("netfab: bad rank/size %d/%d", c.Rank, c.Size)
 	}
-	if c.MaxInflight == 0 {
+	if c.MaxInflight <= 0 {
 		c.MaxInflight = 8 << 20
 	}
 	if c.DialTimeout <= 0 {
@@ -102,8 +103,12 @@ func (c *Config) fill() error {
 type Endpoint struct {
 	rank, size int
 	cfg        Config
-	inbox      *fabric.Queue[fabric.Packet]
 	peers      []*peer // indexed by rank; peers[rank] == nil
+
+	h         func(fabric.Packet)
+	startOnce sync.Once
+	started   chan struct{} // closed by Start, once h is set
+	pull      pullQueue     // Recv's queue
 
 	closed atomic.Bool
 	readWG sync.WaitGroup
@@ -116,19 +121,20 @@ var (
 
 // Bootstrap joins the cluster: it opens this rank's data listener, runs
 // the rank-0 coordination round to learn every peer's address, dials the
-// mesh, and returns a ready endpoint with its reader and writer
-// goroutines running.
+// mesh, and returns an endpoint with its writer goroutines running; Start
+// launches the readers.
 func Bootstrap(cfg Config) (*Endpoint, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	e := &Endpoint{
-		rank:  cfg.Rank,
-		size:  cfg.Size,
-		cfg:   cfg,
-		inbox: fabric.NewQueue[fabric.Packet](),
-		peers: make([]*peer, cfg.Size),
+		rank:    cfg.Rank,
+		size:    cfg.Size,
+		cfg:     cfg,
+		peers:   make([]*peer, cfg.Size),
+		started: make(chan struct{}),
 	}
+	e.pull.cond.L = &e.pull.mu
 	if cfg.Size == 1 {
 		return e, nil
 	}
@@ -151,10 +157,24 @@ func Bootstrap(cfg Config) (*Endpoint, error) {
 			continue
 		}
 		go pr.writeLoop(e)
-		e.readWG.Add(1)
-		go e.readLoop(pr)
 	}
 	return e, nil
+}
+
+// Start installs the receive handler and launches one reader goroutine per
+// peer, each calling h on the packets its link lands. Only the first call
+// counts.
+func (e *Endpoint) Start(h func(fabric.Packet)) {
+	e.startOnce.Do(func() {
+		e.h = h
+		close(e.started)
+		for _, pr := range e.peers {
+			if pr != nil {
+				e.readWG.Add(1)
+				go e.readLoop(pr)
+			}
+		}
+	})
 }
 
 // listenData opens this rank's data listener and returns its dialable
@@ -355,15 +375,27 @@ func (e *Endpoint) Send(dst int, kind uint8, data []byte) {
 	e.SendSegs(dst, kind, data, nil)
 }
 
-// SendSegs transmits framed data plus by-reference payload segments. The
-// segment memory is owned by the fabric: once the bytes are on the wire
-// it returns to its pool, completing the pool -> socket zero-copy path.
-// Self-sends land directly in the local inbox (parity with simnet); a
-// frame to a peer longer than maxFrameLen, or with more than maxFrameSegs
-// segments, panics, naming its size or its count.
+// SendSegs transmits framed data plus by-reference payload segments,
+// parking while dst's queued bytes exceed MaxInflight. The segment memory
+// is owned by the fabric: once the bytes are on the wire it returns to its
+// pool, completing the pool -> socket zero-copy path. A self-send calls
+// the handler directly (parity with simnet); a frame to a peer longer than
+// maxFrameLen, or with more than maxFrameSegs segments, panics, naming its
+// size or its count.
 func (e *Endpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segment) {
+	e.send(dst, kind, data, segs, true)
+}
+
+// Relay is SendSegs without the park: a handler forwarding what it
+// received never waits on a peer's credit.
+func (e *Endpoint) Relay(dst int, kind uint8, data []byte, segs []serde.Segment) {
+	e.send(dst, kind, data, segs, false)
+}
+
+func (e *Endpoint) send(dst int, kind uint8, data []byte, segs []serde.Segment, park bool) {
 	if dst == e.rank {
-		e.inbox.Push(fabric.Packet{Src: e.rank, Dst: dst, Kind: kind, Data: data, Segs: segs})
+		<-e.started
+		e.h(fabric.Packet{Src: e.rank, Dst: dst, Kind: kind, Data: data, Segs: segs})
 		return
 	}
 	if len(segs) > maxFrameSegs {
@@ -375,12 +407,54 @@ func (e *Endpoint) SendSegs(dst int, kind uint8, data []byte, segs []serde.Segme
 	if rest := frameRest(data, segs); rest > maxFrameLen {
 		panic(fmt.Sprintf("netfab: frame of %d bytes to rank %d exceeds the protocol maximum of %d", rest, dst, maxFrameLen))
 	}
-	e.peers[dst].enqueue(buildFrame(kind, data, segs))
+	e.peers[dst].enqueue(buildFrame(kind, data, segs), park)
 }
 
-// Recv blocks for the next packet; ok is false once the endpoint is
-// closed and the inbox drained.
-func (e *Endpoint) Recv() (fabric.Packet, bool) { return e.inbox.Pop() }
+// Recv is a pull adapter outside fabric.Endpoint (the layer benchmarks'
+// ping-pong probe and this package's tests use it): its first call Starts
+// the endpoint into a queue, and each call blocks for the next packet; ok
+// is false once the endpoint is closed and the queue drained.
+func (e *Endpoint) Recv() (fabric.Packet, bool) {
+	e.Start(e.pull.push)
+	return e.pull.pop()
+}
+
+// pullQueue is Recv's unbounded FIFO: a bounded one could park a reader.
+type pullQueue struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	pkts   []fabric.Packet
+	closed bool
+}
+
+func (q *pullQueue) push(p fabric.Packet) {
+	q.mu.Lock()
+	q.pkts = append(q.pkts, p)
+	q.mu.Unlock()
+	q.cond.Signal()
+}
+
+func (q *pullQueue) pop() (fabric.Packet, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.pkts) == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if len(q.pkts) == 0 {
+		return fabric.Packet{}, false
+	}
+	p := q.pkts[0]
+	q.pkts[0] = fabric.Packet{}
+	q.pkts = q.pkts[1:]
+	return p, true
+}
+
+func (q *pullQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
 
 // PeerStats implements fabric.StatSource.
 func (e *Endpoint) PeerStats() []fabric.PeerStat {
@@ -409,13 +483,15 @@ const closeTimeout = 5 * time.Second
 
 // Close tears the endpoint down gracefully: drain every peer's send
 // queue, half-close the connections (signalling "no more frames"), read
-// until every peer has done the same — so frames still in flight are
-// delivered — then close the sockets and the inbox. Safe to call once the
+// until every peer has done the same — so frames still in flight reach
+// the handler — then close the sockets and Recv's queue. An endpoint never
+// Started reads those last frames into Recv's queue. Safe to call once the
 // runtime has quiesced (post-fence).
 func (e *Endpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	e.Start(e.pull.push)
 	for _, pr := range e.peers {
 		if pr != nil {
 			pr.beginClose()
@@ -448,7 +524,7 @@ func (e *Endpoint) Close() error {
 			pr.conn.Close()
 		}
 	}
-	e.inbox.Close()
+	e.pull.close()
 	return nil
 }
 

@@ -2,7 +2,9 @@ package netfab
 
 import (
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,26 +46,31 @@ func TestPingPong(t *testing.T) {
 	})
 }
 
-// TestFrameOrdering checks per-link FIFO across many frames and sizes.
+// TestFrameOrdering checks per-link FIFO across many frames and sizes:
+// the reader hands them to the handler in the order they were sent.
 func TestFrameOrdering(t *testing.T) {
 	transports(t, 2, func(t *testing.T, eps []*Endpoint) {
 		const n = 500
-		go func() {
-			for i := 0; i < n; i++ {
-				b := serde.GetBuffer(16)
-				b.PutU32(uint32(i))
-				b.PutRaw(make([]byte, i%97))
-				eps[0].Send(1, 9, b.Detach())
+		done := make(chan struct{})
+		next := 0
+		eps[1].Start(func(pkt fabric.Packet) {
+			if got := serde.FromBytes(pkt.Data).U32(); got != uint32(next) {
+				t.Errorf("frame %d arrived as %d (reordered)", next, got)
 			}
-		}()
+			if next++; next == n {
+				close(done)
+			}
+		})
 		for i := 0; i < n; i++ {
-			pkt, ok := eps[1].Recv()
-			if !ok {
-				t.Fatalf("inbox closed at %d", i)
-			}
-			if got := serde.FromBytes(pkt.Data).U32(); got != uint32(i) {
-				t.Fatalf("frame %d arrived as %d (reordered)", i, got)
-			}
+			b := serde.GetBuffer(16)
+			b.PutU32(uint32(i))
+			b.PutRaw(make([]byte, i%97))
+			eps[0].Send(1, 9, b.Detach())
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the handler did not see %d frames in 10 s", n)
 		}
 	})
 }
@@ -115,20 +122,13 @@ func mustClass(t *testing.T, n int) int {
 func TestBackpressure(t *testing.T) {
 	eps := mesh(t, 2, Config{Transport: "tcp", MaxInflight: 4 << 10})
 	const n = 200
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			eps[0].Send(1, 11, make([]byte, 1024))
-		}
-	}()
+	var got sync.WaitGroup
+	got.Add(n)
+	eps[1].Start(func(fabric.Packet) { got.Done() })
 	for i := 0; i < n; i++ {
-		if _, ok := eps[1].Recv(); !ok {
-			t.Fatalf("inbox closed at %d", i)
-		}
+		eps[0].Send(1, 11, make([]byte, 1024))
 	}
-	wg.Wait()
+	got.Wait()
 	// As in TestPeerStats: the writer releases a batch's bytes once its
 	// writev returns, which the receiver can outrun; wait (bounded).
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -191,26 +191,67 @@ func TestGracefulClose(t *testing.T) {
 	for i := 0; i < n; i++ {
 		eps[0].Send(1, 13, []byte{byte(i)})
 	}
-	recvd := make(chan int, 1)
+	var c atomic.Int64
+	eps[1].Start(func(fabric.Packet) { c.Add(1) })
+	closed := make(chan struct{})
 	go func() {
-		c := 0
-		for {
-			if _, ok := eps[1].Recv(); !ok {
-				recvd <- c
-				return
-			}
-			c++
-		}
+		CloseAll(eps)
+		close(closed)
 	}()
-	CloseAll(eps)
 	select {
-	case c := <-recvd:
-		if c != n {
-			t.Fatalf("received %d of %d frames across close", c, n)
+	case <-closed:
+		if c.Load() != n {
+			t.Fatalf("handled %d of %d frames across close", c.Load(), n)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("receiver never saw inbox close")
+		t.Fatal("Close never returned")
 	}
+}
+
+// TestCloseDrainsIntoRecv: an endpoint nobody Started still reads its
+// peers' last frames at Close, into Recv's queue.
+func TestCloseDrainsIntoRecv(t *testing.T) {
+	eps, err := NewLocalMesh(2, Config{Transport: "tcp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps[0].Send(1, 13, []byte("last"))
+	CloseAll(eps)
+	if pkt, ok := eps[1].Recv(); !ok || string(pkt.Data) != "last" {
+		t.Fatalf("after close: %+v ok=%v", pkt, ok)
+	}
+	if _, ok := eps[1].Recv(); ok {
+		t.Fatal("Recv returned a packet past the last")
+	}
+}
+
+// TestRelayNeverParks pins the backpressure rule a receive handler relies
+// on: a first send parks while the peer's queue is over MaxInflight, a
+// relay never does. A handler that parked could wait for a peer whose
+// handler parks on it.
+func TestRelayNeverParks(t *testing.T) {
+	c, other := net.Pipe()
+	defer c.Close()
+	defer other.Close()
+	pr := newPeer(1, c, 4<<10) // no writer runs: nothing drains
+	for i := 0; i < 4; i++ {
+		pr.enqueue(buildFrame(1, make([]byte, 4<<10), nil), false)
+	}
+	if pr.qBytes <= pr.maxInflight {
+		t.Fatalf("queued %d bytes, want more than the %d bound", pr.qBytes, pr.maxInflight)
+	}
+	parked := make(chan struct{})
+	go func() {
+		pr.enqueue(buildFrame(1, nil, nil), true)
+		close(parked)
+	}()
+	select {
+	case <-parked:
+		t.Fatal("a first send over the bound did not park")
+	case <-time.After(20 * time.Millisecond):
+	}
+	pr.beginClose()
+	<-parked
 }
 
 // TestManyRanksAllToAll drives a 5-rank mesh with every pair exchanging
@@ -218,6 +259,23 @@ func TestGracefulClose(t *testing.T) {
 func TestManyRanksAllToAll(t *testing.T) {
 	const n = 5
 	eps := mesh(t, n, Config{Transport: "tcp"})
+	var mu sync.Mutex
+	seen := make([]map[int]bool, n)
+	var got sync.WaitGroup
+	got.Add(n * (n - 1))
+	for r := 0; r < n; r++ {
+		seen[r] = map[int]bool{}
+		eps[r].Start(func(pkt fabric.Packet) {
+			from := int(serde.FromBytes(pkt.Data).U32())
+			mu.Lock()
+			if from != pkt.Src {
+				t.Errorf("rank %d: src %d body says %d", r, pkt.Src, from)
+			}
+			seen[r][from] = true
+			mu.Unlock()
+			got.Done()
+		})
+	}
 	var wg sync.WaitGroup
 	for src := 0; src < n; src++ {
 		wg.Add(1)
@@ -233,22 +291,8 @@ func TestManyRanksAllToAll(t *testing.T) {
 			}
 		}(src)
 	}
-	seen := make([]map[int]bool, n)
-	for r := 0; r < n; r++ {
-		seen[r] = map[int]bool{}
-		for k := 0; k < n-1; k++ {
-			pkt, ok := eps[r].Recv()
-			if !ok {
-				t.Fatalf("rank %d inbox closed early", r)
-			}
-			from := int(serde.FromBytes(pkt.Data).U32())
-			if from != pkt.Src {
-				t.Fatalf("rank %d: src %d body says %d", r, pkt.Src, from)
-			}
-			seen[r][from] = true
-		}
-	}
 	wg.Wait()
+	got.Wait()
 	for r := 0; r < n; r++ {
 		if len(seen[r]) != n-1 {
 			t.Fatalf("rank %d heard from %d peers", r, len(seen[r]))
@@ -258,11 +302,13 @@ func TestManyRanksAllToAll(t *testing.T) {
 
 func TestUnixMeshSelfSend(t *testing.T) {
 	eps := mesh(t, 2, Config{Transport: "unix"})
-	// Self-sends land locally without touching a socket (simnet parity).
+	// A self-send reaches the handler before it returns, without touching
+	// a socket (simnet parity).
+	var got []fabric.Packet
+	eps[1].Start(func(pkt fabric.Packet) { got = append(got, pkt) })
 	eps[1].Send(1, 15, []byte("self"))
-	pkt, ok := eps[1].Recv()
-	if !ok || string(pkt.Data) != "self" || pkt.Src != 1 {
-		t.Fatalf("self send: %+v ok=%v", pkt, ok)
+	if len(got) != 1 || string(got[0].Data) != "self" || got[0].Src != 1 {
+		t.Fatalf("self send: %+v", got)
 	}
 }
 

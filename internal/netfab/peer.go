@@ -146,14 +146,12 @@ func newPeer(rank int, conn net.Conn, maxInflight int) *peer {
 	return pr
 }
 
-// enqueue hands a frame to the writer, parking while the peer's queued
-// bytes exceed the in-flight bound.
-func (pr *peer) enqueue(f outFrame) {
+// enqueue hands a frame to the writer; with park set it first waits while
+// the peer's queued bytes exceed the in-flight bound.
+func (pr *peer) enqueue(f outFrame, park bool) {
 	pr.mu.Lock()
-	if pr.maxInflight > 0 {
-		for pr.qBytes > pr.maxInflight && !pr.closing {
-			pr.cond.Wait()
-		}
+	for park && pr.qBytes > pr.maxInflight && !pr.closing {
+		pr.cond.Wait()
 	}
 	if pr.closing {
 		// Late send during teardown (the runtime has quiesced; nothing

@@ -15,8 +15,9 @@ import (
 // memory — framed bytes into the serde buffer pool, float64 segments into
 // the float64 pool (always read into pool-allocated, 8-byte-aligned
 // float64 memory through its byte view; received bytes are never
-// reinterpreted in place) — and pushes the packet onto the shared inbox.
-// The loop exits on the peer's half-close (clean EOF at a frame boundary).
+// reinterpreted in place) — and calls the receive handler on it, here, on
+// this goroutine. The loop exits on the peer's half-close (clean EOF at a
+// frame boundary).
 func (e *Endpoint) readLoop(pr *peer) {
 	defer e.readWG.Done()
 	br := bufio.NewReaderSize(pr.conn, 64<<10)
@@ -30,54 +31,56 @@ func (e *Endpoint) readLoop(pr *peer) {
 			}
 			return
 		}
-		if err := e.readFrame(pr, br, head[:]); err != nil {
+		pkt, err := e.readFrame(pr, br, head[:])
+		if err != nil {
 			if !e.closed.Load() {
 				panic(fmt.Sprintf("netfab: read from rank %d: %v", pr.rank, err))
 			}
 			return
 		}
+		e.h(pkt)
 	}
 }
 
 // readFrame reads the remainder of one frame (head[:4] already holds the
-// length field) and dispatches it. A length over maxFrameLen and a
+// length field) and returns its packet. A length over maxFrameLen and a
 // segment count over maxFrameSegs are refused first, and every count in
 // the frame is checked against the length before anything is allocated
 // for it, so a frame costs no more memory than a fixed multiple of what
 // it says it carries, and the data and segments must use up the length
 // exactly.
-func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
+func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) (pkt fabric.Packet, err error) {
 	rest := int(binary.LittleEndian.Uint32(head[:4]))
 	if rest > maxFrameLen {
-		return fmt.Errorf("frame of %d bytes exceeds the protocol maximum of %d", rest, maxFrameLen)
+		return pkt, fmt.Errorf("frame of %d bytes exceeds the protocol maximum of %d", rest, maxFrameLen)
 	}
 	if _, err := io.ReadFull(br, head[4:frameHeadLen]); err != nil {
-		return err
+		return pkt, err
 	}
 	kind := head[4]
 	dataLen := int(binary.LittleEndian.Uint32(head[5:9]))
 	nsegs := int(binary.LittleEndian.Uint32(head[9:13]))
 	if nsegs > maxFrameSegs {
-		return fmt.Errorf("frame of %d segments exceeds the protocol maximum of %d", nsegs, maxFrameSegs)
+		return pkt, fmt.Errorf("frame of %d segments exceeds the protocol maximum of %d", nsegs, maxFrameSegs)
 	}
 	// left counts the payload bytes the length field still allows.
 	left := rest - (frameHeadLen - 4) - dataLen - 5*nsegs
 	if left < 0 {
-		return fmt.Errorf("frame of %d bytes cannot hold %d data bytes and %d segments", rest, dataLen, nsegs)
+		return pkt, fmt.Errorf("frame of %d bytes cannot hold %d data bytes and %d segments", rest, dataLen, nsegs)
 	}
 
 	var data []byte
 	if dataLen > 0 {
 		data = pool.Bytes(dataLen)[:dataLen]
 		if _, err := io.ReadFull(br, data); err != nil {
-			return err
+			return pkt, err
 		}
 	}
 	var segs []serde.Segment
 	if nsegs > 0 {
 		dir := pool.Bytes(5 * nsegs)[:5*nsegs]
 		if _, err := io.ReadFull(br, dir); err != nil {
-			return err
+			return pkt, err
 		}
 		segs = make([]serde.Segment, nsegs)
 		for i := range segs {
@@ -88,23 +91,23 @@ func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 				size *= 8
 			}
 			if left -= size; left < 0 {
-				return fmt.Errorf("frame of %d bytes cannot hold segment %d of %d bytes", rest, i, size)
+				return pkt, fmt.Errorf("frame of %d bytes cannot hold segment %d of %d bytes", rest, i, size)
 			}
 			switch typ {
 			case segF64:
 				f := pool.Float64s(elems)
 				if _, err := io.ReadFull(br, f64Bytes(f)); err != nil {
-					return err
+					return pkt, err
 				}
 				segs[i].F64 = f
 			case segB:
 				b := pool.Bytes(elems)[:elems]
 				if _, err := io.ReadFull(br, b); err != nil {
-					return err
+					return pkt, err
 				}
 				segs[i].B = b
 			default:
-				return fmt.Errorf("bad segment type %d", typ)
+				return pkt, fmt.Errorf("bad segment type %d", typ)
 			}
 		}
 		pool.PutBytes(dir)
@@ -112,18 +115,17 @@ func (e *Endpoint) readFrame(pr *peer, br *bufio.Reader, head []byte) error {
 	if left != 0 {
 		// Bytes the length field claims but nothing accounts for would
 		// be read as the next frame's header.
-		return fmt.Errorf("frame of %d bytes carries %d bytes its data and segments do not account for", rest, left)
+		return pkt, fmt.Errorf("frame of %d bytes carries %d bytes its data and segments do not account for", rest, left)
 	}
 
-	// Counted before the frame is handed on, so whoever receives the
-	// packet already finds it in the link counters.
+	// Counted before the packet is handed on, so its handler already
+	// finds it in the link counters.
 	pr.rxBytes.Add(4 + int64(binary.LittleEndian.Uint32(head[:4])))
 	pr.rxFrames.Add(1)
 	if kind >= fabric.KindReserved {
 		// The one reserved kind, the hello, is consumed before readLoop
 		// starts; a late one, or any other, is a protocol error.
-		return fmt.Errorf("unexpected reserved frame kind %#x", kind)
+		return pkt, fmt.Errorf("unexpected reserved frame kind %#x", kind)
 	}
-	e.inbox.Push(fabric.Packet{Src: pr.rank, Dst: e.rank, Kind: kind, Data: data, Segs: segs})
-	return nil
+	return fabric.Packet{Src: pr.rank, Dst: e.rank, Kind: kind, Data: data, Segs: segs}, nil
 }

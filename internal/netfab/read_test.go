@@ -56,7 +56,7 @@ func TestReadFrameBoundsCountsByLength(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := (&Endpoint{inbox: fabric.NewQueue[fabric.Packet]()}).readFrame(&peer{}, br, head)
+		_, err := (&Endpoint{}).readFrame(&peer{}, br, head)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -86,7 +86,7 @@ func TestFrameLengthMaximum(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := (&Endpoint{inbox: fabric.NewQueue[fabric.Packet]()}).readFrame(&peer{}, br, head)
+	_, err := (&Endpoint{}).readFrame(&peer{}, br, head)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "protocol maximum") {
 		t.Errorf("length %d: err %v, want the protocol maximum refused", rest, err)
@@ -166,18 +166,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(uint8(1), []byte{9}, []byte{255, 254}, binary.LittleEndian.AppendUint32([]byte{1, 0, 0, 0, 0}, 1<<20))
 	f.Add(uint8(2), []byte(nil), []byte{3}, slices.Concat([]byte{2, 0, 0, 0, 0, 2, 0, 0, 0}, []byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 8)))
 	read := func(frame []byte) (fabric.Packet, error) {
-		e := &Endpoint{inbox: fabric.NewQueue[fabric.Packet]()}
 		br := bufio.NewReader(bytes.NewReader(frame))
 		head := make([]byte, frameHeadLen)
 		if _, err := io.ReadFull(br, head[:4]); err != nil {
 			return fabric.Packet{}, err
 		}
-		if err := e.readFrame(&peer{}, br, head); err != nil {
-			return fabric.Packet{}, err
-		}
-		e.inbox.Close()
-		pkt, _ := e.inbox.Pop()
-		return pkt, nil
+		return (&Endpoint{}).readFrame(&peer{}, br, head)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, data, shape, raw []byte) {
 		kind %= fabric.KindReserved

@@ -68,8 +68,7 @@ type Report struct {
 	Fences    int64
 	MatchHist HistSnapshot // activate→exec-start delay per task, ns
 	Crit      CritPath
-	// Metrics is the merged per-rank registry snapshot (plus the session
-	// global registry when assembled via Session.Report).
+	// Metrics is the merged per-rank registry snapshot.
 	Metrics RegistrySnapshot
 	// PerRank holds each rank's own registry snapshot for per-rank gauges.
 	PerRank map[int]RegistrySnapshot
@@ -230,7 +229,7 @@ func criticalPath(spans []execSpan) CritPath {
 }
 
 // Report assembles the full analysis for the session: event-stream
-// analysis plus merged metric registries (per-rank and global). Report
+// analysis plus the ranks' metric registries, merged and each. Report
 // scans the raw event buffers, so it must only run after the observed run
 // has quiesced; concurrent Report calls are serialized. For snapshots
 // while the run is still recording, use LiveReport instead.
@@ -240,7 +239,7 @@ func (s *Session) Report() *Report {
 	rep := Analyze(s.Events())
 	rep.Dropped = s.Dropped()
 	rep.PerRank = map[int]RegistrySnapshot{}
-	merged := s.global.Snapshot()
+	var merged RegistrySnapshot
 	s.mu.Lock()
 	ranks := make(map[int]*Rank, len(s.ranks))
 	for r, rk := range s.ranks {
@@ -346,9 +345,6 @@ func (r *Report) String() string {
 			fmt.Fprintf(&b, "  rank %-3d sched.queue_depth=%d/%d core.ready_backlog=%d/%d\n",
 				rk, qd.Value, qd.Max, rb.Value, rb.Max)
 		}
-	}
-	if g, ok := r.Metrics.Gauges[GaugeInflightMsgs]; ok {
-		fmt.Fprintf(&b, "net.inflight_msgs max=%d\n", g.Max)
 	}
 
 	if len(r.Crit.Steps) > 0 {

@@ -39,14 +39,13 @@ type Collector interface {
 // ContentType is the OpenMetrics text media type the exporter serves.
 const ContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-// Exporter renders the session's metric registries (per rank and
-// session-global) plus collector samples as OpenMetrics text. It only
+// Exporter renders the session's per-rank metric registries plus
+// collector samples as OpenMetrics text. It only
 // reads atomics (Session.LiveReport and the collectors' own lock-free
 // sources), so scraping a run in flight is safe and cheap. Register it on a mux at "/metrics".
 type Exporter struct {
 	// Session, when set, contributes every registry counter, gauge, and
-	// histogram: per-rank series labeled by rank, the global registry's
-	// unlabeled.
+	// histogram, as series labeled by rank.
 	Session *obs.Session
 	// Collectors contribute instantaneous gauges not kept in a registry.
 	Collectors []Collector
@@ -76,8 +75,7 @@ func (e *Exporter) Export(w io.Writer) error {
 		return f
 	}
 
-	// registry renders one registry snapshot; labels is `rank="N"` for a
-	// rank's registry and empty for the session-global one.
+	// registry renders one rank's registry snapshot; labels is `rank="N"`.
 	registry := func(snap obs.RegistrySnapshot, labels string) {
 		label := braces(labels)
 		for _, name := range sortedKeys(snap.Counters) {
@@ -110,9 +108,6 @@ func (e *Exporter) Export(w io.Writer) error {
 		for _, r := range ranks {
 			registry(lr.PerRank[r], fmt.Sprintf(`rank="%d"`, r))
 		}
-		// Session-global like data_tracked_live: fabric-wide gauges (a
-		// simnet run's net.inflight_msgs) as unlabeled series.
-		registry(lr.Global, "")
 		f := fam("obs_events_dropped", "gauge")
 		f.lines = append(f.lines, fmt.Sprintf("obs_events_dropped %d", lr.Dropped))
 	}

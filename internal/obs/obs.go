@@ -142,9 +142,6 @@ const (
 	GaugeQueueDepth = "sched.queue_depth"
 	// GaugeReadyBacklog tracks tasks activated but not yet executing.
 	GaugeReadyBacklog = "core.ready_backlog"
-	// GaugeInflightMsgs tracks packets on the fabric not yet received
-	// (session-global).
-	GaugeInflightMsgs = "net.inflight_msgs"
 	// HistTaskLatency is the task-body wall time in ns.
 	HistTaskLatency = "task.latency_ns"
 	// HistMatchDelay is activate→exec-start delay in ns.
@@ -257,7 +254,7 @@ type Config struct {
 const DefaultCapacity = 1 << 17
 
 // Session owns the recorders of one observed run: one Rank per
-// participating rank plus a session-global registry (fabric-wide gauges).
+// participating rank.
 // Create it before the run, pass it to the backend configuration, and read
 // events/metrics after the run quiesces.
 type Session struct {
@@ -270,8 +267,6 @@ type Session struct {
 	// reportMu serializes full Report generation (which scans the event
 	// buffers) so concurrent Report calls never race with each other.
 	reportMu sync.Mutex
-
-	global Registry
 }
 
 // NewSession creates an observation session; the epoch (event time zero)
@@ -294,10 +289,6 @@ func (s *Session) Rank(r int) *Rank {
 	}
 	return rk
 }
-
-// Global returns the session-wide registry (fabric gauges and other
-// metrics not owned by a single rank).
-func (s *Session) Global() *Registry { return &s.global }
 
 // NumRanks returns how many rank recorders exist.
 func (s *Session) NumRanks() int {
@@ -355,8 +346,6 @@ type LiveReport struct {
 	Dropped int64
 	// PerRank holds each rank's own registry snapshot.
 	PerRank map[int]RegistrySnapshot
-	// Global is the session-global registry's snapshot.
-	Global RegistrySnapshot
 }
 
 // LiveReport captures the session's metrics without scanning event
@@ -371,7 +360,6 @@ func (s *Session) LiveReport() *LiveReport {
 	lr := &LiveReport{
 		Ranks:   len(ranks),
 		PerRank: make(map[int]RegistrySnapshot, len(ranks)),
-		Global:  s.global.Snapshot(),
 	}
 	for r, rk := range ranks {
 		lr.Dropped += rk.dropped.Load()

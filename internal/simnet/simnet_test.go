@@ -2,10 +2,11 @@ package simnet
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/fabric"
 )
 
 // closeAll closes every endpoint of a fabric.
@@ -15,26 +16,48 @@ func closeAll(eps []*Endpoint) {
 	}
 }
 
+// record Starts ep with a handler that keeps every packet it is handed.
+func record(ep *Endpoint) func() []fabric.Packet {
+	var mu sync.Mutex
+	var got []fabric.Packet
+	ep.Start(func(p fabric.Packet) {
+		mu.Lock()
+		got = append(got, p)
+		mu.Unlock()
+	})
+	return func() []fabric.Packet {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]fabric.Packet(nil), got...)
+	}
+}
+
+// TestPointToPointDelivery: the handler has the packet by the time the
+// send returns.
 func TestPointToPointDelivery(t *testing.T) {
-	eps := New(2, nil)
+	eps := New(2)
 	defer closeAll(eps)
-	eps[0].Send(1, 7, []byte("hello"))
-	p, ok := eps[1].Recv()
-	if !ok || string(p.Data) != "hello" || p.Kind != 7 || p.Src != 0 {
-		t.Fatalf("got %+v ok=%v", p, ok)
+	got := record(eps[1])
+	eps[0].SendSegs(1, 7, []byte("hello"), nil)
+	if ps := got(); len(ps) != 1 || string(ps[0].Data) != "hello" || ps[0].Kind != 7 || ps[0].Src != 0 || ps[0].Dst != 1 {
+		t.Fatalf("got %+v", ps)
 	}
 }
 
 func TestInOrderPerLink(t *testing.T) {
-	eps := New(2, nil)
+	eps := New(2)
 	defer closeAll(eps)
+	got := record(eps[1])
 	const k = 100
 	for i := 0; i < k; i++ {
-		eps[0].Send(1, uint8(i%256), []byte{byte(i)})
+		eps[0].SendSegs(1, uint8(i%256), []byte{byte(i)}, nil)
 	}
-	for i := 0; i < k; i++ {
-		p, ok := eps[1].Recv()
-		if !ok || p.Data[0] != byte(i) {
+	ps := got()
+	if len(ps) != k {
+		t.Fatalf("%d packets handled, want %d", len(ps), k)
+	}
+	for i, p := range ps {
+		if p.Data[0] != byte(i) {
 			t.Fatalf("packet %d out of order: %+v", i, p)
 		}
 	}
@@ -43,8 +66,12 @@ func TestInOrderPerLink(t *testing.T) {
 func TestAllToAllConcurrent(t *testing.T) {
 	const r = 8
 	const per = 50
-	eps := New(r, nil)
+	eps := New(r)
 	defer closeAll(eps)
+	counts := make([]atomic.Int64, r)
+	for dst := range eps {
+		eps[dst].Start(func(fabric.Packet) { counts[dst].Add(1) })
+	}
 	var wg sync.WaitGroup
 	for src := 0; src < r; src++ {
 		wg.Add(1)
@@ -55,65 +82,50 @@ func TestAllToAllConcurrent(t *testing.T) {
 					continue
 				}
 				for i := 0; i < per; i++ {
-					eps[src].Send(dst, 1, []byte{byte(src)})
+					eps[src].SendSegs(dst, 1, []byte{byte(src)}, nil)
 				}
 			}
 		}(src)
 	}
-	counts := make([]int, r)
-	var rg sync.WaitGroup
-	for dst := 0; dst < r; dst++ {
-		rg.Add(1)
-		go func(dst int) {
-			defer rg.Done()
-			for i := 0; i < (r-1)*per; i++ {
-				if _, ok := eps[dst].Recv(); !ok {
-					t.Errorf("rank %d inbox closed early", dst)
-					return
-				}
-				counts[dst]++
-			}
-		}(dst)
-	}
 	wg.Wait()
-	rg.Wait()
-	for dst, c := range counts {
-		if c != (r-1)*per {
-			t.Fatalf("rank %d received %d packets, want %d", dst, c, (r-1)*per)
+	for dst := range counts {
+		if c := counts[dst].Load(); c != (r-1)*per {
+			t.Fatalf("rank %d handled %d packets, want %d", dst, c, (r-1)*per)
 		}
 	}
 }
 
-func TestCloseUnblocksReceivers(t *testing.T) {
-	eps := New(2, nil)
-	done := make(chan struct{})
+// TestSendWaitsForStart: a send to a rank that has not installed its
+// handler yet waits for it instead of losing the packet.
+func TestSendWaitsForStart(t *testing.T) {
+	eps := New(2)
+	defer closeAll(eps)
+	sent := make(chan struct{})
 	go func() {
-		defer close(done)
-		for {
-			if _, ok := eps[1].Recv(); !ok {
-				return
-			}
-		}
+		eps[0].Relay(1, 3, []byte{1}, nil)
+		close(sent)
 	}()
-	eps[0].Send(1, 0, []byte{1})
-	time.Sleep(time.Millisecond)
-	closeAll(eps)
 	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("receiver did not unblock on Close")
+	case <-sent:
+		t.Fatal("send returned before its destination Started")
+	case <-time.After(10 * time.Millisecond):
+	}
+	got := record(eps[1])
+	<-sent
+	if ps := got(); len(ps) != 1 || ps[0].Kind != 3 {
+		t.Fatalf("got %+v", ps)
 	}
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	ep := New(1, nil)[0]
+	ep := New(1)[0]
 	if ep.Close() != nil || ep.Close() != nil {
 		t.Fatal("Close returned an error")
 	}
 }
 
 func TestAccessors(t *testing.T) {
-	eps := New(3, nil)
+	eps := New(3)
 	defer closeAll(eps)
 	if len(eps) != 3 || eps[1].Rank() != 1 || eps[1].Size() != 3 {
 		t.Fatal("accessors wrong")
@@ -121,73 +133,37 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestSendToInvalidRankPanics(t *testing.T) {
-	eps := New(1, nil)
+	eps := New(1)
 	defer closeAll(eps)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("send to invalid rank did not panic")
 		}
 	}()
-	eps[0].Send(7, 0, nil)
+	eps[0].SendSegs(7, 0, nil, nil)
 }
 
 func TestSendAfterCloseDropped(t *testing.T) {
-	eps := New(2, nil)
-	eps[0].Send(1, 0, []byte{1})
-	if _, ok := eps[1].Recv(); !ok {
+	eps := New(2)
+	got := record(eps[1])
+	eps[0].SendSegs(1, 0, []byte{1}, nil)
+	if len(got()) != 1 {
 		t.Fatal("pre-close packet lost")
 	}
 	closeAll(eps)
-	eps[0].Send(1, 0, []byte{2})
-	if p, ok := eps[1].Recv(); ok {
-		t.Fatalf("post-close send delivered %+v", p)
+	eps[0].SendSegs(1, 0, []byte{2}, nil)
+	if ps := got(); len(ps) != 1 {
+		t.Fatalf("post-close send delivered %+v", ps[1:])
 	}
 }
 
 func TestSendAfterCloseAllocFree(t *testing.T) {
-	eps := New(2, nil)
+	eps := New(2)
 	closeAll(eps)
 	payload := []byte{1}
 	if allocs := testing.AllocsPerRun(100, func() {
-		eps[0].Send(1, 0, payload)
+		eps[0].SendSegs(1, 0, payload, nil)
 	}); allocs != 0 {
 		t.Errorf("post-close send allocates %.1f times, want 0", allocs)
-	}
-}
-
-func TestInflightGaugeZeroAfterClose(t *testing.T) {
-	var reg obs.Registry
-	g := reg.Gauge(obs.GaugeInflightMsgs)
-	eps := New(4, g)
-	const per = 25
-	for src := 0; src < 4; src++ {
-		for dst := 0; dst < 4; dst++ {
-			if dst == src {
-				continue
-			}
-			for i := 0; i < per; i++ {
-				eps[src].Send(dst, 1, []byte{byte(i)})
-			}
-		}
-	}
-	if v, want := g.Load(), int64(4*3*per); v != want {
-		t.Fatalf("in-flight gauge = %d before any receive, want %d", v, want)
-	}
-	// Receivers may still pop what was delivered before teardown.
-	closeAll(eps)
-	for _, ep := range eps {
-		for {
-			if _, ok := ep.Recv(); !ok {
-				break
-			}
-		}
-	}
-	if v := g.Load(); v != 0 {
-		t.Fatalf("in-flight gauge = %d after close+drain, want 0", v)
-	}
-	// Post-close sends are dropped and leave the gauge where it was.
-	eps[0].Send(1, 0, []byte{9})
-	if v := g.Load(); v != 0 {
-		t.Fatalf("post-close send moved the gauge to %d", v)
 	}
 }

@@ -7,38 +7,30 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/simnet"
 )
 
-// harness wires detectors over a simnet fabric with a dispatch goroutine
-// per rank, the way a backend's communication thread would.
+// harness wires detectors over a simnet fabric, each rank's handler
+// passing control packets to its detector the way a backend's receive
+// handler would.
 type harness struct {
 	eps  []*simnet.Endpoint
 	dets []*Detector
-	wg   sync.WaitGroup
 }
 
 func newHarness(ranks int) *harness {
-	h := &harness{eps: simnet.New(ranks, nil)}
+	h := &harness{eps: simnet.New(ranks)}
 	h.dets = make([]*Detector, ranks)
 	for r := 0; r < ranks; r++ {
 		ep := h.eps[r]
 		h.dets[r] = New(r, ranks, func(dst int, data []byte) {
-			ep.Send(dst, 0, data)
+			ep.Relay(dst, 0, data, nil)
 		})
 	}
 	for r := 0; r < ranks; r++ {
-		h.wg.Add(1)
-		go func(r int) {
-			defer h.wg.Done()
-			for {
-				p, ok := h.eps[r].Recv()
-				if !ok {
-					return
-				}
-				h.dets[r].HandleControl(p.Data)
-			}
-		}(r)
+		d := h.dets[r]
+		h.eps[r].Start(func(p fabric.Packet) { d.HandleControl(p.Data) })
 	}
 	return h
 }
@@ -47,7 +39,6 @@ func (h *harness) close() {
 	for _, ep := range h.eps {
 		ep.Close()
 	}
-	h.wg.Wait()
 }
 
 func TestFenceSingleRank(t *testing.T) {
