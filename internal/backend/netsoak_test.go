@@ -2,12 +2,15 @@ package backend_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/apps/cholesky"
 	"repro/internal/backend"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/netfab"
 	"repro/internal/serde"
@@ -51,6 +54,158 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 				expectSums(t, be.String(), sums, ref)
 			}
 		})
+	}
+}
+
+// TestRelaySoakOverTCPFabric loads the relay rule on real sockets: a
+// receive handler that forwards — a broadcast chunk down its tree, a
+// reduction partial up its tree, a termination-detection reply — goes
+// through Relay, never through the parking SendSegs. Each rank of a
+// 4-rank loopback TCP mesh (1 KiB in flight, a quarter of a chunk, so a
+// forward finds its queue over the bound whenever anything is queued)
+// roots several 64-chunk tree broadcasts at once;
+// every receiver folds its copy into a commutative stream owned by
+// another rank, whose partials climb the combine tree through interior
+// ranks' handlers. Each endpoint sits behind the receive-delay decorator,
+// which perturbs the handlers' timing and refuses a SendSegs made inside
+// one. A broken rule cannot wedge this mesh — the trees order ranks
+// ascending, so a chain of parked handlers always ends at one that
+// relays nothing — which is why the decorator is the check. Every
+// stream must fold to the exact sum.
+func TestRelaySoakOverTCPFabric(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fabric soak skipped in -short")
+	}
+	const (
+		ranks  = 4
+		bcasts = 4       // broadcasts each rank roots at once
+		floats = 1 << 15 // 256 KiB per value: 64 chunks of 4 KiB
+	)
+	// A value's elements differ per root and broadcast, and every sum is
+	// exact in float64 whatever the fold order, so a misplaced chunk or a
+	// partial folded twice shows in the sums.
+	fill := func(root, b int) *vec {
+		v := &vec{n: floats, data: make([]float64, floats)}
+		for i := range v.data {
+			v.data[i] = float64((root*bcasts+b+1)*(i%61+1)) / 8
+		}
+		return v
+	}
+	// Broadcast (root, b) reaches every rank; rank dst folds its copy into
+	// stream (root + b + dst + 1) mod ranks, owned by that rank.
+	stream := func(root, b, dst int) int { return (root + b + dst + 1) % ranks }
+	want := make([][]float64, ranks)
+	size := make([]int, ranks)
+	for k := range want {
+		want[k] = make([]float64, floats)
+	}
+	for root := 0; root < ranks; root++ {
+		for b := 0; b < bcasts; b++ {
+			v := fill(root, b)
+			for dst := 0; dst < ranks; dst++ {
+				k := stream(root, b, dst)
+				size[k]++
+				for i, x := range v.data {
+					want[k][i] += x
+				}
+			}
+		}
+	}
+
+	mesh, err := netfab.NewLocalMesh(ranks, netfab.Config{Transport: "tcp", MaxInflight: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	got := make([][]float64, ranks)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for r, ep := range mesh {
+			wg.Add(1)
+			go func(ep fabric.Endpoint) {
+				defer wg.Done()
+				o := withWorkers(backend.PaRSEC(), 2)
+				o.Fabric = ep
+				o.BcastChunk = 4 << 10
+				backend.New(0, o).Run(func(p *backend.Proc) {
+					g := p.NewGraph()
+					seed, data, fold := core.NewEdge("seed"), core.NewEdge("data"), core.NewEdge("fold")
+					g.AddTT(core.TTSpec{
+						Name:    "root",
+						Inputs:  []core.InputSpec{{Edge: seed}},
+						Outputs: []core.OutputSpec{{Edge: data}},
+						Keymap:  func(k any) int { return k.(serde.Int2)[0] },
+						Body: func(ctx *core.TaskContext) {
+							k := ctx.Key().Value().(serde.Int2)
+							keys := make([]any, ranks)
+							for dst := range keys {
+								keys[dst] = serde.Int3{k[0], k[1], dst}
+							}
+							ctx.Broadcast(0, keys, fill(k[0], k[1]))
+						},
+					})
+					g.AddTT(core.TTSpec{
+						Name:    "leaf",
+						Inputs:  []core.InputSpec{{Edge: data}},
+						Outputs: []core.OutputSpec{{Edge: fold}},
+						Keymap:  func(k any) int { return k.(serde.Int3)[2] },
+						Body: func(ctx *core.TaskContext) {
+							k := ctx.Key().Value().(serde.Int3)
+							ctx.Send(0, serde.Int1{stream(k[0], k[1], k[2])}, ctx.Input(0))
+						},
+					})
+					g.AddTT(core.TTSpec{
+						Name: "sum",
+						Inputs: []core.InputSpec{{
+							Edge: fold,
+							Reducer: func(acc, v any) any {
+								if acc == nil {
+									w := v.(*vec)
+									return &vec{n: w.n, data: append([]float64(nil), w.data...)}
+								}
+								a := acc.(*vec)
+								for i, x := range v.(*vec).data {
+									a.data[i] += x
+								}
+								return a
+							},
+							StreamSize:  func(k core.Key) int { return size[k.Value().(serde.Int1)[0]] },
+							Commutative: true,
+						}},
+						Keymap: func(k any) int { return k.(serde.Int1)[0] },
+						Body: func(ctx *core.TaskContext) {
+							mu.Lock()
+							got[ctx.Key().Value().(serde.Int1)[0]] = ctx.Input(0).(*vec).data
+							mu.Unlock()
+						},
+					})
+					g.Seal()
+					p.Bind(g)
+					for b := 0; b < bcasts; b++ {
+						g.Seed(seed, serde.Int2{p.Rank(), b}, 0.0)
+					}
+					g.Fence()
+				})
+			}(&delayEndpoint{Endpoint: ep, rng: rand.New(rand.NewSource(int64(r)))})
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * sendTimeout):
+		t.Fatal("relay soak wedged")
+	}
+	for k := range want {
+		if len(got[k]) != floats {
+			t.Fatalf("stream %d folded %d elements, want %d", k, len(got[k]), floats)
+		}
+		for i, x := range want[k] {
+			if got[k][i] != x {
+				t.Fatalf("stream %d element %d = %v, want %v", k, i, got[k][i], x)
+			}
+		}
 	}
 }
 

@@ -262,17 +262,17 @@ type Graph struct {
 	// keys interns this graph's task IDs that do not pack (key.go).
 	keys keyTable
 
-	// obs is the rank's recorder (nil disables tracing); the metric
+	// obs is the rank's recorder (nil disables tracing); the histogram
 	// handles are resolved once here so events never take the registry
 	// lock on the hot path. Counts are not among them: every counted
-	// event increments its exec.Tracer() cell and nothing else.
-	obs          obs.Recorder
-	readyBacklog *obs.Gauge
-	matchDelay   *obs.Histogram
-	taskLatency  *obs.Histogram
+	// event increments its exec.Tracer() cell and nothing else. Levels
+	// are not either: pending shells and partials are read where they
+	// live (PendingTaskCount, PendingReductions), the ready backlog from
+	// the activate and exec-start events.
+	obs         obs.Recorder
+	matchDelay  *obs.Histogram
+	taskLatency *obs.Histogram
 
-	// pendingShells gauges partially matched shells (nil when obs is off).
-	pendingShells *obs.Gauge
 	// flowSeq allocates causal span ids for remote deliveries; combined
 	// with the rank it yields cluster-unique nonzero ids.
 	flowSeq atomic.Uint64
@@ -288,10 +288,6 @@ type Graph struct {
 	preReduce bool
 	rbuffered bool
 	rflush    bool
-
-	// pendingReduces gauges combiner slots holding unflushed partials
-	// (nil when obs is off).
-	pendingReduces *obs.Gauge
 
 	// fanouts recycles the bookkeeping of wide sends (edgesend.go).
 	fanouts sync.Pool
@@ -319,11 +315,8 @@ func NewGraph(exec Executor) *Graph {
 	if o := exec.Obs(); o != nil {
 		g.obs = o
 		m := o.Metrics()
-		g.readyBacklog = m.Gauge(obs.GaugeReadyBacklog)
 		g.matchDelay = m.Histogram(obs.HistMatchDelay)
 		g.taskLatency = m.Histogram(obs.HistTaskLatency)
-		g.pendingShells = m.Gauge(obs.GaugePendingShells)
-		g.pendingReduces = m.Gauge(obs.GaugePendingReductions)
 	}
 	return g
 }
@@ -525,7 +518,6 @@ func (t *Task) executeObserved(o obs.Recorder, ctx *TaskContext, worker int) {
 	now := o.Now()
 	o.Record(obs.Event{Kind: obs.EvExecStart, Worker: int32(worker),
 		TT: int32(t.TT.id), TS: now, Name: t.TT.name, Key: key})
-	g.readyBacklog.Add(-1)
 	if t.activatedNs > 0 {
 		g.matchDelay.Observe(now - t.activatedNs)
 	}

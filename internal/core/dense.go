@@ -125,14 +125,6 @@ func (g *Graph) deliverDense(tt *TT, term int, key Key, i int, value any, worker
 	if (m-bit)&bit != 0 {
 		panic(fmt.Sprintf("core: TT %q key %v terminal %d received a second message (non-streaming)", tt.name, key, term))
 	}
-	if gauge := g.pendingShells; gauge != nil && bit != d.full {
-		switch m {
-		case bit:
-			gauge.Add(1)
-		case d.full:
-			gauge.Add(-1)
-		}
-	}
 	if m != d.full {
 		return nil
 	}

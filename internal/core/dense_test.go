@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/serde"
 )
 
@@ -34,9 +33,8 @@ func boxKeyAt(s int) Key { return KeyOf(serde.Int2{s / boxCols, s % boxCols}) }
 
 // denseGraph builds the three-input template on a fresh single-rank
 // graph, with the box declared or not; body sees every task that runs.
-// The graph is traced, so the pending-shell gauge moves.
 func denseGraph(dense bool, body func(ctx *TaskContext)) (*Graph, [3]*Edge) {
-	g := NewGraph(&mockExec{size: 1, tracks: true, obs: obs.NewSession(obs.Config{Capacity: 64}).Rank(0)})
+	g := NewGraph(&mockExec{size: 1, tracks: true})
 	var es [3]*Edge
 	var ins []InputSpec
 	for i := range es {
@@ -108,8 +106,8 @@ func TestDenseJoinConcurrent(t *testing.T) {
 	if want := (boxRows + outRows) * boxCols; count != want {
 		t.Fatalf("%d tasks ran, want %d", count, want)
 	}
-	if n, gauge := g.PendingTaskCount(), g.pendingShells.Load(); n != 0 || gauge != 0 {
-		t.Fatalf("%d tasks still pending (gauge %d) after every input arrived", n, gauge)
+	if n := g.PendingTaskCount(); n != 0 {
+		t.Fatalf("%d tasks still pending after every input arrived", n)
 	}
 	// Taking a task clears its slot, so the box keeps no input alive.
 	for p := range g.TTByID(0).dense.pages {
@@ -183,14 +181,11 @@ func TestDensePendingMatchesTable(t *testing.T) {
 	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("dense pending view differs from the table's:\n got %d %v\nwant %d %v", len(got), got, len(want), want)
 	}
-	if a, b := dense.PendingTaskCount(), table.PendingTaskCount(); a != b {
-		t.Fatalf("PendingTaskCount: dense %d, table %d", a, b)
+	if a, b := dense.PendingTaskCount(), table.PendingTaskCount(); a != b || a != int64(len(want)) {
+		t.Fatalf("PendingTaskCount: dense %d, table %d, want %d", a, b, len(want))
 	}
 	if a, b := dense.TTByID(0).PendingShells(), table.TTByID(0).PendingShells(); a != b {
 		t.Fatalf("PendingShells: dense %d, table %d", a, b)
-	}
-	if a, b := dense.pendingShells.Load(), table.pendingShells.Load(); a != b || a != int64(len(want)) {
-		t.Fatalf("pending-shell gauge: dense %d, table %d, want %d", a, b, len(want))
 	}
 	// Only the keys outside the box wait in the table.
 	outside := 0

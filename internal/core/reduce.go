@@ -219,9 +219,6 @@ func (g *Graph) newSlotLocked(rs *reduceShard, k rkey, tt *TT, term int, key Key
 	}
 	rs.slots[k] = sl
 	g.rlive.Add(1)
-	if pg := g.pendingReduces; pg != nil {
-		pg.Add(1)
-	}
 	g.exec.Activate()
 	return sl
 }
@@ -232,9 +229,6 @@ func (g *Graph) newSlotLocked(rs *reduceShard, k rkey, tt *TT, term int, key Key
 func (g *Graph) extractLocked(rs *reduceShard, k rkey, sl *rslot) {
 	delete(rs.slots, k)
 	g.rlive.Add(-1)
-	if pg := g.pendingReduces; pg != nil {
-		pg.Add(-1)
-	}
 }
 
 // flushKeySlot drains the combiner slot of one terminal instance, if any —

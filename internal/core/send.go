@@ -453,9 +453,6 @@ func (tt *TT) getShellLocked(sp *matchShard, key Key, h uint64) *shell {
 	}
 	sp.table.insert(slot, h, sh)
 	tt.match.live.Add(1)
-	if pg := tt.g.pendingShells; pg != nil {
-		pg.Add(1)
-	}
 	return sh
 }
 
@@ -481,9 +478,6 @@ func (g *Graph) maybeReadyLocked(tt *TT, sp *matchShard, sh *shell, h uint64, wo
 	sp.free = sh
 	tt.match.live.Add(-1)
 	sp.mu.Unlock()
-	if pg := g.pendingShells; pg != nil {
-		pg.Add(-1)
-	}
 	t.TT, t.Key, t.Priority, t.Origin = tt, key, tt.Priority(key), worker
 	return t
 }
@@ -511,8 +505,8 @@ func (g *Graph) submitReady(ts []*Task, worker int) {
 	}
 }
 
-// recordActivate emits the task-activate event and moves the ready-backlog
-// gauge; it also stamps the task for the match→exec delay histogram.
+// recordActivate emits the task-activate event and stamps the task for the
+// match→exec delay histogram.
 func (g *Graph) recordActivate(t *Task, worker int) {
 	o := g.obs
 	if o == nil {
@@ -521,5 +515,4 @@ func (g *Graph) recordActivate(t *Task, worker int) {
 	t.activatedNs = o.Now()
 	o.Record(obs.Event{Kind: obs.EvTaskActivate, Worker: int32(worker),
 		TT: int32(t.TT.id), TS: t.activatedNs, Name: t.TT.name, Key: t.Key.String()})
-	g.readyBacklog.Add(1)
 }

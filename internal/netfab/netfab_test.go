@@ -226,23 +226,33 @@ func TestCloseDrainsIntoRecv(t *testing.T) {
 }
 
 // TestRelayNeverParks pins the backpressure rule a receive handler relies
-// on: a first send parks while the peer's queue is over MaxInflight, a
-// relay never does. A handler that parked could wait for a peer whose
-// handler parks on it.
+// on, at the endpoint's own entry points: a relay never parks, a first
+// send parks while the peer's queue is over MaxInflight. A handler that
+// parked would stop reading its socket until the peer's writer drained.
 func TestRelayNeverParks(t *testing.T) {
 	c, other := net.Pipe()
 	defer c.Close()
 	defer other.Close()
 	pr := newPeer(1, c, 4<<10) // no writer runs: nothing drains
-	for i := 0; i < 4; i++ {
-		pr.enqueue(buildFrame(1, make([]byte, 4<<10), nil), false)
+	e := &Endpoint{rank: 0, size: 2, peers: []*peer{nil, pr}}
+	relayed := make(chan struct{})
+	go func() {
+		for i := 0; i < 4; i++ {
+			e.Relay(1, 1, make([]byte, 4<<10), nil)
+		}
+		close(relayed)
+	}()
+	select {
+	case <-relayed:
+	case <-time.After(time.Second):
+		t.Fatal("a relay parked on the in-flight bound")
 	}
 	if pr.qBytes <= pr.maxInflight {
 		t.Fatalf("queued %d bytes, want more than the %d bound", pr.qBytes, pr.maxInflight)
 	}
 	parked := make(chan struct{})
 	go func() {
-		pr.enqueue(buildFrame(1, nil, nil), true)
+		e.SendSegs(1, 1, nil, nil)
 		close(parked)
 	}()
 	select {

@@ -67,17 +67,23 @@ type Report struct {
 	Steals    int64
 	Fences    int64
 	MatchHist HistSnapshot // activate→exec-start delay per task, ns
-	Crit      CritPath
+	// PeakBacklog is each rank's peak ready backlog: the most tasks that
+	// were activated on it and had not yet started, at any one time.
+	PeakBacklog map[int]int64
+	Crit        CritPath
 	// Metrics is the merged per-rank registry snapshot.
 	Metrics RegistrySnapshot
-	// PerRank holds each rank's own registry snapshot for per-rank gauges.
+	// PerRank holds each rank's own registry snapshot, counters and
+	// histograms as the rank recorded them.
 	PerRank map[int]RegistrySnapshot
 }
 
 // Analyze computes a Report from an event stream (Session.Events order:
 // ascending TS). Metrics fields are left empty; Session.Report fills them.
+// A rank's ready backlog is its activated tasks whose exec start has not
+// yet been seen; its peak is taken as the stream is walked.
 func Analyze(events []Event) *Report {
-	rep := &Report{Events: len(events)}
+	rep := &Report{Events: len(events), PeakBacklog: map[int]int64{}}
 	type taskKey struct {
 		tt   int32
 		rank int32
@@ -85,11 +91,14 @@ func Analyze(events []Event) *Report {
 	}
 	activated := map[taskKey]int64{}
 	profiles := map[string]*TemplateProfile{}
-	ranks := map[int32]bool{}
+	backlog := map[int]int64{}
 	var spans []execSpan
 
 	for _, ev := range events {
-		ranks[ev.Rank] = true
+		r := int(ev.Rank)
+		if _, ok := rep.PeakBacklog[r]; !ok {
+			rep.PeakBacklog[r] = 0 // every rank that recorded has a peak
+		}
 		switch ev.Kind {
 		case EvMsgEnqueue:
 			rep.Msgs.Enqueued++
@@ -101,11 +110,20 @@ func Analyze(events []Event) *Report {
 		case EvReduceFold:
 			rep.Folds++
 		case EvTaskActivate:
-			activated[taskKey{ev.TT, ev.Rank, ev.Key}] = ev.TS
+			tk := taskKey{ev.TT, ev.Rank, ev.Key}
+			if _, ok := activated[tk]; !ok {
+				backlog[r]++
+				if backlog[r] > rep.PeakBacklog[r] {
+					rep.PeakBacklog[r] = backlog[r]
+				}
+			}
+			activated[tk] = ev.TS
 		case EvExecStart:
-			if at, ok := activated[taskKey{ev.TT, ev.Rank, ev.Key}]; ok {
+			tk := taskKey{ev.TT, ev.Rank, ev.Key}
+			if at, ok := activated[tk]; ok {
 				rep.MatchHist = mergeHists(rep.MatchHist, singleObs(ev.TS-at))
-				delete(activated, taskKey{ev.TT, ev.Rank, ev.Key})
+				delete(activated, tk)
+				backlog[r]--
 			}
 		case EvExecEnd:
 			p := profiles[ev.Name]
@@ -135,7 +153,7 @@ func Analyze(events []Event) *Report {
 			rep.Fences++
 		}
 	}
-	rep.Ranks = len(ranks)
+	rep.Ranks = len(rep.PeakBacklog)
 	for _, p := range profiles {
 		rep.Templates = append(rep.Templates, *p)
 	}
@@ -331,19 +349,15 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "match wait: %s\n", hs)
 	}
 
-	if len(r.PerRank) > 0 {
-		b.WriteString("\nqueue-depth gauges (current/max):\n")
-		ranks := make([]int, 0, len(r.PerRank))
-		for rk := range r.PerRank {
+	if len(r.PeakBacklog) > 0 {
+		b.WriteString("\npeak ready backlog (tasks activated, not yet started):\n")
+		ranks := make([]int, 0, len(r.PeakBacklog))
+		for rk := range r.PeakBacklog {
 			ranks = append(ranks, rk)
 		}
 		sort.Ints(ranks)
 		for _, rk := range ranks {
-			snap := r.PerRank[rk]
-			qd := snap.Gauges[GaugeQueueDepth]
-			rb := snap.Gauges[GaugeReadyBacklog]
-			fmt.Fprintf(&b, "  rank %-3d sched.queue_depth=%d/%d core.ready_backlog=%d/%d\n",
-				rk, qd.Value, qd.Max, rb.Value, rb.Max)
+			fmt.Fprintf(&b, "  rank %-3d %d\n", rk, r.PeakBacklog[rk])
 		}
 	}
 

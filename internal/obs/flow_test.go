@@ -176,14 +176,11 @@ func TestLiveReportDuringRecording(t *testing.T) {
 			defer recorders.Done()
 			rk := s.Rank(r)
 			tasks := counterCell(rk.Metrics(), "tasks")
-			depth := rk.Metrics().Gauge("depth")
 			lat := rk.Metrics().Histogram("latency_ns")
 			for i := 0; i < perRank; i++ {
 				rk.Record(Event{Kind: EvExecEnd, Worker: int32(i % 2), TT: 0, Name: "T", Dur: int64(i + 1)})
 				tasks.Add(1)
-				depth.Add(1)
 				lat.Observe(int64(i))
-				depth.Add(-1)
 			}
 		}(r)
 	}

@@ -29,9 +29,10 @@ type Sample struct {
 	Value   float64
 }
 
-// Collector is a pull source of live gauges; backend.Proc implements it
-// (pending shells, deque depths, termination-detector activity, per-peer
-// fabric counters).
+// Collector is a pull source of live levels, read on each scrape from the
+// cells that hold them; backend.Proc implements it (pending shells and
+// partials, deque depths, termination-detector activity, per-peer fabric
+// counters). No registry keeps a copy of these.
 type Collector interface {
 	CollectLive(emit func(Sample))
 }
@@ -44,10 +45,10 @@ const ContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 // reads atomics (Session.LiveReport and the collectors' own lock-free
 // sources), so scraping a run in flight is safe and cheap. Register it on a mux at "/metrics".
 type Exporter struct {
-	// Session, when set, contributes every registry counter, gauge, and
+	// Session, when set, contributes every registry counter and
 	// histogram, as series labeled by rank.
 	Session *obs.Session
-	// Collectors contribute instantaneous gauges not kept in a registry.
+	// Collectors contribute the levels, read where they live.
 	Collectors []Collector
 }
 
@@ -83,14 +84,6 @@ func (e *Exporter) Export(w io.Writer) error {
 			f := fam(n, "counter")
 			f.lines = append(f.lines, fmt.Sprintf("%s_total%s %d", n, label, snap.Counters[name]))
 		}
-		for _, name := range sortedKeys(snap.Gauges) {
-			gv := snap.Gauges[name]
-			n := sanitizeMetricName(name)
-			f := fam(n, "gauge")
-			f.lines = append(f.lines, fmt.Sprintf("%s%s %d", n, label, gv.Value))
-			fm := fam(n+"_hwm", "gauge")
-			fm.lines = append(fm.lines, fmt.Sprintf("%s_hwm%s %d", n, label, gv.Max))
-		}
 		for _, name := range sortedKeys(snap.Hists) {
 			n := sanitizeMetricName(name)
 			f := fam(n, "histogram")
@@ -112,17 +105,15 @@ func (e *Exporter) Export(w io.Writer) error {
 		f.lines = append(f.lines, fmt.Sprintf("obs_events_dropped %d", lr.Dropped))
 	}
 
-	{
-		f := fam("data_tracked_live", "gauge")
-		f.lines = append(f.lines, fmt.Sprintf("data_tracked_live %d", core.LiveTrackedHandles()))
-	}
-
-	{
-		// Process-global like data_tracked_live: one unlabeled series for
-		// the receive views currently leasing pooled buffers.
-		n := sanitizeMetricName(obs.GaugeRecvViews)
+	// Process-global levels, one unlabeled series each: the data tracker's
+	// live handles and the receive views leasing pooled buffers.
+	for name, v := range map[string]int64{
+		obs.GaugeTrackedValues: core.LiveTrackedHandles(),
+		obs.GaugeRecvViews:     serde.LiveRecvViews(),
+	} {
+		n := sanitizeMetricName(name)
 		f := fam(n, "gauge")
-		f.lines = append(f.lines, fmt.Sprintf("%s %d", n, serde.LiveRecvViews()))
+		f.lines = append(f.lines, fmt.Sprintf("%s %d", n, v))
 	}
 
 	for _, c := range e.Collectors {

@@ -20,21 +20,18 @@ func (c fakeCollector) CollectLive(emit func(live.Sample)) {
 	}
 }
 
-// TestOpenMetricsExposition renders a session with counters, gauges, and
-// histograms on two ranks plus collector samples, and checks the
-// OpenMetrics text invariants: every registry series labeled by its rank, every series
-// preceded by a # TYPE line, counters under a _total suffix, cumulative
-// non-decreasing le buckets ending in +Inf with matching _sum/_count, and
-// a final # EOF line.
+// TestOpenMetricsExposition renders a session with counters and
+// histograms on two ranks plus collector samples (the levels), and checks
+// the OpenMetrics text invariants: every registry series labeled by its
+// rank, every series preceded by a # TYPE line and printed once, counters
+// under a _total suffix, cumulative non-decreasing le buckets ending in
+// +Inf with matching _sum/_count, and a final # EOF line.
 func TestOpenMetricsExposition(t *testing.T) {
 	s := obs.NewSession(obs.Config{Capacity: 16})
 	for r := 0; r < 2; r++ {
 		reg := s.Rank(r).Metrics()
 		n := int64(10 + r)
 		reg.ReadCounters(func(emit func(string, int64)) { emit("core.matches", n) })
-		g := reg.Gauge("core.pending_shells")
-		g.Add(5)
-		g.Add(-3) // value 2, high-water mark 5
 		h := reg.Histogram("sched.task_ns")
 		for _, v := range []int64{0, 1, 3, 900, 70000} {
 			h.Observe(v)
@@ -43,9 +40,11 @@ func TestOpenMetricsExposition(t *testing.T) {
 	exp := &live.Exporter{
 		Session: s,
 		Collectors: []live.Collector{fakeCollector{samples: []live.Sample{
+			{Name: "core.pending_shells", Rank: 0, Value: 2},
+			{Name: "core.pending_shells", Rank: 1, Value: 0},
 			{Name: "sched.deque_depth", Rank: 0, Value: 3},
 			{Name: "sched.deque_depth", Rank: 1, Value: 7},
-			{Name: "data.tracked_live", Rank: -1, Value: 4096},
+			{Name: "test.unlabeled", Rank: -1, Value: 4096},
 		}}},
 	}
 
@@ -61,6 +60,7 @@ func TestOpenMetricsExposition(t *testing.T) {
 
 	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
 	typed := map[string]string{} // family -> type
+	seen := map[string]bool{}    // series: name and label set
 	var families []string
 	for _, ln := range lines {
 		if strings.HasPrefix(ln, "# TYPE ") {
@@ -87,6 +87,11 @@ func TestOpenMetricsExposition(t *testing.T) {
 		if _, ok := typed[base]; !ok {
 			t.Fatalf("sample %q has no preceding # TYPE for %q", ln, base)
 		}
+		series := ln[:strings.LastIndexByte(ln, ' ')]
+		if seen[series] {
+			t.Fatalf("series %s printed twice:\n%s", series, body)
+		}
+		seen[series] = true
 	}
 	if !sort.StringsAreSorted(families) {
 		t.Fatalf("families not sorted: %v", families)
@@ -99,20 +104,21 @@ func TestOpenMetricsExposition(t *testing.T) {
 		!strings.Contains(body, `core_matches_total{rank="1"} 11`) {
 		t.Fatalf("counter series missing _total suffix or per-rank labels:\n%s", body)
 	}
-	if typed["core_pending_shells"] != "gauge" || typed["core_pending_shells_hwm"] != "gauge" {
-		t.Fatalf("gauge families: %v", typed)
-	}
-	if !strings.Contains(body, `core_pending_shells{rank="0"} 2`) ||
-		!strings.Contains(body, `core_pending_shells_hwm{rank="0"} 5`) {
-		t.Fatalf("gauge value/high-water series wrong:\n%s", body)
+	if typed["core_pending_shells"] != "gauge" {
+		t.Fatalf("core_pending_shells type = %q, want gauge", typed["core_pending_shells"])
 	}
 	if typed["sched_task_ns"] != "histogram" {
 		t.Fatalf("sched_task_ns type = %q, want histogram", typed["sched_task_ns"])
 	}
 	// Collector samples: per-rank and unlabeled.
-	if !strings.Contains(body, `sched_deque_depth{rank="1"} 7`) ||
-		!strings.Contains(body, "data_tracked_live 4096") {
+	if !strings.Contains(body, `core_pending_shells{rank="0"} 2`) ||
+		!strings.Contains(body, `sched_deque_depth{rank="1"} 7`) ||
+		!strings.Contains(body, "test_unlabeled 4096") {
 		t.Fatalf("collector samples missing:\n%s", body)
+	}
+	// The process-global levels are the exporter's own, unlabeled.
+	if typed["data_tracked_live"] != "gauge" || typed["serde_recv_views"] != "gauge" {
+		t.Fatalf("process-global level families: %v", typed)
 	}
 	// A session has no registry but the ranks': no registry series goes
 	// unlabeled.

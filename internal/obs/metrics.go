@@ -9,14 +9,14 @@ import (
 	"sync/atomic"
 )
 
-// Registry is a named collection of gauges and histograms plus a
-// read-through to counters kept elsewhere. Metric lookup takes a lock and
-// is meant for setup paths; the returned handles are lock-free atomics for
-// the hot path. The zero value is ready to use.
+// Registry is a named collection of histograms plus a read-through to
+// counters kept elsewhere. Metric lookup takes a lock and is meant for
+// setup paths; the returned handles are lock-free atomics for the hot
+// path. It keeps no levels: a level is read on a scrape from the cell it
+// lives in (live.Collector). The zero value is ready to use.
 type Registry struct {
 	mu      sync.Mutex
 	sources []func(emit func(name string, v int64))
-	gauges  map[string]*Gauge
 	hists   map[string]*Histogram
 }
 
@@ -30,21 +30,6 @@ func (r *Registry) ReadCounters(src func(emit func(name string, v int64))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sources = append(r.sources, src)
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = map[string]*Gauge{}
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating if needed) the named log₂-bucketed histogram.
@@ -66,14 +51,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) Snapshot() RegistrySnapshot {
 	s := RegistrySnapshot{
 		Counters: map[string]int64{},
-		Gauges:   map[string]GaugeValue{},
 		Hists:    map[string]HistSnapshot{},
 	}
 	r.mu.Lock()
 	sources := r.sources
-	for name, g := range r.gauges {
-		s.Gauges[name] = GaugeValue{Value: g.Load(), Max: g.Max()}
-	}
 	for name, h := range r.hists {
 		s.Hists[name] = h.Snapshot()
 	}
@@ -84,41 +65,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	}
 	return s
 }
-
-// Gauge is an instantaneous level with a high-water mark (queue depths,
-// backlogs, in-flight messages).
-type Gauge struct {
-	v   atomic.Int64
-	max atomic.Int64
-}
-
-// Add moves the gauge by delta and updates the high-water mark.
-func (g *Gauge) Add(delta int64) {
-	n := g.v.Add(delta)
-	for {
-		m := g.max.Load()
-		if n <= m || g.max.CompareAndSwap(m, n) {
-			return
-		}
-	}
-}
-
-// Set forces the gauge to v and updates the high-water mark.
-func (g *Gauge) Set(v int64) {
-	g.v.Store(v)
-	for {
-		m := g.max.Load()
-		if v <= m || g.max.CompareAndSwap(m, v) {
-			return
-		}
-	}
-}
-
-// Load returns the current level.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Max returns the high-water mark.
-func (g *Gauge) Max() int64 { return g.max.Load() }
 
 // histBuckets is the bucket count: bucket i holds values v with
 // bits.Len64(v) == i, i.e. 2^(i-1) <= v < 2^i (bucket 0 holds v == 0).
@@ -151,12 +97,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		}
 	}
 	return s
-}
-
-// GaugeValue is a gauge snapshot.
-type GaugeValue struct {
-	Value int64
-	Max   int64
 }
 
 // HistBucket is one populated histogram bucket: values v with
@@ -241,16 +181,13 @@ func (s HistSnapshot) String() string {
 // RegistrySnapshot is an immutable capture of a Registry.
 type RegistrySnapshot struct {
 	Counters map[string]int64
-	Gauges   map[string]GaugeValue
 	Hists    map[string]HistSnapshot
 }
 
-// Merge folds o into a copy of s: counters add, gauges take the larger
-// high-water mark (and sum current levels), histograms merge buckets.
+// Merge folds o into a copy of s: counters add, histograms merge buckets.
 func (s RegistrySnapshot) Merge(o RegistrySnapshot) RegistrySnapshot {
 	out := RegistrySnapshot{
 		Counters: map[string]int64{},
-		Gauges:   map[string]GaugeValue{},
 		Hists:    map[string]HistSnapshot{},
 	}
 	for k, v := range s.Counters {
@@ -258,17 +195,6 @@ func (s RegistrySnapshot) Merge(o RegistrySnapshot) RegistrySnapshot {
 	}
 	for k, v := range o.Counters {
 		out.Counters[k] += v
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range o.Gauges {
-		cur := out.Gauges[k]
-		cur.Value += v.Value
-		if v.Max > cur.Max {
-			cur.Max = v.Max
-		}
-		out.Gauges[k] = cur
 	}
 	for k, v := range s.Hists {
 		out.Hists[k] = v

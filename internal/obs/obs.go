@@ -6,15 +6,19 @@
 // communication volume, and copy counts — and this package gives the
 // reproduction the same instruments: task-lifecycle events (message
 // enqueue/deliver, terminal match, activate, exec start/end, send,
-// broadcast, steal, reducer fold, fence), gauges, and log₂-bucketed
-// histograms, with Chrome-trace/Perfetto export and an offline analyzer
-// (per-template profiles, observed critical path).
+// broadcast, steal, reducer fold, fence) and log₂-bucketed histograms,
+// with Chrome-trace/Perfetto export and an offline analyzer (per-template
+// profiles, observed critical path, per-rank peak ready backlog).
 //
-// Counters are not stored here. Events are counted once, in the always-on
-// per-rank trace.Collector (and the scheduler's per-worker atomics); a
-// Registry only reads them, by name, each time it snapshots, through the
-// source the backend registers with ReadCounters — so a report and
-// /metrics show the same numbers as an untraced run's stats line, live.
+// Each kind of value has one home. Counters are not stored here: events
+// are counted once, in the always-on per-rank trace.Collector (and the
+// scheduler's per-worker atomics); a Registry only reads them, by name,
+// each time it snapshots, through the source the backend registers with
+// ReadCounters — so a report and /metrics show the same numbers as an
+// untraced run's stats line, live. Distributions live in the Registry's
+// histograms. Levels (pending shells, queue depths, detector activity)
+// are kept once, in the structures that hold them; live.Collector reads
+// them there on a scrape, and no copy of a level moves on the hot path.
 //
 // Recording is lock-free on the hot path: each rank owns a fixed-capacity
 // event buffer claimed by an atomic cursor; a full buffer drops (and
@@ -128,20 +132,17 @@ type Recorder interface {
 	Record(ev Event)
 	// Now returns ns since the session epoch.
 	Now() int64
-	// Metrics returns the rank's registry of gauges and histograms (and
-	// the read-through to the rank's counters).
+	// Metrics returns the rank's registry of histograms (and the
+	// read-through to the rank's counters).
 	Metrics() *Registry
 }
 
 // Standard metric names used by the built-in instrumentation. The Counter
 // names are the rows of internal/trace's name table that some code reads
-// back by name (Report.String, bench/); the table holds the rest.
+// back by name (Report.String, bench/); the table holds the rest. The
+// Gauge names label the levels /metrics reads at each scrape, from a
+// live.Collector or (the process-wide two) from the exporter itself.
 const (
-	// GaugeQueueDepth tracks items submitted to but not yet popped from a
-	// rank's scheduler pool.
-	GaugeQueueDepth = "sched.queue_depth"
-	// GaugeReadyBacklog tracks tasks activated but not yet executing.
-	GaugeReadyBacklog = "core.ready_backlog"
 	// HistTaskLatency is the task-body wall time in ns.
 	HistTaskLatency = "task.latency_ns"
 	// HistMatchDelay is activate→exec-start delay in ns.
@@ -323,17 +324,6 @@ func (s *Session) Events() []Event {
 		out = append(out, rk.Events()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	return out
-}
-
-// Registries returns the per-rank registries keyed by rank.
-func (s *Session) Registries() map[int]*Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]*Registry, len(s.ranks))
-	for r, rk := range s.ranks {
-		out[r] = &rk.reg
-	}
 	return out
 }
 

@@ -84,7 +84,6 @@ func TestRecorderRace(t *testing.T) {
 	s := NewSession(Config{Capacity: goroutines * perG})
 	rk := s.Rank(0)
 	ctr := counterCell(rk.Metrics(), "test.ops")
-	gauge := rk.Metrics().Gauge("test.level")
 	hist := rk.Metrics().Histogram("test.vals")
 
 	stop := make(chan struct{})
@@ -111,8 +110,6 @@ func TestRecorderRace(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				rk.Record(Event{Kind: EvExecEnd, Name: "T", TS: int64(g*perG + i + 1), Dur: 1})
 				ctr.Add(1)
-				gauge.Add(1)
-				gauge.Add(-1)
 				hist.Observe(int64(i))
 			}
 		}(g)
@@ -129,9 +126,6 @@ func TestRecorderRace(t *testing.T) {
 	}
 	if got := rk.Metrics().Snapshot().Counters["test.ops"]; got != goroutines*perG {
 		t.Errorf("counter read through = %d, want %d", got, goroutines*perG)
-	}
-	if got := gauge.Load(); got != 0 {
-		t.Errorf("gauge = %d, want 0", got)
 	}
 	if got := hist.Snapshot().Count; got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
@@ -165,30 +159,15 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestGaugeHighWater(t *testing.T) {
-	var g Gauge
-	g.Add(3)
-	g.Add(4)
-	g.Add(-5)
-	if g.Load() != 2 || g.Max() != 7 {
-		t.Errorf("load=%d max=%d, want 2 and 7", g.Load(), g.Max())
-	}
-}
-
 func TestRegistryMerge(t *testing.T) {
 	var a, b Registry
 	counterCell(&a, "c").Add(2)
 	counterCell(&b, "c").Add(3)
-	a.Gauge("g").Add(5)
-	b.Gauge("g").Add(1)
 	a.Histogram("h").Observe(10)
 	b.Histogram("h").Observe(1000)
 	m := a.Snapshot().Merge(b.Snapshot())
 	if m.Counters["c"] != 5 {
 		t.Errorf("merged counter = %d, want 5", m.Counters["c"])
-	}
-	if m.Gauges["g"].Value != 6 || m.Gauges["g"].Max != 5 {
-		t.Errorf("merged gauge = %+v, want value 6 max 5", m.Gauges["g"])
 	}
 	if m.Hists["h"].Count != 2 {
 		t.Errorf("merged hist count = %d, want 2", m.Hists["h"].Count)
@@ -224,6 +203,55 @@ func TestAnalyze(t *testing.T) {
 	}
 	if rep.Fences != 1 {
 		t.Errorf("fences = %d", rep.Fences)
+	}
+}
+
+// TestPeakBacklog pins the event-derived ready backlog on a two-rank
+// stream, interleaved by TS as Session.Events merges it. Rank 0 activates
+// three tasks before the first starts (peak 3), rank 1 never holds more
+// than one; a start whose activation was not recorded (a dropped event)
+// leaves the count alone, a repeated activation is one task, and a rank
+// that recorded no activation still reports its peak, 0.
+func TestPeakBacklog(t *testing.T) {
+	act := func(rank int32, key string, ts int64) Event {
+		return Event{Kind: EvTaskActivate, TT: 1, Rank: rank, Key: key, TS: ts}
+	}
+	start := func(rank int32, key string, ts int64) Event {
+		return Event{Kind: EvExecStart, TT: 1, Rank: rank, Key: key, Name: "T", TS: ts}
+	}
+	events := []Event{
+		act(0, "[0]", 10),
+		act(1, "[0]", 11),
+		act(0, "[1]", 12),
+		start(1, "[0]", 13),
+		act(0, "[1]", 14),   // re-recorded activation: still one task
+		start(0, "[9]", 15), // activation never recorded
+		act(0, "[2]", 16),   // rank 0: [0] [1] [2] waiting
+		start(0, "[0]", 17),
+		act(1, "[1]", 18),
+		start(1, "[1]", 19),
+		start(0, "[1]", 20),
+		act(0, "[3]", 21), // back to 2 waiting, under the peak
+		{Kind: EvFence, Rank: 2, TS: 30},
+	}
+	rep := Analyze(events)
+	want := map[int]int64{0: 3, 1: 1, 2: 0}
+	if len(rep.PeakBacklog) != len(want) {
+		t.Fatalf("peak backlog = %v, want %v", rep.PeakBacklog, want)
+	}
+	for r, n := range want {
+		if rep.PeakBacklog[r] != n {
+			t.Errorf("rank %d peak backlog = %d, want %d (all: %v)", r, rep.PeakBacklog[r], n, rep.PeakBacklog)
+		}
+	}
+	if rep.Ranks != 3 {
+		t.Errorf("ranks = %d, want 3", rep.Ranks)
+	}
+	out := rep.String()
+	for _, line := range []string{"  rank 0   3\n", "  rank 1   1\n", "  rank 2   0\n"} {
+		if !strings.Contains(out, line) {
+			t.Errorf("report missing %q:\n%s", line, out)
+		}
 	}
 }
 
@@ -330,9 +358,9 @@ func TestReportString(t *testing.T) {
 	s := NewSession(Config{Capacity: 16})
 	rk := s.Rank(0)
 	rk.Record(Event{Kind: EvExecEnd, Name: "K", Key: "[0]", TS: 100, Dur: 50, Worker: 0})
-	rk.Metrics().Gauge(GaugeQueueDepth).Add(2)
+	rk.Record(Event{Kind: EvTaskActivate, TT: 0, Key: "[1]", TS: 120})
 	out := s.Report().String()
-	for _, want := range []string{"per-template profiles", "K", "critical path", "sched.queue_depth"} {
+	for _, want := range []string{"per-template profiles", "K", "critical path", "peak ready backlog", "rank 0   1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

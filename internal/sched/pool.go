@@ -136,11 +136,10 @@ type Pool struct {
 	idle      func()
 	idleFired bool
 
-	// Observability (nil when disabled): the queue-depth gauge moves on
-	// every submit/pop, a finished run-next chain feeds its length
-	// histogram, a successful steal records an event.
+	// Observability (nil when disabled): a finished run-next chain feeds
+	// its length histogram, a successful steal records an event. Queue
+	// depths are not tracked here; Depths reads them from the queues.
 	obs       obs.Recorder
-	depth     *obs.Gauge
 	chainHist *obs.Histogram
 
 	// onPanic, when set, runs with a panic recovered from the run callback
@@ -182,16 +181,14 @@ func NewPool(n int, policy Policy, run func(worker int, it Item)) *Pool {
 // Workers returns the number of worker goroutines.
 func (p *Pool) Workers() int { return p.n }
 
-// Observe attaches a recorder; call before Start. The pool then maintains
-// the queue-depth gauge and inline-chain histogram and records steal events.
+// Observe attaches a recorder; call before Start. The pool then feeds
+// the inline-chain histogram and records steal events.
 func (p *Pool) Observe(rec obs.Recorder) {
 	if rec == nil {
 		return
 	}
 	p.obs = rec
-	m := rec.Metrics()
-	p.depth = m.Gauge(obs.GaugeQueueDepth)
-	p.chainHist = m.Histogram(obs.HistInlineChain)
+	p.chainHist = rec.Metrics().Histogram(obs.HistInlineChain)
 }
 
 // OnIdle registers f to run each time the pool transitions from busy to
@@ -261,9 +258,6 @@ func (p *Pool) Start() {
 // Submit enqueues work from outside the pool (e.g. the communication
 // thread or the rank main).
 func (p *Pool) Submit(it Item) {
-	if p.depth != nil {
-		p.depth.Add(1)
-	}
 	p.shared.Push(it)
 	p.wake()
 }
@@ -273,9 +267,6 @@ func (p *Pool) Submit(it Item) {
 func (p *Pool) SubmitBatch(its []Item) {
 	if len(its) == 0 {
 		return
-	}
-	if p.depth != nil {
-		p.depth.Add(int64(len(its)))
 	}
 	p.shared.PushBatch(its)
 	p.wakeN(len(its))
@@ -289,9 +280,6 @@ func (p *Pool) SubmitBatch(its []Item) {
 // still cache-hot. A lower-priority incumbent is displaced to the queues
 // so the slot always holds the highest-priority successor seen this round.
 func (p *Pool) SubmitLocal(worker int, it Item) {
-	if p.depth != nil {
-		p.depth.Add(1)
-	}
 	if p.inline && worker >= 0 && worker < p.n {
 		w := &p.ws[worker]
 		if w.chain < maxInlineChain {
@@ -315,9 +303,6 @@ func (p *Pool) SubmitLocal(worker int, it Item) {
 func (p *Pool) SubmitLocalBatch(worker int, its []Item) {
 	if len(its) == 0 {
 		return
-	}
-	if p.depth != nil {
-		p.depth.Add(int64(len(its)))
 	}
 	if p.inline && worker >= 0 && worker < p.n {
 		w := &p.ws[worker]
@@ -500,9 +485,6 @@ func (p *Pool) park(id int, rng *rand.Rand) bool {
 // stays busy for the whole chain, so the idle hook cannot fire while a
 // slot is loaded.
 func (p *Pool) execute(id int, it Item) {
-	if p.depth != nil {
-		p.depth.Add(-1)
-	}
 	w := &p.ws[id]
 	w.chain = 0
 	p.runItem(id, it)
@@ -515,9 +497,6 @@ func (p *Pool) execute(id int, it Item) {
 		w.ok, w.it = false, Item{}
 		chain++
 		w.chain = chain
-		if p.depth != nil {
-			p.depth.Add(-1)
-		}
 		p.runItem(id, next)
 	}
 	w.chain = 0

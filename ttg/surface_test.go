@@ -1,6 +1,7 @@
 package ttg_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/serde"
@@ -11,8 +12,11 @@ import (
 // program: MakeTT4, context accessors, Broadcast/BroadcastM, stream
 // control from tasks and seeds, and the Invoke wrappers.
 func TestTypedSurface(t *testing.T) {
-	var joined, streamed, ctlStreamed float64
+	var joined, ctlStreamed float64
 	var invoked1, invoked3 float64
+	// strsink runs for two keys, in either order: record each.
+	var mu sync.Mutex
+	streamed := map[int]float64{}
 	ttg.Run(ttg.Config{Ranks: 2, WorkersPerRank: 1}, func(pc *ttg.Process) {
 		g := pc.NewGraph()
 		drive := ttg.NewEdge[ttg.Int1, ttg.Void]("drive")
@@ -64,7 +68,11 @@ func TestTypedSurface(t *testing.T) {
 		sum := func(x, y float64) float64 { return x + y }
 		ttg.MakeTT1(g, "strsink",
 			ttg.ReduceInput(str, sum, nil), nil,
-			func(x *ttg.Ctx[ttg.Int1], v float64) { streamed = v },
+			func(x *ttg.Ctx[ttg.Int1], v float64) {
+				mu.Lock()
+				streamed[x.Key()[0]] = v
+				mu.Unlock()
+			},
 			ttg.Options[ttg.Int1]{Keymap: func(ttg.Int1) int { return 0 }},
 		)
 		ttg.MakeTT1(g, "ctlsink",
@@ -98,8 +106,8 @@ func TestTypedSurface(t *testing.T) {
 	if joined != 2*3+5*7 {
 		t.Errorf("join4 = %v", joined)
 	}
-	if streamed != 30 {
-		t.Errorf("stream via SetStreamSize = %v", streamed)
+	if len(streamed) != 2 || streamed[1] != 30 || streamed[5] != 0 {
+		t.Errorf("streams via SetStreamSize = %v, want key 1 = 30 and key 5 = 0", streamed)
 	}
 	if ctlStreamed != 100 {
 		t.Errorf("stream via Finalize = %v", ctlStreamed)
