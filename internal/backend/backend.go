@@ -6,17 +6,16 @@
 // detector, and a transport speaking the wire protocols of §II: eager
 // whole-object (archive) messages, by-reference gather messages (metadata
 // framed, payload landed in place — what the split-metadata protocol
-// becomes on a fabric without RMA), and tree-forwarded optimized
-// broadcasts. The two named backends are Options presets of this engine
-// (PaRSEC and MADNESS below), just as the C++ TTG backends configure
-// shared machinery over their runtimes.
+// becomes on a fabric without RMA), and broadcasts deduplicated per rank
+// and sent point to point. The two named backends are Options presets of
+// this engine (PaRSEC and MADNESS below), just as the C++ TTG backends
+// configure shared machinery over their runtimes.
 package backend
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -37,7 +36,6 @@ import (
 const (
 	kCtrl       uint8 = iota + 1 // termination-detection control
 	kData                        // eager data: header + inline archive value
-	kBcastChunk                  // tree broadcast: one chunk of the value; chunk 0 carries the plan and geometry
 	kGatherData                  // zero-copy data: header + gather header, payload as by-reference segments
 )
 
@@ -68,14 +66,17 @@ type Options struct {
 
 // PaRSEC is the preset modeling the paper's PaRSEC backend (§II-D): the
 // runtime owns data flowing through the graph (so const-ref sends avoid
-// copies), large payloads cross by reference, multi-rank broadcasts are
-// forwarded along binomial trees, and scheduling is banded work stealing
-// that honors priority maps. Its protocol properties are the sim flavor's
-// but for SplitMD: fetching remote memory one-sidedly is a property of the
-// machine being modelled, and no fabric this engine runs over has it.
+// copies), large payloads cross by reference, and scheduling is banded
+// work stealing that honors priority maps. Its protocol properties are the
+// sim flavor's but for SplitMD and TreeBroadcast: fetching remote memory
+// one-sidedly is a property of the machine being modelled, and no fabric
+// this engine runs over has it; a binomial tree saves the root's link
+// bandwidth, which the simulator charges and no link under the engine
+// rations, while every hop of it would pay an encode and a decode that a
+// by-reference push to each destination does not.
 func PaRSEC() Options {
 	caps := cluster.ParsecFlavor().SendCaps
-	caps.SplitMD = false
+	caps.SplitMD, caps.TreeBroadcast = false, false
 	return Options{Name: "parsec", Policy: sched.PolicyStealPrio, SendCaps: caps}
 }
 
@@ -111,8 +112,16 @@ type Runtime struct {
 // opts.Fabric is set — the single-local-rank runtime for that endpoint's
 // rank of a multi-process cluster (ranks is then ignored).
 func New(ranks int, opts Options) *Runtime {
-	if opts.SplitMD {
-		panic("backend: SendCaps.SplitMD is set, but neither fabric the engine runs over (simnet, netfab) can fetch remote memory; only backend/sim's flavors model splitmd")
+	// Two protocol properties belong to the machines backend/sim models.
+	refused := ""
+	switch {
+	case opts.SplitMD:
+		refused = "SplitMD is set, but neither fabric the engine runs over (simnet, netfab) can fetch remote memory"
+	case opts.TreeBroadcast:
+		refused = "TreeBroadcast is set, but the engine sends each broadcast destination its own push"
+	}
+	if refused != "" {
+		panic("backend: SendCaps." + refused + "; only backend/sim's flavors model it")
 	}
 	var eps []fabric.Endpoint
 	if opts.Fabric != nil {
@@ -188,18 +197,10 @@ type Proc struct {
 	ready    chan struct{}
 	bindOnce sync.Once
 
-	// Tree-broadcast state: bcastSeq numbers broadcasts this rank roots;
-	// bcasts holds in-progress multi-chunk reassemblies keyed by {root,
-	// id}, under bcastMu: any peer's reader may deliver a chunk.
-	bcastSeq atomic.Uint64
-	bcastMu  sync.Mutex
-	bcasts   map[bcastKey]*bcastState
-
 	// rec is the rank's observability recorder (nil when disabled); the
-	// histogram handles are resolved once to keep the send path lock-free.
-	rec         *obs.Rank
-	msgBytes    *obs.Histogram
-	bcastFanout *obs.Histogram
+	// histogram handle is resolved once to keep the send path lock-free.
+	rec      *obs.Rank
+	msgBytes *obs.Histogram
 }
 
 func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
@@ -209,7 +210,6 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 		p.rec = rt.opts.Obs.Rank(rank)
 		m := p.rec.Metrics()
 		p.msgBytes = m.Histogram(obs.HistMsgBytes)
-		p.bcastFanout = m.Histogram(obs.HistBcastFanout)
 	}
 	p.det = termdet.New(rank, rt.Ranks(), func(dst int, data []byte) {
 		p.ep.Relay(dst, kCtrl, data, nil)
@@ -371,6 +371,15 @@ func (p *Proc) SubmitBatch(ts []*core.Task) {
 	p.batches[origin] = items[:0]
 }
 
+// Broadcast implements core.Executor: one Deliver per destination, in
+// ascending rank order. The per-rank dedup happened in core; New refuses
+// a tree, so every destination gets its own push straight from the root.
+func (p *Proc) Broadcast(dests map[int]core.Delivery) {
+	for _, dst := range core.PlanBcast(p.rank, dests, p.rt.opts.SendCaps).Ranks {
+		p.Deliver(dst, dests[dst])
+	}
+}
+
 // Deliver implements core.Executor: one delivery to one remote rank, over
 // the protocol core.PlanSend picked.
 func (p *Proc) Deliver(dest int, d core.Delivery) {
@@ -483,8 +492,8 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, pl core.SendPlan) bool {
 // in-flight write by itself. Termination detection, the logical-message
 // stats and the wire stats are all charged here, at the full size: a
 // zero-copy payload occupies the link exactly like its bytes. A relay (a
-// forwarded broadcast chunk or reduce-tree partial) goes out through
-// Relay, which never parks on the fabric's in-flight bound.
+// reduce-tree partial) goes out through Relay, which never parks on the
+// fabric's in-flight bound.
 func (p *Proc) send(dest int, kind uint8, data []byte, segs []serde.Segment, relay bool) {
 	n := int64(len(data) + serde.SegmentBytes(segs))
 	p.det.MsgSent()
@@ -509,7 +518,7 @@ func (p *Proc) handle(pkt fabric.Packet) {
 	switch pkt.Kind {
 	case kCtrl:
 		p.det.HandleControl(pkt.Data)
-	case kData, kGatherData, kBcastChunk:
+	case kData, kGatherData:
 		p.recvMsg(pkt)
 	default:
 		panic(fmt.Sprintf("backend: unknown packet kind %d", pkt.Kind))
@@ -537,10 +546,6 @@ func (p *Proc) recvMsg(pkt fabric.Packet) {
 		// Only the framed header lived in the wire buffer — the payload
 		// segments now belong to the scattered value.
 		serde.Recycle(pkt.Data)
-	// Broadcast packets carry arrays shared with other receivers and
-	// forwarded verbatim down the tree, so they are never recycled.
-	case kBcastChunk:
-		p.handleBcastChunk(pkt.Data)
 	}
 	p.det.Deactivate()
 }

@@ -155,48 +155,53 @@ func TestAllSchedulerPolicies(t *testing.T) {
 
 // TestPresets pins the paper's §II-D property list: what New builds from
 // each preset, with only the worker count filled in. The protocol
-// properties are the sim flavor's by construction, but for SplitMD — the
-// Hawk/Seawulf flavors model one-sided fetches, no fabric under the engine
-// has them, and New refuses a configuration that asks for one. Unset
-// thresholds resolve to their defaults when read, not when stored.
+// properties are the sim flavor's by construction, but for SplitMD and
+// TreeBroadcast — the Hawk/Seawulf flavors model one-sided fetches and a
+// binomial broadcast tree, the engine has neither, and New refuses a
+// configuration that asks for either. Unset thresholds resolve to their
+// defaults when read, not when stored.
 func TestPresets(t *testing.T) {
 	for _, tc := range []struct {
-		preset           backend.Options
-		flavor           cluster.Flavor
-		name             string
-		policy           sched.Policy
-		tracks, treeCast bool
+		preset backend.Options
+		flavor cluster.Flavor
+		name   string
+		policy sched.Policy
+		tracks bool
 	}{
-		{backend.PaRSEC(), cluster.ParsecFlavor(), "parsec", sched.PolicyStealPrio, true, true},
-		{backend.MADNESS(), cluster.MadnessFlavor(), "madness", sched.PolicyFIFO, false, false},
+		{backend.PaRSEC(), cluster.ParsecFlavor(), "parsec", sched.PolicyStealPrio, true},
+		{backend.MADNESS(), cluster.MadnessFlavor(), "madness", sched.PolicyFIFO, false},
 	} {
 		rt := backend.New(2, tc.preset)
 		o := rt.Options()
 		rt.Shutdown()
 		if o.Name != tc.name || o.Policy != tc.policy || o.TracksData != tc.tracks ||
-			o.SplitMD || o.TreeBroadcast != tc.treeCast {
+			o.SplitMD || o.TreeBroadcast {
 			t.Errorf("%s preset wrong: %+v", tc.name, o)
 		}
 		want := tc.flavor.SendCaps
-		want.SplitMD = false
+		want.SplitMD, want.TreeBroadcast = false, false
 		if o.SendCaps != want || o.Name != tc.flavor.Name {
-			t.Errorf("%s: engine preset %+v is not sim flavor %+v less SplitMD", tc.name, o.SendCaps, tc.flavor)
+			t.Errorf("%s: engine preset %+v is not sim flavor %+v less SplitMD and TreeBroadcast", tc.name, o.SendCaps, tc.flavor)
 		}
-		_, chunk := o.Chunks(1 << 20)
-		if o.WorkersPerRank < 1 || o.Eager() != 4096 || chunk != 128<<10 || o.GatherThreshold != 0 {
+		if o.WorkersPerRank < 1 || o.Eager() != 4096 || o.GatherThreshold != 0 {
 			t.Errorf("%s defaults wrong: %+v", tc.name, o)
 		}
 
-		asked := tc.preset
-		asked.SplitMD = true
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "SplitMD") {
-					t.Errorf("%s: New with SplitMD set: recovered %v, want a panic naming SplitMD", tc.name, r)
-				}
+		for field, set := range map[string]func(*backend.Options){
+			"SplitMD":       func(o *backend.Options) { o.SplitMD = true },
+			"TreeBroadcast": func(o *backend.Options) { o.TreeBroadcast = true },
+		} {
+			asked := tc.preset
+			set(&asked)
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), field) {
+						t.Errorf("%s: New with %s set: recovered %v, want a panic naming %s", tc.name, field, r, field)
+					}
+				}()
+				backend.New(2, asked).Shutdown()
 			}()
-			backend.New(2, asked).Shutdown()
-		}()
+		}
 	}
 }
 
@@ -274,13 +279,14 @@ func TestSplitMDProtocolSelection(t *testing.T) {
 	}
 }
 
-// TestTreeBroadcast sends one value to every rank and checks the root sent
-// fewer packets than destinations (tree fanout) while all tasks fired.
-func TestTreeBroadcast(t *testing.T) {
+// TestBroadcastPointToPoint sends one value to every rank and checks the
+// root sent one packet to each of its 7 remote destinations, no other rank
+// sent any (nothing relays), and every task fired once.
+func TestBroadcastPointToPoint(t *testing.T) {
 	const ranks = 8
 	var mu sync.Mutex
 	fired := map[int]int{}
-	var rootSent int64
+	sent := map[int]int64{}
 	rt := backend.New(ranks, withWorkers(backend.PaRSEC(), 1))
 	rt.Run(func(p *backend.Proc) {
 		g := p.NewGraph()
@@ -315,9 +321,9 @@ func TestTreeBroadcast(t *testing.T) {
 			g.Seed(in, serde.Int1{0}, 0.0)
 		}
 		g.Fence()
-		if p.Rank() == 0 {
-			rootSent = p.Tracer().Snapshot().MsgsSent
-		}
+		mu.Lock()
+		sent[p.Rank()] = p.Tracer().Snapshot().MsgsSent
+		mu.Unlock()
 	})
 	if len(fired) != ranks {
 		t.Fatalf("broadcast fired on %d ranks, want %d", len(fired), ranks)
@@ -327,9 +333,14 @@ func TestTreeBroadcast(t *testing.T) {
 			t.Fatalf("rank %d fired %d times", r, c)
 		}
 	}
-	// Binomial tree over 8 ranks: root sends 3 packets, not 7.
-	if rootSent >= int64(ranks-1) {
-		t.Fatalf("root sent %d packets; tree broadcast should send fewer than %d", rootSent, ranks-1)
+	for r, n := range sent {
+		want := int64(0)
+		if r == 0 {
+			want = ranks - 1
+		}
+		if n != want {
+			t.Errorf("rank %d sent %d packets, want %d", r, n, want)
+		}
 	}
 }
 

@@ -40,13 +40,12 @@ func TestEagerRendezvousSwitch(t *testing.T) {
 // runBroadcast has every rank broadcast one floats-long vector to a key on
 // every rank at once, over transport, and returns the checksum each rank
 // received from each root plus rank 0's trace snapshot. Several roots'
-// chunks reach a rank together, each broadcast's on its own link.
-func runBroadcast(t *testing.T, transport string, ranks, floats, bcastChunk int) (sums map[[2]int]float64, snap trace.Snapshot) {
+// values reach a rank together, each root's on its own link.
+func runBroadcast(t *testing.T, transport string, ranks, floats int) (sums map[[2]int]float64, snap trace.Snapshot) {
 	t.Helper()
 	var mu sync.Mutex
 	sums = map[[2]int]float64{}
 	o := withWorkers(backend.PaRSEC(), 1)
-	o.BcastChunk = bcastChunk
 	runOn(t, transport, ranks, o, func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -94,48 +93,31 @@ func runBroadcast(t *testing.T, transport string, ranks, floats, bcastChunk int)
 	return
 }
 
-// TestPipelinedBroadcast checks the chunked relay path delivers an
-// identical payload to every rank from every root at once, and that
-// disabling pipelining (store-and-forward) produces the same result.
+// TestPipelinedBroadcast checks that every rank broadcasting a 128 KiB
+// value to every rank at once delivers an identical payload everywhere,
+// and that each root sends one packet per remote destination.
 func TestPipelinedBroadcast(t *testing.T) {
 	const ranks = 8
-	const floats = 16384 // 128 KiB payload, 32 chunks at 4 KiB
+	const floats = 16384 // 128 KiB payload
 
 	want := 0.0
 	for i := 0; i < floats; i++ {
 		want += float64(i % 97)
 	}
-	// The delayed leg's decorator refuses a forward that could park.
+	// The delayed leg's decorator refuses a handler send that could park.
 	for _, tr := range append(transports, "delayed") {
 		t.Run(tr, func(t *testing.T) {
-			piped, snap := runBroadcast(t, tr, ranks, floats, 4096)
-			if len(piped) != ranks*ranks {
-				t.Fatalf("pipelined: fired %d times, want %d", len(piped), ranks*ranks)
+			sums, snap := runBroadcast(t, tr, ranks, floats)
+			if len(sums) != ranks*ranks {
+				t.Fatalf("fired %d times, want %d", len(sums), ranks*ranks)
 			}
-			for k, s := range piped {
+			for k, s := range sums {
 				if s != want {
-					t.Fatalf("pipelined: rank %d checksum from root %d %v, want %v", k[1], k[0], s, want)
+					t.Fatalf("rank %d checksum from root %d %v, want %v", k[1], k[0], s, want)
 				}
 			}
-			// Rank 0 streams a header plus ~32 chunks per child; far more
-			// wire packets than the few a store-and-forward tree uses, even
-			// with its relays of the other roots' trees, proving the chunk
-			// path actually ran.
-			if snap.WirePackets < 32 {
-				t.Fatalf("pipelined: rank 0 sent %d wire packets; chunking did not engage", snap.WirePackets)
-			}
-
-			plain, snap := runBroadcast(t, tr, ranks, floats, -1)
-			if len(plain) != ranks*ranks {
-				t.Fatalf("store-and-forward: fired %d times, want %d", len(plain), ranks*ranks)
-			}
-			for k, s := range plain {
-				if s != want {
-					t.Fatalf("store-and-forward: rank %d checksum from root %d %v, want %v", k[1], k[0], s, want)
-				}
-			}
-			if snap.WirePackets >= 32 {
-				t.Fatalf("store-and-forward: rank 0 sent %d wire packets, expected one frame per tree edge", snap.WirePackets)
+			if snap.MsgsSent != ranks-1 {
+				t.Fatalf("rank 0 sent %d messages, want one to each of its %d remote destinations", snap.MsgsSent, ranks-1)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,5 +216,55 @@ func TestStealHitFromCounters(t *testing.T) {
 	}
 	if want := fmt.Sprint(stolen); m[1] != want {
 		t.Errorf("sched: line counts %s steals, Stats().TasksStolen is %s", m[1], want)
+	}
+}
+
+// TestStatsCountBroadcastOnce: a traced 4-rank run in which one task
+// broadcasts one 32 KiB tile to a key on each of the 3 other ranks. The
+// -stats report must count that broadcast once, and its enqueued messages
+// must be the packets the ranks sent: one per destination, and no
+// point-to-point task send.
+func TestStatsCountBroadcastOnce(t *testing.T) {
+	const ranks = 4
+	session := obs.NewSession(obs.Config{})
+	o := withWorkers(backend.PaRSEC(), 1)
+	o.Obs = session
+	var sent atomic.Int64
+	backend.New(ranks, o).Run(func(p *backend.Proc) {
+		g := p.NewGraph()
+		in, out := core.NewEdge("in"), core.NewEdge("out")
+		g.AddTT(core.TTSpec{
+			Name:    "src",
+			Inputs:  []core.InputSpec{{Edge: in}},
+			Outputs: []core.OutputSpec{{Edge: out}},
+			Keymap:  func(any) int { return 0 },
+			Body: func(ctx *core.TaskContext) {
+				ctx.Broadcast(0, []any{serde.Int1{1}, serde.Int1{2}, serde.Int1{3}}, tile.New(64, 64))
+			},
+		})
+		g.AddTT(core.TTSpec{
+			Name:   "dst",
+			Inputs: []core.InputSpec{{Edge: out}},
+			Keymap: func(k any) int { return k.(serde.Int1)[0] },
+			Body:   func(*core.TaskContext) {},
+		})
+		g.Seal()
+		p.Bind(g)
+		if p.Rank() == 0 {
+			g.Seed(in, serde.Int1{0}, 0.0)
+		}
+		g.Fence()
+		sent.Add(p.Stats().MsgsSent)
+	})
+	rep := session.Report()
+	if sent.Load() != ranks-1 {
+		t.Errorf("ranks sent %d packets, want %d", sent.Load(), ranks-1)
+	}
+	if rep.Msgs.Bcasts != 1 || rep.Msgs.Sends != 0 || rep.Msgs.Enqueued != sent.Load() {
+		t.Errorf("report counts bcasts=%d sends=%d enqueued=%d, want bcasts=1 sends=0 enqueued=%d",
+			rep.Msgs.Bcasts, rep.Msgs.Sends, rep.Msgs.Enqueued, sent.Load())
+	}
+	if !strings.Contains(rep.String(), " bcasts=1\n") {
+		t.Errorf("stats block does not print bcasts=1:\n%s", rep)
 	}
 }

@@ -10,6 +10,3 @@ var DecodeData = decodeData
 
 // DecodeGather is the receive half of the by-reference wire path.
 var DecodeGather = (*Proc).decodeGather
-
-// HandleBcastChunk is the receive half of the tree broadcast.
-var HandleBcastChunk = (*Proc).handleBcastChunk

@@ -58,20 +58,19 @@ func TestRandomGraphOverTCPFabric(t *testing.T) {
 }
 
 // TestRelaySoakOverTCPFabric loads the relay rule on real sockets: a
-// receive handler that forwards — a broadcast chunk down its tree, a
-// reduction partial up its tree, a termination-detection reply — goes
-// through Relay, never through the parking SendSegs. Each rank of a
-// 4-rank loopback TCP mesh (1 KiB in flight, a quarter of a chunk, so a
-// forward finds its queue over the bound whenever anything is queued)
-// roots several 64-chunk tree broadcasts at once;
-// every receiver folds its copy into a commutative stream owned by
-// another rank, whose partials climb the combine tree through interior
-// ranks' handlers. Each endpoint sits behind the receive-delay decorator,
-// which perturbs the handlers' timing and refuses a SendSegs made inside
-// one. A broken rule cannot wedge this mesh — the trees order ranks
-// ascending, so a chain of parked handlers always ends at one that
-// relays nothing — which is why the decorator is the check. Every
-// stream must fold to the exact sum.
+// receive handler that forwards — a reduction partial up its tree, a
+// termination-detection reply — goes through Relay, never through the
+// parking SendSegs. Each rank of a 4-rank loopback TCP mesh (1 KiB in
+// flight, so a relay finds its queue over the bound whenever anything is
+// queued) broadcasts several 256 KiB values to every rank at once; every
+// receiver folds its copy into a commutative stream owned by another
+// rank, whose partials climb the combine tree through interior ranks'
+// handlers. Each endpoint sits behind the receive-delay decorator, which
+// perturbs the handlers' timing and refuses a SendSegs made inside one.
+// A broken rule cannot wedge this mesh — the reduce trees order ranks
+// root first, then ascending, so a chain of parked handlers always ends
+// at one that relays nothing — which is why the decorator is the check.
+// Every stream must fold to the exact sum.
 func TestRelaySoakOverTCPFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fabric soak skipped in -short")
@@ -79,10 +78,10 @@ func TestRelaySoakOverTCPFabric(t *testing.T) {
 	const (
 		ranks  = 4
 		bcasts = 4       // broadcasts each rank roots at once
-		floats = 1 << 15 // 256 KiB per value: 64 chunks of 4 KiB
+		floats = 1 << 15 // 256 KiB per value
 	)
 	// A value's elements differ per root and broadcast, and every sum is
-	// exact in float64 whatever the fold order, so a misplaced chunk or a
+	// exact in float64 whatever the fold order, so a misrouted value or a
 	// partial folded twice shows in the sums.
 	fill := func(root, b int) *vec {
 		v := &vec{n: floats, data: make([]float64, floats)}
@@ -128,7 +127,6 @@ func TestRelaySoakOverTCPFabric(t *testing.T) {
 				defer wg.Done()
 				o := withWorkers(backend.PaRSEC(), 2)
 				o.Fabric = ep
-				o.BcastChunk = 4 << 10
 				backend.New(0, o).Run(func(p *backend.Proc) {
 					g := p.NewGraph()
 					seed, data, fold := core.NewEdge("seed"), core.NewEdge("data"), core.NewEdge("fold")

@@ -302,10 +302,10 @@ func (e *recordingEndpoint) SendSegs(dst int, kind uint8, data []byte, segs []se
 }
 
 // TestBroadcastOrderIsDeterministic broadcasts one value from rank 0 to
-// keys on ranks 1-3, twenty times over: without a tree the three sends
-// must leave in ascending rank order every time, and with one the root's
-// plan frame must be byte-identical across repetitions — both walk
-// core.PlanBcast's sorted rank list, never the destination map.
+// keys on ranks 1-3, twenty times over under each preset: the three sends
+// must leave in ascending rank order every time — Broadcast walks
+// core.PlanBcast's sorted rank list, never the destination map — and each
+// destination's frame must be byte-identical across repetitions.
 func TestBroadcastOrderIsDeterministic(t *testing.T) {
 	run := func(opts backend.Options) *recordingEndpoint {
 		eps, err := netfab.NewLocalMesh(4, netfab.Config{Transport: "tcp"})
@@ -352,19 +352,23 @@ func TestBroadcastOrderIsDeterministic(t *testing.T) {
 		wg.Wait()
 		return root
 	}
-	var frame []byte
+	frames := map[string][][]byte{}
 	for i := 0; i < 20; i++ {
-		if got := run(withWorkers(backend.MADNESS(), 1)).dsts; !slices.Equal(got, []int{1, 2, 3}) {
-			t.Fatalf("repetition %d: point-to-point broadcast left for ranks %v, want [1 2 3]", i, got)
-		}
-		tree := run(withWorkers(backend.PaRSEC(), 1))
-		if !slices.Equal(tree.dsts, []int{1, 2}) || !bytes.Equal(tree.data[0], tree.data[1]) {
-			t.Fatalf("repetition %d: tree root sent to %v, want one shared frame to its children [1 2]", i, tree.dsts)
-		}
-		if frame == nil {
-			frame = tree.data[0]
-		} else if !bytes.Equal(frame, tree.data[0]) {
-			t.Fatalf("repetition %d: root plan frame changed:\n%x\n%x", i, frame, tree.data[0])
+		for _, preset := range []backend.Options{backend.MADNESS(), backend.PaRSEC()} {
+			got := run(withWorkers(preset, 1))
+			if !slices.Equal(got.dsts, []int{1, 2, 3}) {
+				t.Fatalf("repetition %d: %s broadcast left for ranks %v, want [1 2 3]", i, preset.Name, got.dsts)
+			}
+			want := frames[preset.Name]
+			if want == nil {
+				frames[preset.Name] = got.data
+				continue
+			}
+			for j := range want {
+				if !bytes.Equal(want[j], got.data[j]) {
+					t.Fatalf("repetition %d: %s frame to rank %d changed:\n%x\n%x", i, preset.Name, j+1, want[j], got.data[j])
+				}
+			}
 		}
 	}
 }

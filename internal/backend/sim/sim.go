@@ -503,8 +503,8 @@ func (p *Proc) broadcast(dests map[int]core.Delivery) {
 // each child delivers its own part and forwards further. Like
 // point-to-point transfers, hops of a rendezvous-sized value are costed
 // one-sided: bandwidth and an extra latency but no serialization copies
-// (the paper's RMA hardware; the engine forwards serialized chunks over
-// its byte-stream fabric — the one known model/engine gap, DESIGN.md §7).
+// (the paper's RMA hardware; the engine runs no tree, and pushes each
+// destination its own copy — DESIGN.md §7).
 func (p *Proc) forwardBcast(pl core.BcastPlan, dests map[int]core.Delivery, total int, isRoot bool) {
 	m := p.rt.cfg.Machine
 	fl := p.rt.cfg.Flavor

@@ -375,90 +375,6 @@ func TestGatherDecodeChecksWireLengths(t *testing.T) {
 	}
 }
 
-// TestBcastChunkChecksWireLengths feeds the tree-broadcast receiver packets
-// whose counts, geometry or chunk index the sender could not have written.
-// Each must panic naming kBcastChunk and the broadcast, without sizing an
-// allocation beyond the packet from the bad field.
-func TestBcastChunkChecksWireLengths(t *testing.T) {
-	rt := backend.New(1, withWorkers(backend.PaRSEC(), 1))
-	defer rt.Shutdown()
-	p := rt.Proc(0)
-
-	// chunk0 frames a plan rooted at rank 0 (so there are no children to
-	// relay to), with no recipients and a 2-byte piece.
-	chunk0 := func(bid uint64, orderLen, recipients, total, chunk uint64) []byte {
-		b := serde.NewBuffer(64)
-		b.PutU32(0)
-		b.PutU64(bid)
-		b.PutUvarint(0)
-		b.PutUvarint(orderLen)
-		b.PutVarint(0)
-		b.PutUvarint(recipients)
-		b.PutUvarint(total)
-		b.PutUvarint(chunk)
-		b.PutBytes([]byte{1, 2})
-		return b.Bytes()
-	}
-	later := func(bid, idx uint64, piece []byte) []byte {
-		b := serde.NewBuffer(64)
-		b.PutU32(0)
-		b.PutU64(bid)
-		b.PutUvarint(idx)
-		b.PutBytes(piece)
-		return b.Bytes()
-	}
-	for i, bad := range []struct {
-		name string
-		// setup is accepted; pkt must be refused.
-		setup, pkt func(bid uint64) []byte
-	}{
-		{"plan count past the packet", nil,
-			func(bid uint64) []byte { return chunk0(bid, 1<<62, 0, 4, 2) }},
-		{"recipient count past the packet", nil,
-			func(bid uint64) []byte { return chunk0(bid, 1, 1<<62, 4, 2) }},
-		{"chunk size 0", nil,
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 4, 0) }},
-		{"negative total", nil,
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 1<<63, 2) }},
-		{"chunk index past the geometry",
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 4, 2) },
-			func(bid uint64) []byte { return later(bid, 2, []byte{3, 4}) }},
-		{"piece longer than a chunk",
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 4, 2) },
-			func(bid uint64) []byte { return later(bid, 1, []byte{3, 4, 5}) }},
-		{"empty payload", nil,
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 0, 2) }},
-		{"chunk 0 short of its chunk", nil,
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 6, 3) }},
-		{"chunk 0 alone short of the payload", nil,
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 3, 4) }},
-		{"chunk out of order",
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 6, 2) },
-			func(bid uint64) []byte { return later(bid, 2, []byte{5, 6}) }},
-		{"middle chunk short",
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 6, 2) },
-			func(bid uint64) []byte { return later(bid, 1, []byte{3}) }},
-		{"last chunk short of the payload",
-			func(bid uint64) []byte { return chunk0(bid, 1, 0, 4, 2) },
-			func(bid uint64) []byte { return later(bid, 1, []byte{3}) }},
-	} {
-		bid := uint64(100 + i)
-		if bad.setup != nil {
-			backend.HandleBcastChunk(p, bad.setup(bid))
-		}
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !contains(msg, "kBcastChunk") || !contains(msg, fmt.Sprintf("broadcast %d", bid)) {
-					t.Errorf("%s: recovered %q, want a panic naming kBcastChunk and broadcast %d", bad.name, msg, bid)
-				}
-			}()
-			backend.HandleBcastChunk(p, bad.pkt(bid))
-			t.Errorf("%s: accepted", bad.name)
-		}()
-	}
-}
-
 // TestGatherAblationSwitch pins the per-runtime knob: a negative gather
 // threshold, or one above the payload, forces every data send back onto
 // the copy-encode path, with identical results.

@@ -12,8 +12,8 @@ import (
 // rank boundary: PlanSend and PlanBcast decide, the engine (backend)
 // executes the plan, the simulator (backend/sim) charges it.
 // backend.Options and cluster.Flavor both embed it and each preset is
-// written once (the engine's is the flavor's with SplitMD cleared), so
-// engine and cost model cannot drift apart.
+// written once (the engine's is the flavor's with SplitMD and
+// TreeBroadcast cleared), so engine and cost model cannot drift apart.
 type SendCaps struct {
 	// TracksData: the runtime owns data lifetimes, so const-ref sends
 	// avoid copies (PaRSEC-model: true, MADNESS-model: false).
@@ -25,7 +25,10 @@ type SendCaps struct {
 	// fetch remote memory.
 	SplitMD bool
 	// TreeBroadcast forwards multi-rank broadcasts along a binomial tree
-	// instead of point-to-point sends from the root.
+	// instead of point-to-point sends from the root. Like SplitMD it is a
+	// property of the model: true on the simulator's PaRSEC and MPI
+	// flavors, refused by backend.New, which sends each destination its
+	// own push.
 	TreeBroadcast bool
 	// EagerThreshold is the tagged wire size (bytes) from which splitmd is
 	// preferred over the eager paths. Zero means 4 KiB.
@@ -35,12 +38,6 @@ type SendCaps struct {
 	// instead of being copy-encoded. Zero means serde.GatherThreshold
 	// (1 KiB); negative disables gather sends on this runtime.
 	GatherThreshold int
-	// BcastChunk is the pipelined-broadcast chunk size: a tree broadcast
-	// whose serialized value exceeds it is streamed in BcastChunk-byte
-	// pieces, so relays forward chunk k while chunk k+1 is still in
-	// flight. Zero means 128 KiB; negative means one chunk (store and
-	// forward of the whole value at each hop).
-	BcastChunk int
 }
 
 // orDefault resolves a threshold whose zero value means def.
@@ -53,15 +50,6 @@ func orDefault(v, def int) int {
 
 // Eager returns the effective splitmd switch-over size.
 func (c SendCaps) Eager() int { return orDefault(max(c.EagerThreshold, 0), 4096) }
-
-// Chunks cuts n serialized value bytes into count broadcast packets per
-// tree edge of size bytes each (the last may be shorter).
-func (c SendCaps) Chunks(n int) (count, size int) {
-	if size = orDefault(c.BcastChunk, 128<<10); size < 0 || n <= size {
-		return 1, n
-	}
-	return (n + size - 1) / size, size
-}
 
 // Proto names the wire protocol of one point-to-point delivery.
 type Proto uint8
@@ -134,8 +122,6 @@ type BcastPlan struct {
 	// Value is the point-to-point plan of the value: its codec and size,
 	// and (Proto == ProtoSplit) whether it is rendezvous-sized.
 	Value SendPlan
-	// Chunks is the number of packets the value takes per tree edge.
-	Chunks int
 }
 
 // PlanBcast plans the emission of dests (one value, per-rank targets) from
@@ -151,6 +137,5 @@ func PlanBcast(self int, dests map[int]Delivery, caps SendCaps) BcastPlan {
 	}
 	pl.Order = collective.Order(self, pl.Ranks)
 	pl.Value = PlanSend(dests[pl.Ranks[0]], caps)
-	pl.Chunks, _ = caps.Chunks(pl.Value.ValueBytes)
 	return pl
 }

@@ -70,7 +70,6 @@ func TestPlanSendLadder(t *testing.T) {
 			TreeBroadcast:   rng.Intn(2) == 0,
 			EagerThreshold:  []int{0, 0, 2048, 4096, 8192}[rng.Intn(5)],
 			GatherThreshold: []int{0, 0, -1, 512, 1024, 2048}[rng.Intn(6)],
-			BcastChunk:      []int{0, -1, 4096}[rng.Intn(3)],
 		}
 		eager, floor := caps.EagerThreshold, caps.GatherThreshold
 		if eager == 0 {
@@ -142,27 +141,23 @@ func TestPlanSendLadder(t *testing.T) {
 }
 
 // TestPlanBcast pins the broadcast twin: destinations always come back in
-// ascending rank order, a tree is planned only for a tree-capable runtime
-// and two or more ranks, and the chunk count follows SendCaps.Chunks.
+// ascending rank order, and a tree — with the value's point-to-point plan —
+// is planned only for a tree-capable runtime and two or more ranks.
 func TestPlanBcast(t *testing.T) {
 	v := make([]float64, 5000) // ≈ 40 KB tagged
 	dests := map[int]Delivery{}
 	for _, r := range []int{3, 1, 2} {
 		dests[r] = Delivery{Value: v, Targets: []TermTarget{{TT: 1, Keys: []Key{KeyOf(serde.Int1{r})}}}}
 	}
-	tree := SendCaps{TreeBroadcast: true, BcastChunk: 4096}
+	tree := SendCaps{TreeBroadcast: true}
 	for i := 0; i < 20; i++ {
 		pl := PlanBcast(0, dests, tree)
 		if !slices.Equal(pl.Ranks, []int{1, 2, 3}) || !slices.Equal(pl.Order, []int{0, 1, 2, 3}) {
 			t.Fatalf("ranks %v order %v, want ascending", pl.Ranks, pl.Order)
 		}
-		if want := (pl.Value.ValueBytes + 4095) / 4096; pl.Chunks != want {
-			t.Fatalf("chunks %d, want %d for a %d-byte value", pl.Chunks, want, pl.Value.ValueBytes)
+		if pl.Value.Codec == nil || pl.Value.ValueBytes < 8*len(v) {
+			t.Fatalf("tree value plan %+v, want the %d-float value's codec and size", pl.Value, len(v))
 		}
-	}
-	tree.BcastChunk = -1
-	if pl := PlanBcast(0, dests, tree); pl.Chunks != 1 {
-		t.Fatalf("BcastChunk<0 planned %d chunks, want 1", pl.Chunks)
 	}
 	if pl := PlanBcast(0, dests, SendCaps{}); pl.Order != nil || !slices.Equal(pl.Ranks, []int{1, 2, 3}) {
 		t.Fatalf("no tree capability: %+v", pl)

@@ -7,8 +7,10 @@
 // in expAVX512, one element's whole computation); the reduction tree is
 // the reference's. Callers guarantee every pointer and count
 // (checkShapes), so nothing here is bounds-checked. Every inner loop head
-// is PCALIGN $32 ($64 in the AVX-512F kernels), so kernel speed does not
-// move when unrelated text is added or removed.
+// is PCALIGN $64, and the linker raises a TEXT symbol's alignment to its
+// largest PCALIGN, so every kernel starts at 0 mod 64 whatever links
+// before it, and kernel speed does not move when unrelated text is added
+// or removed (scripts/asm_align.sh checks the placement).
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), $0-24
@@ -65,7 +67,7 @@ block:
 	TESTQ R13, R13
 	JZ reduce
 
-	PCALIGN $32
+	PCALIGN $64
 loop:
 	VMOVUPD (AX), Y8
 	VMOVUPD (AX)(R9*1), Y9
@@ -199,7 +201,7 @@ minpchunk8:
 	MOVQ DX, BX            // row p of b, this chunk's columns
 	MOVQ R8, CX
 
-	PCALIGN $32
+	PCALIGN $64
 minpp8:
 	VMOVSD (AX), X8
 	VUCOMISD X14, X8
@@ -233,7 +235,7 @@ minpchunk1:
 	MOVQ DX, BX
 	MOVQ R8, CX
 
-	PCALIGN $32
+	PCALIGN $64
 minpp1:
 	VMOVSD (AX), X8
 	VUCOMISD X14, X8
@@ -282,7 +284,7 @@ trsmcol:
 	NEGQ R10               // k-j, from -j up to 0
 	JZ trsmdiv
 
-	PCALIGN $32
+	PCALIGN $64
 trsmk:
 	VBROADCASTSD (BX)(R10*8), Y8
 	VMOVUPD (AX), Y9
@@ -392,7 +394,7 @@ mulblock:
 	LEAQ (DX)(R9*1), BX    // row p of b, this block's columns
 	MOVQ k+32(FP), CX
 
-	PCALIGN $32
+	PCALIGN $64
 mulp:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
@@ -452,7 +454,7 @@ muladdblock:
 	LEAQ (DX)(R9*1), BX    // row p of b, this block's columns
 	MOVQ k+32(FP), CX
 
-	PCALIGN $32
+	PCALIGN $64
 muladdp:
 	CMPQ (AX)(R8*1), $0
 	JNE muladdmarked
@@ -515,7 +517,7 @@ TEXT ·minPlusAVX2(SB), $0-32
 	TESTQ BX, BX
 	JZ minplus1
 
-	PCALIGN $32
+	PCALIGN $64
 minplus4:
 	VADDPD (SI), Y0, Y1
 	VADDPD 32(SI), Y0, Y2

@@ -60,7 +60,6 @@ type Report struct {
 		Enqueued, Delivered int64
 		BytesOut            int64
 		Sends, Bcasts       int64
-		Forwards            int64
 	}
 	Matches   int64
 	Folds     int64
@@ -90,7 +89,14 @@ func Analyze(events []Event) *Report {
 		key  string
 	}
 	activated := map[taskKey]int64{}
-	profiles := map[string]*TemplateProfile{}
+	// Each template's latency, and the match delay, are observed into one
+	// histogram and snapshotted once, after the walk.
+	type template struct {
+		TemplateProfile
+		lat Histogram
+	}
+	profiles := map[string]*template{}
+	var match Histogram
 	backlog := map[int]int64{}
 	var spans []execSpan
 
@@ -121,14 +127,14 @@ func Analyze(events []Event) *Report {
 		case EvExecStart:
 			tk := taskKey{ev.TT, ev.Rank, ev.Key}
 			if at, ok := activated[tk]; ok {
-				rep.MatchHist = mergeHists(rep.MatchHist, singleObs(ev.TS-at))
+				match.Observe(ev.TS - at)
 				delete(activated, tk)
 				backlog[r]--
 			}
 		case EvExecEnd:
 			p := profiles[ev.Name]
 			if p == nil {
-				p = &TemplateProfile{Name: ev.Name, MinNs: ev.Dur}
+				p = &template{TemplateProfile: TemplateProfile{Name: ev.Name, MinNs: ev.Dur}}
 				profiles[ev.Name] = p
 			}
 			p.Tasks++
@@ -139,14 +145,12 @@ func Analyze(events []Event) *Report {
 			if ev.Dur > p.MaxNs {
 				p.MaxNs = ev.Dur
 			}
-			p.Latency = mergeHists(p.Latency, singleObs(ev.Dur))
+			p.lat.Observe(ev.Dur)
 			spans = append(spans, execSpan{ev.Name, ev.Key, ev.Rank, ev.TS - ev.Dur, ev.TS})
 		case EvSend:
 			rep.Msgs.Sends++
 		case EvBroadcast:
 			rep.Msgs.Bcasts++
-		case EvBcastForward:
-			rep.Msgs.Forwards++
 		case EvSteal:
 			rep.Steals++
 		case EvFence:
@@ -154,21 +158,16 @@ func Analyze(events []Event) *Report {
 		}
 	}
 	rep.Ranks = len(rep.PeakBacklog)
+	rep.MatchHist = match.Snapshot()
 	for _, p := range profiles {
-		rep.Templates = append(rep.Templates, *p)
+		p.Latency = p.lat.Snapshot()
+		rep.Templates = append(rep.Templates, p.TemplateProfile)
 	}
 	sort.Slice(rep.Templates, func(i, j int) bool {
 		return rep.Templates[i].TotalNs > rep.Templates[j].TotalNs
 	})
 	rep.Crit = criticalPath(spans)
 	return rep
-}
-
-// singleObs builds a one-observation histogram snapshot for merging.
-func singleObs(v int64) HistSnapshot {
-	var h Histogram
-	h.Observe(v)
-	return h.Snapshot()
 }
 
 // execSpan is one task execution interval reconstructed from EvExecEnd.
@@ -295,9 +294,9 @@ func (r *Report) String() string {
 	if r.MatchHist.Count > 0 {
 		fmt.Fprintf(&b, "\nmatch→exec delay: %s\n", r.MatchHist)
 	}
-	fmt.Fprintf(&b, "\nmessages: enqueued=%d delivered=%d bytes-out=%s sends=%d bcasts=%d forwards=%d\n",
+	fmt.Fprintf(&b, "\nmessages: enqueued=%d delivered=%d bytes-out=%s sends=%d bcasts=%d\n",
 		r.Msgs.Enqueued, r.Msgs.Delivered, formatSI(r.Msgs.BytesOut),
-		r.Msgs.Sends, r.Msgs.Bcasts, r.Msgs.Forwards)
+		r.Msgs.Sends, r.Msgs.Bcasts)
 	fmt.Fprintf(&b, "matches=%d folds=%d steals=%d fences=%d\n",
 		r.Matches, r.Folds, r.Steals, r.Fences)
 	// Both sides of the hit ratio come from the counters: r.Steals counts

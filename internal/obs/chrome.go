@@ -107,8 +107,8 @@ func jsonString(s string) string {
 
 // ChromeJSONFromEvents converts an event stream (Session.Events) into a
 // Chrome trace: one process row per rank, one thread lane per worker, exec
-// spans from EvExecEnd records, instants for steals, fences, and broadcast
-// forwards, and cross-rank flow arrows from EvFlowEmit/EvFlowRecv pairs.
+// spans from EvExecEnd records, instants for steals and fences, and
+// cross-rank flow arrows from EvFlowEmit/EvFlowRecv pairs.
 // A flow id appears in the output only when both its emit and its recv
 // were recorded, so the trace never contains dangling flow starts or ends.
 // Message events are omitted to keep traces loadable; the analyzer reports
@@ -132,7 +132,7 @@ func ChromeJSONFromEvents(events []Event) string {
 				TS:   float64(ev.TS-ev.Dur) / 1e3,
 				Dur:  float64(ev.Dur) / 1e3,
 			})
-		case EvSteal, EvFence, EvBcastForward:
+		case EvSteal, EvFence:
 			instants = append(instants, ChromeInstant{
 				Name: ev.Kind.String(),
 				Pid:  int(ev.Rank),

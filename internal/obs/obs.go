@@ -58,8 +58,6 @@ const (
 	EvSend
 	// EvBroadcast: a task emitted one value to several ranks.
 	EvBroadcast
-	// EvBcastForward: this rank forwarded a tree broadcast to a child.
-	EvBcastForward
 	// EvSteal: an idle worker stole a task from a victim's deque
 	// (Bytes = victim worker index).
 	EvSteal
@@ -94,8 +92,6 @@ func (k EventKind) String() string {
 		return "send"
 	case EvBroadcast:
 		return "broadcast"
-	case EvBcastForward:
-		return "bcast-forward"
 	case EvSteal:
 		return "steal"
 	case EvFence:
@@ -149,8 +145,6 @@ const (
 	HistMatchDelay = "task.match_delay_ns"
 	// HistMsgBytes is the wire size of sent messages.
 	HistMsgBytes = "msg.bytes"
-	// HistBcastFanout is the participant count of tree broadcasts.
-	HistBcastFanout = "bcast.fanout"
 	// CounterSteals counts successful deque steals.
 	CounterSteals = "sched.steals"
 	// CounterStealAttempts counts steal sweeps started by out-of-work

@@ -1,10 +1,12 @@
 // One send plan, two executors: the engine (internal/backend) executes
 // core.PlanSend/PlanBcast and the simulator (internal/backend/sim) charges
 // them, so on the same graph both must count the same protocol decisions
-// and keep balanced byte ledgers. The one property they do not share is
-// SplitMD: the sim's Hawk/Seawulf flavors model one-sided fetches, the
+// and keep balanced byte ledgers. Two properties they do not share:
+// SplitMD — the sim's Hawk/Seawulf flavors model one-sided fetches, the
 // engine's fabrics have none, so what the sim charges as a rendezvous the
-// engine pushes as a gather message.
+// engine pushes as a gather message — and TreeBroadcast, which the sim's
+// PaRSEC flavor models and the engine, sending each destination its own
+// push, leaves off.
 package repro
 
 import (
@@ -17,7 +19,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/backend/sim"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/tile"
 	"repro/internal/trace"
 	"repro/ttg"
@@ -26,16 +27,18 @@ import (
 // TestSendPlanAgreement runs 8x8-tile Cholesky and FW-APSP graphs with
 // phantom tiles on the simulator and real tiles on the engine, under both
 // presets, at tile sizes straddling the gather floor (nb 11|12) and the
-// sim's splitmd threshold (nb 22|23), on 2 and 4 ranks. The copy counters
-// must be equal, the engine's gather count must equal the sim's gather
-// plus splitmd counts with nothing sent by rendezvous, both ledgers must
-// balance after the fence, and the sim's byte total must sit within 3% of
-// the engine's. What remains of
-// the gap is the tile codec's WireSize allowance (16 B declared for a shape
-// that encodes in 3: 13 B per message, 2.4% of a 535 B nb=8 message), the
-// 64 B splitmd metadata allowance (the gather header the engine sends in
-// its place is ≈ 19 B) and, the other way, the gather header's framing
-// and the broadcast preamble.
+// sim's splitmd threshold (nb 22|23), on 2 and 4 ranks. The sim runs with
+// the engine's TreeBroadcast, so both send point to point: the message and
+// copy counts must be equal, the engine's gather count must equal the
+// sim's gather plus splitmd counts with nothing sent by rendezvous, both
+// ledgers must balance after the fence, and the sim's byte total must sit
+// within 3% of the engine's. What remains of the gap is the tile codec's
+// WireSize allowance (16 B declared for a shape that encodes in 3: 13 B
+// per message, 2.4% of a 535 B nb=8 message), the 64 B splitmd metadata
+// allowance (the gather header the engine sends in its place is ≈ 19 B)
+// and, the other way, the gather header's framing. On 4 ranks the sim also
+// runs its own flavor, the PaRSEC one with its broadcast tree, and that
+// ledger must balance too.
 func TestSendPlanAgreement(t *testing.T) {
 	type app struct {
 		name  string
@@ -58,39 +61,39 @@ func TestSendPlanAgreement(t *testing.T) {
 		app   app
 		ranks int
 		nbs   []int
-		chunk int // BcastChunk override
 	}{
-		{potrf, 2, []int{8, 11, 12, 16, 22, 23, 64}, 0},
-		{potrf, 4, []int{8, 11, 12, 16, 22, 23, 64}, 0},
-		{potrf, 4, []int{64}, 4096}, // 32 KiB tiles in pipelined chunks
-		{fwapsp, 2, []int{11, 32}, 0},
-		{fwapsp, 4, []int{11, 32}, 0},
+		{potrf, 2, []int{8, 11, 12, 16, 22, 23, 64}},
+		{potrf, 4, []int{8, 11, 12, 16, 22, 23, 64}},
+		{fwapsp, 2, []int{11, 32}},
+		{fwapsp, 4, []int{11, 32}},
 	} {
 		for _, nb := range tc.nbs {
 			for _, pre := range presets {
-				name := fmt.Sprintf("%s/%s/ranks=%d/nb=%d/chunk=%d", tc.app.name, pre.engine.Name, tc.ranks, nb, tc.chunk)
+				// The chunk=0 suffix is what the runs were named when the
+				// engine had a broadcast chunk size; it keeps their ids.
+				name := fmt.Sprintf("%s/%s/ranks=%d/nb=%d/chunk=0", tc.app.name, pre.engine.Name, tc.ranks, nb)
 				t.Run(name, func(t *testing.T) {
 					grid := tile.Grid{N: 8 * nb, NB: nb}
-					caps := pre.engine.SendCaps
-					caps.BcastChunk = tc.chunk
-
-					fl := pre.flavor
-					fl.BcastChunk = tc.chunk
-					var model trace.Snapshot
 					var mu sync.Mutex
-					sim.New(sim.Config{Ranks: tc.ranks, WorkersPerRank: 1, Machine: cluster.Hawk(), Flavor: fl}).Run(func(p *sim.Proc) {
-						g := ttg.NewGraphOn(p)
-						seed := tc.app.build(g, grid, true)
-						g.MakeExecutable()
-						seed()
-						g.Fence()
-						mu.Lock()
-						model = model.Add(p.Tracer().Snapshot())
-						mu.Unlock()
-					})
+					simulate := func(fl cluster.Flavor) (model trace.Snapshot) {
+						sim.New(sim.Config{Ranks: tc.ranks, WorkersPerRank: 1, Machine: cluster.Hawk(), Flavor: fl}).Run(func(p *sim.Proc) {
+							g := ttg.NewGraphOn(p)
+							seed := tc.app.build(g, grid, true)
+							g.MakeExecutable()
+							seed()
+							g.Fence()
+							mu.Lock()
+							model = model.Add(p.Tracer().Snapshot())
+							mu.Unlock()
+						})
+						return model
+					}
+					fl := pre.flavor
+					fl.TreeBroadcast = pre.engine.TreeBroadcast
+					model := simulate(fl)
 
 					o := pre.engine
-					o.SendCaps, o.WorkersPerRank = caps, 1
+					o.WorkersPerRank = 1
 					var engine trace.Snapshot
 					backend.New(tc.ranks, o).Run(func(p *backend.Proc) {
 						g := ttg.NewGraphOn(p)
@@ -103,32 +106,22 @@ func TestSendPlanAgreement(t *testing.T) {
 						mu.Unlock()
 					})
 
-					for _, s := range []struct {
-						who string
-						trace.Snapshot
-					}{{"sim", model}, {"engine", engine}} {
+					balanced := func(who string, s trace.Snapshot) {
 						if s.MsgsSent != s.MsgsReceived || s.BytesSent != s.BytesReceived {
 							t.Errorf("%s ledger unbalanced: msgs %d sent / %d received, bytes %d sent / %d received",
-								s.who, s.MsgsSent, s.MsgsReceived, s.BytesSent, s.BytesReceived)
+								who, s.MsgsSent, s.MsgsReceived, s.BytesSent, s.BytesReceived)
 						}
 					}
+					balanced("sim", model)
+					balanced("engine", engine)
 					if engine.SplitMDTransfers != 0 || model.SplitMDTransfers+model.GatherSends != engine.GatherSends ||
-						model.CopySends != engine.CopySends {
-						t.Errorf("protocol counters: sim split=%d gather=%d copy=%d, engine split=%d gather=%d copy=%d; want engine split=0, gather = sim split+gather, copy equal",
-							model.SplitMDTransfers, model.GatherSends, model.CopySends,
-							engine.SplitMDTransfers, engine.GatherSends, engine.CopySends)
+						model.CopySends != engine.CopySends || model.MsgsSent != engine.MsgsSent {
+						t.Errorf("protocol counters: sim msgs=%d split=%d gather=%d copy=%d, engine msgs=%d split=%d gather=%d copy=%d; want engine split=0, gather = sim split+gather, msgs and copy equal",
+							model.MsgsSent, model.SplitMDTransfers, model.GatherSends, model.CopySends,
+							engine.MsgsSent, engine.SplitMDTransfers, engine.GatherSends, engine.CopySends)
 					}
-					// What is left of MsgsSent are tree-broadcast packets: one
-					// per tree edge on the sim, PlanBcast.Chunks on the engine.
-					sample := core.Delivery{Value: tile.Phantom(nb, nb)}
-					chunks := int64(core.PlanBcast(0, map[int]core.Delivery{1: sample, 2: sample},
-						core.SendCaps{TreeBroadcast: true, BcastChunk: tc.chunk}).Chunks)
-					p2p := func(s trace.Snapshot) int64 { return s.SplitMDTransfers + s.GatherSends + s.CopySends }
-					if edges := model.MsgsSent - p2p(model); engine.MsgsSent-p2p(engine) != chunks*edges {
-						t.Errorf("MsgsSent: sim %d (%d tree edges), engine %d, want %d packets per edge",
-							model.MsgsSent, edges, engine.MsgsSent, chunks)
-					} else if tc.chunk > 0 && pre.engine.TreeBroadcast && (chunks < 2 || edges == 0) {
-						t.Errorf("chunked case never chunked: %d chunks on %d tree edges", chunks, edges)
+					if tc.ranks == 4 {
+						balanced("sim under its own flavor", simulate(pre.flavor))
 					}
 					gap := float64(model.BytesSent-engine.BytesSent) / float64(engine.BytesSent)
 					if gap < -0.03 || gap > 0.03 {
