@@ -31,6 +31,7 @@ package mra
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/lapack"
@@ -209,7 +210,7 @@ func (b *Basis) projectInto(w *workspace, out []float64, f Func, n int, l []int)
 	}
 	f(w.tmp, w.axes)
 	// Contract each mode with phiW, then apply the volume factor 2^{-nd/2}.
-	b.transform(w, out, w.tmp, [2]mat{b.phiW, b.phiW}, 0)
+	b.transform(w, out, w.tmp, [2]mat{b.phiW, b.phiW}, 0, 0)
 	vol := math.Exp2(-float64(n) * float64(b.D) / 2)
 	for i := range out {
 		out[i] *= vol
@@ -237,12 +238,17 @@ func (b *Basis) contractInto(out, t []float64, M mat, m int) {
 	}
 }
 
-// transform contracts every mode of src and leaves the result in dst: mode
-// m takes M[1] when child index c has bit d-1-m set, M[0] otherwise.
-// Intermediates alternate between the workspace's ping-pong pair, which
-// therefore may hold neither src nor dst.
-func (b *Basis) transform(w *workspace, dst, src []float64, M [2]mat, c int) {
-	for m := 0; m < b.D; m++ {
+// transform contracts every mode of src from mode from on and leaves the
+// result in dst: mode m takes M[1] when child index c has bit d-1-m set,
+// M[0] otherwise. Intermediates alternate between the workspace's
+// ping-pong pair, which therefore may hold neither src nor dst. The modes
+// before from are not contracted again: their result is read from the
+// pair, where an earlier transform of the same src left it.
+func (b *Basis) transform(w *workspace, dst, src []float64, M [2]mat, c, from int) {
+	if from > 0 {
+		src = w.pp[(from-1)&1]
+	}
+	for m := from; m < b.D; m++ {
 		out := w.pp[m&1]
 		if m == b.D-1 {
 			out = dst
@@ -250,6 +256,18 @@ func (b *Basis) transform(w *workspace, dst, src []float64, M [2]mat, c int) {
 		b.contractInto(out, src, M[childBit(c, b.D-1-m)], m)
 		src = out
 	}
+}
+
+// prolongInto leaves child c's prolongation of sp, as Prolong computes
+// it, in dst, which must not be in the ping-pong pair. It is for the
+// children of one parent taken in ascending order, c = 0, 1, …, 2^d−1,
+// with nothing else using w in between. Mode m's partial product depends
+// only on c's top m+1 bits, which change from c−1's only when c's low
+// d−1−m bits are all zero: only then is it recomputed, and otherwise read
+// where the call for c−1 left it. At d = 3 that is 2 + 4 + 8 = 14
+// contractions per parent instead of 24, with the same bits.
+func (b *Basis) prolongInto(w *workspace, dst, sp []float64, c int) {
+	b.transform(w, dst, sp, b.hT, c, max(0, b.D-1-bits.TrailingZeros(uint(c))))
 }
 
 // childBit extracts bit m of child index c.
@@ -276,7 +294,7 @@ func (b *Basis) filterInto(w *workspace, out []float64, children [][]float64) {
 		if sc == nil {
 			continue
 		}
-		b.transform(w, w.tmp, sc, b.h, c)
+		b.transform(w, w.tmp, sc, b.h, c, 0)
 		for i, v := range w.tmp {
 			out[i] += v
 		}
@@ -289,7 +307,7 @@ func (b *Basis) Prolong(sp []float64, c int) []float64 {
 	w := b.borrow()
 	defer b.scratch.Put(w)
 	out := make([]float64, b.Coeffs())
-	b.transform(w, out, sp, b.hT, c)
+	b.transform(w, out, sp, b.hT, c, 0)
 	return out
 }
 
@@ -305,14 +323,15 @@ func (b *Basis) Residual(children [][]float64, sp []float64) []float64 {
 }
 
 // residualInto returns Norm2 of Residual(children, sp), summed in that
-// order, and also stores the residual in out unless out is nil.
+// order, and also stores the residual in out unless out is nil. The
+// children's prolongations share their prefixes (prolongInto).
 func (b *Basis) residualInto(w *workspace, out []float64, children [][]float64, sp []float64) (norm2 float64) {
 	for c, sc := range children {
 		r := w.tmp
 		if out != nil {
 			r = out[c*len(sp):][:len(sp)]
 		}
-		b.transform(w, r, sp, b.hT, c)
+		b.prolongInto(w, r, sp, c)
 		for i, p := range r {
 			if sc != nil {
 				r[i] = sc[i] - p
@@ -354,9 +373,11 @@ func (b *Basis) compressNode(w *workspace, children [][]float64) (sp, d []float6
 // reconstructInto is Reconstruct's computation for child c, into sc: the
 // prolonged parent plus the child's slice of the wavelet block d. An
 // interior child's sc is the fresh block it is sent in; a leaf's only
-// feeds the norm, never leaves the task, and is the workspace's tmp.
+// feeds the norm, never leaves the task, and is the workspace's tmp. The
+// prolongation is prolongInto's, so one parent's children must come in
+// ascending order, as Reconstruct's loop takes them.
 func (b *Basis) reconstructInto(w *workspace, sc, sp, d []float64, c int) {
-	b.transform(w, sc, sp, b.hT, c)
+	b.prolongInto(w, sc, sp, c)
 	for i, v := range d[c*len(sp):][:len(sp)] {
 		sc[i] += v
 	}
@@ -375,8 +396,10 @@ func Norm2(v []float64) float64 {
 // mode's k differences once, in place in axes, and sums the grid's r² in
 // the order of a point-by-point loop, ((0 + d0²) + d1²) + d2²: each mode
 // expands the partial sums of the modes before it k-fold, from the back,
-// so a sum is read before its slot is overwritten. Then one lapack.Exp
-// call takes the whole grid of −a·r², so every tier gives the same bits.
+// so a sum is read before its slot is overwritten. The last mode's
+// expansion is lapack.ScaleOuterSum, which also takes the product −a·r²,
+// and one lapack.Exp call then takes the whole grid, so every tier gives
+// the same bits.
 func Gaussian(a float64, center []float64) Func {
 	return func(out []float64, axes [][]float64) {
 		out[0] = 0
@@ -386,19 +409,19 @@ func Gaussian(a float64, center []float64) Func {
 				d := x - center[m]
 				ax[i] = float64(d * d)
 			}
-			for p := n - 1; p >= 0; p-- {
-				r2 := out[p]
-				for i, d2 := range ax {
-					out[p*len(ax)+i] = r2 + d2
+			if m == len(axes)-1 {
+				lapack.ScaleOuterSum(out, n, ax, -a)
+			} else {
+				for p := n - 1; p >= 0; p-- {
+					r2 := out[p]
+					for i, d2 := range ax {
+						out[p*len(ax)+i] = r2 + d2
+					}
 				}
 			}
 			n *= len(ax)
 		}
-		out = out[:n]
-		for q, r2 := range out {
-			out[q] = -a * r2
-		}
-		lapack.Exp(out, out)
+		lapack.Exp(out[:n], out[:n])
 	}
 }
 

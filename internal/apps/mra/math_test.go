@@ -529,6 +529,41 @@ func TestGaussianGridMatchesPointwise(t *testing.T) {
 	}
 }
 
+// TestGaussianSpecialsMatchPointwise: a NaN, an infinity of either sign,
+// −0 or a subnormal in the centre, on an axis or as a gives the grid
+// Gaussian, whose last mode is lapack.ScaleOuterSum, the bits of the
+// point-by-point form. Every NaN the sums and products meet is x86's
+// default one (a's NaN is its negation), so no two payloads meet.
+func TestGaussianSpecialsMatchPointwise(t *testing.T) {
+	nan := math.Float64frombits(0xfff8000000000000)
+	specials := []float64{nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324}
+	aSpecials := []float64{-nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324}
+	const k = 8
+	for d := 1; d <= 3; d++ {
+		b := NewBasis(k, d)
+		l := []int{1, 2, 1}[:d]
+		check := func(what string, a float64, center []float64, plant func(axes [][]float64)) {
+			got, want := make([]float64, b.Coeffs()), make([]float64, b.Coeffs())
+			gotAxes, wantAxes := b.gridAxes(2, l), b.gridAxes(2, l)
+			plant(gotAxes)
+			plant(wantAxes)
+			Gaussian(a, center)(got, gotAxes)
+			pointwise(gaussPoint(a, center))(want, wantAxes)
+			sameBits(t, fmt.Sprintf("d=%d: %s", d, what), got, want)
+		}
+		center := []float64{0.41, 0.57, 0.33}[:d]
+		for i, v := range specials {
+			for m := 0; m < d; m++ {
+				c := slices.Clone(center)
+				c[m] = v
+				check(fmt.Sprintf("centre[%d] = %v", m, v), 600, c, func([][]float64) {})
+				check(fmt.Sprintf("axis %d point 5 = %v", m, v), 600, center, func(axes [][]float64) { axes[m][5] = v })
+			}
+			check(fmt.Sprintf("a = %v", aSpecials[i]), aSpecials[i], center, func([][]float64) {})
+		}
+	}
+}
+
 // TestProjectNodePinned pins the bits of one of mra_stream's Project
 // bodies (k = 8, d = 3): a sha256 of the parent coefficients sp and of
 // err2, which decides whether the box refines. Exp gives the same bits on
@@ -545,6 +580,56 @@ func TestProjectNodePinned(t *testing.T) {
 	const want = "ba3d1d1a21ded43b719df237d4f5ecfc5fe389da07437c2b4f182e2b09c2878c"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("projectNode digest %s, want %s (err2 = %v)", got, want, err2)
+	}
+}
+
+// TestSharedProlongationMatchesUnshared: Residual, the residual norm,
+// compressNode's wavelet block and Reconstruct's children, whose
+// prolongations share their prefixes across one parent's children
+// (prolongInto), give the bits of each child's prolongation computed
+// whole by transform on a workspace of its own, at d = 1, 2, 3 and k = 6
+// and 8. A prefix kept across a changed bit of c has been contracted with
+// the other filter, which changes the child's block.
+func TestSharedProlongationMatchesUnshared(t *testing.T) {
+	for _, k := range []int{6, 8} {
+		for d := 1; d <= 3; d++ {
+			b := NewBasis(k, d)
+			nc, n := b.Children(), b.Coeffs()
+			what := fmt.Sprintf("k=%d d=%d", k, d)
+			rng := rand.New(rand.NewSource(int64(10*k + d)))
+			children := make([][]float64, nc)
+			for c := range children {
+				children[c] = make([]float64, n)
+				for i := range children[c] {
+					children[c][i] = rng.NormFloat64()
+				}
+			}
+			sp := b.Filter(children)
+			prolonged, want := make([][]float64, nc), make([]float64, nc*n)
+			u := b.scratch.New().(*workspace)
+			for c := range prolonged {
+				prolonged[c] = make([]float64, n)
+				b.transform(u, prolonged[c], sp, b.hT, c, 0)
+				for i, p := range prolonged[c] {
+					want[c*n+i] = children[c][i] - p
+				}
+			}
+			sameBits(t, what+": Residual", b.Residual(children, sp), want)
+			w := b.borrow()
+			sameBits(t, what+": residual norm", []float64{b.residualInto(w, nil, children, sp)}, []float64{Norm2(want)})
+			cSp, cD := b.compressNode(w, children)
+			sameBits(t, what+": compressNode sp", cSp, sp)
+			sameBits(t, what+": compressNode D", cD, want)
+			for c := range nc {
+				sc := make([]float64, n)
+				b.reconstructInto(w, sc, sp, cD, c)
+				for i := range prolonged[c] {
+					prolonged[c][i] += cD[c*n+i]
+				}
+				sameBits(t, fmt.Sprintf("%s: Reconstruct child %d", what, c), sc, prolonged[c])
+			}
+			b.scratch.Put(w)
+		}
 	}
 }
 
@@ -566,8 +651,8 @@ func TestTaskBodiesDoNotAllocateScratch(t *testing.T) {
 	}{
 		{"Project (sp)", 1, func() { b.projectNode(w, f, 2, l) }},
 		{"Compress (sp, D)", 2, func() { b.compressNode(w, children) }},
-		{"Reconstruct interior child (sc)", 1, func() { b.reconstructInto(w, make([]float64, len(sp)), sp, d, 5) }},
-		{"Reconstruct leaf child (workspace)", 0, func() { b.reconstructInto(w, w.tmp, sp, d, 5) }},
+		{"Reconstruct interior child (sc)", 1, func() { b.reconstructInto(w, make([]float64, len(sp)), sp, d, 0) }},
+		{"Reconstruct leaf child (workspace)", 0, func() { b.reconstructInto(w, w.tmp, sp, d, 0) }},
 	} {
 		if got := testing.AllocsPerRun(20, tc.run); got != tc.want {
 			t.Errorf("%s: %v allocations per run, want %v", tc.name, got, tc.want)

@@ -260,7 +260,37 @@ var kernelCases = []kernelCase{
 		expInputs(x, rng, s)
 		return []operand{x}
 	}, func(o []operand) error { Exp(o[0].t.Data, o[0].t.Data); return nil }},
+	{"ScaleOuterSum", func(s kshape, rng *rand.Rand) []operand {
+		// m partial sums of r² at the front of an m×n grid whose other
+		// slots hold values the pass must overwrite, n squared distances,
+		// and the factor −a, each sprinkled with gridSpecials.
+		x, y, f := newOperand(s.m, s.n, s.off), newOperand(1, s.n, s.off), newOperand(1, 1, s.off)
+		fill(x, rng, s, nil)
+		special := func(v float64) float64 {
+			if s.sprinkle && rng.Intn(3) == 0 {
+				return gridSpecials[rng.Intn(len(gridSpecials))]
+			}
+			return v
+		}
+		for p := range min(s.m, len(x.t.Data)) {
+			x.t.Data[p] = special(rng.Float64())
+		}
+		for i := range y.t.Data {
+			y.t.Data[i] = special(rng.Float64() / 4)
+		}
+		f.t.Data[0] = special(-float64(rng.Intn(1e6)) / 1000)
+		return []operand{x, y, f}
+	}, func(o []operand) error {
+		ScaleOuterSum(o[0].t.Data, o[0].t.Rows, o[1].t.Data, o[2].t.Data[0])
+		return nil
+	}},
 }
+
+// gridSpecials are what ScaleOuterSum's sums and products must carry
+// through: the one NaN (where two meet, which the Go loop keeps is the
+// compiler's choice, as in specials), both infinities, whose sum is that
+// NaN and whose product with a zero is too, −0 and a subnormal.
+var gridSpecials = []float64{defaultNaN, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324}
 
 // expInputs fills an Exp operand, a third each: uniform over exp's finite
 // range and past both thresholds, random bit patterns (NaNs, infinities
@@ -595,6 +625,18 @@ func corpus() []kshape {
 			cs = append(cs, s, sp)
 		}
 	}
+	// Mul's 8×8 blocks followed by every kind of leftover: the m%8 rows
+	// (a quad for mulAVX2 and single rows, alone and together), the n%8
+	// edge columns, on one inner step, k below and at the block and past
+	// it. ScaleOuterSum meets every row count and k%8 tail of its own
+	// here.
+	for m := 4; m <= 15; m++ {
+		for n := 8; n <= 17; n++ {
+			for _, k := range []int{1, 6, 8, 10} {
+				cs = append(cs, kshape{m: m, n: n, k: k, off: (m + n) % 4, sprinkle: (m+n+k)%2 == 1})
+			}
+		}
+	}
 	p := bspmmPanels
 	for i := 0; i+2 < len(p); i += 2 {
 		cs = append(cs, kshape{m: p[i], n: p[i+1], k: p[i+2], off: i % 4, sprinkle: true})
@@ -638,9 +680,10 @@ func FuzzKernelsBitIdentical(f *testing.F) {
 
 // TestKernelsDoNotAllocate pins the reused scratch: once warm, the
 // kernels that pack operands on the AVX2 path (on the reference path
-// nothing is packed) allocate nothing. Mul, FWKernelD, GemmNT, Syrk and
-// Exp pack nothing and must keep it so: MRA calls Mul on operands built
-// on the caller's stack and Exp on every box it projects, FWKernelD is
+// nothing is packed) allocate nothing. Mul, FWKernelD, GemmNT, Syrk, Exp
+// and ScaleOuterSum pack nothing and must keep it so: MRA calls Mul on
+// operands built on the caller's stack and ScaleOuterSum and Exp on every
+// box it projects, FWKernelD is
 // most of fw_tcp's task bodies and GemmNT and Syrk most of the
 // Cholesky's.
 func TestKernelsDoNotAllocate(t *testing.T) {
@@ -683,6 +726,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		x := random(1, n).Data
 		return func() { Exp(x, x) }
 	}
+	x, y := random(64, 8).Data, random(1, 8).Data
 	for _, tc := range []struct {
 		name string
 		run  func()
@@ -699,6 +743,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"Syrk 38x14", syrk(38, 14)},
 		{"Exp 512", exp(512)},
 		{"Exp 13", exp(13)},
+		{"ScaleOuterSum 64x8", func() { ScaleOuterSum(x, 64, y, -1) }},
 	} {
 		tc.run()
 		if got := testing.AllocsPerRun(20, tc.run); got != 0 {

@@ -23,6 +23,33 @@ func Exp(dst, src []float64) {
 	}
 }
 
+// ScaleOuterSum expands x[:n] k-fold in place, k = len(y), and scales
+// it: x[p·k+i] = s·(x[p] + y[i]) for every p < n and i < k, the sum x[p]
+// first and the product s first. It is the last mode of MRA's Gaussian
+// grid, r² = (partial sum) + d², times −a, ready for Exp. The rows go
+// from p = n−1 down, so that x[p] is read before a row written after it
+// can cover it; x must hold n·k elements. With AVX-512F the whole pass
+// runs on scaleOuterSumAVX512, with the same bits.
+func ScaleOuterSum(x []float64, n int, y []float64, s float64) {
+	k := len(y)
+	if n < 0 || len(x) < n*k {
+		panic(fmt.Sprintf("lapack.ScaleOuterSum: x has %d elements, %d rows of %d need %d", len(x), n, k, n*k))
+	}
+	if n == 0 || k == 0 {
+		return
+	}
+	if useAVX512 {
+		scaleOuterSumAVX512(&x[0], &y[0], n, k, s)
+		return
+	}
+	for p := n - 1; p >= 0; p-- {
+		xp := x[p]
+		for i, v := range y {
+			x[p*k+i] = s * (xp + v)
+		}
+	}
+}
+
 // exp is the standard library's pure-Go exp and expmulti
 // ($GOROOT/src/math/exp.go, after FreeBSD's e_exp.c), with every product
 // written float64(x*y). math.Exp is assembly on amd64 and arm64, and the

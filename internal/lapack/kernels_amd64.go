@@ -33,6 +33,12 @@ func dotQuadAVX512(c *float64, ldc int, a, b *float64, k, nquad int)
 //go:noescape
 func expAVX512(dst, src *float64, nblk int)
 
+//go:noescape
+func mulAVX512(c, a, b *float64, m8, k, n int)
+
+//go:noescape
+func scaleOuterSumAVX512(x, y *float64, n, k int, s float64)
+
 // detect reports which micro-kernel tiers the CPU has and the OS
 // supports. avx2: the CPU has AVX2 and the OS saves the YMM registers
 // across context switches, XCR0 bits 1–2. avx512: AVX2, and the CPU has

@@ -922,3 +922,152 @@ exploop:
 	JNZ exploop
 	VZEROUPPER
 	RET
+
+// mulAVX512 keeps an 8×8 block of C in Z0..Z7, one row of the block per
+// register, while Z8 holds row p of b's eight columns. OCTROW is one step
+// p of one row: it broadcasts a[i][p] from a and adds its product into
+// acc, the product a[i][p] first and the add the running sum first, as
+// mulRows writes them (BLOCKROW's order).
+#define OCTROW(a, acc, t) \
+	VBROADCASTSD a, t \
+	VMULPD Z8, t, t \
+	VADDPD t, acc, acc
+
+// func mulAVX512(c, a, b *float64, m8, k, n int)
+//
+// Mul's whole 8×8 blocks, rows i < m8 (a multiple of 8) and columns
+// j < n&^7, with a, b and c row-major (strides k, n and n):
+//	c[i*n+j] = 0 + a[i*k]*b[j] + a[i*k+1]*b[n+j] + … + a[i*k+k-1]*b[(k-1)*n+j]
+// mulAVX2's block at full width: each of the block's 64 sums is one lane,
+// zeroed, then one chain in ascending p. Every term is added, zeros
+// included. Requires m8 >= 8, k >= 1, n >= 8.
+TEXT ·mulAVX512(SB), $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ m8+24(FP), R8
+	MOVQ n+40(FP), R10
+	MOVQ R10, R11
+	SHLQ $3, R11           // row stride of b and c in bytes
+	ANDQ $-8, R10
+	SHLQ $3, R10           // bytes of a row the blocks cover
+	MOVQ k+32(FP), R12
+	SHLQ $3, R12           // row stride of a in bytes
+	LEAQ (R12)(R12*2), R13 // three rows of a
+	SHRQ $3, R8            // row octets
+
+muloct:
+	XORQ R9, R9            // byte offset of the block in its rows
+muloctblock:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ SI, AX            // a[i][p]: rows 0..3 at AX + {0, R12, 2*R12, R13}
+	LEAQ (SI)(R12*4), R14  // and rows 4..7 at R14 + the same
+	LEAQ (DX)(R9*1), BX    // row p of b, this block's columns
+	MOVQ k+32(FP), CX
+
+	PCALIGN $64
+muloctp:
+	VMOVUPD (BX), Z8
+	OCTROW((AX), Z0, Z16)
+	OCTROW((AX)(R12*1), Z1, Z17)
+	OCTROW((AX)(R12*2), Z2, Z18)
+	OCTROW((AX)(R13*1), Z3, Z19)
+	OCTROW((R14), Z4, Z20)
+	OCTROW((R14)(R12*1), Z5, Z21)
+	OCTROW((R14)(R12*2), Z6, Z22)
+	OCTROW((R14)(R13*1), Z7, Z23)
+	ADDQ $8, AX
+	ADDQ $8, R14
+	ADDQ R11, BX
+	DECQ CX
+	JNZ muloctp
+
+	LEAQ (DI)(R9*1), BX    // the block's rows at BX + {0, R11, 2*R11, CX}
+	LEAQ (R11)(R11*2), CX
+	VMOVUPD Z0, (BX)
+	VMOVUPD Z1, (BX)(R11*1)
+	VMOVUPD Z2, (BX)(R11*2)
+	VMOVUPD Z3, (BX)(CX*1)
+	LEAQ (BX)(R11*4), BX
+	VMOVUPD Z4, (BX)
+	VMOVUPD Z5, (BX)(R11*1)
+	VMOVUPD Z6, (BX)(R11*2)
+	VMOVUPD Z7, (BX)(CX*1)
+	ADDQ $64, R9
+	CMPQ R9, R10
+	JLT muloctblock
+
+	LEAQ (DI)(R11*8), DI
+	LEAQ (SI)(R12*8), SI
+	DECQ R8
+	JNZ muloct
+	VZEROUPPER
+	RET
+
+// func scaleOuterSumAVX512(x, y *float64, n, k int, s float64)
+//
+// ScaleOuterSum's grid pass: x[p*k+i] = s·(x[p] + y[i]) for p < n and
+// i < k, p from n−1 down to 0, so that x[p] is read before any row
+// written after it can cover it. Row p's k results go as whole vectors of
+// eight and one vector of the k%8 rest under the lane mask K1, in which
+// masked-off lanes are neither loaded nor stored. The add is x[p] first
+// and the product s first, as the Go loop writes them. Requires n >= 1,
+// k >= 1.
+TEXT ·scaleOuterSumAVX512(SB), $0-40
+	MOVQ x+0(FP), DI
+	MOVQ y+8(FP), SI
+	MOVQ k+24(FP), R8
+	VBROADCASTSD s+32(FP), Z31
+	MOVQ R8, CX
+	ANDQ $7, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1           // the k%8 tail lanes
+	MOVQ R8, R9
+	SHRQ $3, R9            // whole vectors in a row
+	SHLQ $3, R8            // row stride of the output in bytes
+	MOVQ n+16(FP), CX
+	LEAQ -8(DI)(CX*8), AX  // x[p], from p = n−1
+	MOVQ CX, DX
+	DECQ DX
+	IMULQ R8, DX
+	ADDQ DI, DX            // row p of the output
+
+	PCALIGN $64
+sosrow:
+	VBROADCASTSD (AX), Z0
+	MOVQ SI, R10           // y cursor
+	MOVQ DX, R11           // output cursor
+	MOVQ R9, R12
+	TESTQ R12, R12
+	JZ sostail
+sosvec:
+	VADDPD (R10), Z0, Z1
+	VMULPD Z1, Z31, Z1
+	VMOVUPD Z1, (R11)
+	ADDQ $64, R10
+	ADDQ $64, R11
+	DECQ R12
+	JNZ sosvec
+sostail:
+	KORTESTW K1, K1
+	JZ sosnext
+	VMOVUPD.Z (R10), K1, Z1
+	VADDPD Z1, Z0, Z1
+	VMULPD Z1, Z31, Z1
+	VMOVUPD Z1, K1, (R11)
+sosnext:
+	SUBQ $8, AX
+	SUBQ R8, DX
+	DECQ CX
+	JNZ sosrow
+	VZEROUPPER
+	RET

@@ -14,13 +14,14 @@
 // CPU with AVX2 the inner loops run in the micro-kernels of
 // kernels_amd64.s instead, which produce the same bits (DESIGN.md §18);
 // where the CPU also has AVX-512F, FWKernelD's whole 4×32 blocks run on
-// one AVX-512F kernel, its skip a lane mask, and the whole 4×8 blocks of
-// GemmNT and Syrk on another, their edges on the AVX2 kernel. Impl names
-// the tier. Exp's reference is exp.go's port of the standard library's
-// pure-Go exp; with AVX-512F its whole blocks of eight run on an 8-lane
-// kernel with the same bits, and it has no AVX2 kernel. GemmNN runs
-// whole on its 4×8 block kernel, its m%4 rows and n%8 columns on
-// zero-padded copies; Potrf, Trsm's rows past its last
+// one AVX-512F kernel, its skip a lane mask, the whole 4×8 blocks of
+// GemmNT and Syrk on another, their edges on the AVX2 kernel, and Mul's
+// whole 8×8 blocks on a third. Impl names the tier. Exp's reference is
+// exp.go's port of the standard library's pure-Go exp; with AVX-512F its
+// whole blocks of eight run on an 8-lane kernel with the same bits, and
+// it has no AVX2 kernel, nor has ScaleOuterSum, the grid pass before it.
+// GemmNN runs whole on its 4×8 block kernel, its m%4 rows and n%8
+// columns on zero-padded copies; Potrf, Trsm's rows past its last
 // 16-row panel, Mul's m%4 rows and n%8 columns and the column edges of
 // GemmNT, Syrk and the min-plus kernels stay in Go.
 // Every product is written float64(x*y): the explicit conversion forbids
@@ -38,10 +39,11 @@ import (
 )
 
 // useAVX2 routes the inner loops through kernels_amd64.s, and useAVX512
-// (never set without useAVX2) the whole blocks of FWKernelD, GemmNT, Syrk
-// and Exp through the AVX-512F kernels. They are what the CPU reports at
-// package init and nothing else; only tests clear them, to run each tier
-// beside the reference loops in one process.
+// (never set without useAVX2) the whole blocks of FWKernelD, GemmNT,
+// Syrk, Mul and Exp, and ScaleOuterSum, through the AVX-512F kernels.
+// They are what the CPU reports at package init and nothing else; only
+// tests clear them, to run each tier beside the reference loops in one
+// process.
 var useAVX2, useAVX512 = detect()
 
 // Impl names the kernel tier this process runs: "avx512", "avx2" or
@@ -470,26 +472,32 @@ func zeroBit(v float64, r uint) uint64 {
 // GemmNN, which adds into C and skips zero entries of A, a zero of A still
 // turns an Inf of B into NaN, and a sum of −0 terms is +0. MRA's mode
 // contractions are this product (their refinement test compares these
-// exact sums). On the AVX2 path mulAVX2 takes the whole 4×8 blocks; the
-// m%4 leftover rows and the n%8 edge columns run the Go loop.
+// exact sums). With AVX-512F mulAVX512 takes the whole 8×8 blocks, and
+// on the AVX2 path mulAVX2 the whole 4×8 blocks of the rows left; the
+// rows left after those and the n%8 edge columns run the Go loop.
 func Mul(c, a, b *tile.Tile) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	checkShapes("Mul", a.Rows == m && b.Rows == k && b.Cols == n, c, a, b)
-	m4, n8 := 0, 0
-	if useAVX2 && k > 0 && m >= 4 && n >= 8 {
-		m4, n8 = m&^3, n&^7
-		mulAVX2(&c.Data[0], &a.Data[0], &b.Data[0], m4, k, n)
+	i, n8 := 0, 0 // the rows the block kernels took, over columns j < n8
+	if useAVX512 && k > 0 && m >= 8 && n >= 8 {
+		i, n8 = m&^7, n&^7
+		mulAVX512(&c.Data[0], &a.Data[0], &b.Data[0], i, k, n)
+	}
+	if useAVX2 && k > 0 && m-i >= 4 && n >= 8 {
+		m4 := (m - i) &^ 3
+		mulAVX2(&c.Data[i*n], &a.Data[i*k], &b.Data[0], m4, k, n)
+		i, n8 = i+m4, n&^7
 	}
 	if n8 < n {
-		mulRows(c.Data, a.Data, b.Data, k, n, 0, m4, n8)
+		mulRows(c.Data, a.Data, b.Data, k, n, 0, i, n8)
 	}
-	mulRows(c.Data, a.Data, b.Data, k, n, m4, m, 0)
+	mulRows(c.Data, a.Data, b.Data, k, n, i, m, 0)
 }
 
 // mulRows is Mul's reference loop on rows i0 ≤ i < i1 from column j0 on:
-// one running sum per element, stored once. mulAVX2 orders its operands
-// as a plain build of this loop does, a[i][p] first in the product and
-// the sum first in the add. That matters only where two NaNs of different
+// one running sum per element, stored once. mulAVX2 and mulAVX512 order
+// their operands as a plain build of this loop does, a[i][p] first in the
+// product and the sum first in the add. That matters only where two NaNs of different
 // payloads meet, x86 keeping the first one's, and Go lets the compiler
 // commute either operation (a -race build does): there the payload of
 // the result is unspecified, and every other bit is Mul's contract.

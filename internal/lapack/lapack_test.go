@@ -404,17 +404,56 @@ func BenchmarkGemmNN(b *testing.B) {
 
 // BenchmarkMul times Mul on the three shapes of an mra_stream contraction
 // (k = 8, d = 3): mode 0's 8×64 block, mode 1's 8×8 blocks and the last
-// mode's 64 rows against Mᵀ.
+// mode's 64 rows against Mᵀ, on each tier this CPU has and on the Go
+// loops.
 func BenchmarkMul(b *testing.B) {
 	for _, s := range [][3]int{{8, 64, 8}, {8, 8, 8}, {64, 8, 8}} {
 		m, n, k := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			c, a, bb := randTile(m, n, rng), randTile(m, k, rng), randTile(k, n, rng)
-			for range b.N {
-				Mul(c, a, bb)
+		for _, tr := range append(tiers, tier{"go", "", true, withReference}) {
+			if !tr.has {
+				continue
 			}
-			b.ReportMetric(GemmFlops(m, n, k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, n, k, tr.name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				c, a, bb := randTile(m, n, rng), randTile(m, k, rng), randTile(k, n, rng)
+				tr.with(func() {
+					for range b.N {
+						Mul(c, a, bb)
+					}
+				})
+				b.ReportMetric(GemmFlops(m, n, k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			})
+		}
+	}
+}
+
+// BenchmarkScaleOuterSum times the Gaussian's last-mode pass over an
+// mra_stream box (k = 8, d = 3): 64 partial sums of r² expanded 8-fold
+// and scaled by −a, on each tier this CPU has (the avx2 tier is the Go
+// reference).
+func BenchmarkScaleOuterSum(b *testing.B) {
+	const k, n = 8, 64
+	rng := rand.New(rand.NewSource(1))
+	src, y := make([]float64, n), make([]float64, k)
+	for i := range src {
+		src[i] = rng.Float64()
+	}
+	for i := range y {
+		y[i] = rng.Float64()
+	}
+	x := make([]float64, n*k)
+	for _, tr := range tiers {
+		if !tr.has {
+			continue
+		}
+		b.Run(tr.name, func(b *testing.B) {
+			tr.with(func() {
+				for range b.N {
+					copy(x, src)
+					ScaleOuterSum(x, n, y, -600)
+				}
+			})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*k), "ns/element")
 		})
 	}
 }
@@ -512,6 +551,28 @@ func TestExpShortDstPanics(t *testing.T) {
 			}
 		}()
 		Exp(dst, src)
+	}
+	refuses(Impl())
+	withReference(func() { refuses("reference") })
+}
+
+// TestScaleOuterSumShortPanics: ScaleOuterSum refuses an x shorter than
+// its n rows of len(y), on every path, before it writes anything.
+func TestScaleOuterSumShortPanics(t *testing.T) {
+	refuses := func(path string) {
+		x := []float64{7, 7, 7, 7, 7, 7, 7, 7}
+		defer func() {
+			if msg := fmt.Sprint(recover()); msg != "lapack.ScaleOuterSum: x has 8 elements, 3 rows of 3 need 9" {
+				t.Errorf("%s path: want the length panic, got %q", path, msg)
+			}
+			for _, v := range x {
+				if v != 7 {
+					t.Errorf("%s path: wrote x before refusing", path)
+					return
+				}
+			}
+		}()
+		ScaleOuterSum(x, 3, []float64{1, 2, 3}, -1)
 	}
 	refuses(Impl())
 	withReference(func() { refuses("reference") })

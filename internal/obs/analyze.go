@@ -182,7 +182,10 @@ type execSpan struct {
 // criticalPath chains backwards from the last-finishing span. Predecessor
 // selection is the latest-finishing span ending at or before the current
 // span's start; ties break toward the same rank (a local dependency is the
-// likelier true cause than a coincident remote one).
+// likelier true cause than a coincident remote one). A predecessor comes
+// before the current span in end order, so the walk makes progress: a
+// zero-duration span ends at its own start but is never its own
+// predecessor, and the chain has at most len(spans) steps.
 func criticalPath(spans []execSpan) CritPath {
 	cp := CritPath{ByTemplate: map[string]int{}}
 	if len(spans) == 0 {
@@ -195,11 +198,12 @@ func criticalPath(spans []execSpan) CritPath {
 			t0 = s.start
 		}
 	}
-	cur := spans[len(spans)-1]
+	at := len(spans) - 1
+	cur := spans[at]
 	cp.MakespanNs = cur.end - t0
 	for {
-		// Find the latest span ending at or before cur.start.
-		lo, hi := 0, len(spans)
+		// Find the latest span before cur ending at or before cur.start.
+		lo, hi := 0, at
 		for lo < hi {
 			mid := (lo + hi) / 2
 			if spans[mid].end <= cur.start {
@@ -218,7 +222,7 @@ func criticalPath(spans []execSpan) CritPath {
 					break
 				}
 			}
-			pred = &spans[best]
+			pred, at = &spans[best], best
 		}
 		gap := int64(0)
 		if pred != nil {

@@ -79,3 +79,34 @@ func TestAnalyzePinned(t *testing.T) {
 		t.Errorf("String() digest %s, want %s:\n%s", d, analyzeDigest, got)
 	}
 }
+
+// TestAnalyzeZeroDurationSpans: Analyze returns on a stream where every
+// 97th task runs for no time, and on a single zero-duration span, whose
+// end is its own start; its critical path has at most one step per span.
+func TestAnalyzeZeroDurationSpans(t *testing.T) {
+	evs := syntheticStream(1000)
+	spans := 0
+	for i, ev := range evs {
+		if ev.Kind != EvExecEnd {
+			continue
+		}
+		if spans%97 == 0 {
+			evs[i].TS -= ev.Dur
+			evs[i].Dur = 0
+		}
+		spans++
+	}
+	for _, tc := range []struct {
+		name  string
+		evs   []Event
+		spans int
+	}{
+		{"every 97th task", evs, spans},
+		{"one span", []Event{{Kind: EvExecEnd, Rank: 0, TS: 5, Dur: 0, Name: "T", Key: "[0]"}}, 1},
+	} {
+		rep := Analyze(tc.evs)
+		if n := len(rep.Crit.Steps); n == 0 || n > tc.spans {
+			t.Errorf("%s: %d critical-path steps over %d spans", tc.name, n, tc.spans)
+		}
+	}
+}
