@@ -436,10 +436,11 @@ func dotSpecials(a, b *tile.Tile, rng *rand.Rand) {
 }
 
 // gemmNNSpecials plants what GemmNN's zero skip decides on where its
-// micro-kernel treats steps and columns apart: the quad's per-step marks,
-// the whole blocks, the packed edge columns and the padded leftover rows.
-// Every NaN is defaultNaN, so where two meet in a sum it does not matter
-// which one the sum keeps (see specials).
+// micro-kernels treat steps and columns apart: the quad's per-step marks,
+// the whole blocks, the 4×8 blocks and masked last block of the avx512
+// tier, the packed edge columns of the avx2 tier and the padded leftover
+// rows. Every NaN is defaultNaN, so where two meet in a sum it does not
+// matter which one the sum keeps (see specials).
 func gemmNNSpecials(c, a, b *tile.Tile, rng *rand.Rand) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	zero := func(i, p int) { a.Data[i*k+p] = zeros[rng.Intn(2)] }
@@ -450,10 +451,14 @@ func gemmNNSpecials(c, a, b *tile.Tile, rng *rand.Rand) {
 			a.Data[i*k+rng.Intn(k)] = defaultNaN
 		}
 	}
-	// Zeros at the first and the last step, and one step at which a whole
+	// Zeros at the first and the last step, one in every row (each bit of
+	// a step's mark set alone somewhere), and one step at which a whole
 	// quad (or every leftover row) is zero.
 	zero(rng.Intn(m), 0)
 	zero(rng.Intn(m), k-1)
+	for i := range m {
+		zero(i, rng.Intn(k))
+	}
 	q, p := 4*rng.Intn((m+3)/4), rng.Intn(k)
 	for i := q; i < min(q+4, m); i++ {
 		zero(i, p)
@@ -466,13 +471,23 @@ func gemmNNSpecials(c, a, b *tile.Tile, rng *rand.Rand) {
 	for j := 0; j < n; j += 2 {
 		c.Data[iz*n+j] = math.Copysign(0, -1)
 	}
-	// ±Inf or NaN in B, in a whole-block column and in an edge column (or
-	// twice in whichever kind there is), each facing a zero of A: taking
-	// the skipped update would write 0·Inf = NaN into that row of C.
-	for _, j := range []int{rng.Intn(max(n&^7, 1)), n - 1 - rng.Intn(max(n%8, 1))} {
+	// ±Inf or NaN in B, each facing a zero of A, in a column of a whole
+	// 4×32 block, one of the n%32 columns after them and one of the n%8
+	// (the same kind more than once where a kind is missing): taking the
+	// skipped update would write 0·Inf = NaN into that row of C.
+	for _, j := range []int{rng.Intn(max(n&^31, 1)), min(n&^31+rng.Intn(max(n%32, 1)), n-1), n - 1 - rng.Intn(max(n%8, 1))} {
 		i, p := rng.Intn(m), rng.Intn(k)
 		zero(i, p)
 		b.Data[p*n+j] = []float64{math.Inf(1), math.Inf(-1), defaultNaN}[rng.Intn(3)]
+	}
+	// Where the last block is narrower than the kernel's vectors, the lane
+	// just past a row's last column is the first element of the next row
+	// of B (after the last row, a guard word, also a NaN): a masked-off
+	// lane that was loaded and kept would carry its NaN into C.
+	if n%8 != 0 {
+		for p := 1; p < k; p++ {
+			b.Data[p*n] = defaultNaN
+		}
 	}
 }
 
@@ -483,7 +498,7 @@ func withReference(f func()) {
 	f()
 }
 
-// withAVX2 runs f on the AVX2 tier, FWKernelD's AVX-512F blocks off.
+// withAVX2 runs f on the AVX2 tier, every AVX-512F kernel off.
 func withAVX2(f func()) {
 	defer func(v bool) { useAVX512 = v }(useAVX512)
 	useAVX512 = false
@@ -593,6 +608,18 @@ func corpus() []kshape {
 				if nr > 0 {
 					cs = append(cs, kshape{m: 4 + mr, n: nr, k: k, off: mr, sprinkle: true})
 				}
+			}
+		}
+	}
+	// GemmNN's 4×32 blocks on avx512, followed by 4×8 blocks and a last
+	// block under a lane mask, or by that block alone (n < 8), on every
+	// row count from a whole quad to a quad and three leftover rows, and
+	// on one, three and seventeen inner steps: k%8 steps under the mask of
+	// the kernel's zero-mark pass.
+	for m := 4; m <= 8; m++ {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65} {
+			for _, k := range []int{1, 3, 17} {
+				cs = append(cs, kshape{m: m, n: n, k: k, off: (m + n + k) % 4, sprinkle: (m+n+k)%4 != 0})
 			}
 		}
 	}
@@ -706,8 +733,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		c, a, b := random(m, n), random(m, k), random(k, n)
 		return func() { FWKernelD(c, a, b) }
 	}
-	// GemmNN on bspmm's first panel triple, which has edge columns to
-	// pack and leftover rows to pad.
+	// GemmNN on bspmm's first panel triple, which has leftover rows to pad
+	// and, on the avx2 tier, edge columns to pack.
 	p := bspmmPanels
 	m, n, k := p[0], p[1], p[2]
 	if n%8 == 0 || m%4 == 0 {

@@ -39,6 +39,9 @@ func mulAVX512(c, a, b *float64, m8, k, n int)
 //go:noescape
 func scaleOuterSumAVX512(x, y *float64, n, k int, s float64)
 
+//go:noescape
+func mulAddAVX512(c, a, b, mark *float64, k, n int)
+
 // detect reports which micro-kernel tiers the CPU has and the OS
 // supports. avx2: the CPU has AVX2 and the OS saves the YMM registers
 // across context switches, XCR0 bits 1–2. avx512: AVX2, and the CPU has

@@ -1,5 +1,6 @@
-// Leaf micro-kernels for amd64 with AVX2, and three for AVX-512F
-// (minPlusBlockAVX512, dotQuadAVX512 and expAVX512, last in the file).
+// Leaf micro-kernels for amd64 with AVX2, and six for AVX-512F, last in
+// the file (minPlusBlockAVX512, dotQuadAVX512, expAVX512, mulAVX512,
+// scaleOuterSumAVX512 and mulAddAVX512).
 // Each one is the vector form of an inner loop in lapack.go, or of exp in
 // exp.go, and must produce that loop's bits (DESIGN.md §18): multiply
 // and add are separate instructions, never a fused multiply-add; a YMM or
@@ -1071,3 +1072,251 @@ sosnext:
 	JNZ sosrow
 	VZEROUPPER
 	RET
+
+// mulAddAVX512 keeps a 4×32 block of C in Z0..Z15, row r of the quad in
+// Z(4r)..Z(4r+3) as in minPlusBlockAVX512, while Z16..Z19 hold row p of
+// b's 32 columns; the n%32 columns left go as 4×8 blocks, row r in Zr and
+// row p of b in Z16. WIDEROW and NARROWROW are one step p of one row: they
+// broadcast a[i][p] from a and add its products into the row, the product
+// a[i][p] first and the add the running sum first, as BLOCKROW does.
+#define WIDEROW(a, c0, c1, c2, c3) \
+	VBROADCASTSD a, Z20 \
+	VMULPD Z16, Z20, Z24 \
+	VADDPD Z24, c0, c0 \
+	VMULPD Z17, Z20, Z25 \
+	VADDPD Z25, c1, c1 \
+	VMULPD Z18, Z20, Z26 \
+	VADDPD Z26, c2, c2 \
+	VMULPD Z19, Z20, Z27 \
+	VADDPD Z27, c3, c3
+#define NARROWROW(a, c0) \
+	VBROADCASTSD a, Z20 \
+	VMULPD Z16, Z20, Z24 \
+	VADDPD Z24, c0, c0
+
+// func mulAddAVX512(c, a, b, mark *float64, k, n int)
+//
+// GemmNN on one quad of rows over all its columns, with a (four rows,
+// stride k), b and c (stride n) row-major:
+//	for p < k { if a[i][p] == 0 { continue }; c[i*n+j] += a[i][p]*b[p*n+j] }
+// mulAddAVX2 at full width: the whole 4×32 blocks, then the n%32 columns
+// left as 4×8 blocks, the last of them under the lane mask K1 (KMOVW,
+// AVX-512F), in which masked-off lanes are neither loaded nor stored, so
+// no column needs a padded copy. Lane by lane, each element's chain starts
+// from c and adds in ascending p. The zero marks are mulAddAVX2's, but the
+// kernel writes them itself into mark[0..k-1] before the blocks run: for
+// each row, VCMPPD finds a[r][p] == 0 (false for NaN, as Go's == is) eight
+// steps at a time, and its bit r goes into those steps' marks under that
+// lane mask. Requires k >= 1, n >= 1.
+TEXT ·mulAddAVX512(SB), $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ mark+24(FP), R8
+	SUBQ SI, R8            // mark[p] is at (AX)(R8*1) while AX is at a[0][p]
+	MOVQ k+32(FP), R12
+	SHLQ $3, R12           // row stride of a in bytes
+	LEAQ (R12)(R12*2), R13 // three rows of a
+
+	VPXORQ Z31, Z31, Z31
+	MOVL $1, AX
+	VPBROADCASTQ AX, Z28   // row 0's bit
+	MOVL $2, AX
+	VPBROADCASTQ AX, Z29
+	MOVL $4, AX
+	VPBROADCASTQ AX, Z30
+	MOVL $8, AX
+	VPBROADCASTQ AX, Z27   // row 3's bit
+	MOVL $0xff, AX
+	KMOVW AX, K1           // eight steps
+	MOVQ SI, AX
+	MOVQ k+32(FP), CX
+
+	PCALIGN $64
+widemarks:
+	CMPQ CX, $8
+	JGE widemarks8
+	MOVL $1, BX
+	SHLL CX, BX
+	DECL BX
+	KMOVW BX, K1           // the k%8 steps left
+widemarks8:
+	VMOVUPD.Z (AX), K1, Z0
+	VMOVUPD.Z (AX)(R12*1), K1, Z1
+	VMOVUPD.Z (AX)(R12*2), K1, Z2
+	VMOVUPD.Z (AX)(R13*1), K1, Z3
+	VPXORQ Z4, Z4, Z4
+	VCMPPD $0, Z31, Z0, K1, K2 // EQ_OQ: a[r][p] == 0
+	VPORQ Z28, Z4, K2, Z4
+	VCMPPD $0, Z31, Z1, K1, K2
+	VPORQ Z29, Z4, K2, Z4
+	VCMPPD $0, Z31, Z2, K1, K2
+	VPORQ Z30, Z4, K2, Z4
+	VCMPPD $0, Z31, Z3, K1, K2
+	VPORQ Z27, Z4, K2, Z4
+	VMOVDQU64 Z4, K1, (AX)(R8*1)
+	ADDQ $64, AX
+	SUBQ $8, CX
+	JG widemarks
+
+	MOVQ n+40(FP), R10
+	MOVQ R10, R11
+	SHLQ $3, R11           // row stride of b and c in bytes
+	ANDQ $-32, R10
+	SHLQ $3, R10           // bytes of a row the whole blocks cover
+	LEAQ (R11)(R11*2), R14 // three rows of c
+	XORQ R9, R9            // byte offset of the block in its rows
+	CMPQ R10, $0
+	JEQ narrow
+
+wideblock:
+	LEAQ (DI)(R9*1), BX
+	VMOVUPD (BX), Z0
+	VMOVUPD 64(BX), Z1
+	VMOVUPD 128(BX), Z2
+	VMOVUPD 192(BX), Z3
+	VMOVUPD (BX)(R11*1), Z4
+	VMOVUPD 64(BX)(R11*1), Z5
+	VMOVUPD 128(BX)(R11*1), Z6
+	VMOVUPD 192(BX)(R11*1), Z7
+	VMOVUPD (BX)(R11*2), Z8
+	VMOVUPD 64(BX)(R11*2), Z9
+	VMOVUPD 128(BX)(R11*2), Z10
+	VMOVUPD 192(BX)(R11*2), Z11
+	VMOVUPD (BX)(R14*1), Z12
+	VMOVUPD 64(BX)(R14*1), Z13
+	VMOVUPD 128(BX)(R14*1), Z14
+	VMOVUPD 192(BX)(R14*1), Z15
+	MOVQ SI, AX            // a[i][p]: rows at AX + {0, R12, 2*R12, R13}
+	LEAQ (DX)(R9*1), BX    // row p of b, this block's columns
+	MOVQ k+32(FP), CX
+
+	PCALIGN $64
+widep:
+	CMPQ (AX)(R8*1), $0
+	JNE widemarked
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+	VMOVUPD 128(BX), Z18
+	VMOVUPD 192(BX), Z19
+	WIDEROW((AX), Z0, Z1, Z2, Z3)
+	WIDEROW((AX)(R12*1), Z4, Z5, Z6, Z7)
+	WIDEROW((AX)(R12*2), Z8, Z9, Z10, Z11)
+	WIDEROW((AX)(R13*1), Z12, Z13, Z14, Z15)
+widenext:
+	ADDQ $8, AX
+	ADDQ R11, BX
+	DECQ CX
+	JNZ widep
+
+	LEAQ (DI)(R9*1), BX
+	VMOVUPD Z0, (BX)
+	VMOVUPD Z1, 64(BX)
+	VMOVUPD Z2, 128(BX)
+	VMOVUPD Z3, 192(BX)
+	VMOVUPD Z4, (BX)(R11*1)
+	VMOVUPD Z5, 64(BX)(R11*1)
+	VMOVUPD Z6, 128(BX)(R11*1)
+	VMOVUPD Z7, 192(BX)(R11*1)
+	VMOVUPD Z8, (BX)(R11*2)
+	VMOVUPD Z9, 64(BX)(R11*2)
+	VMOVUPD Z10, 128(BX)(R11*2)
+	VMOVUPD Z11, 192(BX)(R11*2)
+	VMOVUPD Z12, (BX)(R14*1)
+	VMOVUPD Z13, 64(BX)(R14*1)
+	VMOVUPD Z14, 128(BX)(R14*1)
+	VMOVUPD Z15, 192(BX)(R14*1)
+	ADDQ $256, R9
+	CMPQ R9, R10
+	JLT wideblock
+
+narrow:
+	MOVQ n+40(FP), R10
+	ANDQ $31, R10          // columns left
+	JZ widedone
+narrowblock:
+	MOVL $0xff, AX
+	CMPQ R10, $8
+	JGE narrowmask
+	MOVQ R10, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+narrowmask:
+	KMOVW AX, K1           // this block's columns
+	LEAQ (DI)(R9*1), BX
+	VMOVUPD.Z (BX), K1, Z0
+	VMOVUPD.Z (BX)(R11*1), K1, Z1
+	VMOVUPD.Z (BX)(R11*2), K1, Z2
+	VMOVUPD.Z (BX)(R14*1), K1, Z3
+	MOVQ SI, AX
+	LEAQ (DX)(R9*1), BX
+	MOVQ k+32(FP), CX
+
+	PCALIGN $64
+narrowp:
+	VMOVUPD.Z (BX), K1, Z16
+	CMPQ (AX)(R8*1), $0
+	JNE narrowmarked
+	NARROWROW((AX), Z0)
+	NARROWROW((AX)(R12*1), Z1)
+	NARROWROW((AX)(R12*2), Z2)
+	NARROWROW((AX)(R13*1), Z3)
+narrownext:
+	ADDQ $8, AX
+	ADDQ R11, BX
+	DECQ CX
+	JNZ narrowp
+
+	LEAQ (DI)(R9*1), BX
+	VMOVUPD Z0, K1, (BX)
+	VMOVUPD Z1, K1, (BX)(R11*1)
+	VMOVUPD Z2, K1, (BX)(R11*2)
+	VMOVUPD Z3, K1, (BX)(R14*1)
+	ADDQ $64, R9
+	SUBQ $8, R10
+	JG narrowblock
+
+widedone:
+	VZEROUPPER
+	RET
+
+widemarked:
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+	VMOVUPD 128(BX), Z18
+	VMOVUPD 192(BX), Z19
+	TESTB $1, (AX)(R8*1)
+	JNZ widerow1
+	WIDEROW((AX), Z0, Z1, Z2, Z3)
+widerow1:
+	TESTB $2, (AX)(R8*1)
+	JNZ widerow2
+	WIDEROW((AX)(R12*1), Z4, Z5, Z6, Z7)
+widerow2:
+	TESTB $4, (AX)(R8*1)
+	JNZ widerow3
+	WIDEROW((AX)(R12*2), Z8, Z9, Z10, Z11)
+widerow3:
+	TESTB $8, (AX)(R8*1)
+	JNZ widenext
+	WIDEROW((AX)(R13*1), Z12, Z13, Z14, Z15)
+	JMP widenext
+
+narrowmarked:
+	TESTB $1, (AX)(R8*1)
+	JNZ narrowrow1
+	NARROWROW((AX), Z0)
+narrowrow1:
+	TESTB $2, (AX)(R8*1)
+	JNZ narrowrow2
+	NARROWROW((AX)(R12*1), Z1)
+narrowrow2:
+	TESTB $4, (AX)(R8*1)
+	JNZ narrowrow3
+	NARROWROW((AX)(R12*2), Z2)
+narrowrow3:
+	TESTB $8, (AX)(R8*1)
+	JNZ narrownext
+	NARROWROW((AX)(R13*1), Z3)
+	JMP narrownext

@@ -19,3 +19,4 @@ func dotQuadAVX512(c *float64, ldc int, a, b *float64, k, nquad int) { panic("la
 func expAVX512(dst, src *float64, nblk int)                          { panic("lapack: no AVX-512") }
 func mulAVX512(c, a, b *float64, m8, k, n int)                       { panic("lapack: no AVX-512") }
 func scaleOuterSumAVX512(x, y *float64, n, k int, s float64)         { panic("lapack: no AVX-512") }
+func mulAddAVX512(c, a, b, mark *float64, k, n int)                  { panic("lapack: no AVX-512") }

@@ -15,15 +15,17 @@
 // kernels_amd64.s instead, which produce the same bits (DESIGN.md §18);
 // where the CPU also has AVX-512F, FWKernelD's whole 4×32 blocks run on
 // one AVX-512F kernel, its skip a lane mask, the whole 4×8 blocks of
-// GemmNT and Syrk on another, their edges on the AVX2 kernel, and Mul's
-// whole 8×8 blocks on a third. Impl names the tier. Exp's reference is
-// exp.go's port of the standard library's pure-Go exp; with AVX-512F its
-// whole blocks of eight run on an 8-lane kernel with the same bits, and
-// it has no AVX2 kernel, nor has ScaleOuterSum, the grid pass before it.
-// GemmNN runs whole on its 4×8 block kernel, its m%4 rows and n%8
-// columns on zero-padded copies; Potrf, Trsm's rows past its last
-// 16-row panel, Mul's m%4 rows and n%8 columns and the column edges of
-// GemmNT, Syrk and the min-plus kernels stay in Go.
+// GemmNT and Syrk on another, their edges on the AVX2 kernel, Mul's
+// whole 8×8 blocks on a third, and every column of GemmNN on a fourth,
+// its last block under a lane mask. Impl names the tier. Exp's reference
+// is exp.go's port of the standard library's pure-Go exp; with AVX-512F
+// its whole blocks of eight run on an 8-lane kernel with the same bits,
+// and it has no AVX2 kernel, nor has ScaleOuterSum, the grid pass before
+// it. GemmNN runs whole on its block kernels, its m%4 rows on a
+// zero-padded quad and, on AVX2 alone, its n%8 columns on zero-padded
+// copies; Potrf, Trsm's rows past its last 16-row panel, Mul's m%4 rows
+// and n%8 columns and the column edges of GemmNT, Syrk and the min-plus
+// kernels stay in Go.
 // Every product is written float64(x*y): the explicit conversion forbids
 // the compiler to fuse it into the add that follows (GOAMD64=v3, arm64),
 // so the reference rounds twice everywhere, as the micro-kernels do.
@@ -40,7 +42,8 @@ import (
 
 // useAVX2 routes the inner loops through kernels_amd64.s, and useAVX512
 // (never set without useAVX2) the whole blocks of FWKernelD, GemmNT,
-// Syrk, Mul and Exp, and ScaleOuterSum, through the AVX-512F kernels.
+// Syrk, Mul and Exp, and all of GemmNN's columns and ScaleOuterSum,
+// through the AVX-512F kernels.
 // They are what the CPU reports at package init and nothing else; only
 // tests clear them, to run each tier beside the reference loops in one
 // process.
@@ -375,7 +378,7 @@ func GemmNN(c, a, b *tile.Tile) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	checkShapes("GemmNN", a.Rows == m && b.Rows == k && b.Cols == n, c, a, b)
 	if useAVX2 && k > 0 && n > 0 {
-		gemmNNAVX2(c, a, b)
+		gemmNNQuads(c, a, b)
 		return
 	}
 	for i := 0; i < m; i++ {
@@ -389,23 +392,27 @@ func GemmNN(c, a, b *tile.Tile) {
 	}
 }
 
-// gemmNNAVX2 is GemmNN on mulAddAVX2 alone, one quad of rows at a time.
+// gemmNNQuads is GemmNN on the block kernels, one quad of rows at a time.
 // Before a quad runs, its four A rows are scanned once into per-step zero
-// marks, so that the kernel's inner loop tests an integer, not four
-// floats. The kernel takes whole 4×8 blocks; everything else runs it on
-// padded copies. B's n%8 edge columns are packed once per call into a k×8
-// panel whose padding columns are zero, and each quad's edge block of C
-// is copied to a 4×8 buffer and back. The m%4 leftover rows run as a quad
-// on copies of their A and C rows, padded with zero A rows whose C rows
-// are dropped. Lanes never mix, so the real lanes take the reference's
-// products in its order; the padding lanes are computed and dropped.
-func gemmNNAVX2(c, a, b *tile.Tile) {
+// marks (by mulAddAVX512 itself, or in Go for mulAddAVX2), so that the
+// kernel's inner loop tests an integer, not four floats. With AVX-512F, mulAddAVX512 takes every column of the quad, the
+// n%32 left under lane masks. Without it, mulAddAVX2 takes the whole 4×8
+// blocks and runs on padded copies for the rest: B's n%8 edge columns are
+// packed once per call into a k×8 panel whose padding columns are zero,
+// and each quad's edge block of C is copied to a 4×8 buffer and back. On
+// either tier the m%4 leftover rows run as a quad on copies of their A and
+// C rows, padded with zero A rows whose C rows are dropped. Lanes never
+// mix, so the real lanes take the reference's products in its order; the
+// padding lanes are computed and dropped.
+func gemmNNQuads(c, a, b *tile.Tile) {
 	m, n, k := c.Rows, c.Cols, a.Cols
-	// marks k | B's edge panel 8k | C's edge block 32 | padded A 4k | padded C 4n
+	// marks k | padded A 4k | padded C 4n | B's edge panel 8k | C's edge
+	// block 32, the last two for mulAddAVX2 alone
 	s := borrow(13*k + 4*n + 32)
 	defer giveBack(s)
-	q := quadNN{b: b.Data, k: k, n: n, marks: s[:k], bEdge: s[k : 9*k], cEdge: s[9*k : 9*k+32]}
-	if n8 := n &^ 7; n8 < n {
+	q := quadNN{b: b.Data, k: k, n: n, marks: s[:k]}
+	if n8 := n &^ 7; !useAVX512 && n8 < n {
+		q.bEdge, q.cEdge = s[5*k+4*n:13*k+4*n], s[13*k+4*n:]
 		for p := 0; p < k; p++ {
 			e := q.bEdge[8*p : 8*p+8]
 			clear(e[copy(e, b.Data[p*n+n8:(p+1)*n]):])
@@ -416,7 +423,7 @@ func gemmNNAVX2(c, a, b *tile.Tile) {
 		q.run(c.Data[i*n:(i+4)*n], a.Data[i*k:(i+4)*k])
 	}
 	if i < m {
-		aPad, cPad := s[9*k+32:13*k+32], s[13*k+32:]
+		aPad, cPad := s[k:5*k], s[5*k:5*k+4*n]
 		clear(aPad[copy(aPad, a.Data[i*k:]):])
 		clear(cPad[copy(cPad, c.Data[i*n:]):])
 		q.run(cPad, aPad)
@@ -424,10 +431,10 @@ func gemmNNAVX2(c, a, b *tile.Tile) {
 	}
 }
 
-// quadNN is what gemmNNAVX2's quads share: B, its packed edge columns,
-// and the buffers for C's edge block and for the zero marks. marks[p]
-// holds, as its bit pattern, the set of rows r whose a[r][p] is zero
-// (bit r), all bits zero when there is none.
+// quadNN is what gemmNNQuads's quads share: B, the buffer for the zero
+// marks and, for mulAddAVX2, B's packed edge columns and the buffer for
+// C's edge block. marks[p] holds, as its bit pattern, the set of rows r
+// whose a[r][p] is zero (bit r), all bits zero when there is none.
 type quadNN struct {
 	b, marks, bEdge, cEdge []float64
 	k, n                   int
@@ -437,6 +444,10 @@ type quadNN struct {
 // (stride k).
 func (q *quadNN) run(c, a []float64) {
 	k, n := q.k, q.n
+	if useAVX512 {
+		mulAddAVX512(&c[0], &a[0], &q.b[0], &q.marks[0], k, n)
+		return
+	}
 	a0, a1, a2, a3 := quad(a, 0, k)
 	for p, v := range a0 {
 		q.marks[p] = math.Float64frombits(zeroBit(v, 0) | zeroBit(a1[p], 1) | zeroBit(a2[p], 2) | zeroBit(a3[p], 3))

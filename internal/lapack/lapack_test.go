@@ -382,7 +382,8 @@ func BenchmarkTrsm(b *testing.B) {
 
 // BenchmarkGemmNN times GemmNN on bspmm's shapes, the consecutive panel
 // triples of sparse.DefaultSpec(24), none of whose n is a multiple of 8,
-// and on 224×192×240, which is whole 4×8 blocks only.
+// and on 224×192×240, which is whole 4×32 blocks only, on each tier this
+// CPU has and on the Go loops.
 func BenchmarkGemmNN(b *testing.B) {
 	p := bspmmPanels
 	shapes := [][3]int{{224, 192, 240}}
@@ -391,14 +392,21 @@ func BenchmarkGemmNN(b *testing.B) {
 	}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			c, a, bb := randTile(m, n, rng), randTile(m, k, rng), randTile(k, n, rng)
-			for range b.N {
-				GemmNN(c, a, bb)
+		for _, tr := range append(tiers, tier{"go", "", true, withReference}) {
+			if !tr.has {
+				continue
 			}
-			b.ReportMetric(GemmFlops(m, n, k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
-		})
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, n, k, tr.name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				c, a, bb := randTile(m, n, rng), randTile(m, k, rng), randTile(k, n, rng)
+				tr.with(func() {
+					for range b.N {
+						GemmNN(c, a, bb)
+					}
+				})
+				b.ReportMetric(GemmFlops(m, n, k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			})
+		}
 	}
 }
 
