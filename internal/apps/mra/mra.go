@@ -622,17 +622,6 @@ func (a *App) SeedNormPhase() {
 	}
 }
 
-// NumFuncs returns the function count.
-func (a *App) NumFuncs() int { return len(a.funcs) }
-
-// Basis exposes the numerical basis (benches use its cost figures).
-func (a *App) Basis() *Basis { return a.basis }
-
-// AnalyticNorm returns the analytic L2 norm of every function.
-func (a *App) AnalyticNorm() float64 {
-	return math.Sqrt(GaussianNorm2(a.opts.Exponent, a.opts.D))
-}
-
 // CostModel returns the virtual-time cost of each kernel: the dominant
 // terms are the 2^d child projections (k^d evaluations plus d tensor
 // transforms each) for Project and the two-scale transforms elsewhere.

@@ -211,7 +211,7 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 		m := p.rec.Metrics()
 		p.msgBytes = m.Histogram(obs.HistMsgBytes)
 	}
-	p.det = termdet.New(rank, rt.Ranks(), func(dst int, data []byte) {
+	p.det = termdet.New(rank, rt.Ranks(), &p.tr.MsgsSent, &p.tr.MsgsReceived, func(dst int, data []byte) {
 		p.ep.Relay(dst, kCtrl, data, nil)
 	})
 	p.pool = sched.NewPool(rt.opts.WorkersPerRank, rt.opts.Policy, func(w int, it sched.Item) {
@@ -402,7 +402,6 @@ func (p *Proc) deliverCopy(dest int, d core.Delivery, pl core.SendPlan) {
 	b.PutBool(pl.Codec != nil)
 	if pl.Codec != nil {
 		pl.Codec.EncodeAny(b, d.Value)
-		p.tr.ArchiveTransfers.Add(1)
 		p.tr.CopySends.Add(1)
 	}
 	p.send(dest, kData, b.Detach(), nil, d.Control == core.CtrlReduce)
@@ -496,8 +495,7 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, pl core.SendPlan) bool {
 // fabric's in-flight bound.
 func (p *Proc) send(dest int, kind uint8, data []byte, segs []serde.Segment, relay bool) {
 	n := int64(len(data) + serde.SegmentBytes(segs))
-	p.det.MsgSent()
-	p.tr.MsgsSent.Add(1)
+	p.tr.MsgsSent.Add(1) // before the message leaves: the detector reads it
 	p.tr.WirePackets.Add(1)
 	p.tr.BytesSent.Add(n)
 	if p.rec != nil {
@@ -530,8 +528,7 @@ func (p *Proc) handle(pkt fabric.Packet) {
 func (p *Proc) recvMsg(pkt fabric.Packet) {
 	<-p.ready
 	p.det.Activate()
-	p.det.MsgReceived()
-	p.tr.MsgsReceived.Add(1)
+	p.tr.MsgsReceived.Add(1) // after Activate: the detector reads it
 	n := pkt.WireLen()
 	p.tr.BytesReceived.Add(int64(n))
 	p.recordDeliver(n)

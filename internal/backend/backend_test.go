@@ -65,7 +65,7 @@ func buildChain(p *backend.Proc, stages int, sink func(k serde.Int1, v float64))
 			Outputs: []core.OutputSpec{{Edge: edges[i+1]}},
 			Keymap:  func(k any) int { return (k.(serde.Int1)[0] + i) % p.Size() },
 			Body: func(ctx *core.TaskContext) {
-				ctx.Send(0, ctx.Key(), ctx.Input(0).(float64)+float64(i))
+				ctx.SendEdge(edges[i+1], ctx.Key(), ctx.Input(0).(float64)+float64(i), core.SendCopy)
 			},
 		})
 	}
@@ -227,7 +227,7 @@ func TestSplitMDProtocolSelection(t *testing.T) {
 					for i := range big.data {
 						big.data[i] = float64(i)
 					}
-					ctx.SendMode(0, ctx.Key(), big, core.SendMove)
+					ctx.SendEdge(out, ctx.Key(), big, core.SendMove)
 				},
 			})
 			g.AddTT(core.TTSpec{
@@ -262,13 +262,13 @@ func TestSplitMDProtocolSelection(t *testing.T) {
 		if len(got) != 1 || got[0] != 4095 {
 			t.Fatalf("%s: vec payload corrupted: %v", opts.Name, got)
 		}
-		if snap.SplitMDTransfers != 0 || snap.GatherSends != 0 || snap.ArchiveTransfers != 1 {
+		if snap.SplitMDTransfers != 0 || snap.GatherSends != 0 || snap.CopySends != 1 {
 			t.Fatalf("%s: want the one 32KB vec sent as an archive, counted once: %+v", opts.Name, snap)
 		}
 
 		data, send, recv := runTileSend(t, "simnet", opts, 64, 64, core.SendMove)
 		expectTileData(t, data, 64, 64)
-		if send.SplitMDTransfers != 0 || send.GatherSends != 1 || recv.ViewDecodes != 1 || send.ArchiveTransfers != 0 {
+		if send.SplitMDTransfers != 0 || send.GatherSends != 1 || recv.ViewDecodes != 1 || send.CopySends != 0 {
 			t.Fatalf("%s: want the one 32KB tile as splitmd=0 gather=1 views=1: sent %+v, views=%d",
 				opts.Name, send, recv.ViewDecodes)
 		}
@@ -298,11 +298,11 @@ func TestBroadcastPointToPoint(t *testing.T) {
 			Outputs: []core.OutputSpec{{Edge: out}},
 			Keymap:  func(any) int { return 0 },
 			Body: func(ctx *core.TaskContext) {
-				keys := make([]any, ranks)
+				keys := make([]core.Key, ranks)
 				for r := 0; r < ranks; r++ {
-					keys[r] = serde.Int1{r}
+					keys[r] = core.KeyOf(serde.Int1{r})
 				}
-				ctx.Broadcast(0, keys, 3.14)
+				ctx.BroadcastEdge(out, keys, 3.14, core.SendCopy)
 			},
 		})
 		g.AddTT(core.TTSpec{
@@ -415,8 +415,8 @@ func TestDeepRecursiveUnfold(t *testing.T) {
 				mu.Unlock()
 				k := ctx.Key().Value().(serde.Int2)
 				if k[0] < depth {
-					ctx.Send(0, serde.Int2{k[0] + 1, k[1] * 2}, 0.0)
-					ctx.Send(0, serde.Int2{k[0] + 1, k[1]*2 + 1}, 0.0)
+					ctx.SendEdge(e, core.KeyOf(serde.Int2{k[0] + 1, k[1] * 2}), 0.0, core.SendCopy)
+					ctx.SendEdge(e, core.KeyOf(serde.Int2{k[0] + 1, k[1]*2 + 1}), 0.0, core.SendCopy)
 				}
 			},
 		})
@@ -461,7 +461,7 @@ func TestStreamingAcrossRanks(t *testing.T) {
 					},
 					Body: func(ctx *core.TaskContext) {
 						k := ctx.Key().Value().(serde.Int2)
-						ctx.Send(0, serde.Int1{k[0]}, float64(k[1]))
+						ctx.SendEdge(acc, core.KeyOf(serde.Int1{k[0]}), float64(k[1]), core.SendCopy)
 					},
 				})
 				g.AddTT(core.TTSpec{
@@ -530,7 +530,7 @@ func fanInSharing(t *testing.T, opts backend.Options, mode core.SendMode, access
 			Keymap:  func(any) int { return 0 },
 			Body: func(ctx *core.TaskContext) {
 				v := &vec{n: 2, data: []float64{40, 2}}
-				ctx.BroadcastMode(0, []any{serde.Int1{1}, serde.Int1{2}}, v, mode)
+				ctx.BroadcastEdge(out, []core.Key{core.KeyOf(serde.Int1{1}), core.KeyOf(serde.Int1{2})}, v, mode)
 			},
 		})
 		g.AddTT(core.TTSpec{

@@ -22,14 +22,14 @@ func TestEagerRendezvousSwitch(t *testing.T) {
 	// 4x4 tile ≈ 144 wire bytes: under both thresholds.
 	got, send, recv := runTileSend(t, "simnet", o, 4, 4, core.SendMove)
 	expectTileData(t, got, 4, 4)
-	if send.SplitMDTransfers != 0 || send.GatherSends != 0 || send.ArchiveTransfers != 1 || recv.ViewDecodes != 0 {
+	if send.SplitMDTransfers != 0 || send.GatherSends != 0 || send.CopySends != 1 || recv.ViewDecodes != 0 {
 		t.Fatalf("sub-threshold payload should be one eager send: %+v", send)
 	}
 
 	// 64x64 tile = 32 KiB: over both.
 	got, send, recv = runTileSend(t, "simnet", o, 64, 64, core.SendMove)
 	expectTileData(t, got, 64, 64)
-	if send.SplitMDTransfers != 0 || send.GatherSends != 1 || send.ArchiveTransfers != 0 || recv.ViewDecodes != 1 {
+	if send.SplitMDTransfers != 0 || send.GatherSends != 1 || send.CopySends != 0 || recv.ViewDecodes != 1 {
 		t.Fatalf("super-threshold payload should be splitmd=0 gather=1 views=1: sent %+v, views=%d", send, recv.ViewDecodes)
 	}
 	if send.MsgsSent != 1 || send.WirePackets != 1 {
@@ -60,11 +60,11 @@ func runBroadcast(t *testing.T, transport string, ranks, floats int) (sums map[[
 				for i := range v.data {
 					v.data[i] = float64(i % 97)
 				}
-				keys := make([]any, ranks)
+				keys := make([]core.Key, ranks)
 				for r := 0; r < ranks; r++ {
-					keys[r] = serde.Int2{ctx.Rank(), r}
+					keys[r] = core.KeyOf(serde.Int2{ctx.Rank(), r})
 				}
-				ctx.Broadcast(0, keys, v)
+				ctx.BroadcastEdge(out, keys, v, core.SendCopy)
 			},
 		})
 		g.AddTT(core.TTSpec{

@@ -129,7 +129,7 @@ func countersLive(t *testing.T) {
 			Outputs: []core.OutputSpec{{Edge: out}},
 			Keymap:  func(any) int { return 0 },
 			Body: func(ctx *core.TaskContext) {
-				ctx.SendMode(0, ctx.Key(), tile.New(16, 16), core.SendMove)
+				ctx.SendEdge(out, ctx.Key(), tile.New(16, 16), core.SendMove)
 			},
 		})
 		g.AddTT(core.TTSpec{
@@ -185,7 +185,7 @@ func TestStealHitFromCounters(t *testing.T) {
 			Outputs: []core.OutputSpec{{Edge: out}},
 			Body: func(ctx *core.TaskContext) {
 				for k := 0; k < leaves; k++ {
-					ctx.Send(0, serde.Int1{k}, 0.0)
+					ctx.SendEdge(out, core.KeyOf(serde.Int1{k}), 0.0, core.SendCopy)
 				}
 				<-enough
 			},
@@ -239,7 +239,8 @@ func TestStatsCountBroadcastOnce(t *testing.T) {
 			Outputs: []core.OutputSpec{{Edge: out}},
 			Keymap:  func(any) int { return 0 },
 			Body: func(ctx *core.TaskContext) {
-				ctx.Broadcast(0, []any{serde.Int1{1}, serde.Int1{2}, serde.Int1{3}}, tile.New(64, 64))
+				keys := []core.Key{core.KeyOf(serde.Int1{1}), core.KeyOf(serde.Int1{2}), core.KeyOf(serde.Int1{3})}
+				ctx.BroadcastEdge(out, keys, tile.New(64, 64), core.SendCopy)
 			},
 		})
 		g.AddTT(core.TTSpec{

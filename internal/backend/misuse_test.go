@@ -94,7 +94,7 @@ func TestStressManyRanksLatencyRace(t *testing.T) {
 				count++
 				mu.Unlock()
 				if k[1] < 7 {
-					ctx.Send(0, serde.Int2{k[0], k[1] + 1}, ctx.Input(0))
+					ctx.SendEdge(e, core.KeyOf(serde.Int2{k[0], k[1] + 1}), ctx.Input(0), core.SendCopy)
 				}
 			},
 		})

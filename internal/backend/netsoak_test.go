@@ -137,11 +137,11 @@ func TestRelaySoakOverTCPFabric(t *testing.T) {
 						Keymap:  func(k any) int { return k.(serde.Int2)[0] },
 						Body: func(ctx *core.TaskContext) {
 							k := ctx.Key().Value().(serde.Int2)
-							keys := make([]any, ranks)
+							keys := make([]core.Key, ranks)
 							for dst := range keys {
-								keys[dst] = serde.Int3{k[0], k[1], dst}
+								keys[dst] = core.KeyOf(serde.Int3{k[0], k[1], dst})
 							}
-							ctx.Broadcast(0, keys, fill(k[0], k[1]))
+							ctx.BroadcastEdge(data, keys, fill(k[0], k[1]), core.SendCopy)
 						},
 					})
 					g.AddTT(core.TTSpec{
@@ -151,7 +151,7 @@ func TestRelaySoakOverTCPFabric(t *testing.T) {
 						Keymap:  func(k any) int { return k.(serde.Int3)[2] },
 						Body: func(ctx *core.TaskContext) {
 							k := ctx.Key().Value().(serde.Int3)
-							ctx.Send(0, serde.Int1{stream(k[0], k[1], k[2])}, ctx.Input(0))
+							ctx.SendEdge(fold, core.KeyOf(serde.Int1{stream(k[0], k[1], k[2])}), ctx.Input(0), core.SendCopy)
 						},
 					})
 					g.AddTT(core.TTSpec{

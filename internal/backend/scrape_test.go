@@ -40,7 +40,7 @@ func TestScrapeAfterFencePrintsEachSeriesOnce(t *testing.T) {
 			Outputs: []core.OutputSpec{{Edge: sum}},
 			Keymap:  func(k any) int { return k.(serde.Int1)[0] % ranks },
 			Body: func(ctx *core.TaskContext) {
-				ctx.Send(0, serde.Int1{0}, ctx.Input(0).(float64)+ctx.Input(1).(float64))
+				ctx.SendEdge(sum, core.KeyOf(serde.Int1{0}), ctx.Input(0).(float64)+ctx.Input(1).(float64), core.SendCopy)
 			},
 		})
 		g.AddTT(core.TTSpec{

@@ -85,8 +85,8 @@ func TestSendsLeaveWithTheirTask(t *testing.T) {
 					Outputs: []core.OutputSpec{{Edge: toSink}, {Edge: toB}},
 					Keymap:  func(any) int { return 0 },
 					Body: func(ctx *core.TaskContext) {
-						ctx.Send(0, ctx.Key(), 1.0)
-						ctx.Send(1, ctx.Key(), 1.0)
+						ctx.SendEdge(toSink, ctx.Key(), 1.0, core.SendCopy)
+						ctx.SendEdge(toB, ctx.Key(), 1.0, core.SendCopy)
 					},
 				})
 				g.AddTT(core.TTSpec{
@@ -150,10 +150,10 @@ func TestPerSenderOrderToOnePeerWithTwoWorkers(t *testing.T) {
 						}
 						next := k[1] + perTask[k[0]]
 						for s := k[1]; s < next; s++ {
-							ctx.Send(0, serde.Int1{k[0]}, float64(s))
+							ctx.SendEdge(out, core.KeyOf(serde.Int1{k[0]}), float64(s), core.SendCopy)
 						}
 						if next < total {
-							ctx.Send(1, serde.Int2{k[0], next}, 0.0)
+							ctx.SendEdge(step, core.KeyOf(serde.Int2{k[0], next}), 0.0, core.SendCopy)
 						}
 					},
 				})
@@ -233,7 +233,7 @@ func TestReceiveHandlerForwardsPartial(t *testing.T) {
 						case <-time.After(sendTimeout):
 							t.Error("relay rank never reached its fence")
 						}
-						ctx.Send(0, serde.Int1{0}, 42.0)
+						ctx.SendEdge(contrib, core.KeyOf(serde.Int1{0}), 42.0, core.SendCopy)
 					},
 				})
 				g.AddTT(core.TTSpec{
@@ -331,7 +331,8 @@ func TestBroadcastOrderIsDeterministic(t *testing.T) {
 						Outputs: []core.OutputSpec{{Edge: out}},
 						Keymap:  func(any) int { return 0 },
 						Body: func(ctx *core.TaskContext) {
-							ctx.Broadcast(0, []any{serde.Int1{3}, serde.Int1{1}, serde.Int1{2}}, []float64{1, 2, 3})
+							keys := []core.Key{core.KeyOf(serde.Int1{3}), core.KeyOf(serde.Int1{1}), core.KeyOf(serde.Int1{2})}
+							ctx.BroadcastEdge(out, keys, []float64{1, 2, 3}, core.SendCopy)
 						},
 					})
 					g.AddTT(core.TTSpec{

@@ -31,7 +31,7 @@ func TestTimelineFlows(t *testing.T) {
 			Body: func(ctx *core.TaskContext) {
 				k := ctx.Key().Value().(serde.Int1)
 				if k[0] < hops {
-					ctx.Send(0, serde.Int1{k[0] + 1}, 0.0)
+					ctx.SendEdge(e, core.KeyOf(serde.Int1{k[0] + 1}), 0.0, core.SendCopy)
 				}
 			},
 		})

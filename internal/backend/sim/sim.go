@@ -405,7 +405,6 @@ func (p *Proc) deliver(dest int, d core.Delivery) {
 		sendCopy, recvCopy = frame, frame
 		if pl.Codec != nil {
 			p.tr.CopySends.Add(1)
-			p.tr.ArchiveTransfers.Add(1)
 		}
 	}
 	p.tr.BytesSent.Add(int64(frame + land))

@@ -176,7 +176,7 @@ func TestCommunicationCostVisible(t *testing.T) {
 				Body: func(ctx *core.TaskContext) {
 					k := ctx.Key().Value().(serde.Int1)
 					if k[0] < 100 {
-						ctx.Send(0, serde.Int1{k[0] + 1}, 0.0)
+						ctx.SendEdge(e, core.KeyOf(serde.Int1{k[0] + 1}), 0.0, core.SendCopy)
 					}
 				},
 			})
@@ -247,11 +247,11 @@ func TestTreeBroadcastBeatsNaive(t *testing.T) {
 				Outputs: []core.OutputSpec{{Edge: out}},
 				Keymap:  func(any) int { return 0 },
 				Body: func(ctx *core.TaskContext) {
-					keys := make([]any, ranks)
+					keys := make([]core.Key, ranks)
 					for r := 0; r < ranks; r++ {
-						keys[r] = serde.Int1{r}
+						keys[r] = core.KeyOf(serde.Int1{r})
 					}
-					ctx.Broadcast(0, keys, make([]float64, 1<<17)) // 1 MB
+					ctx.BroadcastEdge(out, keys, make([]float64, 1<<17), core.SendCopy) // 1 MB
 				},
 			})
 			g.AddTT(core.TTSpec{

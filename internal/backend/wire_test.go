@@ -38,7 +38,7 @@ func runTileSend(t *testing.T, transport string, cfg backend.Options, rows, cols
 				for i := range tl.Data {
 					tl.Data[i] = float64(i) * 0.5
 				}
-				ctx.SendMode(0, serde.Int1{1}, tl, mode)
+				ctx.SendEdge(out, core.KeyOf(serde.Int1{1}), tl, mode)
 			},
 		})
 		g.AddTT(core.TTSpec{
@@ -152,7 +152,7 @@ func TestGatherCopySemantics(t *testing.T) {
 					for i := range tl.Data {
 						tl.Data[i] = float64(i)
 					}
-					ctx.Send(0, serde.Int1{1}, tl) // SendCopy: sender keeps tl
+					ctx.SendEdge(out, core.KeyOf(serde.Int1{1}), tl, core.SendCopy) // sender keeps tl
 					for i := range tl.Data {
 						tl.Data[i] = -1 // mutate after send
 					}
@@ -231,7 +231,7 @@ func testGatherBorrowedLocalReader(t *testing.T, transport string) {
 				for i := range tl.Data {
 					tl.Data[i] = float64(i % 7)
 				}
-				ctx.BroadcastMode(0, []any{serde.Int1{0}, serde.Int1{1}}, tl, core.SendBorrow)
+				ctx.BroadcastEdge(out, []core.Key{core.KeyOf(serde.Int1{0}), core.KeyOf(serde.Int1{1})}, tl, core.SendBorrow)
 			},
 		})
 		g.AddTT(core.TTSpec{
@@ -430,8 +430,8 @@ func testGatherInterleaved(t *testing.T) {
 					for i := range tl.Data {
 						tl.Data[i] = float64(k)
 					}
-					ctx.SendMode(0, serde.Int1{k}, tl, core.SendMove)
-					ctx.Send(1, serde.Int1{k}, float64(100+k))
+					ctx.SendEdge(tiles, core.KeyOf(serde.Int1{k}), tl, core.SendMove)
+					ctx.SendEdge(scalars, core.KeyOf(serde.Int1{k}), float64(100+k), core.SendCopy)
 				}
 			},
 		})
@@ -524,11 +524,11 @@ func TestRecvViewSharedReaders(t *testing.T) {
 				for i := range tl.Data {
 					tl.Data[i] = float64(i % 7)
 				}
-				keys := make([]any, readers)
+				keys := make([]core.Key, readers)
 				for k := range keys {
-					keys[k] = serde.Int1{k}
+					keys[k] = core.KeyOf(serde.Int1{k})
 				}
-				ctx.BroadcastMode(0, keys, tl, core.SendMove)
+				ctx.BroadcastEdge(out, keys, tl, core.SendMove)
 			},
 		})
 		g.AddTT(core.TTSpec{
@@ -599,7 +599,7 @@ func TestDoctorReportsLeakedRecvView(t *testing.T) {
 				for i := range tl.Data {
 					tl.Data[i] = 1
 				}
-				ctx.SendMode(0, serde.Int1{1}, tl, core.SendMove)
+				ctx.SendEdge(out, core.KeyOf(serde.Int1{1}), tl, core.SendMove)
 			},
 		})
 		g.AddTT(core.TTSpec{

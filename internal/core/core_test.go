@@ -97,8 +97,8 @@ func TestDiamondGraphSingleRank(t *testing.T) {
 		},
 		Body: func(ctx *TaskContext) {
 			v := ctx.Input(0).(int)
-			ctx.Send(0, ctx.Key(), v+1)
-			ctx.Send(1, ctx.Key(), v+2)
+			ctx.SendEdge(ab, ctx.Key(), v+1, SendCopy)
+			ctx.SendEdge(ac, ctx.Key(), v+2, SendCopy)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -106,7 +106,7 @@ func TestDiamondGraphSingleRank(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: ab}},
 		Outputs: []OutputSpec{{Edge: bd}},
 		Body: func(ctx *TaskContext) {
-			ctx.Send(0, ctx.Key(), ctx.Input(0).(int)*10)
+			ctx.SendEdge(bd, ctx.Key(), ctx.Input(0).(int)*10, SendCopy)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -114,7 +114,7 @@ func TestDiamondGraphSingleRank(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: ac}},
 		Outputs: []OutputSpec{{Edge: cd}},
 		Body: func(ctx *TaskContext) {
-			ctx.Send(0, ctx.Key(), ctx.Input(0).(int)*100)
+			ctx.SendEdge(cd, ctx.Key(), ctx.Input(0).(int)*100, SendCopy)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -148,11 +148,11 @@ func TestKeyTypeChangesAcrossTTs(t *testing.T) {
 		Outputs: []OutputSpec{{Edge: out}},
 		Body: func(ctx *TaskContext) {
 			id := ctx.Key().Value().(serde.Int2)
-			keys := []any{
-				serde.Int3{id[0], id[1], 0},
-				serde.Int3{id[0], id[1], 1},
+			keys := []Key{
+				KeyOf(serde.Int3{id[0], id[1], 0}),
+				KeyOf(serde.Int3{id[0], id[1], 1}),
 			}
-			ctx.Broadcast(0, keys, ctx.Input(0).(float64)*2)
+			ctx.BroadcastEdge(out, keys, ctx.Input(0).(float64)*2, SendCopy)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -182,7 +182,7 @@ func TestStreamingTerminalFixedSize(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: in}},
 		Outputs: []OutputSpec{{Edge: acc}},
 		Body: func(ctx *TaskContext) {
-			ctx.Send(0, serde.Int1{0}, ctx.Input(0).(float64))
+			ctx.SendEdge(acc, KeyOf(serde.Int1{0}), ctx.Input(0).(float64), SendCopy)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -225,13 +225,13 @@ func TestStreamingFinalizeAndSetSize(t *testing.T) {
 			mode := ctx.Input(0).(int)
 			if mode == 0 { // finalize after 3 sends
 				for i := 0; i < 3; i++ {
-					ctx.Send(0, serde.Int1{100}, float64(i+1))
+					ctx.SendEdge(str, KeyOf(serde.Int1{100}), float64(i+1), SendCopy)
 				}
-				ctx.FinalizeStream(0, serde.Int1{100})
+				ctx.FinalizeEdge(str, KeyOf(serde.Int1{100}))
 			} else { // set size to 2, then send 2
-				ctx.SetStreamSize(0, serde.Int1{200}, 2)
-				ctx.Send(0, serde.Int1{200}, 5.0)
-				ctx.Send(0, serde.Int1{200}, 7.0)
+				ctx.SetStreamSizeEdge(str, KeyOf(serde.Int1{200}), 2)
+				ctx.SendEdge(str, KeyOf(serde.Int1{200}), 5.0, SendCopy)
+				ctx.SendEdge(str, KeyOf(serde.Int1{200}), 7.0, SendCopy)
 			}
 		},
 	})
@@ -271,7 +271,7 @@ func TestCopySemantics(t *testing.T) {
 			Outputs: []OutputSpec{{Edge: e}},
 			Body: func(ctx *TaskContext) {
 				v := []float64{1, 2, 3}
-				ctx.SendMode(0, serde.Int1{1}, v, mode)
+				ctx.SendEdge(e, KeyOf(serde.Int1{1}), v, mode)
 				if mode != SendMove {
 					v[0] = 99 // mutate after send
 					sent = v
@@ -368,8 +368,8 @@ func TestBroadcastDedupAcrossRanks(t *testing.T) {
 			Outputs: []OutputSpec{{Edge: e}},
 			Owner:   func(Key) int { return 0 },
 			Body: func(ctx *TaskContext) {
-				keys := []any{serde.Int1{1}, serde.Int1{3}, serde.Int1{5}, serde.Int1{7}}
-				ctx.Broadcast(0, keys, 42.0)
+				keys := []Key{KeyOf(serde.Int1{1}), KeyOf(serde.Int1{3}), KeyOf(serde.Int1{5}), KeyOf(serde.Int1{7})}
+				ctx.BroadcastEdge(e, keys, 42.0, SendCopy)
 			},
 		})
 		g.AddTT(TTSpec{

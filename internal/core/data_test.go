@@ -36,8 +36,7 @@ func TestReadOnlyFanoutShares(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: in}},
 		Outputs: []OutputSpec{{Edge: e}},
 		Body: func(ctx *TaskContext) {
-			keys := []any{serde.Int1{1}, serde.Int1{2}, serde.Int1{3}}
-			ctx.Broadcast(0, keys, []float64{4, 5, 6})
+			ctx.BroadcastEdge(e, int1Keys(3), []float64{4, 5, 6}, SendCopy)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -81,7 +80,7 @@ func TestCopyOnWriteLazyClone(t *testing.T) {
 		Outputs: []OutputSpec{{Edge: e}},
 		Body: func(ctx *TaskContext) {
 			sent = []float64{1, 2, 3}
-			ctx.Broadcast(0, []any{serde.Int1{1}, serde.Int1{2}}, sent)
+			ctx.BroadcastEdge(e, int1Keys(2), sent, SendCopy)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -194,7 +193,7 @@ func TestMoveModeSurvivesRemoteDelivery(t *testing.T) {
 			Inputs:  []InputSpec{{Edge: in}},
 			Outputs: []OutputSpec{{Edge: e}},
 			Body: func(ctx *TaskContext) {
-				ctx.BroadcastMode(0, []any{serde.Int1{1}, serde.Int1{2}}, []float64{1, 2}, SendMove)
+				ctx.BroadcastEdge(e, int1Keys(2), []float64{1, 2}, SendMove)
 			},
 			Owner: func(Key) int { return 0 },
 		})
@@ -242,8 +241,8 @@ func TestBorrowSharesWithReadOnlyConsumer(t *testing.T) {
 		Outputs: []OutputSpec{{Edge: ro}, {Edge: rw}},
 		Body: func(ctx *TaskContext) {
 			sent = []float64{1, 2}
-			ctx.SendMode(0, serde.Int1{1}, sent, SendBorrow)
-			ctx.SendMode(1, serde.Int1{1}, sent, SendBorrow)
+			ctx.SendEdge(ro, KeyOf(serde.Int1{1}), sent, SendBorrow)
+			ctx.SendEdge(rw, KeyOf(serde.Int1{1}), sent, SendBorrow)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -283,7 +282,7 @@ func TestReadOnlyResendEscapes(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: e, Access: ReadOnly}},
 		Outputs: []OutputSpec{{Edge: f}},
 		Body: func(ctx *TaskContext) {
-			ctx.SendMode(0, serde.Int1{9}, ctx.Input(0), SendMove)
+			ctx.SendEdge(f, KeyOf(serde.Int1{9}), ctx.Input(0), SendMove)
 		},
 	})
 	g.AddTT(TTSpec{
@@ -381,10 +380,10 @@ func init() {
 }
 
 // int1Keys returns task IDs 1..n.
-func int1Keys(n int) []any {
-	keys := make([]any, n)
+func int1Keys(n int) []Key {
+	keys := make([]Key, n)
 	for i := range keys {
-		keys[i] = serde.Int1{i + 1}
+		keys[i] = KeyOf(serde.Int1{i + 1})
 	}
 	return keys
 }
@@ -406,7 +405,7 @@ func TestUntrackedReadOnlyCloneIsReclaimed(t *testing.T) {
 			Name:    "producer",
 			Inputs:  []InputSpec{{Edge: in}},
 			Outputs: []OutputSpec{{Edge: e}},
-			Body:    func(ctx *TaskContext) { ctx.BroadcastMode(0, int1Keys(k), orig, mode) },
+			Body:    func(ctx *TaskContext) { ctx.BroadcastEdge(e, int1Keys(k), orig, mode) },
 		})
 		g.AddTT(TTSpec{
 			Name:   "reader",
@@ -460,7 +459,7 @@ func TestUntrackedReadOnlyCloneIsReclaimed(t *testing.T) {
 	g.Seal()
 	v := newPoolVal(7)
 	g.Inject(Delivery{
-		Targets:   []TermTarget{{TT: 0, Term: 0, Keys: keysOf(int1Keys(3))}},
+		Targets:   []TermTarget{{TT: 0, Term: 0, Keys: int1Keys(3)}},
 		Value:     v,
 		Exclusive: true,
 	})
@@ -496,7 +495,7 @@ func TestUntrackedCloneEscapes(t *testing.T) {
 		Name:    "producer",
 		Inputs:  []InputSpec{{Edge: in}},
 		Outputs: []OutputSpec{{Edge: e}},
-		Body:    func(ctx *TaskContext) { ctx.BroadcastMode(0, int1Keys(2), orig, SendBorrow) },
+		Body:    func(ctx *TaskContext) { ctx.BroadcastEdge(e, int1Keys(2), orig, SendBorrow) },
 	})
 	g.AddTT(TTSpec{
 		Name:   "keeper",
@@ -509,7 +508,7 @@ func TestUntrackedCloneEscapes(t *testing.T) {
 		Outputs: []OutputSpec{{Edge: f}},
 		Body: func(ctx *TaskContext) {
 			if ctx.Key() == KeyOf(serde.Int1{1}) {
-				ctx.SendMode(0, serde.Int1{9}, ctx.Input(0), SendMove)
+				ctx.SendEdge(f, KeyOf(serde.Int1{9}), ctx.Input(0), SendMove)
 			}
 		},
 	})
@@ -610,11 +609,11 @@ func TestUntrackedCloneRace(t *testing.T) {
 		Body: func(ctx *TaskContext) {
 			r := ctx.Key().Value().(serde.Int1)[0]
 			v := newPoolVal(1, 2, 3, 4)
-			keys := make([]any, k)
+			keys := make([]Key, k)
 			for i := range keys {
-				keys[i] = serde.Int2{r, i}
+				keys[i] = KeyOf(serde.Int2{r, i})
 			}
-			ctx.BroadcastMode(0, keys, v, SendBorrow)
+			ctx.BroadcastEdge(e, keys, v, SendBorrow)
 			v.data[0] = -1 // the copies were taken at the send
 		},
 	})
@@ -669,7 +668,7 @@ func TestRouteEdgesFanoutAllocs(t *testing.T) {
 		c := newMockCluster(1, true)
 		g := c.graphs[0]
 		in, e := NewEdge("in"), NewEdge("e")
-		keys := keysOf(int1Keys(n))
+		keys := int1Keys(n)
 		var value any = []float64{1, 2, 3}
 		g.AddTT(TTSpec{
 			Name:    "producer",

@@ -5,10 +5,9 @@ import (
 	"repro/internal/serde"
 )
 
-// Edge-addressed send operations. Routing in TTG needs only the edge (its
-// consumer terminals define the destinations); the numbered-terminal
-// methods on TaskContext resolve their terminal's edge and land here. The
-// typed public API addresses edges directly.
+// Edge-addressed send operations, the one way a task body sends (Fig.
+// 2a–c). Routing in TTG needs only the edge: its consumer terminals define
+// the destinations.
 
 // SendEdge emits value for key on edge e.
 func (c *TaskContext) SendEdge(e *Edge, key Key, value any, mode SendMode) {
@@ -81,7 +80,9 @@ func (g *Graph) getFanout(n int) *fanout {
 	return f
 }
 
-// routeEdges is the edge-list form of route; see route for the semantics.
+// routeEdges sends value to the consumers of each edges[i] for the task IDs
+// keys[i]: local targets match here, each remote rank gets one delivery for
+// all of its targets, and mode sets the copy semantics.
 func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]Key, value any, mode SendMode) {
 	// Small sends (the overwhelmingly common case: one edge, one key, one
 	// or two consumers) must not allocate for bookkeeping: the local-target

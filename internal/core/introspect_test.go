@@ -56,7 +56,7 @@ func TestPendingTasksClassification(t *testing.T) {
 		Name:    "SRC",
 		Inputs:  []InputSpec{{Edge: in}},
 		Outputs: []OutputSpec{{Edge: aEdge}}, // never feeds b_edge
-		Body:    func(ctx *TaskContext) { ctx.Send(0, ctx.Key(), 1) },
+		Body:    func(ctx *TaskContext) { ctx.SendEdge(aEdge, ctx.Key(), 1, SendCopy) },
 	})
 	g.AddTT(TTSpec{
 		Name:   "JOIN",

@@ -73,23 +73,6 @@ func TestSeedBeforeSealPanics(t *testing.T) {
 	})
 }
 
-func TestSendToMissingTerminalPanics(t *testing.T) {
-	c := newMockCluster(1, true)
-	g := c.graphs[0]
-	in := NewEdge("in")
-	g.AddTT(TTSpec{
-		Name:   "x",
-		Inputs: []InputSpec{{Edge: in}},
-		Body: func(ctx *TaskContext) {
-			ctx.Send(3, serde.Int1{0}, 1.0) // no such output terminal
-		},
-	})
-	g.Seal()
-	expectPanic(t, "send to missing terminal", func() {
-		g.Seed(in, serde.Int1{0}, 1.0)
-	})
-}
-
 func TestStreamControlOnPlainTerminalPanics(t *testing.T) {
 	c := newMockCluster(1, true)
 	g := c.graphs[0]
@@ -111,7 +94,7 @@ func TestBroadcastMultiLengthMismatchPanics(t *testing.T) {
 		Inputs:  []InputSpec{{Edge: in}},
 		Outputs: []OutputSpec{{Edge: out}},
 		Body: func(ctx *TaskContext) {
-			ctx.BroadcastMulti([]int{0}, [][]any{{serde.Int1{0}}, {serde.Int1{1}}}, 1.0, SendCopy)
+			ctx.BroadcastEdges([]*Edge{out}, [][]Key{{KeyOf(serde.Int1{0})}, {KeyOf(serde.Int1{1})}}, 1.0, SendCopy)
 		},
 	})
 	g.AddTT(TTSpec{Name: "sink", Inputs: []InputSpec{{Edge: out}}, Body: func(*TaskContext) {}})

@@ -103,9 +103,6 @@ func (g *Graph) combines(tt *TT, term int) bool {
 // while partials are parked is not supported.
 func (g *Graph) SetPreReduce(on bool) { g.preReduce = on }
 
-// PreReduce reports whether pre-reduction is enabled.
-func (g *Graph) PreReduce() bool { return g.preReduce }
-
 // DisableReduceAutoFlush stops idle/fence/wave sweeps from draining
 // combiner slots. Test hook: a partial then stays parked across a fence,
 // which the graph doctor must report as lost input rather than letting it

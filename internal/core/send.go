@@ -36,85 +36,6 @@ func (c *TaskContext) Worker() int { return c.worker }
 // then never reclaims it. No-op for values that are not runtime-owned.
 func (c *TaskContext) Retain(v any) { c.task.noteSend(v) }
 
-// The numbered-terminal operations below take task IDs as application
-// values and pack them (KeyOf) on entry; the edge-addressed forms in
-// edgesend.go take packed keys.
-
-// Send emits value to output terminal term for task ID key with the default
-// copy semantics (Fig. 2a).
-func (c *TaskContext) Send(term int, key, value any) {
-	c.SendMode(term, key, value, SendCopy)
-}
-
-// SendMode is Send with explicit data-passing semantics.
-func (c *TaskContext) SendMode(term int, key, value any, mode SendMode) {
-	g := c.task.TT.g
-	c.task.noteSend(value)
-	// Stack-backed containers (route/routeEdges do not retain them) keep
-	// the hottest send shape — one terminal, one key — allocation-free.
-	tb := [1]int{term}
-	kb := [1]Key{KeyOf(key)}
-	ksb := [1][]Key{kb[:]}
-	g.route(c.task.TT, c.worker, tb[:], ksb[:], value, mode)
-}
-
-// Broadcast emits one value to a single output terminal for several task
-// IDs (Fig. 2b).
-func (c *TaskContext) Broadcast(term int, keys []any, value any) {
-	c.BroadcastMode(term, keys, value, SendCopy)
-}
-
-// BroadcastMode is Broadcast with explicit semantics.
-func (c *TaskContext) BroadcastMode(term int, keys []any, value any, mode SendMode) {
-	g := c.task.TT.g
-	c.task.noteSend(value)
-	tb := [1]int{term}
-	ksb := [1][]Key{keysOf(keys)}
-	g.route(c.task.TT, c.worker, tb[:], ksb[:], value, mode)
-}
-
-// BroadcastMulti emits one value to several output terminals, each with its
-// own set of task IDs (Fig. 2c; the TRSM pattern of Listing 1). The value
-// crosses each network link at most once regardless of how many terminal
-// instances it feeds.
-func (c *TaskContext) BroadcastMulti(terms []int, keys [][]any, value any, mode SendMode) {
-	if len(terms) != len(keys) {
-		panic("core: BroadcastMulti terms/keys length mismatch")
-	}
-	g := c.task.TT.g
-	c.task.noteSend(value)
-	packed := make([][]Key, len(keys))
-	for i, ks := range keys {
-		packed[i] = keysOf(ks)
-	}
-	g.route(c.task.TT, c.worker, terms, packed, value, mode)
-}
-
-// keysOf packs a list of application key values.
-func keysOf(keys []any) []Key {
-	out := make([]Key, len(keys))
-	for i, k := range keys {
-		out[i] = KeyOf(k)
-	}
-	return out
-}
-
-// FinalizeStream closes the streaming input terminals reachable through
-// output terminal term for the given task ID; their reducers' current
-// accumulation becomes the input value.
-func (c *TaskContext) FinalizeStream(term int, key any) {
-	g := c.task.TT.g
-	g.routeControl(c.task.TT, c.worker, term, KeyOf(key), CtrlFinalize, 0)
-}
-
-// SetStreamSize announces the expected number of stream messages for the
-// given task ID on the streaming terminals reachable through output
-// terminal term (the set_argstream_size analog).
-func (c *TaskContext) SetStreamSize(term int, key any, n int) {
-	g := c.task.TT.g
-	g.routeControl(c.task.TT, c.worker, term, KeyOf(key), CtrlSetSize, n)
-}
-
 // Seed injects a value into an edge from outside any task (the initial
 // data injection a rank main performs before fencing). Routing follows the
 // consumers' keymaps, so seeding from one rank reaches tasks anywhere. The
@@ -158,35 +79,6 @@ func (g *Graph) SetStreamSizeSeed(e *Edge, key Key, n int) {
 	g.exec.Activate()
 	defer g.exec.Deactivate()
 	g.controlEdge(e, -1, key, CtrlSetSize, n)
-}
-
-// route resolves output terminals to their edges and delegates to
-// routeEdges, which implements the fan-out and copy semantics.
-func (g *Graph) route(tt *TT, worker int, terms []int, keys [][]Key, value any, mode SendMode) {
-	// Sends target at most a handful of terminals; resolve them on a stack
-	// buffer so the per-send edge list costs no allocation.
-	var ebuf [4]*Edge
-	var edges []*Edge
-	if len(terms) <= len(ebuf) {
-		edges = ebuf[:len(terms)]
-	} else {
-		edges = make([]*Edge, len(terms))
-	}
-	for i, term := range terms {
-		if term < 0 || term >= len(tt.outputs) {
-			panic(fmt.Sprintf("core: TT %q has no output terminal %d", tt.name, term))
-		}
-		edges[i] = tt.outputs[term].Edge
-	}
-	g.routeEdges(worker, edges, keys, value, mode)
-}
-
-// routeControl routes a stream-control action through an output terminal.
-func (g *Graph) routeControl(tt *TT, worker int, term int, key Key, ctrl ControlKind, n int) {
-	if term < 0 || term >= len(tt.outputs) {
-		panic(fmt.Sprintf("core: TT %q has no output terminal %d", tt.name, term))
-	}
-	g.controlEdge(tt.outputs[term].Edge, worker, key, ctrl, n)
 }
 
 func (g *Graph) controlEdge(e *Edge, worker int, key Key, ctrl ControlKind, n int) {

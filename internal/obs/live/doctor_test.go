@@ -103,7 +103,7 @@ func TestDoctorMiswiredGraphSim(t *testing.T) {
 			Outputs: []core.OutputSpec{{Edge: aEdge}, {Edge: bEdge}},
 			Keymap:  func(k any) int { return k.(serde.Int1)[0] % p.Size() },
 			Body: func(ctx *core.TaskContext) {
-				ctx.Send(0, ctx.Key(), 1.0) // a_edge only; b_edge never fires
+				ctx.SendEdge(aEdge, ctx.Key(), 1.0, core.SendCopy) // a_edge only; b_edge never fires
 			},
 		})
 		g.AddTT(core.TTSpec{

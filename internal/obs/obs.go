@@ -285,13 +285,6 @@ func (s *Session) Rank(r int) *Rank {
 	return rk
 }
 
-// NumRanks returns how many rank recorders exist.
-func (s *Session) NumRanks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ranks)
-}
-
 // Dropped returns the total events discarded because rank buffers filled.
 func (s *Session) Dropped() int64 {
 	s.mu.Lock()
@@ -386,9 +379,6 @@ func (r *Rank) Now() int64 { return int64(time.Since(r.epoch)) }
 
 // Metrics implements Recorder.
 func (r *Rank) Metrics() *Registry { return &r.reg }
-
-// RankID returns the rank this recorder belongs to.
-func (r *Rank) RankID() int { return int(r.rank) }
 
 // Dropped returns how many events this rank discarded.
 func (r *Rank) Dropped() int64 { return r.dropped.Load() }

@@ -27,15 +27,14 @@ const (
 
 // Detector tracks one rank's activity and drives/answers the detection
 // protocol. The owning backend must route control packets to
-// HandleControl and apply the counting discipline documented on the
-// counter methods.
+// HandleControl and apply the counting discipline documented on New and
+// the activity methods.
 type Detector struct {
 	rank, size int
 	send       func(dst int, data []byte)
 
-	sent     atomic.Int64
-	received atomic.Int64
-	active   atomic.Int64
+	sent, received *atomic.Int64 // the rank's message counts, owned by the backend
+	active         atomic.Int64
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -50,23 +49,20 @@ type counters struct{ s, r, a int64 }
 
 // New builds a detector for rank of size ranks. send must transmit a
 // control packet to another rank (it is never called with dst == rank).
-func New(rank, size int, send func(dst int, data []byte)) *Detector {
+// sent and received are the rank's data-message counts, which the detector
+// only reads: the backend adds one to sent before a message leaves, while
+// the sending activity is still counted active, and one to received after
+// Activate for any work the message triggers, so no gap is observable.
+func New(rank, size int, sent, received *atomic.Int64, send func(dst int, data []byte)) *Detector {
 	d := &Detector{
 		rank: rank, size: size, send: send,
+		sent: sent, received: received,
 		entered: map[uint32]int{},
 		replies: map[uint32]map[int]counters{},
 	}
 	d.cond = sync.NewCond(&d.mu)
 	return d
 }
-
-// MsgSent records a data message handed to the network. Call it before the
-// message leaves, while the sending activity is still counted active.
-func (d *Detector) MsgSent() { d.sent.Add(1) }
-
-// MsgReceived records a processed data message. Call it after Activate for
-// any work the message triggers, so no gap is observable.
-func (d *Detector) MsgReceived() { d.received.Add(1) }
 
 // Activate counts a new unit of pending work (queued task, in-progress
 // delivery). Always call it before the enabling event is acknowledged.

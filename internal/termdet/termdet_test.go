@@ -13,18 +13,22 @@ import (
 
 // harness wires detectors over a simnet fabric, each rank's handler
 // passing control packets to its detector the way a backend's receive
-// handler would.
+// handler would. sent and received are the ranks' message counts, which a
+// test moves the way a backend's send and receive paths would.
 type harness struct {
-	eps  []*simnet.Endpoint
-	dets []*Detector
+	eps            []*simnet.Endpoint
+	dets           []*Detector
+	sent, received []atomic.Int64
 }
 
 func newHarness(ranks int) *harness {
 	h := &harness{eps: simnet.New(ranks)}
 	h.dets = make([]*Detector, ranks)
+	h.sent = make([]atomic.Int64, ranks)
+	h.received = make([]atomic.Int64, ranks)
 	for r := 0; r < ranks; r++ {
 		ep := h.eps[r]
-		h.dets[r] = New(r, ranks, func(dst int, data []byte) {
+		h.dets[r] = New(r, ranks, &h.sent[r], &h.received[r], func(dst int, data []byte) {
 			ep.Relay(dst, 0, data, nil)
 		})
 	}
@@ -42,7 +46,7 @@ func (h *harness) close() {
 }
 
 func TestFenceSingleRank(t *testing.T) {
-	d := New(0, 1, nil)
+	d := New(0, 1, new(atomic.Int64), new(atomic.Int64), nil)
 	d.Activate()
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -86,12 +90,12 @@ func TestFenceWaitsForInFlightMessages(t *testing.T) {
 	h := newHarness(2)
 	defer h.close()
 	// Simulate a data message in flight: sent counted, receive delayed.
-	h.dets[0].MsgSent()
+	h.sent[0].Add(1)
 	var landed atomic.Bool
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		landed.Store(true)
-		h.dets[1].MsgReceived()
+		h.received[1].Add(1)
 	}()
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -159,9 +163,9 @@ func TestFenceUnderMessageStorm(t *testing.T) {
 	hop = func(from, to, depth int) {
 		defer wg.Done()
 		h.dets[to].Activate()
-		h.dets[0].MsgSent() // model: counted on some rank
+		h.sent[0].Add(1) // model: counted on some rank
 		time.Sleep(time.Duration(rand.Intn(100)) * time.Microsecond)
-		h.dets[0].MsgReceived()
+		h.received[0].Add(1)
 		if hops.Add(-1) > 0 && depth < 50 {
 			wg.Add(1)
 			go hop(to, (to+1)%ranks, depth+1)

@@ -48,7 +48,7 @@ func TestCollectorRace(t *testing.T) {
 				c.DataCopies.Add(1)
 				c.CopiesAvoided.Add(1)
 				c.SplitMDTransfers.Add(1)
-				c.ArchiveTransfers.Add(1)
+				c.CopySends.Add(1)
 				c.BcastsForwarded.Add(1)
 			}
 		}()
@@ -61,7 +61,7 @@ func TestCollectorRace(t *testing.T) {
 	const n = goroutines * perG
 	if s.TasksExecuted != n || s.MsgsSent != n || s.MsgsReceived != n ||
 		s.DataCopies != n || s.CopiesAvoided != n || s.SplitMDTransfers != n ||
-		s.ArchiveTransfers != n || s.BcastsForwarded != n {
+		s.CopySends != n || s.BcastsForwarded != n {
 		t.Errorf("counter totals off: %+v, want %d each", s, n)
 	}
 	if s.BytesSent != 10*n || s.BytesReceived != 10*n {

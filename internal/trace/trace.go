@@ -28,7 +28,6 @@ type Collector struct {
 	CopiesAvoided    atomic.Int64 // borrows/moves that skipped a copy
 	BytesCopied      atomic.Int64 // payload bytes of the deep copies (the simulator charges them as memcpy time)
 	SplitMDTransfers atomic.Int64 // payloads sent via the splitmd protocol
-	ArchiveTransfers atomic.Int64 // payloads sent via whole-object archives
 	BcastsForwarded  atomic.Int64 // tree-broadcast forwards performed
 	WirePackets      atomic.Int64 // physical fabric packets: one per counted message
 	CoalescedMsgs    atomic.Int64 // always 0: retained for the frozen bench/ harness, whose coalesce.msgs_per_packet reads 0 until a benchmark PR drops that row
@@ -73,7 +72,6 @@ type Snapshot struct {
 	CopiesAvoided    int64
 	BytesCopied      int64
 	SplitMDTransfers int64
-	ArchiveTransfers int64
 	BcastsForwarded  int64
 	WirePackets      int64
 	CoalescedMsgs    int64
@@ -133,7 +131,6 @@ func counters(c *Collector, s *Snapshot) []counter {
 		{obs.CounterCopiesAvoided, " avoided=%d", &c.CopiesAvoided, &s.CopiesAvoided},
 		{"core.bytes_copied", "", &c.BytesCopied, &s.BytesCopied},
 		{"net.rendezvous_sends", " splitmd=%d", &c.SplitMDTransfers, &s.SplitMDTransfers},
-		{"net.archive_sends", " archive=%d", &c.ArchiveTransfers, &s.ArchiveTransfers},
 		{"bcast.forwards", " bcast-fwd=%d", &c.BcastsForwarded, &s.BcastsForwarded},
 		{obs.CounterSteals, " stolen=%d", nil, &s.TasksStolen},
 		{"core.match_ops", " matchops=%d", &c.MatchOps, &s.MatchOps},
