@@ -182,10 +182,6 @@ type Options struct {
 	OnNorm func(f int, norm float64)
 }
 
-// PaperExponent is the paper's Gaussian exponent (30,000 on [-6,6]³)
-// mapped to unit-cube coordinates.
-const PaperExponent = 30000.0 * 144
-
 // App is one rank's MRA graph.
 type App struct {
 	g     *ttg.Graph

@@ -49,9 +49,14 @@ type Options struct {
 	WorkersPerRank int
 	// Policy is the task queue discipline, fixed by the preset.
 	Policy sched.Policy
-	// SendCaps are the protocol properties and thresholds core.PlanSend
-	// and core.PlanBcast decide by; this engine executes their plans.
-	core.SendCaps
+	// TracksData and GatherThreshold are the two core.SendCaps fields the
+	// engine honours (see there); New builds the caps core.PlanSend and
+	// PlanBcast decide by from them, with SplitMD and TreeBroadcast off:
+	// no fabric under the engine can fetch remote memory, and a push to
+	// each broadcast destination by reference costs no tree hop's encode
+	// and decode.
+	TracksData      bool
+	GatherThreshold int
 	// Fabric, when non-nil, replaces the in-process simnet cluster with an
 	// externally bootstrapped transport endpoint (internal/netfab): the
 	// runtime then hosts exactly ONE rank — Fabric.Rank() — of a cluster
@@ -67,18 +72,8 @@ type Options struct {
 // PaRSEC is the preset modeling the paper's PaRSEC backend (§II-D): the
 // runtime owns data flowing through the graph (so const-ref sends avoid
 // copies), large payloads cross by reference, and scheduling is banded
-// work stealing that honors priority maps. Its protocol properties are the
-// sim flavor's but for SplitMD and TreeBroadcast: fetching remote memory
-// one-sidedly is a property of the machine being modelled, and no fabric
-// this engine runs over has it; a binomial tree saves the root's link
-// bandwidth, which the simulator charges and no link under the engine
-// rations, while every hop of it would pay an encode and a decode that a
-// by-reference push to each destination does not.
-func PaRSEC() Options {
-	caps := cluster.ParsecFlavor().SendCaps
-	caps.SplitMD, caps.TreeBroadcast = false, false
-	return Options{Name: "parsec", Policy: sched.PolicyStealPrio, SendCaps: caps}
-}
+// work stealing that honors priority maps.
+func PaRSEC() Options { return preset(sched.PolicyStealPrio, cluster.ParsecFlavor()) }
 
 // MADNESS is the preset modeling the paper's MADNESS backend (§II-D): one
 // FIFO thread pool per process, active messages served where they land.
@@ -86,8 +81,12 @@ func PaRSEC() Options {
 // runtime does not track data lifetimes, so const-ref sends still copy —
 // the copy and communication overheads the paper observes for
 // TTG-over-MADNESS in the MRA benchmark follow from these two properties.
-func MADNESS() Options {
-	return Options{Name: "madness", Policy: sched.PolicyFIFO, SendCaps: cluster.MadnessFlavor().SendCaps}
+func MADNESS() Options { return preset(sched.PolicyFIFO, cluster.MadnessFlavor()) }
+
+// preset reads TracksData and GatherThreshold from the sim flavor of the
+// same name, so the engine and the cost model share each preset.
+func preset(policy sched.Policy, fl cluster.Flavor) Options {
+	return Options{Name: fl.Name, Policy: policy, TracksData: fl.TracksData, GatherThreshold: fl.GatherThreshold}
 }
 
 func (o *Options) fill(ranks int) {
@@ -104,25 +103,15 @@ func (o *Options) fill(ranks int) {
 // mode the single local rank of a multi-process cluster.
 type Runtime struct {
 	opts  Options
-	size  int     // cluster size (== len(procs) in simnet mode)
-	procs []*Proc // local ranks only, in rank order
+	caps  core.SendCaps // what core.PlanSend and PlanBcast decide by
+	size  int           // cluster size (== len(procs) in simnet mode)
+	procs []*Proc       // local ranks only, in rank order
 }
 
 // New builds a runtime with the given number of ranks, or — when
 // opts.Fabric is set — the single-local-rank runtime for that endpoint's
 // rank of a multi-process cluster (ranks is then ignored).
 func New(ranks int, opts Options) *Runtime {
-	// Two protocol properties belong to the machines backend/sim models.
-	refused := ""
-	switch {
-	case opts.SplitMD:
-		refused = "SplitMD is set, but neither fabric the engine runs over (simnet, netfab) can fetch remote memory"
-	case opts.TreeBroadcast:
-		refused = "TreeBroadcast is set, but the engine sends each broadcast destination its own push"
-	}
-	if refused != "" {
-		panic("backend: SendCaps." + refused + "; only backend/sim's flavors model it")
-	}
 	var eps []fabric.Endpoint
 	if opts.Fabric != nil {
 		eps = []fabric.Endpoint{opts.Fabric}
@@ -132,7 +121,8 @@ func New(ranks int, opts Options) *Runtime {
 		}
 	}
 	opts.fill(eps[0].Size())
-	rt := &Runtime{opts: opts, size: eps[0].Size()}
+	caps := core.SendCaps{TracksData: opts.TracksData, GatherThreshold: opts.GatherThreshold}
+	rt := &Runtime{opts: opts, caps: caps, size: eps[0].Size()}
 	for _, ep := range eps {
 		rt.procs = append(rt.procs, newProc(rt, ep))
 	}
@@ -372,10 +362,10 @@ func (p *Proc) SubmitBatch(ts []*core.Task) {
 }
 
 // Broadcast implements core.Executor: one Deliver per destination, in
-// ascending rank order. The per-rank dedup happened in core; New refuses
-// a tree, so every destination gets its own push straight from the root.
+// ascending rank order. The per-rank dedup happened in core, and the
+// engine's caps have no tree: each destination gets its own push.
 func (p *Proc) Broadcast(dests map[int]core.Delivery) {
-	for _, dst := range core.PlanBcast(p.rank, dests, p.rt.opts.SendCaps).Ranks {
+	for _, dst := range core.PlanBcast(p.rank, dests, p.rt.caps).Ranks {
 		p.Deliver(dst, dests[dst])
 	}
 }
@@ -383,7 +373,7 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 // Deliver implements core.Executor: one delivery to one remote rank, over
 // the protocol core.PlanSend picked.
 func (p *Proc) Deliver(dest int, d core.Delivery) {
-	pl := core.PlanSend(d, p.rt.opts.SendCaps)
+	pl := core.PlanSend(d, p.rt.caps)
 	switch {
 	case dest == p.rank:
 		p.deliverLoopback(d, pl.Codec)

@@ -1,8 +1,6 @@
 package backend_test
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -154,12 +152,10 @@ func TestAllSchedulerPolicies(t *testing.T) {
 }
 
 // TestPresets pins the paper's §II-D property list: what New builds from
-// each preset, with only the worker count filled in. The protocol
-// properties are the sim flavor's by construction, but for SplitMD and
-// TreeBroadcast — the Hawk/Seawulf flavors model one-sided fetches and a
-// binomial broadcast tree, the engine has neither, and New refuses a
-// configuration that asks for either. Unset thresholds resolve to their
-// defaults when read, not when stored.
+// each preset, with only the worker count filled in. The two send caps the
+// engine has, TracksData and GatherThreshold, are the sim flavor's by
+// construction; an unset gather floor resolves to its default when read,
+// not when stored.
 func TestPresets(t *testing.T) {
 	for _, tc := range []struct {
 		preset backend.Options
@@ -174,33 +170,14 @@ func TestPresets(t *testing.T) {
 		rt := backend.New(2, tc.preset)
 		o := rt.Options()
 		rt.Shutdown()
-		if o.Name != tc.name || o.Policy != tc.policy || o.TracksData != tc.tracks ||
-			o.SplitMD || o.TreeBroadcast {
+		if o.Name != tc.name || o.Policy != tc.policy || o.TracksData != tc.tracks {
 			t.Errorf("%s preset wrong: %+v", tc.name, o)
 		}
-		want := tc.flavor.SendCaps
-		want.SplitMD, want.TreeBroadcast = false, false
-		if o.SendCaps != want || o.Name != tc.flavor.Name {
-			t.Errorf("%s: engine preset %+v is not sim flavor %+v less SplitMD and TreeBroadcast", tc.name, o.SendCaps, tc.flavor)
+		if o.Name != tc.flavor.Name || o.TracksData != tc.flavor.TracksData || o.GatherThreshold != tc.flavor.GatherThreshold {
+			t.Errorf("%s: engine preset %+v does not have sim flavor %+v's name, TracksData and GatherThreshold", tc.name, o, tc.flavor)
 		}
-		if o.WorkersPerRank < 1 || o.Eager() != 4096 || o.GatherThreshold != 0 {
+		if o.WorkersPerRank < 1 || o.GatherThreshold != 0 {
 			t.Errorf("%s defaults wrong: %+v", tc.name, o)
-		}
-
-		for field, set := range map[string]func(*backend.Options){
-			"SplitMD":       func(o *backend.Options) { o.SplitMD = true },
-			"TreeBroadcast": func(o *backend.Options) { o.TreeBroadcast = true },
-		} {
-			asked := tc.preset
-			set(&asked)
-			func() {
-				defer func() {
-					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), field) {
-						t.Errorf("%s: New with %s set: recovered %v, want a panic naming %s", tc.name, field, r, field)
-					}
-				}()
-				backend.New(2, asked).Shutdown()
-			}()
 		}
 	}
 }

@@ -11,26 +11,25 @@ import (
 )
 
 // TestEagerRendezvousSwitch: the engine has no rendezvous to switch to.
-// EagerThreshold is a threshold of the simulator's flavors; with it set
-// on the PaRSEC preset the only switch a payload sees is the gather floor
-// (1 KiB): a tile under it travels inline as an archive, one over it — and
-// over the configured "eager" size — is one by-reference gather packet.
+// The eager threshold is a property of the simulator's flavors only; on
+// the PaRSEC preset the only size switch a payload sees is the gather
+// floor (1 KiB): a tile under it travels inline as an archive, one over
+// it is one by-reference gather packet.
 func TestEagerRendezvousSwitch(t *testing.T) {
 	o := withWorkers(backend.PaRSEC(), 1)
-	o.EagerThreshold = 1024
 
-	// 4x4 tile ≈ 144 wire bytes: under both thresholds.
+	// 4x4 tile ≈ 144 wire bytes: under the floor.
 	got, send, recv := runTileSend(t, "simnet", o, 4, 4, core.SendMove)
 	expectTileData(t, got, 4, 4)
 	if send.SplitMDTransfers != 0 || send.GatherSends != 0 || send.CopySends != 1 || recv.ViewDecodes != 0 {
-		t.Fatalf("sub-threshold payload should be one eager send: %+v", send)
+		t.Fatalf("sub-floor payload should be one eager send: %+v", send)
 	}
 
-	// 64x64 tile = 32 KiB: over both.
+	// 64x64 tile = 32 KiB: over it.
 	got, send, recv = runTileSend(t, "simnet", o, 64, 64, core.SendMove)
 	expectTileData(t, got, 64, 64)
 	if send.SplitMDTransfers != 0 || send.GatherSends != 1 || send.CopySends != 0 || recv.ViewDecodes != 1 {
-		t.Fatalf("super-threshold payload should be splitmd=0 gather=1 views=1: sent %+v, views=%d", send, recv.ViewDecodes)
+		t.Fatalf("over-floor payload should be splitmd=0 gather=1 views=1: sent %+v, views=%d", send, recv.ViewDecodes)
 	}
 	if send.MsgsSent != 1 || send.WirePackets != 1 {
 		t.Fatalf("MsgsSent = %d, WirePackets = %d, want one kGatherData packet", send.MsgsSent, send.WirePackets)

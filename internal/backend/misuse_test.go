@@ -67,7 +67,7 @@ func TestProcAccessors(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("ranks seen: %v", seen)
 	}
-	if rt.Ranks() != 3 || rt.Options().Name != "parsec" || rt.Options().SplitMD {
+	if rt.Ranks() != 3 || rt.Options().Name != "parsec" {
 		t.Fatalf("runtime accessors wrong")
 	}
 }

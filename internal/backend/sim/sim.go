@@ -90,9 +90,6 @@ func New(cfg Config) *Runtime {
 // Proc returns rank r's process context.
 func (rt *Runtime) Proc(r int) *Proc { return rt.procs[r] }
 
-// Ranks returns the virtual cluster size.
-func (rt *Runtime) Ranks() int { return len(rt.procs) }
-
 // Now returns the current virtual time in seconds.
 func (rt *Runtime) Now() float64 { return rt.eng.Now() }
 

@@ -192,8 +192,9 @@ type InputSpec struct {
 	// binomial tree to the owner instead of each crossing the wire and
 	// the match table individually. Because partials park and hop in
 	// rank-dependent order, a commutative stream must close by count —
-	// StreamSize or SetStreamSize — never FinalizeStream (which would
-	// race the in-flight partials and is rejected with a panic).
+	// StreamSize or SetStreamSize — never a finalize (FinalizeEdge or
+	// FinalizeSeed, which would race the in-flight partials and is
+	// rejected with a panic).
 	Commutative bool
 	// Access declares how the task body uses this terminal's value (see
 	// AccessMode). Non-default modes opt the terminal into runtime-owned
@@ -332,9 +333,6 @@ func (g *Graph) Rank() int { return g.exec.Rank() }
 
 // Size returns the number of ranks.
 func (g *Graph) Size() int { return g.exec.Size() }
-
-// Executor exposes the backend (used by the public API and tests).
-func (g *Graph) Executor() Executor { return g.exec }
 
 // AddTT registers a template task. Must be called identically on every
 // rank and before Seal.

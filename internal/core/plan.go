@@ -11,9 +11,10 @@ import (
 // (§II-D), the only inputs besides the delivery to how a value crosses a
 // rank boundary: PlanSend and PlanBcast decide, the engine (backend)
 // executes the plan, the simulator (backend/sim) charges it.
-// backend.Options and cluster.Flavor both embed it and each preset is
-// written once (the engine's is the flavor's with SplitMD and
-// TreeBroadcast cleared), so engine and cost model cannot drift apart.
+// cluster.Flavor embeds it; backend.Options holds only TracksData and
+// GatherThreshold, the two the engine honours, and its presets read them
+// from the flavor of the same name, so engine and cost model cannot
+// drift apart.
 type SendCaps struct {
 	// TracksData: the runtime owns data lifetimes, so const-ref sends
 	// avoid copies (PaRSEC-model: true, MADNESS-model: false).
@@ -21,13 +22,13 @@ type SendCaps struct {
 	// SplitMD enables the split-metadata rendezvous protocol: eager
 	// metadata, then an RMA fetch with no serialization copies. It is a
 	// property of the machine being modelled: true on the simulator's
-	// Hawk/Seawulf flavors, refused by backend.New, whose fabrics cannot
-	// fetch remote memory.
+	// Hawk/Seawulf flavors, always off on the engine, whose fabrics
+	// cannot fetch remote memory.
 	SplitMD bool
 	// TreeBroadcast forwards multi-rank broadcasts along a binomial tree
 	// instead of point-to-point sends from the root. Like SplitMD it is a
 	// property of the model: true on the simulator's PaRSEC and MPI
-	// flavors, refused by backend.New, which sends each destination its
+	// flavors, always off on the engine, which sends each destination its
 	// own push.
 	TreeBroadcast bool
 	// EagerThreshold is the tagged wire size (bytes) from which splitmd is

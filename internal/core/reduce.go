@@ -34,7 +34,8 @@ import (
 // Correctness contract: partials park locally and hop in rank-dependent
 // order, so the fold must be associative and commutative (hence the opt-in
 // flag) and the stream must close by count — StreamSize or SetStreamSize —
-// never FinalizeStream, which races the in-flight partials and panics.
+// never a finalize (FinalizeEdge, FinalizeSeed), which races the in-flight
+// partials and panics.
 
 // rkey addresses one combiner slot.
 type rkey struct {

@@ -19,9 +19,6 @@ func (c *TaskContext) Key() Key { return c.task.Key }
 // Input returns the value received on input terminal i.
 func (c *TaskContext) Input(i int) any { return c.task.Inputs[i] }
 
-// NumInputs returns the task's input arity.
-func (c *TaskContext) NumInputs() int { return len(c.task.Inputs) }
-
 // Rank returns the executing rank.
 func (c *TaskContext) Rank() int { return c.task.TT.g.exec.Rank() }
 
@@ -86,10 +83,7 @@ func (g *Graph) controlEdge(e *Edge, worker int, key Key, ctrl ControlKind, n in
 	key = g.canon(key)
 	for _, cons := range e.consumers {
 		if ctrl == CtrlFinalize && g.combines(cons.tt, cons.term) {
-			panic(fmt.Sprintf("core: FinalizeStream on commutative terminal %d of TT %q: "+
-				"hierarchical reduction parks partials, so a finalize races them; "+
-				"close the stream by count (StreamSize or SetStreamSize) instead",
-				cons.term, cons.tt.name))
+			panic(finalizeCommutative(cons.tt, cons.term))
 		}
 		dst := cons.tt.keymap(key)
 		if dst == me {
@@ -185,6 +179,11 @@ func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 				continue
 			}
 			if d.Control != CtrlNone {
+				// controlEdge refused this at the sender; these bytes
+				// came from a peer.
+				if d.Control == CtrlFinalize && g.combines(tt, tgt.Term) {
+					panic(finalizeCommutative(tt, tgt.Term))
+				}
 				if d.Control == CtrlSetSize {
 					// As in controlEdge: absorb the parked partial before
 					// the stream length lands on the shell.
@@ -283,15 +282,19 @@ func (g *Graph) deliverLocal(tt *TT, term int, key Key, value any, worker int) *
 	return g.maybeReadyLocked(tt, sp, sh, h, worker)
 }
 
+// finalizeCommutative is the panic of a finalize addressed to a
+// commutative terminal.
+func finalizeCommutative(tt *TT, term int) string {
+	return fmt.Sprintf("core: finalize (ttg Finalize/SeedFinalize, core FinalizeEdge/FinalizeSeed) "+
+		"on commutative terminal %d of TT %q: hierarchical reduction parks partials, so a finalize races them; "+
+		"close the stream by count (StreamSize or SetStreamSize) instead", term, tt.name)
+}
+
 // applyControl handles finalize/set-size for a streaming terminal instance
 // and returns the task if the control made it ready.
 func (g *Graph) applyControl(tt *TT, term int, key Key, ctrl ControlKind, n int, worker int) *Task {
 	if tt.inputs[term].Reducer == nil {
 		panic(fmt.Sprintf("core: stream control on non-streaming terminal %d of TT %q", term, tt.name))
-	}
-	if ctrl == CtrlFinalize && g.combines(tt, term) {
-		panic(fmt.Sprintf("core: FinalizeStream on commutative terminal %d of TT %q: "+
-			"close the stream by count (StreamSize or SetStreamSize) instead", term, tt.name))
 	}
 	g.exec.Tracer().MatchOps.Add(1)
 	h := key.hash()

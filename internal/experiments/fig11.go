@@ -81,16 +81,10 @@ func maxDim(m *sparse.Matrix) int {
 	return d
 }
 
-// Profile runs one POTRF configuration in virtual time and reports the
-// per-kernel execution profile — which template task consumed the
-// machine — alongside the makespan. A diagnostic the text tables of the
-// figures don't show.
-func Profile(scale Scale) string {
-	s, _ := ProfileWithTimeline(scale, false)
-	return s
-}
-
-// ProfileWithTimeline is Profile, optionally also rendering the run's
+// ProfileWithTimeline runs one POTRF configuration in virtual time and
+// reports the per-kernel execution profile — which template task consumed
+// the machine — alongside the makespan, a diagnostic the text tables of
+// the figures don't show; with timeline it also renders the run's
 // Chrome-trace JSON (load it in a chrome://tracing / Perfetto viewer).
 func ProfileWithTimeline(scale Scale, timeline bool) (string, string) {
 	machine := cluster.Hawk()

@@ -360,11 +360,3 @@ func describeFlavor(f cluster.Flavor) string {
 	return fmt.Sprintf("task %.1fµs, msg %.1fµs, splitmd=%v, tree-bcast=%v, tracks-data=%v",
 		f.TaskOverhead*1e6, f.MsgOverhead*1e6, f.SplitMD, f.TreeBroadcast, f.TracksData)
 }
-
-// All returns every figure at the given scale, in paper order.
-func All(scale Scale) []Figure {
-	return []Figure{
-		Fig5(scale), Fig6(scale), Fig8(scale), Fig9(scale),
-		Fig12(scale), Fig13a(scale), Fig13b(scale),
-	}
-}

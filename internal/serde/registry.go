@@ -89,7 +89,6 @@ var (
 	byType  = map[reflect.Type]*entry{}
 	byTag   = map[uint32]*entry{}
 	nextTag uint32
-	frozen  bool
 )
 
 // RegisterType installs a codec for the dynamic type of the zero sample.
@@ -211,9 +210,6 @@ func (c *Cached) Shareable() bool { return c.shareable }
 
 // Gatherer returns the codec's gather extension, if it has one.
 func (c *Cached) Gatherer() (Gatherer, bool) { return c.gather, c.gather != nil }
-
-// CodecFor returns the codec registered for v's dynamic type.
-func CodecFor(v any) Codec { return lookupType(v).codec }
 
 // Registered reports whether v's dynamic type has a codec.
 func Registered(v any) bool {

@@ -28,7 +28,7 @@ import (
 // phantom tiles on the simulator and real tiles on the engine, under both
 // presets, at tile sizes straddling the gather floor (nb 11|12) and the
 // sim's splitmd threshold (nb 22|23), on 2 and 4 ranks. The sim runs with
-// the engine's TreeBroadcast, so both send point to point: the message and
+// TreeBroadcast off, as the engine sends, so both send point to point: the message and
 // copy counts must be equal, the engine's gather count must equal the
 // sim's gather plus splitmd counts with nothing sent by rendezvous, both
 // ledgers must balance after the fence, and the sim's byte total must sit
@@ -89,7 +89,7 @@ func TestSendPlanAgreement(t *testing.T) {
 						return model
 					}
 					fl := pre.flavor
-					fl.TreeBroadcast = pre.engine.TreeBroadcast
+					fl.TreeBroadcast = false // the engine has no tree
 					model := simulate(fl)
 
 					o := pre.engine

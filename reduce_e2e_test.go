@@ -1,6 +1,6 @@
 // Hierarchical-reduction end-to-end tests: the randomized
 // tree-vs-sequential equivalence property, the owner in-degree bound, the
-// unflushed-partial doctor diagnosis, the FinalizeStream misuse panic, and
+// unflushed-partial doctor diagnosis, the commutative-finalize misuse panic, and
 // the pre-reduction match-table ablation.
 package repro
 
@@ -201,9 +201,10 @@ func TestUnflushedPartialDoctor(t *testing.T) {
 }
 
 // TestCommutativeFinalizePanics pins the associativity contract: an
-// order-based FinalizeStream cannot be made coherent with partials parked
-// on other ranks, so issuing one against a commutative terminal must
-// panic loudly rather than truncate the reduction.
+// order-based finalize cannot be made coherent with partials parked on
+// other ranks, so issuing one (FinalizeSeed here) against a commutative
+// terminal must panic loudly, naming the call, rather than truncate the
+// reduction.
 func TestCommutativeFinalizePanics(t *testing.T) {
 	rt := sim.New(sim.Config{
 		Ranks: 1, WorkersPerRank: 1,
@@ -233,9 +234,9 @@ func TestCommutativeFinalizePanics(t *testing.T) {
 		defer func() {
 			r := recover()
 			if r == nil {
-				t.Error("FinalizeStream on a commutative terminal did not panic")
-			} else if !strings.Contains(r.(string), "commutative") {
-				t.Errorf("panic message %q does not explain the commutative contract", r)
+				t.Error("FinalizeSeed on a commutative terminal did not panic")
+			} else if msg := r.(string); !strings.Contains(msg, "commutative") || !strings.Contains(msg, "FinalizeSeed") {
+				t.Errorf("panic message %q does not name FinalizeSeed and explain the commutative contract", r)
 			}
 		}()
 		g.FinalizeSeed(in, core.KeyOf(serde.Int1{0}))

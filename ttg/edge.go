@@ -64,9 +64,9 @@ func (in In[K, V]) ReadWrite() In[K, V] {
 // reassociation rounding under this hint).
 //
 // A commutative stream must close by count: declare a size func in
-// ReduceInput or announce one with SetStreamSize. FinalizeStream panics —
-// an order-based close cannot be made coherent with partials parked on
-// other ranks. Only meaningful on ReduceInput terminals.
+// ReduceInput or announce one with SetStreamSize. Finalize and
+// SeedFinalize panic — an order-based close cannot be made coherent with
+// partials parked on other ranks. Only meaningful on ReduceInput terminals.
 func (in In[K, V]) Commutative() In[K, V] {
 	in.spec.Commutative = true
 	return in

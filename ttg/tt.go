@@ -170,8 +170,3 @@ func (g *Graph) Dot() string { return g.core.Dot() }
 // task-ID type crossing rank boundaries needs one (common types are
 // built in).
 func RegisterCodec[T any](fc serde.FuncCodec[T]) { serde.Register(fc) }
-
-// RegisterSplitMD opts the sample's type in to the two-stage metadata+RMA
-// protocol on executors that model one-sided transfers (the simulator's
-// Hawk/Seawulf flavors); the engine ships such a type through its codec.
-func RegisterSplitMD(sample serde.SplitMD) { serde.RegisterSplitMD(sample) }

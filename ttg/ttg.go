@@ -159,15 +159,6 @@ func (pc *Process) Workers() int { return pc.p.Workers() }
 // Stats returns this rank's execution counters.
 func (pc *Process) Stats() trace.Snapshot { return pc.p.Stats() }
 
-// Obs returns this rank's observability recorder (nil when the run was not
-// configured with an obs.Session).
-func (pc *Process) Obs() obs.Recorder { return pc.p.Obs() }
-
-// LiveTarget exposes this rank to the graph doctor (internal/obs/live):
-// its bound graph, forward-progress counters, and termination-detector
-// activity.
-func (pc *Process) LiveTarget() live.Target { return pc.p.LiveTarget() }
-
 // CollectLive implements live.Collector, emitting this rank's
 // instantaneous progress gauges for the OpenMetrics endpoint.
 func (pc *Process) CollectLive(emit func(live.Sample)) { pc.p.CollectLive(emit) }
