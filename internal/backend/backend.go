@@ -371,12 +371,14 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 }
 
 // Deliver implements core.Executor: one delivery to one remote rank, over
-// the protocol core.PlanSend picked.
+// the protocol core.PlanSend picked. Core lands local values itself, so a
+// delivery addressed to this rank breaks the Executor contract and panics.
 func (p *Proc) Deliver(dest int, d core.Delivery) {
+	if dest == p.rank {
+		panic(fmt.Sprintf("backend: Deliver to its own rank %d: core.Executor.Deliver never addresses the local rank", dest))
+	}
 	pl := core.PlanSend(d, p.rt.caps)
 	switch {
-	case dest == p.rank:
-		p.deliverLoopback(d, pl.Codec)
 	case pl.Proto == core.ProtoGather && p.deliverGather(dest, d, pl):
 		// Shipped; a codec that declines this value leaves it to the copy path.
 	default:
@@ -395,44 +397,6 @@ func (p *Proc) deliverCopy(dest int, d core.Delivery, pl core.SendPlan) {
 		p.tr.CopySends.Add(1)
 	}
 	p.send(dest, kData, b.Detach(), nil, d.Control == core.CtrlReduce)
-}
-
-// deliverLoopback handles a Deliver whose destination is the local rank.
-// Normal edge routing splits local targets off before calling Deliver, but
-// launcher-computed keymaps (and lopsided process maps in multi-process
-// runs) can legitimately resolve a wire delivery back to self; rather than
-// panicking, the delivery short-circuits to local matching with
-// wire-equivalent copy semantics — the "receiver" side gets an exclusive
-// object of its own, via a clone unless the transport already owns the
-// value — without touching the fabric or the termination detector's
-// message counts (the Activate bracket alone keeps the detector live
-// across the injection, as on the receive side).
-func (p *Proc) deliverLoopback(d core.Delivery, enc *serde.Cached) {
-	<-p.ready
-	p.tr.LoopbackDeliveries.Add(1)
-	if d.Control == core.CtrlNone || d.Control == core.CtrlReduce {
-		switch {
-		case d.OwnsValue:
-			// Moved with no other consumers: the receiver takes the object
-			// as its own, exactly as a wire decode would.
-			d.Exclusive = true
-			d.OwnsValue = false
-		case serde.SharedFast(d.Value):
-			// Immutable box: sharing is a correct deep copy, but it is
-			// shared, so the runtime must not reclaim it.
-		default:
-			d.Value = enc.Clone(d.Value)
-			d.Exclusive = !enc.Shareable()
-			if enc.Shareable() {
-				p.tr.CopiesAvoided.Add(1)
-			} else {
-				p.tr.DataCopies.Add(1)
-			}
-		}
-	}
-	p.det.Activate()
-	p.graph.Inject(d)
-	p.det.Deactivate()
 }
 
 // deliverGather ships d over the zero-copy path: the delivery header and

@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -489,13 +490,16 @@ func TestStreamingAcrossRanks(t *testing.T) {
 	}
 }
 
-// fanInSharing runs one remote broadcast of a single value to two
-// consumers on the far rank of a 2-rank run over the delayed in-process
-// fabric, and reports whether they saw the same physical object.
-func fanInSharing(t *testing.T, opts backend.Options, mode core.SendMode, access core.AccessMode) (shared bool, vals []float64) {
+// fanInSharing runs one remote send of a single value to two consumers on
+// the far rank of a 2-rank run over the delayed in-process fabric, and
+// reports whether they saw the same physical object. The consumers are
+// two task IDs of one template (templates 1), or one task ID each of two
+// templates (templates 2): the arrival then carries two terminal targets.
+func fanInSharing(t *testing.T, opts backend.Options, mode core.SendMode, access core.AccessMode, templates int) (shared bool, vals []float64) {
 	t.Helper()
 	var mu sync.Mutex
 	var ptrs []*float64
+	keys := []core.Key{core.KeyOf(serde.Int1{1}), core.KeyOf(serde.Int1{2})}[:3-templates]
 	runOn(t, "delayed", 2, opts, func(p *backend.Proc) {
 		g := p.NewGraph()
 		in := core.NewEdge("in")
@@ -507,21 +511,23 @@ func fanInSharing(t *testing.T, opts backend.Options, mode core.SendMode, access
 			Keymap:  func(any) int { return 0 },
 			Body: func(ctx *core.TaskContext) {
 				v := &vec{n: 2, data: []float64{40, 2}}
-				ctx.BroadcastEdge(out, []core.Key{core.KeyOf(serde.Int1{1}), core.KeyOf(serde.Int1{2})}, v, mode)
+				ctx.BroadcastEdge(out, keys, v, mode)
 			},
 		})
-		g.AddTT(core.TTSpec{
-			Name:   "dst",
-			Inputs: []core.InputSpec{{Edge: out, Access: access}},
-			Keymap: func(any) int { return 1 },
-			Body: func(ctx *core.TaskContext) {
-				v := ctx.Input(0).(*vec)
-				mu.Lock()
-				ptrs = append(ptrs, &v.data[0])
-				vals = append(vals, v.data[0]+v.data[1])
-				mu.Unlock()
-			},
-		})
+		for i := range templates {
+			g.AddTT(core.TTSpec{
+				Name:   fmt.Sprintf("dst%d", i),
+				Inputs: []core.InputSpec{{Edge: out, Access: access}},
+				Keymap: func(any) int { return 1 },
+				Body: func(ctx *core.TaskContext) {
+					v := ctx.Input(0).(*vec)
+					mu.Lock()
+					ptrs = append(ptrs, &v.data[0])
+					vals = append(vals, v.data[0]+v.data[1])
+					mu.Unlock()
+				},
+			})
+		}
 		g.Seal()
 		p.Bind(g)
 		if p.Rank() == 0 {
@@ -544,7 +550,7 @@ func fanInSharing(t *testing.T, opts backend.Options, mode core.SendMode, access
 func TestRemoteFanInSharingSimnet(t *testing.T) {
 	par, mad := withWorkers(backend.PaRSEC(), 2), withWorkers(backend.MADNESS(), 2)
 
-	shared, vals := fanInSharing(t, par, core.SendMove, core.ReadOnly)
+	shared, vals := fanInSharing(t, par, core.SendMove, core.ReadOnly, 1)
 	if !shared {
 		t.Errorf("parsec: remote read-only consumers did not share one value")
 	}
@@ -555,18 +561,39 @@ func TestRemoteFanInSharingSimnet(t *testing.T) {
 	}
 
 	// ReadWrite consumers must never share, tracking runtime or not.
-	shared, _ = fanInSharing(t, par, core.SendMove, core.ReadWrite)
+	shared, _ = fanInSharing(t, par, core.SendMove, core.ReadWrite, 1)
 	if shared {
 		t.Errorf("parsec: remote read-write consumers shared one value")
 	}
 
-	shared, vals = fanInSharing(t, mad, core.SendCopy, core.ReadOnly)
+	shared, vals = fanInSharing(t, mad, core.SendCopy, core.ReadOnly, 1)
 	if shared {
 		t.Errorf("madness: eager-copy runtime shared a value across consumers")
 	}
 	for _, v := range vals {
 		if v != 42 {
 			t.Errorf("madness: consumer saw %v, want 42", v)
+		}
+	}
+
+	// Default-access consumers of two templates, reached by one arrival:
+	// only its first landing may take the object itself, whatever the
+	// preset and send mode.
+	for _, opts := range []backend.Options{par, mad} {
+		for _, m := range []struct {
+			name string
+			mode core.SendMode
+		}{{"copy", core.SendCopy}, {"move", core.SendMove}} {
+			name := m.name
+			shared, vals = fanInSharing(t, opts, m.mode, core.AccessDefault, 2)
+			if shared {
+				t.Errorf("%s %s: two templates' default-access consumers shared one value", opts.Name, name)
+			}
+			for _, v := range vals {
+				if v != 42 {
+					t.Errorf("%s %s: consumer saw %v, want 42", opts.Name, name, v)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,6 +42,34 @@ func TestBindUnsealedPanics(t *testing.T) {
 		}()
 		p.Bind(g)
 	})
+}
+
+// TestDeliverToSelfPanics pins the Executor contract that core never
+// addresses its own rank: it lands local values itself, so a
+// self-addressed Deliver is a caller bug and panics, naming the contract.
+func TestDeliverToSelfPanics(t *testing.T) {
+	rt := backend.New(2, withWorkers(backend.PaRSEC(), 1))
+	rt.Run(func(p *backend.Proc) {
+		g := p.NewGraph()
+		in := core.NewEdge("in")
+		g.AddTT(core.TTSpec{Name: "x", Inputs: []core.InputSpec{{Edge: in}}, Body: func(*core.TaskContext) {}})
+		g.Seal()
+		p.Bind(g)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "core.Executor.Deliver never addresses the local rank") {
+					t.Errorf("rank %d: self-addressed Deliver: panic %q, want one naming the Executor contract", p.Rank(), msg)
+				}
+			}()
+			p.Deliver(p.Rank(), core.Delivery{
+				Targets: []core.TermTarget{{TT: 0, Term: 0, Keys: []core.Key{core.KeyOf(serde.Int1{0})}}},
+				Value:   &vec{n: 1, data: []float64{1}},
+			})
+		}()
+		g.Fence()
+	})
+	rt.Shutdown()
 }
 
 func TestProcAccessors(t *testing.T) {

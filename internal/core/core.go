@@ -111,7 +111,8 @@ type Executor interface {
 	// Each task must still be executed exactly once. ts is the caller's
 	// scratch: it must not be kept once SubmitBatch returns.
 	SubmitBatch(ts []*Task)
-	// Deliver transmits d to dest (never the local rank).
+	// Deliver transmits d to dest, never the local rank: core lands local
+	// values itself, and the engine panics on a self-addressed delivery.
 	Deliver(dest int, d Delivery)
 	// Broadcast transmits one value to targets on several ranks; backends
 	// may forward along a tree. Every Delivery carries the same Value.

@@ -64,8 +64,12 @@ type localTarget struct {
 	key Key
 }
 
-// fanout is the recycled bookkeeping of one wide send (Graph.fanouts): its
-// local targets past routeEdges' stack buffer, and the tasks it made ready.
+// stackLandings is how many local targets a send or an arrival lists on
+// the stack; past it they go in a fanout.
+const stackLandings = 8
+
+// fanout is the recycled bookkeeping of one wide landing (Graph.fanouts):
+// its local targets past the stack buffer, and the tasks it made ready.
 type fanout struct {
 	locals []localTarget
 	ready  []*Task
@@ -81,8 +85,8 @@ func (g *Graph) getFanout(n int) *fanout {
 }
 
 // routeEdges sends value to the consumers of each edges[i] for the task IDs
-// keys[i]: local targets match here, each remote rank gets one delivery for
-// all of its targets, and mode sets the copy semantics.
+// keys[i]: each remote rank gets one delivery for all of its targets, then
+// the local targets land here (land), and mode sets the copy semantics.
 func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]Key, value any, mode SendMode) {
 	// Small sends (the overwhelmingly common case: one edge, one key, one
 	// or two consumers) must not allocate for bookkeeping: the local-target
@@ -91,7 +95,7 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]Key, value any, m
 	// send that may outgrow the buffer takes a fanout sized to its upper
 	// bound up front, so no append reallocates. (Never store locals back
 	// into fo: that moves localBuf, 256 B of every send, to the heap.)
-	var localBuf [8]localTarget
+	var localBuf [stackLandings]localTarget
 	locals := localBuf[:0]
 	var fo *fanout
 	bound := 0
@@ -166,8 +170,6 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]Key, value any, m
 		}
 	}
 
-	tr := g.exec.Tracer()
-
 	// The edge's devirtualized codec is resolved only for a remote delivery
 	// (or, in cloneFor, a local deep copy): purely-local borrow/move sends
 	// never touch the registry, so unregistered local-only types keep
@@ -212,126 +214,12 @@ func (g *Graph) routeEdges(worker int, edges []*Edge, keys [][]Key, value any, m
 		g.exec.Broadcast(bcast)
 	}
 
-	tracks := g.exec.TracksData()
-	effMode := mode
-	if mode == SendBorrow && !tracks {
-		effMode = SendCopy
+	// A Move hands the object to the runtime, and only the local consumers
+	// hold it when no remote target does; a Copy or Borrow leaves it the
+	// sender's.
+	own, reclaim := ownSender, false
+	if mode == SendMove {
+		own, reclaim = ownRuntime, len(dests) == 0
 	}
-
-	// Under a data-tracking runtime, local fan-out can share one tracked
-	// handle instead of cloning per consumer (data.go). Reducer terminals
-	// never join a handle: their values are folded at delivery time, before
-	// any task start could resolve the handle.
-	var h *tracked
-	if tracks && len(locals) > 0 {
-		switch effMode {
-		case SendCopy:
-			// Consumers with a declared access mode opted into runtime-owned
-			// values; they share one handle (the sender keeps its reference,
-			// so the value is never reclaimed). Default-access consumers
-			// keep the legacy eager clone.
-			n := 0
-			for _, lt := range locals {
-				in := &lt.c.tt.inputs[lt.c.term]
-				if in.Reducer == nil && in.Access != AccessDefault {
-					n++
-				}
-			}
-			if n > 0 {
-				h = newTracked(value, n, false)
-			}
-		case SendMove:
-			// Ownership transferred: every non-reducer consumer joins the
-			// handle, and with no remote targets the runtime owns the value
-			// outright and may reclaim pooled payloads at the last drop.
-			if len(locals) > 1 {
-				n := 0
-				for _, lt := range locals {
-					if lt.c.tt.inputs[lt.c.term].Reducer == nil {
-						n++
-					}
-				}
-				if n > 1 {
-					h = newTracked(value, n, len(dests) == 0)
-				}
-			}
-		}
-	}
-
-	// Tasks made ready by this send are collected and submitted as one
-	// batch, so a fan-out of N successors pays one scheduler handoff. The
-	// first ready task is held in a local so the by-far-common outcomes
-	// (zero or one task ready) never touch a slice; the rest collect in the
-	// fanout's batch, which has room for one per local target.
-	var first *Task
-	var extra []*Task
-	collect := func(t *Task) {
-		if t == nil {
-			return
-		}
-		if first == nil {
-			first = t
-			return
-		}
-		if extra == nil {
-			if fo == nil {
-				fo = g.getFanout(len(localBuf))
-			}
-			extra = fo.ready[:0]
-		}
-		extra = append(extra, t)
-	}
-	for idx, lt := range locals {
-		in := &lt.c.tt.inputs[lt.c.term]
-		var v any
-		switch {
-		case h != nil && in.Reducer == nil &&
-			(effMode == SendMove || in.Access != AccessDefault):
-			v = h
-		case effMode == SendBorrow:
-			if in.Access == ReadWrite {
-				// The sender retains ownership under borrow; a declared
-				// writer must get its own copy.
-				v = cloneFor(in, value, tr)
-			} else {
-				v = value
-				tr.CopiesAvoided.Add(1)
-			}
-		case effMode == SendMove:
-			// With a live handle, stragglers (reducers) must clone — the
-			// raw value now aliases the handle consumers.
-			if h == nil && idx == 0 {
-				v = value
-				tr.CopiesAvoided.Add(1)
-			} else {
-				v = cloneFor(in, value, tr)
-			}
-		default: // SendCopy, and SendBorrow under a runtime that shares nothing
-			v = cloneFor(in, value, tr)
-		}
-		if in.Reducer != nil && g.combines(lt.c.tt, lt.c.term) {
-			// Local pre-reduction: fold into the combiner slot instead of
-			// taking a match-table trip (and, for remote-bound streams,
-			// instead of sending this contribution on its own).
-			collect(g.foldLocal(lt.c.tt, lt.c.term, lt.key, v, worker))
-			continue
-		}
-		collect(g.deliverLocal(lt.c.tt, lt.c.term, lt.key, v, worker))
-	}
-	switch {
-	case first == nil:
-	case len(extra) == 0:
-		g.submitOne(first, worker)
-	default:
-		// Position in the batch is not semantic — the scheduler's run-next
-		// slot claims the highest-priority member and the queues order by
-		// policy, not batch index. SubmitBatch may not keep the slice.
-		g.submitReady(append(extra, first), worker)
-	}
-	if fo != nil {
-		// Scrub all a send with this many local targets can have written.
-		clear(fo.locals[:len(locals)])
-		clear(fo.ready[:len(locals)])
-		g.fanouts.Put(fo)
-	}
+	g.land(locals, value, mode, own, reclaim, worker, fo)
 }

@@ -82,22 +82,16 @@ func (g *Graph) controlEdge(e *Edge, worker int, key Key, ctrl ControlKind, n in
 	me := g.exec.Rank()
 	key = g.canon(key)
 	for _, cons := range e.consumers {
-		if ctrl == CtrlFinalize && g.combines(cons.tt, cons.term) {
-			panic(finalizeCommutative(cons.tt, cons.term))
-		}
 		dst := cons.tt.keymap(key)
 		if dst == me {
-			if ctrl == CtrlSetSize {
-				// The control must land after the parked partial: a
-				// watermark comparison against a half-absorbed count would
-				// either fire early or leave the accumulator behind.
-				g.flushKeySlot(cons.tt, cons.term, key, worker)
-			}
-			if t := g.applyControl(cons.tt, cons.term, key, ctrl, n, worker); t != nil {
+			if t := g.landControl(cons.tt, cons.term, key, ctrl, n, worker); t != nil {
 				g.submitOne(t, worker)
 			}
 			continue
 		}
+		// Refused here too, so the misuse panics at its caller rather than
+		// in the receiving rank's handler.
+		g.refuseFinalize(cons.tt, cons.term, ctrl)
 		g.exec.Deliver(dst, Delivery{
 			Targets: []TermTarget{{TT: cons.tt.id, Term: cons.term, Keys: []Key{key}}},
 			Control: ctrl,
@@ -109,16 +103,6 @@ func (g *Graph) controlEdge(e *Edge, worker int, key Key, ctrl ControlKind, n in
 // Inject applies a delivery that arrived from the network; backends call it
 // from their receive handlers. The delivered value is freshly owned.
 func (g *Graph) Inject(d Delivery) {
-	// As in routeEdges, the common delivery (one target, one key, at most
-	// one task made ready) must not allocate a slice for the batch.
-	var first *Task
-	var extra []*Task
-	g.injectCollect(d, &first, &extra)
-	g.submitCollected(first, extra)
-}
-
-// injectCollect lands one delivery and accumulates any tasks it made ready.
-func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 	if d.Flow != 0 {
 		if o := g.obs; o != nil {
 			tt := int32(-1)
@@ -130,115 +114,196 @@ func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 			o.Record(obs.Event{Kind: obs.EvFlowRecv, Worker: -1, TT: tt, Flow: d.Flow, Name: name})
 		}
 	}
-	add := func(t *Task) {
-		if *first == nil {
-			*first = t
-		} else {
-			*extra = append(*extra, t)
-		}
+	n := 0
+	for _, tgt := range d.Targets {
+		n += len(tgt.Keys)
 	}
-	// Under a data-tracking runtime a multi-key data delivery shares one
-	// tracked handle: the deserialized object satisfies every local task
-	// ID, each resolving it per its terminal's access mode, instead of one
-	// clone per key after the first. Deliveries flagged Exclusive hand the
-	// object to the runtime outright, so pooled payloads are reclaimed at
-	// the last drop.
-	// Handle membership follows the same predicate as local fan-out
-	// (routeEdges): a moved value is shared by every non-reducer consumer;
-	// a copied or borrowed one only by terminals that declared an access
-	// mode. Default-access consumers keep the legacy per-key clones.
-	joins := func(tt *TT, term int) bool {
-		in := &tt.inputs[term]
-		return in.Reducer == nil && (d.Mode == SendMove || in.Access != AccessDefault)
-	}
-	var h *tracked
-	if d.Control == CtrlNone && g.exec.TracksData() {
-		n := 0
+	if d.Control != CtrlNone {
+		b := readyBatch{n: n}
 		for _, tgt := range d.Targets {
-			if joins(g.tts[tgt.TT], tgt.Term) {
-				n += len(tgt.Keys)
+			tt := g.tts[tgt.TT]
+			for _, key := range tgt.Keys {
+				key = g.canon(key)
+				if d.Control == CtrlReduce {
+					// A child's partial: fold it into this rank's combiner
+					// slot (reduce.go). Partials are single-key deliveries,
+					// and the fold consumes them, so a recv-view lease on
+					// one ends here.
+					endViewLease(d.Value)
+					b.add(g, g.foldPartial(tt, tgt.Term, key, d.Value, d.N, -1))
+					continue
+				}
+				b.add(g, g.landControl(tt, tgt.Term, key, d.Control, d.N, -1))
 			}
 		}
-		if n >= 2 {
-			h = newTracked(d.Value, n, d.Exclusive)
-		}
+		b.submit(g, -1)
+		return
+	}
+	// As in routeEdges, the common delivery (one target, one key, at most
+	// one task made ready) lists its landings on the stack.
+	var buf [stackLandings]localTarget
+	ls := buf[:0]
+	var fo *fanout
+	if n > len(buf) {
+		fo = g.getFanout(n)
+		ls = fo.locals[:0]
 	}
 	for _, tgt := range d.Targets {
 		tt := g.tts[tgt.TT]
-		for i, key := range tgt.Keys {
-			key = g.canon(key)
-			if d.Control == CtrlReduce {
-				// A child's partial: fold it into this rank's combiner slot
-				// (reduce.go). Values of later keys never alias — partials
-				// are always single-key deliveries. The fold consumes the
-				// partial, so a recv-view lease on it ends here.
-				endViewLease(d.Value)
-				if t := g.foldPartial(tt, tgt.Term, key, d.Value, d.N, -1); t != nil {
-					add(t)
-				}
-				continue
-			}
-			if d.Control != CtrlNone {
-				// controlEdge refused this at the sender; these bytes
-				// came from a peer.
-				if d.Control == CtrlFinalize && g.combines(tt, tgt.Term) {
-					panic(finalizeCommutative(tt, tgt.Term))
-				}
-				if d.Control == CtrlSetSize {
-					// As in controlEdge: absorb the parked partial before
-					// the stream length lands on the shell.
-					g.flushKeySlot(tt, tgt.Term, key, -1)
-				}
-				if t := g.applyControl(tt, tgt.Term, key, d.Control, d.N, -1); t != nil {
-					add(t)
-				}
-				continue
-			}
-			if tt.inputs[tgt.Term].Reducer != nil {
-				// The point-to-point baseline the reduce tree replaces: a
-				// remote data delivery landing on a streaming terminal.
-				g.exec.Tracer().RemoteReducerMsgs.Add(1)
-			}
-			var v any
-			raw := false
-			switch {
-			case h != nil && joins(tt, tgt.Term):
-				v = h
-			case h != nil || i > 0:
-				// The raw object is taken: it aliases the consumers that
-				// joined the handle (reducer folds and default-access
-				// consumers can't), or satisfied this target's first task
-				// ID. Everyone else gets a copy of their own.
-				v = cloneFor(&tt.inputs[tgt.Term], d.Value, g.exec.Tracer())
-			default:
-				v = d.Value
-				raw = true
-			}
-			if raw && tt.inputs[tgt.Term].Reducer != nil {
-				// The raw value is folded at delivery below and never
-				// reaches a task's materialize; end its lease now. (A raw
-				// value landing on a plain terminal keeps its lease until
-				// the consuming task starts.)
-				endViewLease(v)
-			}
-			if t := g.deliverLocal(tt, tgt.Term, key, v, -1); t != nil {
-				add(t)
-			}
+		if tt.inputs[tgt.Term].Reducer != nil {
+			// The point-to-point baseline the reduce tree replaces: a
+			// remote data delivery landing on a streaming terminal.
+			g.exec.Tracer().RemoteReducerMsgs.Add(int64(len(tgt.Keys)))
+		}
+		for _, key := range tgt.Keys {
+			ls = append(ls, localTarget{consumer{tt, tgt.Term}, g.canon(key)})
 		}
 	}
+	g.land(ls, d.Value, d.Mode, ownArrival, d.Exclusive, -1, fo)
 }
 
-func (g *Graph) submitCollected(first *Task, extra []*Task) {
-	if first == nil {
+// owner says who holds a value that lands on this rank's terminals, apart
+// from the consumers it lands on.
+type owner uint8
+
+const (
+	// ownSender: a local Copy or Borrow. The sender keeps the object.
+	ownSender owner = iota
+	// ownRuntime: a local Move. The sender gave the object up.
+	ownRuntime
+	// ownArrival: a delivery off the wire. The object is the runtime's,
+	// and already a copy of the sender's.
+	ownArrival
+)
+
+// joins reports whether the consumer behind in shares a tracked handle
+// when one is built for a landing of mode: every non-reducer consumer of a
+// Move, and for Copy and Borrow the terminals that declared an access
+// mode. Reducers fold at delivery, before any task start could resolve a
+// handle, so they never join.
+func joins(in *InputSpec, mode SendMode) bool {
+	return in.Reducer == nil && (mode == SendMove || in.Access != AccessDefault)
+}
+
+// land hands value to every landing ls and submits the tasks that became
+// ready as one batch. It is the one place that decides which landing gets
+// the object itself, which share a tracked handle and which get a clone
+// (DESIGN §8), for local sends and wire arrivals alike:
+//
+//   - A sender that borrows keeps the object and, under a sharing runtime
+//     (TracksData), lends it: every landing but a declared writer reads
+//     it in place.
+//   - Otherwise, under a sharing runtime, the joining landings share one
+//     handle when that leaves the object with two holders or more; the
+//     sender, when it keeps the object, is one of them. reclaim is the
+//     handle's: the object is the runtime's outright.
+//   - With no handle, a runtime-owned object goes to the first landing
+//     itself.
+//   - Every other landing gets a clone.
+//
+// land takes over fo (nil, or the fanout backing ls) and recycles it.
+func (g *Graph) land(ls []localTarget, value any, mode SendMode, own owner, reclaim bool, worker int, fo *fanout) {
+	tr := g.exec.Tracer()
+	shares := g.exec.TracksData()
+	lend := shares && own == ownSender && mode == SendBorrow
+	var h *tracked
+	if shares && !lend {
+		n := 0
+		for _, l := range ls {
+			if joins(&l.c.tt.inputs[l.c.term], mode) {
+				n++
+			}
+		}
+		// Two holders or more: the joiners, and a sender that keeps the
+		// object.
+		if n >= 2 || n == 1 && own == ownSender {
+			h = newTracked(value, n, reclaim)
+		}
+	}
+	raw := own != ownSender && h == nil // the object itself is still to hand out
+	b := readyBatch{fo: fo, n: len(ls)}
+	for _, l := range ls {
+		tt, term := l.c.tt, l.c.term
+		in := &tt.inputs[term]
+		var v any
+		switch {
+		case h != nil && joins(in, mode):
+			v = h
+		case lend && in.Access != ReadWrite:
+			v = value
+			tr.CopiesAvoided.Add(1)
+		case raw:
+			v, raw = value, false
+			if own == ownRuntime {
+				tr.CopiesAvoided.Add(1)
+			}
+			if in.Reducer != nil {
+				// Folded below, the object never reaches a task's
+				// materialize: its recv-view lease ends now.
+				endViewLease(v)
+			}
+		default:
+			v = cloneFor(in, value, tr)
+		}
+		if in.Reducer != nil && g.combines(tt, term) {
+			// Local pre-reduction: fold into the combiner slot instead of
+			// taking a match-table trip (and, for remote-bound streams,
+			// instead of sending this contribution on its own).
+			b.add(g, g.foldLocal(tt, term, l.key, v, worker))
+			continue
+		}
+		b.add(g, g.deliverLocal(tt, term, l.key, v, worker))
+	}
+	b.submit(g, worker)
+}
+
+// readyBatch collects the tasks one landing made ready, so a fan-out of n
+// successors pays one scheduler handoff. The first ready task is held
+// apart, so the by-far-common outcomes (none or one ready) never touch a
+// slice; the rest collect in a fanout's batch, which has room for one per
+// landing.
+type readyBatch struct {
+	first *Task
+	extra []*Task
+	fo    *fanout
+	n     int // landings: the most tasks the batch can collect
+}
+
+func (b *readyBatch) add(g *Graph, t *Task) {
+	if t == nil {
 		return
 	}
-	if len(extra) == 0 {
-		g.submitOne(first, -1)
+	if b.first == nil {
+		b.first = t
 		return
 	}
-	// As in routeEdges: append into extra's spare capacity instead of
-	// building a fresh merged slice; batch position carries no ordering.
-	g.submitReady(append(extra, first), -1)
+	if b.extra == nil {
+		if b.fo == nil {
+			b.fo = g.getFanout(max(b.n, stackLandings))
+		}
+		b.extra = b.fo.ready[:0]
+	}
+	b.extra = append(b.extra, t)
+}
+
+// submit hands the batch to the scheduler and recycles its fanout.
+func (b *readyBatch) submit(g *Graph, worker int) {
+	switch {
+	case b.first == nil:
+	case len(b.extra) == 0:
+		g.submitOne(b.first, worker)
+	default:
+		// Position in the batch is not semantic — the scheduler's run-next
+		// slot claims the highest-priority member and the queues order by
+		// policy, not batch index. SubmitBatch may not keep the slice.
+		g.submitReady(append(b.extra, b.first), worker)
+	}
+	if fo := b.fo; fo != nil {
+		// Scrub all a landing this wide can have written.
+		clear(fo.locals[:b.n])
+		clear(fo.ready[:b.n])
+		g.fanouts.Put(fo)
+	}
 }
 
 // deliverLocal lands a value on one terminal instance and returns the task
@@ -282,12 +347,26 @@ func (g *Graph) deliverLocal(tt *TT, term int, key Key, value any, worker int) *
 	return g.maybeReadyLocked(tt, sp, sh, h, worker)
 }
 
-// finalizeCommutative is the panic of a finalize addressed to a
-// commutative terminal.
-func finalizeCommutative(tt *TT, term int) string {
-	return fmt.Sprintf("core: finalize (ttg Finalize/SeedFinalize, core FinalizeEdge/FinalizeSeed) "+
-		"on commutative terminal %d of TT %q: hierarchical reduction parks partials, so a finalize races them; "+
-		"close the stream by count (StreamSize or SetStreamSize) instead", term, tt.name)
+// refuseFinalize panics on a finalize addressed to a commutative terminal.
+func (g *Graph) refuseFinalize(tt *TT, term int, ctrl ControlKind) {
+	if ctrl == CtrlFinalize && g.combines(tt, term) {
+		panic(fmt.Sprintf("core: finalize (ttg Finalize/SeedFinalize, core FinalizeEdge/FinalizeSeed) "+
+			"on commutative terminal %d of TT %q: hierarchical reduction parks partials, so a finalize races them; "+
+			"close the stream by count (StreamSize or SetStreamSize) instead", term, tt.name))
+	}
+}
+
+// landControl lands a finalize or set-size on one local terminal instance
+// and returns the task if the control made it ready. A set-size lands
+// after the parked partial: a watermark comparison against a
+// half-absorbed count would either fire early or leave the accumulator
+// behind.
+func (g *Graph) landControl(tt *TT, term int, key Key, ctrl ControlKind, n int, worker int) *Task {
+	g.refuseFinalize(tt, term, ctrl)
+	if ctrl == CtrlSetSize {
+		g.flushKeySlot(tt, term, key, worker)
+	}
+	return g.applyControl(tt, term, key, ctrl, n, worker)
 }
 
 // applyControl handles finalize/set-size for a streaming terminal instance

@@ -18,8 +18,8 @@ var figureDigests = map[string]struct {
 	fig    func() string
 	sha256 string
 }{
-	"fig5":   {func() string { return Fig5(Quick).CSV() }, "e35390fbbf03a620b69cbfbf858022957daea72f5165e68e1eacd4cd7d0b9d6a"},
-	"fig6":   {func() string { return Fig6(Quick).CSV() }, "daef9911e600ed83a634360308b1e9aff65366116d0e6e0f53b4a8407079f4b6"},
+	"fig5":   {func() string { return Fig5(Quick).CSV() }, "ee2c2b12afcc7461e502e4824691a822e8a62f60e7e77c9237494ba51a99e8ec"},
+	"fig6":   {func() string { return Fig6(Quick).CSV() }, "01243230e00b421475ece6815613925e86281929c3e4b467cc4b9d0875b006ea"},
 	"fig8":   {func() string { return Fig8(Quick).CSV() }, "8afc0977c4124de1ed7861f9d0c986f475fccdc3bfc14834bfa9a17e5c4658fb"},
 	"fig9":   {func() string { return Fig9(Quick).CSV() }, "07ed75f51ba08593a72492d825c1c23badbd0920209415a4452f1dfcf5574783"},
 	"fig11":  {func() string { return Fig11(Quick) }, "15e5d8f9922c69fef79ac0cbdef4f7eec183262c387024e1bf89e78a4ec177b5"},

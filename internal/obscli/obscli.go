@@ -18,27 +18,16 @@ import (
 
 // Flags holds the observability command-line options after Register.
 type Flags struct {
-	// Trace is the Chrome-trace JSON output path ("" = no trace file).
-	Trace string
-	// Stats requests the post-run stats report on stdout.
-	Stats bool
-	// Capacity overrides the per-rank event-buffer length (0 = default).
-	Capacity int
-	// DoctorOn requests the live graph doctor (stall watchdog).
-	DoctorOn bool
-	// DoctorQuiet is the stall quiet period.
-	DoctorQuiet time.Duration
-
-	trace  *string
-	stats  *bool
-	cap    *int
-	doctor *bool
-	quiet  *time.Duration
+	trace  *string        // Chrome-trace JSON output path ("" = no trace file)
+	stats  *bool          // the post-run stats report on stdout
+	cap    *int           // per-rank event-buffer length (0 = default)
+	doctor *bool          // the live graph doctor (stall watchdog)
+	quiet  *time.Duration // the doctor's stall quiet period
 	doc    *live.Doctor
 }
 
-// Register installs -trace, -stats, and -obs-cap on fs (the default
-// command-line set when fs is nil). Call before flag.Parse.
+// Register installs -trace, -stats, -obs-cap, -doctor and -doctor-quiet on
+// fs (the default command-line set when fs is nil). Call before flag.Parse.
 func Register(fs *flag.FlagSet) *Flags {
 	if fs == nil {
 		fs = flag.CommandLine
@@ -56,12 +45,11 @@ func Register(fs *flag.FlagSet) *Flags {
 // builds and starts a stall watchdog over targets whose reports print to
 // stderr, returning it (callers Stop it after the run); otherwise nil.
 func (f *Flags) Doctor(targets []live.Target) *live.Doctor {
-	f.DoctorOn, f.DoctorQuiet = *f.doctor, *f.quiet
-	if !f.DoctorOn {
+	if !*f.doctor {
 		return nil
 	}
 	d := live.NewDoctor(live.Config{
-		Quiet:   f.DoctorQuiet,
+		Quiet:   *f.quiet,
 		OnStall: func(rep *live.StallReport) { fmt.Fprint(os.Stderr, rep.String()) },
 	}, targets...)
 	d.Start()
@@ -97,11 +85,10 @@ func (f *Flags) FinishDoctor() error {
 // Session resolves the parsed flags into an observation session, or nil when
 // no observability output was requested (so instrumentation stays disabled).
 func (f *Flags) Session() *obs.Session {
-	f.Trace, f.Stats, f.Capacity = *f.trace, *f.stats, *f.cap
-	if f.Trace == "" && !f.Stats {
+	if *f.trace == "" && !*f.stats {
 		return nil
 	}
-	return obs.NewSession(obs.Config{Capacity: f.Capacity})
+	return obs.NewSession(obs.Config{Capacity: *f.cap})
 }
 
 // Finish renders the requested outputs from a completed run: the Chrome
@@ -111,14 +98,14 @@ func (f *Flags) Finish(s *obs.Session) error {
 	if s == nil {
 		return nil
 	}
-	if f.Trace != "" {
+	if *f.trace != "" {
 		events := s.Events()
-		if err := os.WriteFile(f.Trace, []byte(obs.ChromeJSONFromEvents(events)), 0o644); err != nil {
+		if err := os.WriteFile(*f.trace, []byte(obs.ChromeJSONFromEvents(events)), 0o644); err != nil {
 			return fmt.Errorf("obscli: writing trace: %w", err)
 		}
-		fmt.Printf("trace: wrote %d events to %s\n", len(events), f.Trace)
+		fmt.Printf("trace: wrote %d events to %s\n", len(events), *f.trace)
 	}
-	if f.Stats {
+	if *f.stats {
 		fmt.Println(s.Report().String())
 	}
 	return nil

@@ -53,11 +53,6 @@ type Collector struct {
 	CopySends       atomic.Int64 // deliveries flattened through copy-encode
 	ViewDecodes     atomic.Int64 // receives decoded as views over arrived payload memory
 	BytesZeroCopied atomic.Int64 // payload bytes that crossed by reference
-
-	// LoopbackDeliveries counts Deliver calls whose destination was the
-	// local rank (lopsided keymaps); they short-circuit to local matching
-	// with wire-equivalent copy semantics instead of touching the fabric.
-	LoopbackDeliveries atomic.Int64
 }
 
 // Snapshot is an immutable copy of one rank's counters (or, after Add, of
@@ -88,8 +83,6 @@ type Snapshot struct {
 	CopySends       int64
 	ViewDecodes     int64
 	BytesZeroCopied int64
-
-	LoopbackDeliveries int64
 
 	// Scheduler counts. They have no Collector cell: sched.Pool keeps them
 	// per worker and backend.Proc.Stats fills them in, so a bare
@@ -144,7 +137,6 @@ func counters(c *Collector, s *Snapshot) []counter {
 		{obs.CounterCopySends, " copysend=%d", &c.CopySends, &s.CopySends},
 		{obs.CounterViewDecodes, " views=%d", &c.ViewDecodes, &s.ViewDecodes},
 		{obs.CounterBytesZeroCopied, " zerocopied=%d", &c.BytesZeroCopied, &s.BytesZeroCopied},
-		{"net.loopback_deliveries", " loopback=%d", &c.LoopbackDeliveries, &s.LoopbackDeliveries},
 		{obs.CounterStealAttempts, " steal-att=%d", nil, &s.StealAttempts},
 		{obs.CounterInlined, " inlined=%d", nil, &s.InlineRuns},
 		{obs.CounterParks, " parks=%d", nil, &s.Parks},

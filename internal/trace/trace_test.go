@@ -29,7 +29,7 @@ func TestSnapshotStringMentionsEverything(t *testing.T) {
 	c.SplitMDTransfers.Add(7)
 	c.BcastsForwarded.Add(5)
 	s := c.Snapshot().String()
-	for _, want := range []string{"tasks=", "msgs=", "bytes=", "copies=", "splitmd=7", "bcast-fwd=5", "loopback=0"} {
+	for _, want := range []string{"tasks=", "msgs=", "bytes=", "copies=", "splitmd=7", "bcast-fwd=5"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q: %s", want, s)
 		}

@@ -77,10 +77,11 @@ type Backend int
 
 const (
 	// PaRSEC: banded priority work stealing, runtime-owned data (const-ref
-	// sends avoid copies), large payloads by reference, tree broadcasts.
+	// sends avoid copies), large payloads by reference, one push per
+	// destination rank.
 	PaRSEC Backend = iota
-	// MADNESS: FIFO thread pool with a dedicated active-message thread,
-	// whole-object serialization, copies on every hop.
+	// MADNESS: FIFO thread pool, active messages handled where they land,
+	// whole-object pushes, a copy for every consumer.
 	MADNESS
 )
 
