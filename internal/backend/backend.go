@@ -208,6 +208,8 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 		it.Value.(*core.Task).Execute(w)
 	})
 	p.batches = make([][]sched.Item, p.pool.Workers())
+	// One TaskCells copy per worker, before anything can count or read.
+	p.tr.SizeWorkers(p.pool.Workers())
 	if p.rec != nil {
 		p.pool.Observe(p.rec)
 		// The registry counts nothing itself: whenever it snapshots — a
@@ -586,7 +588,7 @@ func (p *Proc) LiveTarget() live.Target {
 		Graph: p.boundGraph,
 		Progress: func() live.Progress {
 			return live.Progress{
-				Tasks:        p.tr.TasksExecuted.Load(),
+				Tasks:        p.tr.Tasks(),
 				MsgsSent:     p.tr.MsgsSent.Load(),
 				MsgsReceived: p.tr.MsgsReceived.Load(),
 			}
@@ -602,6 +604,8 @@ func (p *Proc) CollectLive(emit func(live.Sample)) {
 	if g := p.boundGraph(); g != nil {
 		emit(live.Sample{Name: obs.GaugePendingShells, Rank: p.rank,
 			Value: float64(g.PendingTaskCount())})
+		emit(live.Sample{Name: obs.GaugeTrackedValues, Rank: p.rank,
+			Value: float64(g.LiveTrackedHandles())})
 		emit(live.Sample{Name: obs.GaugePendingReductions, Rank: p.rank,
 			Value: float64(g.PendingReductions())})
 	}

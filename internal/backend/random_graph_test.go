@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/serde"
 	"repro/ttg"
@@ -102,7 +101,7 @@ func expectSums(t *testing.T, what string, got, ref map[int]float64) {
 // one rank's locally-owned sinks when each rank is its own runtime over a
 // real fabric. Past its fence every rank checks that each logical message
 // it counted (point-to-point, broadcast header or chunk) was exactly one
-// fabric packet.
+// fabric packet, and that its data tracker gave back every handle.
 func (rp *randProgram) graphMain(t *testing.T, mu *sync.Mutex, sums map[int]float64) func(pc *ttg.Process) {
 	return func(pc *ttg.Process) {
 		g := pc.NewGraph()
@@ -161,6 +160,9 @@ func (rp *randProgram) graphMain(t *testing.T, mu *sync.Mutex, sums map[int]floa
 			t.Errorf("rank %d: %d wire packets for %d counted messages, want one each",
 				pc.Rank(), s.WirePackets, s.MsgsSent)
 		}
+		if h := g.Core().LiveTrackedHandles(); h != 0 {
+			t.Errorf("rank %d: %d tracked handles live after the fence", pc.Rank(), h)
+		}
 		// The match tables' live counters agree with their slots, and a
 		// finished run leaves no shell waiting.
 		if tasks, live := g.Core().PendingTasks(0); int64(len(tasks)) != live || live != 0 {
@@ -170,14 +172,15 @@ func (rp *randProgram) graphMain(t *testing.T, mu *sync.Mutex, sums map[int]floa
 	}
 }
 
-// ledgerCloses snapshots the process-wide data ledgers and returns the
-// check that a finished run gave back every tracked handle and recv-view.
+// ledgerCloses snapshots the process-wide recv-view ledger and returns the
+// check that a finished run gave back every view (graphMain checks each
+// rank's tracked handles).
 func ledgerCloses(t *testing.T) func(what string) {
-	handles, views := core.LiveTrackedHandles(), serde.LiveRecvViews()
+	views := serde.LiveRecvViews()
 	return func(what string) {
 		t.Helper()
-		if h, v := core.LiveTrackedHandles()-handles, serde.LiveRecvViews()-views; h != 0 || v != 0 {
-			t.Errorf("%s: %d tracked handles and %d recv-views live after the fence", what, h, v)
+		if v := serde.LiveRecvViews() - views; v != 0 {
+			t.Errorf("%s: %d recv-views live after the fence", what, v)
 		}
 	}
 }

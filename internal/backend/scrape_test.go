@@ -99,6 +99,7 @@ func TestScrapeAfterFencePrintsEachSeriesOnce(t *testing.T) {
 		for name, want := range map[string]int64{
 			"core_pending_shells":     g.PendingTaskCount(),
 			"reduce_pending_partials": g.PendingReductions(),
+			"data_tracked_live":       g.LiveTrackedHandles(),
 		} {
 			series := fmt.Sprintf(`%s{rank="%d"}`, name, r)
 			if got := values[series]; got != strconv.FormatInt(want, 10) {

@@ -234,7 +234,7 @@ func (p *Proc) LiveTarget() live.Target {
 		Graph: p.bound.Load,
 		Progress: func() live.Progress {
 			return live.Progress{
-				Tasks:        p.tr.TasksExecuted.Load(),
+				Tasks:        p.tr.Tasks(),
 				MsgsSent:     p.tr.MsgsSent.Load(),
 				MsgsReceived: p.tr.MsgsReceived.Load(),
 			}

@@ -249,6 +249,9 @@ type TT struct {
 
 	// match is the sharded (task ID → shell) table; see match.go.
 	match matchTable
+	// free holds one free list of retired tasks per pool worker (match.go);
+	// nil when the rank's collector sizes no worker cells.
+	free []taskList
 	// dense holds the join slots of a declared key box (dense.go), or is
 	// nil; keys outside the box use match.
 	dense *denseSlots
@@ -259,6 +262,7 @@ type TT struct {
 // tasks unfolds across ranks as messages flow.
 type Graph struct {
 	exec   Executor
+	tr     *trace.Collector // exec.Tracer()
 	tts    []*TT
 	sealed bool
 	// keys interns this graph's task IDs that do not pack (key.go).
@@ -274,6 +278,9 @@ type Graph struct {
 	obs         obs.Recorder
 	matchDelay  *obs.Histogram
 	taskLatency *obs.Histogram
+
+	// tracked counts the live handles of the data tracker (data.go).
+	tracked atomic.Int64
 
 	// flowSeq allocates causal span ids for remote deliveries; combined
 	// with the rank it yields cluster-unique nonzero ids.
@@ -309,7 +316,7 @@ type reductionBuffering interface {
 
 // NewGraph creates an empty graph bound to a backend executor.
 func NewGraph(exec Executor) *Graph {
-	g := &Graph{exec: exec, preReduce: true, rflush: true}
+	g := &Graph{exec: exec, tr: exec.Tracer(), preReduce: true, rflush: true}
 	if rb, ok := exec.(reductionBuffering); ok {
 		g.rbuffered = rb.BuffersReductions()
 	}
@@ -362,6 +369,9 @@ func (g *Graph) AddTT(spec TTSpec) *TT {
 		priomap: spec.Priomap,
 	}
 	tt.match.init()
+	if n := g.tr.Workers(); n > 0 {
+		tt.free = make([]taskList, n)
+	}
 	tt.dense = newDenseSlots(spec.Dense, len(spec.Inputs))
 	if f := spec.Keymap; f != nil {
 		if tt.keymap != nil {
@@ -457,8 +467,9 @@ func (tt *TT) pending() int64 {
 	return n
 }
 
-// Task is one ready task instance. Tasks made ready by matching come
-// from their shard's free list and go back to it once the body has run.
+// Task is one ready task instance. Tasks made ready by matching are
+// recycled once the body has run: through worker free lists when a worker
+// made them ready, through their home shard's otherwise (match.go).
 type Task struct {
 	TT       *TT
 	Key      Key
@@ -472,9 +483,12 @@ type Task struct {
 	// histogram is the gap to execution start.
 	activatedNs int64
 	// home is the shard whose free list the task returns to (nil for
-	// Invoke-created tasks); next links it there.
+	// Invoke-created tasks); next links it there or in a worker's list.
 	home *matchShard
 	next *Task
+	// onWorker marks a task a pool worker made ready: the worker that
+	// runs it keeps it on its own free list, up to maxFreeTasks.
+	onWorker bool
 	// holds are the tracked handles this task keeps referenced for the
 	// body's duration (read-only inputs); see data.go. The backing array
 	// is recycled with the task.
@@ -487,14 +501,16 @@ type Task struct {
 }
 
 // Execute runs the task body and retires the task's activity unit. The
-// backend must call it exactly once, passing the executing worker's index.
+// backend must call it exactly once, passing the executing worker's index:
+// the calling goroutine's own, since the task's counts and free list are
+// that worker's (match.go, taskList).
 // After Execute returns, the task (and its shell) may be recycled: the
 // backend and the body must not retain t or its TaskContext. A body that
 // panics leaves its unit active, so Fence cannot return while the
 // backend's panic hook is still writing its crash dump.
 func (t *Task) Execute(worker int) {
 	g := t.TT.g
-	t.materialize()
+	t.materialize(worker)
 	t.ctx = TaskContext{task: t, worker: worker}
 	if o := g.obs; o != nil {
 		t.executeObserved(o, &t.ctx, worker)
@@ -502,9 +518,9 @@ func (t *Task) Execute(worker int) {
 		t.TT.body(&t.ctx)
 	}
 	t.releaseHolds()
-	g.exec.Tracer().TasksExecuted.Add(1)
+	g.tr.For(worker).TasksExecuted.Add(1)
 	if t.home != nil {
-		t.release() // last use of t
+		t.release(worker) // last use of t
 	}
 	g.exec.Deactivate()
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/pool"
 	"repro/internal/serde"
-	"repro/internal/trace"
 )
 
 // Runtime-owned data lifetimes. The paper's reworked PaRSEC backend lets
@@ -81,25 +80,24 @@ type tracked struct {
 	// cmp caches whether the value's dynamic type is comparable, so the
 	// escape check can test identity without risking a panic.
 	cmp bool
+	// live is the graph's count of live handles (Graph.tracked), which
+	// this handle is in until its references have all been resolved.
+	live *atomic.Int64
 }
 
-// liveTracked counts tracked handles whose references have not all been
-// resolved yet — a live gauge of runtime-owned in-flight values
-// (process-global; the live exporter samples it).
-var liveTracked atomic.Int64
-
-// LiveTrackedHandles reports the number of refcounted value handles
-// currently live in the data tracker (diagnostics/metrics).
-func LiveTrackedHandles() int64 { return liveTracked.Load() }
+// LiveTrackedHandles reports the number of refcounted value handles of
+// this graph (rank) whose references have not all been resolved yet — a
+// live gauge of runtime-owned in-flight values (diagnostics/metrics).
+func (g *Graph) LiveTrackedHandles() int64 { return g.tracked.Load() }
 
 // newTracked wraps value in a handle carrying refs references.
-func newTracked(value any, refs int, reclaim bool) *tracked {
-	h := &tracked{value: value, reclaim: reclaim}
+func (g *Graph) newTracked(value any, refs int, reclaim bool) *tracked {
+	h := &tracked{value: value, reclaim: reclaim, live: &g.tracked}
 	h.refs.Store(int32(refs))
 	if value != nil {
 		h.cmp = reflect.TypeOf(value).Comparable()
 	}
-	liveTracked.Add(1)
+	g.tracked.Add(1)
 	return h
 }
 
@@ -111,21 +109,23 @@ func newTracked(value any, refs int, reclaim bool) *tracked {
 // Retains or re-sends it). Other consumers may keep or fold what they
 // receive and get the raw copy, as does everyone for the immutable boxes
 // Clone passes through, which are still the sender's. A deep copy of a
-// serde.SplitMD value adds its payload bytes to tr.BytesCopied, which is
-// what the simulator charges as memcpy time (phantom payloads included).
-func cloneFor(in *InputSpec, value any, tr *trace.Collector) any {
-	tr.DataCopies.Add(1)
+// serde.SplitMD value adds its payload bytes to BytesCopied, which is what
+// the simulator charges as memcpy time (phantom payloads included). The
+// counts go to worker's cells.
+func (g *Graph) cloneFor(in *InputSpec, value any, worker int) any {
+	tc := g.tr.For(worker)
+	tc.DataCopies.Add(1)
 	if serde.SharedFast(value) {
 		return value
 	}
 	cc := in.Edge.codecFor(value)
 	cl := cc.Clone(value)
 	if sm, ok := value.(serde.SplitMD); ok && !cc.Shareable() {
-		tr.BytesCopied.Add(int64(sm.PayloadBytes()))
+		tc.BytesCopied.Add(int64(sm.PayloadBytes()))
 	}
 	if _, pooled := cl.(pool.Releasable); pooled && !cc.Shareable() &&
 		in.Access == ReadOnly && in.Reducer == nil {
-		h := newTracked(cl, 1, true)
+		h := g.newTracked(cl, 1, true)
 		h.private = true
 		return h
 	}
@@ -149,7 +149,7 @@ func endViewLease(v any) {
 // place (CAS 1→0) own it outright and never call drop.
 func (h *tracked) drop() {
 	if h.refs.Add(-1) == 0 {
-		liveTracked.Add(-1)
+		h.live.Add(-1)
 		if h.reclaim && !h.escaped.Load() {
 			if r, ok := h.value.(pool.Releasable); ok {
 				// Release retires any recv-view lease itself.
@@ -168,7 +168,7 @@ func (h *tracked) drop() {
 // to each terminal's declared access mode. It runs at the top of
 // Task.Execute, on the worker about to run the body — the latest possible
 // moment, which is what makes the write path copy-on-write.
-func (t *Task) materialize() {
+func (t *Task) materialize(worker int) {
 	for i := range t.Inputs {
 		h, ok := t.Inputs[i].(*tracked)
 		if !ok {
@@ -178,28 +178,29 @@ func (t *Task) materialize() {
 			endViewLease(t.Inputs[i])
 			continue
 		}
-		tr := t.TT.g.exec.Tracer()
+		g := t.TT.g
+		tc := g.tr.For(worker)
 		if t.TT.inputs[i].Access == ReadOnly {
 			// Share; hold the reference until the body returns.
 			t.Inputs[i] = h.value
 			t.holds = append(t.holds, h)
 			if !h.private {
-				tr.CopiesAvoided.Add(1)
+				tc.CopiesAvoided.Add(1)
 			}
 		} else if h.refs.CompareAndSwap(1, 0) {
 			// Sole live reference: the exclusive consumer takes the value
 			// in place and owns it from here on (never reclaimed); a
 			// recv-view lease transfers to the application with it.
 			t.Inputs[i] = h.value
-			liveTracked.Add(-1)
+			h.live.Add(-1)
 			endViewLease(h.value)
-			tr.CopiesAvoided.Add(1)
+			tc.CopiesAvoided.Add(1)
 		} else {
 			// Copy-on-write: other consumers still read the value, so this
 			// writer gets its own clone. Clone before dropping the
 			// reference — the order keeps the source alive while it is
 			// being read.
-			t.Inputs[i] = cloneFor(&t.TT.inputs[i], h.value, tr)
+			t.Inputs[i] = g.cloneFor(&t.TT.inputs[i], h.value, worker)
 			h.drop()
 		}
 	}

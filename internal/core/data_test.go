@@ -115,8 +115,9 @@ func TestCopyOnWriteLazyClone(t *testing.T) {
 // TestTrackedReclaim unit-tests the handle lifecycle: the last drop of a
 // runtime-owned value releases pooled payloads, unless the value escaped.
 func TestTrackedReclaim(t *testing.T) {
+	g := NewGraph(&mockExec{size: 1})
 	v := &relVal{data: []float64{1}}
-	h := newTracked(v, 2, true)
+	h := g.newTracked(v, 2, true)
 	h.drop()
 	if v.released.Load() {
 		t.Fatal("released while a reference was live")
@@ -127,7 +128,7 @@ func TestTrackedReclaim(t *testing.T) {
 	}
 
 	v2 := &relVal{data: []float64{1}}
-	h2 := newTracked(v2, 1, true)
+	h2 := g.newTracked(v2, 1, true)
 	h2.escaped.Store(true)
 	h2.drop()
 	if v2.released.Load() {
@@ -135,7 +136,7 @@ func TestTrackedReclaim(t *testing.T) {
 	}
 
 	v3 := &relVal{data: []float64{1}}
-	h3 := newTracked(v3, 1, false) // not runtime-owned (e.g. sender kept a ref)
+	h3 := g.newTracked(v3, 1, false) // not runtime-owned (e.g. sender kept a ref)
 	h3.drop()
 	if v3.released.Load() {
 		t.Fatal("non-owned value was reclaimed")
@@ -307,7 +308,7 @@ func TestReadOnlyResendEscapes(t *testing.T) {
 func TestTrackedRace(t *testing.T) {
 	const n = 32
 	v := &relVal{data: []float64{1, 2, 3}}
-	h := newTracked(v, n, true)
+	h := NewGraph(&mockExec{size: 1}).newTracked(v, n, true)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -394,7 +395,6 @@ func int1Keys(n int) []Key {
 // pool exactly once, when that consumer's body has returned.
 func TestUntrackedReadOnlyCloneIsReclaimed(t *testing.T) {
 	const k = 5
-	live := LiveTrackedHandles() // process-wide gauge: other tests leave their mark
 	for _, mode := range []SendMode{SendBorrow, SendCopy} {
 		c := newMockCluster(1, false)
 		g := c.graphs[0]
@@ -441,7 +441,7 @@ func TestUntrackedReadOnlyCloneIsReclaimed(t *testing.T) {
 		if tr.DataCopies != k || tr.CopiesAvoided != 1 {
 			t.Errorf("mode %d: copies=%d avoided=%d, want %d and 1", mode, tr.DataCopies, tr.CopiesAvoided, k)
 		}
-		if n := LiveTrackedHandles() - live; n != 0 {
+		if n := g.LiveTrackedHandles(); n != 0 {
 			t.Errorf("mode %d: %d tracked handles live after the run", mode, n)
 		}
 	}
@@ -474,7 +474,7 @@ func TestUntrackedReadOnlyCloneIsReclaimed(t *testing.T) {
 	if tr := c.execs[0].tr.Snapshot(); tr.DataCopies != 2 || tr.CopiesAvoided != 0 {
 		t.Errorf("inject: copies=%d avoided=%d, want 2 and 0", tr.DataCopies, tr.CopiesAvoided)
 	}
-	if n := LiveTrackedHandles() - live; n != 0 {
+	if n := g.LiveTrackedHandles(); n != 0 {
 		t.Errorf("inject: %d tracked handles live after the run", n)
 	}
 }
@@ -485,7 +485,6 @@ func TestUntrackedReadOnlyCloneIsReclaimed(t *testing.T) {
 // access, reducers) get raw copies the runtime never touches again; and a
 // value Clone passes through is never taken for a copy.
 func TestUntrackedCloneEscapes(t *testing.T) {
-	live := LiveTrackedHandles()
 	c := newMockCluster(1, false)
 	g := c.graphs[0]
 	in, e, f := NewEdge("in"), NewEdge("e"), NewEdge("f")
@@ -543,7 +542,7 @@ func TestUntrackedCloneEscapes(t *testing.T) {
 	if forwarded == nil || forwarded.releases.Load() != 0 || forwarded.data[0] != 1 {
 		t.Errorf("the forwarded copy was reclaimed under the forward")
 	}
-	if n := LiveTrackedHandles() - live; n != 0 {
+	if n := g.LiveTrackedHandles(); n != 0 {
 		t.Errorf("%d tracked handles live after the run", n)
 	}
 
@@ -551,14 +550,14 @@ func TestUntrackedCloneEscapes(t *testing.T) {
 	tr := &c.execs[0].tr
 	copied := tr.BytesCopied.Load()
 	for _, v := range []any{7, serde.Int2{1, 2}, podVal{3}} {
-		if got := cloneFor(ro, v, tr); got != v {
+		if got := g.cloneFor(ro, v, -1); got != v {
 			t.Errorf("cloneFor(%#v) = %#v: a pass-through must reach the consumer as it is", v, got)
 		}
 	}
 	if n := tr.BytesCopied.Load() - copied; n != 0 {
 		t.Errorf("pass-throughs counted %d copied bytes, want 0", n)
 	}
-	if n := LiveTrackedHandles() - live; n != 0 {
+	if n := g.LiveTrackedHandles(); n != 0 {
 		t.Errorf("a pass-through was wrapped: %d tracked handles live", n)
 	}
 }
@@ -587,7 +586,6 @@ func (e *queueExec) Fence()      { e.pending.Wait() }
 // Run with -race.
 func TestUntrackedCloneRace(t *testing.T) {
 	const workers, rounds, k = 2, 8, 32
-	live := LiveTrackedHandles()
 	ex := &queueExec{mockExec: mockExec{size: 1}, q: make(chan *Task, rounds*(k+1))}
 	g := NewGraph(ex)
 	var wg sync.WaitGroup
@@ -640,7 +638,7 @@ func TestUntrackedCloneRace(t *testing.T) {
 	if n := bad.Load(); n != 0 {
 		t.Errorf("%d readers saw a copy that was released or shared under them", n)
 	}
-	if n := LiveTrackedHandles() - live; n != 0 {
+	if n := g.LiveTrackedHandles(); n != 0 {
 		t.Errorf("%d tracked handles live after the fence", n)
 	}
 }

@@ -10,9 +10,11 @@ import (
 // without the shell table: the application numbers the box, and a
 // delivery stores its value in the key's slot and adds its terminal's bit
 // to the slot's atomic mask. The add that fills the mask completes the
-// task. There is no hash, no shard lock and no shell per delivery; the
-// one lock a task pays is its shard's Task free list. Keys outside the box
-// take the table.
+// task. There is no hash, no shard lock and no shell per delivery, and a
+// task completed on a pool worker takes its Task from that worker's free
+// list; only a delivery on no worker, or a worker whose list is empty,
+// takes a shard's Task free-list lock. Keys outside the box take the
+// table.
 //
 // A slot is reset only when its task is taken, by the delivery that
 // completed it: it copies the inputs out, clears them, and stores the
@@ -128,10 +130,7 @@ func (g *Graph) deliverDense(tt *TT, term int, key Key, i int, value any, worker
 	if m != d.full {
 		return nil
 	}
-	sp := &tt.match.shards[uint64(i)&tt.match.mask]
-	sp.mu.Lock()
-	t := sp.takeTask(d.n)
-	sp.mu.Unlock()
+	t := tt.takeTask(&tt.match.shards[uint64(i)&tt.match.mask], d.n, worker, false)
 	copy(t.Inputs, in)
 	clear(in)
 	pg.mask[j].Store(0)

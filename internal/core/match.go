@@ -14,7 +14,10 @@ import (
 // table is instead split into power-of-two shards selected by a cheap
 // task-ID hash: sends to different IDs almost always hit different shards
 // and proceed in parallel, and each shard keeps free lists of retired
-// shells and tasks so steady-state matching allocates nothing.
+// shells and tasks so steady-state matching allocates nothing. A task a
+// pool worker makes ready comes instead from that worker's own free list
+// of the template (taskList), and goes back to the list of the worker that
+// runs it, so a local task's path takes no shard lock for its Task.
 
 // matchShardBits caps the shard count; shardCount picks the real value
 // from GOMAXPROCS at TT construction.
@@ -258,32 +261,81 @@ func (sh *shell) scrub() {
 	}
 }
 
-// takeTask pops a retired task of sp's TT, or allocates one with room for
-// n inputs. Callers hold sp.mu.
-func (sp *matchShard) takeTask(n int) *Task {
-	if t := sp.tasks; t != nil {
-		sp.tasks = t.next
-		t.next = nil
-		return t
+// taskList is one pool worker's free list of a template's retired tasks,
+// padded so that two workers' lists never share a cache line.
+//
+// It is owner-only: no lock or atomic guards it, so only worker w may touch
+// TT.free[w]. The worker index core is handed must therefore be the calling
+// goroutine's own pool worker, or −1 — the index Task.Execute gets, and the
+// one a task body's sends carry. Executors that call Execute(0) from other
+// goroutines (the simulator, a synchronous test executor) are safe only
+// because their collectors size no worker cells, so their templates have
+// no lists at all. The race detector enforces the contract.
+type taskList struct {
+	head *Task
+	n    int
+	_    [48]byte
+}
+
+// maxFreeTasks bounds a worker's free list of one template; a task retired
+// on a full list goes back to its home shard.
+const maxFreeTasks = 64
+
+// takeTask returns a retired task of tt with room for n inputs for a
+// delivery on worker: from the worker's own free list, else from shard sp's
+// (the caller holds sp.mu when locked), else newly allocated with home sp.
+// A task taken on a worker returns to a worker's list when it retires, and
+// one taken on none (−1) to its home shard's, so each kind cycles through
+// the list it is taken from.
+func (tt *TT) takeTask(sp *matchShard, n, worker int, locked bool) *Task {
+	onWorker := uint(worker) < uint(len(tt.free))
+	if onWorker {
+		l := &tt.free[worker]
+		if t := l.head; t != nil {
+			l.head, t.next = t.next, nil
+			l.n--
+			return t
+		}
 	}
-	t := &Task{home: sp}
-	if n <= inlineInputs {
-		t.Inputs = t.in[:n:n]
-	} else {
-		t.Inputs = make([]any, n)
+	if !locked {
+		sp.mu.Lock()
 	}
+	t := sp.tasks
+	if t != nil {
+		sp.tasks, t.next = t.next, nil
+	}
+	if !locked {
+		sp.mu.Unlock()
+	}
+	if t == nil {
+		t = &Task{home: sp}
+		if n <= inlineInputs {
+			t.Inputs = t.in[:n:n]
+		} else {
+			t.Inputs = make([]any, n)
+		}
+	}
+	t.onWorker = onWorker
 	return t
 }
 
-// release scrubs a task that came from a shard and returns it to that
-// shard's free list. Called from Task.Execute after the body has run; the
-// task must not be touched afterwards.
-func (t *Task) release() {
+// release scrubs a retired task and returns it to the free list of the
+// worker running it (as the worker's own, when a worker made it ready and
+// the list has room) or of its home shard. Called from Task.Execute after
+// the body has run; the task must not be touched afterwards.
+func (t *Task) release(worker int) {
 	clear(t.Inputs)
 	t.Key = Key{}
 	t.activatedNs = 0
 	t.holds = t.holds[:0]
 	t.ctx = TaskContext{}
+	if free := t.TT.free; t.onWorker && uint(worker) < uint(len(free)) {
+		if l := &free[worker]; l.n < maxFreeTasks {
+			l.head, t.next = t, l.head
+			l.n++
+			return
+		}
+	}
 	sp := t.home
 	sp.mu.Lock()
 	t.next = sp.tasks

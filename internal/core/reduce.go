@@ -116,7 +116,7 @@ func (g *Graph) DisableReduceAutoFlush() { g.rflush = false }
 // ready task when the fold tripped the owner's watermark, nil otherwise.
 func (g *Graph) foldLocal(tt *TT, term int, key Key, v any, worker int) *Task {
 	spec := &tt.inputs[term]
-	tr := g.exec.Tracer()
+	tr := g.tr
 	me := g.exec.Rank()
 	rs := g.reduceShardFor(tt.id, term, key)
 	k := rkey{tt: tt.id, term: term, key: key}
@@ -157,7 +157,7 @@ func (g *Graph) foldLocal(tt *TT, term int, key Key, v any, worker int) *Task {
 // others block in a fence.
 func (g *Graph) foldPartial(tt *TT, term int, key Key, v any, n int, worker int) *Task {
 	spec := &tt.inputs[term]
-	tr := g.exec.Tracer()
+	tr := g.tr
 	me := g.exec.Rank()
 	owner := tt.keymap(key)
 	if owner == me {
@@ -270,7 +270,7 @@ func (g *Graph) flushSlot(sl *rslot, worker int) {
 // (SendMove): the slot it came from is gone.
 func (g *Graph) sendPartial(tt *TT, term int, key Key, acc any, n, owner int) {
 	parent := collective.ReduceParent(owner, g.exec.Size(), g.exec.Rank())
-	g.exec.Tracer().ReducePartialsSent.Add(1)
+	g.tr.ReducePartialsSent.Add(1)
 	d := Delivery{
 		Targets: []TermTarget{{TT: tt.id, Term: term, Keys: []Key{key}}},
 		Value:   acc,
@@ -293,7 +293,7 @@ func (g *Graph) sendPartial(tt *TT, term int, key Key, acc any, n, owner int) {
 // the stream completed.
 func (g *Graph) applyPartial(tt *TT, term int, key Key, acc any, n int, worker int) *Task {
 	spec := &tt.inputs[term]
-	g.exec.Tracer().MatchOps.Add(1)
+	g.tr.For(worker).MatchOps.Add(1)
 	if o := g.obs; o != nil {
 		o.Record(obs.Event{Kind: obs.EvTerminalMatch, Worker: int32(worker),
 			TT: int32(tt.id), Name: tt.name, Key: key.String()})

@@ -153,7 +153,7 @@ func (g *Graph) Inject(d Delivery) {
 		if tt.inputs[tgt.Term].Reducer != nil {
 			// The point-to-point baseline the reduce tree replaces: a
 			// remote data delivery landing on a streaming terminal.
-			g.exec.Tracer().RemoteReducerMsgs.Add(int64(len(tgt.Keys)))
+			g.tr.RemoteReducerMsgs.Add(int64(len(tgt.Keys)))
 		}
 		for _, key := range tgt.Keys {
 			ls = append(ls, localTarget{consumer{tt, tgt.Term}, g.canon(key)})
@@ -203,7 +203,7 @@ func joins(in *InputSpec, mode SendMode) bool {
 //
 // land takes over fo (nil, or the fanout backing ls) and recycles it.
 func (g *Graph) land(ls []localTarget, value any, mode SendMode, own owner, reclaim bool, worker int, fo *fanout) {
-	tr := g.exec.Tracer()
+	tc := g.tr.For(worker)
 	shares := g.exec.TracksData()
 	lend := shares && own == ownSender && mode == SendBorrow
 	var h *tracked
@@ -217,7 +217,7 @@ func (g *Graph) land(ls []localTarget, value any, mode SendMode, own owner, recl
 		// Two holders or more: the joiners, and a sender that keeps the
 		// object.
 		if n >= 2 || n == 1 && own == ownSender {
-			h = newTracked(value, n, reclaim)
+			h = g.newTracked(value, n, reclaim)
 		}
 	}
 	raw := own != ownSender && h == nil // the object itself is still to hand out
@@ -231,11 +231,11 @@ func (g *Graph) land(ls []localTarget, value any, mode SendMode, own owner, recl
 			v = h
 		case lend && in.Access != ReadWrite:
 			v = value
-			tr.CopiesAvoided.Add(1)
+			tc.CopiesAvoided.Add(1)
 		case raw:
 			v, raw = value, false
 			if own == ownRuntime {
-				tr.CopiesAvoided.Add(1)
+				tc.CopiesAvoided.Add(1)
 			}
 			if in.Reducer != nil {
 				// Folded below, the object never reaches a task's
@@ -243,7 +243,7 @@ func (g *Graph) land(ls []localTarget, value any, mode SendMode, own owner, recl
 				endViewLease(v)
 			}
 		default:
-			v = cloneFor(in, value, tr)
+			v = g.cloneFor(in, value, worker)
 		}
 		if in.Reducer != nil && g.combines(tt, term) {
 			// Local pre-reduction: fold into the combiner slot instead of
@@ -318,7 +318,7 @@ func (g *Graph) deliverLocal(tt *TT, term int, key Key, value any, worker int) *
 				TT: int32(tt.id), Name: tt.name})
 		}
 	}
-	g.exec.Tracer().MatchOps.Add(1)
+	g.tr.For(worker).MatchOps.Add(1)
 	if d := tt.dense; d != nil {
 		if i := d.index(key); i >= 0 {
 			return g.deliverDense(tt, term, key, i, value, worker)
@@ -375,7 +375,7 @@ func (g *Graph) applyControl(tt *TT, term int, key Key, ctrl ControlKind, n int,
 	if tt.inputs[term].Reducer == nil {
 		panic(fmt.Sprintf("core: stream control on non-streaming terminal %d of TT %q", term, tt.name))
 	}
-	g.exec.Tracer().MatchOps.Add(1)
+	g.tr.For(worker).MatchOps.Add(1)
 	h := key.hash()
 	sp := tt.match.shard(h)
 	sp.mu.Lock()
@@ -431,9 +431,10 @@ func (tt *TT) getShellLocked(sp *matchShard, key Key, h uint64) *shell {
 }
 
 // maybeReadyLocked checks for completion, and if ready removes the shell
-// (its key hashes to h), moves its inputs into a task from the shard's free
-// list, and returns the task for submission; the shell itself goes straight
-// back to the free list. It releases sp.mu in all paths.
+// (its key hashes to h), moves its inputs into a task (takeTask: from
+// worker's free list, else the shard's), and returns the task for
+// submission; the shell itself goes straight back to the shard's free
+// list. It releases sp.mu in all paths.
 func (g *Graph) maybeReadyLocked(tt *TT, sp *matchShard, sh *shell, h uint64, worker int) *Task {
 	n := len(tt.inputs)
 	if sh.satisfied != uint64(1)<<uint(n)-1 {
@@ -442,7 +443,7 @@ func (g *Graph) maybeReadyLocked(tt *TT, sp *matchShard, sh *shell, h uint64, wo
 	}
 	sp.table.remove(sh, h)
 	key := sh.key
-	t := sp.takeTask(n)
+	t := tt.takeTask(sp, n, worker, true)
 	copy(t.Inputs, sh.in[:min(n, inlineInputs)])
 	if n > inlineInputs {
 		copy(t.Inputs[inlineInputs:], sh.ext.more)

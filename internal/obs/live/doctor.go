@@ -210,7 +210,8 @@ func (d *Doctor) deliver(rep *StallReport) {
 // Diagnose snapshots and classifies pending shells across all targets
 // right now, regardless of quiet state — the crash-dump path and the sim
 // backend (whose fence returns even when the graph is wedged) use it as a
-// synchronous probe. Returns nil when no shell is pending anywhere.
+// synchronous probe. Returns nil when no shell, partial, receive view or
+// tracked handle is live anywhere.
 func (d *Doctor) Diagnose() *StallReport {
 	max := d.cfg.MaxPerTT
 	if max < 0 {
@@ -228,6 +229,7 @@ func (d *Doctor) Diagnose() *StallReport {
 		sampled, total := g.PendingTasks(max)
 		partials := g.PendingPartials(max)
 		nPart := g.PendingReductions()
+		tracked := g.LiveTrackedHandles()
 		var act int64
 		if t.Active != nil {
 			act = t.Active()
@@ -235,9 +237,10 @@ func (d *Doctor) Diagnose() *StallReport {
 		rep.Active += act
 		rep.Pending += total
 		rep.Partials += nPart
-		if total > 0 || nPart > 0 {
+		rep.Tracked += tracked
+		if total > 0 || nPart > 0 || tracked > 0 {
 			rp := RankPending{Rank: t.Rank, Active: act, Total: total, Sampled: sampled,
-				PartialCount: nPart, Partials: partials}
+				PartialCount: nPart, Partials: partials, Tracked: tracked}
 			if t.Sched != nil {
 				s := t.Sched()
 				rp.Sched = &s
@@ -251,7 +254,7 @@ func (d *Doctor) Diagnose() *StallReport {
 	// parked without its lease ending — leaked pool memory worth reporting
 	// even when no task shell is pending.
 	rep.RecvViews = serde.LiveRecvViews()
-	if rep.Pending == 0 && rep.Partials == 0 && rep.RecvViews == 0 {
+	if rep.Pending == 0 && rep.Partials == 0 && rep.RecvViews == 0 && rep.Tracked == 0 {
 		return nil
 	}
 	sort.Slice(rep.Ranks, func(i, j int) bool { return rep.Ranks[i].Rank < rep.Ranks[j].Rank })
@@ -273,6 +276,8 @@ type RankPending struct {
 	// never ran).
 	PartialCount int64
 	Partials     []core.PendingPartial
+	// Tracked is this rank's count of live data-tracker handles.
+	Tracked int64
 }
 
 // BlameEdge aggregates the stalled shells missing the same input: "Count
@@ -299,8 +304,12 @@ type StallReport struct {
 	// diagnosis time (process-global serde ledger). Nonzero after a fence
 	// means zero-copy payload memory is pinned by a parked value.
 	RecvViews int64
-	Ranks     []RankPending
-	Blames    []BlameEdge
+	// Tracked counts the data trackers' live value handles across all
+	// ranks. Nonzero after a fence with nothing pending means a handle
+	// leaked: some consumer never resolved it.
+	Tracked int64
+	Ranks   []RankPending
+	Blames  []BlameEdge
 }
 
 // aggregate folds the sampled pending tasks into blame edges, ordered by
@@ -349,6 +358,10 @@ func (r *StallReport) String() string {
 		fmt.Fprintf(&b, ", unflushed reduction partials=%d", r.Partials)
 	}
 	b.WriteString(")\n")
+	if r.Tracked > 0 {
+		fmt.Fprintf(&b, "  WARNING: %d tracked value handle(s) still live — a runtime-owned value some consumer never resolved\n",
+			r.Tracked)
+	}
 	if r.RecvViews > 0 {
 		fmt.Fprintf(&b, "  WARNING: %d receive view(s) still lease pooled buffers — a zero-copy decoded value was never released or consumed\n",
 			r.RecvViews)
@@ -357,6 +370,9 @@ func (r *StallReport) String() string {
 		fmt.Fprintf(&b, "  rank %d: pending=%d active=%d", rp.Rank, rp.Total, rp.Active)
 		if rp.PartialCount > 0 {
 			fmt.Fprintf(&b, " partials=%d", rp.PartialCount)
+		}
+		if rp.Tracked > 0 {
+			fmt.Fprintf(&b, " tracked=%d", rp.Tracked)
 		}
 		if rp.Sched != nil {
 			fmt.Fprintf(&b, " sched[%s]", rp.Sched)

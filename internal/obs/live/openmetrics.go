@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serde"
 )
@@ -105,16 +104,11 @@ func (e *Exporter) Export(w io.Writer) error {
 		f.lines = append(f.lines, fmt.Sprintf("obs_events_dropped %d", lr.Dropped))
 	}
 
-	// Process-global levels, one unlabeled series each: the data tracker's
-	// live handles and the receive views leasing pooled buffers.
-	for name, v := range map[string]int64{
-		obs.GaugeTrackedValues: core.LiveTrackedHandles(),
-		obs.GaugeRecvViews:     serde.LiveRecvViews(),
-	} {
-		n := sanitizeMetricName(name)
-		f := fam(n, "gauge")
-		f.lines = append(f.lines, fmt.Sprintf("%s %d", n, v))
-	}
+	// The one process-global level, unlabeled: the receive views leasing
+	// pooled buffers (one serde registry per process).
+	views := sanitizeMetricName(obs.GaugeRecvViews)
+	f := fam(views, "gauge")
+	f.lines = append(f.lines, fmt.Sprintf("%s %d", views, serde.LiveRecvViews()))
 
 	for _, c := range e.Collectors {
 		c.CollectLive(func(s Sample) {

@@ -175,8 +175,8 @@ const (
 	// GaugeDequeDepth tracks the summed depth of a rank's work-stealing
 	// deques and shared queue (sampled by the live exporter).
 	GaugeDequeDepth = "sched.deque_depth"
-	// GaugeTrackedValues tracks live refcounted value handles owned by the
-	// data tracker (process-global).
+	// GaugeTrackedValues tracks live refcounted value handles owned by one
+	// rank's data tracker.
 	GaugeTrackedValues = "data.tracked_live"
 	// GaugeTermdetActive is the termination detector's local activity level.
 	GaugeTermdetActive = "termdet.active"

@@ -83,8 +83,11 @@ func (t *Tile) Release() {
 // EndViewLease implements serde.ViewLease: it retires a scatter-decoded
 // tile's recv-view ledger entry, once however many callers race — Release,
 // and each worker the runtime hands the tile and its payload to outright.
+// viewed is set only at decode, before the tile is published, so a false
+// load is final and the common call (a tile that is no view, read by many
+// consumers) writes nothing to it.
 func (t *Tile) EndViewLease() {
-	if t != nil && t.viewed.Swap(false) {
+	if t != nil && t.viewed.Load() && t.viewed.Swap(false) {
 		serde.NoteViewEnd()
 	}
 }

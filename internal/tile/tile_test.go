@@ -92,7 +92,8 @@ func TestFrobeniusNorm(t *testing.T) {
 // TestEndViewLeaseOnce races eight goroutines to retire the lease of one
 // scatter-decoded tile — two workers each taking the same received tile as
 // a raw input do exactly that. The recv-view ledger must fall by one, not
-// once per caller. Run under -race.
+// once per caller, in every round; a tile that is no view, ended by the
+// same callers, never touches it. Run under -race.
 func TestEndViewLeaseOnce(t *testing.T) {
 	src := New(4, 4)
 	g, _ := serde.LookupCached(src).Gatherer()
@@ -101,22 +102,28 @@ func TestEndViewLeaseOnce(t *testing.T) {
 	if !ok {
 		t.Fatal("a dense tile declined the gather path")
 	}
-	base := serde.LiveRecvViews()
-	view := g.Scatter(serde.FromBytes(hdr.Bytes()), segs).(*Tile)
-	if n := serde.LiveRecvViews(); n != base+1 {
-		t.Fatalf("scatter decode moved the ledger %d -> %d, want +1", base, n)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			view.EndViewLease()
-		}()
-	}
-	wg.Wait()
-	if n := serde.LiveRecvViews(); n != base {
-		t.Fatalf("8 concurrent EndViewLease calls left the ledger at %d, want %d (one view, one retirement)", n, base)
+	for round := 0; round < 100; round++ {
+		base := serde.LiveRecvViews()
+		view := g.Scatter(serde.FromBytes(hdr.Bytes()), segs).(*Tile)
+		if n := serde.LiveRecvViews(); n != base+1 {
+			t.Fatalf("scatter decode moved the ledger %d -> %d, want +1", base, n)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				view.EndViewLease()
+				src.EndViewLease()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := serde.LiveRecvViews(); n != base {
+			t.Fatalf("round %d: 8 concurrent EndViewLease calls left the ledger at %d, want %d (one view, one retirement)", round, n, base)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestSnapshotAndAdd(t *testing.T) {
@@ -56,12 +57,16 @@ func TestConcurrentCounting(t *testing.T) {
 
 // TestNameTableCoversSnapshot checks, by reflection, that the name table
 // reaches every Snapshot field exactly once under a name of its own, and
-// every Collector cell exactly once — so a counter added without its row
-// fails here instead of silently exporting 0.
+// every Collector cell exactly once — the TaskCells in every copy, each
+// summed into Snapshot — so a counter added without its row, or a per-task
+// counter given a row that reads the shared copy alone, fails here instead
+// of silently exporting 0 or a part.
 func TestNameTableCoversSnapshot(t *testing.T) {
+	const workers = 3
 	var c Collector
+	c.SizeWorkers(workers)
 	var s Snapshot
-	rows := counters(&c, &s)
+	rows := counters(&c, &c.TaskCells, &s)
 
 	names := map[string]bool{}
 	snapRows, liveRows := map[*int64]int{}, map[*atomic.Int64]int{}
@@ -81,10 +86,34 @@ func TestNameTableCoversSnapshot(t *testing.T) {
 			t.Errorf("Snapshot.%s is reached by %d rows, want 1", sv.Type().Field(i).Name, n)
 		}
 	}
+	// cells lists every counter cell of the collector by field name, the
+	// shared TaskCells included; task lists each worker copy's.
+	cells := map[string]*atomic.Int64{}
+	var task []map[string]*atomic.Int64
+	walk := func(v reflect.Value, into map[string]*atomic.Int64) {
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
+			if p, ok := v.Field(i).Addr().Interface().(*atomic.Int64); ok {
+				into[v.Type().Field(i).Name] = p
+			}
+		}
+	}
 	cv := reflect.ValueOf(&c).Elem()
-	for i := 0; i < cv.NumField(); i++ {
-		if n := liveRows[cv.Field(i).Addr().Interface().(*atomic.Int64)]; n != 1 {
-			t.Errorf("Collector.%s is reached by %d rows, want 1", cv.Type().Field(i).Name, n)
+	walk(cv, cells)
+	walk(cv.FieldByName("TaskCells"), cells)
+	for w := 0; w < workers; w++ {
+		m := map[string]*atomic.Int64{}
+		walk(reflect.ValueOf(c.For(w)).Elem(), m)
+		task = append(task, m)
+	}
+	if len(task[0]) != reflect.TypeOf(TaskCells{}).NumField() {
+		t.Errorf("TaskCells has %d fields, %d of them counters", reflect.TypeOf(TaskCells{}).NumField(), len(task[0]))
+	}
+	for name, p := range cells {
+		if n := liveRows[p]; n != 1 {
+			t.Errorf("Collector.%s is reached by %d rows, want 1", name, n)
 		}
 	}
 	if len(rows) != sv.NumField() {
@@ -93,7 +122,7 @@ func TestNameTableCoversSnapshot(t *testing.T) {
 
 	// Each walks the same table: distinct values come back under the
 	// names above, and a Collector cell lands in the Snapshot field of
-	// the same name.
+	// the same name, summed over its copies.
 	for i, r := range rows {
 		*r.snap = int64(i + 1)
 	}
@@ -104,14 +133,42 @@ func TestNameTableCoversSnapshot(t *testing.T) {
 		}
 		i++
 	})
-	for i := 0; i < cv.NumField(); i++ {
-		cv.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(100 + i))
+	want := map[string]int64{}
+	k := int64(100)
+	for name, p := range cells {
+		p.Store(k)
+		want[name] = k
+		k += 100
+	}
+	for w, m := range task {
+		for name, p := range m {
+			p.Store(int64(w + 1))
+			want[name] += int64(w + 1)
+		}
 	}
 	snap := reflect.ValueOf(c.Snapshot())
-	for i := 0; i < cv.NumField(); i++ {
-		name := cv.Type().Field(i).Name
-		if got := snap.FieldByName(name).Int(); got != int64(100+i) {
-			t.Errorf("Collector.%s = %d snapshots as %d", name, 100+i, got)
+	for name, v := range want {
+		if got := snap.FieldByName(name).Int(); got != v {
+			t.Errorf("Collector.%s snapshots as %d, want %d (shared and per-worker copies summed)", name, got, v)
 		}
+	}
+	if got := c.Tasks(); got != want["TasksExecuted"] {
+		t.Errorf("Tasks() = %d, want %d", got, want["TasksExecuted"])
+	}
+}
+
+// TestWorkerCellsPadded keeps each worker's TaskCells on cache lines of
+// its own, and a worker −1 or out of range on the shared copy.
+func TestWorkerCellsPadded(t *testing.T) {
+	if n := unsafe.Sizeof(workerCells{}); n%64 != 0 {
+		t.Errorf("workerCells is %d bytes, want a multiple of 64", n)
+	}
+	var c Collector
+	if c.For(0) != &c.TaskCells {
+		t.Error("an unsized collector gave worker 0 a copy of its own")
+	}
+	c.SizeWorkers(2)
+	if c.For(-1) != &c.TaskCells || c.For(2) != &c.TaskCells || c.For(0) == c.For(1) || c.For(1) == &c.TaskCells {
+		t.Error("For does not map workers 0 and 1 to copies of their own and the rest to the shared one")
 	}
 }
